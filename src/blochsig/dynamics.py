@@ -1,15 +1,11 @@
 """Joint and reduced Bloch-space dynamics for bipartite systems.
 
-The unitary law ``d(rho)/dt = -i [H, rho]`` acts linearly on the coordinate
-triple (r1, r2, r12).  Two independent constructions of that flow coexist
-here on purpose:
-
-* :func:`linear_generator` pushes every coordinate direction through the
-  matrix commutator and projects back — no structure constants involved.
-  This is the authoritative linear flow.
-* :func:`vector_field` assembles the same flow from the structure
-  constants f and g.  Written out per coordinate (with local Hamiltonian
-  coefficients h1/h2 and interaction block h12):
+The unitary law ``d(rho)/dt = -i [H, rho]`` acts linearly on the packed
+coordinates (r1, r2, row-major r12).  ``linear`` and ``xi`` laws run one
+route, compiled once per law and Hamiltonian from the structure constants
+f and g: ``dx/dt = L_loc x + w(x) L_int x``.  Per coordinate, with local
+coefficients h1/h2, interaction block h12 and summation over repeated
+indices (``L_loc`` holds the h1/h2 terms, ``L_int`` the h12 terms):
 
       dr1_k  = 2 f1_aik h1_a r1_i  +  (4/N2) f1_aik h12_ab r12_ib  * xi1
       dr2_l  = 2 f2_bjl h2_b r2_j  +  (4/N1) f2_bjl h12_ab r12_aj  * xi2
@@ -18,12 +14,14 @@ here on purpose:
               + 2 f1_aip r1_i h12_aq                               * xi_local1
               + 2 f2_bjq r2_j h12_pb                               * xi_local2
 
-  (summation over repeated indices).  Every term carrying an interaction
-  element h12 accepts a state-dependent scalar weight xi; with all weights
-  equal to one the field coincides with :func:`linear_generator`, which the
-  test suite asserts.  Nonconstant weights make the joint flow nonlinear
-  while leaving the isolated-subsystem flow untouched — the construction
-  probed by :mod:`blochsig.nosignal_audit`.
+The weights are 1 for ``linear``, one scalar of the state for a uniform
+``xi`` law, or one value per (term, interaction element) with a nonzero
+h12 cofactor for an indexed law; with ``h12 = 0`` none is ever evaluated.
+Nonconstant weights make the joint flow nonlinear while leaving the
+isolated-subsystem flow untouched — the construction probed by
+:mod:`blochsig.nosignal_audit`.  :func:`linear_generator` builds the linear
+flow independently, through the matrix commutator; it is the test oracle
+that the compiled field must match when every weight is one.
 
 Physicality along trajectories is monitored, never enforced: projecting
 back into the physical set would corrupt the audits that this module
@@ -303,7 +301,7 @@ def custom_law(
 
 
 # ---------------------------------------------------------------------------
-# The authoritative linear flow (commutator route)
+# Commutator route: the independent test oracle
 
 
 @lru_cache(maxsize=16)
@@ -333,7 +331,7 @@ def linear_generator(hamiltonian: BlochHamiltonian) -> np.ndarray:
     """Matrix of the commutator flow on packed coordinates.
 
     Built numerically: each coordinate direction is pushed through
-    ``-i [H, .]`` and projected back.  Serves as the ground truth that the
+    ``-i [H, .]`` and projected back.  The test oracle that the compiled
     structure-constant field must reproduce when all weights are one.
     """
     n1, n2 = hamiltonian.dims
@@ -344,111 +342,142 @@ def linear_generator(hamiltonian: BlochHamiltonian) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant field with weights
+# Structure-constant field, compiled once per law and Hamiltonian
 
 
-def _local_parts(hamiltonian, r1, r2, r12, f1, f2):
-    loc1 = 2.0 * np.einsum("aik,a,i->k", f1, hamiltonian.h1, r1)
-    loc2 = 2.0 * np.einsum("bjl,b,j->l", f2, hamiltonian.h2, r2)
-    loc12 = 2.0 * (
-        np.einsum("aip,a,iq->pq", f1, hamiltonian.h1, r12)
-        + np.einsum("bjq,b,pj->pq", f2, hamiltonian.h2, r12)
-    )
-    return loc1, loc2, loc12
+def pack_coords(state: JointBlochState) -> np.ndarray:
+    return np.concatenate([state.r1, state.r2, state.r12.ravel()])
 
 
-def _interaction_parts_scalar(hamiltonian, r1, r2, r12, f1, f2, g1, g2):
-    n1, n2 = hamiltonian.dims
-    h12 = hamiltonian.h12
-    int1 = (4.0 / n2) * np.einsum("aik,ib,ab->k", f1, r12, h12, optimize=True)
-    int2 = (4.0 / n1) * np.einsum("bjl,aj,ab->l", f2, r12, h12, optimize=True)
-    int12 = 2.0 * (
-        np.einsum("aip,bjq,ij,ab->pq", g1, f2, r12, h12, optimize=True)
-        + np.einsum("aip,bjq,ij,ab->pq", f1, g2, r12, h12, optimize=True)
-        + np.einsum("aip,i,aq->pq", f1, r1, h12, optimize=True)
-        + np.einsum("bjq,j,pb->pq", f2, r2, h12, optimize=True)
-    )
-    return int1, int2, int12
+def _blocks(dims: tuple[int, int]) -> tuple[slice, slice, slice]:
+    """Slices of r1, r2 and the row-major r12 in packed coordinates."""
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    return slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d1 * d2)
 
 
-def _interaction_parts_indexed(hamiltonian, r1, r2, r12, xi, f1, f2, g1, g2):
-    """General route: one weight evaluation per (term, interaction element).
+def _split(x: np.ndarray, dims: tuple[int, int]):
+    s1, s2, s12 = _blocks(dims)
+    return x[s1], x[s2], x[s12].reshape(s1.stop, s2.stop - s1.stop)
 
-    Weights are only evaluated where their interaction cofactor is nonzero,
-    so with a vanishing interaction block the weights are provably inert.
+
+def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
+    return JointBlochState(dims, *_split(x, dims))
+
+
+class _Term(NamedTuple):
+    """One interaction-mediated term of the module docstring.
+
+    Contracting ``operands`` over ``subscripts`` into ``out + state`` sums
+    the interaction indices and gives the term's block of ``L_int``; into
+    ``out + open + state`` it keeps them open, one slice per weight call
+    ``getattr(xi, family)(*out, *open, r1, r2, r12)``.
     """
+
+    family: str
+    factor: float
+    subscripts: str
+    operands: tuple
+    out: str
+    open: str
+    state: str
+    out_block: slice
+    state_block: slice
+    nonzero: np.ndarray  # h12 cofactor != 0, broadcastable over out + open
+
+
+def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
     n1, n2 = hamiltonian.dims
-    d1, d2 = n1**2 - 1, n2**2 - 1
+    sc1, sc2 = cached_constants(n1), cached_constants(n2)
+    f1, g1, f2, g2 = sc1.f, sc1.g, sc2.f, sc2.g
     h12 = hamiltonian.h12
-    t1 = (4.0 / n2) * np.einsum("aik,ib->kab", f1, r12)
-    t2 = (4.0 / n1) * np.einsum("bjl,aj->lab", f2, r12)
-    w = 2.0 * (
-        np.einsum("aip,bjq,ij->pqab", g1, f2, r12, optimize=True)
-        + np.einsum("aip,bjq,ij->pqab", f1, g2, r12, optimize=True)
+    nz = h12 != 0.0
+    eye1, eye2 = np.eye(len(f1)), np.eye(len(f2))
+    s1, s2, s12 = _blocks(hamiltonian.dims)
+    # The bilinear term sums g1 f2 + f1 g2 over the stacked axis s.
+    gf, fg = np.stack((g1, f1)), np.stack((f2, g2))
+    return (
+        _Term("xi1", 4.0 / n2, "aik,ab,jb", (f1, h12, eye2), "k", "ab", "ij", s1, s12, nz),
+        _Term("xi2", 4.0 / n1, "bjl,ab,ia", (f2, h12, eye1), "l", "ab", "ij", s2, s12, nz),
+        _Term("xi12_bilinear", 2.0, "saip,sbjq,ab", (gf, fg, h12), "pq", "ab", "ij", s12, s12, nz),
+        _Term("xi12_local1", 2.0, "aip,aq", (f1, h12), "pq", "a", "i", s12, s1, nz.T),
+        _Term("xi12_local2", 2.0, "bjq,pb", (f2, h12), "pq", "b", "j", s12, s2, nz[:, None]),
     )
-    c1 = 2.0 * np.einsum("aip,i->ap", f1, r1)
-    c2 = 2.0 * np.einsum("bjq,j->bq", f2, r2)
-
-    int1 = np.zeros(d1)
-    int2 = np.zeros(d2)
-    int12 = np.zeros((d1, d2))
-    for a in range(d1):
-        for b in range(d2):
-            hab = h12[a, b]
-            if hab == 0.0:
-                continue
-            for k in range(d1):
-                int1[k] += t1[k, a, b] * hab * _is_finite(xi.xi1(k, a, b, r1, r2, r12))
-            for l in range(d2):
-                int2[l] += t2[l, a, b] * hab * _is_finite(xi.xi2(l, a, b, r1, r2, r12))
-            for p in range(d1):
-                for q in range(d2):
-                    int12[p, q] += (
-                        w[p, q, a, b] * hab * _is_finite(xi.xi12_bilinear(p, q, a, b, r1, r2, r12))
-                    )
-    for p in range(d1):
-        for q in range(d2):
-            for a in range(d1):
-                if h12[a, q] != 0.0:
-                    int12[p, q] += (
-                        c1[a, p] * h12[a, q] * _is_finite(xi.xi12_local1(p, q, a, r1, r2, r12))
-                    )
-            for b in range(d2):
-                if h12[p, b] != 0.0:
-                    int12[p, q] += (
-                        c2[b, q] * h12[p, b] * _is_finite(xi.xi12_local2(p, q, b, r1, r2, r12))
-                    )
-    return int1, int2, int12
 
 
-def _vector_field_raw(law, hamiltonian, r1, r2, r12):
+def _local_matrix(hamiltonian: BlochHamiltonian) -> np.ndarray:
+    """``L_loc``: each party's rotation on its own block and on r12."""
+    n1, n2 = hamiltonian.dims
+    s1, s2, s12 = _blocks(hamiltonian.dims)
+    g1, g2 = reduced_generator(hamiltonian.h1, n1), reduced_generator(hamiltonian.h2, n2)
+    m = np.zeros((s12.stop, s12.stop))
+    m[s1, s1] = g1
+    m[s2, s2] = g2
+    m[s12, s12] = np.kron(g1, np.eye(len(g2))) + np.kron(np.eye(len(g1)), g2)
+    return m
+
+
+def _interaction_matrix(terms: tuple[_Term, ...], size: int) -> np.ndarray:
+    """``L_int``: the interaction terms with every weight equal to one."""
+    m = np.zeros((size, size))
+    for t in terms:
+        block = m[t.out_block, t.state_block]
+        contracted = np.einsum(f"{t.subscripts}->{t.out}{t.state}", *t.operands, optimize=True)
+        block[...] = t.factor * contracted.reshape(block.shape)
+    return m
+
+
+def _indexed_interaction(terms: tuple[_Term, ...], xi: XiFunctions, size: int):
+    """The weight calls whose h12 cofactor is nonzero, the packed component
+    each one feeds, and the matrix taking the state to each call's
+    unweighted contribution (one row per call)."""
+    calls, targets, rows = [], [], []
+    for t in terms:
+        spread = np.einsum(f"{t.subscripts}->{t.out}{t.open}{t.state}", *t.operands)
+        lead = spread.shape[: len(t.out) + len(t.open)]
+        index = np.nonzero(np.broadcast_to(t.nonzero, lead))
+        row = np.zeros((len(index[0]), size))
+        row[:, t.state_block] = t.factor * spread[index].reshape(len(row), -1)
+        rows.append(row)
+        out = np.ravel_multi_index(index[: len(t.out)], lead[: len(t.out)])
+        targets.append(t.out_block.start + out)
+        weight = getattr(xi, t.family)
+        calls.extend((weight, args) for args in zip(*(i.tolist() for i in index)))
+    return calls, np.concatenate(targets), np.concatenate(rows)
+
+
+def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
+    """The law's joint field ``x -> dx/dt`` on packed coordinates; for
+    ``linear`` and ``xi`` laws ``L_loc x + w(x) L_int x``, built once.  The
+    open interaction tensors are built for indexed weights only."""
+    dims = hamiltonian.dims
     if law.kind == "custom":
         if law.joint_field_fn is None:
             raise ValueError(f"law {law.name!r} provides no joint field")
-        dr1, dr2, dr12 = law.joint_field_fn(hamiltonian, r1, r2, r12)
-        return (
-            np.asarray(dr1, dtype=float),
-            np.asarray(dr2, dtype=float),
-            np.asarray(dr12, dtype=float),
-        )
-    n1, n2 = hamiltonian.dims
-    sc1, sc2 = cached_constants(n1), cached_constants(n2)
-    f1, f2, g1, g2 = sc1.f, sc2.f, sc1.g, sc2.g
-    loc1, loc2, loc12 = _local_parts(hamiltonian, r1, r2, r12, f1, f2)
+
+        def custom(x):
+            parts = law.joint_field_fn(hamiltonian, *_split(x, dims))
+            return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+
+        return custom
+    loc = _local_matrix(hamiltonian)
     if hamiltonian.is_interaction_free:
         # No interaction: weights must not even be evaluated.
-        return loc1, loc2, loc12
+        return lambda x: loc @ x
+    terms = _interaction_terms(hamiltonian)
+    if law.kind == "xi" and law.xi.uniform is None:
+        calls, targets, contrib = _indexed_interaction(terms, law.xi, len(loc))
+
+        def indexed(x):
+            r = _split(x, dims)
+            w = np.array([_is_finite(weight(*args, *r)) for weight, args in calls])
+            return loc @ x + np.bincount(targets, weights=w * (contrib @ x), minlength=len(x))
+
+        return indexed
+    lint = _interaction_matrix(terms, len(loc))
     if law.kind == "linear":
-        scalar = 1.0
-    elif law.xi.uniform is not None:
-        scalar = _is_finite(law.xi.uniform(r1, r2, r12))
-    else:
-        int1, int2, int12 = _interaction_parts_indexed(
-            hamiltonian, r1, r2, r12, law.xi, f1, f2, g1, g2
-        )
-        return loc1 + int1, loc2 + int2, loc12 + int12
-    int1, int2, int12 = _interaction_parts_scalar(hamiltonian, r1, r2, r12, f1, f2, g1, g2)
-    return loc1 + scalar * int1, loc2 + scalar * int2, loc12 + scalar * int12
+        gen = loc + lint  # w = 1
+        return lambda x: gen @ x
+    return lambda x: loc @ x + _is_finite(law.xi.uniform(*_split(x, dims))) * (lint @ x)
 
 
 def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointBlochState):
@@ -457,36 +486,11 @@ def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointB
         raise DimensionMismatchError(
             f"state dims {state.dims} != Hamiltonian dims {hamiltonian.dims}"
         )
-    return _vector_field_raw(law, hamiltonian, state.r1, state.r2, state.r12)
+    return _split(_flat_field(law, hamiltonian)(pack_coords(state)), state.dims)
 
 
 # ---------------------------------------------------------------------------
 # Joint evolution
-
-
-def pack_coords(state: JointBlochState) -> np.ndarray:
-    return np.concatenate([state.r1, state.r2, state.r12.ravel()])
-
-
-def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
-    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-    return JointBlochState(dims, x[:d1], x[d1 : d1 + d2], x[d1 + d2 :].reshape(d1, d2))
-
-
-def _flat_field(law, hamiltonian):
-    d1, d2 = hamiltonian.dims[0] ** 2 - 1, hamiltonian.dims[1] ** 2 - 1
-    if law.kind == "linear":
-        gen = linear_generator(hamiltonian)
-        return lambda x: gen @ x
-
-    def fn(x):
-        r1 = x[:d1]
-        r2 = x[d1 : d1 + d2]
-        r12 = x[d1 + d2 :].reshape(d1, d2)
-        dr1, dr2, dr12 = _vector_field_raw(law, hamiltonian, r1, r2, r12)
-        return np.concatenate([dr1, dr2, dr12.ravel()])
-
-    return fn
 
 
 class EvolutionResult(NamedTuple):
@@ -512,17 +516,7 @@ def evolve(
     options: IntegratorOptions | None = None,
 ) -> EvolutionResult:
     """Integrate the joint flow for time t >= 0 and report physicality."""
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    if state0.dims != hamiltonian.dims:
-        raise DimensionMismatchError(
-            f"state dims {state0.dims} != Hamiltonian dims {hamiltonian.dims}"
-        )
-    options = options or DEFAULT_OPTIONS
-    if t == 0.0:
-        return _result_for(state0)
-    x = integrate.solve(_flat_field(law, hamiltonian), pack_coords(state0), t, options)
-    return _result_for(unpack_coords(x, hamiltonian.dims))
+    return evolve_path(law, hamiltonian, state0, [t], options)[0][1]
 
 
 def evolve_path(
@@ -535,7 +529,11 @@ def evolve_path(
     """Sample the trajectory at ascending times (one continuous integration)."""
     times = [float(t) for t in times]
     if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be nonnegative and ascending")
+        raise ValueError("evolution times must be nonnegative and ascending")
+    if state0.dims != hamiltonian.dims:
+        raise DimensionMismatchError(
+            f"state dims {state0.dims} != Hamiltonian dims {hamiltonian.dims}"
+        )
     options = options or DEFAULT_OPTIONS
     field = _flat_field(law, hamiltonian)
     out = []

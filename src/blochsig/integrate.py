@@ -35,8 +35,8 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.step <= 0 or self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("step and tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.step, self.atol, self.rtol)):
+            raise ValueError("step and tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

@@ -112,15 +112,15 @@ class AuditConfig:
     fit_probes: int = 20
 
     def __post_init__(self):
-        if self.fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        if self.pass_tolerance <= 0:
-            raise ValueError("pass_tolerance must be positive")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError("fd_step must be positive and finite")
+        if not (math.isfinite(self.pass_tolerance) and self.pass_tolerance > 0):
+            raise ValueError("pass_tolerance must be positive and finite")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         times = tuple(float(t) for t in self.times)
-        if not times or any(t < 0 for t in times):
-            raise ValueError("times must be nonempty and nonnegative")
+        if not times or not all(math.isfinite(t) and t >= 0 for t in times):
+            raise ValueError("times must be nonempty, finite and nonnegative")
         object.__setattr__(self, "times", times)
         if not 0.0 <= self.mix_weight < 1.0:
             raise ValueError("mix_weight must lie in [0, 1)")
@@ -182,6 +182,16 @@ def _feasible_step(perturbed, dims, fd_step: float, what: str) -> float:
     )
 
 
+def _central_difference(law, hamiltonian, branch, obs1, t, h, options) -> float:
+    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes, where
+    ``branch(delta)`` gives the joint state and remote observable at offset
+    delta."""
+    options = options or DEFAULT_BRANCH_OPTIONS
+    plus = local_distribution(*branch(+h), obs1, law, t, h_local=hamiltonian.h1, options=options)
+    minus = local_distribution(*branch(-h), obs1, law, t, h_local=hamiltonian.h1, options=options)
+    return float(np.max(np.abs(plus - minus)) / (2.0 * h))
+
+
 def d_remote_state(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
@@ -205,14 +215,9 @@ def d_remote_state(
         return joint.replace(r2=r2)
 
     h = _feasible_step(perturbed, joint.dims, fd_step, f"r2[{component}]")
-    options = options or DEFAULT_BRANCH_OPTIONS
-    plus = local_distribution(
-        perturbed(+h), obs2, obs1, law, t, h_local=hamiltonian.h1, options=options
+    return _central_difference(
+        law, hamiltonian, lambda delta: (perturbed(delta), obs2), obs1, t, h, options
     )
-    minus = local_distribution(
-        perturbed(-h), obs2, obs1, law, t, h_local=hamiltonian.h1, options=options
-    )
-    return float(np.max(np.abs(plus - minus)) / (2.0 * h))
 
 
 def d_correlations(
@@ -238,14 +243,9 @@ def d_correlations(
         return joint.replace(r12=r12)
 
     h = _feasible_step(perturbed, joint.dims, fd_step, f"r12[{i},{j}]")
-    options = options or DEFAULT_BRANCH_OPTIONS
-    plus = local_distribution(
-        perturbed(+h), obs2, obs1, law, t, h_local=hamiltonian.h1, options=options
+    return _central_difference(
+        law, hamiltonian, lambda delta: (perturbed(delta), obs2), obs1, t, h, options
     )
-    minus = local_distribution(
-        perturbed(-h), obs2, obs1, law, t, h_local=hamiltonian.h1, options=options
-    )
-    return float(np.max(np.abs(plus - minus)) / (2.0 * h))
 
 
 def d_remote_observable(
@@ -263,14 +263,9 @@ def d_remote_observable(
         raise DimensionMismatchError(
             f"family dim {family.base.dim} != second subsystem dim {joint.dims[1]}"
         )
-    options = options or DEFAULT_BRANCH_OPTIONS
-    plus = local_distribution(
-        joint, family.at(+fd_step), obs1, law, t, h_local=hamiltonian.h1, options=options
+    return _central_difference(
+        law, hamiltonian, lambda delta: (joint, family.at(delta)), obs1, t, fd_step, options
     )
-    minus = local_distribution(
-        joint, family.at(-fd_step), obs1, law, t, h_local=hamiltonian.h1, options=options
-    )
-    return float(np.max(np.abs(plus - minus)) / (2.0 * fd_step))
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,23 @@ def test_audit_malformed_config_field_path(tmp_path, capsys):
     assert "fd_step" in err or "audit" in err
 
 
+def test_evolve_nonfinite_integrator_step_reported(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "evolve.json",
+        {
+            "dims": [2, 2],
+            "law": "linear",
+            "initial_state": "singlet",
+            "integrator": {"step": "nan"},
+        },
+    )
+    assert main(["evolve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: integrator")
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_law_field_reported(tmp_path, capsys):
     cfg = write_config(tmp_path, "audit.json", {"dims": [2, 2]})
     assert main(["audit", "--config", cfg]) == 2

@@ -127,13 +127,13 @@ def test_generator_matches_unitary_oracle_derivative(dims):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_weighted_field_with_unit_weights_equals_commutator_route(dims):
     rng = np.random.default_rng(sum(dims))
-    law = xi_law("one")
     for _ in range(10):
         h = random_hamiltonian(rng, dims, scale=0.8)
         state = random_interior_joint(rng, dims)
         gen = linear_generator(h)
-        field = _flat(vector_field(law, h, state))
-        assert np.max(np.abs(field - gen @ pack_coords(state))) <= 1e-11
+        for law in (xi_law("one"), linear_law()):
+            field = _flat(vector_field(law, h, state))
+            assert np.max(np.abs(field - gen @ pack_coords(state))) <= 1e-11
 
 
 def test_linear_law_field_equals_unit_weight_field():
@@ -156,6 +156,50 @@ def test_indexed_weight_route_matches_scalar_route():
         a = _flat(vector_field(scalar_law, h, state))
         b = _flat(vector_field(indexed_law, h, state))
         assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def test_sparse_interaction_indexed_weights_only_at_nonzero_cofactors():
+    dims, d1, d2 = (2, 3), 3, 8
+    rng = np.random.default_rng(25)
+    h = random_hamiltonian(rng, dims)
+    h12 = np.where(rng.random((d1, d2)) < 0.5, 0.0, h.h12)
+    scale = rng.uniform(0.5, 1.5, (d1, d2))
+    corrnorm = xi_preset("corrnorm").uniform
+    # the interaction element each family's call weights, from its leading args
+    element = {
+        "xi1": lambda k, a, b: (a, b),
+        "xi2": lambda l, a, b: (a, b),
+        "xi12_bilinear": lambda p, q, a, b: (a, b),
+        "xi12_local1": lambda p, q, a: (a, q),
+        "xi12_local2": lambda p, q, b: (p, b),
+    }
+    calls = dict.fromkeys(element, 0)
+
+    def weight(family):
+        def fn(*args):
+            ab = element[family](*args[:-3])
+            assert h12[ab] != 0.0
+            calls[family] += 1
+            return scale[ab] * corrnorm(*args[-3:])
+
+        return fn
+
+    # weighting element ab by scale[ab] rescales h12[ab] in the scalar route
+    indexed = xi_law(XiFunctions(**{family: weight(family) for family in element}))
+    state = random_interior_joint(rng, dims)
+    a = _flat(vector_field(indexed, BlochHamiltonian(dims, 0.0, h.h1, h.h2, h12), state))
+    h_scaled = BlochHamiltonian(dims, 0.0, h.h1, h.h2, scale * h12)
+    b = _flat(vector_field(xi_law("corrnorm"), h_scaled, state))
+    assert np.max(np.abs(a - b)) <= 1e-13
+    n = np.count_nonzero(h12)
+    assert 0 < n < d1 * d2
+    assert calls == {
+        "xi1": d1 * n,
+        "xi2": d2 * n,
+        "xi12_bilinear": d1 * d2 * n,
+        "xi12_local1": d1 * n,
+        "xi12_local2": d2 * n,
+    }
 
 
 def test_weights_never_evaluated_without_interaction():

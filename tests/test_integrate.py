@@ -23,6 +23,9 @@ def test_options_validation():
         IntegratorOptions(atol=-1.0)
     with pytest.raises(ValueError):
         IntegratorOptions(max_steps=0)
+    for bad in ({"step": math.nan}, {"atol": math.inf}, {"rtol": math.nan}):
+        with pytest.raises(ValueError):
+            IntegratorOptions(**bad)
 
 
 def test_zero_time_returns_copy():

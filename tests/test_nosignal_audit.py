@@ -316,6 +316,9 @@ def test_audit_config_validation():
         AuditConfig(times=())
     with pytest.raises(ValueError):
         AuditConfig(mix_weight=1.0)
+    for bad in ({"fd_step": math.inf}, {"pass_tolerance": math.nan}, {"times": (math.nan,)}):
+        with pytest.raises(ValueError):
+            AuditConfig(**bad)
 
 
 def test_branch_integrator_override_still_passes():
