@@ -13,6 +13,11 @@ Born rule and the collapse update used in :mod:`blochsig.measurement` hold
 with no stray prefactors, and the two-qubit singlet gets the clean
 coordinates r1 = r2 = 0, r12 = -I.
 
+The packed joint layout ``x = (r1, r2, row-major r12)`` has one home, the
+operator frame of :func:`joint_frame`: joint conversions, the Hamiltonian
+matrices and the commutator oracle of :mod:`blochsig.dynamics` all read
+``M = u I + x . dirs`` and ``x = Re Tr(duals M)`` from it.
+
 Physicality is always decided by eigenvalues of the reconstructed matrix;
 for N > 2 the physical set is a proper subset of the coordinate ball, so
 norm bounds alone prove nothing.
@@ -21,6 +26,8 @@ norm bounds alone prove nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +42,9 @@ __all__ = [
     "from_bloch",
     "joint_to_bloch",
     "joint_from_bloch",
+    "joint_frame",
+    "pack_coords",
+    "unpack_coords",
     "reduce",
     "purity",
     "partial_trace",
@@ -101,9 +111,19 @@ def min_eigenvalue(rho: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(rho)[0])
 
 
+def _check_psd(rho: np.ndarray, what: str, psd_tol: float = PSD_TOLERANCE) -> None:
+    """Raise ``UnphysicalStateError`` unless rho is finite with smallest
+    eigenvalue at least ``psd_tol``; ``what`` opens the message."""
+    if not np.isfinite(rho).all():
+        raise UnphysicalStateError(f"{what}: non-finite entries")
+    low = min_eigenvalue(rho)
+    if low < psd_tol:
+        raise UnphysicalStateError(f"{what} (min eigenvalue {low:.3e})", min_eigenvalue=low)
+
+
 def validate_density_matrix(rho: np.ndarray, *, psd_tol: float = PSD_TOLERANCE) -> None:
-    """Raise ``UnphysicalStateError`` unless rho is Hermitian, unit trace
-    and positive semidefinite within tolerance."""
+    """Raise ``UnphysicalStateError`` unless rho is finite, Hermitian, unit
+    trace and positive semidefinite within tolerance."""
     rho = np.asarray(rho)
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > _HERM_TOL:
@@ -111,12 +131,7 @@ def validate_density_matrix(rho: np.ndarray, *, psd_tol: float = PSD_TOLERANCE) 
     tr = abs(np.trace(rho) - 1.0)
     if tr > _TRACE_TOL:
         raise UnphysicalStateError(f"trace deviates from 1 by {tr:.3e}")
-    low = min_eigenvalue(rho)
-    if low < psd_tol:
-        raise UnphysicalStateError(
-            f"matrix is not positive semidefinite (min eigenvalue {low:.3e})",
-            min_eigenvalue=low,
-        )
+    _check_psd(rho, "matrix is not positive semidefinite", psd_tol)
 
 
 def _check_dims(dim: int, basis: GeneratorSet) -> None:
@@ -144,12 +159,7 @@ def from_bloch(state: BlochState, basis: GeneratorSet, *, check: bool = True) ->
     n = state.dim
     rho = (np.eye(n, dtype=complex) + np.einsum("i,iab->ab", state.r, basis.matrices)) / n
     if check:
-        low = min_eigenvalue(rho)
-        if low < PSD_TOLERANCE:
-            raise UnphysicalStateError(
-                f"coordinates leave the physical set (min eigenvalue {low:.3e})",
-                min_eigenvalue=low,
-            )
+        _check_psd(rho, "coordinates leave the physical set")
     return rho
 
 
@@ -164,6 +174,61 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     raise ValueError("keep must be 1 or 2")
 
 
+class JointFrame(NamedTuple):
+    """``dirs``: ``s_i x I``, ``I x l_j``, ``s_i x l_j`` in packed order;
+    ``duals = dirs / Tr(dirs**2)``, so ``Tr(dirs_u duals_v) = delta_uv``."""
+
+    dirs: np.ndarray
+    duals: np.ndarray
+
+    def combine(self, unit: float, x: np.ndarray) -> np.ndarray:
+        """The matrix ``unit I + x . dirs``."""
+        n = self.dirs.shape[1]
+        m = (x @ self.dirs.reshape(len(x), -1)).reshape(n, n)
+        m.flat[:: n + 1] += unit
+        return m
+
+    def project(self, m: np.ndarray) -> np.ndarray:
+        """``Re Tr(duals_u m)`` over u (first axis) for one matrix or a stack."""
+        flat = np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
+        return np.real(self.duals.reshape(len(self.duals), -1) @ flat.T)
+
+
+@lru_cache(maxsize=16)
+def joint_frame(b1: GeneratorSet, b2: GeneratorSet) -> JointFrame:
+    """The read-only operator frame of the bases ``b1, b2``, built once."""
+    s, l, n = b1.matrices, b2.matrices, b1.dim * b2.dim
+    pairs = np.kron(s[:, None], l[None]).reshape(-1, n, n)
+    dirs = np.concatenate((np.kron(s, np.eye(b2.dim)), np.kron(np.eye(b1.dim), l), pairs))
+    duals = dirs / np.real(np.einsum("uab,uba->u", dirs, dirs))[:, None, None]
+    dirs.setflags(write=False)
+    duals.setflags(write=False)
+    return JointFrame(dirs, duals)
+
+
+def _pack(x1, x2, x12) -> np.ndarray:
+    return np.concatenate([x1, x2, x12.ravel()])
+
+
+def pack_coords(state: JointBlochState) -> np.ndarray:
+    return _pack(state.r1, state.r2, state.r12)
+
+
+def _blocks(dims: tuple[int, int]) -> tuple[slice, slice, slice]:
+    """Slices of r1, r2 and the row-major r12 in packed coordinates."""
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    return slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d1 * d2)
+
+
+def _split(x: np.ndarray, dims: tuple[int, int]):
+    s1, s2, s12 = _blocks(dims)
+    return x[s1], x[s2], x[s12].reshape(s1.stop, s2.stop - s1.stop)
+
+
+def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
+    return JointBlochState(dims, *_split(x, dims))
+
+
 def joint_to_bloch(rho12: np.ndarray, b1: GeneratorSet, b2: GeneratorSet) -> JointBlochState:
     """Project a bipartite density matrix onto the (r1, r2, r12) triple."""
     rho12 = np.asarray(rho12, dtype=complex)
@@ -172,13 +237,7 @@ def joint_to_bloch(rho12: np.ndarray, b1: GeneratorSet, b2: GeneratorSet) -> Joi
         raise DimensionMismatchError(
             f"joint matrix must be {(n1 * n2, n1 * n2)}, got {rho12.shape}"
         )
-    r1 = to_bloch(partial_trace(rho12, (n1, n2), keep=1), b1).r
-    r2 = to_bloch(partial_trace(rho12, (n1, n2), keep=2), b2).r
-    rho4 = rho12.reshape(n1, n2, n1, n2)
-    r12 = 0.25 * n1 * n2 * np.real(
-        np.einsum("abcd,ica,jdb->ij", rho4, b1.matrices, b2.matrices)
-    )
-    return JointBlochState((n1, n2), r1, r2, r12)
+    return unpack_coords(n1 * n2 * joint_frame(b1, b2).project(rho12), (n1, n2))
 
 
 def joint_from_bloch(
@@ -188,24 +247,9 @@ def joint_from_bloch(
     n1, n2 = state.dims
     _check_dims(n1, b1)
     _check_dims(n2, b2)
-    eye1 = np.eye(n1, dtype=complex)
-    eye2 = np.eye(n2, dtype=complex)
-    m1 = np.einsum("i,iab->ab", state.r1, b1.matrices)
-    m2 = np.einsum("j,jab->ab", state.r2, b2.matrices)
-    cross = np.einsum("ij,iab,jcd->acbd", state.r12, b1.matrices, b2.matrices)
-    rho = (
-        np.kron(eye1, eye2)
-        + np.kron(m1, eye2)
-        + np.kron(eye1, m2)
-        + cross.reshape(n1 * n2, n1 * n2)
-    ) / (n1 * n2)
+    rho = joint_frame(b1, b2).combine(1.0, pack_coords(state)) / (n1 * n2)
     if check:
-        low = min_eigenvalue(rho)
-        if low < PSD_TOLERANCE:
-            raise UnphysicalStateError(
-                f"joint coordinates leave the physical set (min eigenvalue {low:.3e})",
-                min_eigenvalue=low,
-            )
+        _check_psd(rho, "joint coordinates leave the physical set")
     return rho
 
 

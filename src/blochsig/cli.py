@@ -17,6 +17,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -86,11 +87,14 @@ def _load_json(path: str, field: str) -> dict:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(field, f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(field, f"invalid JSON in {path}: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(field, f"{path} must hold a JSON object")
+    return data
 
 
 def _require(cfg: dict, key: str, path: str):
@@ -99,17 +103,44 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _finite(raw) -> float | None:
+    """``raw`` as a float when it is a finite JSON number (not a bool)."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        value = float(raw)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _parse_dim(raw, path: str) -> int:
+    value = _finite(raw)
+    if value is None or not value.is_integer():
+        raise ConfigError(path, "must be an integer")
+    if value < 2:
+        raise ConfigError(path, "dimensions must be >= 2")
+    return int(value)
+
+
 def _parse_dims(cfg: dict) -> tuple[int, int]:
     raw = _require(cfg, "dims", "")
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError("dims", "must be a pair [N1, N2]")
-    try:
-        n1, n2 = int(raw[0]), int(raw[1])
-    except (TypeError, ValueError):
-        raise ConfigError("dims", "entries must be integers")
-    if n1 < 2 or n2 < 2:
-        raise ConfigError("dims", "dimensions must be >= 2")
-    return n1, n2
+    return _parse_dim(raw[0], "dims[0]"), _parse_dim(raw[1], "dims[1]")
+
+
+def _parse_time(raw, path: str) -> float:
+    value = _finite(raw)
+    if value is None or value < 0:
+        raise ConfigError(path, "must be a finite nonnegative number")
+    return value
+
+
+def _parse_times(raw, path: str) -> list[float]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(path, "must be a nonempty list")
+    return [_parse_time(t, f"{path}[{i}]") for i, t in enumerate(raw)]
 
 
 def _parse_real_array(raw, shape, path: str) -> np.ndarray:
@@ -151,15 +182,17 @@ def _parse_law(cfg: dict) -> EvolutionLaw:
         return linear_law()
     if name == "xi":
         preset = raw.get("preset", "one")
+        if not isinstance(preset, str):
+            raise ConfigError("law.preset", "must be a preset name")
         try:
             return xi_law(preset)
         except ValueError as exc:
             raise ConfigError("law.preset", str(exc))
     if name == "polesink":
-        eps = raw.get("epsilon", 0.1)
-        if not isinstance(eps, (int, float)) or eps <= 0:
-            raise ConfigError("law.epsilon", "must be a positive number")
-        return polesink_law(float(eps))
+        eps = _finite(raw.get("epsilon", 0.1))
+        if eps is None or eps <= 0:
+            raise ConfigError("law.epsilon", "must be a positive finite number")
+        return polesink_law(eps)
     raise ConfigError("law.name", f"unknown law {name!r} (linear | xi | polesink)")
 
 
@@ -278,9 +311,7 @@ def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"audit.{name}", "invalid value")
     if "times" in raw:
-        if not isinstance(raw["times"], list) or not raw["times"]:
-            raise ConfigError("audit.times", "must be a nonempty list")
-        kwargs["times"] = tuple(float(t) for t in raw["times"])
+        kwargs["times"] = tuple(_parse_times(raw["times"], "audit.times"))
     if "integrator" in raw:
         kwargs["branch_options"] = _parse_integrator(raw, "integrator")
     if seed_override is not None:
@@ -315,9 +346,7 @@ def cmd_basis(args) -> int:
 def cmd_convert(args) -> int:
     data = _load_json(args.infile, "input")
     if "matrix_re" in data and "dim" in data:
-        n = int(data["dim"])
-        if n < 2:
-            raise ConfigError("dim", "must be >= 2")
+        n = _parse_dim(data["dim"], "dim")
         rho = _parse_complex_matrix(
             {"re": data["matrix_re"], "im": data.get("matrix_im", np.zeros((n, n)).tolist())},
             n,
@@ -347,7 +376,7 @@ def cmd_convert(args) -> int:
             "r12": state.r12.tolist(),
         }
     elif "r" in data and "dim" in data:
-        n = int(data["dim"])
+        n = _parse_dim(data["dim"], "dim")
         r = _parse_real_array(data["r"], (n**2 - 1,), "r")
         rho = from_bloch(BlochState(n, r), cached_basis(n))
         payload = {"dim": n, "matrix_re": np.real(rho).tolist(), "matrix_im": np.imag(rho).tolist()}
@@ -382,12 +411,7 @@ def cmd_evolve(args) -> int:
     law = _parse_law(cfg)
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
     state0 = _parse_state(cfg, dims)
-    times_raw = cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0])
-    if not isinstance(times_raw, list) or not times_raw:
-        raise ConfigError("times", "must be a nonempty list")
-    times = sorted(float(t) for t in times_raw)
-    if times[0] < 0:
-        raise ConfigError("times", "must be nonnegative")
+    times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
     options = _parse_integrator(cfg)
 
     samples = evolve_path(law, hamiltonian, state0, times, options)
@@ -443,6 +467,28 @@ def cmd_evolve(args) -> int:
     return 0
 
 
+def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
+    """The optional two-observable demo: (state, remote_a, remote_b, local,
+    time), or None when the config has no ``channel_demo``."""
+    demo_cfg = cfg.get("channel_demo")
+    if demo_cfg is None:
+        return None
+    if not isinstance(demo_cfg, dict):
+        raise ConfigError("channel_demo", "must be an object")
+    state = _parse_state(demo_cfg, dims)
+    obs_a = _parse_observable(
+        _require(demo_cfg, "remote_a", "channel_demo"), dims[1], "channel_demo.remote_a"
+    )
+    obs_b = _parse_observable(
+        _require(demo_cfg, "remote_b", "channel_demo"), dims[1], "channel_demo.remote_b"
+    )
+    local = _parse_observable(
+        _require(demo_cfg, "local", "channel_demo"), dims[0], "channel_demo.local"
+    )
+    t_demo = _parse_time(demo_cfg.get("time", max(config.times)), "channel_demo.time")
+    return state, obs_a, obs_b, local, t_demo
+
+
 def cmd_audit(args) -> int:
     cfg = _load_json(args.config, "config")
     dims = _parse_dims(cfg)
@@ -450,24 +496,13 @@ def cmd_audit(args) -> int:
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
     config = _parse_audit_config(cfg, args.seed)
 
+    demo = _parse_channel_demo(cfg, dims, config)
+
     report = audit(law, hamiltonian, config)
     payload = report.to_dict()
 
-    demo_cfg = cfg.get("channel_demo")
-    if demo_cfg is not None:
-        if not isinstance(demo_cfg, dict):
-            raise ConfigError("channel_demo", "must be an object")
-        state = _parse_state(demo_cfg, dims)
-        obs_a = _parse_observable(
-            _require(demo_cfg, "remote_a", "channel_demo"), dims[1], "channel_demo.remote_a"
-        )
-        obs_b = _parse_observable(
-            _require(demo_cfg, "remote_b", "channel_demo"), dims[1], "channel_demo.remote_b"
-        )
-        local = _parse_observable(
-            _require(demo_cfg, "local", "channel_demo"), dims[0], "channel_demo.local"
-        )
-        t_demo = float(demo_cfg.get("time", max(config.times)))
+    if demo is not None:
+        state, obs_a, obs_b, local, t_demo = demo
         delta, (pa, pb) = signaling_channel_demo(
             law, state, obs_a, obs_b, local, t_demo,
             h_local=hamiltonian.h1, options=config.branch_options,

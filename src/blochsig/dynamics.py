@@ -23,6 +23,9 @@ isolated-subsystem flow untouched — the construction probed by
 flow independently, through the matrix commutator; it is the test oracle
 that the compiled field must match when every weight is one.
 
+The packed layout and its operator frame live in :mod:`blochsig.bloch`
+(``joint_frame``; ``pack_coords``/``unpack_coords`` are re-exported).
+
 Physicality along trajectories is monitored, never enforced: projecting
 back into the physical set would corrupt the audits that this module
 feeds.
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,9 +44,15 @@ from .bloch import (
     PSD_TOLERANCE,
     BlochState,
     JointBlochState,
+    _blocks,
+    _pack,
+    _split,
+    joint_frame,
     joint_from_bloch,
     min_eigenvalue,
+    pack_coords,
     to_bloch,
+    unpack_coords,
 )
 from .errors import DimensionMismatchError, NonlinearityEvaluationError
 from .integrate import DEFAULT_OPTIONS, IntegratorOptions, rk4_steps
@@ -118,14 +126,8 @@ class BlochHamiltonian:
         return replace(self, h12=np.zeros_like(self.h12))
 
     def matrix(self) -> np.ndarray:
-        n1, n2 = self.dims
-        b1, b2 = cached_basis(n1), cached_basis(n2)
-        eye1, eye2 = np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)
-        h = self.h0 * np.kron(eye1, eye2)
-        h += np.kron(np.einsum("i,iab->ab", self.h1, b1.matrices), eye2)
-        h += np.kron(eye1, np.einsum("j,jab->ab", self.h2, b2.matrices))
-        cross = np.einsum("ij,iab,jcd->acbd", self.h12, b1.matrices, b2.matrices)
-        return h + cross.reshape(n1 * n2, n1 * n2)
+        frame = joint_frame(*map(cached_basis, self.dims))
+        return frame.combine(self.h0, _pack(self.h1, self.h2, self.h12))
 
 
 def hamiltonian_from_matrix(h: np.ndarray, dims: tuple[int, int]) -> BlochHamiltonian:
@@ -137,15 +139,9 @@ def hamiltonian_from_matrix(h: np.ndarray, dims: tuple[int, int]) -> BlochHamilt
     herm = np.max(np.abs(h - h.conj().T))
     if herm > 1e-12:
         raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    b1, b2 = cached_basis(n1), cached_basis(n2)
-    h4 = h.reshape(n1, n2, n1, n2)
     h0 = float(np.trace(h).real) / (n1 * n2)
-    red1 = np.einsum("abcb->ac", h4)
-    red2 = np.einsum("abad->bd", h4)
-    h1 = np.real(np.einsum("ac,ica->i", red1, b1.matrices)) / (2.0 * n2)
-    h2 = np.real(np.einsum("bd,jdb->j", red2, b2.matrices)) / (2.0 * n1)
-    h12 = np.real(np.einsum("abcd,ica,jdb->ij", h4, b1.matrices, b2.matrices)) / 4.0
-    return BlochHamiltonian(dims, h0, h1, h2, h12)
+    coeffs = joint_frame(*map(cached_basis, dims)).project(h)
+    return BlochHamiltonian(dims, h0, *_split(coeffs, dims))
 
 
 def random_hamiltonian(
@@ -304,64 +300,21 @@ def custom_law(
 # Commutator route: the independent test oracle
 
 
-@lru_cache(maxsize=16)
-def _coordinate_frames(dims: tuple[int, int]):
-    """Direction matrices for each coordinate and the matching trace
-    projections, stacked in coordinate order (r1, r2, row-major r12)."""
-    n1, n2 = dims
-    b1, b2 = cached_basis(n1), cached_basis(n2)
-    eye1, eye2 = np.eye(n1, dtype=complex), np.eye(n2, dtype=complex)
-    dirs, weights = [], []
-    for s in b1.matrices:
-        dirs.append(np.kron(s, eye2))
-        weights.append(0.5 * n1)
-    for l in b2.matrices:
-        dirs.append(np.kron(eye1, l))
-        weights.append(0.5 * n2)
-    for s in b1.matrices:
-        for l in b2.matrices:
-            dirs.append(np.kron(s, l))
-            weights.append(0.25 * n1 * n2)
-    dirs = np.stack(dirs)
-    projs = np.asarray(weights)[:, None, None] * dirs
-    return dirs, projs
-
-
 def linear_generator(hamiltonian: BlochHamiltonian) -> np.ndarray:
     """Matrix of the commutator flow on packed coordinates.
 
     Built numerically: each coordinate direction is pushed through
-    ``-i [H, .]`` and projected back.  The test oracle that the compiled
-    structure-constant field must reproduce when all weights are one.
+    ``-i [H, .]`` and projected back onto the trace duals.  The test oracle
+    that the compiled structure-constant field must reproduce when all
+    weights are one.
     """
-    n1, n2 = hamiltonian.dims
-    dirs, projs = _coordinate_frames(hamiltonian.dims)
+    frame = joint_frame(*map(cached_basis, hamiltonian.dims))
     h = hamiltonian.matrix()
-    comms = -1j * (h[None, :, :] @ dirs - dirs @ h)
-    return np.real(np.einsum("uab,mba->um", projs, comms)) / (n1 * n2)
+    return frame.project(-1j * (h[None, :, :] @ frame.dirs - frame.dirs @ h))
 
 
 # ---------------------------------------------------------------------------
 # Structure-constant field, compiled once per law and Hamiltonian
-
-
-def pack_coords(state: JointBlochState) -> np.ndarray:
-    return np.concatenate([state.r1, state.r2, state.r12.ravel()])
-
-
-def _blocks(dims: tuple[int, int]) -> tuple[slice, slice, slice]:
-    """Slices of r1, r2 and the row-major r12 in packed coordinates."""
-    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-    return slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d1 * d2)
-
-
-def _split(x: np.ndarray, dims: tuple[int, int]):
-    s1, s2, s12 = _blocks(dims)
-    return x[s1], x[s2], x[s12].reshape(s1.stop, s2.stop - s1.stop)
-
-
-def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
-    return JointBlochState(dims, *_split(x, dims))
 
 
 class _Term(NamedTuple):

@@ -109,13 +109,19 @@ def _rkf45(field, y0, t, options):
 
 
 def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
-    """Integrate dy/dt = field(y) from 0 to t >= 0."""
+    """Integrate dy/dt = field(y) from 0 to t >= 0.
+
+    Raises ``IntegrationFailureError`` when the stepper gives up or the
+    result is not finite.
+    """
     if t < 0:
         raise ValueError("integration time must be nonnegative")
     options = options or DEFAULT_OPTIONS
     y0 = np.asarray(y0, dtype=float)
     if t == 0.0:
         return y0.copy()
-    if options.method == "rk4":
-        return _rk4(field, y0, t, options)
-    return _rkf45(field, y0, t, options)
+    stepper = _rk4 if options.method == "rk4" else _rkf45
+    y = stepper(field, y0, t, options)
+    if not np.isfinite(y).all():
+        raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
+    return y

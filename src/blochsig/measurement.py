@@ -226,12 +226,19 @@ def conditional_state(
         raise DimensionMismatchError(
             f"observable dim {obs2.dim} != second subsystem dim {joint.dims[1]}"
         )
-    proj = obs2.outcomes[k]
+    p, r = _collapse(joint, obs2.outcomes[k])
+    if r is None:
+        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p:.3e}")
+    return p, BlochState(joint.dims[0], r)
+
+
+def _collapse(joint: JointBlochState, proj: Projector):
+    """Born weight of ``proj`` on party 2 and party 1's collapsed
+    coordinates (``None`` at or below the probability floor)."""
     p = proj.u0 + float(proj.u @ joint.r2)
     if p <= EPS_PROB:
-        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p:.3e}")
-    r = (proj.u0 * joint.r1 + joint.r12 @ proj.u) / p
-    return p, BlochState(joint.dims[0], r)
+        return p, None
+    return p, (proj.u0 * joint.r1 + joint.r12 @ proj.u) / p
 
 
 def local_distribution(
@@ -268,12 +275,10 @@ def local_distribution(
     flow = dynamics.reduced_flow(law, h_local, n1)
     weights = []
     evolved = []
-    for k in range(len(obs2.outcomes)):
-        proj = obs2.outcomes[k]
-        p = proj.u0 + float(proj.u @ joint.r2)
-        if p <= EPS_PROB:
+    for proj in obs2.outcomes:
+        p, r = _collapse(joint, proj)
+        if r is None:
             continue
-        r = (proj.u0 * joint.r1 + joint.r12 @ proj.u) / p
         weights.append(p)
         evolved.append(flow.propagate(r, t, options))
     out = np.zeros(len(obs1.outcomes))

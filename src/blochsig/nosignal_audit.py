@@ -380,8 +380,10 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Partial failures (infeasible perturbations, integrator giving up) are
-    recorded per case and excluded from the maxima.
+    Partial failures (infeasible perturbations, integrator giving up,
+    non-finite sensitivities) are recorded per case and excluded from the
+    maxima; a failed component also rules out a pass, since no-signaling
+    went unchecked there.
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
@@ -416,6 +418,12 @@ def audit(
                  "reason": str(exc)}
             )
             return None, label, "integration-failure"
+        if not math.isfinite(value):
+            failures.append(
+                {"member": case.index, "time": t, "channel": channel, "component": label,
+                 "reason": f"sensitivity is not finite ({value!r})"}
+            )
+            return None, label, "non-finite"
         if value > maxima[channel]:
             maxima[channel] = value
             worst[channel] = {
@@ -488,7 +496,9 @@ def audit(
     overall = max(maxima.values())
     verdict = (
         VERDICT_PASS
-        if overall <= config.pass_tolerance and linearity <= config.pass_tolerance
+        if overall <= config.pass_tolerance
+        and linearity <= config.pass_tolerance
+        and not failures
         else VERDICT_SIGNALING
     )
     if linearity > overall:

@@ -42,12 +42,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Ordered basis of the N**2 - 1 traceless Hermitian generators of SU(N).
 
     ``matrices`` has shape ``(N**2 - 1, N, N)`` and is read-only; instances
-    are safe to share freely between threads.
+    are safe to share freely between threads.  Equality and hashing are by
+    identity, so any basis can key a cache.
     """
 
     dim: int

@@ -13,6 +13,7 @@ from blochsig.bloch import (
     purity,
     reduce,
     to_bloch,
+    validate_density_matrix,
 )
 from blochsig.errors import DimensionMismatchError, UnphysicalStateError
 from blochsig.sampling import random_density, singlet_state
@@ -161,3 +162,21 @@ def test_dimension_mismatch_raises():
         JointBlochState((2, 2), np.zeros(3), np.zeros(8), np.zeros((3, 3)))
     with pytest.raises(DimensionMismatchError):
         joint_to_bloch(np.eye(4) / 4.0, cached_basis(2), cached_basis(3))
+
+
+@pytest.mark.parametrize(
+    "reconstruct",
+    [
+        lambda: from_bloch(BlochState(2, [np.nan, 0.0, 0.0]), cached_basis(2)),
+        lambda: joint_from_bloch(
+            JointBlochState((2, 2), np.zeros(3), np.zeros(3), np.diag([np.nan, 0.0, 0.0])),
+            cached_basis(2),
+            cached_basis(2),
+        ),
+        lambda: validate_density_matrix(np.full((2, 2), np.nan)),
+    ],
+    ids=["from_bloch", "joint_from_bloch", "validate_density_matrix"],
+)
+def test_nonfinite_input_is_unphysical(reconstruct):
+    with pytest.raises(UnphysicalStateError, match="non-finite"):
+        reconstruct()

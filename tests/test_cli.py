@@ -253,3 +253,45 @@ def test_demo_table_output(capsys):
     assert main(["demo", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "signaling-detected" in out
+
+
+_EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("evolve", {**_EVOLVE, "times": ["a"]}),
+        ("evolve", {**_EVOLVE, "times": [float("nan")]}),
+        ("evolve", {**_EVOLVE, "dims": [2.5, 2]}),
+        ("evolve", {**_EVOLVE, "law": {"name": "xi", "preset": {}}}),
+        (
+            "evolve",
+            {**_EVOLVE, "initial_state": {
+                "r1": [float("nan"), 0, 0], "r2": [0, 0, 0], "r12": np.zeros((3, 3)).tolist(),
+            }},
+        ),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"times": ["a"]}}),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "law": {"name": "polesink", "epsilon": float("nan")}}),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "law": {"name": "polesink", "epsilon": True}}),
+        (
+            "audit",
+            {**POLESINK_AUDIT_CONFIG,
+             "channel_demo": {**POLESINK_AUDIT_CONFIG["channel_demo"], "time": "abc"}},
+        ),
+        ("convert", {"dim": "x", "r": [0.0, 0.0, 0.0]}),
+        ("convert", 5),
+    ],
+    ids=[
+        "evolve-times", "evolve-nan-time", "fractional-dims", "xi-preset-object",
+        "nan-initial-state", "audit-times", "nan-epsilon", "bool-epsilon",
+        "channel-demo-time", "convert-dim", "convert-not-object",
+    ],
+)
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    flag = "--in" if command == "convert" else "--config"
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -93,3 +93,10 @@ def test_rk4_flow_is_linear_in_initial_condition():
     b = solve(field, np.array([0.0, 1.0]), 1.0, opts)
     c = solve(field, np.array([0.3, -0.7]), 1.0, opts)
     assert np.max(np.abs(0.3 * a - 0.7 * b - c)) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_nonfinite_result_raises(method):
+    options = IntegratorOptions(method=method, step=0.1, max_steps=1000)
+    with pytest.raises(IntegrationFailureError):
+        solve(lambda y: np.full_like(y, np.nan), np.zeros(2), 1.0, options)

@@ -8,12 +8,13 @@ import pytest
 from blochsig.bloch import BlochState, joint_to_bloch
 from blochsig.dynamics import (
     BlochHamiltonian,
+    custom_law,
     evolve_reduced,
     linear_law,
     random_hamiltonian,
     xi_law,
 )
-from blochsig.errors import PerturbationInfeasibleError
+from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.integrate import IntegratorOptions
 from blochsig.measurement import computational_observable, fourier_observable, rotate_observable
 from blochsig.nosignal_audit import (
@@ -329,3 +330,27 @@ def test_branch_integrator_override_still_passes():
         branch_options=IntegratorOptions(method="rk4", step=0.005),
     )
     assert audit(linear_law(), h, cfg).verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        custom_law("nan", reduced_field=lambda h, r: np.full_like(r, np.nan)),
+        polesink_law(math.nan),
+    ],
+    ids=["nan-field", "polesink-nan-epsilon"],
+)
+def test_nonfinite_law_never_passes(law):
+    cfg = AuditConfig(seed=0, ensemble_size=2, times=(0.5,))
+    with pytest.raises(IntegrationFailureError, match="not finite"):
+        audit(law, BlochHamiltonian((2, 2)), cfg)
+
+
+def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
+    # a NaN Hamiltonian makes the linear reduced flow a NaN matrix, which
+    # bypasses the integrator; every sensitivity is then NaN
+    h = BlochHamiltonian((2, 2), h1=[math.nan, 0.0, 0.0])
+    report = audit(linear_law(), h, AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
+    assert report.verdict != "pass"
+    assert report.failures
+    assert all(row["status"] == "non-finite" for row in report.cases)
