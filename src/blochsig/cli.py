@@ -114,13 +114,18 @@ def _finite(raw) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _parse_dim(raw, path: str) -> int:
+def _parse_int(raw, path: str) -> int:
     value = _finite(raw)
     if value is None or not value.is_integer():
         raise ConfigError(path, "must be an integer")
+    return int(value)
+
+
+def _parse_dim(raw, path: str) -> int:
+    value = _parse_int(raw, path)
     if value < 2:
         raise ConfigError(path, "dimensions must be >= 2")
-    return int(value)
+    return value
 
 
 def _parse_dims(cfg: dict) -> tuple[int, int]:
@@ -150,6 +155,8 @@ def _parse_real_array(raw, shape, path: str) -> np.ndarray:
         raise ConfigError(path, "must be a numeric array")
     if arr.shape != shape:
         raise ConfigError(path, f"must have shape {list(shape)}, got {list(arr.shape)}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(path, "entries must be finite")
     return arr
 
 
@@ -162,13 +169,13 @@ def _parse_hamiltonian(cfg: dict, dims: tuple[int, int], base_dir: Path) -> Bloc
         raise ConfigError("hamiltonian", "must be an object")
     if "file" in raw:
         raw = _load_json(str(base_dir / raw["file"]), "hamiltonian.file")
-    h0 = raw.get("H0", 0.0)
-    if not isinstance(h0, (int, float)):
-        raise ConfigError("hamiltonian.H0", "must be a number")
+    h0 = _finite(raw.get("H0", 0.0))
+    if h0 is None:
+        raise ConfigError("hamiltonian.H0", "must be a finite number")
     h1 = _parse_real_array(raw.get("H1", np.zeros(d1)), (d1,), "hamiltonian.H1")
     h2 = _parse_real_array(raw.get("H2", np.zeros(d2)), (d2,), "hamiltonian.H2")
     h12 = _parse_real_array(raw.get("H12", np.zeros((d1, d2))), (d1, d2), "hamiltonian.H12")
-    return BlochHamiltonian(dims, float(h0), h1, h2, h12)
+    return BlochHamiltonian(dims, h0, h1, h2, h12)
 
 
 def _parse_law(cfg: dict) -> EvolutionLaw:
@@ -279,13 +286,14 @@ def _parse_integrator(cfg: dict, key: str = "integrator") -> IntegratorOptions:
         ("step", float),
         ("atol", float),
         ("rtol", float),
-        ("max_steps", int),
     ):
         if name in raw:
             try:
                 kwargs[name] = cast(raw[name])
             except (TypeError, ValueError):
                 raise ConfigError(f"{key}.{name}", "invalid value")
+    if "max_steps" in raw:
+        kwargs["max_steps"] = _parse_int(raw["max_steps"], f"{key}.max_steps")
     try:
         return IntegratorOptions(**kwargs)
     except ValueError as exc:
@@ -297,19 +305,15 @@ def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
     if not isinstance(raw, dict):
         raise ConfigError("audit", "must be an object")
     kwargs = {}
-    for name, cast in (
-        ("fd_step", float),
-        ("pass_tolerance", float),
-        ("ensemble_size", int),
-        ("seed", int),
-        ("mix_weight", float),
-        ("fit_probes", int),
-    ):
+    for name in ("fd_step", "pass_tolerance", "mix_weight"):
         if name in raw:
             try:
-                kwargs[name] = cast(raw[name])
+                kwargs[name] = float(raw[name])
             except (TypeError, ValueError):
                 raise ConfigError(f"audit.{name}", "invalid value")
+    for name in ("ensemble_size", "seed", "fit_probes"):
+        if name in raw:
+            kwargs[name] = _parse_int(raw[name], f"audit.{name}")
     if "times" in raw:
         kwargs["times"] = tuple(_parse_times(raw["times"], "audit.times"))
     if "integrator" in raw:

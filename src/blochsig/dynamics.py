@@ -266,7 +266,10 @@ class EvolutionLaw:
     Hamiltonian (for them it is a state-independent rotation, weights never
     enter).  ``custom`` laws supply their own callables:
     ``joint_field_fn(H, r1, r2, r12) -> (dr1, dr2, dr12)`` and
-    ``reduced_field_fn(h_local, r) -> dr``.
+    ``reduced_field_fn(h_local, r) -> dr``.  The reduced field acts on the
+    last axis, mapping ``(..., d)`` to ``(..., d)``: branch propagation
+    hands it a ``(B, d)`` batch of independent states, and building the
+    flow rejects a field that mixes the rows of a batch.
     """
 
     kind: str
@@ -291,6 +294,14 @@ def custom_law(
     reduced_field: Callable | None = None,
     joint_field: Callable | None = None,
 ) -> EvolutionLaw:
+    """A law from its own fields.
+
+    ``reduced_field(h_local, r)`` must act on the last axis of ``r``,
+    ``(..., d) -> (..., d)`` — index the coordinates as ``r[..., k]``, not
+    ``r[k]`` — since audits propagate many branch states as one batch.
+    ``joint_field(H, r1, r2, r12)`` returns ``(dr1, dr2, dr12)`` for one
+    state.
+    """
     return EvolutionLaw(
         kind="custom", name=name, joint_field_fn=joint_field, reduced_field_fn=reduced_field
     )
@@ -446,6 +457,13 @@ def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointB
 # Joint evolution
 
 
+def _ascending(times) -> list[float]:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("evolution times must be nonnegative and ascending")
+    return times
+
+
 class EvolutionResult(NamedTuple):
     """Final state plus a physicality report (never silently clamped)."""
 
@@ -480,9 +498,7 @@ def evolve_path(
     options: IntegratorOptions | None = None,
 ) -> list[tuple[float, EvolutionResult]]:
     """Sample the trajectory at ascending times (one continuous integration)."""
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("evolution times must be nonnegative and ascending")
+    times = _ascending(times)
     if state0.dims != hamiltonian.dims:
         raise DimensionMismatchError(
             f"state dims {state0.dims} != Hamiltonian dims {hamiltonian.dims}"
@@ -514,7 +530,29 @@ def reduced_generator(h_local, dim: int) -> np.ndarray:
     return 2.0 * np.einsum("aik,a->ki", f, h)
 
 
-class LinearReducedFlow:
+class _ReducedFlow:
+    """Propagation of one state ``(d,)`` or a batch of independent states
+    ``(B, d)`` under an isolated-subsystem field."""
+
+    def propagate(self, r0, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
+        return self.sample(r0, [t], options)[0]
+
+    def sample(self, r0, times, options: IntegratorOptions | None = None) -> np.ndarray:
+        """The states at each ascending time, shape ``(len(times), *r0.shape)``."""
+        options = options or DEFAULT_OPTIONS
+        r0 = np.asarray(r0, dtype=float)
+        times = _ascending(times)
+        if options.method == "rk4":
+            return self._rk4_sample(r0, times, options)
+        # rkf45 adapts one step size per state: one solve per row and time.
+        rows = r0.reshape(-1, r0.shape[-1])
+        return np.stack([
+            np.stack([integrate.solve(self.field, row, t, options) for row in rows]).reshape(r0.shape)
+            for t in times
+        ])
+
+
+class LinearReducedFlow(_ReducedFlow):
     """Branch propagation for laws whose isolated flow is state-independent.
 
     With the fixed-step method the one-step map of a linear field is itself
@@ -547,29 +585,52 @@ class LinearReducedFlow:
             self._step_cache[key] = cached
         return cached
 
-    def propagate(self, r0, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
-        options = options or DEFAULT_OPTIONS
-        r0 = np.asarray(r0, dtype=float)
-        if t == 0.0:
-            return r0.copy()
-        if options.method == "rk4":
-            return self._rk4_matrix(t, options.step) @ r0
-        return integrate.solve(self.field, r0, t, options)
+    def _rk4_sample(self, r0, times, options):
+        # Rows times M^T: M @ r0 would mix the rows of a batch.
+        return np.stack([
+            r0 @ self._rk4_matrix(t, options.step).T if t > 0 else r0.copy() for t in times
+        ])
 
 
-class FuncReducedFlow:
-    """Branch propagation for laws with an arbitrary reduced field."""
+class FuncReducedFlow(_ReducedFlow):
+    """Branch propagation for laws with an arbitrary reduced field.
+
+    The field acts on the last axis, so one rk4 solve carries a whole batch
+    along one trajectory, sampled at every requested time when the step
+    grids of the times nest (``integrate.rk4_spans``).  A field written for
+    one state would silently mix the rows of a batch, so building the flow
+    compares a two-row probe batch with two one-row calls.
+    """
 
     linear = False
 
-    def __init__(self, field_fn: Callable):
+    def __init__(self, field_fn: Callable, dim: int, name: str = "custom"):
         self._fn = field_fn
+        d = dim**2 - 1
+        probe = np.stack([np.linspace(-0.4, 0.3, d), np.linspace(0.2, -0.1, d)])
+        batch = self.field(probe)
+        rows = np.stack([self.field(row) for row in probe])
+        if batch.shape != rows.shape or not np.allclose(
+            batch, rows, rtol=1e-12, atol=1e-14, equal_nan=True
+        ):
+            raise ValueError(
+                f"reduced field of law {name!r} must act on the last axis: "
+                f"a (2, {d}) batch does not give the results of its two rows"
+            )
 
     def field(self, r: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(r), dtype=float)
 
-    def propagate(self, r0, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
-        return integrate.solve(self.field, np.asarray(r0, dtype=float), t, options)
+    def _rk4_sample(self, r0, times, options):
+        spans = integrate.rk4_spans(times, options)
+        if spans is None:
+            return np.stack([integrate.solve(self.field, r0, t, options) for t in times])
+        out, y = [], r0
+        for span in spans:
+            if span > 0:
+                y = integrate.solve(self.field, y, span, options)
+            out.append(y)
+        return np.stack(out)
 
 
 def reduced_flow(law: EvolutionLaw, h_local, dim: int):
@@ -580,7 +641,7 @@ def reduced_flow(law: EvolutionLaw, h_local, dim: int):
     if law.reduced_field_fn is None:
         raise ValueError(f"law {law.name!r} provides no reduced flow")
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
-    return FuncReducedFlow(lambda r: law.reduced_field_fn(h, r))
+    return FuncReducedFlow(lambda r: law.reduced_field_fn(h, r), dim, law.name)
 
 
 def evolve_reduced(
@@ -615,7 +676,8 @@ def reduced_propagator_fit(
 
     Columns come from evolving scaled coordinate axes (scale 0.5 keeps them
     inside the physical set for every dimension); the residual is the worst
-    max-norm mismatch ``|r(t; r0) - A r0|`` over random probe states.  A
+    max-norm mismatch ``|r(t; r0) - A r0|`` over random probe states (NaN
+    when any mismatch is).  Axes and probes propagate as one batch.  A
     small residual certifies that isolated subsystems evolve by a matrix —
     the structural property separating signaling from nonsignaling laws.
     """
@@ -628,16 +690,12 @@ def reduced_propagator_fit(
     options = options or FIT_OPTIONS
     flow = reduced_flow(law, h_local, n)
     d = n**2 - 1
-    a = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = scale
-        a[:, i] = flow.propagate(e, t, options) / scale
     rng = np.random.default_rng(seed)
     basis = cached_basis(n)
-    residual = 0.0
-    for _ in range(probes):
-        r0 = to_bloch(random_density(rng, n), basis).r
-        rt = flow.propagate(r0, t, options)
-        residual = max(residual, float(np.max(np.abs(rt - a @ r0))))
-    return a, residual
+    probe_states = [to_bloch(random_density(rng, n), basis).r for _ in range(probes)]
+    starts = np.concatenate([scale * np.eye(d), np.reshape(probe_states, (probes, d))])
+    ends = flow.propagate(starts, t, options)
+    a = np.ascontiguousarray(ends[:d].T / scale)
+    mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d:], ends[d:])]
+    # np.max keeps a NaN mismatch, which the builtin max would drop.
+    return a, float(np.max(mismatch, initial=0.0))

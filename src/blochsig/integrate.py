@@ -6,10 +6,14 @@ Two methods are provided:
   only on the time span, so the numerical flow is a smooth (for linear
   fields: exactly linear) function of the initial condition.  This is the
   method of choice whenever trajectories are differenced against each
-  other, as in the no-signaling audits.
+  other, as in the no-signaling audits.  ``y0`` may be a ``(B, d)`` batch
+  of independent rows when the field acts on the last axis: every
+  operation of the step is elementwise, so each row gets exactly the
+  numbers it would get alone.
 * ``rkf45`` — Fehlberg 4(5) embedded pair with adaptive step control.  The
   higher-order solution is propagated; the embedded difference drives the
-  step size.  Default error weights are ``atol + rtol * |y|``.
+  step size.  Default error weights are ``atol + rtol * |y|``.  The step
+  size is shared by the whole state, so ``y0`` must be one row.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import IntegrationFailureError
 
-__all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve"]
+__all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve", "rk4_spans"]
 
 
 @dataclass(frozen=True)
@@ -64,12 +68,41 @@ def rk4_steps(t: float, step: float) -> tuple[int, float]:
     return n, t / n
 
 
-def _rk4(field, y0, t, options):
+def _rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
     n, h = rk4_steps(t, options.step)
     if n > options.max_steps:
         raise IntegrationFailureError(
             f"rk4 would need {n} steps (> max_steps={options.max_steps})"
         )
+    return n, h
+
+
+def rk4_spans(times, options: IntegratorOptions) -> list[float] | None:
+    """Spans that carry one rk4 trajectory through the ascending ``times``.
+
+    Solving span after span lands on each time after exactly the steps of
+    integrating to it from 0, so the samples are the same numbers bit for
+    bit.  Returns None when some span would get another step size (the grids
+    of the times do not nest); the caller then integrates each time from 0.
+    Raises ``IntegrationFailureError`` when any time needs more than
+    ``max_steps`` steps from 0.
+    """
+    grids = [_rk4_grid(t, options) if t > 0 else (0, 0.0) for t in times]
+    h = next((h_t for _, h_t in grids if h_t), 0.0)
+    spans, done, steps = [], 0.0, 0
+    for t, (n, h_t) in zip(times, grids):
+        span = t - done
+        if span > 0:
+            n_span, h_span = rk4_steps(span, options.step)
+            if h_t != h or h_span != h or steps + n_span != n:
+                return None
+            steps, done = n, t
+        spans.append(span)
+    return spans
+
+
+def _rk4(field, y0, t, options):
+    n, h = _rk4_grid(t, options)
     y = y0
     for _ in range(n):
         k1 = field(y)
@@ -111,6 +144,8 @@ def _rkf45(field, y0, t, options):
 def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
     """Integrate dy/dt = field(y) from 0 to t >= 0.
 
+    Under ``rk4``, ``y0`` may be a ``(B, d)`` batch of independent rows
+    (the field must then act on the last axis); ``rkf45`` takes one row.
     Raises ``IntegrationFailureError`` when the stepper gives up or the
     result is not finite.
     """
@@ -118,6 +153,8 @@ def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = N
         raise ValueError("integration time must be nonnegative")
     options = options or DEFAULT_OPTIONS
     y0 = np.asarray(y0, dtype=float)
+    if options.method == "rkf45" and y0.ndim != 1:
+        raise ValueError("rkf45 shares one step size across the state; pass one row")
     if t == 0.0:
         return y0.copy()
     stepper = _rk4 if options.method == "rk4" else _rkf45

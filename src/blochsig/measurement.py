@@ -11,9 +11,10 @@ in the collapsed coordinates
     r1'_j = ( u0_k r1_j + sum_n r12_jn u_k_n ) / p_k ,
 
 and the later single-outcome statistics of party 1 are the branch-weighted
-average of its evolved conditional states (:func:`local_distribution`).
-That average is the quantity whose sensitivities the audit module
-differentiates.
+average of its evolved conditional states (:func:`local_distribution`;
+:func:`local_distributions` evolves the branches of several states and
+remote observables as one batch, sampled at several times).  That average
+is the quantity whose sensitivities the audit module differentiates.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.
@@ -49,6 +50,7 @@ __all__ = [
     "outcome_probabilities",
     "conditional_state",
     "local_distribution",
+    "local_distributions",
 ]
 
 # Branches below this weight are excluded from conditional updates and
@@ -261,30 +263,56 @@ def local_distribution(
     zero.  Summation order is ascending in the outcome index so results are
     reproducible bit for bit.
     """
-    n1 = joint.dims[0]
-    if obs2.dim != joint.dims[1]:
-        raise DimensionMismatchError(
-            f"remote observable dim {obs2.dim} != subsystem dim {joint.dims[1]}"
-        )
-    if obs1.dim != n1:
-        raise DimensionMismatchError(
-            f"local observable dim {obs1.dim} != subsystem dim {n1}"
-        )
+    return local_distributions(
+        [(joint, obs2)], obs1, law, [t], h_local=h_local, options=options
+    )[0, 0]
+
+
+def local_distributions(
+    pairs,
+    obs1: ProjectiveObservable,
+    law: "dynamics.EvolutionLaw",
+    times,
+    *,
+    h_local=None,
+    options=None,
+) -> np.ndarray:
+    """:func:`local_distribution` for each ``(joint, obs2)`` pair at each
+    ascending time, shape ``(len(times), len(pairs), len(obs1))``.
+
+    The branches of every pair form one ``(B, d)`` batch that the reduced
+    flow propagates once, sampled at every time; each average then runs in
+    ascending outcome order, as a single pair at a single time would.
+    """
+    n1 = obs1.dim
+    for joint, obs2 in pairs:
+        if obs2.dim != joint.dims[1]:
+            raise DimensionMismatchError(
+                f"remote observable dim {obs2.dim} != subsystem dim {joint.dims[1]}"
+            )
+        if joint.dims[0] != n1:
+            raise DimensionMismatchError(
+                f"local observable dim {n1} != subsystem dim {joint.dims[0]}"
+            )
     if h_local is None:
         h_local = np.zeros(n1**2 - 1)
     flow = dynamics.reduced_flow(law, h_local, n1)
-    weights = []
-    evolved = []
-    for proj in obs2.outcomes:
-        p, r = _collapse(joint, proj)
-        if r is None:
-            continue
-        weights.append(p)
-        evolved.append(flow.propagate(r, t, options))
-    out = np.zeros(len(obs1.outcomes))
-    for idx, proj in enumerate(obs1.outcomes):
-        total = 0.0
-        for p, r in zip(weights, evolved):
-            total += p * (proj.u0 + float(proj.u @ r))
-        out[idx] = total
+    weights, states, owners = [], [], []
+    for i, (joint, obs2) in enumerate(pairs):
+        for proj in obs2.outcomes:
+            p, r = _collapse(joint, proj)
+            if r is not None:
+                weights.append(p)
+                states.append(r)
+                owners.append(i)
+    evolved = flow.sample(np.reshape(states, (len(states), n1**2 - 1)), times, options)
+    out = np.zeros((len(evolved), len(pairs), len(obs1.outcomes)))
+    for at_t, rows in zip(out, evolved):
+        for i, dist in enumerate(at_t):
+            branches = [(p, r) for p, r, o in zip(weights, rows, owners) if o == i]
+            for idx, proj in enumerate(obs1.outcomes):
+                total = 0.0
+                for p, r in branches:
+                    total += p * (proj.u0 + float(proj.u @ r))
+                dist[idx] = total
     return out

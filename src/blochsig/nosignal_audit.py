@@ -21,6 +21,8 @@ Numerical hygiene notes baked into the defaults:
 * Branch trajectories integrate with a fixed-step method so the numerical
   flow is smooth in its initial condition; adaptive step-acceptance noise
   would otherwise be amplified by the 1/(2h) of the central difference.
+  Both signs of a component and every remote outcome form one batch, and
+  one trajectory serves every audit time whose step grid nests.
 * Ensembles sample full-rank states (Hilbert-Schmidt draws shrunk toward
   the maximally mixed state) so coordinate perturbations stay physical; if
   one still falls outside, the step is halved up to six times and then the
@@ -40,6 +42,7 @@ witness tanh(eps*t)/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,7 @@ from .measurement import (
     ProjectiveObservable,
     computational_observable,
     local_distribution,
+    local_distributions,
     observable_from_basis,
     rotate_observable,
 )
@@ -118,6 +122,8 @@ class AuditConfig:
             raise ValueError("pass_tolerance must be positive and finite")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
+        if self.seed < 0 or self.fit_probes < 0:
+            raise ValueError("seed and fit_probes must be >= 0")
         times = tuple(float(t) for t in self.times)
         if not times or not all(math.isfinite(t) and t >= 0 for t in times):
             raise ValueError("times must be nonempty, finite and nonnegative")
@@ -182,14 +188,19 @@ def _feasible_step(perturbed, dims, fd_step: float, what: str) -> float:
     )
 
 
-def _central_difference(law, hamiltonian, branch, obs1, t, h, options) -> float:
+def _central_difference(law, hamiltonian, branch, obs1, t, h, options):
     """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes, where
     ``branch(delta)`` gives the joint state and remote observable at offset
-    delta."""
-    options = options or DEFAULT_BRANCH_OPTIONS
-    plus = local_distribution(*branch(+h), obs1, law, t, h_local=hamiltonian.h1, options=options)
-    minus = local_distribution(*branch(-h), obs1, law, t, h_local=hamiltonian.h1, options=options)
-    return float(np.max(np.abs(plus - minus)) / (2.0 * h))
+    delta.  ``t`` is one time (a float comes back) or an ascending sequence
+    (a list comes back, one value per time); the branches of both signs
+    propagate as one batch either way."""
+    scalar = np.ndim(t) == 0
+    dists = local_distributions(
+        [branch(+h), branch(-h)], obs1, law, [t] if scalar else list(t),
+        h_local=hamiltonian.h1, options=options or DEFAULT_BRANCH_OPTIONS,
+    )
+    values = [float(np.max(np.abs(plus - minus)) / (2.0 * h)) for plus, minus in dists]
+    return values[0] if scalar else values
 
 
 def d_remote_state(
@@ -198,13 +209,16 @@ def d_remote_state(
     joint: JointBlochState,
     obs2: ProjectiveObservable,
     obs1: ProjectiveObservable,
-    t: float,
+    t: float | Sequence[float],
     component: int,
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float:
+) -> float | list[float]:
     """Sensitivity of party 1's distribution to one coordinate of party 2's
-    reduced state, maximized over local outcomes."""
+    reduced state, maximized over local outcomes.
+
+    ``t`` is one time, giving a float, or an ascending sequence of times,
+    giving one value per time from a single batched propagation."""
     d2 = joint.dims[1] ** 2 - 1
     if not 0 <= component < d2:
         raise ValueError(f"component must lie in [0, {d2})")
@@ -226,12 +240,13 @@ def d_correlations(
     joint: JointBlochState,
     obs2: ProjectiveObservable,
     obs1: ProjectiveObservable,
-    t: float,
+    t: float | Sequence[float],
     component: tuple[int, int],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float:
-    """Sensitivity to one element of the shared correlation block."""
+) -> float | list[float]:
+    """Sensitivity to one element of the shared correlation block; ``t`` as
+    for :func:`d_remote_state`."""
     i, j = component
     d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
     if not (0 <= i < d1 and 0 <= j < d2):
@@ -254,11 +269,12 @@ def d_remote_observable(
     joint: JointBlochState,
     family: ObservableFamily,
     obs1: ProjectiveObservable,
-    t: float,
+    t: float | Sequence[float],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float:
-    """Sensitivity to the remote measurement choice along a rotation family."""
+) -> float | list[float]:
+    """Sensitivity to the remote measurement choice along a rotation family;
+    ``t`` as for :func:`d_remote_state`."""
     if family.base.dim != joint.dims[1]:
         raise DimensionMismatchError(
             f"family dim {family.base.dim} != second subsystem dim {joint.dims[1]}"
@@ -315,6 +331,28 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
         direction = random_hermitian_direction(rng, n2)
         cases.append(AuditCase(i, state, obs2, obs1, direction))
     return cases
+
+
+def _per_time(call, times) -> list:
+    """Each time's sensitivity, or the error that left it unchecked.
+
+    ``call(times)`` covers every time in one batch.  An integrator failure
+    there may hit only the later times, so the times are then rerun one by
+    one and each keeps its own result or error.
+    """
+    try:
+        return call(times)
+    except PerturbationInfeasibleError as exc:
+        return [exc] * len(times)
+    except IntegrationFailureError:
+        pass
+    out = []
+    for t in times:
+        try:
+            out.append(call(t))
+        except (PerturbationInfeasibleError, IntegrationFailureError) as exc:
+            out.append(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -380,10 +418,13 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Partial failures (infeasible perturbations, integrator giving up,
-    non-finite sensitivities) are recorded per case and excluded from the
-    maxima; a failed component also rules out a pass, since no-signaling
-    went unchecked there.
+    Each finite-difference component is one call covering every audit
+    time (one batched branch propagation); rows still come out per member,
+    time and channel, in config order.  Partial failures (infeasible
+    perturbations, integrator giving up, non-finite sensitivities or
+    linearity residual) are recorded per case and excluded from the
+    maxima; a failure also rules out a pass, since no-signaling went
+    unchecked there.
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
@@ -399,73 +440,61 @@ def audit(
     infeasible: list[dict] = []
     failures: list[dict] = []
 
-    def run_component(channel, case, t, component, thunk):
-        if isinstance(component, tuple):
-            label = ",".join(str(x) for x in component) if component else "theta"
-        else:
-            label = str(component)
-        try:
-            value = thunk()
-        except PerturbationInfeasibleError as exc:
-            infeasible.append(
-                {"member": case.index, "time": t, "channel": channel, "component": label,
-                 "reason": str(exc)}
-            )
-            return None, label, "infeasible"
-        except IntegrationFailureError as exc:
+    def record(channel, case, t, label, outcome):
+        entry = {"member": case.index, "time": t, "channel": channel, "component": label}
+        if isinstance(outcome, PerturbationInfeasibleError):
+            infeasible.append({**entry, "reason": str(outcome)})
+            return "infeasible"
+        if isinstance(outcome, IntegrationFailureError):
+            failures.append({**entry, "reason": str(outcome), "status": "integration-failure"})
+            return "integration-failure"
+        if not math.isfinite(outcome):
             failures.append(
-                {"member": case.index, "time": t, "channel": channel, "component": label,
-                 "reason": str(exc)}
+                {**entry, "reason": f"sensitivity is not finite ({outcome!r})",
+                 "status": "non-finite"}
             )
-            return None, label, "integration-failure"
-        if not math.isfinite(value):
-            failures.append(
-                {"member": case.index, "time": t, "channel": channel, "component": label,
-                 "reason": f"sensitivity is not finite ({value!r})"}
-            )
-            return None, label, "non-finite"
-        if value > maxima[channel]:
-            maxima[channel] = value
-            worst[channel] = {
-                "member": case.index, "time": t, "component": label, "value": value,
-            }
-        return value, label, "ok"
+            return "non-finite"
+        if outcome > maxima[channel]:
+            maxima[channel] = outcome
+            worst[channel] = {"member": case.index, "time": t, "component": label, "value": outcome}
+        return "ok"
 
     opts = config.branch_options
-    for case in cases:
+
+    def components(case):
+        """``(channel, label, call)`` per component; ``call(times)`` runs it."""
+        fd = (config.fd_step, opts)
+        member = (law, hamiltonian, case.state)
+        pair = (case.obs_remote, case.obs_local)
+        for k in range(d2):
+            yield "d_remote_state", str(k), lambda ts, k=k: d_remote_state(
+                *member, *pair, ts, k, *fd
+            )
+        for i in range(d1):
+            for j in range(d2):
+                yield "d_correlations", f"{i},{j}", lambda ts, c=(i, j): d_correlations(
+                    *member, *pair, ts, c, *fd
+                )
         family = ObservableFamily(case.obs_remote, case.direction)
+        yield "d_remote_observable", "theta", lambda ts: d_remote_observable(
+            *member, family, case.obs_local, ts, *fd
+        )
+
+    # One call per component covers every audit time; rows, maxima and
+    # failure records then follow member, time, channel, component order.
+    grid = sorted(set(config.times))
+    at = {t: i for i, t in enumerate(grid)}
+    for case in cases:
+        runs = {ch: [] for ch in channels}
+        for channel, label, call in components(case):
+            runs[channel].append((label, _per_time(call, grid)))
         for t in config.times:
-            for channel, components, runner in (
-                (
-                    "d_remote_state",
-                    [(k,) for k in range(d2)],
-                    lambda k: d_remote_state(
-                        law, hamiltonian, case.state, case.obs_remote, case.obs_local,
-                        t, k, config.fd_step, opts,
-                    ),
-                ),
-                (
-                    "d_correlations",
-                    [(i, j) for i in range(d1) for j in range(d2)],
-                    lambda i, j: d_correlations(
-                        law, hamiltonian, case.state, case.obs_remote, case.obs_local,
-                        t, (i, j), config.fd_step, opts,
-                    ),
-                ),
-                (
-                    "d_remote_observable",
-                    [()],
-                    lambda: d_remote_observable(
-                        law, hamiltonian, case.state, family, case.obs_local,
-                        t, config.fd_step, opts,
-                    ),
-                ),
-            ):
+            for channel in channels:
                 best_value, best_label, row_status = 0.0, "", "ok"
                 saw_ok = False
-                for comp in components:
-                    comp_key = comp if len(comp) != 1 else comp[0]
-                    value, label, status = run_component(channel, case, t, comp_key, lambda: runner(*comp))
+                for label, outcomes in runs[channel]:
+                    value = outcomes[at[t]]
+                    status = record(channel, case, t, label, value)
                     if status != "ok":
                         row_status = status
                         continue
@@ -483,15 +512,22 @@ def audit(
                     }
                 )
 
+    t_fit = max(config.times)
     _, linearity = reduced_propagator_fit(
         law,
         hamiltonian.interaction_free(),
         subsystem=1,
-        t=max(config.times),
+        t=t_fit,
         probes=config.fit_probes,
         seed=int(s_fit.generate_state(1)[0]),
         options=opts,
     )
+    if not math.isfinite(linearity):
+        failures.append(
+            {"member": None, "time": t_fit, "channel": "linearity", "component": "-",
+             "reason": f"linearity residual is not finite ({linearity!r})",
+             "status": "non-finite"}
+        )
 
     overall = max(maxima.values())
     verdict = (
@@ -561,9 +597,9 @@ def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
 
     def reduced(h_local, r):
         r = np.asarray(r, dtype=float)
-        e = np.zeros_like(r)
+        e = np.zeros(r.shape[-1])
         e[-1] = 1.0
-        return eps * (e - r[-1] * r)
+        return eps * (e - r[..., -1:] * r)
 
     def joint(hamiltonian, r1, r2, r12):
         return reduced(None, r1), reduced(None, r2), np.zeros_like(r12)

@@ -281,11 +281,27 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
         ),
         ("convert", {"dim": "x", "r": [0.0, 0.0, 0.0]}),
         ("convert", 5),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": 2.5}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": True}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"seed": 1.5}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"seed": -1}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"fit_probes": 2.5}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"max_steps": True}}}),
+        ("evolve", {**_EVOLVE, "integrator": {"max_steps": 10.5}}),
+        ("evolve", {**_EVOLVE, "hamiltonian": {"H1": [float("nan"), 0, 0]}}),
+        (
+            "audit",
+            {**LINEAR_AUDIT_CONFIG,
+             "hamiltonian": {**LINEAR_AUDIT_CONFIG["hamiltonian"], "H0": float("inf")}},
+        ),
     ],
     ids=[
         "evolve-times", "evolve-nan-time", "fractional-dims", "xi-preset-object",
         "nan-initial-state", "audit-times", "nan-epsilon", "bool-epsilon",
         "channel-demo-time", "convert-dim", "convert-not-object",
+        "fractional-ensemble-size", "bool-ensemble-size", "fractional-seed", "negative-seed",
+        "fractional-fit-probes", "bool-branch-max-steps", "fractional-max-steps",
+        "nan-hamiltonian", "inf-h0",
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command, payload):
