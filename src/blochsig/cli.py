@@ -114,6 +114,13 @@ def _finite(raw) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _parse_float(raw, path: str) -> float:
+    value = _finite(raw)
+    if value is None:
+        raise ConfigError(path, "must be a finite number")
+    return value
+
+
 def _parse_int(raw, path: str) -> int:
     value = _finite(raw)
     if value is None or not value.is_integer():
@@ -168,10 +175,10 @@ def _parse_hamiltonian(cfg: dict, dims: tuple[int, int], base_dir: Path) -> Bloc
     if not isinstance(raw, dict):
         raise ConfigError("hamiltonian", "must be an object")
     if "file" in raw:
+        if not isinstance(raw["file"], str):
+            raise ConfigError("hamiltonian.file", "must be a path")
         raw = _load_json(str(base_dir / raw["file"]), "hamiltonian.file")
-    h0 = _finite(raw.get("H0", 0.0))
-    if h0 is None:
-        raise ConfigError("hamiltonian.H0", "must be a finite number")
+    h0 = _parse_float(raw.get("H0", 0.0), "hamiltonian.H0")
     h1 = _parse_real_array(raw.get("H1", np.zeros(d1)), (d1,), "hamiltonian.H1")
     h2 = _parse_real_array(raw.get("H2", np.zeros(d2)), (d2,), "hamiltonian.H2")
     h12 = _parse_real_array(raw.get("H12", np.zeros((d1, d2))), (d1, d2), "hamiltonian.H12")
@@ -224,11 +231,10 @@ def _parse_state(cfg: dict, dims: tuple[int, int], key: str = "initial_state") -
         if raw == "product":
             return _product_state(dims)
         if raw.startswith("random:"):
-            try:
-                seed = int(raw.split(":", 1)[1])
-            except ValueError:
-                raise ConfigError(key, "random preset must look like 'random:SEED'")
-            rng = np.random.default_rng(seed)
+            seed = raw.split(":", 1)[1]
+            if not seed.isdecimal():
+                raise ConfigError(key, "random preset must look like 'random:SEED', SEED >= 0")
+            rng = np.random.default_rng(int(seed))
             rho = random_density(rng, dims[0] * dims[1])
             return joint_to_bloch(rho, cached_basis(dims[0]), cached_basis(dims[1]))
         raise ConfigError(key, f"unknown preset {raw!r} (singlet | product | random:SEED)")
@@ -274,30 +280,25 @@ def _parse_observable(raw, dim: int, path: str) -> ProjectiveObservable:
         raise ConfigError(path, str(exc))
 
 
-def _parse_integrator(cfg: dict, key: str = "integrator") -> IntegratorOptions:
-    raw = cfg.get(key)
+def _parse_integrator(raw, path: str) -> IntegratorOptions:
     if raw is None:
         return DEFAULT_OPTIONS
     if not isinstance(raw, dict):
-        raise ConfigError(key, "must be an object")
+        raise ConfigError(path, "must be an object")
     kwargs = {}
-    for name, cast in (
-        ("method", str),
-        ("step", float),
-        ("atol", float),
-        ("rtol", float),
-    ):
+    if "method" in raw:
+        if not isinstance(raw["method"], str):
+            raise ConfigError(f"{path}.method", "must be a method name")
+        kwargs["method"] = raw["method"]
+    for name in ("step", "atol", "rtol"):
         if name in raw:
-            try:
-                kwargs[name] = cast(raw[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{key}.{name}", "invalid value")
+            kwargs[name] = _parse_float(raw[name], f"{path}.{name}")
     if "max_steps" in raw:
-        kwargs["max_steps"] = _parse_int(raw["max_steps"], f"{key}.max_steps")
+        kwargs["max_steps"] = _parse_int(raw["max_steps"], f"{path}.max_steps")
     try:
         return IntegratorOptions(**kwargs)
     except ValueError as exc:
-        raise ConfigError(key, str(exc))
+        raise ConfigError(path, str(exc))
 
 
 def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
@@ -307,17 +308,14 @@ def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
     kwargs = {}
     for name in ("fd_step", "pass_tolerance", "mix_weight"):
         if name in raw:
-            try:
-                kwargs[name] = float(raw[name])
-            except (TypeError, ValueError):
-                raise ConfigError(f"audit.{name}", "invalid value")
+            kwargs[name] = _parse_float(raw[name], f"audit.{name}")
     for name in ("ensemble_size", "seed", "fit_probes"):
         if name in raw:
             kwargs[name] = _parse_int(raw[name], f"audit.{name}")
     if "times" in raw:
         kwargs["times"] = tuple(_parse_times(raw["times"], "audit.times"))
     if "integrator" in raw:
-        kwargs["branch_options"] = _parse_integrator(raw, "integrator")
+        kwargs["branch_options"] = _parse_integrator(raw["integrator"], "audit.integrator")
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -416,7 +414,7 @@ def cmd_evolve(args) -> int:
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
     state0 = _parse_state(cfg, dims)
     times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
-    options = _parse_integrator(cfg)
+    options = _parse_integrator(cfg.get("integrator"), "integrator")
 
     samples = evolve_path(law, hamiltonian, state0, times, options)
     records = []

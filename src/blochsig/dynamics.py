@@ -55,7 +55,7 @@ from .bloch import (
     unpack_coords,
 )
 from .errors import DimensionMismatchError, NonlinearityEvaluationError
-from .integrate import DEFAULT_OPTIONS, IntegratorOptions, rk4_steps
+from .integrate import DEFAULT_OPTIONS, IntegratorOptions
 from .sampling import random_density
 from .su_basis import cached_basis, cached_constants
 
@@ -556,39 +556,33 @@ class LinearReducedFlow(_ReducedFlow):
     """Branch propagation for laws whose isolated flow is state-independent.
 
     With the fixed-step method the one-step map of a linear field is itself
-    a matrix, so it is assembled once per time span and reused; propagation
-    is then exactly linear in the initial condition (what the audit's
-    cancellation identities rely on), and cheap.
+    a matrix, so each time's propagation is one matrix power applied to the
+    whole batch; it is then exactly linear in the initial condition (what
+    the audit's cancellation identities rely on), and cheap.
     """
 
     linear = True
 
     def __init__(self, generator: np.ndarray):
         self.generator = np.asarray(generator, dtype=float)
-        self._step_cache: dict[tuple[int, float], np.ndarray] = {}
 
     def field(self, r: np.ndarray) -> np.ndarray:
         return self.generator @ r
 
-    def _rk4_matrix(self, t: float, step: float) -> np.ndarray:
-        n, h = rk4_steps(t, step)
-        key = (n, h)
-        cached = self._step_cache.get(key)
-        if cached is None:
-            hl = h * self.generator
-            one_step = np.eye(hl.shape[0])
-            term = np.eye(hl.shape[0])
-            for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
-                term = term @ hl / factor
-                one_step = one_step + term
-            cached = np.linalg.matrix_power(one_step, n)
-            self._step_cache[key] = cached
-        return cached
+    def _rk4_matrix(self, t: float, options: IntegratorOptions) -> np.ndarray:
+        n, h = integrate.rk4_grid(t, options)
+        hl = h * self.generator
+        one_step = np.eye(hl.shape[0])
+        term = np.eye(hl.shape[0])
+        for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
+            term = term @ hl / factor
+            one_step = one_step + term
+        return np.linalg.matrix_power(one_step, n)
 
     def _rk4_sample(self, r0, times, options):
         # Rows times M^T: M @ r0 would mix the rows of a batch.
         return np.stack([
-            r0 @ self._rk4_matrix(t, options.step).T if t > 0 else r0.copy() for t in times
+            r0 @ self._rk4_matrix(t, options).T if t > 0 else r0.copy() for t in times
         ])
 
 

@@ -68,7 +68,8 @@ def rk4_steps(t: float, step: float) -> tuple[int, float]:
     return n, t / n
 
 
-def _rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
+def rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
+    """``rk4_steps`` for a span of t from 0, checked against ``max_steps``."""
     n, h = rk4_steps(t, options.step)
     if n > options.max_steps:
         raise IntegrationFailureError(
@@ -87,7 +88,7 @@ def rk4_spans(times, options: IntegratorOptions) -> list[float] | None:
     Raises ``IntegrationFailureError`` when any time needs more than
     ``max_steps`` steps from 0.
     """
-    grids = [_rk4_grid(t, options) if t > 0 else (0, 0.0) for t in times]
+    grids = [rk4_grid(t, options) if t > 0 else (0, 0.0) for t in times]
     h = next((h_t for _, h_t in grids if h_t), 0.0)
     spans, done, steps = [], 0.0, 0
     for t, (n, h_t) in zip(times, grids):
@@ -102,7 +103,7 @@ def rk4_spans(times, options: IntegratorOptions) -> list[float] | None:
 
 
 def _rk4(field, y0, t, options):
-    n, h = _rk4_grid(t, options)
+    n, h = rk4_grid(t, options)
     y = y0
     for _ in range(n):
         k1 = field(y)

@@ -1,105 +1,46 @@
 """Deterministic JSON/CSV writers.
 
-The stock ``json`` module prints floats with the shortest round-trip
-representation, which is version-dependent; reports here must be byte
-identical across runs and interpreters, so floats are always printed with
-17 significant digits and object keys are emitted sorted.
+Reports must be byte identical across runs, so object keys are emitted
+sorted and floats print as ``repr`` (the shortest string that reads back to
+the same double).  JSON has no NaN or infinity, so those are written as
+the strings ``"nan"``, ``"inf"`` and ``"-inf"``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
 
-__all__ = ["dumps", "dump_path", "csv_text", "write_csv"]
+__all__ = ["dumps", "csv_text"]
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
-
-
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return _escape(obj)
+def _plain(obj):
+    """``obj`` with arrays, numpy scalars and tuples turned into plain
+    lists, ints and floats, and non-finite floats into strings."""
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist(), indent, level)
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _plain(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}{_escape(str(k))}: {_encode(v, indent, level + 1)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}{_encode(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return [_plain(v) for v in obj]
+    return obj
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
-
-
-def dump_path(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj))
-
-
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def dumps(obj) -> str:
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    # Floats (numpy's float64 too) print as repr; other cells as str().
+    writer.writerows([v if isinstance(v, float) else str(v) for v in row] for row in rows)
     return buf.getvalue()
-
-
-def write_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(rows))

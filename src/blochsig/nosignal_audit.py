@@ -44,10 +44,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bloch import JointBlochState, joint_from_bloch
+from .bloch import JointBlochState, joint_from_bloch, pack_coords, unpack_coords
 from .dynamics import (
     BlochHamiltonian,
     EvolutionLaw,
@@ -171,23 +172,6 @@ class ObservableFamily:
         return rotate_observable(self.base, self.direction, theta)
 
 
-def _feasible_step(perturbed, dims, fd_step: float, what: str) -> float:
-    """Largest step h <= fd_step (halved at most six times) for which both
-    perturbed states stay physical."""
-    b1, b2 = cached_basis(dims[0]), cached_basis(dims[1])
-    h = fd_step
-    for _ in range(7):
-        try:
-            joint_from_bloch(perturbed(+h), b1, b2, check=True)
-            joint_from_bloch(perturbed(-h), b1, b2, check=True)
-            return h
-        except UnphysicalStateError:
-            h *= 0.5
-    raise PerturbationInfeasibleError(
-        f"perturbation of {what} leaves the physical set even at step {2 * h:.3e}"
-    )
-
-
 def _central_difference(law, hamiltonian, branch, obs1, t, h, options):
     """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes, where
     ``branch(delta)`` gives the joint state and remote observable at offset
@@ -201,6 +185,35 @@ def _central_difference(law, hamiltonian, branch, obs1, t, h, options):
     )
     values = [float(np.max(np.abs(plus - minus)) / (2.0 * h)) for plus, minus in dists]
     return values[0] if scalar else values
+
+
+def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, what, fd_step, options):
+    """Central difference along packed coordinate ``index`` of the joint
+    state.  The step starts at ``fd_step`` and is halved, at most six
+    times, while either perturbed state is unphysical."""
+    x = pack_coords(joint)
+
+    def shifted(delta):
+        y = x.copy()
+        y[index] += delta
+        return unpack_coords(y, joint.dims)
+
+    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
+    h = fd_step
+    for _ in range(7):
+        try:
+            joint_from_bloch(shifted(+h), b1, b2, check=True)
+            joint_from_bloch(shifted(-h), b1, b2, check=True)
+            break
+        except UnphysicalStateError:
+            h *= 0.5
+    else:
+        raise PerturbationInfeasibleError(
+            f"perturbation of {what} leaves the physical set even at step {2 * h:.3e}"
+        )
+    return _central_difference(
+        law, hamiltonian, lambda delta: (shifted(delta), obs2), obs1, t, h, options
+    )
 
 
 def d_remote_state(
@@ -219,18 +232,12 @@ def d_remote_state(
 
     ``t`` is one time, giving a float, or an ascending sequence of times,
     giving one value per time from a single batched propagation."""
-    d2 = joint.dims[1] ** 2 - 1
+    d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
     if not 0 <= component < d2:
         raise ValueError(f"component must lie in [0, {d2})")
-
-    def perturbed(delta):
-        r2 = joint.r2.copy()
-        r2[component] += delta
-        return joint.replace(r2=r2)
-
-    h = _feasible_step(perturbed, joint.dims, fd_step, f"r2[{component}]")
-    return _central_difference(
-        law, hamiltonian, lambda delta: (perturbed(delta), obs2), obs1, t, h, options
+    return _state_difference(
+        law, hamiltonian, joint, obs2, obs1, t, d1 + component,
+        f"r2[{component}]", fd_step, options,
     )
 
 
@@ -251,15 +258,9 @@ def d_correlations(
     d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
     if not (0 <= i < d1 and 0 <= j < d2):
         raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-
-    def perturbed(delta):
-        r12 = joint.r12.copy()
-        r12[i, j] += delta
-        return joint.replace(r12=r12)
-
-    h = _feasible_step(perturbed, joint.dims, fd_step, f"r12[{i},{j}]")
-    return _central_difference(
-        law, hamiltonian, lambda delta: (perturbed(delta), obs2), obs1, t, h, options
+    return _state_difference(
+        law, hamiltonian, joint, obs2, obs1, t, d1 + d2 + i * d2 + j,
+        f"r12[{i},{j}]", fd_step, options,
     )
 
 
@@ -460,33 +461,24 @@ def audit(
         return "ok"
 
     opts = config.branch_options
-
-    def components(case):
-        """``(channel, label, call)`` per component; ``call(times)`` runs it."""
-        fd = (config.fd_step, opts)
-        member = (law, hamiltonian, case.state)
-        pair = (case.obs_remote, case.obs_local)
-        for k in range(d2):
-            yield "d_remote_state", str(k), lambda ts, k=k: d_remote_state(
-                *member, *pair, ts, k, *fd
-            )
-        for i in range(d1):
-            for j in range(d2):
-                yield "d_correlations", f"{i},{j}", lambda ts, c=(i, j): d_correlations(
-                    *member, *pair, ts, c, *fd
-                )
-        family = ObservableFamily(case.obs_remote, case.direction)
-        yield "d_remote_observable", "theta", lambda ts: d_remote_observable(
-            *member, family, case.obs_local, ts, *fd
-        )
+    fd = {"fd_step": config.fd_step, "options": opts}
 
     # One call per component covers every audit time; rows, maxima and
     # failure records then follow member, time, channel, component order.
     grid = sorted(set(config.times))
     at = {t: i for i, t in enumerate(grid)}
     for case in cases:
+        family = ObservableFamily(case.obs_remote, case.direction)
+        table = (
+            [("d_remote_state", str(k), d_remote_state, case.obs_remote, {"component": k})
+             for k in range(d2)]
+            + [("d_correlations", f"{i},{j}", d_correlations, case.obs_remote,
+                {"component": (i, j)}) for i in range(d1) for j in range(d2)]
+            + [("d_remote_observable", "theta", d_remote_observable, family, {})]
+        )
         runs = {ch: [] for ch in channels}
-        for channel, label, call in components(case):
+        for channel, label, d_fn, remote, args in table:
+            call = partial(d_fn, law, hamiltonian, case.state, remote, case.obs_local, **args, **fd)
             runs[channel].append((label, _per_time(call, grid)))
         for t in config.times:
             for channel in channels:

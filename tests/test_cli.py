@@ -294,6 +294,12 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
             {**LINEAR_AUDIT_CONFIG,
              "hamiltonian": {**LINEAR_AUDIT_CONFIG["hamiltonian"], "H0": float("inf")}},
         ),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"fd_step": True}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"fd_step": "1e-5"}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"step": True}}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"method": 5}}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": 5}}),
+        ("evolve", {**_EVOLVE, "initial_state": "random:-1"}),
     ],
     ids=[
         "evolve-times", "evolve-nan-time", "fractional-dims", "xi-preset-object",
@@ -301,7 +307,8 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
         "channel-demo-time", "convert-dim", "convert-not-object",
         "fractional-ensemble-size", "bool-ensemble-size", "fractional-seed", "negative-seed",
         "fractional-fit-probes", "bool-branch-max-steps", "fractional-max-steps",
-        "nan-hamiltonian", "inf-h0",
+        "nan-hamiltonian", "inf-h0", "bool-fd-step", "string-fd-step", "bool-branch-step",
+        "numeric-branch-method", "numeric-hamiltonian-file", "negative-random-seed",
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command, payload):
@@ -311,3 +318,14 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command
     assert main([command, flag, str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    if command == "audit" and "integrator" in payload["audit"]:
+        assert "audit.integrator." in err[0]
+
+
+@pytest.mark.parametrize("base", [LINEAR_AUDIT_CONFIG, POLESINK_AUDIT_CONFIG], ids=["linear", "polesink"])
+def test_branch_max_steps_is_enforced_for_every_law(tmp_path, capsys, base):
+    branch = {"method": "rk4", "step": 0.01, "max_steps": 10}
+    cfg = write_config(tmp_path, "audit.json", {**base, "audit": {**base["audit"], "integrator": branch}})
+    assert main(["audit", "--config", cfg, "--no-timestamp"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: integration: rk4 would need 100 steps (> max_steps=10)"]

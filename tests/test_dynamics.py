@@ -18,6 +18,7 @@ from blochsig.dynamics import (
     linear_law,
     pack_coords,
     random_hamiltonian,
+    reduced_flow,
     reduced_generator,
     reduced_propagator_fit,
     unpack_coords,
@@ -320,6 +321,16 @@ def test_evolve_step_budget_error():
     state = random_interior_joint(rng, (2, 2))
     with pytest.raises(IntegrationFailureError):
         evolve(linear_law(), h, state, 10.0, IntegratorOptions(max_steps=3))
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=["linear", "polesink"])
+def test_reduced_rk4_step_budget_error(law):
+    flow = reduced_flow(law, [0.0, 0.0, 0.3], 2)
+    options = IntegratorOptions(method="rk4", step=0.01, max_steps=10)
+    r0 = np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4]])
+    assert flow.propagate(r0, 0.05, options).shape == r0.shape
+    with pytest.raises(IntegrationFailureError, match=r"100 steps \(> max_steps=10\)"):
+        flow.propagate(r0, 1.0, options)
 
 
 def test_evolve_path_monotone_times_required():
