@@ -9,7 +9,8 @@ audit    run the no-signaling audit described by a config file
 demo     paired showcase: a nonlinear law that passes, and one that fails
 
 Exit codes: 0 success (audit: verdict pass); 1 audit detected signaling;
-2 bad usage, config or input; 3 runtime failure (integrator gave up).
+2 bad usage, config or input; 3 runtime failure (integrator gave up, or any
+other unexpected error, reported as ``error: internal: <Type>: <msg>``).
 Every failure prints a single machine-parsable line ``error: <field>: <msg>``
 to stderr.
 """
@@ -55,6 +56,7 @@ from .measurement import (
     observable_from_matrices,
 )
 from .nosignal_audit import (
+    DEFAULT_BRANCH_OPTIONS,
     AuditConfig,
     audit,
     polesink_law,
@@ -280,9 +282,10 @@ def _parse_observable(raw, dim: int, path: str) -> ProjectiveObservable:
         raise ConfigError(path, str(exc))
 
 
-def _parse_integrator(raw, path: str) -> IntegratorOptions:
+def _parse_integrator(raw, path: str, default: IntegratorOptions) -> IntegratorOptions:
+    """Integrator options from a JSON object; ``null`` means ``default``."""
     if raw is None:
-        return DEFAULT_OPTIONS
+        return default
     if not isinstance(raw, dict):
         raise ConfigError(path, "must be an object")
     kwargs = {}
@@ -315,7 +318,9 @@ def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
     if "times" in raw:
         kwargs["times"] = tuple(_parse_times(raw["times"], "audit.times"))
     if "integrator" in raw:
-        kwargs["branch_options"] = _parse_integrator(raw["integrator"], "audit.integrator")
+        kwargs["branch_options"] = _parse_integrator(
+            raw["integrator"], "audit.integrator", DEFAULT_BRANCH_OPTIONS
+        )
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -414,7 +419,7 @@ def cmd_evolve(args) -> int:
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
     state0 = _parse_state(cfg, dims)
     times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
-    options = _parse_integrator(cfg.get("integrator"), "integrator")
+    options = _parse_integrator(cfg.get("integrator"), "integrator", DEFAULT_OPTIONS)
 
     samples = evolve_path(law, hamiltonian, state0, times, options)
     records = []
@@ -685,6 +690,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 must only ever mean "signaling detected"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -228,19 +228,51 @@ def conditional_state(
         raise DimensionMismatchError(
             f"observable dim {obs2.dim} != second subsystem dim {joint.dims[1]}"
         )
-    p, r = _collapse(joint, obs2.outcomes[k])
-    if r is None:
-        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p:.3e}")
-    return p, BlochState(joint.dims[0], r)
+    p, r = _collapse([(joint, obs2)])
+    if p[0, k] <= EPS_PROB:
+        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, k]:.3e}")
+    return float(p[0, k]), BlochState(joint.dims[0], r[0, k] / p[0, k])
 
 
-def _collapse(joint: JointBlochState, proj: Projector):
-    """Born weight of ``proj`` on party 2 and party 1's collapsed
-    coordinates (``None`` at or below the probability floor)."""
-    p = proj.u0 + float(proj.u @ joint.r2)
-    if p <= EPS_PROB:
-        return p, None
-    return p, (proj.u0 * joint.r1 + joint.r12 @ proj.u) / p
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the others.
+
+    ``np.matmul`` hands every ``(1, d) @ (d, 1)`` slice to the same BLAS dot
+    as ``u @ r`` on two vectors, so each entry equals ``float(u @ r)`` bit
+    for bit at any d (a gemm or einsum over the same rows may sum in
+    another order).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _collapse(pairs):
+    """Born weights ``p`` of every remote outcome, shape ``(P, K)``, and
+    party 1's unnormalized collapsed coordinates ``p * r1'``, shape
+    ``(P, K, d1)``, for ``(joint, obs2)`` pairs of one pair of dims.
+
+    ``K`` is the largest outcome count; a pair with fewer outcomes is
+    padded with zero projectors (weight 0).  Each pair and outcome gets
+    ``r12 @ u`` from the BLAS matrix-vector product that
+    ``joint.r12 @ proj.u`` uses, and ``u . r2`` from :func:`_dots`.
+    """
+    dims = pairs[0][0].dims
+    width = max(len(obs2) for _, obs2 in pairs)
+    u0 = np.zeros((len(pairs), width))
+    u = np.zeros((len(pairs), width, dims[1] ** 2 - 1))
+    for i, (joint, obs2) in enumerate(pairs):
+        if joint.dims != dims or obs2.dim != dims[1]:
+            raise DimensionMismatchError(
+                f"every pair needs dims {dims} and a remote observable of dim {dims[1]}, "
+                f"got dims {joint.dims} and dim {obs2.dim}"
+            )
+        u0[i, : len(obs2)] = obs2.u0_vector()
+        u[i, : len(obs2)] = obs2.u_matrix()
+    r1 = np.stack([joint.r1 for joint, _ in pairs])
+    r2 = np.stack([joint.r2 for joint, _ in pairs])
+    r12 = np.stack([joint.r12 for joint, _ in pairs])
+    p = u0 + _dots(r2[:, None, :], u)
+    scaled = u0[..., None] * r1[:, None, :] + (r12[:, None] @ u[..., None])[..., 0]
+    return p, scaled
 
 
 def local_distribution(
@@ -280,39 +312,31 @@ def local_distributions(
     """:func:`local_distribution` for each ``(joint, obs2)`` pair at each
     ascending time, shape ``(len(times), len(pairs), len(obs1))``.
 
-    The branches of every pair form one ``(B, d)`` batch that the reduced
-    flow propagates once, sampled at every time; each average then runs in
-    ascending outcome order, as a single pair at a single time would.
+    The pairs must share their dims.  Their branches form one ``(B, d)``
+    batch that the reduced flow propagates once, sampled at every time.
+    Party 1's Born probabilities of every evolved branch come from one
+    affine map per time, and each pair's weighted branches are summed in
+    ascending outcome order (one unbuffered scatter-add), as a single pair
+    at a single time would sum them.
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("need at least one (joint, obs2) pair")
     n1 = obs1.dim
-    for joint, obs2 in pairs:
-        if obs2.dim != joint.dims[1]:
-            raise DimensionMismatchError(
-                f"remote observable dim {obs2.dim} != subsystem dim {joint.dims[1]}"
-            )
-        if joint.dims[0] != n1:
-            raise DimensionMismatchError(
-                f"local observable dim {n1} != subsystem dim {joint.dims[0]}"
-            )
+    if pairs[0][0].dims[0] != n1:
+        raise DimensionMismatchError(
+            f"local observable dim {n1} != subsystem dim {pairs[0][0].dims[0]}"
+        )
+    p, scaled = _collapse(pairs)
+    keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its pair
+    owners = np.nonzero(keep)[0]
+    weights = p[keep]
+    states = scaled[keep] / weights[:, None]
     if h_local is None:
         h_local = np.zeros(n1**2 - 1)
     flow = dynamics.reduced_flow(law, h_local, n1)
-    weights, states, owners = [], [], []
-    for i, (joint, obs2) in enumerate(pairs):
-        for proj in obs2.outcomes:
-            p, r = _collapse(joint, proj)
-            if r is not None:
-                weights.append(p)
-                states.append(r)
-                owners.append(i)
-    evolved = flow.sample(np.reshape(states, (len(states), n1**2 - 1)), times, options)
-    out = np.zeros((len(evolved), len(pairs), len(obs1.outcomes)))
-    for at_t, rows in zip(out, evolved):
-        for i, dist in enumerate(at_t):
-            branches = [(p, r) for p, r, o in zip(weights, rows, owners) if o == i]
-            for idx, proj in enumerate(obs1.outcomes):
-                total = 0.0
-                for p, r in branches:
-                    total += p * (proj.u0 + float(proj.u @ r))
-                dist[idx] = total
+    evolved = flow.sample(states, times, options)
+    born = obs1.u0_vector() + _dots(evolved[:, :, None, :], obs1.u_matrix())
+    out = np.zeros((len(evolved), len(pairs), len(obs1)))
+    np.add.at(out, (slice(None), owners), weights[:, None] * born)
     return out

@@ -21,8 +21,9 @@ Numerical hygiene notes baked into the defaults:
 * Branch trajectories integrate with a fixed-step method so the numerical
   flow is smooth in its initial condition; adaptive step-acceptance noise
   would otherwise be amplified by the 1/(2h) of the central difference.
-  Both signs of a component and every remote outcome form one batch, and
-  one trajectory serves every audit time whose step grid nests.
+  Both signs of every component of a channel and every remote outcome
+  form one batch, and one trajectory serves every audit time whose step
+  grid nests.
 * Ensembles sample full-rank states (Hilbert-Schmidt draws shrunk toward
   the maximally mixed state) so coordinate perturbations stay physical; if
   one still falls outside, the step is halved up to six times and then the
@@ -65,7 +66,7 @@ from .integrate import IntegratorOptions
 from .measurement import (
     ProjectiveObservable,
     computational_observable,
-    local_distribution,
+    local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
     local_distributions,
     observable_from_basis,
     rotate_observable,
@@ -145,6 +146,7 @@ class AuditConfig:
                 "step": self.branch_options.step,
                 "atol": self.branch_options.atol,
                 "rtol": self.branch_options.rtol,
+                "max_steps": self.branch_options.max_steps,
             },
             "fit_probes": self.fit_probes,
         }
@@ -172,24 +174,29 @@ class ObservableFamily:
         return rotate_observable(self.base, self.direction, theta)
 
 
-def _central_difference(law, hamiltonian, branch, obs1, t, h, options):
-    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes, where
-    ``branch(delta)`` gives the joint state and remote observable at offset
-    delta.  ``t`` is one time (a float comes back) or an ascending sequence
-    (a list comes back, one value per time); the branches of both signs
-    propagate as one batch either way."""
+def _central_difference(law, hamiltonian, plans, obs1, t, options):
+    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes for each
+    ``(h, branch)`` plan, where ``branch(delta)`` gives the joint state and
+    remote observable at offset delta.  Returns one value per plan: a float
+    when ``t`` is one time, a list (one value per time) when it is an
+    ascending sequence.  The branches of every plan and both signs
+    propagate as one batch."""
+    if not plans:
+        return []
     scalar = np.ndim(t) == 0
+    pairs = [branch(sign * h) for h, branch in plans for sign in (+1.0, -1.0)]
     dists = local_distributions(
-        [branch(+h), branch(-h)], obs1, law, [t] if scalar else list(t),
+        pairs, obs1, law, [t] if scalar else list(t),
         h_local=hamiltonian.h1, options=options or DEFAULT_BRANCH_OPTIONS,
     )
-    values = [float(np.max(np.abs(plus - minus)) / (2.0 * h)) for plus, minus in dists]
-    return values[0] if scalar else values
+    steps = np.array([2.0 * h for h, _ in plans])
+    values = (np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1) / steps).T.tolist()
+    return [v[0] for v in values] if scalar else values
 
 
-def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, what, fd_step, options):
-    """Central difference along packed coordinate ``index`` of the joint
-    state.  The step starts at ``fd_step`` and is halved, at most six
+def _state_plan(joint, obs2, index, what, fd_step):
+    """The ``(h, branch)`` plan along packed coordinate ``index`` of the
+    joint state.  The step starts at ``fd_step`` and is halved, at most six
     times, while either perturbed state is unphysical."""
     x = pack_coords(joint)
 
@@ -204,15 +211,11 @@ def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, what, fd_st
         try:
             joint_from_bloch(shifted(+h), b1, b2, check=True)
             joint_from_bloch(shifted(-h), b1, b2, check=True)
-            break
+            return h, lambda delta: (shifted(delta), obs2)
         except UnphysicalStateError:
             h *= 0.5
-    else:
-        raise PerturbationInfeasibleError(
-            f"perturbation of {what} leaves the physical set even at step {2 * h:.3e}"
-        )
-    return _central_difference(
-        law, hamiltonian, lambda delta: (shifted(delta), obs2), obs1, t, h, options
+    raise PerturbationInfeasibleError(
+        f"perturbation of {what} leaves the physical set even at step {2 * h:.3e}"
     )
 
 
@@ -223,22 +226,25 @@ def d_remote_state(
     obs2: ProjectiveObservable,
     obs1: ProjectiveObservable,
     t: float | Sequence[float],
-    component: int,
+    component: int | Sequence[int],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float | list[float]:
+) -> float | list:
     """Sensitivity of party 1's distribution to one coordinate of party 2's
     reduced state, maximized over local outcomes.
 
     ``t`` is one time, giving a float, or an ascending sequence of times,
-    giving one value per time from a single batched propagation."""
+    giving one value per time.  ``component`` is one index, or a sequence
+    of them (shape ``(C,)``), giving one such result per component.  Every
+    time and component comes from a single batched propagation."""
     d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
-    if not 0 <= component < d2:
+    single = np.ndim(component) == 0
+    ks = [int(k) for k in np.reshape(component, -1)]
+    if not all(0 <= k < d2 for k in ks):
         raise ValueError(f"component must lie in [0, {d2})")
-    return _state_difference(
-        law, hamiltonian, joint, obs2, obs1, t, d1 + component,
-        f"r2[{component}]", fd_step, options,
-    )
+    plans = [_state_plan(joint, obs2, d1 + k, f"r2[{k}]", fd_step) for k in ks]
+    values = _central_difference(law, hamiltonian, plans, obs1, t, options)
+    return values[0] if single else values
 
 
 def d_correlations(
@@ -248,20 +254,24 @@ def d_correlations(
     obs2: ProjectiveObservable,
     obs1: ProjectiveObservable,
     t: float | Sequence[float],
-    component: tuple[int, int],
+    component: tuple[int, int] | Sequence[tuple[int, int]],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float | list[float]:
-    """Sensitivity to one element of the shared correlation block; ``t`` as
-    for :func:`d_remote_state`."""
-    i, j = component
+) -> float | list:
+    """Sensitivity to one element ``(i, j)`` of the shared correlation
+    block, or to each of a sequence of them (shape ``(C, 2)``); ``t`` and
+    the results as for :func:`d_remote_state`."""
     d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
-    if not (0 <= i < d1 and 0 <= j < d2):
+    single = np.ndim(component) == 1
+    ijs = [(int(i), int(j)) for i, j in np.reshape(component, (-1, 2))]
+    if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
         raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-    return _state_difference(
-        law, hamiltonian, joint, obs2, obs1, t, d1 + d2 + i * d2 + j,
-        f"r12[{i},{j}]", fd_step, options,
-    )
+    plans = [
+        _state_plan(joint, obs2, d1 + d2 + i * d2 + j, f"r12[{i},{j}]", fd_step)
+        for i, j in ijs
+    ]
+    values = _central_difference(law, hamiltonian, plans, obs1, t, options)
+    return values[0] if single else values
 
 
 def d_remote_observable(
@@ -280,9 +290,8 @@ def d_remote_observable(
         raise DimensionMismatchError(
             f"family dim {family.base.dim} != second subsystem dim {joint.dims[1]}"
         )
-    return _central_difference(
-        law, hamiltonian, lambda delta: (joint, family.at(delta)), obs1, t, fd_step, options
-    )
+    plan = (fd_step, lambda delta: (joint, family.at(delta)))
+    return _central_difference(law, hamiltonian, [plan], obs1, t, options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +365,18 @@ def _per_time(call, times) -> list:
     return out
 
 
+def _per_component(call, components, times) -> list:
+    """:func:`_per_time` results of every component, from one batched
+    ``call(times, component=components)``.  When the batch raises (one
+    infeasible component, or an integrator failure in any row), each
+    component is rerun on its own, so it keeps its own results and errors.
+    """
+    try:
+        return call(times, component=components)
+    except (PerturbationInfeasibleError, IntegrationFailureError):
+        return [_per_time(partial(call, component=c), times) for c in components]
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Aggregated sensitivities, verdict, and the configurations behind them."""
@@ -419,9 +440,9 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Each finite-difference component is one call covering every audit
-    time (one batched branch propagation); rows still come out per member,
-    time and channel, in config order.  Partial failures (infeasible
+    Each member makes one call per channel, covering every component and
+    audit time (one batched branch propagation); rows still come out per
+    member, time and channel, in config order.  Partial failures (infeasible
     perturbations, integrator giving up, non-finite sensitivities or
     linearity residual) are recorded per case and excluded from the
     maxima; a failure also rules out a pass, since no-signaling went
@@ -463,23 +484,35 @@ def audit(
     opts = config.branch_options
     fd = {"fd_step": config.fd_step, "options": opts}
 
-    # One call per component covers every audit time; rows, maxima and
-    # failure records then follow member, time, channel, component order.
+    # One call per member and channel covers every component and audit
+    # time; rows, maxima and failure records then follow member, time,
+    # channel, component order.
     grid = sorted(set(config.times))
     at = {t: i for i, t in enumerate(grid)}
+    state_components = list(range(d2))
+    corr_components = [(i, j) for i in range(d1) for j in range(d2)]
+    labels = {
+        "d_remote_state": [str(k) for k in state_components],
+        "d_correlations": [f"{i},{j}" for i, j in corr_components],
+        "d_remote_observable": ["theta"],
+    }
     for case in cases:
+        member = (law, hamiltonian, case.state)
         family = ObservableFamily(case.obs_remote, case.direction)
-        table = (
-            [("d_remote_state", str(k), d_remote_state, case.obs_remote, {"component": k})
-             for k in range(d2)]
-            + [("d_correlations", f"{i},{j}", d_correlations, case.obs_remote,
-                {"component": (i, j)}) for i in range(d1) for j in range(d2)]
-            + [("d_remote_observable", "theta", d_remote_observable, family, {})]
-        )
-        runs = {ch: [] for ch in channels}
-        for channel, label, d_fn, remote, args in table:
-            call = partial(d_fn, law, hamiltonian, case.state, remote, case.obs_local, **args, **fd)
-            runs[channel].append((label, _per_time(call, grid)))
+        outcomes = {
+            "d_remote_state": _per_component(
+                partial(d_remote_state, *member, case.obs_remote, case.obs_local, **fd),
+                state_components, grid,
+            ),
+            "d_correlations": _per_component(
+                partial(d_correlations, *member, case.obs_remote, case.obs_local, **fd),
+                corr_components, grid,
+            ),
+            "d_remote_observable": [_per_time(
+                partial(d_remote_observable, *member, family, case.obs_local, **fd), grid
+            )],
+        }
+        runs = {ch: list(zip(labels[ch], outcomes[ch])) for ch in channels}
         for t in config.times:
             for channel in channels:
                 best_value, best_label, row_status = 0.0, "", "ok"
@@ -565,10 +598,11 @@ def signaling_channel_demo(
     obs_b; the total-variation distance between party 1's resulting
     distributions is the signaling capacity of the channel (zero for any
     law whose measurement-choice sensitivity vanishes along the connecting
-    family)."""
-    options = options or DEFAULT_BRANCH_OPTIONS
-    pa = local_distribution(joint, obs_a, local_obs, law, t, h_local=h_local, options=options)
-    pb = local_distribution(joint, obs_b, local_obs, law, t, h_local=h_local, options=options)
+    family).  Both observables' branches propagate as one batch."""
+    pa, pb = local_distributions(
+        [(joint, obs_a), (joint, obs_b)], local_obs, law, [t],
+        h_local=h_local, options=options or DEFAULT_BRANCH_OPTIONS,
+    )[0]
     delta = 0.5 * float(np.sum(np.abs(pa - pb)))
     return delta, (pa, pb)
 

@@ -9,6 +9,7 @@ in another order and may differ at round-off.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,9 +24,21 @@ from blochsig.dynamics import (
     reduced_propagator_fit,
     xi_law,
 )
-from blochsig.errors import IntegrationFailureError
+from blochsig.bloch import joint_to_bloch
+from blochsig.errors import (
+    DimensionMismatchError,
+    IntegrationFailureError,
+    PerturbationInfeasibleError,
+)
 from blochsig.integrate import IntegratorOptions
-from blochsig.measurement import EPS_PROB, observable_from_basis
+from blochsig.jsonio import dumps
+from blochsig.measurement import (
+    EPS_PROB,
+    computational_observable,
+    local_distributions,
+    observable_from_basis,
+    observable_from_matrices,
+)
 from blochsig.nosignal_audit import (
     DEFAULT_BRANCH_OPTIONS,
     AuditConfig,
@@ -37,6 +50,7 @@ from blochsig.nosignal_audit import (
     polesink_law,
 )
 from blochsig.sampling import (
+    random_density,
     random_hermitian_direction,
     random_interior_joint,
     random_orthonormal_basis,
@@ -271,3 +285,178 @@ def test_nonfinite_linearity_residual_is_a_failure():
     linearity = [f for f in report.failures if f["channel"] == "linearity"]
     assert len(linearity) == 1 and linearity[0]["status"] == "non-finite"
     assert report.verdict == "signaling-detected"
+
+
+# ---------------------------------------------------------------------------
+# One batched propagation per member and channel: every component of a
+# channel in one ``d_*`` call.
+
+
+def _per_component_values(law, h, member, times):
+    """Every component of the two state channels, one ``d_*`` call each."""
+    state, obs2, obs1, _ = member
+    d1, d2 = state.dims[0] ** 2 - 1, state.dims[1] ** 2 - 1
+    single = [d_remote_state(law, h, state, obs2, obs1, times, k) for k in range(d2)]
+    pairs = [(i, j) for i in range(d1) for j in range(d2)]
+    return single, [d_correlations(law, h, state, obs2, obs1, times, c) for c in pairs], pairs
+
+
+def _batched_values(law, h, member, times, pairs):
+    state, obs2, obs1, _ = member
+    d2 = state.dims[1] ** 2 - 1
+    return (
+        d_remote_state(law, h, state, obs2, obs1, times, list(range(d2))),
+        d_correlations(law, h, state, obs2, obs1, times, np.array(pairs)),
+    )
+
+
+@pytest.mark.parametrize("times", [DEFAULT_TIMES, NON_NESTING_TIMES, 0.5],
+                         ids=["nesting", "non-nesting", "scalar"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_polesink_component_sequences_are_bit_identical_to_per_component_calls(dims, times):
+    law, h = polesink_law(0.1), BlochHamiltonian(dims)
+    member = _member(dims, 50 + dims[1])
+    single_state, single_corr, pairs = _per_component_values(law, h, member, times)
+    batch_state, batch_corr = _batched_values(law, h, member, times, pairs)
+    assert len(batch_state) == len(single_state) and len(batch_corr) == len(pairs)
+    assert batch_state == single_state
+    assert batch_corr == single_corr
+    assert any(v != 0.0 for v in np.ravel(batch_corr))
+
+
+@pytest.mark.parametrize(
+    "law", [linear_law(), xi_law("corrnorm"), xi_law("purity1")], ids=lambda law: law.name
+)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+def test_linear_and_xi_component_sequences_match_per_component_calls(law, dims):
+    h = random_hamiltonian(np.random.default_rng(51), dims, scale=0.6)
+    member = _member(dims, 52)
+    single_state, single_corr, pairs = _per_component_values(law, h, member, DEFAULT_TIMES)
+    batch_state, batch_corr = _batched_values(law, h, member, DEFAULT_TIMES, pairs)
+    np.testing.assert_allclose(batch_state, single_state, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batch_corr, single_corr, rtol=0, atol=1e-12)
+
+
+def test_single_and_sequence_component_forms():
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1, _ = _member((2, 2), 53)
+    assert isinstance(d_remote_state(law, h, state, obs2, obs1, 0.5, 1), float)
+    assert d_remote_state(law, h, state, obs2, obs1, 0.5, [1]) == [
+        d_remote_state(law, h, state, obs2, obs1, 0.5, 1)
+    ]
+    assert d_correlations(law, h, state, obs2, obs1, (0.5,), [(2, 1)]) == [
+        d_correlations(law, h, state, obs2, obs1, (0.5,), (2, 1))
+    ]
+    assert d_remote_state(law, h, state, obs2, obs1, 0.5, []) == []
+    with pytest.raises(ValueError, match="component"):
+        d_remote_state(law, h, state, obs2, obs1, 0.5, [0, 3])
+    with pytest.raises(ValueError, match="component"):
+        d_correlations(law, h, state, obs2, obs1, 0.5, [(0, 0), (3, 0)])
+
+
+def _rank_three_member():
+    """A 2x2 state with the product vector |00> in its kernel: r2[2] and
+    r12[2,2] are infeasible directions, every other component is not."""
+    b = cached_basis(2)
+    state = joint_to_bloch((np.eye(4) - np.diag([1.0, 0.0, 0.0, 0.0])) / 3.0, b, b)
+    rng = np.random.default_rng(54)
+    obs2 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
+    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
+    return state, obs2, obs1
+
+
+def test_one_infeasible_component_sends_the_channel_to_per_component_calls():
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1 = _rank_three_member()
+    with pytest.raises(PerturbationInfeasibleError, match=r"r2\[2\]"):
+        d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
+    call = partial(d_remote_state, law, h, state, obs2, obs1)
+    outcomes = nosignal_audit._per_component(call, [0, 1, 2], list(DEFAULT_TIMES))
+    assert outcomes[:2] == [call(list(DEFAULT_TIMES), k) for k in (0, 1)]
+    assert all(isinstance(e, PerturbationInfeasibleError) for e in outcomes[2])
+
+
+def _per_component_audit(monkeypatch, law, h, config):
+    """The audit with every component in its own ``d_*`` call."""
+    def one_by_one(call, components, times):
+        return [nosignal_audit._per_time(partial(call, component=c), times) for c in components]
+
+    with monkeypatch.context() as m:
+        m.setattr(nosignal_audit, "_per_component", one_by_one)
+        return audit(law, h, config)
+
+
+def test_pure_singlet_audit_with_infeasible_components_equals_per_component_audit(monkeypatch):
+    h = BlochHamiltonian((2, 2), h1=[0.1, 0.0, 0.5], h2=[0.0, 0.2, 0.3], h12=0.3 * np.eye(3))
+    config = AuditConfig(seed=0, ensemble_size=2, mix_weight=0.0)
+    report = audit(linear_law(), h, config)
+    reference = _per_component_audit(monkeypatch, linear_law(), h, config)
+    assert len(report.infeasible) == 36  # every state component of the singlet
+    assert {e["member"] for e in report.infeasible} == {0}
+    assert dumps(report.to_dict()) == dumps(reference.to_dict())
+    assert report.verdict == "pass"
+
+
+def test_late_integration_failure_inside_a_member_batch_keeps_the_failure_records(monkeypatch):
+    law, h = _expanding_law(), BlochHamiltonian((2, 2))
+    config = AuditConfig(seed=3, ensemble_size=2, fit_probes=0)
+    report = audit(law, h, config)
+    reference = _per_component_audit(monkeypatch, law, h, config)
+    assert report.failures and {f["time"] for f in report.failures} == {1.0}
+    assert report.failures == reference.failures
+    assert dumps(report.to_dict()) == dumps(reference.to_dict())
+
+
+def test_audit_makes_three_d_calls_per_member(monkeypatch):
+    calls = []
+    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
+        original = getattr(nosignal_audit, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nosignal_audit, name, counted)
+    audit(polesink_law(0.1), BlochHamiltonian((2, 3)), AuditConfig(seed=1, ensemble_size=3))
+    assert calls == ["d_remote_state", "d_correlations", "d_remote_observable"] * 3
+
+
+def _scalar_loop_distributions(pairs, obs1, law, times):
+    return np.array(
+        [[_branchwise_distribution(joint, obs2, obs1, law, t) for joint, obs2 in pairs]
+         for t in times]
+    )
+
+
+def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loop():
+    dims = (2, 3)
+    b1, b2 = cached_basis(2), cached_basis(3)
+    rng = np.random.default_rng(55)
+    remote_zero = np.diag([1.0, 0.0, 0.0])  # party 2 in |0>: outcomes 1 and 2 never occur
+    product = joint_to_bloch(np.kron(random_density(rng, 2), remote_zero), b1, b2)
+    generic = random_interior_joint(rng, dims)
+    three = observable_from_basis(random_orthonormal_basis(rng, 3), b2)
+    computational = computational_observable(3)
+    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    two = observable_from_matrices([p0, np.eye(3) - p0], b2)  # a rank-2 outcome
+    pairs = [(product, computational), (generic, three), (generic, two), (product, three)]
+    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b1)
+    law = polesink_law(0.1)
+    batched = local_distributions(pairs, obs1, law, DEFAULT_TIMES, options=DEFAULT_BRANCH_OPTIONS)
+    assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
+    assert np.array_equal(batched, _scalar_loop_distributions(pairs, obs1, law, DEFAULT_TIMES))
+    # the channel demo is the two-pair case at one time
+    delta, (pa, pb) = nosignal_audit.signaling_channel_demo(
+        law, generic, three, two, obs1, 0.5
+    )
+    expected = _scalar_loop_distributions([(generic, three), (generic, two)], obs1, law, [0.5])
+    assert np.array_equal(pa, expected[0, 0]) and np.array_equal(pb, expected[0, 1])
+    assert delta == 0.5 * float(np.sum(np.abs(expected[0, 0] - expected[0, 1])))
+
+
+def test_local_distributions_rejects_pairs_of_different_dims():
+    rng = np.random.default_rng(56)
+    a = (random_interior_joint(rng, (2, 2)), computational_observable(2))
+    b = (random_interior_joint(rng, (2, 3)), computational_observable(3))
+    with pytest.raises(DimensionMismatchError, match="every pair"):
+        local_distributions([a, b], computational_observable(2), polesink_law(0.1), [0.5])

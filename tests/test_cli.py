@@ -329,3 +329,48 @@ def test_branch_max_steps_is_enforced_for_every_law(tmp_path, capsys, base):
     assert main(["audit", "--config", cfg, "--no-timestamp"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: integration: rk4 would need 100 steps (> max_steps=10)"]
+
+
+def _audit_report(tmp_path, name, payload):
+    cfg = write_config(tmp_path, f"{name}.json", payload)
+    out = tmp_path / f"{name}.report.json"
+    code = main(["audit", "--config", cfg, "--out", str(out), "--no-timestamp"])
+    return code, out
+
+
+def test_null_branch_integrator_keeps_the_rk4_default(tmp_path):
+    null = {**LINEAR_AUDIT_CONFIG, "audit": {**LINEAR_AUDIT_CONFIG["audit"], "integrator": None}}
+    code_null, out_null = _audit_report(tmp_path, "null", null)
+    code_absent, out_absent = _audit_report(tmp_path, "absent", LINEAR_AUDIT_CONFIG)
+    assert code_null == code_absent == 0
+    branch = json.loads(out_null.read_text())["config"]["branch_integrator"]
+    assert branch["method"] == "rk4" and branch["step"] == 0.01
+    assert out_null.read_bytes() == out_absent.read_bytes()
+
+
+def test_report_config_block_reruns_the_same_audit(tmp_path):
+    from blochsig.cli import _parse_audit_config
+
+    branch = {"method": "rk4", "step": 0.02, "max_steps": 60}
+    raw = {"ensemble_size": 3, "seed": 4, "times": [0.5, 0.25], "fit_probes": 5,
+           "integrator": branch}
+    code, out = _audit_report(tmp_path, "first", {**LINEAR_AUDIT_CONFIG, "audit": raw})
+    assert code == 0
+    block = dict(json.loads(out.read_text())["config"])
+    block["integrator"] = block.pop("branch_integrator")
+    assert block["integrator"] == {**branch, "atol": 1e-10, "rtol": 1e-8}
+    assert _parse_audit_config({"audit": block}, None) == _parse_audit_config({"audit": raw}, None)
+    rerun_code, rerun = _audit_report(tmp_path, "rerun", {**LINEAR_AUDIT_CONFIG, "audit": block})
+    assert rerun_code == code and rerun.read_bytes() == out.read_bytes()
+
+
+def test_unexpected_error_exits_three_with_one_internal_line(monkeypatch, capsys):
+    import blochsig.cli as cli
+
+    def broken(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_basis", broken)
+    assert main(["basis", "--dim", "2"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: internal: RuntimeError: unexpected state"]
