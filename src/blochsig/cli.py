@@ -18,6 +18,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -283,7 +284,8 @@ def _parse_observable(raw, dim: int, path: str) -> ProjectiveObservable:
 
 
 def _parse_integrator(raw, path: str, default: IntegratorOptions) -> IntegratorOptions:
-    """Integrator options from a JSON object; ``null`` means ``default``."""
+    """Integrator options from a JSON object; ``null`` means ``default``,
+    and keys the object leaves out keep their ``default`` values."""
     if raw is None:
         return default
     if not isinstance(raw, dict):
@@ -299,7 +301,7 @@ def _parse_integrator(raw, path: str, default: IntegratorOptions) -> IntegratorO
     if "max_steps" in raw:
         kwargs["max_steps"] = _parse_int(raw["max_steps"], f"{path}.max_steps")
     try:
-        return IntegratorOptions(**kwargs)
+        return dataclasses.replace(default, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc))
 

@@ -235,7 +235,7 @@ def _purity_first(r1, r2, r12) -> float:
 
 
 def _corrnorm(r1, r2, r12) -> float:
-    return 1.0 / (1.0 + float(np.sum(r12 * r12)))
+    return 1.0 / (1.0 + float(np.vdot(r12, r12)))
 
 
 XI_PRESETS = {
@@ -433,7 +433,10 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
 
         def indexed(x):
             r = _split(x, dims)
-            w = np.array([_is_finite(weight(*args, *r)) for weight, args in calls])
+            w = np.array([float(weight(*args, *r)) for weight, args in calls])
+            finite = np.isfinite(w)
+            if not finite.all():
+                _is_finite(w[finite.argmin()])  # raises for the first non-finite call
             return loc @ x + np.bincount(targets, weights=w * (contrib @ x), minlength=len(x))
 
         return indexed

@@ -60,6 +60,10 @@ _A = (
 _B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 # b5 - b4: local truncation error estimate of the propagated solution.
 _E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+# Stage s takes y + h * (_A_ROWS[s] @ k[:s]); one product gives the
+# propagated increment and the error estimate.
+_A_ROWS = tuple(np.array(row) for row in _A)
+_B5_E = np.array((_B5, _E))
 
 
 def rk4_steps(t: float, step: float) -> tuple[int, float]:
@@ -116,10 +120,10 @@ def _rk4(field, y0, t, options):
 
 def _rkf45(field, y0, t, options):
     y = np.array(y0, dtype=float)
+    k = np.empty((6, y.size))  # the six stages, one row each
     x = 0.0
     h = min(t, max(options.step, 1e-6))
     hmin = 1e-14 * max(t, 1.0)
-    k = [None] * 6
     for _ in range(options.max_steps):
         if x >= t:
             return y
@@ -128,12 +132,12 @@ def _rkf45(field, y0, t, options):
             raise IntegrationFailureError(f"step size underflow at t={x:.6g} (h={h:.3e})")
         k[0] = field(y)
         for s in range(1, 6):
-            ys = y + h * sum(a * k[m] for m, a in enumerate(_A[s]))
-            k[s] = field(ys)
-        y5 = y + h * sum(b * k[m] for m, b in enumerate(_B5))
-        err = h * sum(e * k[m] for m, e in enumerate(_E))
-        scale = options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5))
-        errnorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            k[s] = field(y + h * (_A_ROWS[s] @ k[:s]))
+        increment, err = _B5_E @ k
+        y5 = y + h * increment
+        q = h * err / (options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5)))
+        # A NaN norm fails the test below and shrinks the step by 0.2.
+        errnorm = math.sqrt(q @ q / q.size)
         if errnorm <= 1.0:
             x += h
             y = y5

@@ -1,7 +1,8 @@
-"""Matrix-level oracles used to cross-check the coordinate formulas.
+"""Matrix-level oracles used to cross-check the coordinate formulas, and a
+per-stage RKF45 stepper used to cross-check the integrator.
 
 Everything here works on raw numpy arrays and never calls the coordinate
-code paths it is used to verify.
+or integrator code paths it is used to verify.
 """
 
 import numpy as np
@@ -43,3 +44,43 @@ def random_traceless_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = 0.5 * (a + a.conj().T)
     return h - np.trace(h) / n * np.eye(n)
+
+
+# Fehlberg tableau, written out again so the oracle shares nothing with
+# blochsig.integrate.
+_FEHLBERG_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_FEHLBERG_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_FEHLBERG_E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+def reference_rkf45(field, y0, t, atol, rtol, step):
+    """Adaptive Fehlberg 4(5) from 0 to t > 0, one stage at a time, with the
+    step control of ``blochsig.integrate``; no step budget or failure
+    guards, so only call it where the integrator succeeds."""
+    y = np.array(y0, dtype=float)
+    x = 0.0
+    h = min(t, max(step, 1e-6))
+    k = [None] * 6
+    while x < t:
+        h = min(h, t - x)
+        k[0] = field(y)
+        for s in range(1, 6):
+            ys = y + h * sum(a * k[m] for m, a in enumerate(_FEHLBERG_A[s]))
+            k[s] = field(ys)
+        y5 = y + h * sum(b * k[m] for m, b in enumerate(_FEHLBERG_B5))
+        err = h * sum(e * k[m] for m, e in enumerate(_FEHLBERG_E))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        errnorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if errnorm <= 1.0:
+            x += h
+            y = y5
+        factor = 5.0 if errnorm == 0.0 else 0.9 * errnorm ** (-0.2)
+        h *= min(5.0, max(0.2, factor))
+    return y

@@ -348,6 +348,42 @@ def test_null_branch_integrator_keeps_the_rk4_default(tmp_path):
     assert out_null.read_bytes() == out_absent.read_bytes()
 
 
+def test_partial_branch_integrator_keeps_the_rk4_method(tmp_path):
+    audit = {**LINEAR_AUDIT_CONFIG["audit"], "integrator": {"step": 0.02}}
+    partial = {**LINEAR_AUDIT_CONFIG, "audit": audit}
+    code, out = _audit_report(tmp_path, "partial", partial)
+    assert code == 0
+    branch = json.loads(out.read_text())["config"]["branch_integrator"]
+    assert branch["method"] == "rk4" and branch["step"] == 0.02
+
+
+def test_partial_evolve_integrator_keeps_rkf45(tmp_path, monkeypatch):
+    import blochsig.cli as cli
+
+    seen, original = [], cli.evolve_path
+
+    def recording(law, hamiltonian, state0, times, options):
+        seen.append(options)
+        return original(law, hamiltonian, state0, times, options)
+
+    monkeypatch.setattr(cli, "evolve_path", recording)
+    cfg = write_config(
+        tmp_path,
+        "evolve.json",
+        {
+            "dims": [2, 2],
+            "law": "linear",
+            "hamiltonian": LINEAR_AUDIT_CONFIG["hamiltonian"],
+            "initial_state": "random:7",
+            "times": [0.5],
+            "integrator": {"atol": 1e-9},
+        },
+    )
+    out = str(tmp_path / "traj.json")
+    assert main(["evolve", "--config", cfg, "--out", out, "--no-timestamp"]) == 0
+    assert [(o.method, o.atol, o.rtol) for o in seen] == [("rkf45", 1e-9, 1e-8)]
+
+
 def test_report_config_block_reruns_the_same_audit(tmp_path):
     from blochsig.cli import _parse_audit_config
 

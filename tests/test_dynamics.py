@@ -1,6 +1,7 @@
 """Linear flow vs commutator oracle, weighted nonlinear family, reduced flows."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,29 @@ def test_nonfinite_weight_raises():
     state = random_interior_joint(rng, (2, 2))
     with pytest.raises(NonlinearityEvaluationError):
         vector_field(law, h, state)
+
+
+def test_nonfinite_indexed_weight_raises_for_the_first_in_call_order():
+    def one_bad_index(value, at):
+        # the last three args are the state
+        return lambda *args: value if args[:-3] == at else 1.0
+
+    # local1 is called before local2, so its nan is the value reported
+    xi = XiFunctions(
+        xi1=lambda *args: 1.0,
+        xi2=lambda *args: 1.0,
+        xi12_bilinear=lambda *args: 1.0,
+        xi12_local1=one_bad_index(float("nan"), (1, 2, 0)),
+        xi12_local2=one_bad_index(float("inf"), (0, 0, 1)),
+    )
+    rng = np.random.default_rng(9)
+    h = random_hamiltonian(rng, (2, 2), interaction=True)
+    state = random_interior_joint(rng, (2, 2))
+    with pytest.raises(NonlinearityEvaluationError, match="non-finite value nan"):
+        vector_field(xi_law(xi), h, state)
+    only_inf = replace(xi, xi12_local1=lambda *args: 1.0)
+    with pytest.raises(NonlinearityEvaluationError, match="non-finite value inf"):
+        vector_field(xi_law(only_inf), h, state)
 
 
 def test_zero_hamiltonian_zero_field_for_any_weights():

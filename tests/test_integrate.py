@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from blochsig.dynamics import _flat_field, pack_coords, random_hamiltonian, xi_law
 from blochsig.errors import IntegrationFailureError
 from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions, solve
+from blochsig.sampling import random_interior_joint
+
+from helpers import reference_rkf45
 
 
 def rotation_field(omega):
@@ -49,13 +53,14 @@ def test_rotation_closed_form(method, tol):
     assert np.max(np.abs(y - expected)) <= tol
 
 
-def test_rkf45_adapts_on_stiff_decay():
+def stiff_decay(y):
     # y' = -50 (y - cos t), autonomized by carrying time as a coordinate;
     # the solution hugs cos t after a fast transient
-    def aug(y):
-        return np.array([1.0, -50.0 * (y[1] - math.cos(y[0]))])
+    return np.array([1.0, -50.0 * (y[1] - math.cos(y[0]))])
 
-    y = solve(aug, np.array([0.0, 0.0]), 3.0, IntegratorOptions(method="rkf45"))
+
+def test_rkf45_adapts_on_stiff_decay():
+    y = solve(stiff_decay, np.array([0.0, 0.0]), 3.0, IntegratorOptions(method="rkf45"))
     assert abs(y[0] - 3.0) <= 1e-12
     exact = (
         50.0 * (50.0 * math.cos(3.0) + math.sin(3.0)) / 2501.0
@@ -72,6 +77,43 @@ def test_rkf45_step_budget_exceeded():
             50.0,
             IntegratorOptions(method="rkf45", max_steps=5),
         )
+
+
+def test_rkf45_step_size_underflow():
+    # y' = y^2 from y = 1 blows up at t = 1: the step shrinks until it underflows
+    with pytest.raises(IntegrationFailureError, match="step size underflow"):
+        solve(lambda y: y * y, [1.0], 2.0, IntegratorOptions(method="rkf45"))
+
+
+def _xi_corrnorm_3x3():
+    rng = np.random.default_rng(31)
+    h = random_hamiltonian(rng, (3, 3))
+    return _flat_field(xi_law("corrnorm"), h), pack_coords(random_interior_joint(rng, (3, 3))), 0.8
+
+
+def _stiff_decay():
+    return stiff_decay, np.array([0.0, 0.0]), 3.0
+
+
+@pytest.mark.parametrize(
+    "problem", [_xi_corrnorm_3x3, _stiff_decay], ids=["xi-corrnorm-3x3", "stiff-decay"]
+)
+def test_rkf45_takes_the_steps_of_the_per_stage_reference(problem):
+    field, y0, t = problem()
+    counts = {"solve": 0, "reference": 0}
+
+    def counting(name):
+        def f(y):
+            counts[name] += 1
+            return field(y)
+
+        return f
+
+    opts = IntegratorOptions(method="rkf45")
+    y = solve(counting("solve"), y0, t, opts)
+    ref = reference_rkf45(counting("reference"), y0, t, opts.atol, opts.rtol, opts.step)
+    assert counts["solve"] == counts["reference"] > 6
+    assert np.max(np.abs(y - ref)) <= 1e-13
 
 
 def test_rk4_step_budget_exceeded():
