@@ -214,14 +214,15 @@ def pack_coords(state: JointBlochState) -> np.ndarray:
     return _pack(state.r1, state.r2, state.r12)
 
 
-def _blocks(dims: tuple[int, int]) -> tuple[slice, slice, slice]:
+@lru_cache(maxsize=16)
+def _blocks(n1: int, n2: int) -> tuple[slice, slice, slice]:
     """Slices of r1, r2 and the row-major r12 in packed coordinates."""
-    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    d1, d2 = n1**2 - 1, n2**2 - 1
     return slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d1 * d2)
 
 
 def _split(x: np.ndarray, dims: tuple[int, int]):
-    s1, s2, s12 = _blocks(dims)
+    s1, s2, s12 = _blocks(*dims)
     return x[s1], x[s2], x[s12].reshape(s1.stop, s2.stop - s1.stop)
 
 

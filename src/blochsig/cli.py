@@ -34,6 +34,7 @@ from .bloch import (
     joint_from_bloch,
     joint_to_bloch,
     to_bloch,
+    validate_density_matrix,
 )
 from .dynamics import (
     BlochHamiltonian,
@@ -49,7 +50,7 @@ from .errors import (
     InvalidDimensionError,
     UnphysicalStateError,
 )
-from .integrate import DEFAULT_OPTIONS, IntegratorOptions
+from .integrate import DEFAULT_OPTIONS
 from .measurement import (
     ProjectiveObservable,
     computational_observable,
@@ -57,7 +58,6 @@ from .measurement import (
     observable_from_matrices,
 )
 from .nosignal_audit import (
-    DEFAULT_BRANCH_OPTIONS,
     AuditConfig,
     audit,
     polesink_law,
@@ -283,23 +283,33 @@ def _parse_observable(raw, dim: int, path: str) -> ProjectiveObservable:
         raise ConfigError(path, str(exc))
 
 
-def _parse_integrator(raw, path: str, default: IntegratorOptions) -> IntegratorOptions:
-    """Integrator options from a JSON object; ``null`` means ``default``,
-    and keys the object leaves out keep their ``default`` values."""
+def _parse_name(raw, path: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(path, "must be a method name")
+    return raw
+
+
+_FIELD_PARSERS = {float: _parse_float, int: _parse_int, str: _parse_name, tuple: _parse_times}
+
+
+def _parse_options(raw, path: str, default):
+    """A copy of the options dataclass ``default`` with the fields the JSON
+    object ``raw`` names, each parsed by the type of its default value;
+    ``null`` means ``default``.  ``branch_options`` is read from the key
+    ``integrator``."""
     if raw is None:
         return default
     if not isinstance(raw, dict):
         raise ConfigError(path, "must be an object")
     kwargs = {}
-    if "method" in raw:
-        if not isinstance(raw["method"], str):
-            raise ConfigError(f"{path}.method", "must be a method name")
-        kwargs["method"] = raw["method"]
-    for name in ("step", "atol", "rtol"):
-        if name in raw:
-            kwargs[name] = _parse_float(raw[name], f"{path}.{name}")
-    if "max_steps" in raw:
-        kwargs["max_steps"] = _parse_int(raw["max_steps"], f"{path}.max_steps")
+    for field in dataclasses.fields(default):
+        key = "integrator" if field.name == "branch_options" else field.name
+        if key in raw:
+            value, where = getattr(default, field.name), f"{path}.{key}"
+            kwargs[field.name] = (
+                _parse_options(raw[key], where, value) if dataclasses.is_dataclass(value)
+                else _FIELD_PARSERS[type(value)](raw[key], where)
+            )
     try:
         return dataclasses.replace(default, **kwargs)
     except ValueError as exc:
@@ -308,27 +318,12 @@ def _parse_integrator(raw, path: str, default: IntegratorOptions) -> IntegratorO
 
 def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
     raw = cfg.get("audit", {})
-    if not isinstance(raw, dict):
+    if raw is None:
         raise ConfigError("audit", "must be an object")
-    kwargs = {}
-    for name in ("fd_step", "pass_tolerance", "mix_weight"):
-        if name in raw:
-            kwargs[name] = _parse_float(raw[name], f"audit.{name}")
-    for name in ("ensemble_size", "seed", "fit_probes"):
-        if name in raw:
-            kwargs[name] = _parse_int(raw[name], f"audit.{name}")
-    if "times" in raw:
-        kwargs["times"] = tuple(_parse_times(raw["times"], "audit.times"))
-    if "integrator" in raw:
-        kwargs["branch_options"] = _parse_integrator(
-            raw["integrator"], "audit.integrator", DEFAULT_BRANCH_OPTIONS
-        )
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return AuditConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError("audit", str(exc))
+    config = _parse_options(raw, "audit", AuditConfig())
+    return config if seed_override is None else _parse_options(
+        {"seed": seed_override}, "audit", config
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +356,6 @@ def cmd_convert(args) -> int:
             n,
             "matrix",
         )
-        from .bloch import validate_density_matrix
-
         validate_density_matrix(rho)
         state = to_bloch(rho, cached_basis(n))
         payload = {"dim": n, "r": state.r.tolist()}
@@ -374,8 +367,6 @@ def cmd_convert(args) -> int:
             nn,
             "matrix",
         )
-        from .bloch import validate_density_matrix
-
         validate_density_matrix(rho)
         state = joint_to_bloch(rho, cached_basis(dims[0]), cached_basis(dims[1]))
         payload = {
@@ -421,7 +412,9 @@ def cmd_evolve(args) -> int:
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
     state0 = _parse_state(cfg, dims)
     times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
-    options = _parse_integrator(cfg.get("integrator"), "integrator", DEFAULT_OPTIONS)
+    options = _parse_options(cfg.get("integrator"), "integrator", DEFAULT_OPTIONS)
+    if args.check_oracle and law.kind != "linear":
+        raise ConfigError("law", "--check-oracle requires the linear law")
 
     samples = evolve_path(law, hamiltonian, state0, times, options)
     records = []
@@ -436,8 +429,6 @@ def cmd_evolve(args) -> int:
             "min_eigenvalue": result.min_eigenvalue,
         }
         if args.check_oracle:
-            if law.kind != "linear":
-                raise ConfigError("law", "--check-oracle requires the linear law")
             ref = _unitary_oracle_coords(hamiltonian, state0, dims, t)
             dev = max(
                 float(np.max(np.abs(result.state.r1 - ref.r1))),

@@ -356,7 +356,7 @@ def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
     h12 = hamiltonian.h12
     nz = h12 != 0.0
     eye1, eye2 = np.eye(len(f1)), np.eye(len(f2))
-    s1, s2, s12 = _blocks(hamiltonian.dims)
+    s1, s2, s12 = _blocks(n1, n2)
     # The bilinear term sums g1 f2 + f1 g2 over the stacked axis s.
     gf, fg = np.stack((g1, f1)), np.stack((f2, g2))
     return (
@@ -371,7 +371,7 @@ def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
 def _local_matrix(hamiltonian: BlochHamiltonian) -> np.ndarray:
     """``L_loc``: each party's rotation on its own block and on r12."""
     n1, n2 = hamiltonian.dims
-    s1, s2, s12 = _blocks(hamiltonian.dims)
+    s1, s2, s12 = _blocks(n1, n2)
     g1, g2 = reduced_generator(hamiltonian.h1, n1), reduced_generator(hamiltonian.h2, n2)
     m = np.zeros((s12.stop, s12.stop))
     m[s1, s1] = g1
@@ -564,8 +564,6 @@ class LinearReducedFlow(_ReducedFlow):
     the audit's cancellation identities rely on), and cheap.
     """
 
-    linear = True
-
     def __init__(self, generator: np.ndarray):
         self.generator = np.asarray(generator, dtype=float)
 
@@ -598,8 +596,6 @@ class FuncReducedFlow(_ReducedFlow):
     one state would silently mix the rows of a batch, so building the flow
     compares a two-row probe batch with two one-row calls.
     """
-
-    linear = False
 
     def __init__(self, field_fn: Callable, dim: int, name: str = "custom"):
         self._fn = field_fn

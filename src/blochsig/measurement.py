@@ -113,9 +113,6 @@ class ProjectiveObservable:
         """Outcome coordinate rows, shape (K, dim**2 - 1)."""
         return np.stack([p.u for p in self.outcomes])
 
-    def matrices(self, basis: GeneratorSet | None = None) -> list[np.ndarray]:
-        return [p.matrix(basis) for p in self.outcomes]
-
     def to_json(self) -> list[dict]:
         return [p.to_json() for p in self.outcomes]
 

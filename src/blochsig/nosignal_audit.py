@@ -44,8 +44,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -134,22 +136,8 @@ class AuditConfig:
             raise ValueError("mix_weight must lie in [0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "fd_step": self.fd_step,
-            "pass_tolerance": self.pass_tolerance,
-            "ensemble_size": self.ensemble_size,
-            "times": list(self.times),
-            "seed": self.seed,
-            "mix_weight": self.mix_weight,
-            "branch_integrator": {
-                "method": self.branch_options.method,
-                "step": self.branch_options.step,
-                "atol": self.branch_options.atol,
-                "rtol": self.branch_options.rtol,
-                "max_steps": self.branch_options.max_steps,
-            },
-            "fit_probes": self.fit_probes,
-        }
+        names = {"branch_options": "branch_integrator"}
+        return {names.get(k, k): list(v) if k == "times" else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -343,38 +331,34 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     return cases
 
 
-def _per_time(call, times) -> list:
-    """Each time's sensitivity, or the error that left it unchecked.
+def _outcomes(call, components, times) -> list:
+    """Each component's sensitivity at each time, or the error that left it
+    unchecked, from one batched ``call(times, components)``.
 
-    ``call(times)`` covers every time in one batch.  An integrator failure
-    there may hit only the later times, so the times are then rerun one by
-    one and each keeps its own result or error.
+    An infeasible component fails at every time.  Any other failure of a
+    batch (an infeasible component among others, or an integrator failure
+    that may hit only later times) splits it into single components, then
+    single times, so each keeps its own result or error.
     """
     try:
-        return call(times)
+        return call(times, components)
     except PerturbationInfeasibleError as exc:
-        return [exc] * len(times)
-    except IntegrationFailureError:
-        pass
-    out = []
-    for t in times:
-        try:
-            out.append(call(t))
-        except (PerturbationInfeasibleError, IntegrationFailureError) as exc:
-            out.append(exc)
-    return out
+        if len(components) == 1:
+            return [[exc] * len(times)]
+    except IntegrationFailureError as exc:
+        if len(components) == 1 and len(times) == 1:
+            return [[exc]]
+    if len(components) > 1:
+        return [_outcomes(call, [c], times)[0] for c in components]
+    return [[_outcomes(call, components, [t])[0][0] for t in times]]
 
 
-def _per_component(call, components, times) -> list:
-    """:func:`_per_time` results of every component, from one batched
-    ``call(times, component=components)``.  When the batch raises (one
-    infeasible component, or an integrator failure in any row), each
-    component is rerun on its own, so it keeps its own results and errors.
-    """
-    try:
-        return call(times, component=components)
-    except (PerturbationInfeasibleError, IntegrationFailureError):
-        return [_per_time(partial(call, component=c), times) for c in components]
+def _status(outcome) -> str:
+    if isinstance(outcome, PerturbationInfeasibleError):
+        return "infeasible"
+    if isinstance(outcome, IntegrationFailureError):
+        return "integration-failure"
+    return "ok" if math.isfinite(outcome) else "non-finite"
 
 
 @dataclass(frozen=True)
@@ -441,8 +425,9 @@ def audit(
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
     Each member makes one call per channel, covering every component and
-    audit time (one batched branch propagation); rows still come out per
-    member, time and channel, in config order.  Partial failures (infeasible
+    audit time (one batched branch propagation).  Every outcome goes into
+    one table, in member, time (config order), channel, component order,
+    and the report is read off it.  Partial failures (infeasible
     perturbations, integrator giving up, non-finite sensitivities or
     linearity residual) are recorded per case and excluded from the
     maxima; a failure also rules out a pass, since no-signaling went
@@ -454,88 +439,62 @@ def audit(
     s_members, s_fit = seq.spawn(2)
     cases = _ensemble(dims, config, np.random.default_rng(s_members))
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-
-    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
-    maxima = {ch: 0.0 for ch in channels}
-    worst = {ch: {} for ch in channels}
-    rows: list[dict] = []
-    infeasible: list[dict] = []
-    failures: list[dict] = []
-
-    def record(channel, case, t, label, outcome):
-        entry = {"member": case.index, "time": t, "channel": channel, "component": label}
-        if isinstance(outcome, PerturbationInfeasibleError):
-            infeasible.append({**entry, "reason": str(outcome)})
-            return "infeasible"
-        if isinstance(outcome, IntegrationFailureError):
-            failures.append({**entry, "reason": str(outcome), "status": "integration-failure"})
-            return "integration-failure"
-        if not math.isfinite(outcome):
-            failures.append(
-                {**entry, "reason": f"sensitivity is not finite ({outcome!r})",
-                 "status": "non-finite"}
-            )
-            return "non-finite"
-        if outcome > maxima[channel]:
-            maxima[channel] = outcome
-            worst[channel] = {"member": case.index, "time": t, "component": label, "value": outcome}
-        return "ok"
-
     opts = config.branch_options
     fd = {"fd_step": config.fd_step, "options": opts}
 
-    # One call per member and channel covers every component and audit
-    # time; rows, maxima and failure records then follow member, time,
-    # channel, component order.
+    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
     grid = sorted(set(config.times))
     at = {t: i for i, t in enumerate(grid)}
-    state_components = list(range(d2))
-    corr_components = [(i, j) for i in range(d1) for j in range(d2)]
-    labels = {
-        "d_remote_state": [str(k) for k in state_components],
-        "d_correlations": [f"{i},{j}" for i, j in corr_components],
-        "d_remote_observable": ["theta"],
-    }
+    components = (list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)], [None])
+    labels = ([str(k) for k in components[0]], [f"{i},{j}" for i, j in components[1]], ["theta"])
+    table = []  # (member, time, channel, label, outcome, status)
     for case in cases:
         member = (law, hamiltonian, case.state)
         family = ObservableFamily(case.obs_remote, case.direction)
-        outcomes = {
-            "d_remote_state": _per_component(
-                partial(d_remote_state, *member, case.obs_remote, case.obs_local, **fd),
-                state_components, grid,
-            ),
-            "d_correlations": _per_component(
-                partial(d_correlations, *member, case.obs_remote, case.obs_local, **fd),
-                corr_components, grid,
-            ),
-            "d_remote_observable": [_per_time(
-                partial(d_remote_observable, *member, family, case.obs_local, **fd), grid
-            )],
-        }
-        runs = {ch: list(zip(labels[ch], outcomes[ch])) for ch in channels}
-        for t in config.times:
-            for channel in channels:
-                best_value, best_label, row_status = 0.0, "", "ok"
-                saw_ok = False
-                for label, outcomes in runs[channel]:
-                    value = outcomes[at[t]]
-                    status = record(channel, case, t, label, value)
-                    if status != "ok":
-                        row_status = status
-                        continue
-                    saw_ok = True
-                    if value >= best_value:
-                        best_value, best_label = value, label
-                rows.append(
-                    {
-                        "member": case.index,
-                        "time": t,
-                        "channel": channel,
-                        "component": best_label if saw_ok else "-",
-                        "value": best_value if saw_ok else float("nan"),
-                        "status": row_status if not saw_ok else ("ok" if row_status == "ok" else f"partial:{row_status}"),
-                    }
-                )
+        calls = (
+            partial(d_remote_state, *member, case.obs_remote, case.obs_local, **fd),
+            partial(d_correlations, *member, case.obs_remote, case.obs_local, **fd),
+            lambda ts, _: [d_remote_observable(*member, family, case.obs_local, ts, **fd)],
+        )
+        runs = [_outcomes(call, c, grid) for call, c in zip(calls, components)]
+        table += [
+            (case.index, t, channel, label, per_time[at[t]], _status(per_time[at[t]]))
+            for t in config.times
+            for channel, names, outcomes in zip(channels, labels, runs)
+            for label, per_time in zip(names, outcomes)
+        ]
+
+    infeasible = [
+        {"member": m, "time": t, "channel": ch, "component": label, "reason": str(outcome)}
+        for m, t, ch, label, outcome, status in table
+        if status == "infeasible"
+    ]
+    failures = [
+        {"member": m, "time": t, "channel": ch, "component": label,
+         "reason": str(outcome) if status != "non-finite"
+         else f"sensitivity is not finite ({outcome!r})",
+         "status": status}
+        for m, t, ch, label, outcome, status in table
+        if status not in ("ok", "infeasible")
+    ]
+    # A channel's worst case is its first largest value; a row's is its last.
+    maxima, worst = dict.fromkeys(channels, 0.0), {ch: {} for ch in channels}
+    for m, t, ch, label, value, status in table:
+        if status == "ok" and value > maxima[ch]:
+            maxima[ch] = value
+            worst[ch] = {"member": m, "time": t, "component": label, "value": value}
+    rows = []
+    for (m, t, ch), group in groupby(table, key=itemgetter(0, 1, 2)):
+        group = list(group)
+        best = max(reversed([e for e in group if e[5] == "ok"]), key=itemgetter(4), default=None)
+        failed = [e[5] for e in group if e[5] != "ok"]
+        last = failed[-1] if failed else "ok"
+        rows.append({
+            "member": m, "time": t, "channel": ch,
+            "component": best[3] if best else "-",
+            "value": best[4] if best else math.nan,
+            "status": f"partial:{last}" if best and failed else last,
+        })
 
     t_fit = max(config.times)
     _, linearity = reduced_propagator_fit(

@@ -371,18 +371,20 @@ def test_one_infeasible_component_sends_the_channel_to_per_component_calls():
     with pytest.raises(PerturbationInfeasibleError, match=r"r2\[2\]"):
         d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
     call = partial(d_remote_state, law, h, state, obs2, obs1)
-    outcomes = nosignal_audit._per_component(call, [0, 1, 2], list(DEFAULT_TIMES))
+    outcomes = nosignal_audit._outcomes(call, [0, 1, 2], list(DEFAULT_TIMES))
     assert outcomes[:2] == [call(list(DEFAULT_TIMES), k) for k in (0, 1)]
     assert all(isinstance(e, PerturbationInfeasibleError) for e in outcomes[2])
 
 
 def _per_component_audit(monkeypatch, law, h, config):
     """The audit with every component in its own ``d_*`` call."""
+    outcomes = nosignal_audit._outcomes
+
     def one_by_one(call, components, times):
-        return [nosignal_audit._per_time(partial(call, component=c), times) for c in components]
+        return [outcomes(call, [c], times)[0] for c in components]
 
     with monkeypatch.context() as m:
-        m.setattr(nosignal_audit, "_per_component", one_by_one)
+        m.setattr(nosignal_audit, "_outcomes", one_by_one)
         return audit(law, h, config)
 
 

@@ -142,6 +142,24 @@ def test_evolve_oracle_check(tmp_path):
     assert payload["oracle_max_deviation"] <= 1e-6
 
 
+def test_evolve_oracle_check_rejects_a_nonlinear_law_before_evolving(tmp_path, capsys, monkeypatch):
+    import blochsig.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("evolve_path ran")
+
+    monkeypatch.setattr(cli, "evolve_path", never)
+    cfg = write_config(
+        tmp_path,
+        "evolve.json",
+        {"dims": [2, 2], "law": {"name": "xi", "preset": "corrnorm"},
+         "initial_state": "random:7", "times": [0.25, 1.0]},
+    )
+    assert main(["evolve", "--config", cfg, "--check-oracle", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config: law: --check-oracle requires the linear law"]
+
+
 def test_evolve_csv_output(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -63,11 +63,12 @@ def test_hamiltonian_matrix_is_hermitian():
 def test_hamiltonian_matrix_roundtrip():
     rng = np.random.default_rng(2)
     h = random_hamiltonian(rng, (2, 3))
-    back = hamiltonian_from_matrix(h.matrix(), (2, 3))
-    assert back.h0 == pytest.approx(h.h0, abs=1e-13)
-    np.testing.assert_allclose(back.h1, h.h1, atol=1e-13)
-    np.testing.assert_allclose(back.h2, h.h2, atol=1e-13)
-    np.testing.assert_allclose(back.h12, h.h12, atol=1e-13)
+    for dims in ((2, 3), [2, 3]):
+        back = hamiltonian_from_matrix(h.matrix(), dims)
+        assert back.h0 == pytest.approx(h.h0, abs=1e-13)
+        np.testing.assert_allclose(back.h1, h.h1, atol=1e-13)
+        np.testing.assert_allclose(back.h2, h.h2, atol=1e-13)
+        np.testing.assert_allclose(back.h12, h.h12, atol=1e-13)
 
 
 def test_interaction_free_predicate_is_exact():
@@ -469,10 +470,11 @@ def test_propagator_fit_rejects_interacting_hamiltonian():
 def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(23)
     state = random_interior_joint(rng, (2, 3))
-    back = unpack_coords(pack_coords(state), (2, 3))
-    np.testing.assert_array_equal(back.r1, state.r1)
-    np.testing.assert_array_equal(back.r2, state.r2)
-    np.testing.assert_array_equal(back.r12, state.r12)
+    for dims in ((2, 3), [2, 3]):
+        back = unpack_coords(pack_coords(state), dims)
+        np.testing.assert_array_equal(back.r1, state.r1)
+        np.testing.assert_array_equal(back.r2, state.r2)
+        np.testing.assert_array_equal(back.r12, state.r12)
 
 
 def test_reconstructed_purity_helper_consistency():

@@ -354,3 +354,99 @@ def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
     assert report.verdict != "pass"
     assert report.failures
     assert all(row["status"] == "non-finite" for row in report.cases)
+
+
+# ---------------------------------------------------------------------------
+# Aggregation rules, on crafted outcomes
+
+
+def _crafted(plan, seen, rank):
+    """A ``d_*`` stand-in: ``plan(member, label, t)`` is the outcome of one
+    component at one time, a float or an exception to raise.  ``rank`` is
+    the ndim of one component (``None`` for the observable channel)."""
+    def fake(law, hamiltonian, joint, obs2, obs1, t, component=None, **kwargs):
+        member = seen.setdefault(id(joint), len(seen))
+        single = component is None or np.ndim(component) == rank
+        comps = [component] if single else list(component)
+        labels = ["theta" if c is None else ",".join(map(str, np.atleast_1d(c))) for c in comps]
+        out = [[plan(member, label, s) for s in np.atleast_1d(t).tolist()] for label in labels]
+        for value in (v for row in out for v in row):
+            if isinstance(value, Exception):
+                raise value
+        out = [row[0] if np.ndim(t) == 0 else row for row in out]
+        return out[0] if single else out
+
+    return fake
+
+
+def test_report_aggregation_rules(monkeypatch):
+    from blochsig import nosignal_audit
+
+    infeasible = PerturbationInfeasibleError("r12[0,0] leaves the physical set")
+    late = IntegrationFailureError("gave up at t=1")
+
+    def state(member, label, t):
+        if member == 0 and t == 1.0:
+            return {"0": math.nan, "1": 0.3, "2": 0.3}[label]
+        return 0.1 if member == 0 else 0.3
+
+    def correlations(member, label, t):
+        if member == 1:
+            return infeasible if label == "0,0" else late if t == 1.0 else 0.05
+        return 0.2 if (label, t) == ("1,1", 0.5) else 0.05
+
+    seen = {}
+    monkeypatch.setattr(nosignal_audit, "d_remote_state", _crafted(state, seen, 0))
+    monkeypatch.setattr(nosignal_audit, "d_correlations", _crafted(correlations, seen, 1))
+    monkeypatch.setattr(
+        nosignal_audit, "d_remote_observable", _crafted(lambda m, label, t: 0.0, seen, None)
+    )
+    config = AuditConfig(seed=2, ensemble_size=2, times=(1.0, 0.5), fit_probes=4)
+    report = audit(linear_law(), BlochHamiltonian((2, 2)), config)
+
+    # A channel's worst case is its first largest value, and an all-zero
+    # channel keeps no worst case.
+    assert report.residuals()["d_remote_state"] == 0.3
+    assert report.per_channel_worst == {
+        "d_remote_state": {"member": 0, "time": 1.0, "component": "1", "value": 0.3},
+        "d_correlations": {"member": 0, "time": 0.5, "component": "1,1", "value": 0.2},
+        "d_remote_observable": {},
+    }
+    assert report.max_d_remote_observable == 0.0
+    assert report.worst_case == {"channel": "d_remote_state", **report.per_channel_worst["d_remote_state"]}
+    # A row's worst case is its last largest value; a row with no value reads
+    # "-" and nan with the status of its last failure.
+    rows = [
+        (r["member"], r["time"], r["channel"], r["component"],
+         "nan" if math.isnan(r["value"]) else r["value"], r["status"])
+        for r in report.cases
+    ]
+    assert rows == [
+        (0, 1.0, "d_remote_state", "2", 0.3, "partial:non-finite"),
+        (0, 1.0, "d_correlations", "2,2", 0.05, "ok"),
+        (0, 1.0, "d_remote_observable", "theta", 0.0, "ok"),
+        (0, 0.5, "d_remote_state", "2", 0.1, "ok"),
+        (0, 0.5, "d_correlations", "1,1", 0.2, "ok"),
+        (0, 0.5, "d_remote_observable", "theta", 0.0, "ok"),
+        (1, 1.0, "d_remote_state", "2", 0.3, "ok"),
+        (1, 1.0, "d_correlations", "-", "nan", "integration-failure"),
+        (1, 1.0, "d_remote_observable", "theta", 0.0, "ok"),
+        (1, 0.5, "d_remote_state", "2", 0.3, "ok"),
+        (1, 0.5, "d_correlations", "2,2", 0.05, "partial:infeasible"),
+        (1, 0.5, "d_remote_observable", "theta", 0.0, "ok"),
+    ]
+    # Records follow member, time (config order), channel, component order.
+    assert report.infeasible == tuple(
+        {"member": 1, "time": t, "channel": "d_correlations", "component": "0,0",
+         "reason": str(infeasible)}
+        for t in (1.0, 0.5)
+    )
+    assert report.failures == (
+        {"member": 0, "time": 1.0, "channel": "d_remote_state", "component": "0",
+         "reason": "sensitivity is not finite (nan)", "status": "non-finite"},
+    ) + tuple(
+        {"member": 1, "time": 1.0, "channel": "d_correlations", "component": f"{i},{j}",
+         "reason": str(late), "status": "integration-failure"}
+        for i in range(3) for j in range(3) if (i, j) != (0, 0)
+    )
+    assert report.verdict == "signaling-detected"
