@@ -22,6 +22,7 @@ import dataclasses
 import math
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -617,7 +618,9 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once; ``main`` looks up ``cmd_<subcommand>`` at call time."""
     parser = argparse.ArgumentParser(
         prog="blochsig",
         description="Bloch-coordinate dynamics and no-signaling audits",
@@ -628,12 +631,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="dump generators and structure constants")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("convert", help="convert between matrix and coordinate JSON")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("evolve", help="integrate a configured evolution")
     p.add_argument("--config", required=True)
@@ -641,7 +642,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--check-oracle", action="store_true")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("audit", help="run the no-signaling audit")
     p.add_argument("--config", required=True)
@@ -649,14 +649,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("demo", help="paired pass/fail showcase")
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=cmd_demo)
 
     return parser
 
@@ -664,7 +662,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,11 @@ average of its evolved conditional states (:func:`local_distribution`;
 remote observables as one batch, sampled at several times).  That average
 is the quantity whose sensitivities the audit module differentiates.
 
+:func:`packed_distributions` is that batch on arrays: packed joint rows
+``x`` and remote outcomes ``(u0, u)``, per row or shared by every row.
+:func:`local_distributions` packs its pairs once and calls it, as the
+audit's state channels do with their shifted rows.
+
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.
 """
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .bloch import BlochState, JointBlochState
+from .bloch import BlochState, JointBlochState, pack_coords
 from .errors import (
     DimensionMismatchError,
     InvalidObservableError,
@@ -51,6 +56,7 @@ __all__ = [
     "conditional_state",
     "local_distribution",
     "local_distributions",
+    "packed_distributions",
 ]
 
 # Branches below this weight are excluded from conditional updates and
@@ -225,7 +231,7 @@ def conditional_state(
         raise DimensionMismatchError(
             f"observable dim {obs2.dim} != second subsystem dim {joint.dims[1]}"
         )
-    p, r = _collapse([(joint, obs2)])
+    p, r = _collapse(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), len(joint.r1))
     if p[0, k] <= EPS_PROB:
         raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, k]:.3e}")
     return float(p[0, k]), BlochState(joint.dims[0], r[0, k] / p[0, k])
@@ -242,33 +248,16 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _collapse(pairs):
-    """Born weights ``p`` of every remote outcome, shape ``(P, K)``, and
-    party 1's unnormalized collapsed coordinates ``p * r1'``, shape
-    ``(P, K, d1)``, for ``(joint, obs2)`` pairs of one pair of dims.
-
-    ``K`` is the largest outcome count; a pair with fewer outcomes is
-    padded with zero projectors (weight 0).  Each pair and outcome gets
-    ``r12 @ u`` from the BLAS matrix-vector product that
-    ``joint.r12 @ proj.u`` uses, and ``u . r2`` from :func:`_dots`.
-    """
-    dims = pairs[0][0].dims
-    width = max(len(obs2) for _, obs2 in pairs)
-    u0 = np.zeros((len(pairs), width))
-    u = np.zeros((len(pairs), width, dims[1] ** 2 - 1))
-    for i, (joint, obs2) in enumerate(pairs):
-        if joint.dims != dims or obs2.dim != dims[1]:
-            raise DimensionMismatchError(
-                f"every pair needs dims {dims} and a remote observable of dim {dims[1]}, "
-                f"got dims {joint.dims} and dim {obs2.dim}"
-            )
-        u0[i, : len(obs2)] = obs2.u0_vector()
-        u[i, : len(obs2)] = obs2.u_matrix()
-    r1 = np.stack([joint.r1 for joint, _ in pairs])
-    r2 = np.stack([joint.r2 for joint, _ in pairs])
-    r12 = np.stack([joint.r12 for joint, _ in pairs])
-    p = u0 + _dots(r2[:, None, :], u)
-    scaled = u0[..., None] * r1[:, None, :] + (r12[:, None] @ u[..., None])[..., 0]
+def _collapse(x, u0, u, d1):
+    """Born weights ``p`` (shape ``(P, K)``) and party 1's unnormalized
+    collapsed coordinates ``p * r1'`` (``(P, K, d1)``) of packed joint rows
+    ``x`` under outcomes ``u0, u`` as for :func:`packed_distributions`.
+    Each gets ``r12 @ u`` from the BLAS matrix-vector product that
+    ``joint.r12 @ proj.u`` uses, and ``u . r2`` from :func:`_dots`."""
+    d2 = u.shape[-1]
+    r12 = x[:, d1 + d2 :].reshape(len(x), d1, d2)
+    p = u0 + _dots(x[:, None, d1 : d1 + d2], u)
+    scaled = u0[..., None] * x[:, None, :d1] + (r12[:, None] @ u[..., None])[..., 0]
     return p, scaled
 
 
@@ -319,21 +308,43 @@ def local_distributions(
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (joint, obs2) pair")
-    n1 = obs1.dim
-    if pairs[0][0].dims[0] != n1:
+    dims = pairs[0][0].dims
+    width = max(len(obs2) for _, obs2 in pairs)  # zero projectors pad shorter observables
+    u0, u = np.zeros((len(pairs), width)), np.zeros((len(pairs), width, dims[1] ** 2 - 1))
+    for i, (joint, obs2) in enumerate(pairs):
+        if joint.dims != dims or obs2.dim != dims[1]:
+            raise DimensionMismatchError(
+                f"every pair needs dims {dims} and a remote observable of dim {dims[1]}, "
+                f"got dims {joint.dims} and dim {obs2.dim}"
+            )
+        u0[i, : len(obs2)] = obs2.u0_vector()
+        u[i, : len(obs2)] = obs2.u_matrix()
+    x = np.stack([pack_coords(joint) for joint, _ in pairs])
+    return packed_distributions(x, u0, u, dims, obs1, law, times, h_local=h_local, options=options)
+
+
+def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, options=None):
+    """:func:`local_distributions` for packed joint rows ``x`` (shape
+    ``(P, d)``) of ``dims`` with remote outcomes ``u0, u`` of shapes
+    ``(P, K), (P, K, d2)`` (zero rows pad fewer outcomes), or ``(K,), (K, d2)``
+    for one observable shared by every row; ``(len(times), P, len(obs1))``."""
+    n1, n2 = dims
+    d1, d2 = n1**2 - 1, n2**2 - 1
+    if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
         raise DimensionMismatchError(
-            f"local observable dim {n1} != subsystem dim {pairs[0][0].dims[0]}"
+            f"local observable dim {obs1.dim}, remote outcomes of length {u.shape[-1]} "
+            f"and rows of length {x.shape[-1]} do not fit dims {dims}"
         )
-    p, scaled = _collapse(pairs)
-    keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its pair
+    p, scaled = _collapse(x, u0, u, d1)
+    keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its row
     owners = np.nonzero(keep)[0]
     weights = p[keep]
     states = scaled[keep] / weights[:, None]
     if h_local is None:
-        h_local = np.zeros(n1**2 - 1)
+        h_local = np.zeros(d1)
     flow = dynamics.reduced_flow(law, h_local, n1)
     evolved = flow.sample(states, times, options)
     born = obs1.u0_vector() + _dots(evolved[:, :, None, :], obs1.u_matrix())
-    out = np.zeros((len(evolved), len(pairs), len(obs1)))
+    out = np.zeros((len(evolved), len(x), len(obs1)))
     np.add.at(out, (slice(None), owners), weights[:, None] * born)
     return out

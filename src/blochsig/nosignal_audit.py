@@ -51,7 +51,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bloch import JointBlochState, joint_from_bloch, pack_coords, unpack_coords
+from .bloch import PSD_TOLERANCE, JointBlochState, joint_frame, joint_from_bloch, pack_coords
 from .dynamics import (
     BlochHamiltonian,
     EvolutionLaw,
@@ -62,7 +62,6 @@ from .errors import (
     DimensionMismatchError,
     IntegrationFailureError,
     PerturbationInfeasibleError,
-    UnphysicalStateError,
 )
 from .integrate import IntegratorOptions
 from .measurement import (
@@ -71,6 +70,7 @@ from .measurement import (
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
     local_distributions,
     observable_from_basis,
+    packed_distributions,
     rotate_observable,
 )
 from .sampling import (
@@ -162,49 +162,50 @@ class ObservableFamily:
         return rotate_observable(self.base, self.direction, theta)
 
 
-def _central_difference(law, hamiltonian, plans, obs1, t, options):
-    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes for each
-    ``(h, branch)`` plan, where ``branch(delta)`` gives the joint state and
-    remote observable at offset delta.  Returns one value per plan: a float
-    when ``t`` is one time, a list (one value per time) when it is an
-    ascending sequence.  The branches of every plan and both signs
-    propagate as one batch."""
-    if not plans:
-        return []
-    scalar = np.ndim(t) == 0
-    pairs = [branch(sign * h) for h, branch in plans for sign in (+1.0, -1.0)]
-    dists = local_distributions(
-        pairs, obs1, law, [t] if scalar else list(t),
+def _central_difference(law, hamiltonian, x, u0, u, dims, obs1, t, steps, options):
+    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes per step ``h``,
+    from packed rows ``x`` (outcomes ``u0, u`` as for :func:`packed_distributions`)
+    alternating each step's +h and -h branches, propagated as one batch: a
+    float per step when ``t`` is one time, a list per time for a sequence."""
+    dists = packed_distributions(
+        x, u0, u, dims, obs1, law, [t] if np.ndim(t) == 0 else list(t),
         h_local=hamiltonian.h1, options=options or DEFAULT_BRANCH_OPTIONS,
     )
-    steps = np.array([2.0 * h for h, _ in plans])
-    values = (np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1) / steps).T.tolist()
-    return [v[0] for v in values] if scalar else values
+    values = (np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1) / (2.0 * steps)).T.tolist()
+    return [v[0] for v in values] if np.ndim(t) == 0 else values
 
 
-def _state_plan(joint, obs2, index, what, fd_step):
-    """The ``(h, branch)`` plan along packed coordinate ``index`` of the
-    joint state.  The step starts at ``fd_step`` and is halved, at most six
-    times, while either perturbed state is unphysical."""
-    x = pack_coords(joint)
-
-    def shifted(delta):
-        y = x.copy()
-        y[index] += delta
-        return unpack_coords(y, joint.dims)
-
-    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
-    h = fd_step
+def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, names, fd_step, options):
+    """:func:`_central_difference` along packed coordinates ``index`` of
+    the joint state (``names`` name them in errors).  Steps start at
+    ``fd_step``; each round, one stacked ``eigvalsh`` of the matrices
+    ``rho +- (h_k / (n1 n2)) dirs_k`` halves the steps of the components
+    below ``PSD_TOLERANCE`` or non-finite on either side, at most six
+    times, after which the first one still failing raises."""
+    if not index:
+        return []
+    n1, n2 = joint.dims
+    b1, b2 = cached_basis(n1), cached_basis(n2)
+    rho = joint_from_bloch(joint, b1, b2, check=False)
+    dirs = joint_frame(b1, b2).dirs[index]
+    steps, todo = np.full(len(index), fd_step), np.arange(len(index))
     for _ in range(7):
-        try:
-            joint_from_bloch(shifted(+h), b1, b2, check=True)
-            joint_from_bloch(shifted(-h), b1, b2, check=True)
-            return h, lambda delta: (shifted(delta), obs2)
-        except UnphysicalStateError:
-            h *= 0.5
-    raise PerturbationInfeasibleError(
-        f"perturbation of {what} leaves the physical set even at step {2 * h:.3e}"
-    )
+        shift = (steps[todo] / (n1 * n2))[:, None, None] * dirs[todo]
+        mats = np.concatenate((rho + shift, rho - shift))
+        mats[~np.isfinite(mats).all(axis=(1, 2))] = -np.eye(n1 * n2)  # non-finite: fails
+        todo = todo[(np.linalg.eigvalsh(mats)[:, 0] < PSD_TOLERANCE).reshape(2, -1).any(axis=0)]
+        if not len(todo):
+            break
+        steps[todo] *= 0.5
+    else:
+        raise PerturbationInfeasibleError(
+            f"perturbation of {names[todo[0]]} leaves the physical set "
+            f"even at step {2 * steps[todo[0]]:.3e}"
+        )
+    x = np.tile(pack_coords(joint), (2 * len(index), 1))
+    x[np.arange(2 * len(index)), np.repeat(index, 2)] += np.stack((steps, -steps), 1).ravel()
+    return _central_difference(law, hamiltonian, x, obs2.u0_vector(), obs2.u_matrix(),
+                               joint.dims, obs1, t, steps, options)
 
 
 def d_remote_state(
@@ -230,8 +231,8 @@ def d_remote_state(
     ks = [int(k) for k in np.reshape(component, -1)]
     if not all(0 <= k < d2 for k in ks):
         raise ValueError(f"component must lie in [0, {d2})")
-    plans = [_state_plan(joint, obs2, d1 + k, f"r2[{k}]", fd_step) for k in ks]
-    values = _central_difference(law, hamiltonian, plans, obs1, t, options)
+    values = _state_difference(law, hamiltonian, joint, obs2, obs1, t, [d1 + k for k in ks],
+                               [f"r2[{k}]" for k in ks], fd_step, options)
     return values[0] if single else values
 
 
@@ -254,11 +255,9 @@ def d_correlations(
     ijs = [(int(i), int(j)) for i, j in np.reshape(component, (-1, 2))]
     if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
         raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-    plans = [
-        _state_plan(joint, obs2, d1 + d2 + i * d2 + j, f"r12[{i},{j}]", fd_step)
-        for i, j in ijs
-    ]
-    values = _central_difference(law, hamiltonian, plans, obs1, t, options)
+    values = _state_difference(law, hamiltonian, joint, obs2, obs1, t,
+                               [d1 + d2 + i * d2 + j for i, j in ijs],
+                               [f"r12[{i},{j}]" for i, j in ijs], fd_step, options)
     return values[0] if single else values
 
 
@@ -278,8 +277,10 @@ def d_remote_observable(
         raise DimensionMismatchError(
             f"family dim {family.base.dim} != second subsystem dim {joint.dims[1]}"
         )
-    plan = (fd_step, lambda delta: (joint, family.at(delta)))
-    return _central_difference(law, hamiltonian, [plan], obs1, t, options)[0]
+    pair = (family.at(fd_step), family.at(-fd_step))
+    u0, u = np.stack([o.u0_vector() for o in pair]), np.stack([o.u_matrix() for o in pair])
+    x, steps = np.tile(pack_coords(joint), (2, 1)), np.array([fd_step])
+    return _central_difference(law, hamiltonian, x, u0, u, joint.dims, obs1, t, steps, options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +336,10 @@ def _outcomes(call, components, times) -> list:
     """Each component's sensitivity at each time, or the error that left it
     unchecked, from one batched ``call(times, components)``.
 
-    An infeasible component fails at every time.  Any other failure of a
-    batch (an infeasible component among others, or an integrator failure
-    that may hit only later times) splits it into single components, then
-    single times, so each keeps its own result or error.
+    An infeasible component fails at every time, so its batch splits into
+    single components.  An integrator failure may hit only later times, so
+    its batch reruns one time at a time with every component, and only a
+    time that still fails splits into single components.
     """
     try:
         return call(times, components)
@@ -346,11 +347,12 @@ def _outcomes(call, components, times) -> list:
         if len(components) == 1:
             return [[exc] * len(times)]
     except IntegrationFailureError as exc:
-        if len(components) == 1 and len(times) == 1:
+        if len(times) > 1:
+            per_time = [_outcomes(call, components, [t]) for t in times]
+            return [[run[i][0] for run in per_time] for i in range(len(components))]
+        if len(components) == 1:
             return [[exc]]
-    if len(components) > 1:
-        return [_outcomes(call, [c], times)[0] for c in components]
-    return [[_outcomes(call, components, [t])[0][0] for t in times]]
+    return [_outcomes(call, [c], times)[0] for c in components]
 
 
 def _status(outcome) -> str:

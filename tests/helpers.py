@@ -1,11 +1,22 @@
-"""Matrix-level oracles used to cross-check the coordinate formulas, and a
-per-stage RKF45 stepper used to cross-check the integrator.
+"""Matrix-level oracles used to cross-check the coordinate formulas, a
+per-stage RKF45 stepper used to cross-check the integrator, and the
+per-component finite-difference route used to cross-check the stacked
+state-channel planner of the audit.
 
-Everything here works on raw numpy arrays and never calls the coordinate
-or integrator code paths it is used to verify.
+The oracles and the stepper work on raw numpy arrays and never call the
+coordinate or integrator code paths they are used to verify; the
+per-component route checks one component at a time through
+``joint_from_bloch`` and builds ``JointBlochState`` branches, where the
+planner checks every component with one stacked eigenvalue call and
+shifts packed rows.
 """
 
 import numpy as np
+
+from blochsig.bloch import joint_from_bloch, pack_coords, unpack_coords
+from blochsig.errors import PerturbationInfeasibleError, UnphysicalStateError
+from blochsig.measurement import local_distributions
+from blochsig.su_basis import cached_basis
 
 
 def unitary_evolve(h_matrix, rho0, t):
@@ -84,3 +95,42 @@ def reference_rkf45(field, y0, t, atol, rtol, step):
         factor = 5.0 if errnorm == 0.0 else 0.9 * errnorm ** (-0.2)
         h *= min(5.0, max(0.2, factor))
     return y
+
+
+def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, names,
+                                fd_step, options):
+    """Central differences along packed coordinates ``index``, one component
+    at a time: halve the step, at most six times, while
+    ``joint_from_bloch(check=True)`` rejects either shifted state, then
+    propagate every ``(unpack_coords(x +- h e_k), obs2)`` pair in one
+    ``local_distributions`` call.  Returns one list per component (one
+    value per time) and the steps; raises ``PerturbationInfeasibleError``
+    for the first infeasible component."""
+    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
+    x = pack_coords(joint)
+
+    def shifted(k, delta):
+        y = x.copy()
+        y[k] += delta
+        return unpack_coords(y, joint.dims)
+
+    steps = []
+    for k, name in zip(index, names):
+        h = fd_step
+        for _ in range(7):
+            try:
+                joint_from_bloch(shifted(k, +h), b1, b2, check=True)
+                joint_from_bloch(shifted(k, -h), b1, b2, check=True)
+                break
+            except UnphysicalStateError:
+                h *= 0.5
+        else:
+            raise PerturbationInfeasibleError(
+                f"perturbation of {name} leaves the physical set even at step {2 * h:.3e}"
+            )
+        steps.append(h)
+    pairs = [(shifted(k, sign * h), obs2) for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
+    dists = local_distributions(pairs, obs1, law, list(times), h_local=hamiltonian.h1,
+                                options=options)
+    diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
+    return (diffs / np.array([2.0 * h for h in steps])).T.tolist(), steps

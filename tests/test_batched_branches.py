@@ -409,6 +409,35 @@ def test_late_integration_failure_inside_a_member_batch_keeps_the_failure_record
     assert dumps(report.to_dict()) == dumps(reference.to_dict())
 
 
+
+def test_integration_failure_reruns_each_time_then_components_at_a_failing_time(monkeypatch):
+    calls = []  # (channel, times, component count or None for the observable)
+    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
+        original = getattr(nosignal_audit, name)
+
+        def recorded(*args, _name=name, _fn=original, **kwargs):
+            calls.append((_name, tuple(args[5]), len(args[6]) if len(args) > 6 else None))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nosignal_audit, name, recorded)
+    report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
+                   AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
+    grid = DEFAULT_TIMES
+    channels = (("d_remote_state", 3), ("d_correlations", 9), ("d_remote_observable", None))
+    # member 0 fails at t = 1 on every channel: one batch, one rerun per time
+    # with every component, then one rerun per component at t = 1 only
+    failing = [
+        call
+        for name, count in channels
+        for call in [(name, grid, count), *[(name, (t,), count) for t in grid],
+                     *[(name, (1.0,), 1)] * (count or 0)]
+    ]
+    passing = [(name, grid, count) for name, count in channels]
+    assert calls == failing + passing
+    assert len(failing) == 24  # 1 + T + C per channel; splitting components first made 54
+    assert {f["member"] for f in report.failures} == {0}
+
+
 def test_audit_makes_three_d_calls_per_member(monkeypatch):
     calls = []
     for name in ("d_remote_state", "d_correlations", "d_remote_observable"):

@@ -428,3 +428,32 @@ def test_unexpected_error_exits_three_with_one_internal_line(monkeypatch, capsys
     assert main(["basis", "--dim", "2"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: internal: RuntimeError: unexpected state"]
+
+
+def test_one_parser_serves_successive_calls_like_fresh_ones(tmp_path, capsys):
+    import blochsig.cli as cli
+
+    small = {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": 2}}
+    linear = write_config(tmp_path, "linear.json", small)
+    calls = [
+        ["basis", "--dim", "3"],
+        ["audit", "--config", linear, "--no-timestamp", "--format", "csv", "--seed", "4"],
+        ["audit"],  # no --config: argparse exits 2
+        ["audit", "--config", linear, "--no-timestamp"],
+        ["basis", "--dim", "1"],
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    reused = [run(argv, fresh=False) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [run(argv, fresh=True) for argv in calls]
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 2]
+    assert reused == fresh
