@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import math
 import sys
 import time
@@ -34,6 +35,7 @@ from .bloch import (
     from_bloch,
     joint_from_bloch,
     joint_to_bloch,
+    pack_coords,
     to_bloch,
     validate_density_matrix,
 )
@@ -42,6 +44,7 @@ from .dynamics import (
     EvolutionLaw,
     evolve_path,
     linear_law,
+    vector_field,
     xi_law,
 )
 from .errors import (
@@ -64,7 +67,7 @@ from .nosignal_audit import (
     polesink_law,
     signaling_channel_demo,
 )
-from .sampling import random_density, singlet_state
+from .sampling import random_density, random_interior_joint, singlet_state
 from .su_basis import build_generators, cached_basis, structure_constants
 from .version import __version__
 
@@ -82,13 +85,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(payload: dict, args) -> None:
+    """``payload`` as JSON, stamped with the UTC time unless ``--no-timestamp``."""
+    if not args.no_timestamp:
+        payload["timestamp"] = _timestamp()
+    _emit(jsonio.dumps(payload), args.out)
+
+
 # ---------------------------------------------------------------------------
 # Config parsing (field-addressed errors)
 
 
 def _load_json(path: str, field: str) -> dict:
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -335,6 +343,10 @@ def _matrix_json(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
+def _joint_json(state: JointBlochState) -> dict:
+    return {"r1": state.r1.tolist(), "r2": state.r2.tolist(), "r12": state.r12.tolist()}
+
+
 def cmd_basis(args) -> int:
     basis = build_generators(args.dim)
     constants = structure_constants(basis)
@@ -349,51 +361,36 @@ def cmd_basis(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    """Matrix to coordinates, or coordinates to matrix, for one party
+    (``dim``) or two (``dims``).  Route precedence: ``matrix_re`` with
+    ``dim``, then with ``dims``; ``r`` with ``dim``, then ``r1`` with ``dims``."""
     data = _load_json(args.infile, "input")
-    if "matrix_re" in data and "dim" in data:
-        n = _parse_dim(data["dim"], "dim")
-        rho = _parse_complex_matrix(
-            {"re": data["matrix_re"], "im": data.get("matrix_im", np.zeros((n, n)).tolist())},
-            n,
-            "matrix",
-        )
-        validate_density_matrix(rho)
-        state = to_bloch(rho, cached_basis(n))
-        payload = {"dim": n, "r": state.r.tolist()}
-    elif "matrix_re" in data and "dims" in data:
-        dims = _parse_dims(data)
-        nn = dims[0] * dims[1]
-        rho = _parse_complex_matrix(
-            {"re": data["matrix_re"], "im": data.get("matrix_im", np.zeros((nn, nn)).tolist())},
-            nn,
-            "matrix",
-        )
-        validate_density_matrix(rho)
-        state = joint_to_bloch(rho, cached_basis(dims[0]), cached_basis(dims[1]))
-        payload = {
-            "dims": list(dims),
-            "r1": state.r1.tolist(),
-            "r2": state.r2.tolist(),
-            "r12": state.r12.tolist(),
-        }
-    elif "r" in data and "dim" in data:
-        n = _parse_dim(data["dim"], "dim")
-        r = _parse_real_array(data["r"], (n**2 - 1,), "r")
-        rho = from_bloch(BlochState(n, r), cached_basis(n))
-        payload = {"dim": n, "matrix_re": np.real(rho).tolist(), "matrix_im": np.imag(rho).tolist()}
-    elif "r1" in data and "dims" in data:
-        dims = _parse_dims(data)
-        state = _parse_state({"state": data}, dims, key="state")
-        rho = joint_from_bloch(state, cached_basis(dims[0]), cached_basis(dims[1]))
-        payload = {
-            "dims": list(dims),
-            "matrix_re": np.real(rho).tolist(),
-            "matrix_im": np.imag(rho).tolist(),
-        }
-    else:
+    to_coords = "matrix_re" in data and ("dim" in data or "dims" in data)
+    single = "dim" in data and (to_coords or "r" in data)
+    if not (to_coords or single or ("r1" in data and "dims" in data)):
         raise ConfigError(
             "input", "expected {dim|dims, matrix_re[, matrix_im]} or {dim, r} or {dims, r1, r2, r12}"
         )
+    dims = (_parse_dim(data["dim"], "dim"),) if single else _parse_dims(data)
+    payload = {"dim": dims[0]} if single else {"dims": list(dims)}
+    if to_coords:
+        nn = math.prod(dims)
+        im = data.get("matrix_im", np.zeros((nn, nn)).tolist())
+        rho = _parse_complex_matrix({"re": data["matrix_re"], "im": im}, nn, "matrix")
+        validate_density_matrix(rho)
+        bases = [cached_basis(n) for n in dims]
+        if single:
+            payload["r"] = to_bloch(rho, *bases).r.tolist()
+        else:
+            payload.update(_joint_json(joint_to_bloch(rho, *bases)))
+    else:
+        if single:
+            r = _parse_real_array(data["r"], (dims[0] ** 2 - 1,), "r")
+            rho = from_bloch(BlochState(dims[0], r), cached_basis(dims[0]))
+        else:
+            state = _parse_state({"state": data}, dims, key="state")
+            rho = joint_from_bloch(state, cached_basis(dims[0]), cached_basis(dims[1]))
+        payload.update(matrix_re=np.real(rho).tolist(), matrix_im=np.imag(rho).tolist())
     _emit(jsonio.dumps(payload), args.out)
     return 0
 
@@ -423,19 +420,13 @@ def cmd_evolve(args) -> int:
     for t, result in samples:
         rec = {
             "t": t,
-            "r1": result.state.r1.tolist(),
-            "r2": result.state.r2.tolist(),
-            "r12": result.state.r12.tolist(),
+            **_joint_json(result.state),
             "physical": result.physical,
             "min_eigenvalue": result.min_eigenvalue,
         }
         if args.check_oracle:
             ref = _unitary_oracle_coords(hamiltonian, state0, dims, t)
-            dev = max(
-                float(np.max(np.abs(result.state.r1 - ref.r1))),
-                float(np.max(np.abs(result.state.r2 - ref.r2))),
-                float(np.max(np.abs(result.state.r12 - ref.r12))),
-            )
+            dev = float(np.max(np.abs(pack_coords(result.state) - pack_coords(ref))))
             rec["oracle_deviation"] = dev
             oracle_dev = max(oracle_dev, dev)
         records.append(rec)
@@ -448,24 +439,20 @@ def cmd_evolve(args) -> int:
             + [f"r2_{j}" for j in range(d2)]
             + [f"r12_{i}_{j}" for i in range(d1) for j in range(d2)]
         )
-        rows = [header]
-        for t, result in samples:
-            rows.append(
-                [t, int(result.physical), result.min_eigenvalue]
-                + list(result.state.r1)
-                + list(result.state.r2)
-                + list(result.state.r12.ravel())
-            )
-        _emit(jsonio.csv_text(rows), args.out)
+        rows = [[t, int(result.physical), result.min_eigenvalue] + list(pack_coords(result.state))
+                for t, result in samples]
+        _emit(jsonio.csv_text([header, *rows]), args.out)
         return 0
 
     payload = {"law": law.name, "dims": list(dims), "samples": records}
     if args.check_oracle:
         payload["oracle_max_deviation"] = oracle_dev
-    if not args.no_timestamp:
-        payload["timestamp"] = _timestamp()
-    _emit(jsonio.dumps(payload), args.out)
+    _emit_report(payload, args)
     return 0
+
+
+# Channel-demo observables: (config key, index of the party they act on).
+_DEMO_OBSERVABLES = (("remote_a", 1), ("remote_b", 1), ("local", 0))
 
 
 def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
@@ -477,17 +464,13 @@ def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
     if not isinstance(demo_cfg, dict):
         raise ConfigError("channel_demo", "must be an object")
     state = _parse_state(demo_cfg, dims)
-    obs_a = _parse_observable(
-        _require(demo_cfg, "remote_a", "channel_demo"), dims[1], "channel_demo.remote_a"
-    )
-    obs_b = _parse_observable(
-        _require(demo_cfg, "remote_b", "channel_demo"), dims[1], "channel_demo.remote_b"
-    )
-    local = _parse_observable(
-        _require(demo_cfg, "local", "channel_demo"), dims[0], "channel_demo.local"
-    )
+    observables = [
+        _parse_observable(_require(demo_cfg, key, "channel_demo"), dims[party],
+                          f"channel_demo.{key}")
+        for key, party in _DEMO_OBSERVABLES
+    ]
     t_demo = _parse_time(demo_cfg.get("time", max(config.times)), "channel_demo.time")
-    return state, obs_a, obs_b, local, t_demo
+    return state, *observables, t_demo
 
 
 def cmd_audit(args) -> int:
@@ -503,9 +486,9 @@ def cmd_audit(args) -> int:
     payload = report.to_dict()
 
     if demo is not None:
-        state, obs_a, obs_b, local, t_demo = demo
+        state, *observables, t_demo = demo
         delta, (pa, pb) = signaling_channel_demo(
-            law, state, obs_a, obs_b, local, t_demo,
+            law, state, *observables, t_demo,
             h_local=hamiltonian.h1, options=config.branch_options,
         )
         payload["channel_demo"] = {
@@ -513,22 +496,27 @@ def cmd_audit(args) -> int:
             "delta": delta,
             "distribution_a": pa.tolist(),
             "distribution_b": pb.tolist(),
-            "remote_a": obs_a.to_json(),
-            "remote_b": obs_b.to_json(),
-            "local": local.to_json(),
+            **{key: obs.to_json() for (key, _), obs in zip(_DEMO_OBSERVABLES, observables)},
         }
-
-    if not args.no_timestamp:
-        payload["timestamp"] = _timestamp()
 
     if args.format == "csv":
         _emit(jsonio.csv_text(report.csv_rows()), args.out)
     else:
-        _emit(jsonio.dumps(payload), args.out)
+        _emit_report(payload, args)
     return 0 if report.passed else 1
 
 
 _DEMO_H12 = [[0.5, 0.2, 0.0], [0.0, 0.3, 0.0], [0.1, 0.0, 0.4]]
+
+
+def _demo_row(law: EvolutionLaw, nonlinearity: float, report) -> dict:
+    return {
+        "law": law.name,
+        "nonlinearity": nonlinearity,
+        "max_residual": max(report.residuals().values()),
+        "linearity_residual": report.linearity_residual,
+        "verdict": report.verdict,
+    }
 
 
 def cmd_demo(args) -> int:
@@ -536,17 +524,12 @@ def cmd_demo(args) -> int:
     hamiltonian = BlochHamiltonian(
         dims, 0.0, [0.0, 0.0, 0.6], [0.4, 0.0, 0.3], _DEMO_H12
     )
-    config = AuditConfig(seed=args.seed, ensemble_size=16)
-    rows = []
-    expected = {"xi:corrnorm": "pass"}
+    config = _parse_options({"seed": args.seed}, "--seed", AuditConfig(ensemble_size=16))
 
     # Showcase (a): interaction-weighted nonlinear law.  Prove it is
     # genuinely nonlinear (its joint field differs from the linear one),
     # then audit it.
     law_a = xi_law("corrnorm")
-    from .dynamics import vector_field
-    from .sampling import random_interior_joint
-
     rng = np.random.default_rng(args.seed)
     field_gap = 0.0
     for _ in range(8):
@@ -555,16 +538,7 @@ def cmd_demo(args) -> int:
         linear = vector_field(linear_law(), hamiltonian, state)
         gaps = (float(np.max(np.abs(a - b))) for a, b in zip(weighted, linear))
         field_gap = max(field_gap, *gaps)
-    report_a = audit(law_a, hamiltonian, config)
-    rows.append(
-        {
-            "law": law_a.name,
-            "nonlinearity": field_gap,
-            "max_residual": max(report_a.residuals().values()),
-            "linearity_residual": report_a.linearity_residual,
-            "verdict": report_a.verdict,
-        }
-    )
+    row_a = _demo_row(law_a, field_gap, audit(law_a, hamiltonian, config))
 
     # Showcase (b): local nonlinear drift; audited and exercised as an
     # operational channel on the singlet.
@@ -578,23 +552,11 @@ def cmd_demo(args) -> int:
         computational_observable(2),
         t=1.0,
     )
-    rows.append(
-        {
-            "law": law_b.name,
-            "nonlinearity": delta,
-            "max_residual": max(report_b.residuals().values()),
-            "linearity_residual": report_b.linearity_residual,
-            "verdict": report_b.verdict,
-        }
-    )
-    expected[law_b.name] = "signaling-detected"
+    rows = [row_a, _demo_row(law_b, delta, report_b)]
 
-    as_expected = all(row["verdict"] == expected[row["law"]] for row in rows)
+    as_expected = [row["verdict"] for row in rows] == ["pass", "signaling-detected"]
     if args.json:
-        payload = {"seed": args.seed, "rows": rows, "as_expected": as_expected}
-        if not args.no_timestamp:
-            payload["timestamp"] = _timestamp()
-        _emit(jsonio.dumps(payload), args.out)
+        _emit_report({"seed": args.seed, "rows": rows, "as_expected": as_expected}, args)
     else:
         lines = [
             f"{'law':<22} {'nonlinearity':>13} {'max residual':>13} {'verdict':>20}",
@@ -659,31 +621,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The error contract: (error type, stderr label, exit code), first match wins.
+# ``{type}`` in a label is the error's class name.  Exit 1 must only ever mean
+# "signaling detected", so anything unexpected is an internal error, exit 3.
+_ERRORS = (
+    (ConfigError, "config", 2),
+    (InvalidDimensionError, "dimension", 2),
+    (UnphysicalStateError, "state", 2),
+    (IntegrationFailureError, "integration", 3),
+    (BlochSigError, "{type}", 2),
+    (OSError, "io", 2),
+    (Exception, "internal: {type}", 3),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except InvalidDimensionError as exc:
-        print(f"error: dimension: {exc}", file=sys.stderr)
-        return 2
-    except UnphysicalStateError as exc:
-        print(f"error: state: {exc}", file=sys.stderr)
-        return 2
-    except IntegrationFailureError as exc:
-        print(f"error: integration: {exc}", file=sys.stderr)
-        return 3
-    except BlochSigError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # exit 1 must only ever mean "signaling detected"
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        label, code = next((label, code) for kind, label, code in _ERRORS if isinstance(exc, kind))
+        print(f"error: {label.format(type=type(exc).__name__)}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

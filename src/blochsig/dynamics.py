@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -565,12 +566,15 @@ class LinearReducedFlow(_ReducedFlow):
     """
 
     def __init__(self, generator: np.ndarray):
-        self.generator = np.asarray(generator, dtype=float)
+        self.generator = np.array(generator, dtype=float)
+        self.generator.setflags(write=False)
 
     def field(self, r: np.ndarray) -> np.ndarray:
         return self.generator @ r
 
+    @lru_cache(maxsize=256)
     def _rk4_matrix(self, t: float, options: IntegratorOptions) -> np.ndarray:
+        """The read-only rk4 propagator to time t, built once per (t, options)."""
         n, h = integrate.rk4_grid(t, options)
         hl = h * self.generator
         one_step = np.eye(hl.shape[0])
@@ -578,7 +582,9 @@ class LinearReducedFlow(_ReducedFlow):
         for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
             term = term @ hl / factor
             one_step = one_step + term
-        return np.linalg.matrix_power(one_step, n)
+        power = np.linalg.matrix_power(one_step, n)
+        power.setflags(write=False)
+        return power
 
     def _rk4_sample(self, r0, times, options):
         # Rows times M^T: M @ r0 would mix the rows of a batch.
@@ -628,13 +634,21 @@ class FuncReducedFlow(_ReducedFlow):
 
 def reduced_flow(law: EvolutionLaw, h_local, dim: int):
     """The isolated-subsystem flow a law induces, given the local
-    Hamiltonian coefficients of that subsystem."""
+    Hamiltonian coefficients of that subsystem.  A ``linear``/``xi`` flow
+    is one shared object per ``(h_local, dim)``, so its propagators are
+    built once."""
     if law.kind in ("linear", "xi"):
-        return LinearReducedFlow(reduced_generator(h_local, dim))
+        h = np.asarray(h_local, dtype=float)
+        return _linear_flow(h.tobytes(), h.shape, dim)
     if law.reduced_field_fn is None:
         raise ValueError(f"law {law.name!r} provides no reduced flow")
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
     return FuncReducedFlow(lambda r: law.reduced_field_fn(h, r), dim, law.name)
+
+
+@lru_cache(maxsize=64)
+def _linear_flow(h_bytes: bytes, shape: tuple, dim: int) -> LinearReducedFlow:
+    return LinearReducedFlow(reduced_generator(np.frombuffer(h_bytes).reshape(shape), dim))
 
 
 def evolve_reduced(

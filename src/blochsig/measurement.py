@@ -22,7 +22,10 @@ is the quantity whose sensitivities the audit module differentiates.
 audit's state channels do with their shifted rows.
 
 Outcomes of any rank are allowed; an observable only has to consist of
-mutually orthogonal projectors resolving the identity.
+mutually orthogonal projectors resolving the identity.  Derived observables
+skip the matrix checks: :func:`observable_from_basis` reads ``u`` off the
+vectors, and :func:`rotate_observable` maps it through the unitary's adjoint
+matrix, once their inputs pass (finite, orthonormal, Hermitian).
 """
 
 from __future__ import annotations
@@ -129,6 +132,8 @@ def projector_from_matrix(p: np.ndarray, basis: GeneratorSet) -> Projector:
     n = basis.dim
     if p.shape != (n, n):
         raise DimensionMismatchError(f"projector must be {(n, n)}, got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidProjectorError("matrix entries must be finite")
     herm = np.max(np.abs(p - p.conj().T))
     if herm > _PROJ_TOL:
         raise InvalidProjectorError(f"matrix is not Hermitian (deviation {herm:.3e})")
@@ -151,6 +156,8 @@ def observable_from_projectors(
     basis = basis or cached_basis(dim)
     if any(p.dim != dim for p in projectors):
         raise DimensionMismatchError("all outcomes must share one dimension")
+    if not all(np.isfinite(p.u0) and np.isfinite(p.u).all() for p in projectors):
+        raise InvalidObservableError("outcome coordinates must be finite")
     total_u0 = sum(p.u0 for p in projectors)
     total_u = np.sum([p.u for p in projectors], axis=0)
     if abs(total_u0 - 1.0) > _COMPLETE_TOL or np.max(np.abs(total_u)) > _COMPLETE_TOL:
@@ -173,20 +180,23 @@ def observable_from_matrices(matrices, basis: GeneratorSet) -> ProjectiveObserva
 
 
 def observable_from_basis(vectors, basis: GeneratorSet) -> ProjectiveObservable:
-    """Rank-1 observable from an orthonormal set of vectors (rows)."""
+    """Rank-1 observable from an orthonormal set of vectors (rows): outcome k
+    has ``u0 = 1/N`` and ``u_i = Re(v_k^dagger s_i v_k) / N``."""
     vecs = np.asarray(vectors, dtype=complex)
     if vecs.ndim != 2 or vecs.shape[1] != basis.dim:
         raise DimensionMismatchError(
             f"expected vectors of length {basis.dim}, got shape {vecs.shape}"
         )
+    if not np.isfinite(vecs).all():
+        raise InvalidObservableError("vector entries must be finite")
     gram = vecs @ vecs.conj().T
     if np.max(np.abs(gram - np.eye(len(vecs)))) > 1e-10:
         raise InvalidObservableError("vectors are not orthonormal")
-    if len(vecs) != basis.dim:
-        raise InvalidObservableError(
-            f"need {basis.dim} vectors to resolve the identity, got {len(vecs)}"
-        )
-    return observable_from_matrices([np.outer(v, v.conj()) for v in vecs], basis)
+    n = basis.dim
+    if len(vecs) != n:
+        raise InvalidObservableError(f"need {n} vectors to resolve the identity, got {len(vecs)}")
+    u = np.real(np.einsum("ka,iab,kb->ki", vecs.conj(), basis.matrices, vecs)) / n
+    return ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in u])
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:
@@ -203,17 +213,22 @@ def fourier_observable(dim: int) -> ProjectiveObservable:
 def rotate_observable(
     obs: ProjectiveObservable, direction: np.ndarray, theta: float
 ) -> ProjectiveObservable:
-    """Conjugate every outcome by exp(-i theta G) for Hermitian G."""
+    """Conjugate every outcome by U = exp(-i theta G) for Hermitian G: each
+    ``u`` maps through ``R_ij = 1/2 Re Tr(s_i U s_j U^dagger)``, ``u0`` stays."""
     g = np.asarray(direction, dtype=complex)
     if g.shape != (obs.dim, obs.dim):
         raise DimensionMismatchError(f"direction must be {(obs.dim, obs.dim)}, got {g.shape}")
+    if not (np.isfinite(g).all() and np.isfinite(theta)):
+        raise InvalidObservableError("rotation direction and angle must be finite")
     if np.max(np.abs(g - g.conj().T)) > 1e-12:
         raise InvalidObservableError("rotation direction must be Hermitian")
     w, v = np.linalg.eigh(g)
     unitary = (v * np.exp(-1j * theta * w)) @ v.conj().T
-    basis = cached_basis(obs.dim)
-    mats = [unitary @ p.matrix(basis) @ unitary.conj().T for p in obs.outcomes]
-    return observable_from_matrices(mats, basis)
+    s = cached_basis(obs.dim).matrices
+    adjoint = 0.5 * np.real(np.einsum("iab,jba->ij", s, unitary @ s @ unitary.conj().T))
+    return ProjectiveObservable(
+        obs.dim, [Projector(obs.dim, p.u0, adjoint @ p.u) for p in obs.outcomes]
+    )
 
 
 def outcome_probabilities(obs: ProjectiveObservable, state: BlochState) -> np.ndarray:

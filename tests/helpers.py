@@ -1,5 +1,5 @@
-"""Matrix-level oracles used to cross-check the coordinate formulas, a
-per-stage RKF45 stepper used to cross-check the integrator, and the
+"""Matrix-level oracles used to cross-check the coordinate formulas (the
+observable constructors among them), a per-stage RKF45 stepper used to cross-check the integrator, and the
 per-component finite-difference route used to cross-check the stacked
 state-channel planner of the audit.
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from blochsig.bloch import joint_from_bloch, pack_coords, unpack_coords
 from blochsig.errors import PerturbationInfeasibleError, UnphysicalStateError
-from blochsig.measurement import local_distributions
+from blochsig.measurement import local_distributions, observable_from_matrices
 from blochsig.su_basis import cached_basis
 
 
@@ -40,6 +40,21 @@ def collapse_reduced(rho, dims, p2):
     collapsed = big @ rho @ big
     prob = float(np.real(np.trace(collapsed)))
     return prob, trace_out(collapsed, dims, keep=1) / prob
+
+
+def reference_observable_from_basis(vectors, basis):
+    """Rank-1 observable built from the matrices ``|v><v|`` of the rows and
+    checked as matrices."""
+    return observable_from_matrices([np.outer(v, v.conj()) for v in np.asarray(vectors)], basis)
+
+
+def reference_rotate_observable(obs, direction, theta):
+    """Every outcome rebuilt as the matrix ``U P U^dagger``, with
+    ``U = exp(-i theta G)``, and checked as matrices."""
+    w, v = np.linalg.eigh(np.asarray(direction, dtype=complex))
+    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
+    basis = cached_basis(obs.dim)
+    return observable_from_matrices([u @ p.matrix(basis) @ u.conj().T for p in obs.outcomes], basis)
 
 
 def coord_distance(state, ref):

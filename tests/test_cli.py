@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from blochsig.cli import main
+from blochsig.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    IntegrationFailureError,
+    InvalidDimensionError,
+    UnphysicalStateError,
+)
 from blochsig.jsonio import dumps
 
 
@@ -93,6 +100,47 @@ def test_convert_joint_roundtrip(tmp_path):
     assert main(["convert", "--in", str(mid), "--out", str(back)]) == 0
     out = json.loads(back.read_text())
     np.testing.assert_allclose(out["r12"], -np.eye(3), atol=1e-12)
+
+
+_RHO1 = [[0.6, 0.1], [0.1, 0.4]]
+_JOINT = {"r1": [0.1, 0.0, 0.0], "r2": [0.0, 0.2, 0.0], "r12": (-0.3 * np.eye(3)).tolist()}
+
+
+@pytest.mark.parametrize(
+    "payload, keys",
+    [
+        ({"dim": 2, "dims": [2, 2], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
+        ({"dim": 2, "dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT},
+         {"dim", "matrix_re", "matrix_im"}),
+        ({"dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
+        ({"dim": 2, "dims": [2, 2], "matrix_re": _RHO1, **_JOINT}, {"dim", "r"}),
+        ({"dims": [2, 2], "matrix_re": (np.eye(4) / 4).tolist(), "r": [0.0, 0.0, 0.1], **_JOINT},
+         {"dims", "r1", "r2", "r12"}),
+        ({"dim": 2, "r": [0.0, 0.0, 0.9], "matrix_re": _RHO1}, {"dim", "r"}),
+        ({"dim": "x", "dims": [2, 2], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
+        ({"dim": 2, "dims": [2, 2], "matrix_re": (np.eye(4) / 4).tolist()},
+         "error: config: matrix.re: must have shape [2, 2], got [4, 4]"),
+        ({"dim": 2, **_JOINT}, "error: config: input: expected"),
+        ({"dims": [2, 2], "r": [0.0, 0.0, 0.1]}, "error: config: input: expected"),
+    ],
+    ids=["dim-dims-joint", "dim-dims-r-joint", "dims-r-joint", "dim-dims-matrix",
+         "dims-matrix-coords", "dim-r-matrix", "bad-dim-joint", "dim-before-dims",
+         "dim-joint", "dims-r"],
+)
+def test_convert_route_precedence_on_mixed_keys(tmp_path, capsys, payload, keys):
+    """matrix_re with dim, then with dims; r with dim, then r1 with dims."""
+    code = main(["convert", "--in", write_config(tmp_path, "mixed.json", payload)])
+    out, err = capsys.readouterr()
+    if isinstance(keys, str):
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith(keys)
+        return
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    assert set(result) == keys
+    if "r" in keys:  # read off the matrix, not the input's own r
+        np.testing.assert_allclose(result["r"], [0.2, 0.0, 0.2], atol=1e-15)
+    if "r12" in keys:
+        assert result["r1"] == result["r2"] == [0.0, 0.0, 0.0]
 
 
 def test_convert_unphysical_state_rejected(tmp_path, capsys):
@@ -267,6 +315,13 @@ def test_demo_json_runs_and_is_deterministic(tmp_path):
     assert payload["as_expected"] is True
 
 
+def test_demo_negative_seed_exits_two_with_one_error_line(capsys):
+    assert main(["demo", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: config: --seed: seed and fit_probes must be >= 0"]
+
+
 def test_demo_table_output(capsys):
     assert main(["demo", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -428,6 +483,31 @@ def test_unexpected_error_exits_three_with_one_internal_line(monkeypatch, capsys
     assert main(["basis", "--dim", "2"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: internal: RuntimeError: unexpected state"]
+
+
+@pytest.mark.parametrize(
+    "error, line, code",
+    [
+        (ConfigError("audit.seed", "bad"), "error: config: audit.seed: bad", 2),
+        (InvalidDimensionError("too small"), "error: dimension: too small", 2),
+        (UnphysicalStateError("negative"), "error: state: negative", 2),
+        (IntegrationFailureError("gave up"), "error: integration: gave up", 3),
+        (DimensionMismatchError("2 != 3"), "error: DimensionMismatchError: 2 != 3", 2),
+        (FileNotFoundError("gone"), "error: io: gone", 2),
+        (KeyError("k"), "error: internal: KeyError: 'k'", 3),
+    ],
+    ids=["config", "dimension", "state", "integration", "other-package-error", "io", "internal"],
+)
+def test_error_contract_labels_and_exit_codes(monkeypatch, capsys, error, line, code):
+    import blochsig.cli as cli
+
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_basis", failing)
+    assert main(["basis", "--dim", "2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [line]
 
 
 def test_one_parser_serves_successive_calls_like_fresh_ones(tmp_path, capsys):

@@ -13,24 +13,34 @@ from blochsig.errors import (
     ZeroProbabilityBranchError,
 )
 from blochsig.measurement import (
+    Projector,
     computational_observable,
     conditional_state,
     fourier_observable,
     local_distribution,
     observable_from_basis,
+    observable_from_matrices,
+    observable_from_projectors,
     outcome_probabilities,
     projector_from_matrix,
     rotate_observable,
 )
-from blochsig.nosignal_audit import polesink_law
+from blochsig.nosignal_audit import ObservableFamily, polesink_law
 from blochsig.sampling import (
     random_density,
+    random_hermitian_direction,
     random_orthonormal_basis,
     singlet_state,
 )
 from blochsig.su_basis import cached_basis, cached_constants
 
-from helpers import collapse_reduced, unitary_evolve, trace_out
+from helpers import (
+    collapse_reduced,
+    reference_observable_from_basis,
+    reference_rotate_observable,
+    unitary_evolve,
+    trace_out,
+)
 
 
 def test_qubit_up_projector_coordinates():
@@ -116,6 +126,67 @@ def test_rotated_observable_stays_valid():
     obs = rotate_observable(computational_observable(2), direction, 0.7)
     assert sum(p.u0 for p in obs.outcomes) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(np.sum(obs.u_matrix(), axis=0))) <= 1e-12
+
+
+def _assert_same_observable(obs, ref, atol=1e-12):
+    assert obs.dim == ref.dim and len(obs) == len(ref)
+    np.testing.assert_allclose(obs.u0_vector(), ref.u0_vector(), rtol=0, atol=atol)
+    np.testing.assert_allclose(obs.u_matrix(), ref.u_matrix(), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_observable_from_basis_matches_the_matrix_route(n):
+    rng = np.random.default_rng(40 + n)
+    basis = cached_basis(n)
+    for vectors in (np.eye(n), random_orthonormal_basis(rng, n)):
+        _assert_same_observable(observable_from_basis(vectors, basis),
+                                reference_observable_from_basis(vectors, basis))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rotation_in_coordinates_matches_the_matrix_route(n):
+    rng = np.random.default_rng(50 + n)
+    basis = cached_basis(n)
+    vecs = random_orthonormal_basis(rng, n)
+    rank1 = observable_from_basis(vecs, basis)
+    pair = np.outer(vecs[0], vecs[0].conj()) + np.outer(vecs[1], vecs[1].conj())
+    coarse = observable_from_matrices([pair, np.eye(n) - pair], basis)  # a rank-2 outcome
+    assert coarse.outcomes[0].rank == 2
+    for obs in (rank1, coarse, fourier_observable(n)):
+        for theta in (0.3, -1.7, 2 * math.pi / 3):
+            direction = random_hermitian_direction(rng, n)
+            rotated = rotate_observable(obs, direction, theta)
+            _assert_same_observable(rotated, reference_rotate_observable(obs, direction, theta))
+            assert [p.rank for p in rotated.outcomes] == [p.rank for p in obs.outcomes]
+
+
+def test_observable_validators_reject_nonfinite_input():
+    basis = cached_basis(2)
+    with pytest.raises(InvalidProjectorError, match="finite"):
+        projector_from_matrix(np.full((2, 2), np.nan), basis)
+    with pytest.raises(InvalidProjectorError, match="finite"):
+        projector_from_matrix(np.diag([1.0, np.inf]), basis)
+    with pytest.raises(InvalidObservableError, match="finite"):
+        observable_from_basis(np.array([[1.0, 0.0], [0.0, np.nan]]), basis)
+    nan_outcome = Projector(2, np.nan, [0.0, 0.0, 0.5])
+    up = projector_from_matrix(np.diag([1.0, 0.0]), basis)
+    with pytest.raises(InvalidObservableError, match="finite"):
+        observable_from_projectors([up, nan_outcome], basis)
+    with pytest.raises(InvalidObservableError, match="finite"):
+        observable_from_projectors([up, Projector(2, 0.5, [0.0, np.nan, -0.5])], basis)
+
+
+def test_rotation_rejects_a_nonfinite_direction_or_angle():
+    obs = computational_observable(2)
+    direction = 0.5 * cached_basis(2).matrices[0]
+    bad_direction = np.array([[0.0, np.nan], [np.nan, 0.0]])
+    for args in ((bad_direction, 0.3), (direction, np.nan), (direction, np.inf)):
+        with pytest.raises(InvalidObservableError, match="finite"):
+            rotate_observable(obs, *args)
+    with pytest.raises(InvalidObservableError, match="finite"):
+        ObservableFamily(obs, direction).at(np.nan)
+    with pytest.raises(InvalidObservableError, match="finite"):
+        ObservableFamily(obs, bad_direction).at(0.3)
 
 
 def test_probabilities_maximally_mixed():

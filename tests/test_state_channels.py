@@ -17,7 +17,7 @@ import pytest
 
 from helpers import reference_state_differences
 
-from blochsig import nosignal_audit
+from blochsig import dynamics, nosignal_audit
 from blochsig.bloch import joint_to_bloch
 from blochsig.dynamics import linear_law, random_hamiltonian, xi_law
 from blochsig.errors import PerturbationInfeasibleError
@@ -124,3 +124,24 @@ def test_every_infeasible_component_raises_the_reference_message(state):
         first = "^" + re.escape(f"perturbation of {names[0]} ")
         with pytest.raises(PerturbationInfeasibleError, match=first):
             d_fn(*args, components, FD_STEP, DEFAULT_BRANCH_OPTIONS)
+
+
+def test_two_linear_calls_reuse_one_flow_and_its_propagators():
+    dims = (2, 3)
+    law, hamiltonian = linear_law(), random_hamiltonian(np.random.default_rng(66), dims, scale=0.6)
+    case = _member(dims, 67)
+    dynamics._linear_flow.cache_clear()
+    dynamics.LinearReducedFlow._rk4_matrix.cache_clear()
+    args = (law, hamiltonian, case.state, case.obs_remote, case.obs_local, TIMES, [0, 1, 2],
+            FD_STEP, DEFAULT_BRANCH_OPTIONS)
+    first = d_remote_state(*args)
+    built = dynamics.LinearReducedFlow._rk4_matrix.cache_info()
+    second = d_remote_state(*args)
+    again = dynamics.LinearReducedFlow._rk4_matrix.cache_info()
+    assert (built.misses, again.misses, again.hits - built.hits) == (3, 3, 3)  # one per time
+    assert repr(second) == repr(first)
+    flow = dynamics.reduced_flow(law, hamiltonian.h1.copy(), dims[0])
+    assert flow is dynamics.reduced_flow(law, list(hamiltonian.h1), dims[0])
+    assert dynamics._linear_flow.cache_info().misses == 1
+    assert not flow.generator.flags.writeable
+    assert not flow._rk4_matrix(TIMES[0], DEFAULT_BRANCH_OPTIONS).flags.writeable
