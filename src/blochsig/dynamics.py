@@ -43,7 +43,6 @@ import numpy as np
 from . import integrate
 from .bloch import (
     PSD_TOLERANCE,
-    BlochState,
     JointBlochState,
     _blocks,
     _pack,
@@ -77,8 +76,9 @@ __all__ = [
     "evolve",
     "evolve_path",
     "reduced_generator",
+    "DEFAULT_BRANCH_OPTIONS",
+    "ReducedFlow",
     "reduced_flow",
-    "evolve_reduced",
     "reduced_propagator_fit",
     "pack_coords",
     "unpack_coords",
@@ -534,43 +534,72 @@ def reduced_generator(h_local, dim: int) -> np.ndarray:
     return 2.0 * np.einsum("aik,a->ki", f, h)
 
 
-class _ReducedFlow:
-    """Propagation of one state ``(d,)`` or a batch of independent states
-    ``(B, d)`` under an isolated-subsystem field."""
+# Fixed-step branch propagation: smooth in the initial condition, and one
+# cached matrix per time for a linear flow.
+DEFAULT_BRANCH_OPTIONS = IntegratorOptions(method="rk4", step=0.01)
 
-    def propagate(self, r0, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
-        return self.sample(r0, [t], options)[0]
+
+class ReducedFlow:
+    """Propagation of one state ``(d,)`` or a batch of independent states
+    ``(B, d)`` under an isolated-subsystem field acting on the last axis.
+
+    With a ``generator`` L (the field is ``r -> L r``) the rk4 one-step map
+    is itself a matrix, so each time's propagation is one cached matrix
+    power applied to the whole batch: exactly linear in the initial
+    condition (what the audit's cancellation identities rely on), and
+    cheap.  Without one, one rk4 solve carries the whole batch along one
+    trajectory, sampled at every requested time when the step grids of the
+    times nest (``integrate.rk4_spans``); a field written for one state
+    would silently mix the rows of a batch, so building such a flow
+    compares a two-row probe batch with two one-row calls.  Under rkf45,
+    whose step size is shared by a whole state, every flow makes one solve
+    per row and time.
+    """
+
+    def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
+                 name: str = "custom"):
+        self.field = field
+        self.generator = generator
+        if generator is not None:
+            return
+        d = dim**2 - 1
+        probe = np.stack([np.linspace(-0.4, 0.3, d), np.linspace(0.2, -0.1, d)])
+        batch = field(probe)
+        rows = np.stack([field(row) for row in probe])
+        if batch.shape != rows.shape or not np.allclose(
+            batch, rows, rtol=1e-12, atol=1e-14, equal_nan=True
+        ):
+            raise ValueError(
+                f"reduced field of law {name!r} must act on the last axis: "
+                f"a (2, {d}) batch does not give the results of its two rows"
+            )
 
     def sample(self, r0, times, options: IntegratorOptions | None = None) -> np.ndarray:
         """The states at each ascending time, shape ``(len(times), *r0.shape)``."""
         options = options or DEFAULT_OPTIONS
         r0 = np.asarray(r0, dtype=float)
         times = _ascending(times)
-        if options.method == "rk4":
-            return self._rk4_sample(r0, times, options)
-        # rkf45 adapts one step size per state: one solve per row and time.
-        rows = r0.reshape(-1, r0.shape[-1])
-        return np.stack([
-            np.stack([integrate.solve(self.field, row, t, options) for row in rows]).reshape(r0.shape)
-            for t in times
-        ])
-
-
-class LinearReducedFlow(_ReducedFlow):
-    """Branch propagation for laws whose isolated flow is state-independent.
-
-    With the fixed-step method the one-step map of a linear field is itself
-    a matrix, so each time's propagation is one matrix power applied to the
-    whole batch; it is then exactly linear in the initial condition (what
-    the audit's cancellation identities rely on), and cheap.
-    """
-
-    def __init__(self, generator: np.ndarray):
-        self.generator = np.array(generator, dtype=float)
-        self.generator.setflags(write=False)
-
-    def field(self, r: np.ndarray) -> np.ndarray:
-        return self.generator @ r
+        if options.method == "rkf45":
+            rows = r0.reshape(-1, r0.shape[-1])
+            return np.stack([
+                np.stack([integrate.solve(self.field, row, t, options) for row in rows])
+                .reshape(r0.shape)
+                for t in times
+            ])
+        if self.generator is not None:
+            # Rows times M^T: M @ r0 would mix the rows of a batch.
+            return np.stack([
+                r0 @ self._rk4_matrix(t, options).T if t > 0 else r0.copy() for t in times
+            ])
+        spans = integrate.rk4_spans(times, options)
+        if spans is None:
+            return np.stack([integrate.solve(self.field, r0, t, options) for t in times])
+        out, y = [], r0
+        for span in spans:
+            if span > 0:
+                y = integrate.solve(self.field, y, span, options)
+            out.append(y)
+        return np.stack(out)
 
     @lru_cache(maxsize=256)
     def _rk4_matrix(self, t: float, options: IntegratorOptions) -> np.ndarray:
@@ -586,86 +615,30 @@ class LinearReducedFlow(_ReducedFlow):
         power.setflags(write=False)
         return power
 
-    def _rk4_sample(self, r0, times, options):
-        # Rows times M^T: M @ r0 would mix the rows of a batch.
-        return np.stack([
-            r0 @ self._rk4_matrix(t, options).T if t > 0 else r0.copy() for t in times
-        ])
 
-
-class FuncReducedFlow(_ReducedFlow):
-    """Branch propagation for laws with an arbitrary reduced field.
-
-    The field acts on the last axis, so one rk4 solve carries a whole batch
-    along one trajectory, sampled at every requested time when the step
-    grids of the times nest (``integrate.rk4_spans``).  A field written for
-    one state would silently mix the rows of a batch, so building the flow
-    compares a two-row probe batch with two one-row calls.
-    """
-
-    def __init__(self, field_fn: Callable, dim: int, name: str = "custom"):
-        self._fn = field_fn
-        d = dim**2 - 1
-        probe = np.stack([np.linspace(-0.4, 0.3, d), np.linspace(0.2, -0.1, d)])
-        batch = self.field(probe)
-        rows = np.stack([self.field(row) for row in probe])
-        if batch.shape != rows.shape or not np.allclose(
-            batch, rows, rtol=1e-12, atol=1e-14, equal_nan=True
-        ):
-            raise ValueError(
-                f"reduced field of law {name!r} must act on the last axis: "
-                f"a (2, {d}) batch does not give the results of its two rows"
-            )
-
-    def field(self, r: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(r), dtype=float)
-
-    def _rk4_sample(self, r0, times, options):
-        spans = integrate.rk4_spans(times, options)
-        if spans is None:
-            return np.stack([integrate.solve(self.field, r0, t, options) for t in times])
-        out, y = [], r0
-        for span in spans:
-            if span > 0:
-                y = integrate.solve(self.field, y, span, options)
-            out.append(y)
-        return np.stack(out)
-
-
-def reduced_flow(law: EvolutionLaw, h_local, dim: int):
+def reduced_flow(law: EvolutionLaw, h_local, dim: int) -> ReducedFlow:
     """The isolated-subsystem flow a law induces, given the local
-    Hamiltonian coefficients of that subsystem.  A ``linear``/``xi`` flow
-    is one shared object per ``(h_local, dim)``, so its propagators are
-    built once."""
-    if law.kind in ("linear", "xi"):
-        h = np.asarray(h_local, dtype=float)
-        return _linear_flow(h.tobytes(), h.shape, dim)
-    if law.reduced_field_fn is None:
-        raise ValueError(f"law {law.name!r} provides no reduced flow")
+    Hamiltonian coefficients of that subsystem (``None``: zero).  One
+    shared flow per law and ``(h_local, dim)``, so a linear flow builds its
+    propagators, and a custom flow runs its probe, once; ``linear`` and
+    ``xi`` laws share their flows, since weights never enter them."""
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
-    return FuncReducedFlow(lambda r: law.reduced_field_fn(h, r), dim, law.name)
+    key = None if law.kind in ("linear", "xi") else law
+    return _shared_flow(key, h.tobytes(), h.shape, dim)
 
 
 @lru_cache(maxsize=64)
-def _linear_flow(h_bytes: bytes, shape: tuple, dim: int) -> LinearReducedFlow:
-    return LinearReducedFlow(reduced_generator(np.frombuffer(h_bytes).reshape(shape), dim))
-
-
-def evolve_reduced(
-    law: EvolutionLaw,
-    h_local,
-    r0: BlochState,
-    t: float,
-    options: IntegratorOptions | None = None,
-) -> BlochState:
-    """Integrate a single subsystem under the law's reduced flow."""
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    flow = reduced_flow(law, h_local, r0.dim)
-    return BlochState(r0.dim, flow.propagate(r0.r, t, options))
-
-
-FIT_OPTIONS = IntegratorOptions(method="rk4", step=0.01)
+def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, shape: tuple, dim: int) -> ReducedFlow:
+    h = np.frombuffer(h_bytes).reshape(shape)
+    if law is None:
+        generator = reduced_generator(h, dim)
+        generator.setflags(write=False)
+        return ReducedFlow(lambda r: generator @ r, dim, generator)
+    if law.reduced_field_fn is None:
+        raise ValueError(f"law {law.name!r} provides no reduced flow")
+    return ReducedFlow(
+        lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=float), dim, name=law.name
+    )
 
 
 def reduced_propagator_fit(
@@ -694,14 +667,14 @@ def reduced_propagator_fit(
         raise ValueError("subsystem must be 1 or 2")
     n = hamiltonian.dims[subsystem - 1]
     h_local = hamiltonian.h1 if subsystem == 1 else hamiltonian.h2
-    options = options or FIT_OPTIONS
+    options = options or DEFAULT_BRANCH_OPTIONS
     flow = reduced_flow(law, h_local, n)
     d = n**2 - 1
     rng = np.random.default_rng(seed)
     basis = cached_basis(n)
     probe_states = [to_bloch(random_density(rng, n), basis).r for _ in range(probes)]
     starts = np.concatenate([scale * np.eye(d), np.reshape(probe_states, (probes, d))])
-    ends = flow.propagate(starts, t, options)
+    ends = flow.sample(starts, [t], options)[0]
     a = np.ascontiguousarray(ends[:d].T / scale)
     mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d:], ends[d:])]
     # np.max keeps a NaN mismatch, which the builtin max would drop.

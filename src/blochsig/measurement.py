@@ -11,15 +11,15 @@ in the collapsed coordinates
     r1'_j = ( u0_k r1_j + sum_n r12_jn u_k_n ) / p_k ,
 
 and the later single-outcome statistics of party 1 are the branch-weighted
-average of its evolved conditional states (:func:`local_distribution`;
-:func:`local_distributions` evolves the branches of several states and
-remote observables as one batch, sampled at several times).  That average
-is the quantity whose sensitivities the audit module differentiates.
+average of its evolved conditional states (:func:`local_distribution`).
+That average is the quantity whose sensitivities the audit module
+differentiates.
 
-:func:`packed_distributions` is that batch on arrays: packed joint rows
-``x`` and remote outcomes ``(u0, u)``, per row or shared by every row.
-:func:`local_distributions` packs its pairs once and calls it, as the
-audit's state channels do with their shifted rows.
+:func:`packed_distributions` is the one route to it: packed joint rows
+``x`` and remote outcomes ``(u0, u)``, per row or shared by every row, are
+collapsed together and their branches propagated as one batch by the
+shared reduced flow of the law (``dynamics.reduced_flow``), sampled at
+several times.  :func:`local_distribution` is its one-row, one-time case.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -58,7 +58,6 @@ __all__ = [
     "outcome_probabilities",
     "conditional_state",
     "local_distribution",
-    "local_distributions",
     "packed_distributions",
 ]
 
@@ -296,53 +295,42 @@ def local_distribution(
     zero.  Summation order is ascending in the outcome index so results are
     reproducible bit for bit.
     """
-    return local_distributions(
-        [(joint, obs2)], obs1, law, [t], h_local=h_local, options=options
+    return packed_distributions(
+        pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), joint.dims, obs1, law,
+        [t], h_local=h_local, options=options,
     )[0, 0]
 
 
-def local_distributions(
-    pairs,
-    obs1: ProjectiveObservable,
-    law: "dynamics.EvolutionLaw",
-    times,
-    *,
-    h_local=None,
-    options=None,
-) -> np.ndarray:
-    """:func:`local_distribution` for each ``(joint, obs2)`` pair at each
-    ascending time, shape ``(len(times), len(pairs), len(obs1))``.
-
-    The pairs must share their dims.  Their branches form one ``(B, d)``
-    batch that the reduced flow propagates once, sampled at every time.
-    Party 1's Born probabilities of every evolved branch come from one
-    affine map per time, and each pair's weighted branches are summed in
-    ascending outcome order (one unbuffered scatter-add), as a single pair
-    at a single time would sum them.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (joint, obs2) pair")
-    dims = pairs[0][0].dims
-    width = max(len(obs2) for _, obs2 in pairs)  # zero projectors pad shorter observables
-    u0, u = np.zeros((len(pairs), width)), np.zeros((len(pairs), width, dims[1] ** 2 - 1))
-    for i, (joint, obs2) in enumerate(pairs):
-        if joint.dims != dims or obs2.dim != dims[1]:
-            raise DimensionMismatchError(
-                f"every pair needs dims {dims} and a remote observable of dim {dims[1]}, "
-                f"got dims {joint.dims} and dim {obs2.dim}"
-            )
-        u0[i, : len(obs2)] = obs2.u0_vector()
-        u[i, : len(obs2)] = obs2.u_matrix()
-    x = np.stack([pack_coords(joint) for joint, _ in pairs])
-    return packed_distributions(x, u0, u, dims, obs1, law, times, h_local=h_local, options=options)
+def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row remote outcomes ``(u0, u)`` of ``observables`` for
+    :func:`packed_distributions`, shapes ``(P, K)`` and ``(P, K, dim**2 - 1)``;
+    zero rows pad an observable with fewer than K outcomes."""
+    if any(obs.dim != dim for obs in observables):
+        raise DimensionMismatchError(
+            f"remote observables must have dim {dim}, got {[obs.dim for obs in observables]}"
+        )
+    width = max(len(obs) for obs in observables)
+    u0, u = np.zeros((len(observables), width)), np.zeros((len(observables), width, dim**2 - 1))
+    for row, obs in enumerate(observables):
+        u0[row, : len(obs)] = obs.u0_vector()
+        u[row, : len(obs)] = obs.u_matrix()
+    return u0, u
 
 
 def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, options=None):
-    """:func:`local_distributions` for packed joint rows ``x`` (shape
-    ``(P, d)``) of ``dims`` with remote outcomes ``u0, u`` of shapes
-    ``(P, K), (P, K, d2)`` (zero rows pad fewer outcomes), or ``(K,), (K, d2)``
-    for one observable shared by every row; ``(len(times), P, len(obs1))``."""
+    """Party 1's outcome distribution at each ascending time for packed
+    joint rows ``x`` (shape ``(P, d)``) of ``dims``, with remote outcomes
+    ``u0, u`` of shapes ``(P, K), (P, K, d2)`` (zero rows pad fewer
+    outcomes), or ``(K,), (K, d2)`` for one observable shared by every row;
+    shape ``(len(times), P, len(obs1))``.
+
+    Every row's branches form one ``(B, d1)`` batch that the reduced flow
+    propagates once, sampled at every time.  Party 1's Born probabilities
+    of every evolved branch come from one affine map per time, and each
+    row's weighted branches are summed in ascending outcome order (one
+    unbuffered scatter-add), as a single row at a single time would sum
+    them.
+    """
     n1, n2 = dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
@@ -355,8 +343,6 @@ def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, opti
     owners = np.nonzero(keep)[0]
     weights = p[keep]
     states = scaled[keep] / weights[:, None]
-    if h_local is None:
-        h_local = np.zeros(d1)
     flow = dynamics.reduced_flow(law, h_local, n1)
     evolved = flow.sample(states, times, options)
     born = obs1.u0_vector() + _dots(evolved[:, :, None, :], obs1.u_matrix())

@@ -53,6 +53,7 @@ import numpy as np
 
 from .bloch import PSD_TOLERANCE, JointBlochState, joint_frame, joint_from_bloch, pack_coords
 from .dynamics import (
+    DEFAULT_BRANCH_OPTIONS,
     BlochHamiltonian,
     EvolutionLaw,
     custom_law,
@@ -66,9 +67,9 @@ from .errors import (
 from .integrate import IntegratorOptions
 from .measurement import (
     ProjectiveObservable,
+    _outcome_rows,
     computational_observable,
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
-    local_distributions,
     observable_from_basis,
     packed_distributions,
     rotate_observable,
@@ -97,10 +98,6 @@ __all__ = [
     "signaling_channel_demo",
     "polesink_law",
 ]
-
-# Fixed-step branch propagation: smooth in the initial condition, cheap to
-# cache for laws with linear reduced flows.
-DEFAULT_BRANCH_OPTIONS = IntegratorOptions(method="rk4", step=0.01)
 
 VERDICT_PASS = "pass"
 VERDICT_SIGNALING = "signaling-detected"
@@ -273,12 +270,7 @@ def d_remote_observable(
 ) -> float | list[float]:
     """Sensitivity to the remote measurement choice along a rotation family;
     ``t`` as for :func:`d_remote_state`."""
-    if family.base.dim != joint.dims[1]:
-        raise DimensionMismatchError(
-            f"family dim {family.base.dim} != second subsystem dim {joint.dims[1]}"
-        )
-    pair = (family.at(fd_step), family.at(-fd_step))
-    u0, u = np.stack([o.u0_vector() for o in pair]), np.stack([o.u_matrix() for o in pair])
+    u0, u = _outcome_rows((family.at(fd_step), family.at(-fd_step)), joint.dims[1])
     x, steps = np.tile(pack_coords(joint), (2, 1)), np.array([fd_step])
     return _central_difference(law, hamiltonian, x, u0, u, joint.dims, obs1, t, steps, options)[0]
 
@@ -560,8 +552,9 @@ def signaling_channel_demo(
     distributions is the signaling capacity of the channel (zero for any
     law whose measurement-choice sensitivity vanishes along the connecting
     family).  Both observables' branches propagate as one batch."""
-    pa, pb = local_distributions(
-        [(joint, obs_a), (joint, obs_b)], local_obs, law, [t],
+    u0, u = _outcome_rows((obs_a, obs_b), joint.dims[1])
+    pa, pb = packed_distributions(
+        np.tile(pack_coords(joint), (2, 1)), u0, u, joint.dims, local_obs, law, [t],
         h_local=h_local, options=options or DEFAULT_BRANCH_OPTIONS,
     )[0]
     delta = 0.5 * float(np.sum(np.abs(pa - pb)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from blochsig.bloch import joint_from_bloch, pack_coords, unpack_coords
 from blochsig.errors import PerturbationInfeasibleError, UnphysicalStateError
-from blochsig.measurement import local_distributions, observable_from_matrices
+from blochsig.measurement import observable_from_matrices, packed_distributions
 from blochsig.su_basis import cached_basis
 
 
@@ -117,8 +117,8 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
     """Central differences along packed coordinates ``index``, one component
     at a time: halve the step, at most six times, while
     ``joint_from_bloch(check=True)`` rejects either shifted state, then
-    propagate every ``(unpack_coords(x +- h e_k), obs2)`` pair in one
-    ``local_distributions`` call.  Returns one list per component (one
+    propagate the packed rows of every ``unpack_coords(x +- h e_k)`` under
+    obs2 in one ``packed_distributions`` call.  Returns one list per component (one
     value per time) and the steps; raises ``PerturbationInfeasibleError``
     for the first infeasible component."""
     b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
@@ -144,8 +144,8 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                 f"perturbation of {name} leaves the physical set even at step {2 * h:.3e}"
             )
         steps.append(h)
-    pairs = [(shifted(k, sign * h), obs2) for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
-    dists = local_distributions(pairs, obs1, law, list(times), h_local=hamiltonian.h1,
-                                options=options)
+    rows = [pack_coords(shifted(k, sign * h)) for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
+    dists = packed_distributions(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), joint.dims,
+                                 obs1, law, list(times), h_local=hamiltonian.h1, options=options)
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
     return (diffs / np.array([2.0 * h for h in steps])).T.tolist(), steps

@@ -24,7 +24,7 @@ from blochsig.dynamics import (
     reduced_propagator_fit,
     xi_law,
 )
-from blochsig.bloch import joint_to_bloch
+from blochsig.bloch import joint_to_bloch, pack_coords
 from blochsig.errors import (
     DimensionMismatchError,
     IntegrationFailureError,
@@ -34,10 +34,11 @@ from blochsig.integrate import IntegratorOptions
 from blochsig.jsonio import dumps
 from blochsig.measurement import (
     EPS_PROB,
+    _outcome_rows,
     computational_observable,
-    local_distributions,
     observable_from_basis,
     observable_from_matrices,
+    packed_distributions,
 )
 from blochsig.nosignal_audit import (
     DEFAULT_BRANCH_OPTIONS,
@@ -251,6 +252,25 @@ def test_scalar_only_reduced_field_is_rejected_when_its_flow_is_built():
     law = custom_law("one-row", reduced_field=one_row_polesink)
     with pytest.raises(ValueError, match="one-row.*last axis"):
         reduced_flow(law, None, 2)
+
+
+def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
+    calls = []
+
+    def field(h_local, r):
+        calls.append(np.shape(r))
+        return polesink_law(0.1).reduced_field_fn(h_local, r)
+
+    law = custom_law("counted", reduced_field=field)
+    flow = reduced_flow(law, None, 2)
+    assert calls == [(2, 3), (3,), (3,)]  # the two-row probe
+    assert reduced_flow(law, np.zeros(3), 2) is flow
+    h = BlochHamiltonian((2, 2))
+    state, obs2, obs1, _ = _member((2, 2), 57)
+    for _ in range(2):
+        d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
+    assert (3,) not in calls[3:]  # channel calls reuse the probed flow
+    assert reduced_flow(law, [0.0, 0.0, 0.1], 2) is not flow
 
 
 def _expanding_law():
@@ -473,7 +493,10 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     pairs = [(product, computational), (generic, three), (generic, two), (product, three)]
     obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b1)
     law = polesink_law(0.1)
-    batched = local_distributions(pairs, obs1, law, DEFAULT_TIMES, options=DEFAULT_BRANCH_OPTIONS)
+    x = np.stack([pack_coords(joint) for joint, _ in pairs])
+    u0, u = _outcome_rows([obs2 for _, obs2 in pairs], 3)
+    batched = packed_distributions(x, u0, u, dims, obs1, law, DEFAULT_TIMES,
+                                   options=DEFAULT_BRANCH_OPTIONS)
     assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
     assert np.array_equal(batched, _scalar_loop_distributions(pairs, obs1, law, DEFAULT_TIMES))
     # the channel demo is the two-pair case at one time
@@ -485,9 +508,10 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     assert delta == 0.5 * float(np.sum(np.abs(expected[0, 0] - expected[0, 1])))
 
 
-def test_local_distributions_rejects_pairs_of_different_dims():
-    rng = np.random.default_rng(56)
-    a = (random_interior_joint(rng, (2, 2)), computational_observable(2))
-    b = (random_interior_joint(rng, (2, 3)), computational_observable(3))
-    with pytest.raises(DimensionMismatchError, match="every pair"):
-        local_distributions([a, b], computational_observable(2), polesink_law(0.1), [0.5])
+def test_channel_demo_rejects_a_remote_observable_of_another_dim():
+    joint = random_interior_joint(np.random.default_rng(56), (2, 2))
+    local = computational_observable(2)
+    for remote in ((computational_observable(2), computational_observable(3)),
+                   (computational_observable(3), computational_observable(3))):
+        with pytest.raises(DimensionMismatchError, match="remote observables must have dim 2"):
+            nosignal_audit.signaling_channel_demo(polesink_law(0.1), joint, *remote, local, 0.5)

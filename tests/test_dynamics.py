@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blochsig.bloch import BlochState, from_bloch, joint_to_bloch, purity, to_bloch
+from blochsig.bloch import from_bloch, joint_to_bloch, purity, to_bloch
 from blochsig.dynamics import (
     BlochHamiltonian,
     EvolutionLaw,
     XiFunctions,
     evolve,
     evolve_path,
-    evolve_reduced,
     hamiltonian_from_matrix,
     linear_generator,
     linear_law,
@@ -353,9 +352,9 @@ def test_reduced_rk4_step_budget_error(law):
     flow = reduced_flow(law, [0.0, 0.0, 0.3], 2)
     options = IntegratorOptions(method="rk4", step=0.01, max_steps=10)
     r0 = np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4]])
-    assert flow.propagate(r0, 0.05, options).shape == r0.shape
+    assert flow.sample(r0, [0.05], options)[0].shape == r0.shape
     with pytest.raises(IntegrationFailureError, match=r"100 steps \(> max_steps=10\)"):
-        flow.propagate(r0, 1.0, options)
+        flow.sample(r0, [1.0], options)
 
 
 def test_evolve_path_monotone_times_required():
@@ -419,17 +418,17 @@ def test_physicality_is_reported_not_enforced():
 
 def test_reduced_precession_closed_form():
     h = 0.45
-    r0 = BlochState(2, [1.0, 0.0, 0.0])
+    r0 = [1.0, 0.0, 0.0]
     for t in (0.0, 0.4, 1.3):
-        out = evolve_reduced(linear_law(), [0.0, 0.0, h], r0, t)
+        out = reduced_flow(linear_law(), [0.0, 0.0, h], 2).sample(r0, [t])[0]
         expected = [math.cos(2 * h * t), math.sin(2 * h * t), 0.0]
-        np.testing.assert_allclose(out.r, expected, atol=1e-8)
+        np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
 def test_reduced_zero_hamiltonian_is_static():
-    r0 = BlochState(3, np.concatenate([[0.3, -0.1], np.zeros(6)]))
-    out = evolve_reduced(linear_law(), np.zeros(8), r0, 2.0)
-    np.testing.assert_allclose(out.r, r0.r, atol=1e-14)
+    r0 = np.concatenate([[0.3, -0.1], np.zeros(6)])
+    out = reduced_flow(linear_law(), np.zeros(8), 3).sample(r0, [2.0])[0]
+    np.testing.assert_allclose(out, r0, atol=1e-14)
 
 
 def test_reduced_generator_is_antisymmetric():
