@@ -19,9 +19,13 @@ The weights are 1 for ``linear``, one scalar of the state for a uniform
 h12 cofactor for an indexed law; with ``h12 = 0`` none is ever evaluated.
 Nonconstant weights make the joint flow nonlinear while leaving the
 isolated-subsystem flow untouched — the construction probed by
-:mod:`blochsig.nosignal_audit`.  :func:`linear_generator` builds the linear
-flow independently, through the matrix commutator; it is the test oracle
-that the compiled field must match when every weight is one.
+:mod:`blochsig.nosignal_audit`.  Every isolated-subsystem flow is one
+:class:`ReducedFlow`, shared per law and local Hamiltonian
+(:func:`reduced_flow`); :func:`reduced_propagator_fit` tests it for an
+affine map ``A r0 + c``, the form of every local CPTP map.
+:func:`linear_generator` builds the linear flow independently, through the
+matrix commutator; it is the test oracle that the compiled field must
+match when every weight is one.
 
 The packed layout and its operator frame live in :mod:`blochsig.bloch`
 (``joint_frame``; ``pack_coords``/``unpack_coords`` are re-exported).
@@ -77,7 +81,6 @@ __all__ = [
     "evolve_path",
     "reduced_generator",
     "DEFAULT_BRANCH_OPTIONS",
-    "ReducedFlow",
     "reduced_flow",
     "reduced_propagator_fit",
     "pack_coords",
@@ -543,17 +546,14 @@ class ReducedFlow:
     """Propagation of one state ``(d,)`` or a batch of independent states
     ``(B, d)`` under an isolated-subsystem field acting on the last axis.
 
-    With a ``generator`` L (the field is ``r -> L r``) the rk4 one-step map
-    is itself a matrix, so each time's propagation is one cached matrix
-    power applied to the whole batch: exactly linear in the initial
-    condition (what the audit's cancellation identities rely on), and
-    cheap.  Without one, one rk4 solve carries the whole batch along one
-    trajectory, sampled at every requested time when the step grids of the
-    times nest (``integrate.rk4_spans``); a field written for one state
-    would silently mix the rows of a batch, so building such a flow
-    compares a two-row probe batch with two one-row calls.  Under rkf45,
-    whose step size is shared by a whole state, every flow makes one solve
-    per row and time.
+    Under rk4, a flow with a ``generator`` L (field ``r -> L r``) applies
+    one cached matrix power per time to the whole batch: exactly linear in
+    the initial condition, which the audit's cancellations rely on.  A flow
+    without one carries the batch along one trajectory, sampled at every
+    time whose step grid nests (``integrate.rk4_spans``), once a two-row
+    probe has shown that its field does not mix the rows of a batch.
+    Under rkf45, whose step is shared by a whole state, every flow makes
+    one solve per row and time.
     """
 
     def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
@@ -581,11 +581,8 @@ class ReducedFlow:
         times = _ascending(times)
         if options.method == "rkf45":
             rows = r0.reshape(-1, r0.shape[-1])
-            return np.stack([
-                np.stack([integrate.solve(self.field, row, t, options) for row in rows])
-                .reshape(r0.shape)
-                for t in times
-            ])
+            return np.array([[integrate.solve(self.field, row, t, options) for row in rows]
+                             for t in times]).reshape(len(times), *r0.shape)
         if self.generator is not None:
             # Rows times M^T: M @ r0 would mix the rows of a batch.
             return np.stack([
@@ -617,11 +614,10 @@ class ReducedFlow:
 
 
 def reduced_flow(law: EvolutionLaw, h_local, dim: int) -> ReducedFlow:
-    """The isolated-subsystem flow a law induces, given the local
-    Hamiltonian coefficients of that subsystem (``None``: zero).  One
-    shared flow per law and ``(h_local, dim)``, so a linear flow builds its
-    propagators, and a custom flow runs its probe, once; ``linear`` and
-    ``xi`` laws share their flows, since weights never enter them."""
+    """The shared isolated-subsystem flow a law induces, one per law and
+    local Hamiltonian ``h_local`` (``None``: zero) of a ``dim``-level
+    subsystem, so its propagators or its probe are built once; ``linear``
+    and ``xi`` laws, whose weights never enter it, share theirs."""
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
     key = None if law.kind in ("linear", "xi") else law
     return _shared_flow(key, h.tobytes(), h.shape, dim)
@@ -651,15 +647,16 @@ def reduced_propagator_fit(
     options: IntegratorOptions | None = None,
     scale: float = 0.5,
 ) -> tuple[np.ndarray, float]:
-    """Fit a state-independent matrix to the reduced flow and measure how
-    badly fresh probes break it.
+    """Fit a state-independent affine map ``A r0 + c`` to the reduced flow
+    and measure how badly fresh probes break it; returns ``A`` and that.
 
-    Columns come from evolving scaled coordinate axes (scale 0.5 keeps them
-    inside the physical set for every dimension); the residual is the worst
-    max-norm mismatch ``|r(t; r0) - A r0|`` over random probe states (NaN
-    when any mismatch is).  Axes and probes propagate as one batch.  A
-    small residual certifies that isolated subsystems evolve by a matrix —
-    the structural property separating signaling from nonsignaling laws.
+    ``c`` is the evolved origin, and ``A``'s columns come from evolving
+    scaled coordinate axes, less ``c`` (scale 0.5 keeps them physical for
+    every dimension); the residual is the worst max-norm mismatch
+    ``|r(t; r0) - c - A r0|`` over random probe states (NaN when any
+    mismatch is).  Origin, axes and probes propagate as one batch.  A small
+    residual certifies that isolated subsystems evolve by an affine map, as
+    every local CPTP map (linear in rho) does; such a map cannot signal.
     """
     if not hamiltonian.is_interaction_free:
         raise ValueError("propagator fit requires a Hamiltonian with no interaction block")
@@ -673,9 +670,10 @@ def reduced_propagator_fit(
     rng = np.random.default_rng(seed)
     basis = cached_basis(n)
     probe_states = [to_bloch(random_density(rng, n), basis).r for _ in range(probes)]
-    starts = np.concatenate([scale * np.eye(d), np.reshape(probe_states, (probes, d))])
+    starts = np.vstack([np.zeros(d), scale * np.eye(d), *probe_states])
     ends = flow.sample(starts, [t], options)[0]
+    ends = ends[1:] - ends[0]  # less the evolved origin c
     a = np.ascontiguousarray(ends[:d].T / scale)
-    mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d:], ends[d:])]
+    mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]
     # np.max keeps a NaN mismatch, which the builtin max would drop.
     return a, float(np.max(mismatch, initial=0.0))

@@ -11,15 +11,14 @@ in the collapsed coordinates
     r1'_j = ( u0_k r1_j + sum_n r12_jn u_k_n ) / p_k ,
 
 and the later single-outcome statistics of party 1 are the branch-weighted
-average of its evolved conditional states (:func:`local_distribution`).
-That average is the quantity whose sensitivities the audit module
-differentiates.
+average of its evolved conditional states.  That average is the quantity
+whose sensitivities the audit module differentiates.
 
 :func:`packed_distributions` is the one route to it: packed joint rows
-``x`` and remote outcomes ``(u0, u)``, per row or shared by every row, are
-collapsed together and their branches propagated as one batch by the
-shared reduced flow of the law (``dynamics.reduced_flow``), sampled at
-several times.  :func:`local_distribution` is its one-row, one-time case.
+``x`` and remote outcomes ``(u0, u)``, per row or shared by every row,
+whose branches propagate as one batch under the law's shared reduced flow
+(``dynamics.reduced_flow``), sampled at several times;
+:func:`local_distribution` is its one-row, one-time case.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -318,18 +317,15 @@ def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, options=None):
-    """Party 1's outcome distribution at each ascending time for packed
-    joint rows ``x`` (shape ``(P, d)``) of ``dims``, with remote outcomes
-    ``u0, u`` of shapes ``(P, K), (P, K, d2)`` (zero rows pad fewer
-    outcomes), or ``(K,), (K, d2)`` for one observable shared by every row;
-    shape ``(len(times), P, len(obs1))``.
+    """Party 1's distributions at each ascending time, shape
+    ``(len(times), P, len(obs1))``, for packed joint rows ``x`` (``(P, d)``)
+    of ``dims`` with remote outcomes ``u0, u`` of shapes ``(P, K), (P, K, d2)``
+    (zero rows pad fewer outcomes), or ``(K,), (K, d2)`` shared by every row.
 
-    Every row's branches form one ``(B, d1)`` batch that the reduced flow
-    propagates once, sampled at every time.  Party 1's Born probabilities
-    of every evolved branch come from one affine map per time, and each
-    row's weighted branches are summed in ascending outcome order (one
-    unbuffered scatter-add), as a single row at a single time would sum
-    them.
+    The branches of every row form one batch that the flow propagates once.
+    Born probabilities come from one affine map per time, and each row's
+    weighted branches are summed in ascending outcome order (one unbuffered
+    scatter-add), as a single row at a single time would sum them.
     """
     n1, n2 = dims
     d1, d2 = n1**2 - 1, n2**2 - 1

@@ -13,8 +13,9 @@ treats them as *total* derivatives: the perturbed parameter re-enters the
 branch weights, the collapsed states and the evolved trajectories alike —
 that is the quantity an eavesdropper could actually exploit.  A fourth
 number, the reduced-propagator residual, measures whether isolated
-subsystems evolve by a state-independent matrix; every law that fails any
-of the four at the pass tolerance is flagged as signaling.
+subsystems evolve by a state-independent affine map, as every local CPTP
+map does; every law that fails any of the four at the pass tolerance is
+flagged as signaling.
 
 Numerical hygiene notes baked into the defaults:
 

@@ -15,7 +15,8 @@ Rewrite the committed files (from the repository root):
 
 or write them elsewhere, to compare with the committed ones:
 
-    PYTHONPATH=src python tests/golden/regen.py --out /tmp/golden && diff -r /tmp/golden tests/golden
+    PYTHONPATH=src python tests/golden/regen.py --out OTHER_DIR
+    diff -r -x regen.py -x __pycache__ OTHER_DIR tests/golden
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+from blochsig import cli
 
 HERE = Path(__file__).resolve().parent
 
@@ -56,7 +59,9 @@ CASES = {
     # The console-script configs of the CI workflow.
     "audit_polesink_ci": (_AUDIT, _POLESINK),
     "audit_linear_ci": (_AUDIT, _LINEAR),
-    "audit_linear_pure_states": (_AUDIT, {**_LINEAR, "audit": {**_LINEAR["audit"], "mix_weight": 0.0}}),
+    "audit_linear_pure_states": (
+        _AUDIT, {**_LINEAR, "audit": {**_LINEAR["audit"], "mix_weight": 0.0}},
+    ),
     "evolve_linear_2x3_oracle": (
         ["evolve", "--config", "{config}", "--check-oracle", "--no-timestamp"],
         {"dims": [2, 3], "law": "linear",
@@ -129,8 +134,6 @@ def _parse_output(text: str | None):
 def run_case(argv, config, workdir: Path) -> dict:
     """Run one case in ``workdir`` (files named relative to it, so no path
     enters a message) and return its golden record."""
-    from blochsig import cli
-
     workdir = Path(workdir)
     if config is not None:
         (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
@@ -159,10 +162,6 @@ def run_case(argv, config, workdir: Path) -> dict:
     }
 
 
-def render(record: dict) -> str:
-    return json.dumps(record, indent=1, sort_keys=True) + "\n"
-
-
 def regenerate(out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     records = {}
@@ -171,7 +170,8 @@ def regenerate(out_dir: Path) -> None:
             if isinstance(config, tuple):
                 config = records[config[1]]["output"]
             records[name] = run_case(argv, config, Path(tmp))
-            (out_dir / f"{name}.json").write_text(render(records[name]), encoding="utf-8")
+            text = json.dumps(records[name], indent=1, sort_keys=True) + "\n"
+            (out_dir / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 def main(argv=None) -> None:

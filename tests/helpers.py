@@ -14,6 +14,7 @@ shifts packed rows.
 import numpy as np
 
 from blochsig.bloch import joint_from_bloch, pack_coords, unpack_coords
+from blochsig.dynamics import custom_law
 from blochsig.errors import PerturbationInfeasibleError, UnphysicalStateError
 from blochsig.measurement import observable_from_matrices, packed_distributions
 from blochsig.su_basis import cached_basis
@@ -55,6 +56,31 @@ def reference_rotate_observable(obs, direction, theta):
     u = (v * np.exp(-1j * theta * w)) @ v.conj().T
     basis = cached_basis(obs.dim)
     return observable_from_matrices([u @ p.matrix(basis) @ u.conj().T for p in obs.outcomes], basis)
+
+
+def amplitude_damping_law(gamma):
+    """Decay of a qubit toward |0> at rate gamma as a custom law, with the
+    affine reduced field ``dr/dt = gamma (e_z - diag(1/2, 1/2, 1) r)``.  A
+    local CPTP map cannot signal, yet it moves the maximally mixed state:
+    the audit's negative control for an affine, not linear, flow."""
+    pole, rate = gamma * np.array([0.0, 0.0, 1.0]), gamma * np.array([0.5, 0.5, 1.0])
+    return custom_law(
+        f"amplitude-damping({gamma:g})",
+        reduced_field=lambda h_local, r: pole - rate * np.asarray(r, dtype=float),
+    )
+
+
+def gksl_coordinate_field(jumps, gamma, r):
+    """``dr/dt`` of ``gamma sum_j (L_j rho L_j^dagger - 1/2 {L_j^dagger L_j, rho})``
+    on the matrix ``rho = (I + r . s) / N``, read back as
+    ``dr_i = (N/2) Tr(drho s_i)``."""
+    s = cached_basis(len(jumps[0])).matrices
+    n = s.shape[1]
+    rho = (np.eye(n) + np.einsum("i,iab->ab", r, s)) / n
+    drho = sum(
+        l @ rho @ l.conj().T - 0.5 * (l.conj().T @ l @ rho + rho @ l.conj().T @ l) for l in jumps
+    )
+    return 0.5 * n * np.real(np.einsum("ab,iba->i", gamma * drho, s))
 
 
 def coord_distance(state, ref):
@@ -144,7 +170,8 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                 f"perturbation of {name} leaves the physical set even at step {2 * h:.3e}"
             )
         steps.append(h)
-    rows = [pack_coords(shifted(k, sign * h)) for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
+    rows = [pack_coords(shifted(k, sign * h))
+            for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
     dists = packed_distributions(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), joint.dims,
                                  obs1, law, list(times), h_local=hamiltonian.h1, options=options)
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from blochsig.bloch import joint_to_bloch
+from blochsig.bloch import joint_to_bloch, to_bloch
 from blochsig.dynamics import (
     BlochHamiltonian,
     custom_law,
     linear_law,
     random_hamiltonian,
     reduced_flow,
+    reduced_propagator_fit,
     xi_law,
 )
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
@@ -29,11 +30,14 @@ from blochsig.nosignal_audit import (
 )
 from blochsig.sampling import (
     interior_joint_state,
+    random_density,
     random_interior_joint,
     singlet_density,
     singlet_state,
 )
 from blochsig.su_basis import cached_basis
+
+from helpers import amplitude_damping_law, gksl_coordinate_field
 
 
 def _y_anchor_family(anchor_angle=math.pi / 4.0):
@@ -58,7 +62,8 @@ def test_polesink_axis_flow_is_logistic():
 def test_polesink_preserves_the_unit_sphere():
     law = polesink_law(0.2)
     r0 = np.array([0.8, 0.36, math.sqrt(1 - 0.8**2 - 0.36**2)])
-    out = reduced_flow(law, None, 2).sample(r0, [2.0], IntegratorOptions(method="rk4", step=0.001))[0]
+    fine = IntegratorOptions(method="rk4", step=0.001)
+    out = reduced_flow(law, None, 2).sample(r0, [2.0], fine)[0]
     assert float(out @ out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -67,6 +72,36 @@ def test_polesink_poles_are_fixed_points():
     for sign in (+1.0, -1.0):
         out = reduced_flow(law, None, 2).sample([0.0, 0.0, sign], [1.5])[0]
         np.testing.assert_allclose(out, [0.0, 0.0, sign], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Negative control: an affine local map
+
+
+def test_amplitude_damping_field_is_the_gksl_generator():
+    jump = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+    rng = np.random.default_rng(70)
+    rows = np.stack([to_bloch(random_density(rng, 2), cached_basis(2)).r for _ in range(6)])
+    field = amplitude_damping_law(0.3).reduced_field_fn(None, rows)
+    expected = np.stack([gksl_coordinate_field([jump], 0.3, r) for r in rows])
+    np.testing.assert_allclose(field, expected, rtol=0.0, atol=1e-12)
+
+
+def test_amplitude_damping_fit_is_affine():
+    gamma, t = 0.3, 1.0
+    a, residual = reduced_propagator_fit(amplitude_damping_law(gamma), BlochHamiltonian((2, 2)))
+    assert residual <= 1e-12
+    decay = np.exp(-gamma * t * np.array([0.5, 0.5, 1.0]))
+    np.testing.assert_allclose(a, np.diag(decay), rtol=0.0, atol=1e-9)
+
+
+def test_amplitude_damping_passes_the_audit():
+    report = audit(
+        amplitude_damping_law(0.3), BlochHamiltonian((2, 2)), AuditConfig(ensemble_size=6, seed=3)
+    )
+    assert report.passed and not report.failures
+    assert report.linearity_residual <= 1e-12
+    assert max(report.residuals().values()) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
