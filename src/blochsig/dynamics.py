@@ -585,9 +585,11 @@ class ReducedFlow:
                              for t in times]).reshape(len(times), *r0.shape)
         if self.generator is not None:
             # Rows times M^T: M @ r0 would mix the rows of a batch.
-            return np.stack([
-                r0 @ self._rk4_matrix(t, options).T if t > 0 else r0.copy() for t in times
-            ])
+            out = np.repeat(r0[None], len(times), axis=0)  # t = 0 keeps r0
+            for row, t in zip(out, times):
+                if t > 0:
+                    np.matmul(r0, self._rk4_matrix(t, options).T, out=row)
+            return out
         spans = integrate.rk4_spans(times, options)
         if spans is None:
             return np.stack([integrate.solve(self.field, r0, t, options) for t in times])

@@ -15,10 +15,10 @@ average of its evolved conditional states.  That average is the quantity
 whose sensitivities the audit module differentiates.
 
 :func:`packed_distributions` is the one route to it: packed joint rows
-``x`` and remote outcomes ``(u0, u)``, per row or shared by every row,
-whose branches propagate as one batch under the law's shared reduced flow
-(``dynamics.reduced_flow``), sampled at several times;
-:func:`local_distribution` is its one-row, one-time case.
+``x`` and remote outcomes ``(u0, u)``, per row or shared by every row, of
+one or several members, whose branches propagate as one rk4 batch under the
+law's shared reduced flow (``dynamics.reduced_flow``), sampled at several
+times; :func:`local_distribution` is its one-row, one-time case.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -285,15 +285,12 @@ def local_distribution(
     options=None,
 ) -> np.ndarray:
     """Outcome distribution of party 1 at time t, given that party 2
-    measured obs2 at time 0.
-
-    Every branch state collapses per :func:`conditional_state`, evolves in
-    isolation under the reduced flow the law induces (driven by party 1's
-    local Hamiltonian coefficients ``h_local``), and is averaged with its
-    branch weight.  Branches at or below the probability floor contribute
-    zero.  Summation order is ascending in the outcome index so results are
-    reproducible bit for bit.
-    """
+    measured obs2 at time 0: every branch state collapses per
+    :func:`conditional_state`, evolves in isolation under the law's reduced
+    flow (party 1's local Hamiltonian ``h_local``; ``options`` default to
+    the audit's rk4 branch integrator) and is averaged with its weight, in
+    ascending outcome order, as in :func:`packed_distributions`.  Branches
+    at or below the probability floor contribute zero."""
     return packed_distributions(
         pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), joint.dims, obs1, law,
         [t], h_local=h_local, options=options,
@@ -316,32 +313,45 @@ def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return u0, u
 
 
+def _member_distributions(members, dims, law, times, *, h_local=None, options=None):
+    """:func:`packed_distributions` of each member ``(x, u0, u, obs1)``, read
+    once in order: only the collapsed party-1 states of its rows are kept,
+    every member's propagate as one batch, and each member's segment is
+    averaged with its own ``obs1``, each row's weighted branches summed in
+    ascending outcome order (one unbuffered scatter-add), as one row would."""
+    n1, n2 = dims
+    d1, d2 = n1**2 - 1, n2**2 - 1
+    branches, states = [], []
+    for x, u0, u, obs1 in members:
+        if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
+            raise DimensionMismatchError(
+                f"local observable dim {obs1.dim}, remote outcomes of length {u.shape[-1]} "
+                f"and rows of length {x.shape[-1]} do not fit dims {dims}"
+            )
+        p, scaled = _collapse(x, u0, u, d1)
+        keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its row
+        branches.append((len(x), obs1, np.nonzero(keep)[0], p[keep]))
+        states.append(scaled[keep] / p[keep][:, None])
+    flow = dynamics.reduced_flow(law, h_local, n1)
+    states = np.concatenate(states)
+    evolved = flow.sample(states, times, options or dynamics.DEFAULT_BRANCH_OPTIONS)
+    out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
+    for segment, (rows, obs1, owners, weights) in zip(np.split(evolved, ends, axis=1), branches):
+        born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
+        out.append(np.zeros((len(evolved), rows, len(obs1))))
+        np.add.at(out[-1], (slice(None), owners), weights[:, None] * born)
+    return out
+
+
 def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, options=None):
     """Party 1's distributions at each ascending time, shape
     ``(len(times), P, len(obs1))``, for packed joint rows ``x`` (``(P, d)``)
     of ``dims`` with remote outcomes ``u0, u`` of shapes ``(P, K), (P, K, d2)``
     (zero rows pad fewer outcomes), or ``(K,), (K, d2)`` shared by every row.
 
-    The branches of every row form one batch that the flow propagates once.
-    Born probabilities come from one affine map per time, and each row's
-    weighted branches are summed in ascending outcome order (one unbuffered
-    scatter-add), as a single row at a single time would sum them.
+    The branches of every row form one batch that the flow propagates once,
+    under ``options`` or the audit's rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``,
+    and is averaged as :func:`_member_distributions` describes.
     """
-    n1, n2 = dims
-    d1, d2 = n1**2 - 1, n2**2 - 1
-    if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
-        raise DimensionMismatchError(
-            f"local observable dim {obs1.dim}, remote outcomes of length {u.shape[-1]} "
-            f"and rows of length {x.shape[-1]} do not fit dims {dims}"
-        )
-    p, scaled = _collapse(x, u0, u, d1)
-    keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its row
-    owners = np.nonzero(keep)[0]
-    weights = p[keep]
-    states = scaled[keep] / weights[:, None]
-    flow = dynamics.reduced_flow(law, h_local, n1)
-    evolved = flow.sample(states, times, options)
-    born = obs1.u0_vector() + _dots(evolved[:, :, None, :], obs1.u_matrix())
-    out = np.zeros((len(evolved), len(x), len(obs1)))
-    np.add.at(out, (slice(None), owners), weights[:, None] * born)
-    return out
+    return _member_distributions([(x, u0, u, obs1)], dims, law, times,
+                                h_local=h_local, options=options)[0]

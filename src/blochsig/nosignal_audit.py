@@ -22,9 +22,9 @@ Numerical hygiene notes baked into the defaults:
 * Branch trajectories integrate with a fixed-step method so the numerical
   flow is smooth in its initial condition; adaptive step-acceptance noise
   would otherwise be amplified by the 1/(2h) of the central difference.
-  Both signs of every component of a channel and every remote outcome
-  form one batch, and one trajectory serves every audit time whose step
-  grid nests.
+  Both signs of every component and every remote outcome of every member
+  (a leading member axis) form one batch per channel, and one trajectory
+  serves every audit time whose step grid nests.
 * Ensembles sample full-rank states (Hilbert-Schmidt draws shrunk toward
   the maximally mixed state) so coordinate perturbations stay physical; if
   one still falls outside, the step is halved up to six times and then the
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -68,6 +68,7 @@ from .errors import (
 from .integrate import IntegratorOptions
 from .measurement import (
     ProjectiveObservable,
+    _member_distributions,
     _outcome_rows,
     computational_observable,
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
@@ -160,31 +161,47 @@ class ObservableFamily:
         return rotate_observable(self.base, self.direction, theta)
 
 
-def _central_difference(law, hamiltonian, x, u0, u, dims, obs1, t, steps, options):
-    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes per step ``h``,
-    from packed rows ``x`` (outcomes ``u0, u`` as for :func:`packed_distributions`)
-    alternating each step's +h and -h branches, propagated as one batch: a
-    float per step when ``t`` is one time, a list per time for a sequence."""
-    dists = packed_distributions(
-        x, u0, u, dims, obs1, law, [t] if np.ndim(t) == 0 else list(t),
-        h_local=hamiltonian.h1, options=options or DEFAULT_BRANCH_OPTIONS,
-    )
-    values = (np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1) / (2.0 * steps)).T.tolist()
-    return [v[0] for v in values] if np.ndim(t) == 0 else values
+def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
+    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes per step ``h``
+    (the first only when ``single``), a float per time or a list per time
+    sequence, for one member ``joint, obs2, obs1`` or each of sequences of
+    them; ``plan(joint, obs2)`` gives a member's rows (+h, -h alternating),
+    outcomes and steps.  Every member's branches propagate as one batch."""
+    if isinstance(joint, JointBlochState):
+        return _channel(law, hamiltonian, [joint], [obs2], [obs1], t, plan, options, single)[0]
+    members = list(zip(joint, obs2, obs1, strict=True))
+    if not members:
+        raise ValueError("a member sequence needs at least one member")
+    steps = []
+
+    def planned():  # one member at a time: its rows are dropped once collapsed
+        for state, remote, local in members:
+            *rows, h = plan(state, remote)
+            steps.append(h)
+            yield *rows, local
+
+    dists = _member_distributions(planned(), members[0][0].dims, law,
+                                  [t] if np.ndim(t) == 0 else list(t),
+                                  h_local=hamiltonian.h1, options=options)
+    out = []
+    for d, h in zip(dists, steps):
+        values = (np.max(np.abs(d[:, 0::2] - d[:, 1::2]), axis=-1) / (2.0 * h)).T.tolist()
+        values = [v[0] for v in values] if np.ndim(t) == 0 else values
+        out.append(values[0] if single else values)
+    return out
 
 
-def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, names, fd_step, options):
-    """:func:`_central_difference` along packed coordinates ``index`` of
-    the joint state (``names`` name them in errors).  Steps start at
-    ``fd_step``; each round, one stacked ``eigvalsh`` of the matrices
-    ``rho +- (h_k / (n1 n2)) dirs_k`` halves the steps of the components
-    below ``PSD_TOLERANCE`` or non-finite on either side, at most six
-    times, after which the first one still failing raises."""
-    if not index:
-        return []
+def _state_plan(joint, obs2, index, names, fd_step):
+    """Rows ``x +- h_k e_k`` of ``joint`` along packed coordinates ``index``
+    (``names`` name them in errors), outcomes of ``obs2`` and steps ``h_k``.
+    Steps start at ``fd_step``; each round, one stacked ``eigvalsh`` of the
+    matrices ``rho +- (h_k / (n1 n2)) dirs_k`` halves the steps of the
+    components below ``PSD_TOLERANCE`` or non-finite on either side, at most
+    six times, after which the first one still failing raises."""
     n1, n2 = joint.dims
     b1, b2 = cached_basis(n1), cached_basis(n2)
     rho = joint_from_bloch(joint, b1, b2, check=False)
+    index = np.asarray(index, dtype=int)
     dirs = joint_frame(b1, b2).dirs[index]
     steps, todo = np.full(len(index), fd_step), np.arange(len(index))
     for _ in range(7):
@@ -202,16 +219,15 @@ def _state_difference(law, hamiltonian, joint, obs2, obs1, t, index, names, fd_s
         )
     x = np.tile(pack_coords(joint), (2 * len(index), 1))
     x[np.arange(2 * len(index)), np.repeat(index, 2)] += np.stack((steps, -steps), 1).ravel()
-    return _central_difference(law, hamiltonian, x, obs2.u0_vector(), obs2.u_matrix(),
-                               joint.dims, obs1, t, steps, options)
+    return x, obs2.u0_vector(), obs2.u_matrix(), steps
 
 
 def d_remote_state(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState,
-    obs2: ProjectiveObservable,
-    obs1: ProjectiveObservable,
+    joint: JointBlochState | Sequence[JointBlochState],
+    obs2: ProjectiveObservable | Sequence[ProjectiveObservable],
+    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
     component: int | Sequence[int],
     fd_step: float = 1e-5,
@@ -222,58 +238,67 @@ def d_remote_state(
 
     ``t`` is one time, giving a float, or an ascending sequence of times,
     giving one value per time.  ``component`` is one index, or a sequence
-    of them (shape ``(C,)``), giving one such result per component.  Every
-    time and component comes from a single batched propagation."""
-    d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
-    single = np.ndim(component) == 0
+    of them (shape ``(C,)``), giving one such result per component.
+    ``joint``, ``obs2`` and ``obs1`` are one ensemble member, or equal-length
+    sequences of M members (shape ``(M,)``), giving one such result per
+    member.  Every member, time and component comes from a single batched
+    propagation; a member that fails makes the whole call raise."""
     ks = [int(k) for k in np.reshape(component, -1)]
-    if not all(0 <= k < d2 for k in ks):
-        raise ValueError(f"component must lie in [0, {d2})")
-    values = _state_difference(law, hamiltonian, joint, obs2, obs1, t, [d1 + k for k in ks],
-                               [f"r2[{k}]" for k in ks], fd_step, options)
-    return values[0] if single else values
+
+    def plan(state, remote):
+        d1, d2 = (n**2 - 1 for n in state.dims)
+        if not all(0 <= k < d2 for k in ks):
+            raise ValueError(f"component must lie in [0, {d2})")
+        return _state_plan(state, remote, [d1 + k for k in ks], [f"r2[{k}]" for k in ks], fd_step)
+
+    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
+                    single=np.ndim(component) == 0)
 
 
 def d_correlations(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState,
-    obs2: ProjectiveObservable,
-    obs1: ProjectiveObservable,
+    joint: JointBlochState | Sequence[JointBlochState],
+    obs2: ProjectiveObservable | Sequence[ProjectiveObservable],
+    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
     component: tuple[int, int] | Sequence[tuple[int, int]],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
 ) -> float | list:
     """Sensitivity to one element ``(i, j)`` of the shared correlation
-    block, or to each of a sequence of them (shape ``(C, 2)``); ``t`` and
-    the results as for :func:`d_remote_state`."""
-    d1, d2 = joint.dims[0] ** 2 - 1, joint.dims[1] ** 2 - 1
-    single = np.ndim(component) == 1
+    block, or to each of a sequence of them (shape ``(C, 2)``); ``t``, the
+    members and the results as for :func:`d_remote_state`."""
     ijs = [(int(i), int(j)) for i, j in np.reshape(component, (-1, 2))]
-    if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
-        raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-    values = _state_difference(law, hamiltonian, joint, obs2, obs1, t,
-                               [d1 + d2 + i * d2 + j for i, j in ijs],
-                               [f"r12[{i},{j}]" for i, j in ijs], fd_step, options)
-    return values[0] if single else values
+
+    def plan(state, remote):
+        d1, d2 = (n**2 - 1 for n in state.dims)
+        if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
+            raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
+        return _state_plan(state, remote, [d1 + d2 + i * d2 + j for i, j in ijs],
+                           [f"r12[{i},{j}]" for i, j in ijs], fd_step)
+
+    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
+                    single=np.ndim(component) == 1)
 
 
 def d_remote_observable(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState,
-    family: ObservableFamily,
-    obs1: ProjectiveObservable,
+    joint: JointBlochState | Sequence[JointBlochState],
+    family: ObservableFamily | Sequence[ObservableFamily],
+    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
     fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
-) -> float | list[float]:
+) -> float | list:
     """Sensitivity to the remote measurement choice along a rotation family;
-    ``t`` as for :func:`d_remote_state`."""
-    u0, u = _outcome_rows((family.at(fd_step), family.at(-fd_step)), joint.dims[1])
-    x, steps = np.tile(pack_coords(joint), (2, 1)), np.array([fd_step])
-    return _central_difference(law, hamiltonian, x, u0, u, joint.dims, obs1, t, steps, options)[0]
+    ``t`` and the members as for :func:`d_remote_state`."""
+    def plan(state, fam):
+        u0, u = _outcome_rows((fam.at(fd_step), fam.at(-fd_step)), state.dims[1])
+        return np.tile(pack_coords(state), (2, 1)), u0, u, np.array([fd_step])
+
+    return _channel(law, hamiltonian, joint, family, obs1, t, plan, options, single=True)
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +350,26 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     return cases
 
 
-def _outcomes(call, components, times) -> list:
-    """Each component's sensitivity at each time, or the error that left it
-    unchecked, from one batched ``call(times, components)``.
-
-    An infeasible component fails at every time, so its batch splits into
-    single components.  An integrator failure may hit only later times, so
-    its batch reruns one time at a time with every component, and only a
+def _outcomes(call, members, components, times) -> list:
+    """Each member's sensitivity per component and time, or the error that
+    left it unchecked, from one ``call(members, times, components)``: a
+    failed batch of several members reruns each member alone.  For one
+    member, an infeasible component fails at every time, so its batch splits
+    into single components.  An integrator failure may hit only later times,
+    so its batch reruns one time at a time with every component, and only a
     time that still fails splits into single components.
     """
     try:
-        return call(times, components)
-    except PerturbationInfeasibleError as exc:
+        return call(members, times, components)
+    except (PerturbationInfeasibleError, IntegrationFailureError) as exc:
+        if len(members) > 1:
+            return [_outcomes(call, [m], components, times)[0] for m in members]
+        if isinstance(exc, IntegrationFailureError) and len(times) > 1:
+            per_time = [_outcomes(call, members, components, [t])[0] for t in times]
+            return [[[run[i][0] for run in per_time] for i in range(len(components))]]
         if len(components) == 1:
-            return [[exc] * len(times)]
-    except IntegrationFailureError as exc:
-        if len(times) > 1:
-            per_time = [_outcomes(call, components, [t]) for t in times]
-            return [[run[i][0] for run in per_time] for i in range(len(components))]
-        if len(components) == 1:
-            return [[exc]]
-    return [_outcomes(call, [c], times)[0] for c in components]
+            return [[[exc] * len(times)]]
+    return [[_outcomes(call, members, [c], times)[0][0] for c in components]]
 
 
 def _status(outcome) -> str:
@@ -419,8 +443,9 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Each member makes one call per channel, covering every component and
-    audit time (one batched branch propagation).  Every outcome goes into
+    Each channel makes one call over every member, component and audit
+    time (one batched branch propagation); when it fails, ``_outcomes``
+    reruns each member alone.  Every outcome goes into
     one table, in member, time (config order), channel, component order,
     and the report is read off it.  Partial failures (infeasible
     perturbations, integrator giving up, non-finite sensitivities or
@@ -442,22 +467,23 @@ def audit(
     at = {t: i for i, t in enumerate(grid)}
     components = (list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)], [None])
     labels = ([str(k) for k in components[0]], [f"{i},{j}" for i, j in components[1]], ["theta"])
-    table = []  # (member, time, channel, label, outcome, status)
-    for case in cases:
-        member = (law, hamiltonian, case.state)
-        family = ObservableFamily(case.obs_remote, case.direction)
-        calls = (
-            partial(d_remote_state, *member, case.obs_remote, case.obs_local, **fd),
-            partial(d_correlations, *member, case.obs_remote, case.obs_local, **fd),
-            lambda ts, _: [d_remote_observable(*member, family, case.obs_local, ts, **fd)],
-        )
-        runs = [_outcomes(call, c, grid) for call, c in zip(calls, components)]
-        table += [
-            (case.index, t, channel, label, per_time[at[t]], _status(per_time[at[t]]))
-            for t in config.times
-            for channel, names, outcomes in zip(channels, labels, runs)
-            for label, per_time in zip(names, outcomes)
-        ]
+    remote = [(case.state, case.obs_remote, case.obs_local) for case in cases]
+    rotated = [(case.state, ObservableFamily(case.obs_remote, case.direction), case.obs_local)
+               for case in cases]
+    calls = (  # each takes a list of members and gives one result per member
+        lambda ms, ts, cs: d_remote_state(law, hamiltonian, *zip(*ms), ts, cs, **fd),
+        lambda ms, ts, cs: d_correlations(law, hamiltonian, *zip(*ms), ts, cs, **fd),
+        lambda ms, ts, _: [[v] for v in d_remote_observable(law, hamiltonian, *zip(*ms), ts, **fd)],
+    )
+    runs = [_outcomes(call, members, c, grid)
+            for call, members, c in zip(calls, (remote, remote, rotated), components)]
+    table = [  # (member, time, channel, label, outcome, status)
+        (case.index, t, channel, label, per_time[at[t]], _status(per_time[at[t]]))
+        for case, *outcomes in zip(cases, *runs)
+        for t in config.times
+        for channel, names, per_member in zip(channels, labels, outcomes)
+        for label, per_time in zip(names, per_member)
+    ]
 
     infeasible = [
         {"member": m, "time": t, "channel": ch, "component": label, "reason": str(outcome)}
@@ -556,12 +582,13 @@ def signaling_channel_demo(
     u0, u = _outcome_rows((obs_a, obs_b), joint.dims[1])
     pa, pb = packed_distributions(
         np.tile(pack_coords(joint), (2, 1)), u0, u, joint.dims, local_obs, law, [t],
-        h_local=h_local, options=options or DEFAULT_BRANCH_OPTIONS,
+        h_local=h_local, options=options,
     )[0]
     delta = 0.5 * float(np.sum(np.abs(pa - pb)))
     return delta, (pa, pb)
 
 
+@lru_cache(maxsize=64)
 def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
     """Positive control for the detector: a local nonlinear drift.
 
@@ -572,8 +599,8 @@ def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
     ``z(t) = tanh(eps t + artanh z0)``.  The flow is manifestly nonlinear
     in its initial condition and acts on each party separately, so the
     audit must flag it.  The joint extension applies the same drift to both
-    reduced blocks and leaves correlations frozen.
-    """
+    reduced blocks and leaves correlations frozen.  Laws are memoized, so
+    the shared reduced flow of one ``epsilon`` is built once."""
     eps = float(epsilon)
 
     def reduced(h_local, r):

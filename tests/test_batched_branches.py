@@ -36,6 +36,8 @@ from blochsig.measurement import (
     EPS_PROB,
     _outcome_rows,
     computational_observable,
+    fourier_observable,
+    local_distribution,
     observable_from_basis,
     observable_from_matrices,
     packed_distributions,
@@ -55,6 +57,7 @@ from blochsig.sampling import (
     random_hermitian_direction,
     random_interior_joint,
     random_orthonormal_basis,
+    singlet_state,
 )
 from blochsig.su_basis import cached_basis
 
@@ -308,8 +311,7 @@ def test_nonfinite_linearity_residual_is_a_failure():
 
 
 # ---------------------------------------------------------------------------
-# One batched propagation per member and channel: every component of a
-# channel in one ``d_*`` call.
+# Every component of a channel in one ``d_*`` call.
 
 
 def _per_component_values(law, h, member, times):
@@ -391,7 +393,9 @@ def test_one_infeasible_component_sends_the_channel_to_per_component_calls():
     with pytest.raises(PerturbationInfeasibleError, match=r"r2\[2\]"):
         d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
     call = partial(d_remote_state, law, h, state, obs2, obs1)
-    outcomes = nosignal_audit._outcomes(call, [0, 1, 2], list(DEFAULT_TIMES))
+    [outcomes] = nosignal_audit._outcomes(
+        lambda ms, ts, cs: [call(ts, cs)], [0], [0, 1, 2], list(DEFAULT_TIMES)
+    )
     assert outcomes[:2] == [call(list(DEFAULT_TIMES), k) for k in (0, 1)]
     assert all(isinstance(e, PerturbationInfeasibleError) for e in outcomes[2])
 
@@ -400,8 +404,8 @@ def _per_component_audit(monkeypatch, law, h, config):
     """The audit with every component in its own ``d_*`` call."""
     outcomes = nosignal_audit._outcomes
 
-    def one_by_one(call, components, times):
-        return [outcomes(call, [c], times)[0] for c in components]
+    def one_by_one(call, members, components, times):
+        return [[outcomes(call, [m], [c], times)[0][0] for c in components] for m in members]
 
     with monkeypatch.context() as m:
         m.setattr(nosignal_audit, "_outcomes", one_by_one)
@@ -430,46 +434,49 @@ def test_late_integration_failure_inside_a_member_batch_keeps_the_failure_record
 
 
 
-def test_integration_failure_reruns_each_time_then_components_at_a_failing_time(monkeypatch):
-    calls = []  # (channel, times, component count or None for the observable)
-    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
-        original = getattr(nosignal_audit, name)
-
-        def recorded(*args, _name=name, _fn=original, **kwargs):
-            calls.append((_name, tuple(args[5]), len(args[6]) if len(args) > 6 else None))
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(nosignal_audit, name, recorded)
-    report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
-                   AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
-    grid = DEFAULT_TIMES
-    channels = (("d_remote_state", 3), ("d_correlations", 9), ("d_remote_observable", None))
-    # member 0 fails at t = 1 on every channel: one batch, one rerun per time
-    # with every component, then one rerun per component at t = 1 only
-    failing = [
-        call
-        for name, count in channels
-        for call in [(name, grid, count), *[(name, (t,), count) for t in grid],
-                     *[(name, (1.0,), 1)] * (count or 0)]
-    ]
-    passing = [(name, grid, count) for name, count in channels]
-    assert calls == failing + passing
-    assert len(failing) == 24  # 1 + T + C per channel; splitting components first made 54
-    assert {f["member"] for f in report.failures} == {0}
-
-
-def test_audit_makes_three_d_calls_per_member(monkeypatch):
+def _recorded_d_calls(monkeypatch):
+    """Record each ``d_*`` call as (channel, members, times, component count,
+    ``None`` for the observable channel)."""
     calls = []
     for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
         original = getattr(nosignal_audit, name)
 
-        def counted(*args, _name=name, _fn=original, **kwargs):
-            calls.append(_name)
+        def recorded(*args, _name=name, _fn=original, **kwargs):
+            calls.append((_name, len(args[2]), tuple(args[5]),
+                          len(args[6]) if len(args) > 6 else None))
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(nosignal_audit, name, counted)
+        monkeypatch.setattr(nosignal_audit, name, recorded)
+    return calls
+
+
+def test_integration_failure_reruns_each_member_then_each_time_then_components(monkeypatch):
+    calls = _recorded_d_calls(monkeypatch)
+    report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
+                   AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
+    grid = DEFAULT_TIMES
+    channels = (("d_remote_state", 3), ("d_correlations", 9), ("d_remote_observable", None))
+    # per channel: one batch over both members fails; member 0 (failing at
+    # t = 1) then makes one batch, one rerun per time with every component
+    # and one rerun per component at t = 1 only; member 1 makes one batch
+    expected = [
+        call
+        for name, count in channels
+        for call in [(name, 2, grid, count), (name, 1, grid, count),
+                     *[(name, 1, (t,), count) for t in grid],
+                     *[(name, 1, (1.0,), 1)] * (count or 0), (name, 1, grid, count)]
+    ]
+    assert calls == expected
+    assert len(expected) == 3 + 24 + 3  # per channel 1, then 1 + T + C and 1
+    assert {f["member"] for f in report.failures} == {0}
+
+
+def test_audit_makes_three_d_calls_each_over_every_member(monkeypatch):
+    calls = _recorded_d_calls(monkeypatch)
     audit(polesink_law(0.1), BlochHamiltonian((2, 3)), AuditConfig(seed=1, ensemble_size=3))
-    assert calls == ["d_remote_state", "d_correlations", "d_remote_observable"] * 3
+    grid = DEFAULT_TIMES
+    assert calls == [("d_remote_state", 3, grid, 8), ("d_correlations", 3, grid, 24),
+                     ("d_remote_observable", 3, grid, None)]
 
 
 def _scalar_loop_distributions(pairs, obs1, law, times):
@@ -515,3 +522,101 @@ def test_channel_demo_rejects_a_remote_observable_of_another_dim():
                    (computational_observable(3), computational_observable(3))):
         with pytest.raises(DimensionMismatchError, match="remote observables must have dim 2"):
             nosignal_audit.signaling_channel_demo(polesink_law(0.1), joint, *remote, local, 0.5)
+
+
+def test_local_distribution_defaults_to_the_audit_branch_integrator():
+    law, singlet = polesink_law(0.1), singlet_state()
+    comp, fourier = computational_observable(2), fourier_observable(2)
+    _, (_, pb) = nosignal_audit.signaling_channel_demo(law, singlet, comp, fourier, comp, 1.0)
+    assert np.array_equal(local_distribution(singlet, fourier, comp, law, 1.0), pb)
+
+
+# ---------------------------------------------------------------------------
+# One batched propagation per channel: every ensemble member in one ``d_*``
+# call, the result gaining a leading member axis.
+
+
+def _columns(members):
+    """Member tuples to per-argument lists."""
+    return [list(column) for column in zip(*members)]
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "law", [linear_law(), xi_law("corrnorm"), polesink_law(0.1)], ids=lambda law: law.name
+)
+def test_member_batch_is_bit_identical_to_single_member_calls(law, dims, options):
+    h = random_hamiltonian(np.random.default_rng(60), dims, scale=0.6)
+    members = [_member(dims, 61 + m) for m in range(3)]  # each with its own obs1
+    states, remote, local, families = _columns(members)
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    if options.method == "rkf45":  # one solve per branch row and time
+        times, ks, pairs = (0.5,), [0, d2 - 1], [(0, 0), (d1 - 1, d2 - 1)]
+    else:
+        times, ks, pairs = DEFAULT_TIMES, list(range(d2)), [(i, j) for i in range(d1)
+                                                            for j in range(d2)]
+    fd = {"options": options}
+    assert d_remote_state(law, h, states, remote, local, times, ks, **fd) == [
+        d_remote_state(law, h, state, obs2, obs1, times, ks, **fd)
+        for state, obs2, obs1, _ in members
+    ]
+    assert d_correlations(law, h, states, remote, local, times, pairs, **fd) == [
+        d_correlations(law, h, state, obs2, obs1, times, pairs, **fd)
+        for state, obs2, obs1, _ in members
+    ]
+    assert d_remote_observable(law, h, states, families, local, times, **fd) == [
+        d_remote_observable(law, h, state, family, obs1, times, **fd)
+        for state, _, obs1, family in members
+    ]
+
+
+def test_member_batch_forms():
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    members = [_member((2, 2), 62 + m) for m in range(2)]
+    states, remote, local, families = _columns(members)
+    one = d_remote_state(law, h, states, remote, local, 0.5, 1)
+    assert len(one) == 2 and all(isinstance(v, float) for v in one)
+    assert d_correlations(law, h, states[:1], remote[:1], local[:1], 0.5, (0, 1)) == [
+        d_correlations(law, h, states[0], remote[0], local[0], 0.5, (0, 1))
+    ]
+    assert d_remote_state(law, h, states, remote, local, 0.5, []) == [[], []]
+    observable = d_remote_observable(law, h, tuple(states), families, local, (0.5,))
+    assert len(observable) == 2 and all(len(v) == 1 for v in observable)
+    with pytest.raises(ValueError):
+        d_remote_state(law, h, states, remote[:1], local, 0.5, 1)
+    with pytest.raises(ValueError, match="at least one member"):
+        d_remote_observable(law, h, [], [], [], 0.5)
+
+
+def _described(outcomes):
+    """Outcome lists with each error replaced by its type and message."""
+    return [[[repr(v) if isinstance(v, Exception) else v for v in per_time] for per_time in row]
+            for row in outcomes]
+
+
+@pytest.mark.parametrize("failure", ["infeasible", "late-integration-failure"])
+def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(failure):
+    if failure == "infeasible":
+        law, error = polesink_law(0.1), PerturbationInfeasibleError
+        members = [_rank_three_member(), _member((2, 2), 63)[:3]]
+    else:
+        # the anchor of this ensemble fails at t = 1, the other member passes
+        law, error = _expanding_law(), IntegrationFailureError
+        config = AuditConfig(seed=3, ensemble_size=2)
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+        members = [(c.state, c.obs_remote, c.obs_local)
+                   for c in nosignal_audit._ensemble((2, 2), config, rng)]
+    h, times, components = BlochHamiltonian((2, 2)), list(DEFAULT_TIMES), [0, 1, 2]
+
+    def call(ms, ts, cs):
+        return d_remote_state(law, h, *_columns([members[m] for m in ms]), ts, cs)
+
+    with pytest.raises(error):
+        call([0, 1], times, components)
+    together = nosignal_audit._outcomes(call, [0, 1], components, times)
+    alone = [nosignal_audit._outcomes(call, [m], components, times)[0] for m in (0, 1)]
+    assert _described(together) == _described(alone)
+    assert any(isinstance(v, error) for per_time in together[0] for v in per_time)
+    assert together[1] == d_remote_state(law, h, *members[1], times, components)

@@ -1,13 +1,19 @@
 """Property tests of the branch layer over random dimensions 2..4: the Born
 weights of a remote measurement, the collapse identity, and
-``packed_distributions`` at t = 0 with padded per-row outcomes."""
+``packed_distributions`` at t = 0 with padded per-row outcomes; and of the
+audit: every random linear Hamiltonian passes it."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsig.bloch import BlochState, pack_coords
-from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, linear_law, random_hamiltonian
+from blochsig.dynamics import (
+    DEFAULT_BRANCH_OPTIONS,
+    BlochHamiltonian,
+    linear_law,
+    random_hamiltonian,
+)
 from blochsig.measurement import (
     _outcome_rows,
     conditional_state,
@@ -15,7 +21,7 @@ from blochsig.measurement import (
     outcome_probabilities,
     packed_distributions,
 )
-from blochsig.nosignal_audit import polesink_law
+from blochsig.nosignal_audit import AuditConfig, audit, polesink_law
 from blochsig.sampling import haar_unitary, random_interior_joint
 from blochsig.su_basis import cached_basis
 
@@ -64,3 +70,19 @@ def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed)
         dists = packed_distributions(x, u0, u, dims, obs1, law, [0.0], h_local=h1,
                                      options=DEFAULT_BRANCH_OPTIONS)
         np.testing.assert_allclose(dists[0], born, rtol=0.0, atol=1e-12)
+
+
+@fixed
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), members=st.integers(2, 3),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_random_linear_hamiltonians_pass_the_audit(dims, members, seed, data):
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+
+    def coefficients(n):
+        return np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+
+    h = BlochHamiltonian(dims, h1=coefficients(d1), h2=coefficients(d2),
+                         h12=coefficients(d1 * d2).reshape(d1, d2))
+    report = audit(linear_law(), h, AuditConfig(seed=seed, ensemble_size=members, fit_probes=4))
+    assert all(v <= report.config.pass_tolerance for v in report.residuals().values())
+    assert report.verdict == "pass"

@@ -244,6 +244,18 @@ def test_audit_polesink_exit_one_with_channel_delta(tmp_path):
     assert payload["channel_demo"]["delta"] == pytest.approx(np.tanh(0.1) / 2.0, abs=1e-4)
 
 
+def test_polesink_audits_of_one_config_share_one_reduced_flow(tmp_path):
+    from blochsig import dynamics
+
+    cfg = write_config(tmp_path, "audit.json", {**POLESINK_AUDIT_CONFIG,
+                                                "audit": {"ensemble_size": 1, "seed": 0}})
+    dynamics._shared_flow.cache_clear()
+    for _ in range(3):
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path / "r.json"),
+                     "--no-timestamp"]) == 1
+    assert dynamics._shared_flow.cache_info().misses == 1
+
+
 def test_audit_csv_output(tmp_path):
     cfg = write_config(tmp_path, "audit.json", LINEAR_AUDIT_CONFIG)
     out = tmp_path / "report.csv"

@@ -396,18 +396,25 @@ def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
 def _crafted(plan, seen, rank):
     """A ``d_*`` stand-in: ``plan(member, label, t)`` is the outcome of one
     component at one time, a float or an exception to raise.  ``rank`` is
-    the ndim of one component (``None`` for the observable channel)."""
+    the ndim of one component (``None`` for the observable channel).  Like
+    the real channels, it takes one member or a sequence of them, and an
+    exception for any member makes the whole call raise."""
     def fake(law, hamiltonian, joint, obs2, obs1, t, component=None, **kwargs):
-        member = seen.setdefault(id(joint), len(seen))
+        batched = isinstance(joint, (list, tuple))
         single = component is None or np.ndim(component) == rank
         comps = [component] if single else list(component)
         labels = ["theta" if c is None else ",".join(map(str, np.atleast_1d(c))) for c in comps]
-        out = [[plan(member, label, s) for s in np.atleast_1d(t).tolist()] for label in labels]
-        for value in (v for row in out for v in row):
-            if isinstance(value, Exception):
-                raise value
-        out = [row[0] if np.ndim(t) == 0 else row for row in out]
-        return out[0] if single else out
+        results = []
+        for state in joint if batched else [joint]:
+            member = seen.setdefault(id(state), len(seen))
+            out = [[plan(member, label, s) for s in np.atleast_1d(t).tolist()]
+                   for label in labels]
+            for value in (v for row in out for v in row):
+                if isinstance(value, Exception):
+                    raise value
+            out = [row[0] if np.ndim(t) == 0 else row for row in out]
+            results.append(out[0] if single else out)
+        return results if batched else results[0]
 
     return fake
 
