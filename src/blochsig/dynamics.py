@@ -548,12 +548,13 @@ class ReducedFlow:
 
     Under rk4, a flow with a ``generator`` L (field ``r -> L r``) applies
     one cached matrix power per time to the whole batch: exactly linear in
-    the initial condition, which the audit's cancellations rely on.  A flow
-    without one carries the batch along one trajectory, sampled at every
-    time whose step grid nests (``integrate.rk4_spans``), once a two-row
-    probe has shown that its field does not mix the rows of a batch.
-    Under rkf45, whose step is shared by a whole state, every flow makes
-    one solve per row and time.
+    the initial condition, which the audit's cancellations rely on.  Every
+    other flow walks the ascending times once: under rk4 it carries the
+    batch on from the last time when the step grids nest
+    (``integrate.rk4_continues``) and starts again from ``r0`` otherwise, so
+    each sample is the solve from 0 bit for bit; under rkf45, whose step is
+    shared by a whole state, it makes one solve per row from 0.  A custom
+    field is first probed with two rows: it must not mix a batch's rows.
     """
 
     def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
@@ -579,26 +580,26 @@ class ReducedFlow:
         options = options or DEFAULT_OPTIONS
         r0 = np.asarray(r0, dtype=float)
         times = _ascending(times)
-        if options.method == "rkf45":
-            rows = r0.reshape(-1, r0.shape[-1])
-            return np.array([[integrate.solve(self.field, row, t, options) for row in rows]
-                             for t in times]).reshape(len(times), *r0.shape)
-        if self.generator is not None:
+        if self.generator is not None and options.method == "rk4":
             # Rows times M^T: M @ r0 would mix the rows of a batch.
             out = np.repeat(r0[None], len(times), axis=0)  # t = 0 keeps r0
             for row, t in zip(out, times):
                 if t > 0:
                     np.matmul(r0, self._rk4_matrix(t, options).T, out=row)
             return out
-        spans = integrate.rk4_spans(times, options)
-        if spans is None:
-            return np.stack([integrate.solve(self.field, r0, t, options) for t in times])
-        out, y = [], r0
-        for span in spans:
-            if span > 0:
-                y = integrate.solve(self.field, y, span, options)
-            out.append(y)
-        return np.stack(out)
+        # Stacked at the end: an output allocated before integrating would
+        # sit beside the rk4 stage temporaries and raise the peak memory.
+        samples, y, done = [], r0, 0.0
+        for t in times:
+            if options.method == "rkf45":
+                y = np.array([integrate.solve(self.field, row, t, options)
+                              for row in r0.reshape(-1, r0.shape[-1])]).reshape(r0.shape)
+            elif t > done:
+                start = done if integrate.rk4_continues(done, t, options) else 0.0
+                y = integrate.solve(self.field, y if start else r0, t - start, options)
+                done = t
+            samples.append(y)
+        return np.array(samples).reshape(len(times), *r0.shape)
 
     @lru_cache(maxsize=256)
     def _rk4_matrix(self, t: float, options: IntegratorOptions) -> np.ndarray:
@@ -621,13 +622,15 @@ def reduced_flow(law: EvolutionLaw, h_local, dim: int) -> ReducedFlow:
     subsystem, so its propagators or its probe are built once; ``linear``
     and ``xi`` laws, whose weights never enter it, share theirs."""
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
+    if h.shape != (dim**2 - 1,):
+        raise DimensionMismatchError(f"local Hamiltonian must have length {dim**2 - 1}")
     key = None if law.kind in ("linear", "xi") else law
-    return _shared_flow(key, h.tobytes(), h.shape, dim)
+    return _shared_flow(key, h.tobytes(), dim)
 
 
 @lru_cache(maxsize=64)
-def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, shape: tuple, dim: int) -> ReducedFlow:
-    h = np.frombuffer(h_bytes).reshape(shape)
+def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, dim: int) -> ReducedFlow:
+    h = np.frombuffer(h_bytes)
     if law is None:
         generator = reduced_generator(h, dim)
         generator.setflags(write=False)
@@ -647,7 +650,6 @@ def reduced_propagator_fit(
     probes: int = 20,
     seed: int = 1234,
     options: IntegratorOptions | None = None,
-    scale: float = 0.5,
 ) -> tuple[np.ndarray, float]:
     """Fit a state-independent affine map ``A r0 + c`` to the reduced flow
     and measure how badly fresh probes break it; returns ``A`` and that.
@@ -669,6 +671,7 @@ def reduced_propagator_fit(
     options = options or DEFAULT_BRANCH_OPTIONS
     flow = reduced_flow(law, h_local, n)
     d = n**2 - 1
+    scale = 0.5
     rng = np.random.default_rng(seed)
     basis = cached_basis(n)
     probe_states = [to_bloch(random_density(rng, n), basis).r for _ in range(probes)]

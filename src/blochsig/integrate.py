@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import IntegrationFailureError
 
-__all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve", "rk4_spans"]
+__all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve", "rk4_continues"]
 
 
 @dataclass(frozen=True)
@@ -66,44 +66,28 @@ _A_ROWS = tuple(np.array(row) for row in _A)
 _B5_E = np.array((_B5, _E))
 
 
-def rk4_steps(t: float, step: float) -> tuple[int, float]:
-    """Number of fixed steps and their common size for a span of t."""
-    n = max(1, math.ceil(t / step - 1e-12))
-    return n, t / n
-
-
 def rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
-    """``rk4_steps`` for a span of t from 0, checked against ``max_steps``."""
-    n, h = rk4_steps(t, options.step)
+    """Number of fixed rk4 steps and their common size for a span of t,
+    checked against ``max_steps``."""
+    n = max(1, math.ceil(t / options.step - 1e-12))
     if n > options.max_steps:
         raise IntegrationFailureError(
             f"rk4 would need {n} steps (> max_steps={options.max_steps})"
         )
-    return n, h
+    return n, t / n
 
 
-def rk4_spans(times, options: IntegratorOptions) -> list[float] | None:
-    """Spans that carry one rk4 trajectory through the ascending ``times``.
-
-    Solving span after span lands on each time after exactly the steps of
-    integrating to it from 0, so the samples are the same numbers bit for
-    bit.  Returns None when some span would get another step size (the grids
-    of the times do not nest); the caller then integrates each time from 0.
-    Raises ``IntegrationFailureError`` when any time needs more than
-    ``max_steps`` steps from 0.
+def rk4_continues(done: float, t: float, options: IntegratorOptions) -> bool:
+    """Whether rk4 from ``done`` to ``t`` repeats the last steps of the solve
+    from 0 to ``t``, so that carrying the state at ``done`` on to ``t`` gives
+    the numbers of that solve bit for bit.  Raises
+    ``IntegrationFailureError`` when ``t`` needs more than ``max_steps``
+    steps from 0.
     """
-    grids = [rk4_grid(t, options) if t > 0 else (0, 0.0) for t in times]
-    h = next((h_t for _, h_t in grids if h_t), 0.0)
-    spans, done, steps = [], 0.0, 0
-    for t, (n, h_t) in zip(times, grids):
-        span = t - done
-        if span > 0:
-            n_span, h_span = rk4_steps(span, options.step)
-            if h_t != h or h_span != h or steps + n_span != n:
-                return None
-            steps, done = n, t
-        spans.append(span)
-    return spans
+    n, h = rk4_grid(t, options)
+    n_done, h_done = rk4_grid(done, options) if done > 0 else (0, h)
+    n_span, h_span = rk4_grid(t - done, options)
+    return h_done == h_span == h and n_done + n_span == n
 
 
 def _rk4(field, y0, t, options):
@@ -123,7 +107,7 @@ def _rkf45(field, y0, t, options):
     k = np.empty((6, y.size))  # the six stages, one row each
     x = 0.0
     h = min(t, max(options.step, 1e-6))
-    hmin = 1e-14 * max(t, 1.0)
+    hmin = 1e-14 * t  # relative to the span, so a short span's first step clears it
     for _ in range(options.max_steps):
         if x >= t:
             return y

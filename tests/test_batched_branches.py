@@ -13,6 +13,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsig import integrate, nosignal_audit
 from blochsig.dynamics import (
@@ -135,13 +137,49 @@ def test_polesink_time_sequence_is_bit_identical_to_scalar_calls(dims, times):
         assert [v[i] for v in batched[: len(reference)]] == reference
 
 
-def test_nesting_and_non_nesting_times_take_their_own_routes():
-    rk4 = DEFAULT_BRANCH_OPTIONS
-    assert integrate.rk4_spans(list(DEFAULT_TIMES), rk4) == [0.25, 0.25, 0.5]
-    assert integrate.rk4_spans([0.0, 0.5, 0.5], rk4) == [0.0, 0.5, 0.0]
-    assert integrate.rk4_spans(list(NON_NESTING_TIMES), rk4) is None
+# Zeros, repeats, nesting (0.25/0.5/1.0 at step 0.01), non-nesting
+# (0.3/0.7) and any other times, in any ascending mix.
+_sample_times = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0]),
+              st.floats(0.0, 1.0, allow_subnormal=False)),
+    max_size=5,
+).map(sorted)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(times=_sample_times, dim=st.integers(2, 3), seed=st.integers(0, 2**16))
+def test_every_sample_is_the_solve_from_zero_bit_for_bit(times, dim, seed):
+    rng = np.random.default_rng(seed)
+    d = dim**2 - 1
+    h_local = 0.6 * rng.standard_normal(d)
+    r0 = rng.uniform(-0.2, 0.2, (2, d))
+    for law, options in ((polesink_law(0.1), DEFAULT_BRANCH_OPTIONS),  # stepping, rk4
+                         (polesink_law(0.1), IntegratorOptions(method="rkf45")),  # stepping
+                         (linear_law(), DEFAULT_BRANCH_OPTIONS)):  # matrix
+        flow = reduced_flow(law, h_local, dim)
+        reference = [flow.sample(r0, [t], options)[0] for t in times]
+        np.testing.assert_array_equal(
+            flow.sample(r0, times, options),
+            np.array(reference).reshape(len(times), *r0.shape),
+            strict=True,
+        )
+
+
+def test_rk4_past_max_steps_raises():
+    options = IntegratorOptions(method="rk4", max_steps=60)
     with pytest.raises(IntegrationFailureError, match="max_steps=60"):
-        integrate.rk4_spans([0.25, 1.0], IntegratorOptions(method="rk4", max_steps=60))
+        integrate.rk4_continues(0.25, 1.0, options)
+    with pytest.raises(IntegrationFailureError, match="max_steps=60"):
+        reduced_flow(polesink_law(0.1), None, 2).sample(np.zeros(3), [0.25, 1.0], options)
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+@pytest.mark.parametrize("shape", [(3,), (2, 3)])
+def test_no_times_give_no_samples_on_every_route(law, options, shape):
+    flow = reduced_flow(law, None, 2)
+    assert flow.sample(np.zeros(shape), [], options).shape == (0, *shape)
 
 
 @pytest.mark.parametrize(
@@ -522,6 +560,16 @@ def test_channel_demo_rejects_a_remote_observable_of_another_dim():
                    (computational_observable(3), computational_observable(3))):
         with pytest.raises(DimensionMismatchError, match="remote observables must have dim 2"):
             nosignal_audit.signaling_channel_demo(polesink_law(0.1), joint, *remote, local, 0.5)
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+def test_a_local_hamiltonian_of_another_length_is_rejected_for_every_law(law):
+    singlet, comp, fourier = singlet_state(), computational_observable(2), fourier_observable(2)
+    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
+        local_distribution(singlet, fourier, comp, law, 1.0, h_local=[0.3])
+    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
+        nosignal_audit.signaling_channel_demo(law, singlet, comp, fourier, comp, 1.0,
+                                              h_local=np.zeros((3, 1)))
 
 
 def test_local_distribution_defaults_to_the_audit_branch_integrator():

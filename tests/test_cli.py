@@ -1,10 +1,15 @@
 """End-to-end command-line behaviour: outputs, exit codes, error contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochsig
 from blochsig.cli import main
 from blochsig.errors import (
     ConfigError,
@@ -549,3 +554,15 @@ def test_one_parser_serves_successive_calls_like_fresh_ones(tmp_path, capsys):
     fresh = [run(argv, fresh=True) for argv in calls]
     assert [code for code, _ in reused] == [0, 0, 2, 0, 2]
     assert reused == fresh
+
+
+def test_the_package_and_its_cli_import_no_third_party_module_but_numpy():
+    code = (
+        "import sys; before = set(sys.modules); import blochsig, blochsig.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(blochsig.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "['blochsig', 'numpy']"

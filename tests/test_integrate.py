@@ -85,6 +85,11 @@ def test_rkf45_step_size_underflow():
         solve(lambda y: y * y, [1.0], 2.0, IntegratorOptions(method="rkf45"))
 
 
+def test_rkf45_takes_a_span_shorter_than_its_step_floor():
+    y = solve(lambda y: -y, [1.0, 2.0], 1e-20, IntegratorOptions(method="rkf45"))
+    np.testing.assert_array_equal(y, [1.0, 2.0])
+
+
 def _xi_corrnorm_3x3():
     rng = np.random.default_rng(31)
     h = random_hamiltonian(rng, (3, 3))
