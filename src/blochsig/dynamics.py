@@ -14,9 +14,9 @@ indices (``L_loc`` holds the h1/h2 terms, ``L_int`` the h12 terms):
               + 2 f1_aip r1_i h12_aq                               * xi_local1
               + 2 f2_bjq r2_j h12_pb                               * xi_local2
 
-The weights are 1 for ``linear``, one scalar of the state for a uniform
-``xi`` law, or one value per (term, interaction element) with a nonzero
-h12 cofactor for an indexed law; with ``h12 = 0`` none is ever evaluated.
+The weights are 1 for ``linear``, one scalar of the state for a uniform ``xi``
+law, or one per (term, interaction element) whose unweighted contribution is
+nonzero for an indexed law: none with ``h12 = 0``, nor bilinear for qubits.
 Nonconstant weights make the joint flow nonlinear while leaving the
 isolated-subsystem flow untouched — the construction probed by
 :mod:`blochsig.nosignal_audit`.  Every isolated-subsystem flow is one
@@ -180,7 +180,9 @@ class XiFunctions:
 
     The five indexed callables receive the flow-component index (or index
     pair), the indices of the interaction element they weight, and the
-    state triple ``(r1, r2, r12)``; each must return a finite float:
+    state triple ``(r1, r2, r12)``.  Each is called only where its term's
+    unweighted contribution is nonzero, and must return a finite float there
+    (a skipped weight is never checked for finiteness).  The families:
 
     * ``xi1(i, a, b, r1, r2, r12)`` and ``xi2(i, a, b, ...)`` weight the
       contribution of ``h12[a, b]`` to the reduced components;
@@ -350,7 +352,6 @@ class _Term(NamedTuple):
     state: str
     out_block: slice
     state_block: slice
-    nonzero: np.ndarray  # h12 cofactor != 0, broadcastable over out + open
 
 
 def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
@@ -358,17 +359,16 @@ def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
     sc1, sc2 = cached_constants(n1), cached_constants(n2)
     f1, g1, f2, g2 = sc1.f, sc1.g, sc2.f, sc2.g
     h12 = hamiltonian.h12
-    nz = h12 != 0.0
     eye1, eye2 = np.eye(len(f1)), np.eye(len(f2))
     s1, s2, s12 = _blocks(n1, n2)
     # The bilinear term sums g1 f2 + f1 g2 over the stacked axis s.
     gf, fg = np.stack((g1, f1)), np.stack((f2, g2))
     return (
-        _Term("xi1", 4.0 / n2, "aik,ab,jb", (f1, h12, eye2), "k", "ab", "ij", s1, s12, nz),
-        _Term("xi2", 4.0 / n1, "bjl,ab,ia", (f2, h12, eye1), "l", "ab", "ij", s2, s12, nz),
-        _Term("xi12_bilinear", 2.0, "saip,sbjq,ab", (gf, fg, h12), "pq", "ab", "ij", s12, s12, nz),
-        _Term("xi12_local1", 2.0, "aip,aq", (f1, h12), "pq", "a", "i", s12, s1, nz.T),
-        _Term("xi12_local2", 2.0, "bjq,pb", (f2, h12), "pq", "b", "j", s12, s2, nz[:, None]),
+        _Term("xi1", 4.0 / n2, "aik,ab,jb", (f1, h12, eye2), "k", "ab", "ij", s1, s12),
+        _Term("xi2", 4.0 / n1, "bjl,ab,ia", (f2, h12, eye1), "l", "ab", "ij", s2, s12),
+        _Term("xi12_bilinear", 2.0, "saip,sbjq,ab", (gf, fg, h12), "pq", "ab", "ij", s12, s12),
+        _Term("xi12_local1", 2.0, "aip,aq", (f1, h12), "pq", "a", "i", s12, s1),
+        _Term("xi12_local2", 2.0, "bjq,pb", (f2, h12), "pq", "b", "j", s12, s2),
     )
 
 
@@ -395,18 +395,18 @@ def _interaction_matrix(terms: tuple[_Term, ...], size: int) -> np.ndarray:
 
 
 def _indexed_interaction(terms: tuple[_Term, ...], xi: XiFunctions, size: int):
-    """The weight calls whose h12 cofactor is nonzero, the packed component
-    each one feeds, and the matrix taking the state to each call's
-    unweighted contribution (one row per call)."""
+    """The weight calls whose unweighted contribution is nonzero (never a
+    qubit pair's bilinear weight: g = 0), the packed component each feeds,
+    and the matrix taking the state to each call's contribution, row by row."""
     calls, targets, rows = [], [], []
     for t in terms:
         spread = np.einsum(f"{t.subscripts}->{t.out}{t.open}{t.state}", *t.operands)
-        lead = spread.shape[: len(t.out) + len(t.open)]
-        index = np.nonzero(np.broadcast_to(t.nonzero, lead))
+        spread = spread.reshape(*spread.shape[: len(t.out) + len(t.open)], -1)
+        index = np.nonzero(spread.any(axis=-1))
         row = np.zeros((len(index[0]), size))
-        row[:, t.state_block] = t.factor * spread[index].reshape(len(row), -1)
+        row[:, t.state_block] = t.factor * spread[index]
         rows.append(row)
-        out = np.ravel_multi_index(index[: len(t.out)], lead[: len(t.out)])
+        out = np.ravel_multi_index(index[: len(t.out)], spread.shape[: len(t.out)])
         targets.append(t.out_block.start + out)
         weight = getattr(xi, t.family)
         calls.extend((weight, args) for args in zip(*(i.tolist() for i in index)))
@@ -466,8 +466,8 @@ def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointB
 
 def _ascending(times) -> list[float]:
     times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("evolution times must be nonnegative and ascending")
+    if not all(0 <= t < math.inf for t in times) or times != sorted(times):
+        raise ValueError("evolution times must be finite, nonnegative and ascending")
     return times
 
 

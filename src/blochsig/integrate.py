@@ -131,15 +131,15 @@ def _rkf45(field, y0, t, options):
 
 
 def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = None) -> np.ndarray:
-    """Integrate dy/dt = field(y) from 0 to t >= 0.
+    """Integrate dy/dt = field(y) from 0 to a finite t >= 0.
 
     Under ``rk4``, ``y0`` may be a ``(B, d)`` batch of independent rows
     (the field must then act on the last axis); ``rkf45`` takes one row.
     Raises ``IntegrationFailureError`` when the stepper gives up or the
     result is not finite.
     """
-    if t < 0:
-        raise ValueError("integration time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError("integration time must be finite and nonnegative")
     options = options or DEFAULT_OPTIONS
     y0 = np.asarray(y0, dtype=float)
     if options.method == "rkf45" and y0.ndim != 1:

@@ -34,7 +34,7 @@ from blochsig.errors import (
 from blochsig.integrate import IntegratorOptions
 from blochsig.nosignal_audit import polesink_law
 from blochsig.sampling import random_density, random_interior_joint
-from blochsig.su_basis import cached_basis
+from blochsig.su_basis import cached_basis, cached_constants
 
 from helpers import coord_distance, unitary_evolve
 
@@ -148,24 +148,54 @@ def test_linear_law_field_equals_unit_weight_field():
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
-def test_indexed_weight_route_matches_scalar_route():
+def _sparse_hamiltonian(rng, dims):
+    """A random Hamiltonian with about half of its h12 elements zeroed."""
+    h = random_hamiltonian(rng, dims)
+    h12 = np.where(rng.random(h.h12.shape) < 0.5, 0.0, h.h12)
+    assert 0 < np.count_nonzero(h12) < h12.size
+    return BlochHamiltonian(dims, 0.0, h.h1, h.h2, h12)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_indexed_weight_route_matches_scalar_route(dims, sparse):
     rng = np.random.default_rng(4)
-    h = random_hamiltonian(rng, (2, 2))
+    h = _sparse_hamiltonian(rng, dims) if sparse else random_hamiltonian(rng, dims)
     scalar_law = xi_law("corrnorm")
     indexed_law = xi_law(xi_preset("corrnorm").as_indexed())
-    for _ in range(5):
-        state = random_interior_joint(rng, (2, 2))
+    for _ in range(3):
+        state = random_interior_joint(rng, dims)
         a = _flat(vector_field(scalar_law, h, state))
         b = _flat(vector_field(indexed_law, h, state))
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
-def test_sparse_interaction_indexed_weights_only_at_nonzero_cofactors():
-    dims, d1, d2 = (2, 3), 3, 8
+def _expected_weight_calls(h12):
+    """Per family, the (out, open) indices whose unweighted contribution is
+    nonzero, counted from the structure constants and h12 alone."""
+    n1, n2 = (round(math.sqrt(d + 1)) for d in h12.shape)
+    sc1, sc2 = cached_constants(n1), cached_constants(n2)
+    nz = h12 != 0.0  # [a, b]
+    f1 = (sc1.f != 0.0).any(axis=1)  # [a, k]: some f1[a, i, k] != 0
+    f2 = (sc2.f != 0.0).any(axis=1)  # [b, l]: some f2[b, j, l] != 0
+    # [a, b, p, q]: some (i, j) with g1_aip f2_bjq + f1_aip g2_bjq != 0
+    gf = np.einsum("aip,bjq->abpqij", sc1.g, sc2.f) + np.einsum("aip,bjq->abpqij", sc1.f, sc2.g)
+    bilinear = (gf != 0.0).any(axis=(4, 5))
+    return {
+        "xi1": np.count_nonzero(nz[:, :, None] & f1[:, None, :]),  # (a, b, k)
+        "xi2": np.count_nonzero(nz[:, :, None] & f2[None, :, :]),  # (a, b, l)
+        "xi12_bilinear": np.count_nonzero(nz[:, :, None, None] & bilinear),  # (a, b, p, q)
+        "xi12_local1": np.count_nonzero(nz[:, None, :] & f1[:, :, None]),  # (a, p, q)
+        "xi12_local2": np.count_nonzero(nz[:, :, None] & f2[None, :, :]),  # (p, b, q)
+    }
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2)])
+def test_sparse_interaction_indexed_weights_only_where_their_term_is_nonzero(dims):
     rng = np.random.default_rng(25)
-    h = random_hamiltonian(rng, dims)
-    h12 = np.where(rng.random((d1, d2)) < 0.5, 0.0, h.h12)
-    scale = rng.uniform(0.5, 1.5, (d1, d2))
+    h = _sparse_hamiltonian(rng, dims)
+    h12 = h.h12
+    scale = rng.uniform(0.5, 1.5, h12.shape)
     corrnorm = xi_preset("corrnorm").uniform
     # the interaction element each family's call weights, from its leading args
     element = {
@@ -189,19 +219,26 @@ def test_sparse_interaction_indexed_weights_only_at_nonzero_cofactors():
     # weighting element ab by scale[ab] rescales h12[ab] in the scalar route
     indexed = xi_law(XiFunctions(**{family: weight(family) for family in element}))
     state = random_interior_joint(rng, dims)
-    a = _flat(vector_field(indexed, BlochHamiltonian(dims, 0.0, h.h1, h.h2, h12), state))
+    a = _flat(vector_field(indexed, h, state))
     h_scaled = BlochHamiltonian(dims, 0.0, h.h1, h.h2, scale * h12)
     b = _flat(vector_field(xi_law("corrnorm"), h_scaled, state))
     assert np.max(np.abs(a - b)) <= 1e-13
-    n = np.count_nonzero(h12)
-    assert 0 < n < d1 * d2
-    assert calls == {
-        "xi1": d1 * n,
-        "xi2": d2 * n,
-        "xi12_bilinear": d1 * d2 * n,
-        "xi12_local1": d1 * n,
-        "xi12_local2": d2 * n,
-    }
+    assert calls == _expected_weight_calls(h12)
+    # g vanishes for su(2): a qubit pair's bilinear term is zero, so never weighted
+    assert (calls["xi12_bilinear"] == 0) == (dims == (2, 2))
+
+
+def test_a_bilinear_weight_is_checked_only_where_its_term_is_nonzero():
+    one = XiFunctions.constant(1.0).as_indexed()
+    nan_bilinear = xi_law(replace(one, xi12_bilinear=lambda *args: math.nan))
+    rng = np.random.default_rng(26)
+    # a qubit pair's bilinear term is zero, so its weight is never called
+    h, state = random_hamiltonian(rng, (2, 2)), random_interior_joint(rng, (2, 2))
+    a = _flat(vector_field(nan_bilinear, h, state))
+    np.testing.assert_array_equal(a, _flat(vector_field(xi_law(one), h, state)))
+    h, state = random_hamiltonian(rng, (2, 3)), random_interior_joint(rng, (2, 3))
+    with pytest.raises(NonlinearityEvaluationError, match="non-finite value nan"):
+        vector_field(nan_bilinear, h, state)
 
 
 def test_weights_never_evaluated_without_interaction():
@@ -366,6 +403,23 @@ def test_evolve_path_monotone_times_required():
     samples = evolve_path(linear_law(), h, state, [0.0, 0.3, 0.6])
     assert [t for t, _ in samples] == [0.0, 0.3, 0.6]
     np.testing.assert_array_equal(samples[0][1].state.r1, state.r1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_nonfinite_evolution_time_rejected(t):
+    rng = np.random.default_rng(16)
+    h = random_hamiltonian(rng, (2, 2))
+    state = random_interior_joint(rng, (2, 2))
+    rk4 = IntegratorOptions(method="rk4", step=0.01)
+    message = "evolution times must be finite, nonnegative and ascending"
+    for options in (None, rk4):
+        with pytest.raises(ValueError, match=message):
+            evolve(xi_law("corrnorm"), h, state, t, options)
+        with pytest.raises(ValueError, match=message):
+            evolve_path(linear_law(), h, state, [0.0, 0.5, t], options)
+    for law in (linear_law(), polesink_law(0.1)):
+        with pytest.raises(ValueError, match=message):
+            reduced_flow(law, h.h1, 2).sample(state.r1, [0.5, t], rk4)
 
 
 def test_linear_evolution_preserves_purity():

@@ -44,6 +44,20 @@ def test_negative_time_rejected():
         solve(rotation_field(1.0), np.ones(2), -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_nonfinite_time_rejected_before_any_step(method, t):
+    calls = []
+
+    def field(y):
+        calls.append(y)
+        return -y
+
+    with pytest.raises(ValueError, match="integration time must be finite and nonnegative"):
+        solve(field, np.ones(2), t, IntegratorOptions(method=method))
+    assert calls == []
+
+
 @pytest.mark.parametrize("method,tol", [("rk4", 1e-8), ("rkf45", 1e-8)])
 def test_rotation_closed_form(method, tol):
     omega, t = 1.7, 2.0
