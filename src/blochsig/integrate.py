@@ -20,12 +20,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import IntegrationFailureError
 
 __all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve", "rk4_continues"]
+
+
+def _require_integer(**fields) -> None:
+    """Raise ``ValueError`` unless every value is an integer; a bool is not
+    one, though Python counts it as one."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class IntegratorOptions:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if not all(math.isfinite(v) and v > 0 for v in (self.step, self.atol, self.rtol)):
             raise ValueError("step and tolerances must be positive and finite")
+        _require_integer(max_steps=self.max_steps)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 

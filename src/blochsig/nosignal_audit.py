@@ -65,7 +65,7 @@ from .errors import (
     IntegrationFailureError,
     PerturbationInfeasibleError,
 )
-from .integrate import IntegratorOptions
+from .integrate import IntegratorOptions, _require_integer
 from .measurement import (
     ProjectiveObservable,
     _member_distributions,
@@ -123,6 +123,8 @@ class AuditConfig:
             raise ValueError("fd_step must be positive and finite")
         if not (math.isfinite(self.pass_tolerance) and self.pass_tolerance > 0):
             raise ValueError("pass_tolerance must be positive and finite")
+        _require_integer(ensemble_size=self.ensemble_size, seed=self.seed,
+                         fit_probes=self.fit_probes)
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         if self.seed < 0 or self.fit_probes < 0:
@@ -191,24 +193,51 @@ def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
     return out
 
 
+# Weyl's inequality, lambda_min(rho +- s D) >= lambda_min(rho) - s ||D||_2,
+# holds for the computed eigenvalues only up to eigvalsh's backward error, a
+# few ulps of ||rho||_2 <= 1 (rho has unit trace and is positive whenever the
+# bound can pass); this margin covers that many times over and stays far
+# below |PSD_TOLERANCE|, so the bound accepts nothing the exact check rejects.
+_WEYL_MARGIN = 1e-12
+
+
+@lru_cache(maxsize=16)
+def _frame_norms(b1, b2) -> np.ndarray:
+    """Spectral norms ``||dirs_u||_2`` of the Hermitian joint frame of
+    ``b1, b2``: each direction's largest absolute eigenvalue."""
+    norms = np.abs(np.linalg.eigvalsh(joint_frame(b1, b2).dirs)).max(axis=1)
+    norms.setflags(write=False)
+    return norms
+
+
 def _state_plan(joint, obs2, index, names, fd_step):
     """Rows ``x +- h_k e_k`` of ``joint`` along packed coordinates ``index``
     (``names`` name them in errors), outcomes of ``obs2`` and steps ``h_k``.
-    Steps start at ``fd_step``; each round, one stacked ``eigvalsh`` of the
-    matrices ``rho +- (h_k / (n1 n2)) dirs_k`` halves the steps of the
-    components below ``PSD_TOLERANCE`` or non-finite on either side, at most
-    six times, after which the first one still failing raises."""
+
+    Steps start at ``fd_step``.  Each round, Weyl's bound
+    ``lambda_min(rho) - (h_k / (n1 n2)) ||dirs_k||_2`` accepts every
+    component it keeps ``_WEYL_MARGIN`` above ``PSD_TOLERANCE``, from one
+    ``eigvalsh`` of ``rho`` per plan (a non-finite ``rho`` gets -inf, so
+    the bound accepts nothing).  The rest get the exact check: one stacked
+    ``eigvalsh`` of the matrices ``rho +- (h_k / (n1 n2)) dirs_k``, which
+    halves the steps of the components below ``PSD_TOLERANCE`` or non-finite
+    on either side.  After six halvings the first one still failing raises.
+    The bound accepts only what the exact check accepts, so it changes no
+    step."""
     n1, n2 = joint.dims
     b1, b2 = cached_basis(n1), cached_basis(n2)
     rho = joint_from_bloch(joint, b1, b2, check=False)
+    low = np.linalg.eigvalsh(rho)[0] if np.isfinite(rho).all() else -np.inf
     index = np.asarray(index, dtype=int)
-    dirs = joint_frame(b1, b2).dirs[index]
+    dirs, norms = joint_frame(b1, b2).dirs, _frame_norms(b1, b2)[index] / (n1 * n2)
     steps, todo = np.full(len(index), fd_step), np.arange(len(index))
     for _ in range(7):
-        shift = (steps[todo] / (n1 * n2))[:, None, None] * dirs[todo]
-        mats = np.concatenate((rho + shift, rho - shift))
-        mats[~np.isfinite(mats).all(axis=(1, 2))] = -np.eye(n1 * n2)  # non-finite: fails
-        todo = todo[(np.linalg.eigvalsh(mats)[:, 0] < PSD_TOLERANCE).reshape(2, -1).any(axis=0)]
+        todo = todo[low - steps[todo] * norms[todo] - _WEYL_MARGIN < PSD_TOLERANCE]
+        if len(todo):
+            shift = (steps[todo] / (n1 * n2))[:, None, None] * dirs[index[todo]]
+            mats = np.concatenate((rho + shift, rho - shift))
+            mats[~np.isfinite(mats).all(axis=(1, 2))] = -np.eye(n1 * n2)  # non-finite: fails
+            todo = todo[(np.linalg.eigvalsh(mats)[:, 0] < PSD_TOLERANCE).reshape(2, -1).any(axis=0)]
         if not len(todo):
             break
         steps[todo] *= 0.5

@@ -7,8 +7,9 @@ The oracles and the stepper work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify; the
 per-component route checks one component at a time through
 ``joint_from_bloch`` and builds ``JointBlochState`` branches, where the
-planner checks every component with one stacked eigenvalue call and
-shifts packed rows.
+planner accepts components by Weyl's bound from one eigenvalue call of
+rho, checks the rest with one stacked eigenvalue call per halving round,
+and shifts packed rows.
 """
 
 import numpy as np
@@ -138,30 +139,26 @@ def reference_rkf45(field, y0, t, atol, rtol, step):
     return y
 
 
-def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, names,
-                                fd_step, options):
-    """Central differences along packed coordinates ``index``, one component
-    at a time: halve the step, at most six times, while
-    ``joint_from_bloch(check=True)`` rejects either shifted state, then
-    propagate the packed rows of every ``unpack_coords(x +- h e_k)`` under
-    obs2 in one ``packed_distributions`` call.  Returns one list per component (one
-    value per time) and the steps; raises ``PerturbationInfeasibleError``
-    for the first infeasible component."""
-    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
+def _shifted(joint, k, delta):
+    """``joint`` with packed coordinate ``k`` moved by ``delta``."""
     x = pack_coords(joint)
+    x[k] += delta
+    return unpack_coords(x, joint.dims)
 
-    def shifted(k, delta):
-        y = x.copy()
-        y[k] += delta
-        return unpack_coords(y, joint.dims)
 
+def reference_state_steps(joint, index, names, fd_step):
+    """Central-difference steps along packed coordinates ``index``, one
+    component at a time: halve the step, at most six times, while
+    ``joint_from_bloch(check=True)`` rejects either shifted state.  Raises
+    ``PerturbationInfeasibleError`` for the first infeasible component."""
+    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
     steps = []
     for k, name in zip(index, names):
         h = fd_step
         for _ in range(7):
             try:
-                joint_from_bloch(shifted(k, +h), b1, b2, check=True)
-                joint_from_bloch(shifted(k, -h), b1, b2, check=True)
+                joint_from_bloch(_shifted(joint, k, +h), b1, b2, check=True)
+                joint_from_bloch(_shifted(joint, k, -h), b1, b2, check=True)
                 break
             except UnphysicalStateError:
                 h *= 0.5
@@ -170,7 +167,19 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                 f"perturbation of {name} leaves the physical set even at step {2 * h:.3e}"
             )
         steps.append(h)
-    rows = [pack_coords(shifted(k, sign * h))
+    return steps
+
+
+def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, names,
+                                fd_step, options):
+    """Central differences along packed coordinates ``index`` with the steps
+    of :func:`reference_state_steps`: propagate the packed rows of every
+    ``unpack_coords(x +- h e_k)`` under obs2 in one ``packed_distributions``
+    call.  Returns one list per component (one value per time) and the
+    steps; raises ``PerturbationInfeasibleError`` for the first infeasible
+    component."""
+    steps = reference_state_steps(joint, index, names, fd_step)
+    rows = [pack_coords(_shifted(joint, k, sign * h))
             for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
     dists = packed_distributions(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), joint.dims,
                                  obs1, law, list(times), h_local=hamiltonian.h1, options=options)

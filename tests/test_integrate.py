@@ -32,6 +32,14 @@ def test_options_validation():
             IntegratorOptions(**bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, 2.5, 3.0, True, "10"])
+def test_max_steps_must_be_an_integer(bad):
+    # rkf45 used to accept these and then fail inside solve with TypeError
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        IntegratorOptions(method="rkf45", max_steps=bad)
+    assert IntegratorOptions(max_steps=np.int64(3)).max_steps == 3
+
+
 def test_zero_time_returns_copy():
     y0 = np.array([1.0, 2.0])
     y = solve(rotation_field(1.0), y0, 0.0, DEFAULT_OPTIONS)

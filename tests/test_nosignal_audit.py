@@ -355,6 +355,15 @@ def test_audit_config_validation():
             AuditConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["ensemble_size", "seed", "fit_probes"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, math.inf, True])
+def test_audit_config_integer_fields_must_be_integers(field, bad):
+    # a float used to fail inside audit with TypeError, and True ran as 1
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        AuditConfig(**{field: bad})
+    assert getattr(AuditConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_branch_integrator_override_still_passes():
     rng = np.random.default_rng(14)
     h = random_hamiltonian(rng, (2, 2), scale=0.5)

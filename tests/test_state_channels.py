@@ -1,12 +1,17 @@
 """The stacked planner of the state channels against the per-component route
 of ``helpers.reference_state_differences``.
 
-``d_remote_state`` and ``d_correlations`` check every component's +-h
-matrices with one eigenvalue call per halving round and shift packed rows;
-the reference checks each component through ``joint_from_bloch`` and builds
+``d_remote_state`` and ``d_correlations`` plan every component of a member
+from one ``eigvalsh`` of its matrix rho: Weyl's inequality,
+``lambda_min(rho +- s D) >= lambda_min(rho) - s ||D||_2``, accepts each
+component whose bound stays a fixed margin above ``PSD_TOLERANCE``.  Only
+the rest take the exact check, one stacked eigenvalue call over their +-h
+matrices per halving round; the planner then shifts packed rows.  The
+reference checks each component through ``joint_from_bloch`` and builds
 ``JointBlochState`` branches.  Both feed the same rows, in the same order,
-to the same batched propagation, so the sensitivities must be equal, not
-merely close, and an infeasible component must raise the same message.
+to the same batched propagation, so the steps and sensitivities must be
+equal, not merely close, and an infeasible component must raise the same
+message, whether the bound or the exact check accepted a component.
 """
 
 import math
@@ -14,11 +19,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_state_differences
+from helpers import reference_state_differences, reference_state_steps
 
 from blochsig import dynamics, nosignal_audit
-from blochsig.bloch import joint_to_bloch
+from blochsig.bloch import PSD_TOLERANCE, joint_to_bloch
 from blochsig.dynamics import linear_law, random_hamiltonian, xi_law
 from blochsig.errors import PerturbationInfeasibleError
 from blochsig.nosignal_audit import (
@@ -28,7 +35,8 @@ from blochsig.nosignal_audit import (
     d_remote_state,
     polesink_law,
 )
-from blochsig.sampling import haar_unitary, singlet_state
+from blochsig.measurement import observable_from_basis
+from blochsig.sampling import haar_unitary, random_orthonormal_basis, singlet_state
 from blochsig.su_basis import cached_basis
 
 FD_STEP = 1e-5
@@ -124,6 +132,105 @@ def test_every_infeasible_component_raises_the_reference_message(state):
         first = "^" + re.escape(f"perturbation of {names[0]} ")
         with pytest.raises(PerturbationInfeasibleError, match=first):
             d_fn(*args, components, FD_STEP, DEFAULT_BRANCH_OPTIONS)
+
+
+def _steps_or_message(plan):
+    try:
+        return list(plan())
+    except PerturbationInfeasibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    low=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 0.02]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weyl_bound_keeps_every_step_value_and_message_of_the_reference(dims, low, seed):
+    # A random spectrum whose smallest eigenvalue is ``low``.  Over the three
+    # steps the bound accepts every component (0.02 at 1e-5), none (near 0),
+    # or some, with halving rounds on the rest (1e-7 at 1e-5, 1e-5 at 1e-3,
+    # 0.02 at 0.05).
+    rng = np.random.default_rng(seed)
+    n = dims[0] * dims[1]
+    spectrum = np.r_[low, low + (1.0 - n * low) * rng.dirichlet(np.ones(n - 1))]
+    u = haar_unitary(rng, n)
+    state = joint_to_bloch(u @ np.diag(spectrum) @ u.conj().T, *map(cached_basis, dims))
+    obs2, obs1 = (observable_from_basis(random_orthonormal_basis(rng, k), cached_basis(k))
+                  for k in (dims[1], dims[0]))
+    law, hamiltonian = linear_law(), random_hamiltonian(rng, dims, scale=0.6)
+    args = (law, hamiltonian, state, obs2, obs1, TIMES)
+    for fd_step in (1e-5, 1e-3, 0.05):
+        for d_fn, components, index, names in _channels(dims):
+            for k, name in zip(index, names):
+                planned = _steps_or_message(
+                    lambda: nosignal_audit._state_plan(state, obs2, [k], [name], fd_step)[-1]
+                )
+                assert planned == _steps_or_message(
+                    lambda: reference_state_steps(state, [k], [name], fd_step)
+                )
+            try:
+                expected, _ = reference_state_differences(*args, index, names, fd_step,
+                                                          DEFAULT_BRANCH_OPTIONS)
+            except PerturbationInfeasibleError as exc:
+                with pytest.raises(PerturbationInfeasibleError) as raised:
+                    d_fn(*args, components, fd_step, DEFAULT_BRANCH_OPTIONS)
+                assert str(raised.value) == str(exc)
+            else:
+                assert d_fn(*args, components, fd_step, DEFAULT_BRANCH_OPTIONS) == expected
+
+
+def _eigvalsh_shapes(monkeypatch):
+    """The shape of every matrix or stack passed to ``np.linalg.eigvalsh``,
+    as ``nosignal_audit`` calls it, from here on.  The frame norms of the
+    (2, 2) and (3, 3) bases, built once with a call of their own, are built
+    first."""
+    for n in (2, 3):
+        nosignal_audit._frame_norms(cached_basis(n), cached_basis(n))
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(nosignal_audit.np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+def test_an_interior_plan_makes_one_eigvalsh_call_and_the_singlet_stacked_ones(monkeypatch):
+    dims = (3, 3)
+    case = _member(dims, 68)
+    hamiltonian = random_hamiltonian(np.random.default_rng(69), dims, scale=0.6)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    d_correlations(linear_law(), hamiltonian, case.state, case.obs_remote, case.obs_local,
+                   TIMES, _channels(dims)[1][1], FD_STEP, DEFAULT_BRANCH_OPTIONS)
+    assert shapes == [(9, 9)]
+
+    shapes.clear()
+    case = _member((2, 2), 65)
+    with pytest.raises(PerturbationInfeasibleError, match=re.escape(
+            "perturbation of r12[0,0] leaves the physical set even at step 1.563e-07")):
+        d_correlations(linear_law(), random_hamiltonian(np.random.default_rng(64), (2, 2)),
+                       singlet_state(), case.obs_remote, case.obs_local, TIMES,
+                       _channels((2, 2))[1][1], FD_STEP, DEFAULT_BRANCH_OPTIONS)
+    assert shapes == [(4, 4)] + [(18, 4, 4)] * 7
+
+
+def test_a_bound_inside_the_margin_takes_the_exact_check(monkeypatch):
+    # rho is diagonal and r2[2] moves it along I x sigma_z = diag(1, -1, 1, -1),
+    # whose +1 eigenvector is rho's lowest: Weyl's bound is exact here and
+    # clears PSD_TOLERANCE by half the margin, so only the exact check may
+    # accept the step.
+    s = FD_STEP / 4
+    low = PSD_TOLERANCE + s + nosignal_audit._WEYL_MARGIN / 2
+    spectrum = np.array([low, 0.2, 0.3, 0.5 - low])
+    state = joint_to_bloch(np.diag(spectrum), cached_basis(2), cached_basis(2))
+    case = _member((2, 2), 65)
+    shapes = _eigvalsh_shapes(monkeypatch)
+    plan = nosignal_audit._state_plan(state, case.obs_remote, [5], ["r2[2]"], FD_STEP)
+    assert shapes == [(4, 4), (2, 4, 4)]
+    assert plan[-1].tolist() == [FD_STEP]
 
 
 def test_two_linear_calls_reuse_one_flow_and_its_propagators():
