@@ -305,14 +305,19 @@ def _parse_options(raw, path: str, default):
     """A copy of the options dataclass ``default`` with the fields the JSON
     object ``raw`` names, each parsed by the type of its default value;
     ``null`` means ``default``.  ``branch_options`` is read from the key
-    ``integrator``."""
+    ``integrator``; any other key is an error."""
     if raw is None:
         return default
     if not isinstance(raw, dict):
         raise ConfigError(path, "must be an object")
+    keys = {"integrator" if f.name == "branch_options" else f.name: f
+            for f in dataclasses.fields(default)}
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}",
+                          f"unknown key (expected {', '.join(sorted(keys))})")
     kwargs = {}
-    for field in dataclasses.fields(default):
-        key = "integrator" if field.name == "branch_options" else field.name
+    for key, field in keys.items():
         if key in raw:
             value, where = getattr(default, field.name), f"{path}.{key}"
             kwargs[field.name] = (

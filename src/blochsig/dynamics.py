@@ -38,6 +38,7 @@ feeds.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -274,8 +275,9 @@ class EvolutionLaw:
     ``joint_field_fn(H, r1, r2, r12) -> (dr1, dr2, dr12)`` and
     ``reduced_field_fn(h_local, r) -> dr``.  The reduced field acts on the
     last axis, mapping ``(..., d)`` to ``(..., d)``: branch propagation
-    hands it a ``(B, d)`` batch of independent states, and building the
-    flow rejects a field that mixes the rows of a batch.
+    hands it a ``(B, d)`` batch of independent states, complex ones for the
+    audit's complex steps, and building the flow rejects a field that mixes
+    the rows of a batch or is not complex-analytic.
     """
 
     kind: str
@@ -304,7 +306,9 @@ def custom_law(
 
     ``reduced_field(h_local, r)`` must act on the last axis of ``r``,
     ``(..., d) -> (..., d)`` — index the coordinates as ``r[..., k]``, not
-    ``r[k]`` — since audits propagate many branch states as one batch.
+    ``r[k]`` — since audits propagate many branch states as one batch.  It
+    must also be complex-analytic, since the audit differentiates by complex
+    steps: no ``dtype=float`` casts, ``abs`` or ``.real`` of the state.
     ``joint_field(H, r1, r2, r12)`` returns ``(dr1, dr2, dr12)`` for one
     state.
     """
@@ -553,8 +557,10 @@ class ReducedFlow:
     batch on from the last time when the step grids nest
     (``integrate.rk4_continues``) and starts again from ``r0`` otherwise, so
     each sample is the solve from 0 bit for bit; under rkf45, whose step is
-    shared by a whole state, it makes one solve per row from 0.  A custom
-    field is first probed with two rows: it must not mix a batch's rows.
+    shared by a whole state, it makes one solve per row from 0.  Complex
+    states stay complex on every route.  A custom field is first probed with
+    two rows: it must not mix a batch's rows, and its complex-step derivative
+    must match a central difference where that is finite (complex-analytic).
     """
 
     def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
@@ -574,11 +580,22 @@ class ReducedFlow:
                 f"reduced field of law {name!r} must act on the last axis: "
                 f"a (2, {d}) batch does not give the results of its two rows"
             )
+        v, h = np.linspace(0.5, 1.0, d), 1e-6
+        with warnings.catch_warnings():  # a float cast warns; the comparison refuses it
+            warnings.simplefilter("ignore", RuntimeWarning)
+            exact = field(probe + 1e-30j * v).imag / 1e-30
+        central = (field(probe + h * v) - field(probe - h * v)) / (2.0 * h)
+        checked = np.isfinite(central)
+        if not np.allclose(exact[checked], central[checked], rtol=1e-6, atol=1e-8):
+            raise ValueError(
+                f"reduced field of law {name!r} must be complex-analytic: its complex-step "
+                f"derivative on the probe rows differs from a central difference"
+            )
 
     def sample(self, r0, times, options: IntegratorOptions | None = None) -> np.ndarray:
         """The states at each ascending time, shape ``(len(times), *r0.shape)``."""
         options = options or DEFAULT_OPTIONS
-        r0 = np.asarray(r0, dtype=float)
+        r0 = np.asarray(r0, dtype=complex if np.iscomplexobj(r0) else float)
         times = _ascending(times)
         if self.generator is not None and options.method == "rk4":
             # Rows times M^T: M @ r0 would mix the rows of a batch.
@@ -638,7 +655,7 @@ def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, dim: int) -> ReducedF
     if law.reduced_field_fn is None:
         raise ValueError(f"law {law.name!r} provides no reduced flow")
     return ReducedFlow(
-        lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=float), dim, name=law.name
+        lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=r.dtype), dim, name=law.name
     )
 
 

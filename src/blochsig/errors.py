@@ -48,8 +48,8 @@ class IntegrationFailureError(BlochSigError, RuntimeError):
 
 
 class PerturbationInfeasibleError(BlochSigError, RuntimeError):
-    """A finite-difference perturbation leaves the physical set even at the
-    minimal step size."""
+    """A complex-step perturbation moves a branch of zero weight, which has
+    only a one-sided derivative."""
 
 
 class ConfigError(BlochSigError, ValueError):

@@ -9,18 +9,20 @@ Two methods are provided:
   other, as in the no-signaling audits.  ``y0`` may be a ``(B, d)`` batch
   of independent rows when the field acts on the last axis: every
   operation of the step is elementwise, so each row gets exactly the
-  numbers it would get alone.
+  numbers it would get alone.  Complex rows stay complex, so a complex
+  step ``y0 + i eps v`` carries the derivative of the flow along ``v``.
 * ``rkf45`` — Fehlberg 4(5) embedded pair with adaptive step control.  The
   higher-order solution is propagated; the embedded difference drives the
   step size.  Default error weights are ``atol + rtol * |y|``.  The step
-  size is shared by the whole state, so ``y0`` must be one row.
+  size is shared by the whole state, so ``y0`` must be one row; a complex
+  row takes the steps its real part takes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,12 +31,13 @@ from .errors import IntegrationFailureError
 __all__ = ["IntegratorOptions", "DEFAULT_OPTIONS", "solve", "rk4_continues"]
 
 
-def _require_integer(**fields) -> None:
-    """Raise ``ValueError`` unless every value is an integer; a bool is not
-    one, though Python counts it as one."""
+def _require_number(kind, **fields) -> None:
+    """Raise ``ValueError`` unless every value is a ``kind``, ``Integral`` or
+    ``Real``; a bool is neither, though Python counts it as both."""
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is Integral else "a real number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,10 @@ class IntegratorOptions:
     def __post_init__(self):
         if self.method not in ("rk4", "rkf45"):
             raise ValueError(f"unknown integrator method {self.method!r}")
+        _require_number(Real, step=self.step, atol=self.atol, rtol=self.rtol)
         if not all(math.isfinite(v) and v > 0 for v in (self.step, self.atol, self.rtol)):
             raise ValueError("step and tolerances must be positive and finite")
-        _require_integer(max_steps=self.max_steps)
+        _require_number(Integral, max_steps=self.max_steps)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -112,9 +116,8 @@ def _rk4(field, y0, t, options):
     return y
 
 
-def _rkf45(field, y0, t, options):
-    y = np.array(y0, dtype=float)
-    k = np.empty((6, y.size))  # the six stages, one row each
+def _rkf45(field, y, t, options):
+    k = np.empty((6, y.size), dtype=y.dtype)  # the six stages, one row each
     x = 0.0
     h = min(t, max(options.step, 1e-6))
     hmin = 1e-14 * t  # relative to the span, so a short span's first step clears it
@@ -129,7 +132,8 @@ def _rkf45(field, y0, t, options):
             k[s] = field(y + h * (_A_ROWS[s] @ k[:s]))
         increment, err = _B5_E @ k
         y5 = y + h * increment
-        q = h * err / (options.atol + options.rtol * np.maximum(np.abs(y), np.abs(y5)))
+        q = h * err.real / (options.atol + options.rtol * np.maximum(np.abs(y.real),
+                                                                     np.abs(y5.real)))
         # A NaN norm fails the test below and shrinks the step by 0.2.
         errnorm = math.sqrt(q @ q / q.size)
         if errnorm <= 1.0:
@@ -145,13 +149,14 @@ def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = N
 
     Under ``rk4``, ``y0`` may be a ``(B, d)`` batch of independent rows
     (the field must then act on the last axis); ``rkf45`` takes one row.
-    Raises ``IntegrationFailureError`` when the stepper gives up or the
-    result is not finite.
+    A complex ``y0`` stays complex; any other is taken as float.  Raises
+    ``IntegrationFailureError`` when the stepper gives up or the result is
+    not finite.
     """
     if not 0 <= t < math.inf:
         raise ValueError("integration time must be finite and nonnegative")
     options = options or DEFAULT_OPTIONS
-    y0 = np.asarray(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=complex if np.iscomplexobj(y0) else float)
     if options.method == "rkf45" and y0.ndim != 1:
         raise ValueError("rkf45 shares one step size across the state; pass one row")
     if t == 0.0:

@@ -18,7 +18,10 @@ whose sensitivities the audit module differentiates.
 ``x`` and remote outcomes ``(u0, u)``, per row or shared by every row, of
 one or several members, whose branches propagate as one rk4 batch under the
 law's shared reduced flow (``dynamics.reduced_flow``), sampled at several
-times; :func:`local_distribution` is its one-row, one-time case.
+times; :func:`local_distribution` is its one-row, one-time case.  Complex
+rows or outcomes (the audit's complex steps) stay complex throughout; a
+branch is kept by the real part of its weight, and a row that moves a
+dropped branch raises, since its derivative is one-sided.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -39,6 +42,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidObservableError,
     InvalidProjectorError,
+    PerturbationInfeasibleError,
     ZeroProbabilityBranchError,
 )
 from .su_basis import GeneratorSet, cached_basis
@@ -314,22 +318,34 @@ def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _member_distributions(members, dims, law, times, *, h_local=None, options=None):
-    """:func:`packed_distributions` of each member ``(x, u0, u, obs1)``, read
-    once in order: only the collapsed party-1 states of its rows are kept,
-    every member's propagate as one batch, and each member's segment is
-    averaged with its own ``obs1``, each row's weighted branches summed in
-    ascending outcome order (one unbuffered scatter-add), as one row would."""
+    """:func:`packed_distributions` of each member ``(x, u0, u, obs1, names)``,
+    read once in order: only the collapsed party-1 states of its rows are
+    kept, every member's propagate as one batch, and each member's segment
+    is averaged with its own ``obs1``, each row's weighted branches summed in
+    ascending outcome order (one unbuffered scatter-add), as one row would.
+    A branch of real weight <= ``EPS_PROB`` is dropped; a complex row moving
+    one (its weight or collapsed state) has a one-sided derivative, and raises
+    ``PerturbationInfeasibleError`` named by ``names`` (None: by its index)."""
     n1, n2 = dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     branches, states = [], []
-    for x, u0, u, obs1 in members:
+    for x, u0, u, obs1, names in members:
         if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
             raise DimensionMismatchError(
                 f"local observable dim {obs1.dim}, remote outcomes of length {u.shape[-1]} "
                 f"and rows of length {x.shape[-1]} do not fit dims {dims}"
             )
         p, scaled = _collapse(x, u0, u, d1)
-        keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its row
+        drop = p.real <= EPS_PROB  # a NaN weight stays in, and poisons its row
+        moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
+        if moved.any():
+            row, k = np.argwhere(moved)[0]
+            name = f"row {row}" if names is None else names[row]
+            raise PerturbationInfeasibleError(
+                f"perturbation of {name} moves remote outcome {k} of weight "
+                f"{p.real[row, k]:.3e}, so only a one-sided derivative exists"
+            )
+        keep = ~drop
         branches.append((len(x), obs1, np.nonzero(keep)[0], p[keep]))
         states.append(scaled[keep] / p[keep][:, None])
     flow = dynamics.reduced_flow(law, h_local, n1)
@@ -338,7 +354,7 @@ def _member_distributions(members, dims, law, times, *, h_local=None, options=No
     out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
     for segment, (rows, obs1, owners, weights) in zip(np.split(evolved, ends, axis=1), branches):
         born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
-        out.append(np.zeros((len(evolved), rows, len(obs1))))
+        out.append(np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype))
         np.add.at(out[-1], (slice(None), owners), weights[:, None] * born)
     return out
 
@@ -353,5 +369,5 @@ def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, opti
     under ``options`` or the audit's rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``,
     and is averaged as :func:`_member_distributions` describes.
     """
-    return _member_distributions([(x, u0, u, obs1)], dims, law, times,
+    return _member_distributions([(x, u0, u, obs1, None)], dims, law, times,
                                 h_local=h_local, options=options)[0]

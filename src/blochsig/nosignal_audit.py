@@ -8,30 +8,31 @@ is insensitive to
 2. the shared correlation block, and
 3. which observable party 2 measured.
 
-The audit estimates all three sensitivities by central differences and
-treats them as *total* derivatives: the perturbed parameter re-enters the
-branch weights, the collapsed states and the evolved trajectories alike —
-that is the quantity an eavesdropper could actually exploit.  A fourth
-number, the reduced-propagator residual, measures whether isolated
-subsystems evolve by a state-independent affine map, as every local CPTP
-map does; every law that fails any of the four at the pass tolerance is
-flagged as signaling.
+The audit computes all three sensitivities by complex steps: the row
+``x + i eps e_k`` carries ``eps dp/dx_k`` in the imaginary part of every
+probability ``p`` it yields, exact to machine precision, with nothing
+subtracted and the real part of the state never moved (Squire & Trapp,
+SIAM Rev. 40, 110 (1998); Martins, Sturdza & Alonso, ACM TOMS 29, 245
+(2003)).  They are *total* derivatives: the step re-enters the branch
+weights, the collapsed states and the evolved trajectories alike — that is
+the quantity an eavesdropper could actually exploit.  A fourth number, the
+reduced-propagator residual, measures whether isolated subsystems evolve by
+a state-independent affine map, as every local CPTP map does; every law
+that fails any of the four at the pass tolerance is flagged as signaling.
 
 Numerical hygiene notes baked into the defaults:
 
-* Branch trajectories integrate with a fixed-step method so the numerical
-  flow is smooth in its initial condition; adaptive step-acceptance noise
-  would otherwise be amplified by the 1/(2h) of the central difference.
-  Both signs of every component and every remote outcome of every member
-  (a leading member axis) form one batch per channel, and one trajectory
-  serves every audit time whose step grid nests.
-* Ensembles sample full-rank states (Hilbert-Schmidt draws shrunk toward
-  the maximally mixed state) so coordinate perturbations stay physical; if
-  one still falls outside, the step is halved up to six times and then the
-  component is flagged infeasible rather than silently skipped.
+* Branch trajectories integrate with a fixed-step method, so the numerical
+  flow is analytic in its initial condition.  Every component and every
+  remote outcome of every member (a leading member axis) form one batch per
+  channel, and one trajectory serves every audit time whose step grid nests.
+* No step has to stay physical, so pure states are audited like any other.
+  Only a component moving a zero-weight branch, which the average drops,
+  is flagged infeasible (its derivative is one-sided), never skipped.
 * Measurement-choice sensitivity is probed along one-parameter rotation
-  families of the remote basis.  Differentiating raw projector coordinates
-  would leave the projector manifold; rotations are the valid realization.
+  families of the remote basis, by the complex step ``u + i eps du/dtheta``
+  of the outcome rows.  Differentiating raw projector coordinates would
+  leave the projector manifold; rotations are the valid realization.
 * Every case, draw and summation runs in a fixed order, so a seeded audit
   is reproducible bit for bit.
 
@@ -48,24 +49,22 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import groupby
+from numbers import Integral, Real
 from operator import itemgetter
 
 import numpy as np
 
-from .bloch import PSD_TOLERANCE, JointBlochState, joint_frame, joint_from_bloch, pack_coords
+from .bloch import JointBlochState, joint_from_bloch, pack_coords
 from .dynamics import (
     DEFAULT_BRANCH_OPTIONS,
     BlochHamiltonian,
     EvolutionLaw,
     custom_law,
+    reduced_generator,
     reduced_propagator_fit,
 )
-from .errors import (
-    DimensionMismatchError,
-    IntegrationFailureError,
-    PerturbationInfeasibleError,
-)
-from .integrate import IntegratorOptions, _require_integer
+from .errors import IntegrationFailureError, PerturbationInfeasibleError
+from .integrate import IntegratorOptions, _require_number
 from .measurement import (
     ProjectiveObservable,
     _member_distributions,
@@ -104,12 +103,15 @@ __all__ = [
 VERDICT_PASS = "pass"
 VERDICT_SIGNALING = "signaling-detected"
 
+# The complex step: far below any coordinate, so its square vanishes beside
+# every real part, and far above the smallest normal float.
+_EPS = 1e-30
+
 
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs of the audit sweep; defaults match the shipped acceptance runs."""
 
-    fd_step: float = 1e-5
     pass_tolerance: float = 1e-6
     ensemble_size: int = 50
     times: tuple = (0.25, 0.5, 1.0)
@@ -119,12 +121,12 @@ class AuditConfig:
     fit_probes: int = 20
 
     def __post_init__(self):
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError("fd_step must be positive and finite")
+        _require_number(Real, pass_tolerance=self.pass_tolerance, mix_weight=self.mix_weight,
+                        **{f"times[{i}]": t for i, t in enumerate(self.times)})
         if not (math.isfinite(self.pass_tolerance) and self.pass_tolerance > 0):
             raise ValueError("pass_tolerance must be positive and finite")
-        _require_integer(ensemble_size=self.ensemble_size, seed=self.seed,
-                         fit_probes=self.fit_probes)
+        _require_number(Integral, ensemble_size=self.ensemble_size, seed=self.seed,
+                        fit_probes=self.fit_probes)
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
         if self.seed < 0 or self.fit_probes < 0:
@@ -144,111 +146,65 @@ class AuditConfig:
 @dataclass(frozen=True)
 class ObservableFamily:
     """One-parameter rotation of a remote observable: outcomes conjugated by
-    exp(-i theta G) for a fixed Hermitian direction G."""
+    exp(-i theta G) for a fixed Hermitian direction G (as
+    :func:`blochsig.measurement.rotate_observable` does at angle theta)."""
 
     base: ProjectiveObservable
     direction: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.direction, dtype=complex)
-        if g.shape != (self.base.dim, self.base.dim):
-            raise DimensionMismatchError(
-                f"direction must be {(self.base.dim, self.base.dim)}, got {g.shape}"
-            )
+        rotate_observable(self.base, g, 0.0)  # rejects a bad shape, non-finite or non-Hermitian g
         object.__setattr__(self, "direction", g)
 
-    def at(self, theta: float) -> ProjectiveObservable:
-        if theta == 0.0:
-            return self.base
-        return rotate_observable(self.base, self.direction, theta)
+    def tangent(self) -> np.ndarray:
+        """``du/dtheta`` of every outcome row at theta = 0: ``u @ L_G^T``,
+        where ``L_G = reduced_generator(1/2 Re Tr(s_a G))`` generates the
+        rotation of Bloch coordinates by exp(-i theta G)."""
+        s = cached_basis(self.base.dim).matrices
+        g = 0.5 * np.real(np.einsum("aij,ji->a", s, self.direction))
+        return self.base.u_matrix() @ reduced_generator(g, self.base.dim).T
 
 
 def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
-    """``max |p(+h) - p(-h)| / 2h`` over party 1's outcomes per step ``h``
-    (the first only when ``single``), a float per time or a list per time
-    sequence, for one member ``joint, obs2, obs1`` or each of sequences of
-    them; ``plan(joint, obs2)`` gives a member's rows (+h, -h alternating),
-    outcomes and steps.  Every member's branches propagate as one batch."""
+    """``max |Im p| / _EPS`` over party 1's outcomes ``p`` per complex-step
+    row (the first only when ``single``), a float per time or a list per
+    time sequence, for one member ``joint, obs2, obs1`` or each of sequences
+    of them; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
+    names.  Every member's branches propagate as one batch.  A member
+    outside the physical set raises ``UnphysicalStateError``, and a row
+    moving a dropped branch ``PerturbationInfeasibleError`` (see
+    :func:`blochsig.measurement.packed_distributions`)."""
     if isinstance(joint, JointBlochState):
         return _channel(law, hamiltonian, [joint], [obs2], [obs1], t, plan, options, single)[0]
     members = list(zip(joint, obs2, obs1, strict=True))
     if not members:
         raise ValueError("a member sequence needs at least one member")
-    steps = []
 
     def planned():  # one member at a time: its rows are dropped once collapsed
         for state, remote, local in members:
-            *rows, h = plan(state, remote)
-            steps.append(h)
-            yield *rows, local
+            # the steps need no physical neighbours, but the member itself must be a state
+            joint_from_bloch(state, *map(cached_basis, state.dims))
+            x, u0, u, names = plan(state, remote)
+            yield x, u0, u, local, names
 
     dists = _member_distributions(planned(), members[0][0].dims, law,
                                   [t] if np.ndim(t) == 0 else list(t),
                                   h_local=hamiltonian.h1, options=options)
     out = []
-    for d, h in zip(dists, steps):
-        values = (np.max(np.abs(d[:, 0::2] - d[:, 1::2]), axis=-1) / (2.0 * h)).T.tolist()
+    for d in dists:
+        values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
         values = [v[0] for v in values] if np.ndim(t) == 0 else values
         out.append(values[0] if single else values)
     return out
 
 
-# Weyl's inequality, lambda_min(rho +- s D) >= lambda_min(rho) - s ||D||_2,
-# holds for the computed eigenvalues only up to eigvalsh's backward error, a
-# few ulps of ||rho||_2 <= 1 (rho has unit trace and is positive whenever the
-# bound can pass); this margin covers that many times over and stays far
-# below |PSD_TOLERANCE|, so the bound accepts nothing the exact check rejects.
-_WEYL_MARGIN = 1e-12
-
-
-@lru_cache(maxsize=16)
-def _frame_norms(b1, b2) -> np.ndarray:
-    """Spectral norms ``||dirs_u||_2`` of the Hermitian joint frame of
-    ``b1, b2``: each direction's largest absolute eigenvalue."""
-    norms = np.abs(np.linalg.eigvalsh(joint_frame(b1, b2).dirs)).max(axis=1)
-    norms.setflags(write=False)
-    return norms
-
-
-def _state_plan(joint, obs2, index, names, fd_step):
-    """Rows ``x +- h_k e_k`` of ``joint`` along packed coordinates ``index``
-    (``names`` name them in errors), outcomes of ``obs2`` and steps ``h_k``.
-
-    Steps start at ``fd_step``.  Each round, Weyl's bound
-    ``lambda_min(rho) - (h_k / (n1 n2)) ||dirs_k||_2`` accepts every
-    component it keeps ``_WEYL_MARGIN`` above ``PSD_TOLERANCE``, from one
-    ``eigvalsh`` of ``rho`` per plan (a non-finite ``rho`` gets -inf, so
-    the bound accepts nothing).  The rest get the exact check: one stacked
-    ``eigvalsh`` of the matrices ``rho +- (h_k / (n1 n2)) dirs_k``, which
-    halves the steps of the components below ``PSD_TOLERANCE`` or non-finite
-    on either side.  After six halvings the first one still failing raises.
-    The bound accepts only what the exact check accepts, so it changes no
-    step."""
-    n1, n2 = joint.dims
-    b1, b2 = cached_basis(n1), cached_basis(n2)
-    rho = joint_from_bloch(joint, b1, b2, check=False)
-    low = np.linalg.eigvalsh(rho)[0] if np.isfinite(rho).all() else -np.inf
-    index = np.asarray(index, dtype=int)
-    dirs, norms = joint_frame(b1, b2).dirs, _frame_norms(b1, b2)[index] / (n1 * n2)
-    steps, todo = np.full(len(index), fd_step), np.arange(len(index))
-    for _ in range(7):
-        todo = todo[low - steps[todo] * norms[todo] - _WEYL_MARGIN < PSD_TOLERANCE]
-        if len(todo):
-            shift = (steps[todo] / (n1 * n2))[:, None, None] * dirs[index[todo]]
-            mats = np.concatenate((rho + shift, rho - shift))
-            mats[~np.isfinite(mats).all(axis=(1, 2))] = -np.eye(n1 * n2)  # non-finite: fails
-            todo = todo[(np.linalg.eigvalsh(mats)[:, 0] < PSD_TOLERANCE).reshape(2, -1).any(axis=0)]
-        if not len(todo):
-            break
-        steps[todo] *= 0.5
-    else:
-        raise PerturbationInfeasibleError(
-            f"perturbation of {names[todo[0]]} leaves the physical set "
-            f"even at step {2 * steps[todo[0]]:.3e}"
-        )
-    x = np.tile(pack_coords(joint), (2 * len(index), 1))
-    x[np.arange(2 * len(index)), np.repeat(index, 2)] += np.stack((steps, -steps), 1).ravel()
-    return x, obs2.u0_vector(), obs2.u_matrix(), steps
+def _state_rows(joint, obs2, index, names):
+    """One complex-step row ``x + i _EPS e_k`` of ``joint`` per packed
+    coordinate ``k`` in ``index``, the outcomes of ``obs2`` and the names."""
+    x = np.tile(pack_coords(joint).astype(complex), (len(index), 1))
+    x[np.arange(len(index)), index] += 1j * _EPS
+    return x, obs2.u0_vector(), obs2.u_matrix(), names
 
 
 def d_remote_state(
@@ -259,7 +215,6 @@ def d_remote_state(
     obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
     component: int | Sequence[int],
-    fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
 ) -> float | list:
     """Sensitivity of party 1's distribution to one coordinate of party 2's
@@ -278,7 +233,7 @@ def d_remote_state(
         d1, d2 = (n**2 - 1 for n in state.dims)
         if not all(0 <= k < d2 for k in ks):
             raise ValueError(f"component must lie in [0, {d2})")
-        return _state_plan(state, remote, [d1 + k for k in ks], [f"r2[{k}]" for k in ks], fd_step)
+        return _state_rows(state, remote, [d1 + k for k in ks], [f"r2[{k}]" for k in ks])
 
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
                     single=np.ndim(component) == 0)
@@ -292,7 +247,6 @@ def d_correlations(
     obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
     component: tuple[int, int] | Sequence[tuple[int, int]],
-    fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
 ) -> float | list:
     """Sensitivity to one element ``(i, j)`` of the shared correlation
@@ -304,8 +258,8 @@ def d_correlations(
         d1, d2 = (n**2 - 1 for n in state.dims)
         if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
             raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-        return _state_plan(state, remote, [d1 + d2 + i * d2 + j for i, j in ijs],
-                           [f"r12[{i},{j}]" for i, j in ijs], fd_step)
+        return _state_rows(state, remote, [d1 + d2 + i * d2 + j for i, j in ijs],
+                           [f"r12[{i},{j}]" for i, j in ijs])
 
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
                     single=np.ndim(component) == 1)
@@ -318,14 +272,14 @@ def d_remote_observable(
     family: ObservableFamily | Sequence[ObservableFamily],
     obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
     t: float | Sequence[float],
-    fd_step: float = 1e-5,
     options: IntegratorOptions | None = None,
 ) -> float | list:
-    """Sensitivity to the remote measurement choice along a rotation family;
-    ``t`` and the members as for :func:`d_remote_state`."""
+    """Sensitivity to the remote measurement choice along a rotation family
+    at its base, from the outcome rows ``u + i _EPS du/dtheta``; ``t`` and
+    the members as for :func:`d_remote_state`."""
     def plan(state, fam):
-        u0, u = _outcome_rows((fam.at(fd_step), fam.at(-fd_step)), state.dims[1])
-        return np.tile(pack_coords(state), (2, 1)), u0, u, np.array([fd_step])
+        u = fam.base.u_matrix() + 1j * _EPS * fam.tangent()
+        return pack_coords(state)[None], fam.base.u0_vector(), u, ["theta"]
 
     return _channel(law, hamiltonian, joint, family, obs1, t, plan, options, single=True)
 
@@ -489,7 +443,6 @@ def audit(
     cases = _ensemble(dims, config, np.random.default_rng(s_members))
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     opts = config.branch_options
-    fd = {"fd_step": config.fd_step, "options": opts}
 
     channels = ("d_remote_state", "d_correlations", "d_remote_observable")
     grid = sorted(set(config.times))
@@ -500,9 +453,10 @@ def audit(
     rotated = [(case.state, ObservableFamily(case.obs_remote, case.direction), case.obs_local)
                for case in cases]
     calls = (  # each takes a list of members and gives one result per member
-        lambda ms, ts, cs: d_remote_state(law, hamiltonian, *zip(*ms), ts, cs, **fd),
-        lambda ms, ts, cs: d_correlations(law, hamiltonian, *zip(*ms), ts, cs, **fd),
-        lambda ms, ts, _: [[v] for v in d_remote_observable(law, hamiltonian, *zip(*ms), ts, **fd)],
+        lambda ms, ts, cs: d_remote_state(law, hamiltonian, *zip(*ms), ts, cs, options=opts),
+        lambda ms, ts, cs: d_correlations(law, hamiltonian, *zip(*ms), ts, cs, options=opts),
+        lambda ms, ts, _: [[v] for v in d_remote_observable(law, hamiltonian, *zip(*ms), ts,
+                                                            options=opts)],
     )
     runs = [_outcomes(call, members, c, grid)
             for call, members, c in zip(calls, (remote, remote, rotated), components)]
@@ -633,7 +587,7 @@ def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
     eps = float(epsilon)
 
     def reduced(h_local, r):
-        r = np.asarray(r, dtype=float)
+        r = np.asarray(r)  # complex rows stay complex: the audit's steps
         e = np.zeros(r.shape[-1])
         e[-1] = 1.0
         return eps * (e - r[..., -1:] * r)

@@ -114,6 +114,9 @@ CASES = {
     "malformed_bool_ensemble_size": (
         _AUDIT, {**_LINEAR, "audit": {"ensemble_size": True}},
     ),
+    "malformed_audit_unknown_key": (
+        _AUDIT, {**_LINEAR, "audit": {**_LINEAR["audit"], "fd_step": 1e-5}},
+    ),
     "malformed_channel_demo_time": (
         _AUDIT, {**_POLESINK, "channel_demo": {**_SINGLET_DEMO, "time": "abc"}},
     ),

@@ -1,22 +1,18 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
-observable constructors among them), a per-stage RKF45 stepper used to cross-check the integrator, and the
-per-component finite-difference route used to cross-check the stacked
-state-channel planner of the audit.
+observable constructors among them), a per-stage RKF45 stepper used to
+cross-check the integrator, and the central differences used to cross-check
+the complex-step state channels of the audit.
 
 The oracles and the stepper work on raw numpy arrays and never call the
-coordinate or integrator code paths they are used to verify; the
-per-component route checks one component at a time through
-``joint_from_bloch`` and builds ``JointBlochState`` branches, where the
-planner accepts components by Weyl's bound from one eigenvalue call of
-rho, checks the rest with one stacked eigenvalue call per halving round,
-and shifts packed rows.
+coordinate or integrator code paths they are used to verify; the central
+differences shift one component at a time through ``unpack_coords`` and
+subtract two real propagations, where the audit reads one complex one.
 """
 
 import numpy as np
 
-from blochsig.bloch import joint_from_bloch, pack_coords, unpack_coords
+from blochsig.bloch import pack_coords, unpack_coords
 from blochsig.dynamics import custom_law
-from blochsig.errors import PerturbationInfeasibleError, UnphysicalStateError
 from blochsig.measurement import observable_from_matrices, packed_distributions
 from blochsig.su_basis import cached_basis
 
@@ -67,7 +63,7 @@ def amplitude_damping_law(gamma):
     pole, rate = gamma * np.array([0.0, 0.0, 1.0]), gamma * np.array([0.5, 0.5, 1.0])
     return custom_law(
         f"amplitude-damping({gamma:g})",
-        reduced_field=lambda h_local, r: pole - rate * np.asarray(r, dtype=float),
+        reduced_field=lambda h_local, r: pole - rate * np.asarray(r),
     )
 
 
@@ -146,42 +142,16 @@ def _shifted(joint, k, delta):
     return unpack_coords(x, joint.dims)
 
 
-def reference_state_steps(joint, index, names, fd_step):
-    """Central-difference steps along packed coordinates ``index``, one
-    component at a time: halve the step, at most six times, while
-    ``joint_from_bloch(check=True)`` rejects either shifted state.  Raises
-    ``PerturbationInfeasibleError`` for the first infeasible component."""
-    b1, b2 = cached_basis(joint.dims[0]), cached_basis(joint.dims[1])
-    steps = []
-    for k, name in zip(index, names):
-        h = fd_step
-        for _ in range(7):
-            try:
-                joint_from_bloch(_shifted(joint, k, +h), b1, b2, check=True)
-                joint_from_bloch(_shifted(joint, k, -h), b1, b2, check=True)
-                break
-            except UnphysicalStateError:
-                h *= 0.5
-        else:
-            raise PerturbationInfeasibleError(
-                f"perturbation of {name} leaves the physical set even at step {2 * h:.3e}"
-            )
-        steps.append(h)
-    return steps
-
-
-def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, names,
-                                fd_step, options):
-    """Central differences along packed coordinates ``index`` with the steps
-    of :func:`reference_state_steps`: propagate the packed rows of every
-    ``unpack_coords(x +- h e_k)`` under obs2 in one ``packed_distributions``
-    call.  Returns one list per component (one value per time) and the
-    steps; raises ``PerturbationInfeasibleError`` for the first infeasible
-    component."""
-    steps = reference_state_steps(joint, index, names, fd_step)
-    rows = [pack_coords(_shifted(joint, k, sign * h))
-            for k, h in zip(index, steps) for sign in (+1.0, -1.0)]
+def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, fd_step,
+                                options):
+    """Central differences ``max |p(x + h e_k) - p(x - h e_k)| / 2h`` over
+    party 1's outcomes along packed coordinates ``index``: the packed rows
+    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 in one
+    ``packed_distributions`` call.  Returns one list per component, one
+    value per time; both shifted states should stay physical."""
+    rows = [pack_coords(_shifted(joint, k, sign * fd_step))
+            for k in index for sign in (+1.0, -1.0)]
     dists = packed_distributions(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), joint.dims,
                                  obs1, law, list(times), h_local=hamiltonian.h1, options=options)
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
-    return (diffs / np.array([2.0 * h for h in steps])).T.tolist(), steps
+    return (diffs / (2.0 * fd_step)).T.tolist()

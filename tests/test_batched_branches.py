@@ -1,5 +1,5 @@
-"""Batched branch propagation: one rk4 trajectory per finite-difference
-component, covering both signs, every remote outcome and every audit time.
+"""Batched branch propagation: one rk4 trajectory per complex-step
+component, covering every remote outcome and every audit time.
 
 The references here are the branch-by-branch loop (one one-row solve per
 remote outcome, integrated from 0 for each time) and the scalar per-time
@@ -9,6 +9,7 @@ in another order and may differ at round-off.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -65,7 +66,7 @@ from blochsig.su_basis import cached_basis
 
 DEFAULT_TIMES = (0.25, 0.5, 1.0)
 NON_NESTING_TIMES = (0.3, 0.7)
-FD_STEP = 1e-5
+EPS = nosignal_audit._EPS
 
 
 def _member(dims, seed):
@@ -92,34 +93,40 @@ def _sensitivities(law, h, member, times):
     return values
 
 
-def _branchwise_distribution(joint, obs2, obs1, law, t):
-    """Party 1's distribution from one one-row solve per remote outcome."""
-    h_local = np.zeros(joint.dims[0] ** 2 - 1)
+def _branchwise_distribution(joint, obs2, obs1, law, t, x=None):
+    """Party 1's distribution from one one-row solve per remote outcome, of
+    ``joint`` or of its packed coordinates ``x`` (complex for a complex
+    step)."""
+    n1, n2 = joint.dims
+    d1, d2 = n1**2 - 1, n2**2 - 1
+    x = pack_coords(joint) if x is None else x
+    r1, r2, r12 = x[:d1], x[d1 : d1 + d2], x[d1 + d2 :].reshape(d1, d2)
+    h_local = np.zeros(d1)
     branches = []
     for proj in obs2.outcomes:
-        p = proj.u0 + float(proj.u @ joint.r2)
-        if p <= EPS_PROB:
+        p = proj.u0 + proj.u @ r2
+        if p.real <= EPS_PROB:
             continue
-        r = (proj.u0 * joint.r1 + joint.r12 @ proj.u) / p
+        r = (proj.u0 * r1 + r12 @ proj.u) / p
         field = lambda y: law.reduced_field_fn(h_local, y)  # noqa: E731
         branches.append((p, integrate.solve(field, r, t, DEFAULT_BRANCH_OPTIONS)))
-    out = np.zeros(len(obs1.outcomes))
+    out = np.zeros(len(obs1.outcomes), dtype=x.dtype)
     for idx, proj in enumerate(obs1.outcomes):
         total = 0.0
         for p, r in branches:
-            total += p * (proj.u0 + float(proj.u @ r))
+            # the array loop of a complex product may fuse its multiply-adds
+            # where the scalar one does not; np.multiply takes the array loop
+            total += np.multiply(p, proj.u0 + proj.u @ r)
         out[idx] = total
     return out
 
 
 def _branchwise_remote_state(law, member, t, k):
+    """The complex step of ``r2[k]``, branch by branch."""
     state, obs2, obs1, _ = member
-    pair = []
-    for delta in (+FD_STEP, -FD_STEP):
-        r2 = state.r2.copy()
-        r2[k] += delta
-        pair.append(_branchwise_distribution(state.replace(r2=r2), obs2, obs1, law, t))
-    return float(np.max(np.abs(pair[0] - pair[1])) / (2.0 * FD_STEP))
+    x = pack_coords(state).astype(complex)
+    x[state.dims[0] ** 2 - 1 + k] += 1j * EPS
+    return float(np.max(np.abs(_branchwise_distribution(state, obs2, obs1, law, t, x).imag)) / EPS)
 
 
 @pytest.mark.parametrize("times", [DEFAULT_TIMES, NON_NESTING_TIMES], ids=["nesting", "non-nesting"])
@@ -304,13 +311,15 @@ def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
 
     law = custom_law("counted", reduced_field=field)
     flow = reduced_flow(law, None, 2)
-    assert calls == [(2, 3), (3,), (3,)]  # the two-row probe
+    # the two-row probe: the batch, each row, then a complex step and a
+    # central difference of the batch
+    assert calls == [(2, 3), (3,), (3,), (2, 3), (2, 3), (2, 3)]
     assert reduced_flow(law, np.zeros(3), 2) is flow
     h = BlochHamiltonian((2, 2))
     state, obs2, obs1, _ = _member((2, 2), 57)
     for _ in range(2):
         d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
-    assert (3,) not in calls[3:]  # channel calls reuse the probed flow
+    assert (3,) not in calls[6:]  # channel calls reuse the probed flow
     assert reduced_flow(law, [0.0, 0.0, 0.1], 2) is not flow
 
 
@@ -318,8 +327,8 @@ def _expanding_law():
     # r grows as exp(0.2 t) and turns NaN past norm 0.97: branches collapsed
     # to norm 0.8 stay finite at t = 0.5 and fail before t = 1.
     def field(h_local, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(np.linalg.norm(r, axis=-1, keepdims=True) > 0.97, np.nan, 0.2 * r)
+        r = np.asarray(r)
+        return np.where(np.linalg.norm(r.real, axis=-1, keepdims=True) > 0.97, np.nan, 0.2 * r)
 
     return custom_law("expanding", reduced_field=field)
 
@@ -414,20 +423,20 @@ def test_single_and_sequence_component_forms():
         d_correlations(law, h, state, obs2, obs1, 0.5, [(0, 0), (3, 0)])
 
 
-def _rank_three_member():
-    """A 2x2 state with the product vector |00> in its kernel: r2[2] and
-    r12[2,2] are infeasible directions, every other component is not."""
+def _zero_weight_member():
+    """|00> measured computationally on party 2: outcome 1 has weight 0, so
+    r2[2], which moves that weight, and r12[0,2], r12[1,2] and r12[2,2],
+    which move its collapsed state, have one-sided derivatives only; every
+    other component is two-sided."""
     b = cached_basis(2)
-    state = joint_to_bloch((np.eye(4) - np.diag([1.0, 0.0, 0.0, 0.0])) / 3.0, b, b)
-    rng = np.random.default_rng(54)
-    obs2 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
-    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
-    return state, obs2, obs1
+    state = joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b)
+    obs1 = observable_from_basis(random_orthonormal_basis(np.random.default_rng(54), 2), b)
+    return state, computational_observable(2), obs1
 
 
 def test_one_infeasible_component_sends_the_channel_to_per_component_calls():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
-    state, obs2, obs1 = _rank_three_member()
+    state, obs2, obs1 = _zero_weight_member()
     with pytest.raises(PerturbationInfeasibleError, match=r"r2\[2\]"):
         d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
     call = partial(d_remote_state, law, h, state, obs2, obs1)
@@ -450,12 +459,28 @@ def _per_component_audit(monkeypatch, law, h, config):
         return audit(law, h, config)
 
 
-def test_pure_singlet_audit_with_infeasible_components_equals_per_component_audit(monkeypatch):
+def _with_zero_weight_anchor(monkeypatch):
+    """Make the anchor of every ensemble :func:`_zero_weight_member`."""
+    ensemble = nosignal_audit._ensemble
+
+    def patched(dims, config, rng):
+        cases = ensemble(dims, config, rng)
+        state, obs2, obs1 = _zero_weight_member()
+        return [replace(cases[0], state=state, obs_remote=obs2, obs_local=obs1), *cases[1:]]
+
+    monkeypatch.setattr(nosignal_audit, "_ensemble", patched)
+
+
+def test_zero_weight_audit_with_infeasible_components_equals_per_component_audit(monkeypatch):
     h = BlochHamiltonian((2, 2), h1=[0.1, 0.0, 0.5], h2=[0.0, 0.2, 0.3], h12=0.3 * np.eye(3))
     config = AuditConfig(seed=0, ensemble_size=2, mix_weight=0.0)
+    _with_zero_weight_anchor(monkeypatch)
     report = audit(linear_law(), h, config)
     reference = _per_component_audit(monkeypatch, linear_law(), h, config)
-    assert len(report.infeasible) == 36  # every state component of the singlet
+    # r2[2] and r12[i,2] of the anchor, at each audit time
+    assert [(e["channel"], e["component"]) for e in report.infeasible] == [
+        ("d_remote_state", "2"), ("d_correlations", "0,2"), ("d_correlations", "1,2"),
+        ("d_correlations", "2,2")] * len(config.times)
     assert {e["member"] for e in report.infeasible} == {0}
     assert dumps(report.to_dict()) == dumps(reference.to_dict())
     assert report.verdict == "pass"
@@ -648,7 +673,7 @@ def _described(outcomes):
 def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(failure):
     if failure == "infeasible":
         law, error = polesink_law(0.1), PerturbationInfeasibleError
-        members = [_rank_three_member(), _member((2, 2), 63)[:3]]
+        members = [_zero_weight_member(), _member((2, 2), 63)[:3]]
     else:
         # the anchor of this ensemble fails at t = 1, the other member passes
         law, error = _expanding_law(), IntegrationFailureError

@@ -283,12 +283,12 @@ def test_audit_seed_flag_overrides_config(tmp_path):
 
 def test_audit_malformed_config_field_path(tmp_path, capsys):
     bad = dict(LINEAR_AUDIT_CONFIG)
-    bad["audit"] = {"fd_step": -1.0}
+    bad["audit"] = {"pass_tolerance": -1.0}
     cfg = write_config(tmp_path, "audit.json", bad)
     assert main(["audit", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
-    assert "fd_step" in err or "audit" in err
+    assert "pass_tolerance" in err or "audit" in err
 
 
 def test_evolve_nonfinite_integrator_step_reported(tmp_path, capsys):
@@ -384,8 +384,8 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
             {**LINEAR_AUDIT_CONFIG,
              "hamiltonian": {**LINEAR_AUDIT_CONFIG["hamiltonian"], "H0": float("inf")}},
         ),
-        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"fd_step": True}}),
-        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"fd_step": "1e-5"}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"pass_tolerance": True}}),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"pass_tolerance": "1e-6"}}),
         ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"step": True}}}),
         ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"method": 5}}}),
         ("audit", {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": 5}}),
@@ -397,8 +397,8 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
         "channel-demo-time", "convert-dim", "convert-not-object",
         "fractional-ensemble-size", "bool-ensemble-size", "fractional-seed", "negative-seed",
         "fractional-fit-probes", "bool-branch-max-steps", "fractional-max-steps",
-        "nan-hamiltonian", "inf-h0", "bool-fd-step", "string-fd-step", "bool-branch-step",
-        "numeric-branch-method", "numeric-hamiltonian-file", "negative-random-seed",
+        "nan-hamiltonian", "inf-h0", "bool-pass-tolerance", "string-pass-tolerance",
+        "bool-branch-step", "numeric-branch-method", "numeric-hamiltonian-file", "negative-random-seed",
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command, payload):
@@ -410,6 +410,24 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command
     assert len(err) == 1 and err[0].startswith("error:")
     if command == "audit" and "integrator" in payload["audit"]:
         assert "audit.integrator." in err[0]
+
+
+@pytest.mark.parametrize(
+    "command, key, payload",
+    [
+        ("audit", "audit.fd_step", {**LINEAR_AUDIT_CONFIG, "audit": {"fd_step": 1e-5}}),
+        ("audit", "audit.integrator.stepsize",
+         {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"stepsize": 0.01}}}),
+        ("evolve", "integrator.fd_step", {**_EVOLVE, "integrator": {"fd_step": 1e-5}}),
+    ],
+    ids=["audit", "branch-integrator", "evolve-integrator"],
+)
+def test_an_unknown_options_key_exits_two_naming_it(tmp_path, capsys, command, key, payload):
+    # a stale or misspelt key must not be ignored silently
+    cfg = write_config(tmp_path, "config.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {key}: unknown key (expected ")
 
 
 @pytest.mark.parametrize("base", [LINEAR_AUDIT_CONFIG, POLESINK_AUDIT_CONFIG], ids=["linear", "polesink"])

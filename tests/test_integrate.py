@@ -155,7 +155,7 @@ def test_rk4_step_budget_exceeded():
 
 def test_rk4_flow_is_linear_in_initial_condition():
     # rk4 of a linear field is a fixed matrix map: superposition must hold
-    # to rounding, which the finite-difference audits rely on.
+    # to rounding, which the audit's cancellations rely on.
     field = rotation_field(0.9)
     opts = IntegratorOptions(method="rk4", step=0.01)
     a = solve(field, np.array([1.0, 0.0]), 1.0, opts)
@@ -169,3 +169,21 @@ def test_nonfinite_result_raises(method):
     options = IntegratorOptions(method=method, step=0.1, max_steps=1000)
     with pytest.raises(IntegrationFailureError):
         solve(lambda y: np.full_like(y, np.nan), np.zeros(2), 1.0, options)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_a_complex_row_keeps_its_real_solve_and_carries_its_derivative(method):
+    # y' = -y + 0.3 y**2 per entry: the complex step y0 + i eps v gives the
+    # real solve in its real part (rkf45 steps on the real part only) and
+    # eps times the derivative along v in its imaginary part
+    def field(y):
+        return -y + 0.3 * y * y
+
+    opts = IntegratorOptions(method=method, step=0.05)
+    y0, v, eps, h = np.array([0.4, -0.2, 0.7]), np.array([1.0, 0.5, -0.3]), 1e-30, 1e-6
+    real = solve(field, y0, 1.3, opts)
+    stepped = solve(field, y0 + 1j * eps * v, 1.3, opts)
+    assert stepped.dtype == complex
+    np.testing.assert_allclose(stepped.real, real, rtol=1e-15, atol=0)
+    central = (solve(field, y0 + h * v, 1.3, opts) - solve(field, y0 - h * v, 1.3, opts)) / (2 * h)
+    np.testing.assert_allclose(stepped.imag / eps, central, rtol=0, atol=1e-8)

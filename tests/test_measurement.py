@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from blochsig.bloch import BlochState, joint_to_bloch
+from blochsig.bloch import BlochState, joint_to_bloch, pack_coords
 from blochsig.dynamics import linear_law
 from blochsig.errors import (
     InvalidObservableError,
     InvalidProjectorError,
+    PerturbationInfeasibleError,
     ZeroProbabilityBranchError,
 )
 from blochsig.measurement import (
@@ -22,6 +23,7 @@ from blochsig.measurement import (
     observable_from_matrices,
     observable_from_projectors,
     outcome_probabilities,
+    packed_distributions,
     projector_from_matrix,
     rotate_observable,
 )
@@ -184,9 +186,7 @@ def test_rotation_rejects_a_nonfinite_direction_or_angle():
         with pytest.raises(InvalidObservableError, match="finite"):
             rotate_observable(obs, *args)
     with pytest.raises(InvalidObservableError, match="finite"):
-        ObservableFamily(obs, direction).at(np.nan)
-    with pytest.raises(InvalidObservableError, match="finite"):
-        ObservableFamily(obs, bad_direction).at(0.3)
+        ObservableFamily(obs, bad_direction)
 
 
 def test_probabilities_maximally_mixed():
@@ -245,6 +245,25 @@ def test_zero_probability_branch_raises():
     joint = joint_to_bloch(ket00, b, b)
     with pytest.raises(ZeroProbabilityBranchError):
         conditional_state(joint, computational_observable(2), 1)
+
+
+def test_a_complex_row_moving_a_dropped_branch_raises():
+    """|00>, measured computationally: outcome 1 has weight 0 and is dropped.
+    A complex step of r2[2] moves that weight, one of r2[0] neither branch,
+    so only the first has a one-sided derivative."""
+    b = cached_basis(2)
+    x = pack_coords(joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b))
+    rows = np.tile(x.astype(complex), (2, 1))
+    rows[0, 3] += 1e-30j  # r2[0]
+    rows[1, 5] += 1e-30j  # r2[2]
+    obs = computational_observable(2)
+    args = (obs.u0_vector(), obs.u_matrix(), (2, 2), obs, linear_law(), [0.0])
+    dist = packed_distributions(rows[:1], *args)
+    assert np.all(np.isfinite(dist)) and not np.any(dist.imag)
+    with pytest.raises(PerturbationInfeasibleError, match=(
+            r"^perturbation of row 1 moves remote outcome 1 of weight 0\.000e\+00")):
+        packed_distributions(rows, *args)
+
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

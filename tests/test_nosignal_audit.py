@@ -1,6 +1,8 @@
-"""Finite-difference sensitivities, the ensemble audit, and the channel demo."""
+"""Complex-step sensitivities, the ensemble audit, and the channel demo."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +142,7 @@ def test_channel_demo_polesink_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference sensitivities
+# Complex-step sensitivities
 
 
 def test_remote_state_sensitivity_linear_law_vanishes():
@@ -238,28 +240,35 @@ def test_observable_sensitivity_flags_polesink_on_anchored_family():
     assert value > 1e-2
 
 
-def test_fd_residual_insensitive_to_step_halving_for_linear_law():
+def test_complex_step_residual_of_linear_law_is_at_rounding_level():
     rng = np.random.default_rng(7)
     h = random_hamiltonian(rng, (2, 2), scale=0.6)
     state = random_interior_joint(rng, (2, 2))
-    coarse = d_remote_state(
+    values = d_remote_state(
         linear_law(), h, state, computational_observable(2),
-        fourier_observable(2), 1.0, 1, fd_step=1e-5,
+        fourier_observable(2), 1.0, [0, 1, 2],
     )
-    fine = d_remote_state(
-        linear_law(), h, state, computational_observable(2),
-        fourier_observable(2), 1.0, 1, fd_step=5e-6,
-    )
-    # both sit at rounding level; neither may blow past the audit bound
-    assert coarse <= 1e-9 and fine <= 1e-9
+    # nothing is subtracted, so no eps/h noise floor: rounding only
+    assert max(values) <= 1e-14
 
 
-def test_pure_state_perturbation_is_infeasible():
-    with pytest.raises(PerturbationInfeasibleError):
-        d_remote_state(
-            linear_law(), BlochHamiltonian((2, 2)), singlet_state(),
-            computational_observable(2), computational_observable(2), 1.0, 0,
-        )
+def _zero_weight_state():
+    """|00>: measured computationally on party 2, outcome 1 has weight 0."""
+    b = cached_basis(2)
+    return joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b)
+
+
+def test_zero_weight_branch_perturbation_is_infeasible():
+    args = (linear_law(), BlochHamiltonian((2, 2)), _zero_weight_state(),
+            computational_observable(2), computational_observable(2), 1.0)
+    with pytest.raises(PerturbationInfeasibleError, match=(
+            r"^perturbation of r2\[2\] moves remote outcome 1 of weight .*one-sided")):
+        d_remote_state(*args, 2)
+    with pytest.raises(PerturbationInfeasibleError, match=r"r12\[1,2\]"):
+        d_correlations(*args, (1, 2))
+    # components that leave the zero-weight branch alone stay two-sided
+    assert d_remote_state(*args, 0) <= 1e-14
+    assert d_correlations(*args, (1, 1)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +322,40 @@ def test_audit_seed_changes_draws_not_verdict():
     assert a.to_dict() != b.to_dict()
 
 
-def test_audit_records_infeasible_components_on_boundary_states():
-    # with no smoothing the (2, 2) anchor is the pure singlet, whose state
-    # perturbations all leave the physical set; the rotation channel still
-    # runs, so the audit completes with flags instead of dying
+def test_pure_state_audit_has_no_infeasible_components():
+    # with no smoothing the (2, 2) anchor is the pure singlet: no +-h
+    # neighbour of it is physical, but the complex step needs none
     report = audit(
         linear_law(), BlochHamiltonian((2, 2)),
         AuditConfig(seed=4, ensemble_size=1, mix_weight=0.0, times=(0.5,)),
     )
-    assert report.infeasible
+    assert not report.infeasible and not report.failures
+    assert all(row["status"] == "ok" for row in report.cases)
+    assert max(report.residuals().values()) <= 1e-14
+    assert report.verdict == "pass"
+
+
+def test_audit_records_infeasible_components_of_a_zero_weight_branch(monkeypatch):
+    # an anchor with a zero-weight remote outcome: the components that move
+    # that branch are flagged; the rotation channel still runs, so the audit
+    # completes with flags instead of dying
+    from blochsig import nosignal_audit
+
+    ensemble = nosignal_audit._ensemble
+
+    def zero_weight_anchor(dims, config, rng):
+        cases = ensemble(dims, config, rng)
+        return [replace(cases[0], state=_zero_weight_state(),
+                        obs_remote=computational_observable(2)), *cases[1:]]
+
+    monkeypatch.setattr(nosignal_audit, "_ensemble", zero_weight_anchor)
+    report = audit(
+        linear_law(), BlochHamiltonian((2, 2)),
+        AuditConfig(seed=4, ensemble_size=1, times=(0.5,)),
+    )
+    assert [e["component"] for e in report.infeasible] == ["2", "0,2", "1,2", "2,2"]
     assert report.max_d_remote_observable <= 1e-6
-    assert any(row["status"] != "ok" for row in report.cases)
+    assert [row["status"] for row in report.cases] == ["partial:infeasible"] * 2 + ["ok"]
 
 
 def test_audit_report_dict_and_csv_shapes():
@@ -343,14 +375,14 @@ def test_audit_report_dict_and_csv_shapes():
 
 def test_audit_config_validation():
     with pytest.raises(ValueError):
-        AuditConfig(fd_step=0.0)
+        AuditConfig(pass_tolerance=0.0)
     with pytest.raises(ValueError):
         AuditConfig(ensemble_size=0)
     with pytest.raises(ValueError):
         AuditConfig(times=())
     with pytest.raises(ValueError):
         AuditConfig(mix_weight=1.0)
-    for bad in ({"fd_step": math.inf}, {"pass_tolerance": math.nan}, {"times": (math.nan,)}):
+    for bad in ({"pass_tolerance": math.inf}, {"pass_tolerance": math.nan}, {"times": (math.nan,)}):
         with pytest.raises(ValueError):
             AuditConfig(**bad)
 
@@ -362,6 +394,21 @@ def test_audit_config_integer_fields_must_be_integers(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         AuditConfig(**{field: bad})
     assert getattr(AuditConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [(AuditConfig, "pass_tolerance"), (AuditConfig, "mix_weight"), (AuditConfig, "times"),
+     (IntegratorOptions, "step"), (IntegratorOptions, "atol"), (IntegratorOptions, "rtol")],
+)
+@pytest.mark.parametrize("bad", [True, False, "0.5", None])
+def test_float_config_fields_must_be_real_numbers(make, field, bad):
+    # a bool used to be kept (True ran as 1), and a numeric string became a time
+    name = "times[1]" if field == "times" else field
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number")):
+        make(**{field: (0.5, bad) if field == "times" else bad})
+    good = (0.5, np.float64(0.25), 1) if field == "times" else np.float64(0.5)
+    assert make(**{field: good})
 
 
 def test_branch_integrator_override_still_passes():
@@ -386,6 +433,29 @@ def test_nonfinite_law_never_passes(law):
     cfg = AuditConfig(seed=0, ensemble_size=2, times=(0.5,))
     with pytest.raises(IntegrationFailureError, match="not finite"):
         audit(law, BlochHamiltonian((2, 2)), cfg)
+
+
+def _polesink_field(r):
+    e = np.zeros(r.shape[-1])
+    e[-1] = 1.0
+    return 0.1 * (e - r[..., -1:] * r)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        lambda h, r: _polesink_field(np.asarray(r, dtype=float)),
+        lambda h, r: _polesink_field(np.asarray(r)) * (1.0 + np.abs(np.asarray(r)[..., -1:])),
+        lambda h, r: _polesink_field(np.asarray(r).real),
+    ],
+    ids=["float-cast", "abs", "real-part"],
+)
+def test_a_non_analytic_custom_law_is_refused_not_passed(field):
+    # its complex steps would read zero (or garbage), and a signaling drift
+    # would pass; the flow's probe refuses the law by name instead
+    law = custom_law("cast-polesink", reduced_field=field)
+    with pytest.raises(ValueError, match="'cast-polesink' must be complex-analytic"):
+        audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=3, ensemble_size=2))
 
 
 def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
