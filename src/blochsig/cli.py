@@ -52,6 +52,7 @@ from .errors import (
     ConfigError,
     IntegrationFailureError,
     InvalidDimensionError,
+    NonFiniteGeneratorError,
     UnphysicalStateError,
 )
 from .integrate import DEFAULT_OPTIONS
@@ -633,6 +634,7 @@ _ERRORS = (
     (ConfigError, "config", 2),
     (InvalidDimensionError, "dimension", 2),
     (UnphysicalStateError, "state", 2),
+    (NonFiniteGeneratorError, "hamiltonian", 2),
     (IntegrationFailureError, "integration", 3),
     (BlochSigError, "{type}", 2),
     (OSError, "io", 2),

@@ -2,8 +2,8 @@
 
 The unitary law ``d(rho)/dt = -i [H, rho]`` acts linearly on the packed
 coordinates (r1, r2, row-major r12).  ``linear`` and ``xi`` laws run one
-route, compiled once per law and Hamiltonian from the structure constants
-f and g: ``dx/dt = L_loc x + w(x) L_int x``.  Per coordinate, with local
+route built from the structure constants f and g:
+``dx/dt = L_loc x + w(x) L_int x``.  Per coordinate, with local
 coefficients h1/h2, interaction block h12 and summation over repeated
 indices (``L_loc`` holds the h1/h2 terms, ``L_int`` the h12 terms):
 
@@ -14,6 +14,10 @@ indices (``L_loc`` holds the h1/h2 terms, ``L_int`` the h12 terms):
               + 2 f1_aip r1_i h12_aq                               * xi_local1
               + 2 f2_bjq r2_j h12_pb                               * xi_local2
 
+For fixed dims, ``[L_loc; L_int]`` is one fixed, sparse, linear map of the
+coefficients ``(h1, h2, h12)``.  That map is compiled once per dims from f
+and g, so each Hamiltonian costs one scatter of its coefficients; a
+Hamiltonian whose generator is not finite is refused there.
 The weights are 1 for ``linear``, one scalar of the state for a uniform ``xi``
 law, or one per (term, interaction element) whose unweighted contribution is
 nonzero for an indexed law: none with ``h12 = 0``, nor bilinear for qubits.
@@ -59,7 +63,12 @@ from .bloch import (
     to_bloch,
     unpack_coords,
 )
-from .errors import DimensionMismatchError, NonlinearityEvaluationError
+from .errors import (
+    DimensionMismatchError,
+    IntegrationFailureError,
+    NonFiniteGeneratorError,
+    NonlinearityEvaluationError,
+)
 from .integrate import DEFAULT_OPTIONS, IntegratorOptions
 from .sampling import random_density
 from .su_basis import cached_basis, cached_constants
@@ -335,19 +344,24 @@ def linear_generator(hamiltonian: BlochHamiltonian) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant field, compiled once per law and Hamiltonian
+# Structure-constant field: its map compiled once per dims, one scatter per
+# Hamiltonian
 
 
 class _Term(NamedTuple):
-    """One interaction-mediated term of the module docstring.
+    """One term of the module docstring, an einsum of structure constants and
+    one block of the Hamiltonian.
 
-    Contracting ``operands`` over ``subscripts`` into ``out + state`` sums
-    the interaction indices and gives the term's block of ``L_int``; into
-    ``out + open + state`` it keeps them open, one slice per weight call
+    ``operands`` hold the block's name (``"h1"``, ``"h2"`` or ``"h12"``)
+    where its coefficients go.  With the block in its place, contracting
+    over ``subscripts`` into ``out + state`` gives the term's part of
+    ``L_loc`` or, for an interaction term (``family`` set), of ``L_int``; into
+    ``out + open + state`` an interaction term keeps its interaction indices
+    open, one slice per weight call
     ``getattr(xi, family)(*out, *open, r1, r2, r12)``.
     """
 
-    family: str
+    family: str | None
     factor: float
     subscripts: str
     operands: tuple
@@ -358,53 +372,115 @@ class _Term(NamedTuple):
     state_block: slice
 
 
-def _interaction_terms(hamiltonian: BlochHamiltonian) -> tuple[_Term, ...]:
-    n1, n2 = hamiltonian.dims
+@lru_cache(maxsize=16)
+def _terms(n1: int, n2: int) -> tuple[_Term, ...]:
+    """The four local terms, then the five interaction terms."""
     sc1, sc2 = cached_constants(n1), cached_constants(n2)
     f1, g1, f2, g2 = sc1.f, sc1.g, sc2.f, sc2.g
-    h12 = hamiltonian.h12
     eye1, eye2 = np.eye(len(f1)), np.eye(len(f2))
     s1, s2, s12 = _blocks(n1, n2)
     # The bilinear term sums g1 f2 + f1 g2 over the stacked axis s.
     gf, fg = np.stack((g1, f1)), np.stack((f2, g2))
     return (
-        _Term("xi1", 4.0 / n2, "aik,ab,jb", (f1, h12, eye2), "k", "ab", "ij", s1, s12),
-        _Term("xi2", 4.0 / n1, "bjl,ab,ia", (f2, h12, eye1), "l", "ab", "ij", s2, s12),
-        _Term("xi12_bilinear", 2.0, "saip,sbjq,ab", (gf, fg, h12), "pq", "ab", "ij", s12, s12),
-        _Term("xi12_local1", 2.0, "aip,aq", (f1, h12), "pq", "a", "i", s12, s1),
-        _Term("xi12_local2", 2.0, "bjq,pb", (f2, h12), "pq", "b", "j", s12, s2),
+        _Term(None, 2.0, "aik,a", (f1, "h1"), "k", "", "i", s1, s1),
+        _Term(None, 2.0, "bjl,b", (f2, "h2"), "l", "", "j", s2, s2),
+        _Term(None, 2.0, "aip,a,qj", (f1, "h1", eye2), "pq", "", "ij", s12, s12),
+        _Term(None, 2.0, "bjq,b,pi", (f2, "h2", eye1), "pq", "", "ij", s12, s12),
+        _Term("xi1", 4.0 / n2, "aik,ab,jb", (f1, "h12", eye2), "k", "ab", "ij", s1, s12),
+        _Term("xi2", 4.0 / n1, "bjl,ab,ia", (f2, "h12", eye1), "l", "ab", "ij", s2, s12),
+        _Term("xi12_bilinear", 2.0, "saip,sbjq,ab", (gf, fg, "h12"), "pq", "ab", "ij", s12, s12),
+        _Term("xi12_local1", 2.0, "aip,aq", (f1, "h12"), "pq", "a", "i", s12, s1),
+        _Term("xi12_local2", 2.0, "bjq,pb", (f2, "h12"), "pq", "b", "j", s12, s2),
     )
 
 
-def _local_matrix(hamiltonian: BlochHamiltonian) -> np.ndarray:
-    """``L_loc``: each party's rotation on its own block and on r12."""
-    n1, n2 = hamiltonian.dims
-    s1, s2, s12 = _blocks(n1, n2)
-    g1, g2 = reduced_generator(hamiltonian.h1, n1), reduced_generator(hamiltonian.h2, n2)
-    m = np.zeros((s12.stop, s12.stop))
-    m[s1, s1] = g1
-    m[s2, s2] = g2
-    m[s12, s12] = np.kron(g1, np.eye(len(g2))) + np.kron(np.eye(len(g1)), g2)
-    return m
+def _term_entries(term: _Term, blocks: dict) -> tuple[dict, dict, np.ndarray]:
+    """The nonzero products of a term's operands, before any sum: each
+    letter's index and extent, and the values (``factor`` included).  The
+    Hamiltonian block constrains nothing, so it only adds its letters that no
+    other operand binds, each over its whole range."""
+    index, extent, value = {}, {}, np.array([term.factor])
+    pairs = zip(term.subscripts.split(","), term.operands)
+    for letters, op in sorted(pairs, key=lambda pair: isinstance(pair[1], str)):
+        if isinstance(op, str):
+            extent.update(zip(letters, blocks[op][1]))
+            letters = [c for c in letters if c not in index]
+            if not letters:
+                continue
+            op = np.ones([extent[c] for c in letters])
+        extent.update(zip(letters, op.shape))
+        at = np.nonzero(op)
+        match = np.ones((value.size, at[0].size), dtype=bool)  # pairs agreeing on shared letters
+        for c, i in zip(letters, at):
+            if c in index:
+                match &= index[c][:, None] == i
+        left, right = np.nonzero(match)
+        index = {c: i[left] for c, i in index.items()} | {c: i[right] for c, i in zip(letters, at)}
+        value = value[left] * op[at][right]
+    return index, extent, value
 
 
-def _interaction_matrix(terms: tuple[_Term, ...], size: int) -> np.ndarray:
-    """``L_int``: the interaction terms with every weight equal to one."""
-    m = np.zeros((size, size))
-    for t in terms:
-        block = m[t.out_block, t.state_block]
-        contracted = np.einsum(f"{t.subscripts}->{t.out}{t.state}", *t.operands, optimize=True)
-        block[...] = t.factor * contracted.reshape(block.shape)
-    return m
+@lru_cache(maxsize=16)
+def _generator_map(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sparse linear map from packed Hamiltonian coefficients
+    ``(h1, h2, h12)`` to the stacked ``[L_loc; L_int]``: flat positions in
+    the ``(2, size, size)`` stack, the coefficient each entry scales, and its
+    factor, one entry per nonzero product of a term (the scatter sums the
+    entries that share a position)."""
+    s1, s2, s12 = _blocks(*dims)
+    d1, d2, size = s1.stop, s2.stop - s1.stop, s12.stop
+    blocks = {"h1": (s1.start, (d1,)), "h2": (s2.start, (d2,)), "h12": (s12.start, (d1, d2))}
+
+    def flat(index, extent, letters, start):
+        return start + np.ravel_multi_index([index[c] for c in letters], [extent[c] for c in letters])
+
+    positions, coefficients, values = [], [], []
+    for t in _terms(*dims):
+        index, extent, value = _term_entries(t, blocks)
+        letters, block = next(pair for pair in zip(t.subscripts.split(","), t.operands)
+                              if isinstance(pair[1], str))
+        row = flat(index, extent, t.out, t.out_block.start)
+        col = flat(index, extent, t.state, t.state_block.start)
+        positions.append(((t.family is not None) * size + row) * size + col)
+        coefficients.append(flat(index, extent, letters, blocks[block][0]))
+        values.append(value)
+    out = tuple(np.concatenate(parts) for parts in (positions, coefficients, values))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _indexed_interaction(terms: tuple[_Term, ...], xi: XiFunctions, size: int):
+def _generators(hamiltonian: BlochHamiltonian) -> np.ndarray:
+    """The stacked ``[L_loc; L_int]`` (shape ``(2, size, size)``) of a
+    Hamiltonian: one scatter of its coefficients through the map of its
+    dims.  Refuses a Hamiltonian whose generator is not finite."""
+    position, coefficient, value = _generator_map(hamiltonian.dims)
+    c = _pack(hamiltonian.h1, hamiltonian.h2, hamiltonian.h12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.bincount(position, weights=value * c[coefficient], minlength=2 * c.size**2)
+    _require_finite(stacked, f"Hamiltonian of dims {hamiltonian.dims}", c)
+    return stacked.reshape(2, c.size, c.size)
+
+
+def _require_finite(generator: np.ndarray, what: str, coefficients: np.ndarray) -> None:
+    if not np.isfinite(generator).all():
+        raise NonFiniteGeneratorError(
+            f"{what} has a non-finite generator "
+            f"(largest |coefficient| {np.max(np.abs(coefficients)):.3g})"
+        )
+
+
+def _indexed_interaction(hamiltonian: BlochHamiltonian, xi: XiFunctions):
     """The weight calls whose unweighted contribution is nonzero (never a
     qubit pair's bilinear weight: g = 0), the packed component each feeds,
     and the matrix taking the state to each call's contribution, row by row."""
+    size = _blocks(*hamiltonian.dims)[2].stop
     calls, targets, rows = [], [], []
-    for t in terms:
-        spread = np.einsum(f"{t.subscripts}->{t.out}{t.open}{t.state}", *t.operands)
+    for t in _terms(*hamiltonian.dims):
+        if t.family is None:
+            continue
+        operands = [getattr(hamiltonian, o) if isinstance(o, str) else o for o in t.operands]
+        spread = np.einsum(f"{t.subscripts}->{t.out}{t.open}{t.state}", *operands)
         spread = spread.reshape(*spread.shape[: len(t.out) + len(t.open)], -1)
         index = np.nonzero(spread.any(axis=-1))
         row = np.zeros((len(index[0]), size))
@@ -419,8 +495,9 @@ def _indexed_interaction(terms: tuple[_Term, ...], xi: XiFunctions, size: int):
 
 def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
     """The law's joint field ``x -> dx/dt`` on packed coordinates; for
-    ``linear`` and ``xi`` laws ``L_loc x + w(x) L_int x``, built once.  The
-    open interaction tensors are built for indexed weights only."""
+    ``linear`` and ``xi`` laws ``L_loc x + w(x) L_int x``, from one scatter
+    of the Hamiltonian.  The open interaction tensors are built for indexed
+    weights only."""
     dims = hamiltonian.dims
     if law.kind == "custom":
         if law.joint_field_fn is None:
@@ -431,13 +508,13 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
             return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
         return custom
-    loc = _local_matrix(hamiltonian)
+    stacked = _generators(hamiltonian)
+    loc, lint = stacked
     if hamiltonian.is_interaction_free:
         # No interaction: weights must not even be evaluated.
         return lambda x: loc @ x
-    terms = _interaction_terms(hamiltonian)
     if law.kind == "xi" and law.xi.uniform is None:
-        calls, targets, contrib = _indexed_interaction(terms, law.xi, len(loc))
+        calls, targets, contrib = _indexed_interaction(hamiltonian, law.xi)
 
         def indexed(x):
             r = _split(x, dims)
@@ -448,11 +525,16 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
             return loc @ x + np.bincount(targets, weights=w * (contrib @ x), minlength=len(x))
 
         return indexed
-    lint = _interaction_matrix(terms, len(loc))
     if law.kind == "linear":
         gen = loc + lint  # w = 1
         return lambda x: gen @ x
-    return lambda x: loc @ x + _is_finite(law.xi.uniform(*_split(x, dims))) * (lint @ x)
+    both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
+
+    def uniform(x):
+        y = both @ x
+        return y[: len(x)] + _is_finite(law.xi.uniform(*_split(x, dims))) * y[len(x):]
+
+    return uniform
 
 
 def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointBlochState):
@@ -538,7 +620,10 @@ def reduced_generator(h_local, dim: int) -> np.ndarray:
     h = np.asarray(h_local, dtype=float)
     if h.shape != (dim**2 - 1,):
         raise DimensionMismatchError(f"local Hamiltonian must have length {dim**2 - 1}")
-    return 2.0 * np.einsum("aik,a->ki", f, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = 2.0 * np.einsum("aik,a->ki", f, h)
+    _require_finite(generator, f"local Hamiltonian of a {dim}-level subsystem", h)
+    return generator
 
 
 # Fixed-step branch propagation: smooth in the initial condition, and one
@@ -550,14 +635,15 @@ class ReducedFlow:
     """Propagation of one state ``(d,)`` or a batch of independent states
     ``(B, d)`` under an isolated-subsystem field acting on the last axis.
 
-    Under rk4, a flow with a ``generator`` L (field ``r -> L r``) applies
-    one cached matrix power per time to the whole batch: exactly linear in
-    the initial condition, which the audit's cancellations rely on.  Every
-    other flow walks the ascending times once: under rk4 it carries the
-    batch on from the last time when the step grids nest
-    (``integrate.rk4_continues``) and starts again from ``r0`` otherwise, so
-    each sample is the solve from 0 bit for bit; under rkf45, whose step is
-    shared by a whole state, it makes one solve per row from 0.  Complex
+    A flow with a ``generator`` L (field ``r -> L r``) applies one cached
+    propagator per time and method to the whole batch (``_propagator``):
+    exactly linear in the initial condition, and the same map for every
+    row, which the audit's cancellations rely on.  Every other flow walks
+    the ascending times once: under rk4 it carries the batch on from the
+    last time when the step grids nest (``integrate.rk4_continues``) and
+    starts again from ``r0`` otherwise, so each sample is the solve from 0
+    bit for bit; under rkf45, whose step is shared by a whole state, it
+    makes one solve per row from 0.  Complex
     states stay complex on every route.  A custom field is first probed with
     two rows: it must not mix a batch's rows, and its complex-step derivative
     must match a central difference where that is finite (complex-analytic).
@@ -597,12 +683,12 @@ class ReducedFlow:
         options = options or DEFAULT_OPTIONS
         r0 = np.asarray(r0, dtype=complex if np.iscomplexobj(r0) else float)
         times = _ascending(times)
-        if self.generator is not None and options.method == "rk4":
+        if self.generator is not None:
             # Rows times M^T: M @ r0 would mix the rows of a batch.
             out = np.repeat(r0[None], len(times), axis=0)  # t = 0 keeps r0
             for row, t in zip(out, times):
                 if t > 0:
-                    np.matmul(r0, self._rk4_matrix(t, options).T, out=row)
+                    np.matmul(r0, self._propagator(t, options).T, out=row)
             return out
         # Stacked at the end: an output allocated before integrating would
         # sit beside the rk4 stage temporaries and raise the peak memory.
@@ -619,16 +705,28 @@ class ReducedFlow:
         return np.array(samples).reshape(len(times), *r0.shape)
 
     @lru_cache(maxsize=256)
-    def _rk4_matrix(self, t: float, options: IntegratorOptions) -> np.ndarray:
-        """The read-only rk4 propagator to time t, built once per (t, options)."""
-        n, h = integrate.rk4_grid(t, options)
-        hl = h * self.generator
-        one_step = np.eye(hl.shape[0])
-        term = np.eye(hl.shape[0])
-        for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
-            term = term @ hl / factor
-            one_step = one_step + term
-        power = np.linalg.matrix_power(one_step, n)
+    def _propagator(self, t: float, options: IntegratorOptions) -> np.ndarray:
+        """The read-only propagator to time t of a flow with a generator,
+        built once per (t, options): under rk4 the n-th power of the exact
+        rk4 step map, under rkf45 one solve of the flattened identity.
+        Raises ``IntegrationFailureError`` when it is not finite."""
+        d = self.generator.shape[0]
+        if options.method == "rkf45":
+            power = integrate.solve(
+                lambda y: (self.generator @ y.reshape(d, d)).ravel(), np.eye(d).ravel(), t, options
+            ).reshape(d, d)
+        else:
+            n, h = integrate.rk4_grid(t, options)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hl = h * self.generator
+                one_step = np.eye(d)
+                term = np.eye(d)
+                for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
+                    term = term @ hl / factor
+                    one_step = one_step + term
+                power = np.linalg.matrix_power(one_step, n)
+            if not np.isfinite(power).all():
+                raise IntegrationFailureError(f"rk4 propagator at t={t:.6g} is not finite")
         power.setflags(write=False)
         return power
 

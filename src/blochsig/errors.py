@@ -43,6 +43,10 @@ class NonlinearityEvaluationError(BlochSigError, ValueError):
     """A state-dependent weight returned a non-finite value."""
 
 
+class NonFiniteGeneratorError(BlochSigError, ValueError):
+    """A Hamiltonian's coefficients give a generator that is not finite."""
+
+
 class IntegrationFailureError(BlochSigError, RuntimeError):
     """The ODE integrator gave up (step-size underflow or step budget)."""
 

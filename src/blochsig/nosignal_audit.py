@@ -458,6 +458,18 @@ def audit(
         lambda ms, ts, _: [[v] for v in d_remote_observable(law, hamiltonian, *zip(*ms), ts,
                                                             options=opts)],
     )
+    # The fit runs first: an integrator failure there ends the audit, so it
+    # ends it before the channel sweep rather than after.
+    t_fit = max(config.times)
+    _, linearity = reduced_propagator_fit(
+        law,
+        hamiltonian.interaction_free(),
+        subsystem=1,
+        t=t_fit,
+        probes=config.fit_probes,
+        seed=int(s_fit.generate_state(1)[0]),
+        options=opts,
+    )
     runs = [_outcomes(call, members, c, grid)
             for call, members, c in zip(calls, (remote, remote, rotated), components)]
     table = [  # (member, time, channel, label, outcome, status)
@@ -500,16 +512,6 @@ def audit(
             "status": f"partial:{last}" if best and failed else last,
         })
 
-    t_fit = max(config.times)
-    _, linearity = reduced_propagator_fit(
-        law,
-        hamiltonian.interaction_free(),
-        subsystem=1,
-        t=t_fit,
-        probes=config.fit_probes,
-        seed=int(s_fit.generate_state(1)[0]),
-        options=opts,
-    )
     if not math.isfinite(linearity):
         failures.append(
             {"member": None, "time": t_fit, "channel": "linearity", "component": "-",

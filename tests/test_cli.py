@@ -346,6 +346,9 @@ def test_demo_table_output(capsys):
 
 
 _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
+# Finite coefficients whose generator is not finite.
+_OVERFLOW_EVOLVE = {"dims": [2, 2], "law": "linear", "hamiltonian": {"H1": [1e308, 0, 0]},
+                    "initial_state": "random:7", "times": [1.0]}
 
 
 @pytest.mark.parametrize(
@@ -390,6 +393,8 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
         ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"method": 5}}}),
         ("audit", {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": 5}}),
         ("evolve", {**_EVOLVE, "initial_state": "random:-1"}),
+        ("evolve", _OVERFLOW_EVOLVE),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "hamiltonian": _OVERFLOW_EVOLVE["hamiltonian"]}),
     ],
     ids=[
         "evolve-times", "evolve-nan-time", "fractional-dims", "xi-preset-object",
@@ -399,6 +404,7 @@ _EVOLVE = {"dims": [2, 2], "law": "linear", "initial_state": "singlet"}
         "fractional-fit-probes", "bool-branch-max-steps", "fractional-max-steps",
         "nan-hamiltonian", "inf-h0", "bool-pass-tolerance", "string-pass-tolerance",
         "bool-branch-step", "numeric-branch-method", "numeric-hamiltonian-file", "negative-random-seed",
+        "overflowing-evolve-generator", "overflowing-audit-generator",
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command, payload):
@@ -410,6 +416,32 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, command
     assert len(err) == 1 and err[0].startswith("error:")
     if command == "audit" and "integrator" in payload["audit"]:
         assert "audit.integrator." in err[0]
+
+
+def test_an_overflowing_generator_names_the_hamiltonian(tmp_path, capsys):
+    cfg = write_config(tmp_path, "overflow.json", _OVERFLOW_EVOLVE)
+    assert main(["evolve", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: hamiltonian: Hamiltonian of dims (2, 2) has a non-finite generator "
+        "(largest |coefficient| 1e+308)"
+    ]
+
+
+@pytest.mark.parametrize("command", ["evolve", "audit"])
+def test_a_trajectory_that_overflows_exits_three_with_one_integration_line(
+    tmp_path, capsys, command
+):
+    # a finite generator, but every trial step overflows; no numpy warning
+    # may reach stderr (tier-1 turns one into an error)
+    payload = {**_OVERFLOW_EVOLVE, "hamiltonian": {"H1": [1e150, 0, 0]}}
+    if command == "audit":
+        payload = {**LINEAR_AUDIT_CONFIG, "hamiltonian": payload["hamiltonian"]}
+    cfg = write_config(tmp_path, "overflow.json", payload)
+    assert main([command, "--config", cfg, "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: integration: ")
 
 
 @pytest.mark.parametrize(

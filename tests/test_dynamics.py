@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blochsig import dynamics
 from blochsig.bloch import from_bloch, joint_to_bloch, purity, to_bloch
 from blochsig.dynamics import (
     BlochHamiltonian,
@@ -29,6 +32,7 @@ from blochsig.dynamics import (
 from blochsig.errors import (
     DimensionMismatchError,
     IntegrationFailureError,
+    NonFiniteGeneratorError,
     NonlinearityEvaluationError,
 )
 from blochsig.integrate import IntegratorOptions
@@ -126,7 +130,7 @@ def test_generator_matches_unitary_oracle_derivative(dims):
     assert np.max(np.abs(gen @ pack_coords(state0) - fd)) <= 1e-8
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
 def test_weighted_field_with_unit_weights_equals_commutator_route(dims):
     rng = np.random.default_rng(sum(dims))
     for _ in range(10):
@@ -136,6 +140,70 @@ def test_weighted_field_with_unit_weights_equals_commutator_route(dims):
         for law in (xi_law("one"), linear_law()):
             field = _flat(vector_field(law, h, state))
             assert np.max(np.abs(field - gen @ pack_coords(state))) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]), seed=st.integers(0, 2**16),
+       scale=st.floats(0.05, 2.0))
+def test_compiled_generator_equals_the_commutator_generator(dims, seed, scale):
+    h = random_hamiltonian(np.random.default_rng(seed), dims, scale=scale)
+    loc, lint = dynamics._generators(h)
+    assert np.max(np.abs(loc + lint - linear_generator(h))) <= 1e-12
+    # the local block alone is the generator of the interaction-free Hamiltonian
+    assert np.max(np.abs(loc - linear_generator(h.interaction_free()))) <= 1e-12
+
+
+def test_a_second_hamiltonian_of_the_same_dims_reuses_the_compiled_map(monkeypatch):
+    rng = np.random.default_rng(27)
+    dims = (3, 2)
+    dynamics._generator_map.cache_clear()
+    vector_field(linear_law(), random_hamiltonian(rng, dims), random_interior_joint(rng, dims))
+    first = dynamics._generator_map.cache_info()
+    runs = [(law, random_hamiltonian(rng, dims), random_interior_joint(rng, dims))
+            for law in (linear_law(), xi_law("corrnorm"))]
+    # a new Hamiltonian is one scatter: no contraction search, no Kronecker product
+    searched = []
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: searched.append("einsum"))
+    monkeypatch.setattr(np, "einsum_path", lambda *a, **k: searched.append("einsum_path"))
+    monkeypatch.setattr(np, "kron", lambda *a, **k: searched.append("kron"))
+    for law, h, state in runs:
+        vector_field(law, h, state)
+    again = dynamics._generator_map.cache_info()
+    assert (first.misses, again.misses, again.hits - first.hits) == (1, 1, 2)
+    assert searched == []
+    position, coefficient, value = dynamics._generator_map(dims)
+    assert not (position.flags.writeable or coefficient.flags.writeable or value.flags.writeable)
+    size = len(pack_coords(state))
+    assert position.size < 0.1 * size**3  # sparse: no (coefficients x size x size) tensor
+
+
+@pytest.mark.parametrize("block", ["h1", "h2", "h12"])
+@pytest.mark.parametrize("bad", [1e308, math.nan, math.inf])
+def test_a_hamiltonian_with_a_non_finite_generator_is_refused_where_it_is_built(block, bad):
+    h = random_hamiltonian(np.random.default_rng(28), (2, 3))
+    coefficients = {name: np.array(getattr(h, name)) for name in ("h1", "h2", "h12")}
+    coefficients[block].flat[1] = bad
+    h = BlochHamiltonian((2, 3), 0.0, **coefficients)
+    state = random_interior_joint(np.random.default_rng(29), (2, 3))
+    for law in (linear_law(), xi_law("corrnorm"), xi_law(xi_preset("corrnorm").as_indexed())):
+        with pytest.raises(NonFiniteGeneratorError, match="Hamiltonian of dims"):
+            evolve(law, h, state, 0.5)
+    if block != "h12":
+        dim = 2 if block == "h1" else 3
+        with pytest.raises(NonFiniteGeneratorError, match=f"local Hamiltonian of a {dim}-level"):
+            reduced_flow(linear_law(), coefficients[block], dim)
+    if block == "h1":
+        with pytest.raises(NonFiniteGeneratorError, match="non-finite generator"):
+            reduced_propagator_fit(linear_law(), h.interaction_free())
+
+
+def test_a_finite_generator_whose_trajectory_overflows_fails_to_integrate():
+    h = BlochHamiltonian((2, 2), h1=[1e150, 0.0, 0.0])
+    state = random_interior_joint(np.random.default_rng(30), (2, 2))
+    with pytest.raises(IntegrationFailureError, match="step size underflow"):
+        evolve(linear_law(), h, state, 1.0)
+    with pytest.raises(IntegrationFailureError, match="rk4 propagator at t=1 is not finite"):
+        reduced_propagator_fit(linear_law(), h)
 
 
 def test_linear_law_field_equals_unit_weight_field():

@@ -458,16 +458,6 @@ def test_a_non_analytic_custom_law_is_refused_not_passed(field):
         audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=3, ensemble_size=2))
 
 
-def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
-    # a NaN Hamiltonian makes the linear reduced flow a NaN matrix, which
-    # bypasses the integrator; every sensitivity is then NaN
-    h = BlochHamiltonian((2, 2), h1=[math.nan, 0.0, 0.0])
-    report = audit(linear_law(), h, AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
-    assert report.verdict != "pass"
-    assert report.failures
-    assert all(row["status"] == "non-finite" for row in report.cases)
-
-
 # ---------------------------------------------------------------------------
 # Aggregation rules, on crafted outcomes
 
@@ -496,6 +486,21 @@ def _crafted(plan, seen, rank):
         return results if batched else results[0]
 
     return fake
+
+
+def test_nonfinite_sensitivities_are_failures_and_block_a_pass(monkeypatch):
+    # A NaN Hamiltonian is refused where its generator is built, so every
+    # sensitivity is crafted NaN.
+    from blochsig import nosignal_audit
+
+    seen = {}
+    for name, rank in (("d_remote_state", 0), ("d_correlations", 1), ("d_remote_observable", None)):
+        monkeypatch.setattr(nosignal_audit, name, _crafted(lambda m, label, t: math.nan, seen, rank))
+    report = audit(linear_law(), BlochHamiltonian((2, 2)),
+                   AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
+    assert report.verdict != "pass"
+    assert report.failures
+    assert all(row["status"] == "non-finite" for row in report.cases)
 
 
 def test_report_aggregation_rules(monkeypatch):

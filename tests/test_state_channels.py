@@ -124,17 +124,17 @@ def test_two_linear_calls_reuse_one_flow_and_its_propagators():
     law, hamiltonian = linear_law(), random_hamiltonian(np.random.default_rng(66), dims, scale=0.6)
     case = _member(dims, 67)
     dynamics._shared_flow.cache_clear()
-    dynamics.ReducedFlow._rk4_matrix.cache_clear()
+    dynamics.ReducedFlow._propagator.cache_clear()
     args = (law, hamiltonian, case.state, case.obs_remote, case.obs_local, TIMES, [0, 1, 2],
             DEFAULT_BRANCH_OPTIONS)
     first = d_remote_state(*args)
-    built = dynamics.ReducedFlow._rk4_matrix.cache_info()
+    built = dynamics.ReducedFlow._propagator.cache_info()
     second = d_remote_state(*args)
-    again = dynamics.ReducedFlow._rk4_matrix.cache_info()
+    again = dynamics.ReducedFlow._propagator.cache_info()
     assert (built.misses, again.misses, again.hits - built.hits) == (3, 3, 3)  # one per time
     assert repr(second) == repr(first)
     flow = dynamics.reduced_flow(law, hamiltonian.h1.copy(), dims[0])
     assert flow is dynamics.reduced_flow(xi_law("corrnorm"), list(hamiltonian.h1), dims[0])
     assert dynamics._shared_flow.cache_info().misses == 1
     assert not flow.generator.flags.writeable
-    assert not flow._rk4_matrix(TIMES[0], DEFAULT_BRANCH_OPTIONS).flags.writeable
+    assert not flow._propagator(TIMES[0], DEFAULT_BRANCH_OPTIONS).flags.writeable
