@@ -60,7 +60,6 @@ from .bloch import (
     joint_from_bloch,
     min_eigenvalue,
     pack_coords,
-    to_bloch,
     unpack_coords,
 )
 from .errors import (
@@ -70,7 +69,7 @@ from .errors import (
     NonlinearityEvaluationError,
 )
 from .integrate import DEFAULT_OPTIONS, IntegratorOptions
-from .sampling import random_density
+from .sampling import hs_densities
 from .su_basis import cached_basis, cached_constants
 
 __all__ = [
@@ -787,10 +786,11 @@ def reduced_propagator_fit(
     flow = reduced_flow(law, h_local, n)
     d = n**2 - 1
     scale = 0.5
-    rng = np.random.default_rng(seed)
-    basis = cached_basis(n)
-    probe_states = [to_bloch(random_density(rng, n), basis).r for _ in range(probes)]
-    starts = np.vstack([np.zeros(d), scale * np.eye(d), *probe_states])
+    # One draw holds every probe's (2, n, n) normals, in the order that
+    # random_density would draw them; coordinates as in to_bloch.
+    rho = hs_densities(np.random.default_rng(seed).standard_normal((probes, 2, n, n)))
+    probe_states = 0.5 * n * np.real(np.einsum("pab,iba->pi", rho, cached_basis(n).matrices))
+    starts = np.vstack([np.zeros(d), scale * np.eye(d), probe_states])
     ends = flow.sample(starts, [t], options)[0]
     ends = ends[1:] - ends[0]  # less the evolved origin c
     a = np.ascontiguousarray(ends[:d].T / scale)

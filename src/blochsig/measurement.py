@@ -189,16 +189,24 @@ def observable_from_basis(vectors, basis: GeneratorSet) -> ProjectiveObservable:
         raise DimensionMismatchError(
             f"expected vectors of length {basis.dim}, got shape {vecs.shape}"
         )
-    if not np.isfinite(vecs).all():
+    return _observables_from_bases(vecs[None], basis)[0]
+
+
+def _observables_from_bases(vectors: np.ndarray, basis: GeneratorSet) -> list:
+    """:func:`observable_from_basis` of each set of rows of a stack of shape
+    ``(M, K, N)``, every outcome row read off by one ``einsum``."""
+    if not np.isfinite(vectors).all():
         raise InvalidObservableError("vector entries must be finite")
-    gram = vecs @ vecs.conj().T
-    if np.max(np.abs(gram - np.eye(len(vecs)))) > 1e-10:
+    gram = vectors @ vectors.conj().swapaxes(-1, -2)
+    if np.max(np.abs(gram - np.eye(vectors.shape[1])), initial=0.0) > 1e-10:
         raise InvalidObservableError("vectors are not orthonormal")
     n = basis.dim
-    if len(vecs) != n:
-        raise InvalidObservableError(f"need {n} vectors to resolve the identity, got {len(vecs)}")
-    u = np.real(np.einsum("ka,iab,kb->ki", vecs.conj(), basis.matrices, vecs)) / n
-    return ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in u])
+    if vectors.shape[1] != n:
+        raise InvalidObservableError(
+            f"need {n} vectors to resolve the identity, got {vectors.shape[1]}"
+        )
+    u = np.real(np.einsum("mka,iab,mkb->mki", vectors.conj(), basis.matrices, vectors)) / n
+    return [ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in rows]) for rows in u]
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:
@@ -212,18 +220,26 @@ def fourier_observable(dim: int) -> ProjectiveObservable:
     return observable_from_basis(cols / np.sqrt(dim), cached_basis(dim))
 
 
+def _rotation_direction(direction, dim: int, theta: float = 0.0) -> np.ndarray:
+    """``direction`` as a complex array once it is a finite Hermitian
+    ``(dim, dim)`` matrix and ``theta`` is finite: the checks of
+    :func:`rotate_observable`, which a rotation family runs at construction."""
+    g = np.asarray(direction, dtype=complex)
+    if g.shape != (dim, dim):
+        raise DimensionMismatchError(f"direction must be {(dim, dim)}, got {g.shape}")
+    if not (np.isfinite(g).all() and np.isfinite(theta)):
+        raise InvalidObservableError("rotation direction and angle must be finite")
+    if np.max(np.abs(g - g.conj().T)) > 1e-12:
+        raise InvalidObservableError("rotation direction must be Hermitian")
+    return g
+
+
 def rotate_observable(
     obs: ProjectiveObservable, direction: np.ndarray, theta: float
 ) -> ProjectiveObservable:
     """Conjugate every outcome by U = exp(-i theta G) for Hermitian G: each
     ``u`` maps through ``R_ij = 1/2 Re Tr(s_i U s_j U^dagger)``, ``u0`` stays."""
-    g = np.asarray(direction, dtype=complex)
-    if g.shape != (obs.dim, obs.dim):
-        raise DimensionMismatchError(f"direction must be {(obs.dim, obs.dim)}, got {g.shape}")
-    if not (np.isfinite(g).all() and np.isfinite(theta)):
-        raise InvalidObservableError("rotation direction and angle must be finite")
-    if np.max(np.abs(g - g.conj().T)) > 1e-12:
-        raise InvalidObservableError("rotation direction must be Hermitian")
+    g = _rotation_direction(direction, obs.dim, theta)
     w, v = np.linalg.eigh(g)
     unitary = (v * np.exp(-1j * theta * w)) @ v.conj().T
     s = cached_basis(obs.dim).matrices

@@ -68,19 +68,20 @@ from .integrate import IntegratorOptions, _require_number
 from .measurement import (
     ProjectiveObservable,
     _member_distributions,
+    _observables_from_bases,
     _outcome_rows,
+    _rotation_direction,
     computational_observable,
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
-    observable_from_basis,
     packed_distributions,
     rotate_observable,
 )
 from .sampling import (
+    haar_unitaries,
+    hermitian_directions,
+    hs_densities,
     interior_joint_state,
     maximally_entangled_density,
-    random_hermitian_direction,
-    random_interior_joint,
-    random_orthonormal_basis,
     random_pure_density,
     singlet_density,
 )
@@ -147,15 +148,14 @@ class AuditConfig:
 class ObservableFamily:
     """One-parameter rotation of a remote observable: outcomes conjugated by
     exp(-i theta G) for a fixed Hermitian direction G (as
-    :func:`blochsig.measurement.rotate_observable` does at angle theta)."""
+    :func:`blochsig.measurement.rotate_observable` does at angle theta,
+    whose checks of G run at construction)."""
 
     base: ProjectiveObservable
     direction: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.direction, dtype=complex)
-        rotate_observable(self.base, g, 0.0)  # rejects a bad shape, non-finite or non-Hermitian g
-        object.__setattr__(self, "direction", g)
+        object.__setattr__(self, "direction", _rotation_direction(self.direction, self.base.dim))
 
     def tangent(self) -> np.ndarray:
         """``du/dtheta`` of every outcome row at theta = 0: ``u @ L_G^T``,
@@ -297,15 +297,28 @@ class AuditCase:
     direction: np.ndarray  # rotation axis for the observable family
 
 
+@lru_cache(maxsize=16)
+def _anchor_observables(n1: int, n2: int):
+    """The anchor's remote observable (the computational basis rotated by
+    pi/4 about the antisymmetric (0,1) generator), its local observable and
+    that direction, built once per dims and read-only."""
+    direction = 0.5 * cached_basis(n2).matrices[1]
+    direction.setflags(write=False)
+    obs_remote = rotate_observable(computational_observable(n2), direction, math.pi / 4.0)
+    return obs_remote, computational_observable(n1), direction
+
+
 def _anchor_case(dims: tuple[int, int], config: AuditConfig, rng) -> AuditCase:
-    """Deterministic canonical probe: a strongly correlated full-rank state
-    with a remote basis anchored halfway along a fixed rotation.
+    """Canonical probe: a strongly correlated state with a remote basis
+    anchored halfway along a fixed rotation.
 
     Product states hide measurement-choice sensitivity (their conditionals
     do not depend on the remote choice at all), and symmetric anchors such
     as an unrotated basis on a maximally entangled state can sit exactly at
     a stationary point of the sensitivity.  The half-rotated anchor on a
-    smoothed maximally entangled state avoids both blind spots.
+    maximally entangled state (a random pure one, the generator's first
+    draw, when ``n1 != n2``), mixed by ``mix_weight``, avoids both blind
+    spots.
     """
     n1, n2 = dims
     if dims == (2, 2):
@@ -314,22 +327,36 @@ def _anchor_case(dims: tuple[int, int], config: AuditConfig, rng) -> AuditCase:
         rho = maximally_entangled_density(n1)
     else:
         rho = random_pure_density(rng, n1 * n2)
+    obs_remote, obs_local, direction = _anchor_observables(n1, n2)
     state = interior_joint_state(rho, dims, config.mix_weight)
-    direction = 0.5 * cached_basis(n2).matrices[1]  # antisymmetric (0,1) generator
-    obs_remote = rotate_observable(computational_observable(n2), direction, math.pi / 4.0)
-    return AuditCase(0, state, obs_remote, computational_observable(n1), direction)
+    return AuditCase(0, state, obs_remote, obs_local, direction)
 
 
 def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase]:
+    """The anchor, then ``ensemble_size - 1`` random members from one block
+    of standard normals, one row per member.  A row holds, in this order,
+    the ``(2, n, n)`` normals of the member's joint state, remote basis,
+    local basis and rotation direction, so a member is the one that the
+    single samplers (``random_interior_joint``, ``random_orthonormal_basis``
+    twice, ``random_hermitian_direction``) draw in turn, bit for bit."""
     n1, n2 = dims
-    b1, b2 = cached_basis(n1), cached_basis(n2)
     cases = [_anchor_case(dims, config, rng)]
-    for i in range(1, config.ensemble_size):
-        state = random_interior_joint(rng, dims, config.mix_weight)
-        obs2 = observable_from_basis(random_orthonormal_basis(rng, n2), b2)
-        obs1 = observable_from_basis(random_orthonormal_basis(rng, n1), b1)
-        direction = random_hermitian_direction(rng, n2)
-        cases.append(AuditCase(i, state, obs2, obs1, direction))
+    sides = (n1 * n2, n2, n1, n2)
+    sizes = [2 * n * n for n in sides]
+    block = rng.standard_normal((config.ensemble_size - 1, sum(sizes)))
+    parts = np.split(block, np.cumsum(sizes)[:-1], axis=1)
+    state_normals, remote_normals, local_normals, direction_normals = (
+        part.reshape(len(block), 2, n, n) for part, n in zip(parts, sides)
+    )
+    states = [interior_joint_state(rho, dims, config.mix_weight)
+              for rho in hs_densities(state_normals)]
+    remotes = _observables_from_bases(haar_unitaries(remote_normals).swapaxes(-1, -2),
+                                      cached_basis(n2))
+    locals_ = _observables_from_bases(haar_unitaries(local_normals).swapaxes(-1, -2),
+                                      cached_basis(n1))
+    directions = hermitian_directions(direction_normals)
+    cases += [AuditCase(i, *member)
+              for i, member in enumerate(zip(states, remotes, locals_, directions), start=1)]
     return cases
 
 

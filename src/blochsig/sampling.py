@@ -2,9 +2,23 @@
 
 Everything here is driven by an explicit ``numpy.random.Generator`` so that
 audits and tests are reproducible bit for bit.  Mixed states are drawn from
-the Hilbert-Schmidt ensemble (Ginibre ``G``, ``rho = G G+ / Tr``); audits
-additionally shrink them toward the maximally mixed state so that small
-coordinate perturbations cannot fall off the physical set.
+the Hilbert-Schmidt ensemble (Ginibre ``G``, ``rho = G G+ / Tr``;
+Zyczkowski & Sommers, J. Phys. A 34, 7111 (2001)) and unitaries from the
+phase-fixed QR of a Ginibre matrix (Mezzadri, Notices AMS 54, 592 (2007)).
+
+Each random object is a transform of pre-drawn standard normals of shape
+``(..., 2, n, n)`` (real parts, then imaginary parts) over the leading axes:
+:func:`hs_densities`, :func:`haar_unitaries` and
+:func:`hermitian_directions`.  A single-object sampler draws its own
+``(2, n, n)`` normals and applies the same transform, so a stack drawn in
+one call holds, bit for bit, the objects that one sampler call per member
+would have drawn from the same generator.
+
+Audits mix every drawn joint state with the maximally mixed one,
+``(1 - w) rho + w I / N`` for ``mix_weight`` w (:func:`interior_joint_state`):
+that chooses which part of the state space the ensemble probes (every
+eigenvalue at least w / N).  The audit's complex steps need no physical
+neighbours, so it plays no part in whether a component can be audited.
 """
 
 from __future__ import annotations
@@ -16,6 +30,9 @@ from .su_basis import cached_basis
 
 __all__ = [
     "ginibre_matrix",
+    "hs_densities",
+    "haar_unitaries",
+    "hermitian_directions",
     "random_density",
     "random_pure_density",
     "haar_unitary",
@@ -29,15 +46,54 @@ __all__ = [
 ]
 
 
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices ``re + i im`` from normals ``(..., 2, n, n)``."""
+    return normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+
+
 def ginibre_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _ginibre(rng.standard_normal((2, n, n)))
+
+
+def hs_densities(normals: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt random mixed states ``G G+ / Tr`` of the Ginibre
+    matrices of ``normals``."""
+    g = _ginibre(normals)
+    rho = g @ _adjoint(g)
+    return rho / _trace(rho).real
+
+
+def haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries: the QR factor ``Q`` of each Ginibre
+    matrix, its columns rephased so that ``R`` has a positive diagonal."""
+    q, r = np.linalg.qr(_ginibre(normals))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def hermitian_directions(normals: np.ndarray) -> np.ndarray:
+    """Traceless Hermitian matrices of unit Frobenius norm (rotation axes
+    for observable families; the traceless part is what actually rotates)."""
+    a = _ginibre(normals)
+    n = a.shape[-1]
+    h = 0.5 * (a + _adjoint(a))
+    h -= _trace(h) / n * np.eye(n)
+    # One norm per matrix: a norm over the stacked axes sums in another order.
+    norms = [np.linalg.norm(m) for m in h.reshape(-1, n, n)]
+    return h / np.reshape(norms, h.shape[:-2] + (1, 1))
 
 
 def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
     """Hilbert-Schmidt random mixed state."""
-    g = ginibre_matrix(rng, n)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return hs_densities(rng.standard_normal((2, n, n)))
 
 
 def random_pure_density(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -48,9 +104,7 @@ def random_pure_density(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    q, r = np.linalg.qr(ginibre_matrix(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(rng.standard_normal((2, n, n)))
 
 
 def random_orthonormal_basis(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -59,12 +113,8 @@ def random_orthonormal_basis(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_hermitian_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Traceless Hermitian matrix of unit Frobenius norm (a rotation axis
-    for observable families; the traceless part is what actually rotates)."""
-    a = ginibre_matrix(rng, n)
-    h = 0.5 * (a + a.conj().T)
-    h -= np.trace(h) / n * np.eye(n)
-    return h / np.linalg.norm(h)
+    """Traceless Hermitian matrix of unit Frobenius norm."""
+    return hermitian_directions(rng.standard_normal((2, n, n)))
 
 
 def singlet_density() -> np.ndarray:
@@ -99,5 +149,6 @@ def interior_joint_state(rho: np.ndarray, dims: tuple[int, int], mix: float) -> 
 def random_interior_joint(
     rng: np.random.Generator, dims: tuple[int, int], mix: float = 0.2
 ) -> JointBlochState:
-    """Full-rank random joint state, safe to perturb coordinate-wise."""
+    """Hilbert-Schmidt random joint state, mixed with the maximally mixed
+    state by ``mix`` as :func:`interior_joint_state` does."""
     return interior_joint_state(random_density(rng, dims[0] * dims[1]), dims, mix)

@@ -103,6 +103,17 @@ CASES = {
                                  [0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.2, 0.0]]},
          "audit": {"ensemble_size": 2, "seed": 3, "times": [0.5, 1.0]}},
     ),
+    # Party 1 the larger party, so member sampling and the fit run at n1 > n2.
+    "audit_linear_3x2": (
+        _AUDIT,
+        {"dims": [3, 2], "law": {"name": "linear"},
+         "hamiltonian": {"H1": [0.1, 0.0, 0.5, 0.0, 0.0, 0.2, 0.0, 0.0],
+                         "H2": [0.3, 0.0, 0.4],
+                         "H12": [[0.3, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, 0.3],
+                                 [0.0, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0],
+                                 [0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]},
+         "audit": {"ensemble_size": 8, "seed": 3}},
+    ),
     "demo_json": (["demo", "--json", "--no-timestamp"], None),
     # Malformed input: exit 2 with one error line.
     "malformed_evolve_times": (

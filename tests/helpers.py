@@ -1,7 +1,9 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
 observable constructors among them), a per-stage RKF45 stepper used to
-cross-check the integrator, and the central differences used to cross-check
-the complex-step state channels of the audit.
+cross-check the integrator, the central differences used to cross-check
+the complex-step state channels of the audit, and the audit's ensemble and
+fit probes drawn and converted one object at a time, the oracles of their
+one-block draws.
 
 The oracles and the stepper work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify; the central
@@ -9,11 +11,25 @@ differences shift one component at a time through ``unpack_coords`` and
 subtract two real propagations, where the audit reads one complex one.
 """
 
+import math
+
 import numpy as np
 
-from blochsig.bloch import pack_coords, unpack_coords
-from blochsig.dynamics import custom_law
-from blochsig.measurement import observable_from_matrices, packed_distributions
+from blochsig.bloch import pack_coords, to_bloch, unpack_coords
+from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
+from blochsig.measurement import (
+    Projector,
+    ProjectiveObservable,
+    observable_from_matrices,
+    packed_distributions,
+    rotate_observable,
+)
+from blochsig.sampling import (
+    interior_joint_state,
+    maximally_entangled_density,
+    random_pure_density,
+    singlet_density,
+)
 from blochsig.su_basis import cached_basis
 
 
@@ -155,3 +171,79 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                                  obs1, law, list(times), h_local=hamiltonian.h1, options=options)
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
     return (diffs / (2.0 * fd_step)).T.tolist()
+
+
+# One object per draw, in the formulas the samplers apply to a stack.
+
+
+def reference_ginibre(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def reference_density(rng, n):
+    g = reference_ginibre(rng, n)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def reference_haar_unitary(rng, n):
+    q, r = np.linalg.qr(reference_ginibre(rng, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_direction(rng, n):
+    a = reference_ginibre(rng, n)
+    h = 0.5 * (a + a.conj().T)
+    h -= np.trace(h) / n * np.eye(n)
+    return h / np.linalg.norm(h)
+
+
+def reference_basis_observable(vectors, basis):
+    """The rank-1 observable of the rows of ``vectors``, its outcome rows
+    read off one basis at a time."""
+    n = basis.dim
+    vecs = np.asarray(vectors, dtype=complex)
+    u = np.real(np.einsum("ka,iab,kb->ki", vecs.conj(), basis.matrices, vecs)) / n
+    return ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in u])
+
+
+def reference_ensemble(dims, config, rng):
+    """The audit's members ``(state, remote observable, local observable,
+    direction)``, the anchor first, each random member drawn and converted
+    on its own: joint state, remote basis, local basis, direction."""
+    n1, n2 = dims
+    b1, b2 = cached_basis(n1), cached_basis(n2)
+    if dims == (2, 2):
+        rho = singlet_density()
+    elif n1 == n2:
+        rho = maximally_entangled_density(n1)
+    else:
+        rho = random_pure_density(rng, n1 * n2)
+    direction = 0.5 * b2.matrices[1]
+    remote = rotate_observable(reference_basis_observable(np.eye(n2), b2), direction, math.pi / 4)
+    members = [(interior_joint_state(rho, dims, config.mix_weight), remote,
+                reference_basis_observable(np.eye(n1), b1), direction)]
+    for _ in range(1, config.ensemble_size):
+        state = interior_joint_state(reference_density(rng, n1 * n2), dims, config.mix_weight)
+        obs2 = reference_basis_observable(reference_haar_unitary(rng, n2).T, b2)
+        obs1 = reference_basis_observable(reference_haar_unitary(rng, n1).T, b1)
+        members.append((state, obs2, obs1, reference_direction(rng, n2)))
+    return members
+
+
+def reference_propagator_fit(law, hamiltonian, subsystem, t, probes, seed, options=None):
+    """``reduced_propagator_fit`` with each probe state drawn and converted
+    to coordinates on its own."""
+    n = hamiltonian.dims[subsystem - 1]
+    h_local = hamiltonian.h1 if subsystem == 1 else hamiltonian.h2
+    flow = reduced_flow(law, h_local, n)
+    d = n**2 - 1
+    rng = np.random.default_rng(seed)
+    probe_states = [to_bloch(reference_density(rng, n), cached_basis(n)).r for _ in range(probes)]
+    starts = np.vstack([np.zeros(d), 0.5 * np.eye(d), *probe_states])
+    ends = flow.sample(starts, [t], options or DEFAULT_BRANCH_OPTIONS)[0]
+    ends = ends[1:] - ends[0]
+    a = np.ascontiguousarray(ends[:d].T / 0.5)
+    mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]
+    return a, float(np.max(mismatch, initial=0.0))

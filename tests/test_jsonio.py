@@ -1,12 +1,80 @@
-"""Deterministic JSON/CSV writers: key order, floats, numpy inputs."""
+"""Deterministic JSON/CSV writers: key order, floats, numpy inputs, and
+the one-pass JSON writer against the standard encoder it replaced."""
 
 import csv
 import io
 import json
+import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsig.jsonio import csv_text, dumps
+
+
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return _plain(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def reference_dumps(obj) -> str:
+    """The former writer: plain values first, then the standard encoder."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+)
+_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u2028", "é😀"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=6).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31 - 1), min_size=4, max_size=4).map(
+        lambda v: np.array(v).reshape(2, 2)),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_one_pass_writer_gives_the_bytes_of_the_standard_encoder(value):
+    assert dumps(value).encode("utf-8") == reference_dumps(value).encode("utf-8")
+
+
+def test_empty_containers_and_an_audit_report_keep_their_bytes():
+    from blochsig.dynamics import BlochHamiltonian, linear_law
+    from blochsig.nosignal_audit import AuditConfig, audit
+
+    for value in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}]):
+        assert dumps(value) == reference_dumps(value)
+    report = audit(linear_law(), BlochHamiltonian((2, 3)), AuditConfig(ensemble_size=3, seed=4))
+    assert dumps(report.to_dict()) == reference_dumps(report.to_dict())
 
 
 def test_keys_are_sorted_at_every_depth():

@@ -8,6 +8,7 @@ import pytest
 from blochsig.bloch import BlochState, joint_to_bloch, pack_coords
 from blochsig.dynamics import linear_law
 from blochsig.errors import (
+    DimensionMismatchError,
     InvalidObservableError,
     InvalidProjectorError,
     PerturbationInfeasibleError,
@@ -187,6 +188,22 @@ def test_rotation_rejects_a_nonfinite_direction_or_angle():
             rotate_observable(obs, *args)
     with pytest.raises(InvalidObservableError, match="finite"):
         ObservableFamily(obs, bad_direction)
+
+
+@pytest.mark.parametrize("bad", [
+    np.eye(3),
+    np.array([[0.0, np.inf], [np.inf, 0.0]]),
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+], ids=["wrong-shape", "non-finite", "non-hermitian"])
+def test_a_family_rejects_a_direction_as_the_rotation_does(bad):
+    obs = computational_observable(2)
+    with pytest.raises(Exception) as rotation:
+        rotate_observable(obs, bad, 0.0)
+    with pytest.raises(Exception) as family:
+        ObservableFamily(obs, bad)
+    assert type(family.value) is type(rotation.value)
+    assert isinstance(family.value, (DimensionMismatchError, InvalidObservableError))
+    assert str(family.value) == str(rotation.value)
 
 
 def test_probabilities_maximally_mixed():
