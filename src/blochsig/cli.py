@@ -138,7 +138,7 @@ def _parse_int(raw, path: str) -> int:
     value = _finite(raw)
     if value is None or not value.is_integer():
         raise ConfigError(path, "must be an integer")
-    return int(value)
+    return raw if isinstance(raw, int) else int(value)  # an int may not survive float()
 
 
 def _parse_dim(raw, path: str) -> int:

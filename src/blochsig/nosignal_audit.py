@@ -48,9 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import groupby
 from numbers import Integral, Real
-from operator import itemgetter
 
 import numpy as np
 
@@ -290,7 +288,6 @@ def d_remote_observable(
 
 @dataclass(frozen=True)
 class AuditCase:
-    index: int
     state: JointBlochState
     obs_remote: ProjectiveObservable
     obs_local: ProjectiveObservable
@@ -329,7 +326,7 @@ def _anchor_case(dims: tuple[int, int], config: AuditConfig, rng) -> AuditCase:
         rho = random_pure_density(rng, n1 * n2)
     obs_remote, obs_local, direction = _anchor_observables(n1, n2)
     state = interior_joint_state(rho, dims, config.mix_weight)
-    return AuditCase(0, state, obs_remote, obs_local, direction)
+    return AuditCase(state, obs_remote, obs_local, direction)
 
 
 def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase]:
@@ -355,8 +352,7 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     locals_ = _observables_from_bases(haar_unitaries(local_normals).swapaxes(-1, -2),
                                       cached_basis(n1))
     directions = hermitian_directions(direction_normals)
-    cases += [AuditCase(i, *member)
-              for i, member in enumerate(zip(states, remotes, locals_, directions), start=1)]
+    cases += [AuditCase(*member) for member in zip(states, remotes, locals_, directions)]
     return cases
 
 
@@ -380,14 +376,6 @@ def _outcomes(call, members, components, times) -> list:
         if len(components) == 1:
             return [[[exc] * len(times)]]
     return [[_outcomes(call, members, [c], times)[0][0] for c in components]]
-
-
-def _status(outcome) -> str:
-    if isinstance(outcome, PerturbationInfeasibleError):
-        return "infeasible"
-    if isinstance(outcome, IntegrationFailureError):
-        return "integration-failure"
-    return "ok" if math.isfinite(outcome) else "non-finite"
 
 
 @dataclass(frozen=True)
@@ -455,13 +443,12 @@ def audit(
     audit window, which is what spatial separation means operationally.
     Each channel makes one call over every member, component and audit
     time (one batched branch propagation); when it fails, ``_outcomes``
-    reruns each member alone.  Every outcome goes into
-    one table, in member, time (config order), channel, component order,
-    and the report is read off it.  Partial failures (infeasible
-    perturbations, integrator giving up, non-finite sensitivities or
-    linearity residual) are recorded per case and excluded from the
-    maxima; a failure also rules out a pass, since no-signaling went
-    unchecked there.
+    reruns each member alone.  The report is read off the outcomes in one
+    walk, in member, time (config order), channel, component order.
+    Partial failures (infeasible perturbations, integrator giving up,
+    non-finite sensitivities or linearity residual) are recorded per case
+    and excluded from the maxima; a failure also rules out a pass, since
+    no-signaling went unchecked there.
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
@@ -499,45 +486,41 @@ def audit(
     )
     runs = [_outcomes(call, members, c, grid)
             for call, members, c in zip(calls, (remote, remote, rotated), components)]
-    table = [  # (member, time, channel, label, outcome, status)
-        (case.index, t, channel, label, per_time[at[t]], _status(per_time[at[t]]))
-        for case, *outcomes in zip(cases, *runs)
-        for t in config.times
-        for channel, names, per_member in zip(channels, labels, outcomes)
-        for label, per_time in zip(names, per_member)
-    ]
-
-    infeasible = [
-        {"member": m, "time": t, "channel": ch, "component": label, "reason": str(outcome)}
-        for m, t, ch, label, outcome, status in table
-        if status == "infeasible"
-    ]
-    failures = [
-        {"member": m, "time": t, "channel": ch, "component": label,
-         "reason": str(outcome) if status != "non-finite"
-         else f"sensitivity is not finite ({outcome!r})",
-         "status": status}
-        for m, t, ch, label, outcome, status in table
-        if status not in ("ok", "infeasible")
-    ]
-    # A channel's worst case is its first largest value; a row's is its last.
+    # One walk in member, time (config order), channel, component order: a
+    # channel's worst case is its first largest value; a row's is its last.
+    infeasible, failures, rows = [], [], []
     maxima, worst = dict.fromkeys(channels, 0.0), {ch: {} for ch in channels}
-    for m, t, ch, label, value, status in table:
-        if status == "ok" and value > maxima[ch]:
-            maxima[ch] = value
-            worst[ch] = {"member": m, "time": t, "component": label, "value": value}
-    rows = []
-    for (m, t, ch), group in groupby(table, key=itemgetter(0, 1, 2)):
-        group = list(group)
-        best = max(reversed([e for e in group if e[5] == "ok"]), key=itemgetter(4), default=None)
-        failed = [e[5] for e in group if e[5] != "ok"]
-        last = failed[-1] if failed else "ok"
-        rows.append({
-            "member": m, "time": t, "channel": ch,
-            "component": best[3] if best else "-",
-            "value": best[4] if best else math.nan,
-            "status": f"partial:{last}" if best and failed else last,
-        })
+    for m, outcomes in enumerate(zip(*runs)):
+        for t in config.times:
+            for ch, names, per_member in zip(channels, labels, outcomes):
+                best, last = None, "ok"
+                for label, per_time in zip(names, per_member):
+                    value = per_time[at[t]]
+                    if isinstance(value, PerturbationInfeasibleError):
+                        last, reason = "infeasible", str(value)
+                    elif isinstance(value, IntegrationFailureError):
+                        last, reason = "integration-failure", str(value)
+                    elif not math.isfinite(value):
+                        last, reason = "non-finite", f"sensitivity is not finite ({value!r})"
+                    else:
+                        if value > maxima[ch]:
+                            maxima[ch] = value
+                            worst[ch] = {"member": m, "time": t, "component": label, "value": value}
+                        if best is None or value >= best[1]:
+                            best = (label, value)
+                        continue
+                    where = {"member": m, "time": t, "channel": ch, "component": label,
+                             "reason": reason}
+                    if last == "infeasible":
+                        infeasible.append(where)
+                    else:
+                        failures.append({**where, "status": last})
+                rows.append({
+                    "member": m, "time": t, "channel": ch,
+                    "component": best[0] if best else "-",
+                    "value": best[1] if best else math.nan,
+                    "status": f"partial:{last}" if best and last != "ok" else last,
+                })
 
     if not math.isfinite(linearity):
         failures.append(

@@ -29,7 +29,6 @@ from .bloch import JointBlochState, joint_to_bloch
 from .su_basis import cached_basis
 
 __all__ = [
-    "ginibre_matrix",
     "hs_densities",
     "haar_unitaries",
     "hermitian_directions",
@@ -57,10 +56,6 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-
-
-def ginibre_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _ginibre(rng.standard_normal((2, n, n)))
 
 
 def hs_densities(normals: np.ndarray) -> np.ndarray:

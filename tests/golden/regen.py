@@ -5,9 +5,13 @@ Its golden file ``<name>.json`` holds the argv, the config, the exit code,
 the stderr lines, the output (parsed JSON, CSV rows or ``null``) and the
 SHA-256 of the raw output bytes.  ``tests/test_golden.py`` reruns every file
 and compares exit codes, stderr, keys and strings exactly and numbers to a
-tolerance, so a different BLAS cannot make it flaky; the hash is checked
-only by regenerating into another directory on the same machine and
-comparing the files.
+tolerance; the hash is checked only by regenerating into another directory
+on the same machine and comparing the files.  The tolerance does not keep a
+different BLAS from failing the test: the labels (each case row's component,
+and the member, time and component of ``worst_case`` and
+``per_channel_worst``) are compared exactly, and on linear and xi audits
+each label picks the largest of values at rounding level (~1e-17), so a
+last-bit change in any member can flip it.
 
 Rewrite the committed files (from the repository root):
 

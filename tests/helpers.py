@@ -1,9 +1,10 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
 observable constructors among them), a per-stage RKF45 stepper used to
 cross-check the integrator, the central differences used to cross-check
-the complex-step state channels of the audit, and the audit's ensemble and
+the complex-step state channels of the audit, the audit's ensemble and
 fit probes drawn and converted one object at a time, the oracles of their
-one-block draws.
+one-block draws, and the audit report read off a table of its outcomes, the
+oracle of the audit's one walk.
 
 The oracles and the stepper work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify; the central
@@ -12,11 +13,14 @@ subtract two real propagations, where the audit reads one complex one.
 """
 
 import math
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from blochsig.bloch import pack_coords, to_bloch, unpack_coords
 from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
+from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     Projector,
     ProjectiveObservable,
@@ -247,3 +251,73 @@ def reference_propagator_fit(law, hamiltonian, subsystem, t, probes, seed, optio
     a = np.ascontiguousarray(ends[:d].T / 0.5)
     mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]
     return a, float(np.max(mismatch, initial=0.0))
+
+
+# The audit report, read off one table of outcomes.
+
+
+def _status(outcome) -> str:
+    if isinstance(outcome, PerturbationInfeasibleError):
+        return "infeasible"
+    if isinstance(outcome, IntegrationFailureError):
+        return "integration-failure"
+    return "ok" if math.isfinite(outcome) else "non-finite"
+
+
+def reference_report(runs, times, labels, linearity):
+    """The audit's ``infeasible``, ``failures``, ``per_channel_worst``,
+    ``worst_case``, ``residuals()`` and ``cases`` for the channel outcomes
+    ``runs`` (one ``_outcomes`` result per channel: member, component, time
+    on the sorted distinct ``times``), the component ``labels`` of each
+    channel and a finite ``linearity``.  Every outcome goes into one table
+    of (member, time, channel, label, outcome, status) entries, in member,
+    time (config order), channel, component order, and each field is a
+    separate walk over it."""
+    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
+    at = {t: i for i, t in enumerate(sorted(set(times)))}
+    table = [
+        (m, t, channel, label, per_time[at[t]], _status(per_time[at[t]]))
+        for m, outcomes in enumerate(zip(*runs))
+        for t in times
+        for channel, names, per_member in zip(channels, labels, outcomes)
+        for label, per_time in zip(names, per_member)
+    ]
+    infeasible = [
+        {"member": m, "time": t, "channel": ch, "component": label, "reason": str(outcome)}
+        for m, t, ch, label, outcome, status in table
+        if status == "infeasible"
+    ]
+    failures = [
+        {"member": m, "time": t, "channel": ch, "component": label,
+         "reason": str(outcome) if status != "non-finite"
+         else f"sensitivity is not finite ({outcome!r})",
+         "status": status}
+        for m, t, ch, label, outcome, status in table
+        if status not in ("ok", "infeasible")
+    ]
+    # A channel's worst case is its first largest value; a row's is its last.
+    maxima, worst = dict.fromkeys(channels, 0.0), {ch: {} for ch in channels}
+    for m, t, ch, label, value, status in table:
+        if status == "ok" and value > maxima[ch]:
+            maxima[ch] = value
+            worst[ch] = {"member": m, "time": t, "component": label, "value": value}
+    rows = []
+    for (m, t, ch), group in groupby(table, key=itemgetter(0, 1, 2)):
+        group = list(group)
+        best = max(reversed([e for e in group if e[5] == "ok"]), key=itemgetter(4), default=None)
+        failed = [e[5] for e in group if e[5] != "ok"]
+        last = failed[-1] if failed else "ok"
+        rows.append({
+            "member": m, "time": t, "channel": ch,
+            "component": best[3] if best else "-",
+            "value": best[4] if best else math.nan,
+            "status": f"partial:{last}" if best and failed else last,
+        })
+    if linearity > max(maxima.values()):
+        worst_case = {"channel": "linearity", "value": linearity}
+    else:
+        top = max(channels, key=lambda ch: maxima[ch])
+        worst_case = {"channel": top, **worst[top]}
+    return {"infeasible": infeasible, "failures": failures, "per_channel_worst": worst,
+            "worst_case": worst_case, "residuals": {**maxima, "linearity": linearity},
+            "cases": rows}

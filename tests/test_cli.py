@@ -281,6 +281,36 @@ def test_audit_seed_flag_overrides_config(tmp_path):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+def test_a_seed_above_2_53_reaches_the_audit_exactly(tmp_path):
+    # 2**53 + 1 is the first integer a float cannot hold.
+    seed = 2**53 + 1
+    audit_block = {"ensemble_size": 2, "seed": seed}
+    in_file = write_config(tmp_path, "in_file.json", {**LINEAR_AUDIT_CONFIG, "audit": audit_block})
+    by_flag = write_config(tmp_path, "by_flag.json",
+                           {**LINEAR_AUDIT_CONFIG, "audit": {**audit_block, "seed": 1}})
+    rounded = write_config(tmp_path, "rounded.json",
+                           {**LINEAR_AUDIT_CONFIG, "audit": {**audit_block, "seed": 2**53}})
+    outs = [tmp_path / f"{name}.out.json" for name in ("file", "flag", "rounded")]
+    assert main(["audit", "--config", in_file, "--out", str(outs[0]), "--no-timestamp"]) == 0
+    assert main(["audit", "--config", by_flag, "--out", str(outs[1]), "--no-timestamp",
+                 "--seed", str(seed)]) == 0
+    assert main(["audit", "--config", rounded, "--out", str(outs[2]), "--no-timestamp"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+    assert json.loads(outs[0].read_text())["config"]["seed"] == seed
+
+
+def test_an_integral_float_is_an_integer(tmp_path):
+    reports = []
+    for seed in (3, 3.0):
+        cfg = write_config(tmp_path, "audit.json",
+                           {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": seed}})
+        out = tmp_path / "report.json"
+        assert main(["audit", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["config"]["seed"] == 3
+
+
 def test_audit_malformed_config_field_path(tmp_path, capsys):
     bad = dict(LINEAR_AUDIT_CONFIG)
     bad["audit"] = {"pass_tolerance": -1.0}

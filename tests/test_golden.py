@@ -1,7 +1,9 @@
 """Golden CLI reports: every case in ``tests/golden`` reruns with the same
 exit code, stderr lines, keys, strings, verdicts and statuses, and with
 numbers within ``1e-10 + 1e-9 |expected|`` (``tests/golden/regen.py``
-rewrites the files)."""
+rewrites the files).  Component, member and time labels are compared
+exactly; on linear and xi audits they choose among values at rounding level
+(~1e-17), so another BLAS that moves a last bit can change them."""
 
 import json
 import math

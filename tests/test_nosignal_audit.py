@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochsig.bloch import joint_to_bloch, to_bloch
 from blochsig.dynamics import (
@@ -19,6 +21,7 @@ from blochsig.dynamics import (
 )
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.integrate import IntegratorOptions
+from blochsig.jsonio import dumps
 from blochsig.measurement import computational_observable, fourier_observable, rotate_observable
 from blochsig.nosignal_audit import (
     AuditConfig,
@@ -39,7 +42,7 @@ from blochsig.sampling import (
 )
 from blochsig.su_basis import cached_basis
 
-from helpers import amplitude_damping_law, gksl_coordinate_field
+from helpers import amplitude_damping_law, gksl_coordinate_field, reference_report
 
 
 def _y_anchor_family(anchor_angle=math.pi / 4.0):
@@ -574,3 +577,45 @@ def test_report_aggregation_rules(monkeypatch):
         for i in range(3) for j in range(3) if (i, j) != (0, 0)
     )
     assert report.verdict == "signaling-detected"
+
+
+# Ties among few values (0.0 among them), every kind of failure, and more
+# values than failures, so rows and channels often have several largest.
+_GRID_OUTCOMES = st.sampled_from(
+    [0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 0.5, 0.5, math.nan, math.inf, -math.inf,
+     PerturbationInfeasibleError("a branch of zero weight moves"),
+     IntegrationFailureError("gave up")]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3)]),
+    members=st.integers(1, 4),
+    times=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_one_walk_reads_the_report_the_outcome_table_gives(dims, members, times, data):
+    """Random outcome grids in place of the three channels' sweeps: the
+    report equals the one read off a table of every outcome."""
+    from blochsig import nosignal_audit
+
+    runs = []
+
+    def grid(call, ms, components, ts):
+        assert len(ms) == members and ts == sorted(set(times))
+        runs.append([[[data.draw(_GRID_OUTCOMES) for _ in ts] for _ in components] for _ in ms])
+        return runs[-1]
+
+    config = AuditConfig(seed=3, ensemble_size=members, times=tuple(times), fit_probes=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nosignal_audit, "_outcomes", grid)
+        report = audit(linear_law(), BlochHamiltonian(dims), config)
+    d1, d2 = (n**2 - 1 for n in dims)
+    labels = ([str(k) for k in range(d2)],
+              [f"{i},{j}" for i in range(d1) for j in range(d2)], ["theta"])
+    expected = reference_report(runs, times, labels, report.linearity_residual)
+    actual = {"infeasible": report.infeasible, "failures": report.failures,
+              "per_channel_worst": report.per_channel_worst, "worst_case": report.worst_case,
+              "residuals": report.residuals(), "cases": report.cases}
+    assert dumps(actual) == dumps(expected)
