@@ -74,6 +74,8 @@ from .version import __version__
 
 __all__ = ["main"]
 
+MAX_DIM = 12  # largest party dimension: 2 (N**2 - 1)**3 structure constants, ~4 s at 12
+
 
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -143,8 +145,8 @@ def _parse_int(raw, path: str) -> int:
 
 def _parse_dim(raw, path: str) -> int:
     value = _parse_int(raw, path)
-    if value < 2:
-        raise ConfigError(path, "dimensions must be >= 2")
+    if not 2 <= value <= MAX_DIM:
+        raise ConfigError(path, f"dimensions must lie in [2, {MAX_DIM}]")
     return value
 
 
@@ -354,6 +356,8 @@ def _joint_json(state: JointBlochState) -> dict:
 
 
 def cmd_basis(args) -> int:
+    if args.dim > MAX_DIM:  # below 2, build_generators names the dimension
+        raise ConfigError("--dim", f"dimensions must lie in [2, {MAX_DIM}]")
     basis = build_generators(args.dim)
     constants = structure_constants(basis)
     payload = {

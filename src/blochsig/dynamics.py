@@ -41,6 +41,7 @@ feeds.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -603,6 +604,8 @@ def evolve_path(
     for t in times:
         if t > t_prev:
             current = integrate.solve(field, current, t - t_prev, options)
+            if not np.isfinite(current).all():
+                raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
             t_prev = t
         out.append((t, _result_for(unpack_coords(current, hamiltonian.dims))))
     return out
@@ -642,10 +645,11 @@ class ReducedFlow:
     last time when the step grids nest (``integrate.rk4_continues``) and
     starts again from ``r0`` otherwise, so each sample is the solve from 0
     bit for bit; under rkf45, whose step is shared by a whole state, it
-    makes one solve per row from 0.  Complex
-    states stay complex on every route.  A custom field is first probed with
-    two rows: it must not mix a batch's rows, and its complex-step derivative
-    must match a central difference where that is finite (complex-analytic).
+    makes one solve per row from 0, and a row it gives up on reads NaN.
+    Callers check finiteness; complex states stay complex.  A custom field
+    is first probed with two rows: it must not mix a batch's rows, and its
+    complex-step derivative must match a central difference where that is
+    finite (complex-analytic).
     """
 
     def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
@@ -694,8 +698,10 @@ class ReducedFlow:
         samples, y, done = [], r0, 0.0
         for t in times:
             if options.method == "rkf45":
-                y = np.array([integrate.solve(self.field, row, t, options)
-                              for row in r0.reshape(-1, r0.shape[-1])]).reshape(r0.shape)
+                y = np.full_like(r0, np.nan)  # a row the stepper gives up on stays NaN
+                for end, row in zip(y.reshape(-1, r0.shape[-1]), r0.reshape(-1, r0.shape[-1])):
+                    with contextlib.suppress(IntegrationFailureError):
+                        end[...] = integrate.solve(self.field, row, t, options)
             elif t > done:
                 start = done if integrate.rk4_continues(done, t, options) else 0.0
                 y = integrate.solve(self.field, y if start else r0, t - start, options)
@@ -724,8 +730,8 @@ class ReducedFlow:
                     term = term @ hl / factor
                     one_step = one_step + term
                 power = np.linalg.matrix_power(one_step, n)
-            if not np.isfinite(power).all():
-                raise IntegrationFailureError(f"rk4 propagator at t={t:.6g} is not finite")
+        if not np.isfinite(power).all():
+            raise IntegrationFailureError(f"{options.method} propagator at t={t:.6g} is not finite")
         power.setflags(write=False)
         return power
 
@@ -792,6 +798,8 @@ def reduced_propagator_fit(
     probe_states = 0.5 * n * np.real(np.einsum("pab,iba->pi", rho, cached_basis(n).matrices))
     starts = np.vstack([np.zeros(d), scale * np.eye(d), probe_states])
     ends = flow.sample(starts, [t], options)[0]
+    if not np.isfinite(ends).all():
+        raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
     ends = ends[1:] - ends[0]  # less the evolved origin c
     a = np.ascontiguousarray(ends[:d].T / scale)
     mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]

@@ -151,9 +151,9 @@ def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = N
     Under ``rk4``, ``y0`` may be a ``(B, d)`` batch of independent rows
     (the field must then act on the last axis); ``rkf45`` takes one row.
     A complex ``y0`` stays complex; any other is taken as float.  Raises
-    ``IntegrationFailureError`` when the stepper gives up or the result is
-    not finite; a ``RuntimeWarning`` on the way (numpy's overflow) is not
-    shown.
+    ``IntegrationFailureError`` when the stepper gives up; a result that is
+    not finite is returned for the caller to check, and a ``RuntimeWarning``
+    on the way (numpy's overflow) is not shown.
     """
     if not 0 <= t < math.inf:
         raise ValueError("integration time must be finite and nonnegative")
@@ -164,12 +164,9 @@ def solve(field, y0: np.ndarray, t: float, options: IntegratorOptions | None = N
     if t == 0.0:
         return y0.copy()
     stepper = _rk4 if options.method == "rk4" else _rkf45
-    # A trial step that overflows is rejected (rkf45) or its result refused
-    # below, so the overflow itself needs no warning.  A warnings filter costs
-    # once per solve; np.errstate would slow every ufunc of the field (~8 %).
+    # A trial step that overflows is rejected (rkf45) or left to the caller,
+    # so the overflow itself needs no warning.  A warnings filter costs once
+    # per solve; np.errstate would slow every ufunc of the field (~8 %).
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        y = stepper(field, y0, t, options)
-    if not np.isfinite(y).all():
-        raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
-    return y
+        return stepper(field, y0, t, options)

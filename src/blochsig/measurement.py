@@ -21,7 +21,7 @@ law's shared reduced flow (``dynamics.reduced_flow``), sampled at several
 times; :func:`local_distribution` is its one-row, one-time case.  Complex
 rows or outcomes (the audit's complex steps) stay complex throughout; a
 branch is kept by the real part of its weight, and a row that moves a
-dropped branch raises, since its derivative is one-sided.
+dropped branch fails, since its derivative is one-sided.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -40,6 +40,7 @@ from . import dynamics
 from .bloch import BlochState, JointBlochState, pack_coords
 from .errors import (
     DimensionMismatchError,
+    IntegrationFailureError,
     InvalidObservableError,
     InvalidProjectorError,
     PerturbationInfeasibleError,
@@ -335,15 +336,19 @@ def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _member_distributions(members, dims, law, times, *, h_local=None, options=None):
     """:func:`packed_distributions` of each member ``(x, u0, u, obs1, names)``,
-    read once in order: only the collapsed party-1 states of its rows are
-    kept, every member's propagate as one batch, and each member's segment
-    is averaged with its own ``obs1``, each row's weighted branches summed in
-    ascending outcome order (one unbuffered scatter-add), as one row would.
-    A branch of real weight <= ``EPS_PROB`` is dropped; a complex row moving
-    one (its weight or collapsed state) has a one-sided derivative, and raises
-    ``PerturbationInfeasibleError`` named by ``names`` (None: by its index)."""
+    read once in order, and its failures: the error that left a distribution
+    unchecked, keyed by (time index, row).  Only the collapsed party-1 states
+    of its rows are kept, every member's propagate as one batch, and each
+    member's segment is averaged with its own ``obs1``, each row's weighted
+    branches summed in ascending outcome order (one unbuffered scatter-add),
+    as one row would.  A branch of real weight <= ``EPS_PROB`` is dropped; a
+    complex row moving one (its weight or collapsed state) has a one-sided
+    derivative: ``PerturbationInfeasibleError`` at every time, named by
+    ``names`` (None: by its index).  A distribution that is not finite is an
+    ``IntegrationFailureError``."""
     n1, n2 = dims
     d1, d2 = n1**2 - 1, n2**2 - 1
+    options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     branches, states = [], []
     for x, u0, u, obs1, names in members:
         if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
@@ -354,24 +359,29 @@ def _member_distributions(members, dims, law, times, *, h_local=None, options=No
         p, scaled = _collapse(x, u0, u, d1)
         drop = p.real <= EPS_PROB  # a NaN weight stays in, and poisons its row
         moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
-        if moved.any():
-            row, k = np.argwhere(moved)[0]
-            name = f"row {row}" if names is None else names[row]
-            raise PerturbationInfeasibleError(
-                f"perturbation of {name} moves remote outcome {k} of weight "
-                f"{p.real[row, k]:.3e}, so only a one-sided derivative exists"
-            )
+        infeasible = {}
+        for row, k in zip(*moved.nonzero()):  # a row's first moved outcome names it
+            infeasible.setdefault(row, PerturbationInfeasibleError(
+                f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
+                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative exists"
+            ))
         keep = ~drop
-        branches.append((len(x), obs1, np.nonzero(keep)[0], p[keep]))
+        branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
         states.append(scaled[keep] / p[keep][:, None])
     flow = dynamics.reduced_flow(law, h_local, n1)
     states = np.concatenate(states)
-    evolved = flow.sample(states, times, options or dynamics.DEFAULT_BRANCH_OPTIONS)
+    evolved = flow.sample(states, times, options)
     out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
-    for segment, (rows, obs1, owners, weights) in zip(np.split(evolved, ends, axis=1), branches):
+    segments = zip(np.split(evolved, ends, axis=1), branches)
+    for segment, (rows, infeasible, obs1, owners, weights) in segments:
         born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
-        out.append(np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype))
-        np.add.at(out[-1], (slice(None), owners), weights[:, None] * born)
+        dist = np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype)
+        np.add.at(dist, (slice(None), owners), weights[:, None] * born)
+        failures = {(i, row): e for row, e in infeasible.items() for i in range(len(times))}
+        for i, row in zip(*(~np.isfinite(dist).all(axis=-1)).nonzero()):
+            failures.setdefault((i, row), IntegrationFailureError(
+                f"{options.method} result at t={times[i]:.6g} is not finite"))
+        out.append((dist, failures))
     return out
 
 
@@ -383,7 +393,11 @@ def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, opti
 
     The branches of every row form one batch that the flow propagates once,
     under ``options`` or the audit's rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``,
-    and is averaged as :func:`_member_distributions` describes.
+    and is averaged as :func:`_member_distributions` describes.  Raises the
+    first failure, by time and then by row.
     """
-    return _member_distributions([(x, u0, u, obs1, None)], dims, law, times,
-                                h_local=h_local, options=options)[0]
+    [(dist, failures)] = _member_distributions([(x, u0, u, obs1, None)], dims, law, times,
+                                               h_local=h_local, options=options)
+    if failures:
+        raise failures[min(failures)]
+    return dist

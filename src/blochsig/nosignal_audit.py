@@ -169,10 +169,9 @@ def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
     row (the first only when ``single``), a float per time or a list per
     time sequence, for one member ``joint, obs2, obs1`` or each of sequences
     of them; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
-    names.  Every member's branches propagate as one batch.  A member
-    outside the physical set raises ``UnphysicalStateError``, and a row
-    moving a dropped branch ``PerturbationInfeasibleError`` (see
-    :func:`blochsig.measurement.packed_distributions`)."""
+    names.  Every member's branches propagate as one batch, and an outcome
+    left unchecked holds its error instead (see ``_member_distributions``).
+    A member outside the physical set raises ``UnphysicalStateError``."""
     if isinstance(joint, JointBlochState):
         return _channel(law, hamiltonian, [joint], [obs2], [obs1], t, plan, options, single)[0]
     members = list(zip(joint, obs2, obs1, strict=True))
@@ -190,8 +189,10 @@ def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
                                   [t] if np.ndim(t) == 0 else list(t),
                                   h_local=hamiltonian.h1, options=options)
     out = []
-    for d in dists:
+    for d, failures in dists:
         values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
+        for (i, row), error in failures.items():
+            values[row][i] = error
         values = [v[0] for v in values] if np.ndim(t) == 0 else values
         out.append(values[0] if single else values)
     return out
@@ -224,7 +225,7 @@ def d_remote_state(
     ``joint``, ``obs2`` and ``obs1`` are one ensemble member, or equal-length
     sequences of M members (shape ``(M,)``), giving one such result per
     member.  Every member, time and component comes from a single batched
-    propagation; a member that fails makes the whole call raise."""
+    propagation; an outcome left unchecked holds its error instead."""
     ks = [int(k) for k in np.reshape(component, -1)]
 
     def plan(state, remote):
@@ -356,28 +357,6 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     return cases
 
 
-def _outcomes(call, members, components, times) -> list:
-    """Each member's sensitivity per component and time, or the error that
-    left it unchecked, from one ``call(members, times, components)``: a
-    failed batch of several members reruns each member alone.  For one
-    member, an infeasible component fails at every time, so its batch splits
-    into single components.  An integrator failure may hit only later times,
-    so its batch reruns one time at a time with every component, and only a
-    time that still fails splits into single components.
-    """
-    try:
-        return call(members, times, components)
-    except (PerturbationInfeasibleError, IntegrationFailureError) as exc:
-        if len(members) > 1:
-            return [_outcomes(call, [m], components, times)[0] for m in members]
-        if isinstance(exc, IntegrationFailureError) and len(times) > 1:
-            per_time = [_outcomes(call, members, components, [t])[0] for t in times]
-            return [[[run[i][0] for run in per_time] for i in range(len(components))]]
-        if len(components) == 1:
-            return [[[exc] * len(times)]]
-    return [[_outcomes(call, members, [c], times)[0][0] for c in components]]
-
-
 @dataclass(frozen=True)
 class AuditReport:
     """Aggregated sensitivities, verdict, and the configurations behind them."""
@@ -442,8 +421,8 @@ def audit(
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
     Each channel makes one call over every member, component and audit
-    time (one batched branch propagation); when it fails, ``_outcomes``
-    reruns each member alone.  The report is read off the outcomes in one
+    time (one batched branch propagation), giving each outcome its value or
+    the error that left it unchecked; the report is read off them in one
     walk, in member, time (config order), channel, component order.
     Partial failures (infeasible perturbations, integrator giving up,
     non-finite sensitivities or linearity residual) are recorded per case
@@ -461,17 +440,10 @@ def audit(
     channels = ("d_remote_state", "d_correlations", "d_remote_observable")
     grid = sorted(set(config.times))
     at = {t: i for i, t in enumerate(grid)}
-    components = (list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)], [None])
-    labels = ([str(k) for k in components[0]], [f"{i},{j}" for i, j in components[1]], ["theta"])
-    remote = [(case.state, case.obs_remote, case.obs_local) for case in cases]
-    rotated = [(case.state, ObservableFamily(case.obs_remote, case.direction), case.obs_local)
-               for case in cases]
-    calls = (  # each takes a list of members and gives one result per member
-        lambda ms, ts, cs: d_remote_state(law, hamiltonian, *zip(*ms), ts, cs, options=opts),
-        lambda ms, ts, cs: d_correlations(law, hamiltonian, *zip(*ms), ts, cs, options=opts),
-        lambda ms, ts, _: [[v] for v in d_remote_observable(law, hamiltonian, *zip(*ms), ts,
-                                                            options=opts)],
-    )
+    ks, pairs = list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)]
+    labels = ([str(k) for k in ks], [f"{i},{j}" for i, j in pairs], ["theta"])
+    states, remotes, locals_ = zip(*[(c.state, c.obs_remote, c.obs_local) for c in cases])
+    families = [ObservableFamily(c.obs_remote, c.direction) for c in cases]
     # The fit runs first: an integrator failure there ends the audit, so it
     # ends it before the channel sweep rather than after.
     t_fit = max(config.times)
@@ -484,8 +456,12 @@ def audit(
         seed=int(s_fit.generate_state(1)[0]),
         options=opts,
     )
-    runs = [_outcomes(call, members, c, grid)
-            for call, members, c in zip(calls, (remote, remote, rotated), components)]
+    runs = (  # one call per channel over every member, component and time
+        d_remote_state(law, hamiltonian, states, remotes, locals_, grid, ks, options=opts),
+        d_correlations(law, hamiltonian, states, remotes, locals_, grid, pairs, options=opts),
+        [[v] for v in d_remote_observable(law, hamiltonian, states, families, locals_, grid,
+                                          options=opts)],
+    )
     # One walk in member, time (config order), channel, component order: a
     # channel's worst case is its first largest value; a row's is its last.
     infeasible, failures, rows = [], [], []

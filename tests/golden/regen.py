@@ -126,6 +126,7 @@ CASES = {
     "malformed_fractional_dims": (
         ["evolve", "--config", "{config}"], {**_EVOLVE, "dims": [2.5, 2]},
     ),
+    "malformed_huge_dims": (_AUDIT, {**_LINEAR, "dims": [100000000000000000000, 2]}),
     "malformed_bool_ensemble_size": (
         _AUDIT, {**_LINEAR, "audit": {"ensemble_size": True}},
     ),

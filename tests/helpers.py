@@ -267,8 +267,9 @@ def _status(outcome) -> str:
 def reference_report(runs, times, labels, linearity):
     """The audit's ``infeasible``, ``failures``, ``per_channel_worst``,
     ``worst_case``, ``residuals()`` and ``cases`` for the channel outcomes
-    ``runs`` (one ``_outcomes`` result per channel: member, component, time
-    on the sorted distinct ``times``), the component ``labels`` of each
+    ``runs`` (per channel, the outcomes of its one ``d_*`` call over every
+    member: member, component, time on the sorted distinct ``times``, each
+    a value or an error), the component ``labels`` of each
     channel and a finite ``linearity``.  Every outcome goes into one table
     of (member, time, channel, label, outcome, status) entries, in member,
     time (config order), channel, component order, and each field is a

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochsig import integrate, nosignal_audit
+from blochsig import integrate, measurement, nosignal_audit
 from blochsig.dynamics import (
     BlochHamiltonian,
     custom_law,
@@ -26,7 +26,7 @@ from blochsig.dynamics import (
     reduced_flow,
     xi_law,
 )
-from blochsig.bloch import joint_to_bloch, pack_coords
+from blochsig.bloch import JointBlochState, joint_to_bloch, pack_coords
 from blochsig.errors import (
     DimensionMismatchError,
     IntegrationFailureError,
@@ -468,28 +468,32 @@ def _zero_weight_member():
     return state, computational_observable(2), obs1
 
 
-def test_one_infeasible_component_sends_the_channel_to_per_component_calls():
+def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     state, obs2, obs1 = _zero_weight_member()
-    with pytest.raises(PerturbationInfeasibleError, match=r"r2\[2\]"):
-        d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
-    call = partial(d_remote_state, law, h, state, obs2, obs1)
-    [outcomes] = nosignal_audit._outcomes(
-        lambda ms, ts, cs: [call(ts, cs)], [0], [0, 1, 2], list(DEFAULT_TIMES)
-    )
-    assert outcomes[:2] == [call(list(DEFAULT_TIMES), k) for k in (0, 1)]
-    assert all(isinstance(e, PerturbationInfeasibleError) for e in outcomes[2])
+    call = partial(d_remote_state, law, h, state, obs2, obs1, list(DEFAULT_TIMES))
+    together = call([0, 1, 2])
+    assert _described([together]) == _described([[call(k) for k in (0, 1, 2)]])
+    assert together[:2] == [call(k) for k in (0, 1)]
+    assert all(isinstance(e, PerturbationInfeasibleError) and "r2[2]" in str(e)
+               for e in together[2])
 
 
 def _per_component_audit(monkeypatch, law, h, config):
-    """The audit with every component in its own ``d_*`` call."""
-    outcomes = nosignal_audit._outcomes
+    """The audit with every member and component in its own ``d_*`` call."""
+    def split(fn):
+        def one_by_one(law, h, joint, obs2, obs1, t, *components, **kwargs):
+            members = list(zip(joint, obs2, obs1))
+            if not components:  # the observable channel
+                return [fn(law, h, *member, t, **kwargs) for member in members]
+            return [[fn(law, h, *member, t, c, **kwargs) for c in components[0]]
+                    for member in members]
 
-    def one_by_one(call, members, components, times):
-        return [[outcomes(call, [m], [c], times)[0][0] for c in components] for m in members]
+        return one_by_one
 
     with monkeypatch.context() as m:
-        m.setattr(nosignal_audit, "_outcomes", one_by_one)
+        for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
+            m.setattr(nosignal_audit, name, split(getattr(nosignal_audit, name)))
         return audit(law, h, config)
 
 
@@ -547,25 +551,29 @@ def _recorded_d_calls(monkeypatch):
     return calls
 
 
-def test_integration_failure_reruns_each_member_then_each_time_then_components(monkeypatch):
+def test_an_integration_failure_still_makes_one_d_call_per_channel(monkeypatch):
     calls = _recorded_d_calls(monkeypatch)
     report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
                    AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
     grid = DEFAULT_TIMES
-    channels = (("d_remote_state", 3), ("d_correlations", 9), ("d_remote_observable", None))
-    # per channel: one batch over both members fails; member 0 (failing at
-    # t = 1) then makes one batch, one rerun per time with every component
-    # and one rerun per component at t = 1 only; member 1 makes one batch
-    expected = [
-        call
-        for name, count in channels
-        for call in [(name, 2, grid, count), (name, 1, grid, count),
-                     *[(name, 1, (t,), count) for t in grid],
-                     *[(name, 1, (1.0,), 1)] * (count or 0), (name, 1, grid, count)]
-    ]
-    assert calls == expected
-    assert len(expected) == 3 + 24 + 3  # per channel 1, then 1 + T + C and 1
+    # member 0 fails at t = 1, inside the one batch over both members and every time
+    assert calls == [("d_remote_state", 2, grid, 3), ("d_correlations", 2, grid, 9),
+                     ("d_remote_observable", 2, grid, None)]
     assert {f["member"] for f in report.failures} == {0}
+
+
+def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes(monkeypatch):
+    # rkf45 gives up on a branch just before t = 1; that row reads NaN, so
+    # its outcomes at t = 1 fail and every earlier outcome is checked
+    calls = _recorded_d_calls(monkeypatch)
+    config = AuditConfig(seed=3, ensemble_size=3, fit_probes=0,
+                         branch_options=IntegratorOptions(method="rkf45"))
+    report = audit(_expanding_law(), BlochHamiltonian((2, 2)), config)
+    assert report.failures and {f["time"] for f in report.failures} == {1.0}
+    assert all(f["reason"] == "rkf45 result at t=1 is not finite" for f in report.failures)
+    assert all(row["status"] == "ok" for row in report.cases if row["time"] < 1.0)
+    assert [name for name, *_ in calls] == [
+        "d_remote_state", "d_correlations", "d_remote_observable"]
 
 
 def test_audit_makes_three_d_calls_each_over_every_member(monkeypatch):
@@ -717,13 +725,31 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
                    for c in nosignal_audit._ensemble((2, 2), config, rng)]
     h, times, components = BlochHamiltonian((2, 2)), list(DEFAULT_TIMES), [0, 1, 2]
 
-    def call(ms, ts, cs):
-        return d_remote_state(law, h, *_columns([members[m] for m in ms]), ts, cs)
+    def call(ms, cs):
+        return d_remote_state(law, h, *_columns([members[m] for m in ms]), times, cs)
 
-    with pytest.raises(error):
-        call([0, 1], times, components)
-    together = nosignal_audit._outcomes(call, [0, 1], components, times)
-    alone = [nosignal_audit._outcomes(call, [m], components, times)[0] for m in (0, 1)]
+    # one batched call gives each outcome its single-member, single-component one
+    together = call([0, 1], components)
+    alone = [[call([m], c)[0] for c in components] for m in (0, 1)]
     assert _described(together) == _described(alone)
     assert any(isinstance(v, error) for per_time in together[0] for v in per_time)
     assert together[1] == d_remote_state(law, h, *members[1], times, components)
+
+
+def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
+    # product states whose party-1 parts have norms 0.9 and 0.5: under the
+    # expanding law the first turns NaN between t = 0.25 and t = 1
+    law, dims, times = _expanding_law(), (2, 2), [0.25, 1.0]
+    x = np.stack([pack_coords(JointBlochState(dims, [0.0, 0.0, r], np.zeros(3), np.zeros((3, 3))))
+                  for r in (0.9, 0.5)])
+    remote, local = computational_observable(2), computational_observable(2)
+    [(dist, failures)] = measurement._member_distributions(
+        [(x, remote.u0_vector(), remote.u_matrix(), local, None)], dims, law, times)
+    assert list(failures) == [(1, 0)]  # (time index, row)
+    assert isinstance(failures[1, 0], IntegrationFailureError)
+    assert str(failures[1, 0]) == "rk4 result at t=1 is not finite"
+    alone = packed_distributions(x[1:], remote.u0_vector(), remote.u_matrix(), dims, local, law,
+                                 times)
+    assert np.array_equal(dist[:, 1:], alone)
+    with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
+        packed_distributions(x, remote.u0_vector(), remote.u_matrix(), dims, local, law, times)

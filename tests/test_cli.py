@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import blochsig
+from blochsig import cli
 from blochsig.cli import main
 from blochsig.errors import (
     ConfigError,
@@ -490,6 +491,31 @@ def test_an_unknown_options_key_exits_two_naming_it(tmp_path, capsys, command, k
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config: {key}: unknown key (expected ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, line",
+    [
+        (["audit", "--config"], {**LINEAR_AUDIT_CONFIG, "dims": [10**20, 2]}, "dims[0]"),
+        (["audit", "--config"], {**LINEAR_AUDIT_CONFIG, "dims": [100000, 2]}, "dims[0]"),
+        (["evolve", "--config"], {**_EVOLVE, "dims": [2, 13]}, "dims[1]"),
+        (["convert", "--in"], {"dim": 13, "r": [0.0] * 168}, "dim"),
+        (["basis", "--dim", "100000"], None, "--dim"),
+    ],
+    ids=["audit-1e20", "audit-1e5", "evolve-13", "convert-13", "basis-1e5"],
+)
+def test_a_dimension_above_max_dim_exits_two_naming_its_field(tmp_path, capsys, argv, payload,
+                                                              line):
+    # it used to exit 3 with an internal ValueError or MemoryError
+    if payload is not None:
+        argv = [*argv, write_config(tmp_path, "input.json", payload)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {line}: dimensions must lie in [2, {cli.MAX_DIM}]"]
+
+
+def test_max_dim_itself_is_a_dimension():
+    assert cli._parse_dim(cli.MAX_DIM, "dims[0]") == cli.MAX_DIM
 
 
 @pytest.mark.parametrize("base", [LINEAR_AUDIT_CONFIG, POLESINK_AUDIT_CONFIG], ids=["linear", "polesink"])

@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from blochsig.dynamics import _flat_field, pack_coords, random_hamiltonian, xi_law
+from blochsig.dynamics import (
+    BlochHamiltonian,
+    _flat_field,
+    custom_law,
+    evolve,
+    pack_coords,
+    random_hamiltonian,
+    xi_law,
+)
 from blochsig.errors import IntegrationFailureError
 from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions, solve
-from blochsig.sampling import random_interior_joint
+from blochsig.sampling import random_interior_joint, singlet_state
 
 from helpers import reference_rkf45
 
@@ -166,9 +174,18 @@ def test_rk4_flow_is_linear_in_initial_condition():
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
 def test_nonfinite_result_raises(method):
+    # solve hands a non-finite rk4 result to its caller, and rkf45 gives up
+    # itself; evolve refuses either
     options = IntegratorOptions(method=method, step=0.1, max_steps=1000)
-    with pytest.raises(IntegrationFailureError):
-        solve(lambda y: np.full_like(y, np.nan), np.zeros(2), 1.0, options)
+    if method == "rk4":
+        assert np.isnan(solve(lambda y: np.full_like(y, np.nan), np.zeros(2), 1.0, options)).all()
+    else:
+        with pytest.raises(IntegrationFailureError, match="step size underflow"):
+            solve(lambda y: np.full_like(y, np.nan), np.zeros(2), 1.0, options)
+    law = custom_law("nan", joint_field=lambda h, *blocks: [np.full_like(b, np.nan) for b in blocks])
+    with pytest.raises(IntegrationFailureError,
+                       match="rk4 result at t=1 is not finite" if method == "rk4" else "underflow"):
+        evolve(law, BlochHamiltonian((2, 2)), singlet_state(), 1.0, options)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])
