@@ -100,28 +100,23 @@ class JointBlochState:
         r12.setflags(write=False)
         object.__setattr__(self, "r12", r12)
 
-    def replace(self, **kwargs) -> "JointBlochState":
-        data = {"dims": self.dims, "r1": self.r1, "r2": self.r2, "r12": self.r12}
-        data.update(kwargs)
-        return JointBlochState(**data)
-
 
 def min_eigenvalue(rho: np.ndarray) -> float:
     """Smallest eigenvalue of a (numerically) Hermitian matrix."""
     return float(np.linalg.eigvalsh(rho)[0])
 
 
-def _check_psd(rho: np.ndarray, what: str, psd_tol: float = PSD_TOLERANCE) -> None:
+def _check_psd(rho: np.ndarray, what: str) -> None:
     """Raise ``UnphysicalStateError`` unless rho is finite with smallest
-    eigenvalue at least ``psd_tol``; ``what`` opens the message."""
+    eigenvalue at least ``PSD_TOLERANCE``; ``what`` opens the message."""
     if not np.isfinite(rho).all():
         raise UnphysicalStateError(f"{what}: non-finite entries")
     low = min_eigenvalue(rho)
-    if low < psd_tol:
+    if low < PSD_TOLERANCE:
         raise UnphysicalStateError(f"{what} (min eigenvalue {low:.3e})", min_eigenvalue=low)
 
 
-def validate_density_matrix(rho: np.ndarray, *, psd_tol: float = PSD_TOLERANCE) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ``UnphysicalStateError`` unless rho is finite, Hermitian, unit
     trace and positive semidefinite within tolerance."""
     rho = np.asarray(rho)
@@ -131,7 +126,7 @@ def validate_density_matrix(rho: np.ndarray, *, psd_tol: float = PSD_TOLERANCE) 
     tr = abs(np.trace(rho) - 1.0)
     if tr > _TRACE_TOL:
         raise UnphysicalStateError(f"trace deviates from 1 by {tr:.3e}")
-    _check_psd(rho, "matrix is not positive semidefinite", psd_tol)
+    _check_psd(rho, "matrix is not positive semidefinite")
 
 
 def _check_dims(dim: int, basis: GeneratorSet) -> None:

@@ -118,6 +118,21 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _check_keys(raw: dict, path: str, allowed) -> None:
+    """Refuse the first key of the JSON object ``raw`` outside ``allowed``."""
+    for key in raw:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"unknown key (expected {', '.join(sorted(allowed))})")
+
+
+# One config file may hold both the evolve and the audit keys.
+_CONFIG_KEYS = frozenset({"dims", "law", "hamiltonian", "initial_state", "times", "integrator",
+                          "audit", "channel_demo"})
+_LAW_KEYS = {"linear": ("name",), "xi": ("name", "preset"), "polesink": ("name", "epsilon")}
+_STATE_KEYS = ("r1", "r2", "r12")
+
+
 def _finite(raw) -> float | None:
     """``raw`` as a float when it is a finite JSON number (not a bool)."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
@@ -190,9 +205,11 @@ def _parse_hamiltonian(cfg: dict, dims: tuple[int, int], base_dir: Path) -> Bloc
     if not isinstance(raw, dict):
         raise ConfigError("hamiltonian", "must be an object")
     if "file" in raw:
+        _check_keys(raw, "hamiltonian", ("file",))  # the file holds every coefficient
         if not isinstance(raw["file"], str):
             raise ConfigError("hamiltonian.file", "must be a path")
         raw = _load_json(str(base_dir / raw["file"]), "hamiltonian.file")
+    _check_keys(raw, "hamiltonian", ("H0", "H1", "H2", "H12"))
     h0 = _parse_float(raw.get("H0", 0.0), "hamiltonian.H0")
     h1 = _parse_real_array(raw.get("H1", np.zeros(d1)), (d1,), "hamiltonian.H1")
     h2 = _parse_real_array(raw.get("H2", np.zeros(d2)), (d2,), "hamiltonian.H2")
@@ -207,6 +224,9 @@ def _parse_law(cfg: dict) -> EvolutionLaw:
     if not isinstance(raw, dict):
         raise ConfigError("law", "must be a name or an object with a `name`")
     name = _require(raw, "name", "law")
+    if not isinstance(name, str) or name not in _LAW_KEYS:
+        raise ConfigError("law.name", f"unknown law {name!r} (linear | xi | polesink)")
+    _check_keys(raw, "law", _LAW_KEYS[name])
     if name == "linear":
         return linear_law()
     if name == "xi":
@@ -217,12 +237,10 @@ def _parse_law(cfg: dict) -> EvolutionLaw:
             return xi_law(preset)
         except ValueError as exc:
             raise ConfigError("law.preset", str(exc))
-    if name == "polesink":
-        eps = _finite(raw.get("epsilon", 0.1))
-        if eps is None or eps <= 0:
-            raise ConfigError("law.epsilon", "must be a positive finite number")
-        return polesink_law(eps)
-    raise ConfigError("law.name", f"unknown law {name!r} (linear | xi | polesink)")
+    eps = _finite(raw.get("epsilon", 0.1))
+    if eps is None or eps <= 0:
+        raise ConfigError("law.epsilon", "must be a positive finite number")
+    return polesink_law(eps)
 
 
 def _product_state(dims: tuple[int, int]) -> JointBlochState:
@@ -255,21 +273,27 @@ def _parse_state(cfg: dict, dims: tuple[int, int], key: str = "initial_state") -
         raise ConfigError(key, f"unknown preset {raw!r} (singlet | product | random:SEED)")
     if not isinstance(raw, dict):
         raise ConfigError(key, "must be a preset name or {r1, r2, r12}")
+    _check_keys(raw, key, _STATE_KEYS)
+    return _parse_coords(raw, dims, key)
+
+
+def _parse_coords(raw: dict, dims: tuple[int, int], path: str) -> JointBlochState:
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-    r1 = _parse_real_array(_require(raw, "r1", key), (d1,), f"{key}.r1")
-    r2 = _parse_real_array(_require(raw, "r2", key), (d2,), f"{key}.r2")
-    r12 = _parse_real_array(_require(raw, "r12", key), (d1, d2), f"{key}.r12")
+    r1 = _parse_real_array(_require(raw, "r1", path), (d1,), f"{path}.r1")
+    r2 = _parse_real_array(_require(raw, "r2", path), (d2,), f"{path}.r2")
+    r12 = _parse_real_array(_require(raw, "r12", path), (d1, d2), f"{path}.r12")
     state = JointBlochState(dims, r1, r2, r12)
     try:
         joint_from_bloch(state, cached_basis(dims[0]), cached_basis(dims[1]), check=True)
     except UnphysicalStateError as exc:
-        raise ConfigError(key, f"not a physical state ({exc})")
+        raise ConfigError(path, f"not a physical state ({exc})")
     return state
 
 
 def _parse_complex_matrix(raw, dim: int, path: str) -> np.ndarray:
     if not isinstance(raw, dict) or "re" not in raw:
         raise ConfigError(path, "must be an object with `re` (and optional `im`)")
+    _check_keys(raw, path, ("re", "im"))
     re = _parse_real_array(raw["re"], (dim, dim), f"{path}.re")
     im = (
         _parse_real_array(raw["im"], (dim, dim), f"{path}.im")
@@ -315,10 +339,7 @@ def _parse_options(raw, path: str, default):
         raise ConfigError(path, "must be an object")
     keys = {"integrator" if f.name == "branch_options" else f.name: f
             for f in dataclasses.fields(default)}
-    unknown = [key for key in raw if key not in keys]
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}",
-                          f"unknown key (expected {', '.join(sorted(keys))})")
+    _check_keys(raw, path, keys)
     kwargs = {}
     for key, field in keys.items():
         if key in raw:
@@ -381,6 +402,8 @@ def cmd_convert(args) -> int:
         raise ConfigError(
             "input", "expected {dim|dims, matrix_re[, matrix_im]} or {dim, r} or {dims, r1, r2, r12}"
         )
+    route = ("matrix_re", "matrix_im") if to_coords else ("r",) if single else _STATE_KEYS
+    _check_keys(data, "input", {"dim" if single else "dims", *route})
     dims = (_parse_dim(data["dim"], "dim"),) if single else _parse_dims(data)
     payload = {"dim": dims[0]} if single else {"dims": list(dims)}
     if to_coords:
@@ -398,7 +421,7 @@ def cmd_convert(args) -> int:
             r = _parse_real_array(data["r"], (dims[0] ** 2 - 1,), "r")
             rho = from_bloch(BlochState(dims[0], r), cached_basis(dims[0]))
         else:
-            state = _parse_state({"state": data}, dims, key="state")
+            state = _parse_coords(data, dims, "state")
             rho = joint_from_bloch(state, cached_basis(dims[0]), cached_basis(dims[1]))
         payload.update(matrix_re=np.real(rho).tolist(), matrix_im=np.imag(rho).tolist())
     _emit(jsonio.dumps(payload), args.out)
@@ -415,6 +438,7 @@ def _unitary_oracle_coords(hamiltonian, state0, dims, t):
 
 def cmd_evolve(args) -> int:
     cfg = _load_json(args.config, "config")
+    _check_keys(cfg, "", _CONFIG_KEYS)
     dims = _parse_dims(cfg)
     law = _parse_law(cfg)
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
@@ -424,10 +448,8 @@ def cmd_evolve(args) -> int:
     if args.check_oracle and law.kind != "linear":
         raise ConfigError("law", "--check-oracle requires the linear law")
 
-    samples = evolve_path(law, hamiltonian, state0, times, options)
     records = []
-    oracle_dev = 0.0
-    for t, result in samples:
+    for t, result in evolve_path(law, hamiltonian, state0, times, options):
         rec = {
             "t": t,
             **_joint_json(result.state),
@@ -435,34 +457,36 @@ def cmd_evolve(args) -> int:
             "min_eigenvalue": result.min_eigenvalue,
         }
         if args.check_oracle:
-            ref = _unitary_oracle_coords(hamiltonian, state0, dims, t)
-            dev = float(np.max(np.abs(pack_coords(result.state) - pack_coords(ref))))
-            rec["oracle_deviation"] = dev
-            oracle_dev = max(oracle_dev, dev)
+            ref = pack_coords(_unitary_oracle_coords(hamiltonian, state0, dims, t))
+            rec["oracle_deviation"] = float(np.max(np.abs(pack_coords(result.state) - ref)))
         records.append(rec)
 
     if args.format == "csv":
         d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+        extra = ["oracle_deviation"] if args.check_oracle else []
         header = (
             ["t", "physical", "min_eigenvalue"]
             + [f"r1_{i}" for i in range(d1)]
             + [f"r2_{j}" for j in range(d2)]
             + [f"r12_{i}_{j}" for i in range(d1) for j in range(d2)]
+            + extra
         )
-        rows = [[t, int(result.physical), result.min_eigenvalue] + list(pack_coords(result.state))
-                for t, result in samples]
+        rows = [[rec["t"], int(rec["physical"]), rec["min_eigenvalue"], *rec["r1"], *rec["r2"],
+                 *(x for row in rec["r12"] for x in row), *(rec[key] for key in extra)]
+                for rec in records]
         _emit(jsonio.csv_text([header, *rows]), args.out)
         return 0
 
     payload = {"law": law.name, "dims": list(dims), "samples": records}
     if args.check_oracle:
-        payload["oracle_max_deviation"] = oracle_dev
+        payload["oracle_max_deviation"] = max(rec["oracle_deviation"] for rec in records)
     _emit_report(payload, args)
     return 0
 
 
 # Channel-demo observables: (config key, index of the party they act on).
 _DEMO_OBSERVABLES = (("remote_a", 1), ("remote_b", 1), ("local", 0))
+_DEMO_KEYS = frozenset({"initial_state", "time", *(key for key, _ in _DEMO_OBSERVABLES)})
 
 
 def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
@@ -473,6 +497,7 @@ def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
         return None
     if not isinstance(demo_cfg, dict):
         raise ConfigError("channel_demo", "must be an object")
+    _check_keys(demo_cfg, "channel_demo", _DEMO_KEYS)
     state = _parse_state(demo_cfg, dims)
     observables = [
         _parse_observable(_require(demo_cfg, key, "channel_demo"), dims[party],
@@ -485,6 +510,7 @@ def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
 
 def cmd_audit(args) -> int:
     cfg = _load_json(args.config, "config")
+    _check_keys(cfg, "", _CONFIG_KEYS)
     dims = _parse_dims(cfg)
     law = _parse_law(cfg)
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)

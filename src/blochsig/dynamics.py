@@ -225,10 +225,6 @@ class XiFunctions:
         value = float(value)
         return cls(uniform=lambda r1, r2, r12: value, name=name or f"constant({value:g})")
 
-    @classmethod
-    def from_scalar(cls, func: Callable, name: str = "scalar") -> "XiFunctions":
-        return cls(uniform=func, name=name)
-
     def as_indexed(self) -> "XiFunctions":
         """Expand a uniform weight into the five per-index callbacks, to
         drive the general evaluation route (used by tests)."""
@@ -256,8 +252,8 @@ def _corrnorm(r1, r2, r12) -> float:
 
 XI_PRESETS = {
     "one": lambda: XiFunctions.constant(1.0, name="one"),
-    "purity1": lambda: XiFunctions.from_scalar(_purity_first, name="purity1"),
-    "corrnorm": lambda: XiFunctions.from_scalar(_corrnorm, name="corrnorm"),
+    "purity1": lambda: XiFunctions(uniform=_purity_first, name="purity1"),
+    "corrnorm": lambda: XiFunctions(uniform=_corrnorm, name="corrnorm"),
 }
 
 
@@ -510,9 +506,11 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         return custom
     stacked = _generators(hamiltonian)
     loc, lint = stacked
-    if hamiltonian.is_interaction_free:
-        # No interaction: weights must not even be evaluated.
-        return lambda x: loc @ x
+    if law.kind == "linear" or hamiltonian.is_interaction_free:
+        # w = 1, or no interaction, where weights must not even be evaluated
+        # (L_int is then all +0.0, so the sum is L_loc entry for entry).
+        gen = loc + lint
+        return lambda x: gen @ x
     if law.kind == "xi" and law.xi.uniform is None:
         calls, targets, contrib = _indexed_interaction(hamiltonian, law.xi)
 
@@ -525,9 +523,6 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
             return loc @ x + np.bincount(targets, weights=w * (contrib @ x), minlength=len(x))
 
         return indexed
-    if law.kind == "linear":
-        gen = loc + lint  # w = 1
-        return lambda x: gen @ x
     both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
 
     def uniform(x):

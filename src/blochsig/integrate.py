@@ -63,7 +63,6 @@ class IntegratorOptions:
 DEFAULT_OPTIONS = IntegratorOptions()
 
 # Fehlberg tableau.
-_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 _A = (
     (),
     (1 / 4,),

@@ -334,9 +334,10 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     """The anchor, then ``ensemble_size - 1`` random members from one block
     of standard normals, one row per member.  A row holds, in this order,
     the ``(2, n, n)`` normals of the member's joint state, remote basis,
-    local basis and rotation direction, so a member is the one that the
-    single samplers (``random_interior_joint``, ``random_orthonormal_basis``
-    twice, ``random_hermitian_direction``) draw in turn, bit for bit."""
+    local basis and rotation direction: a Hilbert-Schmidt density mixed by
+    ``mix_weight``, two Haar bases (the columns of ``haar_unitaries``) and
+    a ``hermitian_directions`` axis.  ``tests/helpers.reference_ensemble``
+    draws the same members one object at a time, bit for bit."""
     n1, n2 = dims
     cases = [_anchor_case(dims, config, rng)]
     sides = (n1 * n2, n2, n1, n2)

@@ -9,10 +9,9 @@ phase-fixed QR of a Ginibre matrix (Mezzadri, Notices AMS 54, 592 (2007)).
 Each random object is a transform of pre-drawn standard normals of shape
 ``(..., 2, n, n)`` (real parts, then imaginary parts) over the leading axes:
 :func:`hs_densities`, :func:`haar_unitaries` and
-:func:`hermitian_directions`.  A single-object sampler draws its own
-``(2, n, n)`` normals and applies the same transform, so a stack drawn in
-one call holds, bit for bit, the objects that one sampler call per member
-would have drawn from the same generator.
+:func:`hermitian_directions`.  A stack's normals come from one call,
+member-major, so it holds bit for bit the objects drawn one at a time
+(``tests/helpers.reference_ensemble`` draws the audit's block that way).
 
 Audits mix every drawn joint state with the maximally mixed one,
 ``(1 - w) rho + w I / N`` for ``mix_weight`` w (:func:`interior_joint_state`):
@@ -34,9 +33,6 @@ __all__ = [
     "hermitian_directions",
     "random_density",
     "random_pure_density",
-    "haar_unitary",
-    "random_orthonormal_basis",
-    "random_hermitian_direction",
     "singlet_density",
     "singlet_state",
     "maximally_entangled_density",
@@ -95,21 +91,6 @@ def random_pure_density(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return haar_unitaries(rng.standard_normal((2, n, n)))
-
-
-def random_orthonormal_basis(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rows are the n vectors of a Haar-random orthonormal basis."""
-    return haar_unitary(rng, n).T
-
-
-def random_hermitian_direction(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Traceless Hermitian matrix of unit Frobenius norm."""
-    return hermitian_directions(rng.standard_normal((2, n, n)))
 
 
 def singlet_density() -> np.ndarray:

@@ -133,6 +133,9 @@ CASES = {
     "malformed_audit_unknown_key": (
         _AUDIT, {**_LINEAR, "audit": {**_LINEAR["audit"], "fd_step": 1e-5}},
     ),
+    "malformed_hamiltonian_unknown_key": (
+        _AUDIT, {**_LINEAR, "hamiltonian": {"H1": _H_LINEAR["H1"], "h12": _H_LINEAR["H12"]}},
+    ),
     "malformed_channel_demo_time": (
         _AUDIT, {**_POLESINK, "channel_demo": {**_SINGLET_DEMO, "time": "abc"}},
     ),

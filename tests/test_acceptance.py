@@ -26,12 +26,11 @@ from blochsig.nosignal_audit import AuditConfig, audit
 from blochsig.sampling import (
     random_density,
     random_interior_joint,
-    random_orthonormal_basis,
     singlet_state,
 )
 from blochsig.su_basis import build_generators, cached_basis, structure_constants
 
-from helpers import collapse_reduced, unitary_evolve
+from helpers import collapse_reduced, reference_haar_unitary, unitary_evolve
 
 
 class Criterion:
@@ -126,7 +125,7 @@ def test_criterion_2_collapse_oracle_equivalence():
         while count < 200:
             rho = random_density(rng, n1 * n2)
             joint = bs.joint_to_bloch(rho, b1, b2)
-            obs2 = bs.observable_from_basis(random_orthonormal_basis(rng, n2), b2)
+            obs2 = bs.observable_from_basis(reference_haar_unitary(rng, n2).T, b2)
             k = int(rng.integers(n2))
             prob_oracle, reduced_oracle = collapse_reduced(
                 rho, dims, obs2.outcomes[k].matrix(b2)

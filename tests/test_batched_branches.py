@@ -54,14 +54,10 @@ from blochsig.nosignal_audit import (
     d_remote_state,
     polesink_law,
 )
-from blochsig.sampling import (
-    random_density,
-    random_hermitian_direction,
-    random_interior_joint,
-    random_orthonormal_basis,
-    singlet_state,
-)
+from blochsig.sampling import random_density, random_interior_joint, singlet_state
 from blochsig.su_basis import cached_basis
+
+from helpers import reference_direction, reference_haar_unitary
 
 DEFAULT_TIMES = (0.25, 0.5, 1.0)
 NON_NESTING_TIMES = (0.3, 0.7)
@@ -71,9 +67,9 @@ EPS = nosignal_audit._EPS
 def _member(dims, seed):
     rng = np.random.default_rng(seed)
     state = random_interior_joint(rng, dims)
-    obs2 = observable_from_basis(random_orthonormal_basis(rng, dims[1]), cached_basis(dims[1]))
-    obs1 = observable_from_basis(random_orthonormal_basis(rng, dims[0]), cached_basis(dims[0]))
-    family = ObservableFamily(obs2, random_hermitian_direction(rng, dims[1]))
+    obs2 = observable_from_basis(reference_haar_unitary(rng, dims[1]).T, cached_basis(dims[1]))
+    obs1 = observable_from_basis(reference_haar_unitary(rng, dims[0]).T, cached_basis(dims[0]))
+    family = ObservableFamily(obs2, reference_direction(rng, dims[1]))
     return state, obs2, obs1, family
 
 
@@ -464,7 +460,7 @@ def _zero_weight_member():
     other component is two-sided."""
     b = cached_basis(2)
     state = joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b)
-    obs1 = observable_from_basis(random_orthonormal_basis(np.random.default_rng(54), 2), b)
+    obs1 = observable_from_basis(reference_haar_unitary(np.random.default_rng(54), 2).T, b)
     return state, computational_observable(2), obs1
 
 
@@ -598,12 +594,12 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     remote_zero = np.diag([1.0, 0.0, 0.0])  # party 2 in |0>: outcomes 1 and 2 never occur
     product = joint_to_bloch(np.kron(random_density(rng, 2), remote_zero), b1, b2)
     generic = random_interior_joint(rng, dims)
-    three = observable_from_basis(random_orthonormal_basis(rng, 3), b2)
+    three = observable_from_basis(reference_haar_unitary(rng, 3).T, b2)
     computational = computational_observable(3)
     p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     two = observable_from_matrices([p0, np.eye(3) - p0], b2)  # a rank-2 outcome
     pairs = [(product, computational), (generic, three), (generic, two), (product, three)]
-    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b1)
+    obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     law = polesink_law(0.1)
     x = np.stack([pack_coords(joint) for joint, _ in pairs])
     u0, u = _outcome_rows([obs2 for _, obs2 in pairs], 3)

@@ -22,8 +22,10 @@ from blochsig.measurement import (
     packed_distributions,
 )
 from blochsig.nosignal_audit import AuditConfig, audit, polesink_law
-from blochsig.sampling import haar_unitary, random_interior_joint
+from blochsig.sampling import random_interior_joint
 from blochsig.su_basis import cached_basis
+
+from helpers import reference_haar_unitary
 
 dims_strategy = st.tuples(st.integers(2, 4), st.integers(2, 4))
 seeds = st.integers(0, 2**32 - 1)
@@ -36,7 +38,7 @@ def _observables(rng, n):
     of rank 1 (the identity alone at n = 2); a random grouping."""
 
     def grouped(labels):
-        u = haar_unitary(rng, n)
+        u = reference_haar_unitary(rng, n)
         mats = [u[:, labels == g] @ u[:, labels == g].conj().T for g in np.unique(labels)]
         return observable_from_matrices(mats, cached_basis(n))
 

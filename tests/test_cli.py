@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, exit codes, error contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,20 +113,27 @@ _RHO1 = [[0.6, 0.1], [0.1, 0.4]]
 _JOINT = {"r1": [0.1, 0.0, 0.0], "r2": [0.0, 0.2, 0.0], "r12": (-0.3 * np.eye(3)).tolist()}
 
 
+_ROUTE_KEYS = {
+    "matrix-dim": "dim, matrix_im, matrix_re",
+    "matrix-dims": "dims, matrix_im, matrix_re",
+    "r-dim": "dim, r",
+    "state": "dims, r1, r12, r2",
+}
+
+
 @pytest.mark.parametrize(
-    "payload, keys",
+    "payload, error",
     [
-        ({"dim": 2, "dims": [2, 2], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
-        ({"dim": 2, "dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT},
-         {"dim", "matrix_re", "matrix_im"}),
-        ({"dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
-        ({"dim": 2, "dims": [2, 2], "matrix_re": _RHO1, **_JOINT}, {"dim", "r"}),
+        ({"dim": 2, "dims": [2, 2], **_JOINT}, ("dim", "state")),
+        ({"dim": 2, "dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT}, ("dims", "r-dim")),
+        ({"dims": [2, 2], "r": [0.0, 0.0, 0.1], **_JOINT}, ("r", "state")),
+        ({"dim": 2, "dims": [2, 2], "matrix_re": _RHO1, **_JOINT}, ("dims", "matrix-dim")),
         ({"dims": [2, 2], "matrix_re": (np.eye(4) / 4).tolist(), "r": [0.0, 0.0, 0.1], **_JOINT},
-         {"dims", "r1", "r2", "r12"}),
-        ({"dim": 2, "r": [0.0, 0.0, 0.9], "matrix_re": _RHO1}, {"dim", "r"}),
-        ({"dim": "x", "dims": [2, 2], **_JOINT}, {"dims", "matrix_re", "matrix_im"}),
+         ("r", "matrix-dims")),
+        ({"dim": 2, "r": [0.0, 0.0, 0.9], "matrix_re": _RHO1}, ("r", "matrix-dim")),
+        ({"dim": "x", "dims": [2, 2], **_JOINT}, ("dim", "state")),
         ({"dim": 2, "dims": [2, 2], "matrix_re": (np.eye(4) / 4).tolist()},
-         "error: config: matrix.re: must have shape [2, 2], got [4, 4]"),
+         ("dims", "matrix-dim")),
         ({"dim": 2, **_JOINT}, "error: config: input: expected"),
         ({"dims": [2, 2], "r": [0.0, 0.0, 0.1]}, "error: config: input: expected"),
     ],
@@ -133,20 +141,16 @@ _JOINT = {"r1": [0.1, 0.0, 0.0], "r2": [0.0, 0.2, 0.0], "r12": (-0.3 * np.eye(3)
          "dims-matrix-coords", "dim-r-matrix", "bad-dim-joint", "dim-before-dims",
          "dim-joint", "dims-r"],
 )
-def test_convert_route_precedence_on_mixed_keys(tmp_path, capsys, payload, keys):
-    """matrix_re with dim, then with dims; r with dim, then r1 with dims."""
+def test_convert_route_precedence_on_mixed_keys(tmp_path, capsys, payload, error):
+    """matrix_re with dim, then with dims; r with dim, then r1 with dims.
+    The route chosen names the keys it takes; a key of another route is
+    unknown."""
     code = main(["convert", "--in", write_config(tmp_path, "mixed.json", payload)])
     out, err = capsys.readouterr()
-    if isinstance(keys, str):
-        assert code == 2 and len(err.splitlines()) == 1 and err.startswith(keys)
-        return
-    assert code == 0 and err == ""
-    result = json.loads(out)
-    assert set(result) == keys
-    if "r" in keys:  # read off the matrix, not the input's own r
-        np.testing.assert_allclose(result["r"], [0.2, 0.0, 0.2], atol=1e-15)
-    if "r12" in keys:
-        assert result["r1"] == result["r2"] == [0.0, 0.0, 0.0]
+    if isinstance(error, tuple):
+        key, route = error
+        error = f"error: config: input.{key}: unknown key (expected {_ROUTE_KEYS[route]})\n"
+    assert code == 2 and out == "" and len(err.splitlines()) == 1 and err.startswith(error)
 
 
 def test_convert_unphysical_state_rejected(tmp_path, capsys):
@@ -230,6 +234,26 @@ def test_evolve_csv_output(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("t,physical,min_eigenvalue,r1_0")
     assert len(lines) == 3
+
+
+def test_evolve_csv_carries_the_oracle_deviation(tmp_path):
+    cfg = write_config(tmp_path, "evolve.json", {
+        "dims": [2, 3], "law": "linear", "initial_state": "random:7", "times": [0.5, 1.0],
+        "hamiltonian": {"H1": [0.1, 0.0, 0.5], "H12": np.full((3, 8), 0.1).tolist()},
+    })
+    runs = {}
+    for fmt, flags in (("json", ["--check-oracle"]), ("csv", ["--check-oracle"]), ("plain", [])):
+        out = tmp_path / f"traj.{fmt}"
+        argv = ["evolve", "--config", cfg, "--out", str(out), "--no-timestamp", *flags]
+        assert main(argv + ([] if fmt == "json" else ["--format", "csv"])) == 0
+        runs[fmt] = out.read_text()
+    samples = json.loads(runs["json"])["samples"]
+    rows = [line.split(",") for line in runs["csv"].splitlines()]
+    assert rows[0][-1] == "oracle_deviation"
+    assert [float(row[-1]) for row in rows[1:]] == [s["oracle_deviation"] for s in samples]
+    assert max(float(row[-1]) for row in rows[1:]) <= 1e-6
+    # without the flag, the same table less the oracle column
+    assert runs["plain"].splitlines() == [",".join(row[:-1]) for row in rows]
 
 
 def test_audit_linear_exit_zero(tmp_path):
@@ -475,6 +499,14 @@ def test_a_trajectory_that_overflows_exits_three_with_one_integration_line(
     assert len(err) == 1 and err[0].startswith("error: integration: ")
 
 
+_DEMO = POLESINK_AUDIT_CONFIG["channel_demo"]
+_PRODUCT = {"r1": [0.0, 0.0, 0.4], "r2": [0.0, 0.0, 0.4],
+            "r12": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.16]]}
+_HADAMARD = [{"re": [[0.5, 0.5], [0.5, 0.5]]}, {"re": [[0.5, -0.5], [-0.5, 0.5]]}]
+# The Hamiltonian file every case below may name: its interaction key is misspelt.
+_H_FILE = {"H1": [0.1, 0.0, 0.5], "h12": np.eye(3).tolist()}
+
+
 @pytest.mark.parametrize(
     "command, key, payload",
     [
@@ -482,15 +514,123 @@ def test_a_trajectory_that_overflows_exits_three_with_one_integration_line(
         ("audit", "audit.integrator.stepsize",
          {**LINEAR_AUDIT_CONFIG, "audit": {"integrator": {"stepsize": 0.01}}}),
         ("evolve", "integrator.fd_step", {**_EVOLVE, "integrator": {"fd_step": 1e-5}}),
+        ("audit", "chanel_demo", {**LINEAR_AUDIT_CONFIG, "chanel_demo": _DEMO}),
+        ("evolve", "time", {**_EVOLVE, "time": [0.5]}),
+        ("audit", "law.epsilon ", {**POLESINK_AUDIT_CONFIG,
+                                   "law": {"name": "polesink", "epsilon ": 5.0}}),
+        ("evolve", "law.preset", {**_EVOLVE, "law": {"name": "linear", "preset": "one"}}),
+        ("evolve", "law.epsilon", {**_EVOLVE, "law": {"name": "xi", "epsilon": 0.1}}),
+        ("audit", "hamiltonian.h12",
+         {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"H1": [0.1, 0.0, 0.5], "h12": np.eye(3).tolist()}}),
+        ("audit", "hamiltonian.H1",
+         {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": "h.json", "H1": [0.1, 0.0, 0.5]}}),
+        ("audit", "hamiltonian.h12", {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": "h.json"}}),
+        ("evolve", "initial_state.r3", {**_EVOLVE, "initial_state": {**_PRODUCT, "r3": []}}),
+        ("audit", "initial_state.r3", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
+            **_DEMO, "initial_state": {**_PRODUCT, "r3": []}}}),
+        ("audit", "channel_demo.tiem", {**POLESINK_AUDIT_CONFIG,
+                                        "channel_demo": {**_DEMO, "tiem": 2.0}}),
+        ("audit", "channel_demo.remote_b[1].imag", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
+            **_DEMO, "remote_b": [_HADAMARD[0], {**_HADAMARD[1], "imag": np.zeros((2, 2)).tolist()}]}}),
+        ("convert", "input.r3", {"dims": [2, 2], **_PRODUCT, "r3": []}),
     ],
-    ids=["audit", "branch-integrator", "evolve-integrator"],
+    ids=["audit", "branch-integrator", "evolve-integrator", "top-level-audit",
+         "top-level-evolve", "polesink-law", "linear-law", "xi-law", "hamiltonian",
+         "hamiltonian-beside-file", "hamiltonian-file", "state", "channel-demo-state",
+         "channel-demo", "projector-matrix", "convert-state"],
 )
 def test_an_unknown_options_key_exits_two_naming_it(tmp_path, capsys, command, key, payload):
     # a stale or misspelt key must not be ignored silently
+    write_config(tmp_path, "h.json", _H_FILE)
     cfg = write_config(tmp_path, "config.json", payload)
-    assert main([command, "--config", cfg]) == 2
+    assert main([command, "--in" if command == "convert" else "--config", cfg]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config: {key}: unknown key (expected ")
+
+
+@pytest.mark.parametrize(
+    "command, payload, path",
+    [
+        ("evolve", "{", "config"),
+        ("evolve", {**_EVOLVE, "dims": [2]}, "dims"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "law": {"name": "polesink", "epsilon": 10**400}},
+         "law.epsilon"),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "hamiltonian": [0.1, 0.0, 0.5]}, "hamiltonian"),
+        ("evolve", {**_EVOLVE, "law": 5}, "law"),
+        ("evolve", {**_EVOLVE, "law": {"name": "quadratic"}}, "law.name"),
+        ("evolve", {**_EVOLVE, "law": {"name": "xi", "preset": "cubic"}}, "law.preset"),
+        ("evolve", {**_EVOLVE, "dims": [2, 3]}, "initial_state"),
+        ("evolve", {**_EVOLVE, "initial_state": "mixed"}, "initial_state"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": {**_DEMO, "remote_a": "diagonal"}},
+         "channel_demo.remote_a"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
+            **_DEMO, "remote_a": [{"im": np.zeros((2, 2)).tolist()}]}}, "channel_demo.remote_a[0]"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": {**_DEMO, "remote_a": _HADAMARD[:1]}},
+         "channel_demo.remote_a"),
+        ("audit", {**LINEAR_AUDIT_CONFIG, "audit": None}, "audit"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": 5}, "channel_demo"),
+    ],
+    ids=["invalid-json", "dims-not-a-pair", "huge-integer", "hamiltonian-not-object",
+         "law-not-name-or-object", "unknown-law", "unknown-xi-preset", "singlet-not-2x2",
+         "unknown-state-preset", "unknown-observable-preset", "matrix-without-re",
+         "invalid-observable", "null-audit", "channel-demo-not-object"],
+)
+def test_each_config_error_exits_two_with_one_line_naming_its_path(tmp_path, capsys, command,
+                                                                   payload, path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith(f"error: config: {path}: ")
+
+
+# Every key of the README config schema, in one file.
+_README_SCHEMA = {
+    "dims": [2, 2],
+    "law": {"name": "xi", "preset": "corrnorm"},
+    "hamiltonian": {"H0": 0.0, "H1": [0.0, 0.0, 0.6], "H2": [0.4, 0.0, 0.3],
+                    "H12": [[0.5, 0.2, 0.0], [0.0, 0.3, 0.0], [0.1, 0.0, 0.4]]},
+    "initial_state": "singlet",
+    "times": [0.0, 0.5, 1.0],
+    "integrator": {"method": "rkf45", "atol": 1e-10, "rtol": 1e-8, "step": 0.01,
+                   "max_steps": 200000},
+    "audit": {"pass_tolerance": 1e-6, "ensemble_size": 2, "times": [0.25, 0.5, 1.0], "seed": 0,
+              "mix_weight": 0.2, "fit_probes": 20, "integrator": {"method": "rk4", "step": 0.01}},
+    "channel_demo": _DEMO,
+}
+
+
+@pytest.mark.parametrize("command", ["evolve", "audit"])
+def test_a_config_with_every_schema_key_runs(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "config.json", _README_SCHEMA)
+    assert main([command, "--config", cfg, "--no-timestamp"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_audit_reads_the_same_hamiltonian_from_a_file(tmp_path):
+    write_config(tmp_path, "h.json", LINEAR_AUDIT_CONFIG["hamiltonian"])
+    configs = (LINEAR_AUDIT_CONFIG, {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": "h.json"}})
+    reports = []
+    for i, payload in enumerate(configs):
+        out = tmp_path / f"report{i}.json"
+        cfg = write_config(tmp_path, f"config{i}.json", payload)
+        assert main(["audit", "--config", cfg, "--no-timestamp", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_a_channel_demo_observable_written_as_matrices_equals_its_preset(tmp_path):
+    deltas = []
+    for remote_b in ("hadamard-like", _HADAMARD):
+        payload = {**POLESINK_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": 0},
+                   "channel_demo": {**_DEMO, "remote_b": remote_b}}
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, "config.json", payload)
+        assert main(["audit", "--config", cfg, "--no-timestamp", "--out", str(out)]) == 1
+        deltas.append(json.loads(out.read_text())["channel_demo"]["delta"])
+    assert deltas[1] == pytest.approx(deltas[0], rel=0, abs=1e-12)
+    assert deltas[0] == pytest.approx(math.tanh(0.1) / 2, abs=1e-4)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsig import dynamics
-from blochsig.bloch import from_bloch, joint_to_bloch, purity, to_bloch
+from blochsig.bloch import (
+    JointBlochState,
+    from_bloch,
+    joint_from_bloch,
+    joint_to_bloch,
+    purity,
+    to_bloch,
+)
 from blochsig.dynamics import (
     BlochHamiltonian,
     EvolutionLaw,
@@ -40,7 +47,7 @@ from blochsig.nosignal_audit import polesink_law
 from blochsig.sampling import random_density, random_interior_joint
 from blochsig.su_basis import cached_basis, cached_constants
 
-from helpers import coord_distance, unitary_evolve
+from helpers import coord_distance, trace_out, unitary_evolve
 
 
 def _flat(parts):
@@ -338,7 +345,7 @@ def test_uniform_weight_not_called_without_interaction():
         calls["n"] += 1
         return 1.0
 
-    law = xi_law(XiFunctions.from_scalar(uniform))
+    law = xi_law(XiFunctions(uniform=uniform))
     rng = np.random.default_rng(7)
     state = random_interior_joint(rng, (2, 2))
     vector_field(law, random_hamiltonian(rng, (2, 2), interaction=False), state)
@@ -358,7 +365,7 @@ def test_trajectories_independent_of_weights_without_interaction():
 
 
 def test_nonfinite_weight_raises():
-    law = xi_law(XiFunctions.from_scalar(lambda r1, r2, r12: float("nan")))
+    law = xi_law(XiFunctions(uniform=lambda r1, r2, r12: float("nan")))
     rng = np.random.default_rng(9)
     h = random_hamiltonian(rng, (2, 2), interaction=True)
     state = random_interior_joint(rng, (2, 2))
@@ -514,6 +521,45 @@ def test_interaction_free_linear_flow_preserves_product_form():
     opts = IntegratorOptions(atol=1e-12, rtol=1e-10)
     result = evolve(linear_law(), h, state0, 1.0, opts).state
     assert np.max(np.abs(result.r12 - np.outer(result.r1, result.r2))) <= 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_the_purity1_weight_is_the_purity_of_party_one(dims):
+    n1, n2 = dims
+    rho = random_density(np.random.default_rng(23), n1 * n2)
+    state = joint_to_bloch(rho, cached_basis(n1), cached_basis(n2))
+    rho1 = trace_out(rho, dims, keep=1)
+    weight = xi_preset("purity1").uniform(state.r1, state.r2, state.r12)
+    assert weight == pytest.approx(float(np.real(np.trace(rho1 @ rho1))), rel=0, abs=1e-12)
+
+
+def test_a_purity1_trajectory_keeps_the_spectrum():
+    # the weighted field is a commutator with H_loc + w H_int at every instant
+    rng = np.random.default_rng(24)
+    b1, b2 = cached_basis(2), cached_basis(3)
+    h = random_hamiltonian(rng, (2, 3), scale=0.6)
+    rho0 = random_density(rng, 6)
+    opts = IntegratorOptions(atol=1e-12, rtol=1e-10)
+    result = evolve(xi_law("purity1"), h, joint_to_bloch(rho0, b1, b2), 1.0, opts)
+    rho = joint_from_bloch(result.state, b1, b2, check=False)
+    np.testing.assert_allclose(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(rho0), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_the_polesink_joint_flow_is_logistic_on_the_polar_axis(dims):
+    eps, t, z1, z2 = 0.3, 1.5, 0.4, -0.2
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    r1, r2 = np.zeros(d1), np.zeros(d2)
+    r1[-1], r2[-1] = z1, z2
+    r12 = 0.1 * np.random.default_rng(25).standard_normal((d1, d2))
+    opts = IntegratorOptions(atol=1e-12, rtol=1e-10)
+    out = evolve(polesink_law(eps), BlochHamiltonian(dims), JointBlochState(dims, r1, r2, r12),
+                 t, opts).state
+    for r, z0 in ((out.r1, z1), (out.r2, z2)):
+        expected = np.zeros_like(r)
+        expected[-1] = math.tanh(eps * t + math.atanh(z0))
+        np.testing.assert_allclose(r, expected, rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(out.r12, r12)
 
 
 def test_physicality_is_reported_not_enforced():

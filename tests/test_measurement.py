@@ -29,16 +29,13 @@ from blochsig.measurement import (
     rotate_observable,
 )
 from blochsig.nosignal_audit import ObservableFamily, polesink_law
-from blochsig.sampling import (
-    random_density,
-    random_hermitian_direction,
-    random_orthonormal_basis,
-    singlet_state,
-)
+from blochsig.sampling import random_density, singlet_state
 from blochsig.su_basis import cached_basis, cached_constants
 
 from helpers import (
     collapse_reduced,
+    reference_direction,
+    reference_haar_unitary,
     reference_observable_from_basis,
     reference_rotate_observable,
     unitary_evolve,
@@ -84,7 +81,7 @@ def test_coordinate_idempotence_identities(dim):
     rng = np.random.default_rng(dim)
     basis = cached_basis(dim)
     g = cached_constants(dim).g
-    vectors = random_orthonormal_basis(rng, dim)
+    vectors = reference_haar_unitary(rng, dim).T
     for rank in range(1, dim):
         mat = sum(np.outer(v, v.conj()) for v in vectors[:rank])
         p = projector_from_matrix(mat, basis)
@@ -141,7 +138,7 @@ def _assert_same_observable(obs, ref, atol=1e-12):
 def test_observable_from_basis_matches_the_matrix_route(n):
     rng = np.random.default_rng(40 + n)
     basis = cached_basis(n)
-    for vectors in (np.eye(n), random_orthonormal_basis(rng, n)):
+    for vectors in (np.eye(n), reference_haar_unitary(rng, n).T):
         _assert_same_observable(observable_from_basis(vectors, basis),
                                 reference_observable_from_basis(vectors, basis))
 
@@ -150,14 +147,14 @@ def test_observable_from_basis_matches_the_matrix_route(n):
 def test_rotation_in_coordinates_matches_the_matrix_route(n):
     rng = np.random.default_rng(50 + n)
     basis = cached_basis(n)
-    vecs = random_orthonormal_basis(rng, n)
+    vecs = reference_haar_unitary(rng, n).T
     rank1 = observable_from_basis(vecs, basis)
     pair = np.outer(vecs[0], vecs[0].conj()) + np.outer(vecs[1], vecs[1].conj())
     coarse = observable_from_matrices([pair, np.eye(n) - pair], basis)  # a rank-2 outcome
     assert coarse.outcomes[0].rank == 2
     for obs in (rank1, coarse, fourier_observable(n)):
         for theta in (0.3, -1.7, 2 * math.pi / 3):
-            direction = random_hermitian_direction(rng, n)
+            direction = reference_direction(rng, n)
             rotated = rotate_observable(obs, direction, theta)
             _assert_same_observable(rotated, reference_rotate_observable(obs, direction, theta))
             assert [p.rank for p in rotated.outcomes] == [p.rank for p in obs.outcomes]
@@ -223,7 +220,7 @@ def test_probabilities_match_trace_oracle():
 
     for _ in range(20):
         rho = random_density(rng, 3)
-        obs = observable_from_basis(random_orthonormal_basis(rng, 3), basis)
+        obs = observable_from_basis(reference_haar_unitary(rng, 3).T, basis)
         probs = outcome_probabilities(obs, to_bloch(rho, basis))
         oracle = [float(np.real(np.trace(rho @ p.matrix(basis)))) for p in obs.outcomes]
         np.testing.assert_allclose(probs, oracle, atol=1e-12)
@@ -249,7 +246,7 @@ def test_product_state_conditionals_are_unchanged():
     b = cached_basis(2)
     rho1, rho2 = random_density(rng, 2), random_density(rng, 2)
     joint = joint_to_bloch(np.kron(rho1, rho2), b, b)
-    obs = observable_from_basis(random_orthonormal_basis(rng, 2), b)
+    obs = observable_from_basis(reference_haar_unitary(rng, 2).T, b)
     for k in range(2):
         _, cond = conditional_state(joint, obs, k)
         np.testing.assert_allclose(cond.r, joint.r1, atol=1e-12)
@@ -293,7 +290,7 @@ def test_conditionals_match_collapse_oracle(dims):
     for _ in range(20):
         rho = random_density(rng, n1 * n2)
         joint = joint_to_bloch(rho, b1, b2)
-        obs = observable_from_basis(random_orthonormal_basis(rng, n2), b2)
+        obs = observable_from_basis(reference_haar_unitary(rng, n2).T, b2)
         average = np.zeros(n1**2 - 1)
         for k in range(n2):
             p, cond = conditional_state(joint, obs, k)
@@ -310,8 +307,8 @@ def test_local_distribution_at_t0_is_born_marginal():
     b1, b2 = cached_basis(2), cached_basis(3)
     rho = random_density(rng, 6)
     joint = joint_to_bloch(rho, b1, b2)
-    obs2 = observable_from_basis(random_orthonormal_basis(rng, 3), b2)
-    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b1)
+    obs2 = observable_from_basis(reference_haar_unitary(rng, 3).T, b2)
+    obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     dist = local_distribution(joint, obs2, obs1, linear_law(), 0.0)
     marginal = [
         float(np.real(np.trace(trace_out(rho, (2, 3), 1) @ p.matrix(b1))))
@@ -368,8 +365,8 @@ def test_local_distribution_matches_unitary_oracle_branches():
     b = cached_basis(2)
     rho = random_density(rng, 4)
     joint = joint_to_bloch(rho, b, b)
-    obs2 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
-    obs1 = observable_from_basis(random_orthonormal_basis(rng, 2), b)
+    obs2 = observable_from_basis(reference_haar_unitary(rng, 2).T, b)
+    obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b)
     h1 = np.array([0.4, 0.1, -0.3])
     h1_matrix = np.einsum("i,iab->ab", h1, b.matrices)
     t = 0.8

@@ -1,6 +1,6 @@
 """Stacked sampling: the audit's one-block ensemble and fit probes against
-their one-object-at-a-time oracles, bit for bit, and every single-object
-sampler as the one-member case of its stacked transform."""
+their one-object-at-a-time oracles, bit for bit, and every stacked
+transform's one-member case against its oracle (and ``random_density``)."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,11 @@ from blochsig.measurement import observable_from_basis
 from blochsig.nosignal_audit import AuditConfig, polesink_law
 from blochsig.sampling import (
     haar_unitaries,
-    haar_unitary,
     hermitian_directions,
     hs_densities,
     interior_joint_state,
     random_density,
-    random_hermitian_direction,
     random_interior_joint,
-    random_orthonormal_basis,
 )
 from blochsig.su_basis import cached_basis
 
@@ -80,24 +77,22 @@ def test_one_block_ensemble_and_fit_equal_the_per_member_draws(
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
 def test_each_single_sampler_is_its_transform_of_one_member(n):
-    samplers = (
-        (random_density, hs_densities, reference_density),
-        (haar_unitary, haar_unitaries, reference_haar_unitary),
-        (random_hermitian_direction, hermitian_directions, reference_direction),
-    )
-    for sampler, transform, reference in samplers:
-        rng, stacked_rng, ref_rng = (np.random.default_rng(n) for _ in range(3))
-        single = sampler(rng, n)
-        assert np.array_equal(single, transform(stacked_rng.standard_normal((1, 2, n, n)))[0])
-        assert np.array_equal(single, reference(ref_rng, n))
-        assert rng.standard_normal() == stacked_rng.standard_normal() == ref_rng.standard_normal()
+    rng, stacked_rng, ref_rng = (np.random.default_rng(n) for _ in range(3))
+    single = random_density(rng, n)
+    assert np.array_equal(single, hs_densities(stacked_rng.standard_normal((1, 2, n, n)))[0])
+    assert np.array_equal(single, reference_density(ref_rng, n))
+    assert rng.standard_normal() == stacked_rng.standard_normal() == ref_rng.standard_normal()
 
-    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-    vectors = random_orthonormal_basis(rng, n)
-    assert np.array_equal(vectors, reference_haar_unitary(ref_rng, n).T)
+    for transform, reference in ((haar_unitaries, reference_haar_unitary),
+                                 (hermitian_directions, reference_direction)):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        one = transform(rng.standard_normal((1, 2, n, n)))[0]
+        assert np.array_equal(one, reference(ref_rng, n))
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    vectors = reference_haar_unitary(np.random.default_rng(n), n).T
     _same_observable(observable_from_basis(vectors, cached_basis(n)),
                      reference_basis_observable(vectors, cached_basis(n)))
-    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])

@@ -12,6 +12,7 @@ step needs no physical neighbours, so pure states are audited too.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,8 +92,8 @@ def test_pure_singlet_under_polesink_has_finite_state_derivatives():
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=["linear", "polesink"])
 @pytest.mark.parametrize(
     ("state", "message"),
-    [(singlet_state().replace(r1=[math.nan, 0.0, 0.0]), "non-finite entries"),
-     (singlet_state().replace(r1=[0.0, 0.0, 2.0]), r"min eigenvalue -")],
+    [(replace(singlet_state(), r1=[math.nan, 0.0, 0.0]), "non-finite entries"),
+     (replace(singlet_state(), r1=[0.0, 0.0, 2.0]), r"min eigenvalue -")],
     ids=["non-finite", "outside"],
 )
 def test_a_member_outside_the_physical_set_raises_in_every_channel(law, state, message):
