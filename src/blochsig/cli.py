@@ -254,27 +254,26 @@ def _product_state(dims: tuple[int, int]) -> JointBlochState:
     return JointBlochState(dims, r1, r2, np.outer(r1, r2))
 
 
-def _parse_state(cfg: dict, dims: tuple[int, int], key: str = "initial_state") -> JointBlochState:
-    raw = _require(cfg, key, "")
+def _parse_state(raw, dims: tuple[int, int], path: str) -> JointBlochState:
     if isinstance(raw, str):
         if raw == "singlet":
             if dims != (2, 2):
-                raise ConfigError(key, "preset 'singlet' needs dims [2, 2]")
+                raise ConfigError(path, "preset 'singlet' needs dims [2, 2]")
             return singlet_state()
         if raw == "product":
             return _product_state(dims)
         if raw.startswith("random:"):
             seed = raw.split(":", 1)[1]
             if not seed.isdecimal():
-                raise ConfigError(key, "random preset must look like 'random:SEED', SEED >= 0")
+                raise ConfigError(path, "random preset must look like 'random:SEED', SEED >= 0")
             rng = np.random.default_rng(int(seed))
             rho = random_density(rng, dims[0] * dims[1])
             return joint_to_bloch(rho, cached_basis(dims[0]), cached_basis(dims[1]))
-        raise ConfigError(key, f"unknown preset {raw!r} (singlet | product | random:SEED)")
+        raise ConfigError(path, f"unknown preset {raw!r} (singlet | product | random:SEED)")
     if not isinstance(raw, dict):
-        raise ConfigError(key, "must be a preset name or {r1, r2, r12}")
-    _check_keys(raw, key, _STATE_KEYS)
-    return _parse_coords(raw, dims, key)
+        raise ConfigError(path, "must be a preset name or {r1, r2, r12}")
+    _check_keys(raw, path, _STATE_KEYS)
+    return _parse_coords(raw, dims, path)
 
 
 def _parse_coords(raw: dict, dims: tuple[int, int], path: str) -> JointBlochState:
@@ -442,7 +441,7 @@ def cmd_evolve(args) -> int:
     dims = _parse_dims(cfg)
     law = _parse_law(cfg)
     hamiltonian = _parse_hamiltonian(cfg, dims, Path(args.config).parent)
-    state0 = _parse_state(cfg, dims)
+    state0 = _parse_state(_require(cfg, "initial_state", ""), dims, "initial_state")
     times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
     options = _parse_options(cfg.get("integrator"), "integrator", DEFAULT_OPTIONS)
     if args.check_oracle and law.kind != "linear":
@@ -498,7 +497,8 @@ def _parse_channel_demo(cfg: dict, dims: tuple[int, int], config: AuditConfig):
     if not isinstance(demo_cfg, dict):
         raise ConfigError("channel_demo", "must be an object")
     _check_keys(demo_cfg, "channel_demo", _DEMO_KEYS)
-    state = _parse_state(demo_cfg, dims)
+    state = _parse_state(_require(demo_cfg, "initial_state", "channel_demo"), dims,
+                         "channel_demo.initial_state")
     observables = [
         _parse_observable(_require(demo_cfg, key, "channel_demo"), dims[party],
                           f"channel_demo.{key}")

@@ -702,7 +702,7 @@ class ReducedFlow:
                 y = integrate.solve(self.field, y if start else r0, t - start, options)
                 done = t
             samples.append(y)
-        return np.array(samples).reshape(len(times), *r0.shape)
+        return np.array(samples, dtype=r0.dtype).reshape(len(times), *r0.shape)
 
     @lru_cache(maxsize=256)
     def _propagator(self, t: float, options: IntegratorOptions) -> np.ndarray:

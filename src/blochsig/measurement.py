@@ -14,14 +14,14 @@ and the later single-outcome statistics of party 1 are the branch-weighted
 average of its evolved conditional states.  That average is the quantity
 whose sensitivities the audit module differentiates.
 
-:func:`packed_distributions` is the one route to it: packed joint rows
-``x`` and remote outcomes ``(u0, u)``, per row or shared by every row, of
-one or several members, whose branches propagate as one rk4 batch under the
-law's shared reduced flow (``dynamics.reduced_flow``), sampled at several
-times; :func:`local_distribution` is its one-row, one-time case.  Complex
-rows or outcomes (the audit's complex steps) stay complex throughout; a
-branch is kept by the real part of its weight, and a row that moves a
-dropped branch fails, since its derivative is one-sided.
+:func:`_member_distributions` is the one route to it: the packed joint rows
+``x`` and remote outcomes ``(u0, u)`` of one or several members, whose
+branches propagate as one rk4 batch under the law's shared reduced flow
+(``dynamics.reduced_flow``), sampled at several times;
+:func:`local_distribution` is its one-row, one-time case.  Complex rows or
+outcomes (the audit's complex steps) stay complex throughout; a branch is
+kept by the real part of its weight, and a row that moves a dropped branch
+fails, since its derivative is one-sided.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -62,7 +62,6 @@ __all__ = [
     "outcome_probabilities",
     "conditional_state",
     "local_distribution",
-    "packed_distributions",
 ]
 
 # Branches below this weight are excluded from conditional updates and
@@ -285,7 +284,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _collapse(x, u0, u, d1):
     """Born weights ``p`` (shape ``(P, K)``) and party 1's unnormalized
     collapsed coordinates ``p * r1'`` (``(P, K, d1)``) of packed joint rows
-    ``x`` under outcomes ``u0, u`` as for :func:`packed_distributions`.
+    ``x`` under outcomes ``u0, u`` as for :func:`_member_distributions`.
     Each gets ``r12 @ u`` from the BLAS matrix-vector product that
     ``joint.r12 @ proj.u`` uses, and ``u . r2`` from :func:`_dots`."""
     d2 = u.shape[-1]
@@ -308,43 +307,34 @@ def local_distribution(
     """Outcome distribution of party 1 at time t, given that party 2
     measured obs2 at time 0: every branch state collapses per
     :func:`conditional_state`, evolves in isolation under the law's reduced
-    flow (party 1's local Hamiltonian ``h_local``; ``options`` default to
-    the audit's rk4 branch integrator) and is averaged with its weight, in
-    ascending outcome order, as in :func:`packed_distributions`.  Branches
-    at or below the probability floor contribute zero."""
-    return packed_distributions(
-        pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), joint.dims, obs1, law,
-        [t], h_local=h_local, options=options,
-    )[0, 0]
-
-
-def _outcome_rows(observables, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row remote outcomes ``(u0, u)`` of ``observables`` for
-    :func:`packed_distributions`, shapes ``(P, K)`` and ``(P, K, dim**2 - 1)``;
-    zero rows pad an observable with fewer than K outcomes."""
-    if any(obs.dim != dim for obs in observables):
-        raise DimensionMismatchError(
-            f"remote observables must have dim {dim}, got {[obs.dim for obs in observables]}"
-        )
-    width = max(len(obs) for obs in observables)
-    u0, u = np.zeros((len(observables), width)), np.zeros((len(observables), width, dim**2 - 1))
-    for row, obs in enumerate(observables):
-        u0[row, : len(obs)] = obs.u0_vector()
-        u[row, : len(obs)] = obs.u_matrix()
-    return u0, u
+    flow (party 1's local Hamiltonian ``h_local``) and is averaged with its
+    weight, in ascending outcome order.  The one-row, one-time case of
+    :func:`_member_distributions`, raising its failure; branches at or below
+    the probability floor contribute zero."""
+    [(dist, failures)] = _member_distributions(
+        [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)],
+        joint.dims, law, [t], h_local=h_local, options=options,
+    )
+    if failures:
+        raise failures[0, 0]
+    return dist[0, 0]
 
 
 def _member_distributions(members, dims, law, times, *, h_local=None, options=None):
-    """:func:`packed_distributions` of each member ``(x, u0, u, obs1, names)``,
-    read once in order, and its failures: the error that left a distribution
-    unchecked, keyed by (time index, row).  Only the collapsed party-1 states
-    of its rows are kept, every member's propagate as one batch, and each
-    member's segment is averaged with its own ``obs1``, each row's weighted
-    branches summed in ascending outcome order (one unbuffered scatter-add),
-    as one row would.  A branch of real weight <= ``EPS_PROB`` is dropped; a
-    complex row moving one (its weight or collapsed state) has a one-sided
-    derivative: ``PerturbationInfeasibleError`` at every time, named by
-    ``names`` (None: by its index).  A distribution that is not finite is an
+    """Party 1's distributions at each ascending time, shape
+    ``(len(times), P, len(obs1))``, of each member ``(x, u0, u, obs1, names)``
+    (``P`` packed joint rows ``x`` of ``dims``, remote outcomes ``u0, u`` of
+    shapes ``(K,), (K, d2)``), read once in order, with its failures: the
+    error that left a distribution unchecked, keyed by (time index, row).
+    Only the collapsed party-1 states of its rows are kept, every member's
+    propagate as one batch (``options`` default to the audit's rk4
+    ``dynamics.DEFAULT_BRANCH_OPTIONS``), and each member's segment is
+    averaged with its own ``obs1``, each row's weighted branches summed in
+    ascending outcome order (one unbuffered scatter-add), as one row would.
+    A branch of real weight <= ``EPS_PROB`` is dropped; a complex row moving
+    one (its weight or collapsed state) has a one-sided derivative:
+    ``PerturbationInfeasibleError`` at every time, named by ``names`` (None:
+    by its index).  A distribution that is not finite is an
     ``IntegrationFailureError``."""
     n1, n2 = dims
     d1, d2 = n1**2 - 1, n2**2 - 1
@@ -383,21 +373,3 @@ def _member_distributions(members, dims, law, times, *, h_local=None, options=No
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
         out.append((dist, failures))
     return out
-
-
-def packed_distributions(x, u0, u, dims, obs1, law, times, *, h_local=None, options=None):
-    """Party 1's distributions at each ascending time, shape
-    ``(len(times), P, len(obs1))``, for packed joint rows ``x`` (``(P, d)``)
-    of ``dims`` with remote outcomes ``u0, u`` of shapes ``(P, K), (P, K, d2)``
-    (zero rows pad fewer outcomes), or ``(K,), (K, d2)`` shared by every row.
-
-    The branches of every row form one batch that the flow propagates once,
-    under ``options`` or the audit's rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``,
-    and is averaged as :func:`_member_distributions` describes.  Raises the
-    first failure, by time and then by row.
-    """
-    [(dist, failures)] = _member_distributions([(x, u0, u, obs1, None)], dims, law, times,
-                                               h_local=h_local, options=options)
-    if failures:
-        raise failures[min(failures)]
-    return dist

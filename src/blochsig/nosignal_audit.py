@@ -67,11 +67,9 @@ from .measurement import (
     ProjectiveObservable,
     _member_distributions,
     _observables_from_bases,
-    _outcome_rows,
     _rotation_direction,
     computational_observable,
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
-    packed_distributions,
     rotate_observable,
 )
 from .sampling import (
@@ -164,19 +162,19 @@ class ObservableFamily:
         return self.base.u_matrix() @ reduced_generator(g, self.base.dim).T
 
 
-def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
-    """``max |Im p| / _EPS`` over party 1's outcomes ``p`` per complex-step
-    row (the first only when ``single``), a float per time or a list per
-    time sequence, for one member ``joint, obs2, obs1`` or each of sequences
-    of them; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
+def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
+    """``max |Im p| / _EPS`` over party 1's outcomes ``p``, as
+    ``[member][row][time]``, of each complex-step row of each member of the
+    equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
+    ``times``; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
     names.  Every member's branches propagate as one batch, and an outcome
     left unchecked holds its error instead (see ``_member_distributions``).
     A member outside the physical set raises ``UnphysicalStateError``."""
-    if isinstance(joint, JointBlochState):
-        return _channel(law, hamiltonian, [joint], [obs2], [obs1], t, plan, options, single)[0]
-    members = list(zip(joint, obs2, obs1, strict=True))
-    if not members:
-        raise ValueError("a member sequence needs at least one member")
+    if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
+        raise ValueError("members must be nonempty sequences of states and observables")
+    if np.ndim(times) != 1:
+        raise ValueError("times must be a sequence of times")
+    members = list(zip(joints, obs2s, obs1s, strict=True))
 
     def planned():  # one member at a time: its rows are dropped once collapsed
         for state, remote, local in members:
@@ -185,16 +183,13 @@ def _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options, single):
             x, u0, u, names = plan(state, remote)
             yield x, u0, u, local, names
 
-    dists = _member_distributions(planned(), members[0][0].dims, law,
-                                  [t] if np.ndim(t) == 0 else list(t),
-                                  h_local=hamiltonian.h1, options=options)
     out = []
-    for d, failures in dists:
+    for d, failures in _member_distributions(planned(), members[0][0].dims, law, list(times),
+                                             h_local=hamiltonian.h1, options=options):
         values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
         for (i, row), error in failures.items():
             values[row][i] = error
-        values = [v[0] for v in values] if np.ndim(t) == 0 else values
-        out.append(values[0] if single else values)
+        out.append(values)
     return out
 
 
@@ -209,24 +204,25 @@ def _state_rows(joint, obs2, index, names):
 def d_remote_state(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState | Sequence[JointBlochState],
-    obs2: ProjectiveObservable | Sequence[ProjectiveObservable],
-    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
-    t: float | Sequence[float],
-    component: int | Sequence[int],
+    joint: Sequence[JointBlochState],
+    obs2: Sequence[ProjectiveObservable],
+    obs1: Sequence[ProjectiveObservable],
+    t: Sequence[float],
+    component: Sequence[int],
     options: IntegratorOptions | None = None,
-) -> float | list:
-    """Sensitivity of party 1's distribution to one coordinate of party 2's
+) -> list:
+    """Sensitivity of party 1's distribution to coordinates of party 2's
     reduced state, maximized over local outcomes.
 
-    ``t`` is one time, giving a float, or an ascending sequence of times,
-    giving one value per time.  ``component`` is one index, or a sequence
-    of them (shape ``(C,)``), giving one such result per component.
-    ``joint``, ``obs2`` and ``obs1`` are one ensemble member, or equal-length
-    sequences of M members (shape ``(M,)``), giving one such result per
-    member.  Every member, time and component comes from a single batched
-    propagation; an outcome left unchecked holds its error instead."""
-    ks = [int(k) for k in np.reshape(component, -1)]
+    ``joint``, ``obs2`` and ``obs1`` are equal-length sequences of M ensemble
+    members, ``t`` an ascending sequence of times and ``component`` a
+    sequence of C indices; the result is ``[member][component][time]``.
+    Every member, time and component comes from a single batched
+    propagation; an outcome left unchecked holds its error instead.  A bare
+    member, time or component raises ``ValueError``."""
+    if np.ndim(component) != 1:
+        raise ValueError("component must be a sequence of indices")
+    ks = [int(k) for k in component]
 
     def plan(state, remote):
         d1, d2 = (n**2 - 1 for n in state.dims)
@@ -234,24 +230,26 @@ def d_remote_state(
             raise ValueError(f"component must lie in [0, {d2})")
         return _state_rows(state, remote, [d1 + k for k in ks], [f"r2[{k}]" for k in ks])
 
-    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
-                    single=np.ndim(component) == 0)
+    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
 
 def d_correlations(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState | Sequence[JointBlochState],
-    obs2: ProjectiveObservable | Sequence[ProjectiveObservable],
-    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
-    t: float | Sequence[float],
-    component: tuple[int, int] | Sequence[tuple[int, int]],
+    joint: Sequence[JointBlochState],
+    obs2: Sequence[ProjectiveObservable],
+    obs1: Sequence[ProjectiveObservable],
+    t: Sequence[float],
+    component: Sequence[tuple[int, int]],
     options: IntegratorOptions | None = None,
-) -> float | list:
-    """Sensitivity to one element ``(i, j)`` of the shared correlation
-    block, or to each of a sequence of them (shape ``(C, 2)``); ``t``, the
-    members and the results as for :func:`d_remote_state`."""
-    ijs = [(int(i), int(j)) for i, j in np.reshape(component, (-1, 2))]
+) -> list:
+    """Sensitivity to elements ``(i, j)`` of the shared correlation block:
+    ``component`` is a sequence of C pairs (a bare pair raises
+    ``ValueError``); the members, ``t`` and the result as for
+    :func:`d_remote_state`."""
+    if np.size(component) and np.shape(component)[1:] != (2,):
+        raise ValueError("component must be a sequence of (i, j) pairs")
+    ijs = [(int(i), int(j)) for i, j in component]
 
     def plan(state, remote):
         d1, d2 = (n**2 - 1 for n in state.dims)
@@ -260,55 +258,46 @@ def d_correlations(
         return _state_rows(state, remote, [d1 + d2 + i * d2 + j for i, j in ijs],
                            [f"r12[{i},{j}]" for i, j in ijs])
 
-    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options,
-                    single=np.ndim(component) == 1)
+    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
 
 def d_remote_observable(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    joint: JointBlochState | Sequence[JointBlochState],
-    family: ObservableFamily | Sequence[ObservableFamily],
-    obs1: ProjectiveObservable | Sequence[ProjectiveObservable],
-    t: float | Sequence[float],
+    joint: Sequence[JointBlochState],
+    family: Sequence[ObservableFamily],
+    obs1: Sequence[ProjectiveObservable],
+    t: Sequence[float],
     options: IntegratorOptions | None = None,
-) -> float | list:
+) -> list:
     """Sensitivity to the remote measurement choice along a rotation family
-    at its base, from the outcome rows ``u + i _EPS du/dtheta``; ``t`` and
-    the members as for :func:`d_remote_state`."""
+    at its base, from the outcome rows ``u + i _EPS du/dtheta``; the members,
+    ``t`` and the result (one ``theta`` component) as for :func:`d_remote_state`."""
     def plan(state, fam):
         u = fam.base.u_matrix() + 1j * _EPS * fam.tangent()
         return pack_coords(state)[None], fam.base.u0_vector(), u, ["theta"]
 
-    return _channel(law, hamiltonian, joint, family, obs1, t, plan, options, single=True)
+    return _channel(law, hamiltonian, joint, family, obs1, t, plan, options)
 
 
 # ---------------------------------------------------------------------------
 # Ensemble audit
 
 
-@dataclass(frozen=True)
-class AuditCase:
-    state: JointBlochState
-    obs_remote: ProjectiveObservable
-    obs_local: ProjectiveObservable
-    direction: np.ndarray  # rotation axis for the observable family
-
-
 @lru_cache(maxsize=16)
 def _anchor_observables(n1: int, n2: int):
-    """The anchor's remote observable (the computational basis rotated by
-    pi/4 about the antisymmetric (0,1) generator), its local observable and
-    that direction, built once per dims and read-only."""
+    """The anchor's rotation family (the computational basis rotated by
+    pi/4 about the antisymmetric (0,1) generator, along that generator) and
+    its local observable, built once per dims and read-only."""
     direction = 0.5 * cached_basis(n2).matrices[1]
     direction.setflags(write=False)
-    obs_remote = rotate_observable(computational_observable(n2), direction, math.pi / 4.0)
-    return obs_remote, computational_observable(n1), direction
+    base = rotate_observable(computational_observable(n2), direction, math.pi / 4.0)
+    return ObservableFamily(base, direction), computational_observable(n1)
 
 
-def _anchor_case(dims: tuple[int, int], config: AuditConfig, rng) -> AuditCase:
-    """Canonical probe: a strongly correlated state with a remote basis
-    anchored halfway along a fixed rotation.
+def _anchor_state(dims: tuple[int, int], config: AuditConfig, rng) -> JointBlochState:
+    """Canonical probe: a strongly correlated state, measured with a remote
+    basis anchored halfway along a fixed rotation.
 
     Product states hide measurement-choice sensitivity (their conditionals
     do not depend on the remote choice at all), and symmetric anchors such
@@ -325,21 +314,23 @@ def _anchor_case(dims: tuple[int, int], config: AuditConfig, rng) -> AuditCase:
         rho = maximally_entangled_density(n1)
     else:
         rho = random_pure_density(rng, n1 * n2)
-    obs_remote, obs_local, direction = _anchor_observables(n1, n2)
-    state = interior_joint_state(rho, dims, config.mix_weight)
-    return AuditCase(state, obs_remote, obs_local, direction)
+    return interior_joint_state(rho, dims, config.mix_weight)
 
 
-def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase]:
-    """The anchor, then ``ensemble_size - 1`` random members from one block
-    of standard normals, one row per member.  A row holds, in this order,
-    the ``(2, n, n)`` normals of the member's joint state, remote basis,
-    local basis and rotation direction: a Hilbert-Schmidt density mixed by
-    ``mix_weight``, two Haar bases (the columns of ``haar_unitaries``) and
-    a ``hermitian_directions`` axis.  ``tests/helpers.reference_ensemble``
+def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[list, ...]:
+    """The members as the four columns the channels take: joint states,
+    remote observables, local observables and ``ObservableFamily``s (each
+    based at its member's remote observable).  The anchor comes first, then
+    ``ensemble_size - 1`` random members from one block of standard normals,
+    one row per member.  A row holds, in this order, the ``(2, n, n)``
+    normals of the member's joint state, remote basis, local basis and
+    rotation direction: a Hilbert-Schmidt density mixed by ``mix_weight``,
+    two Haar bases (the columns of ``haar_unitaries``) and a
+    ``hermitian_directions`` axis.  ``tests/helpers.reference_ensemble``
     draws the same members one object at a time, bit for bit."""
     n1, n2 = dims
-    cases = [_anchor_case(dims, config, rng)]
+    anchor = _anchor_state(dims, config, rng)
+    family, local = _anchor_observables(n1, n2)
     sides = (n1 * n2, n2, n1, n2)
     sizes = [2 * n * n for n in sides]
     block = rng.standard_normal((config.ensemble_size - 1, sum(sizes)))
@@ -347,15 +338,15 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> list[AuditCase
     state_normals, remote_normals, local_normals, direction_normals = (
         part.reshape(len(block), 2, n, n) for part, n in zip(parts, sides)
     )
-    states = [interior_joint_state(rho, dims, config.mix_weight)
-              for rho in hs_densities(state_normals)]
-    remotes = _observables_from_bases(haar_unitaries(remote_normals).swapaxes(-1, -2),
-                                      cached_basis(n2))
-    locals_ = _observables_from_bases(haar_unitaries(local_normals).swapaxes(-1, -2),
-                                      cached_basis(n1))
-    directions = hermitian_directions(direction_normals)
-    cases += [AuditCase(*member) for member in zip(states, remotes, locals_, directions)]
-    return cases
+    states = [anchor, *(interior_joint_state(rho, dims, config.mix_weight)
+                        for rho in hs_densities(state_normals))]
+    remotes = [family.base, *_observables_from_bases(
+        haar_unitaries(remote_normals).swapaxes(-1, -2), cached_basis(n2))]
+    locals_ = [local, *_observables_from_bases(
+        haar_unitaries(local_normals).swapaxes(-1, -2), cached_basis(n1))]
+    families = [family, *map(ObservableFamily, remotes[1:],
+                             hermitian_directions(direction_normals))]
+    return states, remotes, locals_, families
 
 
 @dataclass(frozen=True)
@@ -432,9 +423,8 @@ def audit(
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
-    seq = np.random.SeedSequence(config.seed)
-    s_members, s_fit = seq.spawn(2)
-    cases = _ensemble(dims, config, np.random.default_rng(s_members))
+    s_members, s_fit = np.random.SeedSequence(config.seed).spawn(2)
+    states, remotes, locals_, families = _ensemble(dims, config, np.random.default_rng(s_members))
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     opts = config.branch_options
 
@@ -443,8 +433,6 @@ def audit(
     at = {t: i for i, t in enumerate(grid)}
     ks, pairs = list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)]
     labels = ([str(k) for k in ks], [f"{i},{j}" for i, j in pairs], ["theta"])
-    states, remotes, locals_ = zip(*[(c.state, c.obs_remote, c.obs_local) for c in cases])
-    families = [ObservableFamily(c.obs_remote, c.direction) for c in cases]
     # The fit runs first: an integrator failure there ends the audit, so it
     # ends it before the channel sweep rather than after.
     t_fit = max(config.times)
@@ -460,8 +448,7 @@ def audit(
     runs = (  # one call per channel over every member, component and time
         d_remote_state(law, hamiltonian, states, remotes, locals_, grid, ks, options=opts),
         d_correlations(law, hamiltonian, states, remotes, locals_, grid, pairs, options=opts),
-        [[v] for v in d_remote_observable(law, hamiltonian, states, families, locals_, grid,
-                                          options=opts)],
+        d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts),
     )
     # One walk in member, time (config order), channel, component order: a
     # channel's worst case is its first largest value; a row's is its last.
@@ -551,13 +538,13 @@ def signaling_channel_demo(
     distributions is the signaling capacity of the channel (zero for any
     law whose measurement-choice sensitivity vanishes along the connecting
     family).  Both observables' branches propagate as one batch."""
-    u0, u = _outcome_rows((obs_a, obs_b), joint.dims[1])
-    pa, pb = packed_distributions(
-        np.tile(pack_coords(joint), (2, 1)), u0, u, joint.dims, local_obs, law, [t],
-        h_local=h_local, options=options,
-    )[0]
+    (pa, fa), (pb, fb) = _member_distributions(
+        [(pack_coords(joint)[None], obs.u0_vector(), obs.u_matrix(), local_obs, None)
+         for obs in (obs_a, obs_b)], joint.dims, law, [t], h_local=h_local, options=options)
+    if fa or fb:
+        raise (fa or fb)[0, 0]
     delta = 0.5 * float(np.sum(np.abs(pa - pb)))
-    return delta, (pa, pb)
+    return delta, (pa[0, 0], pb[0, 0])
 
 
 @lru_cache(maxsize=64)

@@ -24,8 +24,8 @@ from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     Projector,
     ProjectiveObservable,
+    _member_distributions,
     observable_from_matrices,
-    packed_distributions,
     rotate_observable,
 )
 from blochsig.sampling import (
@@ -166,13 +166,15 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                                 options):
     """Central differences ``max |p(x + h e_k) - p(x - h e_k)| / 2h`` over
     party 1's outcomes along packed coordinates ``index``: the packed rows
-    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 in one
-    ``packed_distributions`` call.  Returns one list per component, one
+    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 as one
+    ``_member_distributions`` member.  Returns one list per component, one
     value per time; both shifted states should stay physical."""
     rows = [pack_coords(_shifted(joint, k, sign * fd_step))
             for k in index for sign in (+1.0, -1.0)]
-    dists = packed_distributions(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), joint.dims,
-                                 obs1, law, list(times), h_local=hamiltonian.h1, options=options)
+    [(dists, failures)] = _member_distributions(
+        [(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), obs1, None)], joint.dims, law,
+        list(times), h_local=hamiltonian.h1, options=options)
+    assert not failures
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
     return (diffs / (2.0 * fd_step)).T.tolist()
 

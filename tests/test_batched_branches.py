@@ -2,8 +2,8 @@
 component, covering every remote outcome and every audit time.
 
 The references here are the branch-by-branch loop (one one-row solve per
-remote outcome, integrated from 0 for each time) and the scalar per-time
-``d_*`` calls.  Polesink runs the same arithmetic row by row, so it must
+remote outcome, integrated from 0 for each time) and the one-time,
+one-member, one-component ``d_*`` calls.  Polesink runs the same arithmetic row by row, so it must
 match bit for bit; linear and xi flows multiply a batch by the step matrix
 in another order and may differ at round-off.
 """
@@ -36,13 +36,11 @@ from blochsig.integrate import IntegratorOptions
 from blochsig.jsonio import dumps
 from blochsig.measurement import (
     EPS_PROB,
-    _outcome_rows,
     computational_observable,
     fourier_observable,
     local_distribution,
     observable_from_basis,
     observable_from_matrices,
-    packed_distributions,
 )
 from blochsig.nosignal_audit import (
     DEFAULT_BRANCH_OPTIONS,
@@ -74,18 +72,24 @@ def _member(dims, seed):
 
 
 def _sensitivities(law, h, member, times):
-    """Every component of the three channels, called once with ``times``
-    (a float or a sequence)."""
+    """Every component of the three channels of one member, one ``d_*`` call
+    each with ``times``: one list per component, one value per time."""
     state, obs2, obs1, family = member
     d1, d2 = state.dims[0] ** 2 - 1, state.dims[1] ** 2 - 1
-    values = [d_remote_state(law, h, state, obs2, obs1, times, k) for k in range(d2)]
+    one = ([state], [obs2], [obs1])
+    values = [d_remote_state(law, h, *one, times, [k])[0][0] for k in range(d2)]
     values += [
-        d_correlations(law, h, state, obs2, obs1, times, (i, j))
+        d_correlations(law, h, *one, times, [(i, j)])[0][0]
         for i in range(d1)
         for j in range(d2)
     ]
-    values.append(d_remote_observable(law, h, state, family, obs1, times))
+    values.append(d_remote_observable(law, h, [state], [family], [obs1], times)[0][0])
     return values
+
+
+def _one_time(law, h, member, t):
+    """:func:`_sensitivities` at the one time ``t``, one float per component."""
+    return [v for (v,) in _sensitivities(law, h, member, [t])]
 
 
 def _branchwise_distribution(joint, obs2, obs1, law, t, x=None):
@@ -130,7 +134,7 @@ def test_polesink_time_sequence_is_bit_identical_to_scalar_calls(dims, times):
     law, h = polesink_law(0.1), BlochHamiltonian(dims)
     member = _member(dims, 40 + dims[1])
     batched = _sensitivities(law, h, member, times)
-    per_time = [_sensitivities(law, h, member, t) for t in times]
+    per_time = [_one_time(law, h, member, t) for t in times]
     assert all(isinstance(v, list) and len(v) == len(times) for v in batched)
     assert all(isinstance(v, float) for row in per_time for v in row)
     for i, t in enumerate(times):
@@ -182,6 +186,7 @@ def test_rk4_past_max_steps_raises():
 def test_no_times_give_no_samples_on_every_route(law, options, shape):
     flow = reduced_flow(law, None, 2)
     assert flow.sample(np.zeros(shape), [], options).shape == (0, *shape)
+    assert flow.sample(np.zeros(shape, dtype=complex), [], options).dtype == complex
 
 
 @pytest.mark.parametrize(
@@ -193,22 +198,20 @@ def test_linear_and_xi_time_sequences_match_scalar_calls(law, times):
     member = _member((2, 3), 32)
     batched = _sensitivities(law, h, member, times)
     for i, t in enumerate(times):
-        scalar = _sensitivities(law, h, member, t)
+        scalar = _one_time(law, h, member, t)
         np.testing.assert_allclose([v[i] for v in batched], scalar, rtol=0, atol=1e-12)
 
 
 def _scalar_audit_rows(law, hamiltonian, config):
-    """Each row's value from one scalar ``d_*`` call per component and time."""
+    """Each row's value from one one-time ``d_*`` call per component and time."""
     dims = hamiltonian.dims
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
-    cases = nosignal_audit._ensemble(dims, config, np.random.default_rng(s_members))
+    columns = nosignal_audit._ensemble(dims, config, np.random.default_rng(s_members))
     rows = []
-    for case in cases:
-        member = (case.state, case.obs_remote, case.obs_local,
-                  ObservableFamily(case.obs_remote, case.direction))
+    for member in zip(*columns):
         d2 = dims[1] ** 2 - 1
         for t in config.times:
-            values = _sensitivities(law, hamiltonian, member, t)
+            values = _one_time(law, hamiltonian, member, t)
             rows += [max(values[:d2]), max(values[d2:-1]), values[-1]]
     return rows
 
@@ -298,10 +301,11 @@ def test_rkf45_polesink_sequence_matches_scalar_calls():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     state, obs2, obs1, _ = _member((2, 2), 35)
     options = IntegratorOptions(method="rkf45")
-    batched = d_remote_state(law, h, state, obs2, obs1, (0.3, 0.6), 2, options=options)
-    assert batched == [
-        d_remote_state(law, h, state, obs2, obs1, t, 2, options=options) for t in (0.3, 0.6)
-    ]
+    one = ([state], [obs2], [obs1])
+    batched = d_remote_state(law, h, *one, (0.3, 0.6), [2], options=options)
+    assert batched == [[[
+        d_remote_state(law, h, *one, [t], [2], options=options)[0][0][0] for t in (0.3, 0.6)
+    ]]]
 
 
 def test_rk4_solve_batch_rows_match_single_rows():
@@ -347,7 +351,7 @@ def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
     h = BlochHamiltonian((2, 2))
     state, obs2, obs1, _ = _member((2, 2), 57)
     for _ in range(2):
-        d_remote_state(law, h, state, obs2, obs1, DEFAULT_TIMES, [0, 1, 2])
+        d_remote_state(law, h, [state], [obs2], [obs1], DEFAULT_TIMES, [0, 1, 2])
     assert (3,) not in calls[6:]  # channel calls reuse the probed flow
     assert reduced_flow(law, [0.0, 0.0, 0.1], 2) is not flow
 
@@ -395,22 +399,24 @@ def _per_component_values(law, h, member, times):
     """Every component of the two state channels, one ``d_*`` call each."""
     state, obs2, obs1, _ = member
     d1, d2 = state.dims[0] ** 2 - 1, state.dims[1] ** 2 - 1
-    single = [d_remote_state(law, h, state, obs2, obs1, times, k) for k in range(d2)]
+    one = ([state], [obs2], [obs1])
+    single = [d_remote_state(law, h, *one, times, [k])[0][0] for k in range(d2)]
     pairs = [(i, j) for i in range(d1) for j in range(d2)]
-    return single, [d_correlations(law, h, state, obs2, obs1, times, c) for c in pairs], pairs
+    return single, [d_correlations(law, h, *one, times, [c])[0][0] for c in pairs], pairs
 
 
 def _batched_values(law, h, member, times, pairs):
     state, obs2, obs1, _ = member
     d2 = state.dims[1] ** 2 - 1
+    one = ([state], [obs2], [obs1])
     return (
-        d_remote_state(law, h, state, obs2, obs1, times, list(range(d2))),
-        d_correlations(law, h, state, obs2, obs1, times, np.array(pairs)),
+        d_remote_state(law, h, *one, times, list(range(d2)))[0],
+        d_correlations(law, h, *one, times, np.array(pairs))[0],
     )
 
 
-@pytest.mark.parametrize("times", [DEFAULT_TIMES, NON_NESTING_TIMES, 0.5],
-                         ids=["nesting", "non-nesting", "scalar"])
+@pytest.mark.parametrize("times", [DEFAULT_TIMES, NON_NESTING_TIMES, (0.5,)],
+                         ids=["nesting", "non-nesting", "one-time"])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
 def test_polesink_component_sequences_are_bit_identical_to_per_component_calls(dims, times):
     law, h = polesink_law(0.1), BlochHamiltonian(dims)
@@ -436,21 +442,53 @@ def test_linear_and_xi_component_sequences_match_per_component_calls(law, dims):
     np.testing.assert_allclose(batch_corr, single_corr, rtol=0, atol=1e-12)
 
 
-def test_single_and_sequence_component_forms():
+def _bare_forms():
+    """Each bare member, time or component, as ``(label, d_* call)``: a call
+    that differs from a valid one only there."""
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1, family = _member((2, 2), 53)
+    times = [0.5]
+    calls = {
+        "bare-joint": (d_remote_state, state, [obs2], [obs1], times, [1]),
+        "bare-obs2": (d_remote_state, [state], obs2, [obs1], times, [1]),
+        "bare-obs1": (d_correlations, [state], [obs2], obs1, times, [(2, 1)]),
+        "bare-family": (d_remote_observable, [state], family, [obs1], times),
+        "scalar-time-state": (d_remote_state, [state], [obs2], [obs1], 0.5, [1]),
+        "scalar-time-correlations": (d_correlations, [state], [obs2], [obs1], 0.5, [(2, 1)]),
+        "scalar-time-observable": (d_remote_observable, [state], [family], [obs1], 0.5),
+        "bare-index": (d_remote_state, [state], [obs2], [obs1], times, 1),
+        "nested-index": (d_remote_state, [state], [obs2], [obs1], times, [[1]]),
+        "bare-pair": (d_correlations, [state], [obs2], [obs1], times, (2, 1)),
+        "bare-pair-list": (d_correlations, [state], [obs2], [obs1], times, [2, 1]),
+        "bare-int-pair": (d_correlations, [state], [obs2], [obs1], times, 2),
+        "triple": (d_correlations, [state], [obs2], [obs1], times, [(2, 1, 0)]),
+    }
+    return {label: (fn, law, h, *args) for label, (fn, *args) in calls.items()}
+
+
+@pytest.mark.parametrize("label", list(_bare_forms()))
+def test_a_bare_member_time_or_component_is_a_value_error(label):
+    # not a TypeError, and never a silently reshaped result
+    fn, *args = _bare_forms()[label]
+    with pytest.raises(ValueError, match="must be (a |nonempty )?sequences? of"):
+        fn(*args)
+
+
+def test_sequence_component_forms():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     state, obs2, obs1, _ = _member((2, 2), 53)
-    assert isinstance(d_remote_state(law, h, state, obs2, obs1, 0.5, 1), float)
-    assert d_remote_state(law, h, state, obs2, obs1, 0.5, [1]) == [
-        d_remote_state(law, h, state, obs2, obs1, 0.5, 1)
-    ]
-    assert d_correlations(law, h, state, obs2, obs1, (0.5,), [(2, 1)]) == [
-        d_correlations(law, h, state, obs2, obs1, (0.5,), (2, 1))
-    ]
-    assert d_remote_state(law, h, state, obs2, obs1, 0.5, []) == []
+    one = ([state], [obs2], [obs1])
+    [[value]] = d_remote_state(law, h, *one, [0.5], [1])
+    assert isinstance(value, list) and isinstance(value[0], float)
+    assert d_correlations(law, h, *one, (0.5,), [(2, 1)]) == d_correlations(
+        law, h, *one, [0.5], np.array([[2, 1]]))
+    assert d_remote_state(law, h, *one, [0.5], []) == [[]]
+    assert d_correlations(law, h, *one, [0.5], []) == [[]]
+    assert d_remote_state(law, h, *one, [], [0, 1]) == [[[], []]]
     with pytest.raises(ValueError, match="component"):
-        d_remote_state(law, h, state, obs2, obs1, 0.5, [0, 3])
+        d_remote_state(law, h, *one, [0.5], [0, 3])
     with pytest.raises(ValueError, match="component"):
-        d_correlations(law, h, state, obs2, obs1, 0.5, [(0, 0), (3, 0)])
+        d_correlations(law, h, *one, [0.5], [(0, 0), (3, 0)])
 
 
 def _zero_weight_member():
@@ -467,10 +505,11 @@ def _zero_weight_member():
 def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     state, obs2, obs1 = _zero_weight_member()
-    call = partial(d_remote_state, law, h, state, obs2, obs1, list(DEFAULT_TIMES))
-    together = call([0, 1, 2])
-    assert _described([together]) == _described([[call(k) for k in (0, 1, 2)]])
-    assert together[:2] == [call(k) for k in (0, 1)]
+    call = partial(d_remote_state, law, h, [state], [obs2], [obs1], list(DEFAULT_TIMES))
+    [together] = call([0, 1, 2])
+    alone = [call([k])[0][0] for k in (0, 1, 2)]
+    assert _described([together]) == _described([alone])
+    assert together[:2] == alone[:2]
     assert all(isinstance(e, PerturbationInfeasibleError) and "r2[2]" in str(e)
                for e in together[2])
 
@@ -479,11 +518,10 @@ def _per_component_audit(monkeypatch, law, h, config):
     """The audit with every member and component in its own ``d_*`` call."""
     def split(fn):
         def one_by_one(law, h, joint, obs2, obs1, t, *components, **kwargs):
-            members = list(zip(joint, obs2, obs1))
-            if not components:  # the observable channel
-                return [fn(law, h, *member, t, **kwargs) for member in members]
-            return [[fn(law, h, *member, t, c, **kwargs) for c in components[0]]
-                    for member in members]
+            # the observable channel takes no component argument
+            each = [([c],) for c in components[0]] if components else [()]
+            return [[fn(law, h, [a], [b], [c], t, *args, **kwargs)[0][0] for args in each]
+                    for a, b, c in zip(joint, obs2, obs1)]
 
         return one_by_one
 
@@ -498,9 +536,10 @@ def _with_zero_weight_anchor(monkeypatch):
     ensemble = nosignal_audit._ensemble
 
     def patched(dims, config, rng):
-        cases = ensemble(dims, config, rng)
+        states, remotes, locals_, families = ensemble(dims, config, rng)
         state, obs2, obs1 = _zero_weight_member()
-        return [replace(cases[0], state=state, obs_remote=obs2, obs_local=obs1), *cases[1:]]
+        return ([state, *states[1:]], [obs2, *remotes[1:]], [obs1, *locals_[1:]],
+                [ObservableFamily(obs2, families[0].direction), *families[1:]])
 
     monkeypatch.setattr(nosignal_audit, "_ensemble", patched)
 
@@ -601,10 +640,12 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     pairs = [(product, computational), (generic, three), (generic, two), (product, three)]
     obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     law = polesink_law(0.1)
-    x = np.stack([pack_coords(joint) for joint, _ in pairs])
-    u0, u = _outcome_rows([obs2 for _, obs2 in pairs], 3)
-    batched = packed_distributions(x, u0, u, dims, obs1, law, DEFAULT_TIMES,
-                                   options=DEFAULT_BRANCH_OPTIONS)
+    members = [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+               for joint, obs2 in pairs]  # one batch of uneven branch counts
+    dists = measurement._member_distributions(members, dims, law, DEFAULT_TIMES,
+                                              options=DEFAULT_BRANCH_OPTIONS)
+    assert not any(failures for _, failures in dists)
+    batched = np.concatenate([dist for dist, _ in dists], axis=1)
     assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
     assert np.array_equal(batched, _scalar_loop_distributions(pairs, obs1, law, DEFAULT_TIMES))
     # the channel demo is the two-pair case at one time
@@ -621,7 +662,7 @@ def test_channel_demo_rejects_a_remote_observable_of_another_dim():
     local = computational_observable(2)
     for remote in ((computational_observable(2), computational_observable(3)),
                    (computational_observable(3), computational_observable(3))):
-        with pytest.raises(DimensionMismatchError, match="remote observables must have dim 2"):
+        with pytest.raises(DimensionMismatchError, match="do not fit dims"):
             nosignal_audit.signaling_channel_demo(polesink_law(0.1), joint, *remote, local, 0.5)
 
 
@@ -670,15 +711,15 @@ def test_member_batch_is_bit_identical_to_single_member_calls(law, dims, options
                                                             for j in range(d2)]
     fd = {"options": options}
     assert d_remote_state(law, h, states, remote, local, times, ks, **fd) == [
-        d_remote_state(law, h, state, obs2, obs1, times, ks, **fd)
+        d_remote_state(law, h, [state], [obs2], [obs1], times, ks, **fd)[0]
         for state, obs2, obs1, _ in members
     ]
     assert d_correlations(law, h, states, remote, local, times, pairs, **fd) == [
-        d_correlations(law, h, state, obs2, obs1, times, pairs, **fd)
+        d_correlations(law, h, [state], [obs2], [obs1], times, pairs, **fd)[0]
         for state, obs2, obs1, _ in members
     ]
     assert d_remote_observable(law, h, states, families, local, times, **fd) == [
-        d_remote_observable(law, h, state, family, obs1, times, **fd)
+        d_remote_observable(law, h, [state], [family], [obs1], times, **fd)[0]
         for state, _, obs1, family in members
     ]
 
@@ -687,18 +728,15 @@ def test_member_batch_forms():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     members = [_member((2, 2), 62 + m) for m in range(2)]
     states, remote, local, families = _columns(members)
-    one = d_remote_state(law, h, states, remote, local, 0.5, 1)
-    assert len(one) == 2 and all(isinstance(v, float) for v in one)
-    assert d_correlations(law, h, states[:1], remote[:1], local[:1], 0.5, (0, 1)) == [
-        d_correlations(law, h, states[0], remote[0], local[0], 0.5, (0, 1))
-    ]
-    assert d_remote_state(law, h, states, remote, local, 0.5, []) == [[], []]
+    one = d_remote_state(law, h, states, remote, local, [0.5], [1])
+    assert len(one) == 2 and all(isinstance(v, float) for [[v]] in one)
+    assert d_remote_state(law, h, states, remote, local, [0.5], []) == [[], []]
     observable = d_remote_observable(law, h, tuple(states), families, local, (0.5,))
-    assert len(observable) == 2 and all(len(v) == 1 for v in observable)
+    assert len(observable) == 2 and all(np.shape(v) == (1, 1) for v in observable)
     with pytest.raises(ValueError):
-        d_remote_state(law, h, states, remote[:1], local, 0.5, 1)
-    with pytest.raises(ValueError, match="at least one member"):
-        d_remote_observable(law, h, [], [], [], 0.5)
+        d_remote_state(law, h, states, remote[:1], local, [0.5], [1])
+    with pytest.raises(ValueError, match="nonempty sequences"):
+        d_remote_observable(law, h, [], [], [], [0.5])
 
 
 def _described(outcomes):
@@ -717,8 +755,8 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
         law, error = _expanding_law(), IntegrationFailureError
         config = AuditConfig(seed=3, ensemble_size=2)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
-        members = [(c.state, c.obs_remote, c.obs_local)
-                   for c in nosignal_audit._ensemble((2, 2), config, rng)]
+        states, remotes, locals_, _ = nosignal_audit._ensemble((2, 2), config, rng)
+        members = list(zip(states, remotes, locals_))
     h, times, components = BlochHamiltonian((2, 2)), list(DEFAULT_TIMES), [0, 1, 2]
 
     def call(ms, cs):
@@ -726,10 +764,10 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
 
     # one batched call gives each outcome its single-member, single-component one
     together = call([0, 1], components)
-    alone = [[call([m], c)[0] for c in components] for m in (0, 1)]
+    alone = [[call([m], [c])[0][0] for c in components] for m in (0, 1)]
     assert _described(together) == _described(alone)
     assert any(isinstance(v, error) for per_time in together[0] for v in per_time)
-    assert together[1] == d_remote_state(law, h, *members[1], times, components)
+    assert together[1] == call([1], components)[0]
 
 
 def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
@@ -744,8 +782,10 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
     assert list(failures) == [(1, 0)]  # (time index, row)
     assert isinstance(failures[1, 0], IntegrationFailureError)
     assert str(failures[1, 0]) == "rk4 result at t=1 is not finite"
-    alone = packed_distributions(x[1:], remote.u0_vector(), remote.u_matrix(), dims, local, law,
-                                 times)
-    assert np.array_equal(dist[:, 1:], alone)
+    [(alone, none)] = measurement._member_distributions(
+        [(x[1:], remote.u0_vector(), remote.u_matrix(), local, None)], dims, law, times)
+    assert not none and np.array_equal(dist[:, 1:], alone)
+    # the one-row call raises the failure in place of its distribution
+    joint = JointBlochState(dims, x[0, :3], np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
-        packed_distributions(x, remote.u0_vector(), remote.u_matrix(), dims, local, law, times)
+        local_distribution(joint, remote, local, law, 1.0)

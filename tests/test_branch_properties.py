@@ -1,7 +1,8 @@
 """Property tests of the branch layer over random dimensions 2..4: the Born
 weights of a remote measurement, the collapse identity, and
-``packed_distributions`` at t = 0 with padded per-row outcomes; and of the
-audit: every random linear Hamiltonian passes it."""
+``_member_distributions`` at t = 0 with one member per remote observable
+(their outcome counts differ); and of the audit: every random linear
+Hamiltonian passes it."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,11 +16,10 @@ from blochsig.dynamics import (
     random_hamiltonian,
 )
 from blochsig.measurement import (
-    _outcome_rows,
+    _member_distributions,
     conditional_state,
     observable_from_matrices,
     outcome_probabilities,
-    packed_distributions,
 )
 from blochsig.nosignal_audit import AuditConfig, audit, polesink_law
 from blochsig.sampling import random_interior_joint
@@ -63,15 +63,17 @@ def test_born_weights_sum_to_one_and_branches_average_back_to_r1(dims, seed):
 def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed):
     rng = np.random.default_rng(seed)
     joints = [random_interior_joint(rng, dims) for _ in range(3)]
-    u0, u = _outcome_rows(_observables(rng, dims[1]), dims[1])  # padded rows
+    remotes = _observables(rng, dims[1])
     obs1 = _observables(rng, dims[0])[2]
     h1 = random_hamiltonian(rng, dims).h1
     born = np.stack([outcome_probabilities(obs1, BlochState(dims[0], j.r1)) for j in joints])
     x = np.stack([pack_coords(j) for j in joints])
     for law in (linear_law(), polesink_law(0.1)):
-        dists = packed_distributions(x, u0, u, dims, obs1, law, [0.0], h_local=h1,
-                                     options=DEFAULT_BRANCH_OPTIONS)
-        np.testing.assert_allclose(dists[0], born, rtol=0.0, atol=1e-12)
+        members = [(x, obs.u0_vector(), obs.u_matrix(), obs1, None) for obs in remotes]
+        for dist, failures in _member_distributions(members, dims, law, [0.0], h_local=h1,
+                                                    options=DEFAULT_BRANCH_OPTIONS):
+            assert not failures
+            np.testing.assert_allclose(dist[0], born, rtol=0.0, atol=1e-12)
 
 
 @fixed

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,6 +158,40 @@ def test_convert_unphysical_state_rejected(tmp_path, capsys):
     src = write_config(tmp_path, "bad.json", {"dim": 2, "r": [0.0, 0.0, 2.0]})
     assert main(["convert", "--in", src]) == 2
     assert "error: state:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({"dim": 2, "matrix_re": [[0.5, 0.0], [0.0, 0.5]], "matrix_im": [[0.0, 0.1], [0.1, 0.0]]},
+         "matrix is not Hermitian"),
+        ({"dims": [2, 2], "matrix_re": [[0.5, 0.2, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0],
+                                        [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]},
+         "matrix is not Hermitian"),
+        ({"dim": 2, "matrix_re": [[0.6, 0.0], [0.0, 0.6]]}, "trace deviates from 1"),
+        ({"dims": [2, 2], "matrix_re": np.diag([0.25, 0.25, 0.25, 0.0]).tolist()},
+         "trace deviates from 1"),
+    ],
+    ids=["non-hermitian", "non-hermitian-joint", "trace-not-one", "trace-not-one-joint"],
+)
+def test_convert_of_a_matrix_that_is_not_a_density_exits_two(tmp_path, capsys, payload, reason):
+    assert main(["convert", "--in", write_config(tmp_path, "matrix.json", payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(f"error: state: {reason}")
+
+
+@pytest.mark.parametrize("command", ["evolve", "audit"])
+def test_the_timestamp_is_utc_and_all_that_differs_from_a_run_without_it(
+    tmp_path, capsys, command
+):
+    cfg = write_config(tmp_path, "config.json",
+                       _EVOLVE if command == "evolve" else LINEAR_AUDIT_CONFIG)
+    stamped, plain = tmp_path / "stamped.json", tmp_path / "plain.json"
+    assert main([command, "--config", cfg, "--out", str(stamped)]) == 0
+    assert main([command, "--config", cfg, "--no-timestamp", "--out", str(plain)]) == 0
+    payload = json.loads(stamped.read_text(encoding="utf-8"))
+    assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", payload.pop("timestamp"))
+    assert dumps(payload).encode("utf-8") == plain.read_bytes()
 
 
 def test_evolve_interaction_free_singlet_reduced_parts_stay_zero(tmp_path):
@@ -526,7 +561,7 @@ _H_FILE = {"H1": [0.1, 0.0, 0.5], "h12": np.eye(3).tolist()}
          {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": "h.json", "H1": [0.1, 0.0, 0.5]}}),
         ("audit", "hamiltonian.h12", {**LINEAR_AUDIT_CONFIG, "hamiltonian": {"file": "h.json"}}),
         ("evolve", "initial_state.r3", {**_EVOLVE, "initial_state": {**_PRODUCT, "r3": []}}),
-        ("audit", "initial_state.r3", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
+        ("audit", "channel_demo.initial_state.r3", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
             **_DEMO, "initial_state": {**_PRODUCT, "r3": []}}}),
         ("audit", "channel_demo.tiem", {**POLESINK_AUDIT_CONFIG,
                                         "channel_demo": {**_DEMO, "tiem": 2.0}}),
@@ -569,11 +604,16 @@ def test_an_unknown_options_key_exits_two_naming_it(tmp_path, capsys, command, k
          "channel_demo.remote_a"),
         ("audit", {**LINEAR_AUDIT_CONFIG, "audit": None}, "audit"),
         ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": 5}, "channel_demo"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": {**_DEMO, "initial_state": "mixed"}},
+         "channel_demo.initial_state"),
+        ("audit", {**POLESINK_AUDIT_CONFIG, "channel_demo": {
+            k: v for k, v in _DEMO.items() if k != "initial_state"}}, "channel_demo.initial_state"),
     ],
     ids=["invalid-json", "dims-not-a-pair", "huge-integer", "hamiltonian-not-object",
          "law-not-name-or-object", "unknown-law", "unknown-xi-preset", "singlet-not-2x2",
          "unknown-state-preset", "unknown-observable-preset", "matrix-without-re",
-         "invalid-observable", "null-audit", "channel-demo-not-object"],
+         "invalid-observable", "null-audit", "channel-demo-not-object",
+         "channel-demo-state-preset", "channel-demo-state-missing"],
 )
 def test_each_config_error_exits_two_with_one_line_naming_its_path(tmp_path, capsys, command,
                                                                    payload, path):

@@ -1,6 +1,7 @@
 """Projector coordinates, Born rule, collapse, and branch-averaged statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from blochsig.errors import (
 )
 from blochsig.measurement import (
     Projector,
+    _member_distributions,
     computational_observable,
     conditional_state,
     fourier_observable,
@@ -24,7 +26,6 @@ from blochsig.measurement import (
     observable_from_matrices,
     observable_from_projectors,
     outcome_probabilities,
-    packed_distributions,
     projector_from_matrix,
     rotate_observable,
 )
@@ -261,7 +262,7 @@ def test_zero_probability_branch_raises():
         conditional_state(joint, computational_observable(2), 1)
 
 
-def test_a_complex_row_moving_a_dropped_branch_raises():
+def test_a_complex_row_moving_a_dropped_branch_fails_alone():
     """|00>, measured computationally: outcome 1 has weight 0 and is dropped.
     A complex step of r2[2] moves that weight, one of r2[0] neither branch,
     so only the first has a one-sided derivative."""
@@ -271,13 +272,13 @@ def test_a_complex_row_moving_a_dropped_branch_raises():
     rows[0, 3] += 1e-30j  # r2[0]
     rows[1, 5] += 1e-30j  # r2[2]
     obs = computational_observable(2)
-    args = (obs.u0_vector(), obs.u_matrix(), (2, 2), obs, linear_law(), [0.0])
-    dist = packed_distributions(rows[:1], *args)
-    assert np.all(np.isfinite(dist)) and not np.any(dist.imag)
-    with pytest.raises(PerturbationInfeasibleError, match=(
-            r"^perturbation of row 1 moves remote outcome 1 of weight 0\.000e\+00")):
-        packed_distributions(rows, *args)
-
+    [(dist, failures)] = _member_distributions(
+        [(rows, obs.u0_vector(), obs.u_matrix(), obs, None)], (2, 2), linear_law(), [0.0])
+    assert np.all(np.isfinite(dist[:, 0])) and not np.any(dist[:, 0].imag)
+    assert list(failures) == [(0, 1)]  # (time index, row)
+    assert isinstance(failures[0, 1], PerturbationInfeasibleError)
+    assert re.match(r"^perturbation of row 1 moves remote outcome 1 of weight 0\.000e\+00",
+                    str(failures[0, 1]))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

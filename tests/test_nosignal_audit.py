@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from blochsig.bloch import joint_to_bloch, to_bloch
 from blochsig.dynamics import (
     BlochHamiltonian,
     custom_law,
+    evolve,
     linear_law,
     random_hamiltonian,
     reduced_flow,
@@ -153,9 +153,9 @@ def test_remote_state_sensitivity_linear_law_vanishes():
     h = random_hamiltonian(rng, (2, 2), scale=0.6)
     state = random_interior_joint(rng, (2, 2))
     for k in range(3):
-        value = d_remote_state(
-            linear_law(), h, state,
-            computational_observable(2), fourier_observable(2), 1.0, k,
+        [[[value]]] = d_remote_state(
+            linear_law(), h, [state],
+            [computational_observable(2)], [fourier_observable(2)], [1.0], [k],
         )
         assert value <= 1e-6
 
@@ -165,18 +165,22 @@ def test_all_sensitivities_vanish_at_t0_for_any_law():
     h = random_hamiltonian(rng, (2, 2), scale=0.6)
     state = random_interior_joint(rng, (2, 2))
     family = _y_anchor_family()
+    local = [computational_observable(2)]
     for law in (linear_law(), xi_law("corrnorm"), polesink_law(0.1)):
         h_use = h if law.kind != "custom" else BlochHamiltonian((2, 2))
-        assert d_remote_state(law, h_use, state, family.base, computational_observable(2), 0.0, 2) <= 1e-10
-        assert d_correlations(law, h_use, state, family.base, computational_observable(2), 0.0, (2, 2)) <= 1e-10
-        assert d_remote_observable(law, h_use, state, family, computational_observable(2), 0.0) <= 1e-10
+        [[[value]]] = d_remote_state(law, h_use, [state], [family.base], local, [0.0], [2])
+        assert value <= 1e-10
+        [[[value]]] = d_correlations(law, h_use, [state], [family.base], local, [0.0], [(2, 2)])
+        assert value <= 1e-10
+        [[[value]]] = d_remote_observable(law, h_use, [state], [family], local, [0.0])
+        assert value <= 1e-10
 
 
 def test_remote_state_sensitivity_flags_polesink():
     state = interior_joint_state(singlet_density(), (2, 2), 0.2)
-    value = d_remote_state(
-        polesink_law(0.1), BlochHamiltonian((2, 2)), state,
-        computational_observable(2), computational_observable(2), 1.0, 2,
+    [[[value]]] = d_remote_state(
+        polesink_law(0.1), BlochHamiltonian((2, 2)), [state],
+        [computational_observable(2)], [computational_observable(2)], [1.0], [2],
     )
     assert value > 1e-3
 
@@ -187,9 +191,9 @@ def test_correlation_sensitivity_linear_law_vanishes():
     state = random_interior_joint(rng, (2, 2))
     values = [
         d_correlations(
-            linear_law(), h, state,
-            computational_observable(2), fourier_observable(2), 1.0, (i, j),
-        )
+            linear_law(), h, [state],
+            [computational_observable(2)], [fourier_observable(2)], [1.0], [(i, j)],
+        )[0][0][0]
         for i in range(3)
         for j in range(3)
     ]
@@ -206,9 +210,9 @@ def test_correlation_sensitivity_product_state_weighted_law():
     h = random_hamiltonian(rng, (2, 2), interaction=False)
     values = [
         d_correlations(
-            xi_law("corrnorm"), h, state,
-            computational_observable(2), fourier_observable(2), 1.0, (i, j),
-        )
+            xi_law("corrnorm"), h, [state],
+            [computational_observable(2)], [fourier_observable(2)], [1.0], [(i, j)],
+        )[0][0][0]
         for i in range(3)
         for j in range(3)
     ]
@@ -217,9 +221,9 @@ def test_correlation_sensitivity_product_state_weighted_law():
 
 def test_correlation_sensitivity_flags_polesink():
     state = interior_joint_state(singlet_density(), (2, 2), 0.2)
-    value = d_correlations(
-        polesink_law(0.1), BlochHamiltonian((2, 2)), state,
-        computational_observable(2), computational_observable(2), 1.0, (2, 2),
+    [[[value]]] = d_correlations(
+        polesink_law(0.1), BlochHamiltonian((2, 2)), [state],
+        [computational_observable(2)], [computational_observable(2)], [1.0], [(2, 2)],
     )
     assert value > 1e-3
 
@@ -228,17 +232,17 @@ def test_observable_sensitivity_linear_law_vanishes():
     rng = np.random.default_rng(6)
     h = random_hamiltonian(rng, (2, 2), scale=0.6)
     state = random_interior_joint(rng, (2, 2))
-    value = d_remote_observable(
-        linear_law(), h, state, _y_anchor_family(), fourier_observable(2), 1.0
+    [[[value]]] = d_remote_observable(
+        linear_law(), h, [state], [_y_anchor_family()], [fourier_observable(2)], [1.0]
     )
     assert value <= 1e-6
 
 
 def test_observable_sensitivity_flags_polesink_on_anchored_family():
     state = interior_joint_state(singlet_density(), (2, 2), 0.2)
-    value = d_remote_observable(
-        polesink_law(0.1), BlochHamiltonian((2, 2)), state,
-        _y_anchor_family(), computational_observable(2), 1.0,
+    [[[value]]] = d_remote_observable(
+        polesink_law(0.1), BlochHamiltonian((2, 2)), [state],
+        [_y_anchor_family()], [computational_observable(2)], [1.0],
     )
     assert value > 1e-2
 
@@ -247,12 +251,12 @@ def test_complex_step_residual_of_linear_law_is_at_rounding_level():
     rng = np.random.default_rng(7)
     h = random_hamiltonian(rng, (2, 2), scale=0.6)
     state = random_interior_joint(rng, (2, 2))
-    values = d_remote_state(
-        linear_law(), h, state, computational_observable(2),
-        fourier_observable(2), 1.0, [0, 1, 2],
+    [values] = d_remote_state(
+        linear_law(), h, [state], [computational_observable(2)],
+        [fourier_observable(2)], [1.0], [0, 1, 2],
     )
     # nothing is subtracted, so no eps/h noise floor: rounding only
-    assert max(values) <= 1e-14
+    assert max(v for [v] in values) <= 1e-14
 
 
 def _zero_weight_state():
@@ -262,18 +266,20 @@ def _zero_weight_state():
 
 
 def test_zero_weight_branch_perturbation_is_infeasible():
-    args = (linear_law(), BlochHamiltonian((2, 2)), _zero_weight_state(),
-            computational_observable(2), computational_observable(2), 1.0)
+    args = (linear_law(), BlochHamiltonian((2, 2)), [_zero_weight_state()],
+            [computational_observable(2)], [computational_observable(2)], [1.0])
     # each error stands in place of its value
-    error = d_remote_state(*args, 2)
+    [[[error]]] = d_remote_state(*args, [2])
     assert isinstance(error, PerturbationInfeasibleError)
     assert re.match(r"^perturbation of r2\[2\] moves remote outcome 1 of weight .*one-sided",
                     str(error))
-    error = d_correlations(*args, (1, 2))
+    [[[error]]] = d_correlations(*args, [(1, 2)])
     assert isinstance(error, PerturbationInfeasibleError) and "r12[1,2]" in str(error)
     # components that leave the zero-weight branch alone stay two-sided
-    assert d_remote_state(*args, 0) <= 1e-14
-    assert d_correlations(*args, (1, 1)) <= 1e-14
+    [[[value]]] = d_remote_state(*args, [0])
+    assert value <= 1e-14
+    [[[value]]] = d_correlations(*args, [(1, 1)])
+    assert value <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +355,10 @@ def test_audit_records_infeasible_components_of_a_zero_weight_branch(monkeypatch
     ensemble = nosignal_audit._ensemble
 
     def zero_weight_anchor(dims, config, rng):
-        cases = ensemble(dims, config, rng)
-        return [replace(cases[0], state=_zero_weight_state(),
-                        obs_remote=computational_observable(2)), *cases[1:]]
+        states, remotes, locals_, families = ensemble(dims, config, rng)
+        remote = computational_observable(2)
+        return ([_zero_weight_state(), *states[1:]], [remote, *remotes[1:]], locals_,
+                [ObservableFamily(remote, families[0].direction), *families[1:]])
 
     monkeypatch.setattr(nosignal_audit, "_ensemble", zero_weight_anchor)
     report = audit(
@@ -463,29 +470,31 @@ def test_a_non_analytic_custom_law_is_refused_not_passed(field):
         audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=3, ensemble_size=2))
 
 
+def test_a_custom_law_without_the_field_a_run_needs_is_refused_by_name():
+    polesink = polesink_law(0.1)
+    joint_only = custom_law("joint-only", joint_field=polesink.joint_field_fn)
+    with pytest.raises(ValueError, match="^law 'joint-only' provides no reduced flow$"):
+        audit(joint_only, BlochHamiltonian((2, 2)), AuditConfig(seed=0, ensemble_size=1))
+    reduced_only = custom_law("reduced-only", reduced_field=polesink.reduced_field_fn)
+    with pytest.raises(ValueError, match="^law 'reduced-only' provides no joint field$"):
+        evolve(reduced_only, BlochHamiltonian((2, 2)), singlet_state(), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Aggregation rules, on crafted outcomes
 
 
-def _crafted(plan, seen, rank):
+def _crafted(plan, seen):
     """A ``d_*`` stand-in: ``plan(member, label, t)`` is the outcome of one
-    component at one time, a float or an exception.  ``rank`` is
-    the ndim of one component (``None`` for the observable channel).  Like
-    the real channels, it takes one member or a sequence of them, and an
-    exception stands in place of its outcome."""
+    component at one time, a float or an exception.  Like the real channels,
+    it returns ``[member][component][time]`` (the observable channel's one
+    component is ``theta``), and an exception stands in place of its
+    outcome."""
     def fake(law, hamiltonian, joint, obs2, obs1, t, component=None, **kwargs):
-        batched = isinstance(joint, (list, tuple))
-        single = component is None or np.ndim(component) == rank
-        comps = [component] if single else list(component)
-        labels = ["theta" if c is None else ",".join(map(str, np.atleast_1d(c))) for c in comps]
-        results = []
-        for state in joint if batched else [joint]:
-            member = seen.setdefault(id(state), len(seen))
-            out = [[plan(member, label, s) for s in np.atleast_1d(t).tolist()]
-                   for label in labels]
-            out = [row[0] if np.ndim(t) == 0 else row for row in out]
-            results.append(out[0] if single else out)
-        return results if batched else results[0]
+        labels = ["theta"] if component is None else [",".join(map(str, np.atleast_1d(c)))
+                                                      for c in component]
+        return [[[plan(seen.setdefault(id(state), len(seen)), label, s) for s in t]
+                 for label in labels] for state in joint]
 
     return fake
 
@@ -496,8 +505,8 @@ def test_nonfinite_sensitivities_are_failures_and_block_a_pass(monkeypatch):
     from blochsig import nosignal_audit
 
     seen = {}
-    for name, rank in (("d_remote_state", 0), ("d_correlations", 1), ("d_remote_observable", None)):
-        monkeypatch.setattr(nosignal_audit, name, _crafted(lambda m, label, t: math.nan, seen, rank))
+    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
+        monkeypatch.setattr(nosignal_audit, name, _crafted(lambda m, label, t: math.nan, seen))
     report = audit(linear_law(), BlochHamiltonian((2, 2)),
                    AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
     assert report.verdict != "pass"
@@ -522,10 +531,10 @@ def test_report_aggregation_rules(monkeypatch):
         return 0.2 if (label, t) == ("1,1", 0.5) else 0.05
 
     seen = {}
-    monkeypatch.setattr(nosignal_audit, "d_remote_state", _crafted(state, seen, 0))
-    monkeypatch.setattr(nosignal_audit, "d_correlations", _crafted(correlations, seen, 1))
+    monkeypatch.setattr(nosignal_audit, "d_remote_state", _crafted(state, seen))
+    monkeypatch.setattr(nosignal_audit, "d_correlations", _crafted(correlations, seen))
     monkeypatch.setattr(
-        nosignal_audit, "d_remote_observable", _crafted(lambda m, label, t: 0.0, seen, None)
+        nosignal_audit, "d_remote_observable", _crafted(lambda m, label, t: 0.0, seen)
     )
     config = AuditConfig(seed=2, ensemble_size=2, times=(1.0, 0.5), fit_probes=4)
     report = audit(linear_law(), BlochHamiltonian((2, 2)), config)
@@ -605,7 +614,7 @@ def test_one_walk_reads_the_report_the_outcome_table_gives(dims, members, times,
         assert len(joint) == members and ts == sorted(set(times))
         runs.append([[[data.draw(_GRID_OUTCOMES) for _ in ts] for _ in components or [None]]
                      for _ in joint])
-        return runs[-1] if components else [per_member[0] for per_member in runs[-1]]
+        return runs[-1]
 
     config = AuditConfig(seed=3, ensemble_size=members, times=tuple(times), fit_probes=0)
     with pytest.MonkeyPatch.context() as mp:

@@ -53,15 +53,17 @@ def test_one_block_ensemble_and_fit_equal_the_per_member_draws(
     config = AuditConfig(ensemble_size=ensemble_size, seed=seed, mix_weight=mix_weight,
                          fit_probes=fit_probes)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    cases = nosignal_audit._ensemble(dims, config, rng)
+    columns = nosignal_audit._ensemble(dims, config, rng)
     members = reference_ensemble(dims, config, ref_rng)
-    assert len(cases) == len(members) == ensemble_size
-    for case, (state, obs2, obs1, direction) in zip(cases, members):
+    assert [len(column) for column in columns] == [len(members)] * 4 == [ensemble_size] * 4
+    for (joint, remote, local, family), (state, obs2, obs1, direction) in zip(zip(*columns),
+                                                                             members):
         for block in ("r1", "r2", "r12"):
-            assert np.array_equal(getattr(case.state, block), getattr(state, block))
-        _same_observable(case.obs_remote, obs2)
-        _same_observable(case.obs_local, obs1)
-        assert np.array_equal(case.direction, direction)
+            assert np.array_equal(getattr(joint, block), getattr(state, block))
+        _same_observable(remote, obs2)
+        _same_observable(local, obs1)
+        assert family.base is remote
+        assert np.array_equal(family.direction, direction)
     assert rng.standard_normal() == ref_rng.standard_normal()
 
     law = polesink_law(0.1) if nonlinear else linear_law()

@@ -28,7 +28,6 @@ from blochsig.errors import DimensionMismatchError, UnphysicalStateError
 from blochsig.nosignal_audit import (
     DEFAULT_BRANCH_OPTIONS,
     AuditConfig,
-    ObservableFamily,
     d_correlations,
     d_remote_observable,
     d_remote_state,
@@ -54,9 +53,11 @@ def _channels(dims):
 
 
 def _member(dims, seed):
-    """The first random (non-anchor) member of a seeded ensemble."""
+    """The first random (non-anchor) member of a seeded ensemble: its state,
+    remote and local observables and rotation family."""
     config = AuditConfig(ensemble_size=2)
-    return nosignal_audit._ensemble(dims, config, np.random.default_rng(seed))[1]
+    return [column[1] for column in
+            nosignal_audit._ensemble(dims, config, np.random.default_rng(seed))]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -66,13 +67,14 @@ def _member(dims, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_complex_steps_match_central_differences_on_interior_members(dims, law, seed):
-    case = _member(dims, seed)
-    rho = joint_from_bloch(case.state, *map(cached_basis, dims))
+    state, remote, local, _ = _member(dims, seed)
+    rho = joint_from_bloch(state, *map(cached_basis, dims))
     assert np.linalg.eigvalsh(rho)[0] > 1e-3  # both +-h neighbours are physical
     hamiltonian = random_hamiltonian(np.random.default_rng(seed), dims, scale=0.6)
-    args = (law, hamiltonian, case.state, case.obs_remote, case.obs_local, TIMES)
+    args = (law, hamiltonian, state, remote, local, TIMES)
     for d_fn, components, index in _channels(dims):
-        values = d_fn(*args, components, DEFAULT_BRANCH_OPTIONS)
+        [values] = d_fn(law, hamiltonian, [state], [remote], [local], TIMES, components,
+                        DEFAULT_BRANCH_OPTIONS)
         expected = reference_state_differences(*args, index, FD_STEP, DEFAULT_BRANCH_OPTIONS)
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
         if law.kind == "linear":
@@ -81,9 +83,9 @@ def test_complex_steps_match_central_differences_on_interior_members(dims, law, 
 
 def test_pure_singlet_under_polesink_has_finite_state_derivatives():
     law, hamiltonian = polesink_law(0.1), dynamics.BlochHamiltonian((2, 2))
-    args = (law, hamiltonian, singlet_state(), computational_observable(2),
-            fourier_observable(2), TIMES)
-    values = [d_fn(*args, components, DEFAULT_BRANCH_OPTIONS)
+    args = (law, hamiltonian, [singlet_state()], [computational_observable(2)],
+            [fourier_observable(2)], TIMES)
+    values = [d_fn(*args, components, DEFAULT_BRANCH_OPTIONS)[0]
               for d_fn, components, _ in _channels((2, 2))]
     flat = [v for channel in values for per_time in channel for v in per_time]
     assert all(math.isfinite(v) for v in flat) and max(flat) > 1e-3
@@ -100,21 +102,20 @@ def test_a_member_outside_the_physical_set_raises_in_every_channel(law, state, m
     """Complex steps need no physical neighbours, but the member itself must
     be a state: no channel returns a number for one that is not."""
     hamiltonian = random_hamiltonian(np.random.default_rng(64), (2, 2))
-    case = _member((2, 2), 65)
-    args = (law, hamiltonian, state, case.obs_remote, case.obs_local, TIMES)
+    member, remote, local, family = _member((2, 2), 65)
+    args = (law, hamiltonian, [state], [remote], [local], TIMES)
     for d_fn, components, _ in _channels((2, 2)):
         with pytest.raises(UnphysicalStateError, match=message):
             d_fn(*args, components, DEFAULT_BRANCH_OPTIONS)
-    family = ObservableFamily(case.obs_remote, case.direction)
     with pytest.raises(UnphysicalStateError, match=message):
-        d_remote_observable(law, hamiltonian, [case.state, state], [family, family],
-                            [case.obs_local] * 2, TIMES, DEFAULT_BRANCH_OPTIONS)
+        d_remote_observable(law, hamiltonian, [member, state], [family, family],
+                            [local] * 2, TIMES, DEFAULT_BRANCH_OPTIONS)
 
 
 def test_a_remote_observable_of_the_wrong_dimension_is_refused():
-    case = _member((2, 2), 65)
-    args = (linear_law(), dynamics.BlochHamiltonian((2, 2)), case.state,
-            computational_observable(3), case.obs_local, TIMES)
+    state, _, local, _ = _member((2, 2), 65)
+    args = (linear_law(), dynamics.BlochHamiltonian((2, 2)), [state],
+            [computational_observable(3)], [local], TIMES)
     for d_fn, components, _ in _channels((2, 2)):
         with pytest.raises(DimensionMismatchError, match="do not fit dims"):
             d_fn(*args, components, DEFAULT_BRANCH_OPTIONS)
@@ -123,10 +124,10 @@ def test_a_remote_observable_of_the_wrong_dimension_is_refused():
 def test_two_linear_calls_reuse_one_flow_and_its_propagators():
     dims = (2, 3)
     law, hamiltonian = linear_law(), random_hamiltonian(np.random.default_rng(66), dims, scale=0.6)
-    case = _member(dims, 67)
+    state, remote, local, _ = _member(dims, 67)
     dynamics._shared_flow.cache_clear()
     dynamics.ReducedFlow._propagator.cache_clear()
-    args = (law, hamiltonian, case.state, case.obs_remote, case.obs_local, TIMES, [0, 1, 2],
+    args = (law, hamiltonian, [state], [remote], [local], TIMES, [0, 1, 2],
             DEFAULT_BRANCH_OPTIONS)
     first = d_remote_state(*args)
     built = dynamics.ReducedFlow._propagator.cache_info()
