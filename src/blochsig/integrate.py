@@ -82,8 +82,9 @@ _B5_E = np.array((_B5, _E))
 
 def rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
     """Number of fixed rk4 steps and their common size for a span of t,
-    checked against ``max_steps``."""
-    n = max(1, math.ceil(t / options.step - 1e-12))
+    checked against ``max_steps`` (an infinite ``t / step`` needs ``inf``)."""
+    ratio = t / options.step - 1e-12
+    n = max(1, math.ceil(ratio)) if ratio < math.inf else ratio
     if n > options.max_steps:
         raise IntegrationFailureError(
             f"rk4 would need {n} steps (> max_steps={options.max_steps})"

@@ -24,8 +24,9 @@ Numerical hygiene notes baked into the defaults:
 
 * Branch trajectories integrate with a fixed-step method, so the numerical
   flow is analytic in its initial condition.  Every component and every
-  remote outcome of every member (a leading member axis) form one batch per
-  channel, and one trajectory serves every audit time whose step grid nests.
+  remote outcome of every member (a leading member axis) form one batch:
+  one for both of party 2's coordinate blocks and one for the measurement
+  choice.  One trajectory serves every audit time whose step grid nests.
 * No step has to stay physical, so pure states are audited like any other.
   Only a component moving a zero-weight branch, which the average drops,
   is flagged infeasible (its derivative is one-sided), never skipped.
@@ -167,9 +168,11 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
     ``[member][row][time]``, of each complex-step row of each member of the
     equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
     ``times``; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
-    names.  Every member's branches propagate as one batch, and an outcome
-    left unchecked holds its error instead (see ``_member_distributions``).
-    A member outside the physical set raises ``UnphysicalStateError``."""
+    names.  Each member is checked and collapsed once for all of its rows
+    (the audit's coordinate sweep gives both state channels' rows), every
+    member's branches propagate as one batch, and an outcome left
+    unchecked holds its error instead (see ``_member_distributions``).  A
+    member outside the physical set raises ``UnphysicalStateError``."""
     if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
         raise ValueError("members must be nonempty sequences of states and observables")
     if np.ndim(times) != 1:
@@ -193,12 +196,30 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
     return out
 
 
-def _state_rows(joint, obs2, index, names):
-    """One complex-step row ``x + i _EPS e_k`` of ``joint`` per packed
-    coordinate ``k`` in ``index``, the outcomes of ``obs2`` and the names."""
-    x = np.tile(pack_coords(joint).astype(complex), (len(index), 1))
-    x[np.arange(len(index)), index] += 1j * _EPS
-    return x, obs2.u0_vector(), obs2.u_matrix(), names
+def _coordinate_plan(ks, ijs):
+    """The plan of one complex-step row ``x + i _EPS e_k`` per packed
+    coordinate of party 2: ``r2[k]`` for each ``k`` in ``ks``, then
+    ``r12[i,j]`` for each pair in ``ijs``, with the outcomes of the remote
+    observable.  Every index must be a Python or numpy integer (a bool is
+    refused), else ``ValueError``."""
+    _require_number(Integral, **{f"component[{n}]": k for n, k in enumerate(ks)},
+                    **{f"component[{n}][{m}]": c for n, ij in enumerate(ijs)
+                       for m, c in enumerate(ij)})
+    ks, ijs = [int(k) for k in ks], [(int(i), int(j)) for i, j in ijs]
+
+    def plan(state, remote):
+        d1, d2 = (n**2 - 1 for n in state.dims)
+        if not all(0 <= k < d2 for k in ks):
+            raise ValueError(f"component must lie in [0, {d2})")
+        if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
+            raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
+        index = [d1 + k for k in ks] + [d1 + d2 + i * d2 + j for i, j in ijs]
+        x = np.tile(pack_coords(state).astype(complex), (len(index), 1))
+        x[np.arange(len(index)), index] += 1j * _EPS
+        names = [f"r2[{k}]" for k in ks] + [f"r12[{i},{j}]" for i, j in ijs]
+        return x, remote.u0_vector(), remote.u_matrix(), names
+
+    return plan
 
 
 def d_remote_state(
@@ -216,20 +237,14 @@ def d_remote_state(
 
     ``joint``, ``obs2`` and ``obs1`` are equal-length sequences of M ensemble
     members, ``t`` an ascending sequence of times and ``component`` a
-    sequence of C indices; the result is ``[member][component][time]``.
+    sequence of C integer indices; the result is ``[member][component][time]``.
     Every member, time and component comes from a single batched
     propagation; an outcome left unchecked holds its error instead.  A bare
-    member, time or component raises ``ValueError``."""
+    member, time or component, or a component that is not an integer,
+    raises ``ValueError``."""
     if np.ndim(component) != 1:
         raise ValueError("component must be a sequence of indices")
-    ks = [int(k) for k in component]
-
-    def plan(state, remote):
-        d1, d2 = (n**2 - 1 for n in state.dims)
-        if not all(0 <= k < d2 for k in ks):
-            raise ValueError(f"component must lie in [0, {d2})")
-        return _state_rows(state, remote, [d1 + k for k in ks], [f"r2[{k}]" for k in ks])
-
+    plan = _coordinate_plan(component, [])
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
 
@@ -244,20 +259,12 @@ def d_correlations(
     options: IntegratorOptions | None = None,
 ) -> list:
     """Sensitivity to elements ``(i, j)`` of the shared correlation block:
-    ``component`` is a sequence of C pairs (a bare pair raises
+    ``component`` is a sequence of C pairs of integers (a bare pair raises
     ``ValueError``); the members, ``t`` and the result as for
     :func:`d_remote_state`."""
     if np.size(component) and np.shape(component)[1:] != (2,):
         raise ValueError("component must be a sequence of (i, j) pairs")
-    ijs = [(int(i), int(j)) for i, j in component]
-
-    def plan(state, remote):
-        d1, d2 = (n**2 - 1 for n in state.dims)
-        if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
-            raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-        return _state_rows(state, remote, [d1 + d2 + i * d2 + j for i, j in ijs],
-                           [f"r12[{i},{j}]" for i, j in ijs])
-
+    plan = _coordinate_plan([], component)
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
 
@@ -412,10 +419,13 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Each channel makes one call over every member, component and audit
-    time (one batched branch propagation), giving each outcome its value or
-    the error that left it unchecked; the report is read off them in one
-    walk, in member, time (config order), channel, component order.
+    Two batched branch propagations, each over every member and audit time,
+    give each outcome its value or the error that left it unchecked: one
+    sweep over all of party 2's coordinates (``r2``, then ``r12``), each
+    member checked and collapsed once and its rows split back into the
+    ``d_remote_state`` and ``d_correlations`` channels, and one
+    ``d_remote_observable`` call.  The report is read off them in one walk,
+    in member, time (config order), channel, component order.
     Partial failures (infeasible perturbations, integrator giving up,
     non-finite sensitivities or linearity residual) are recorded per case
     and excluded from the maxima; a failure also rules out a pass, since
@@ -445,9 +455,13 @@ def audit(
         seed=int(s_fit.generate_state(1)[0]),
         options=opts,
     )
-    runs = (  # one call per channel over every member, component and time
-        d_remote_state(law, hamiltonian, states, remotes, locals_, grid, ks, options=opts),
-        d_correlations(law, hamiltonian, states, remotes, locals_, grid, pairs, options=opts),
+    # One sweep over party 2's coordinates serves both state channels: each
+    # member's rows are r2, then r12, split at d2 into the two channels.
+    coords = _channel(law, hamiltonian, states, remotes, locals_, grid,
+                      _coordinate_plan(ks, pairs), opts)
+    runs = (
+        [rows[:d2] for rows in coords],
+        [rows[d2:] for rows in coords],
         d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts),
     )
     # One walk in member, time (config order), channel, component order: a

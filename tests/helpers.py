@@ -266,11 +266,22 @@ def _status(outcome) -> str:
     return "ok" if math.isfinite(outcome) else "non-finite"
 
 
+def channel_label(name):
+    """The audit channel and report label of a branch row named ``name``:
+    ``r2[k]`` is component ``k`` of ``d_remote_state``, ``r12[i,j]``
+    component ``i,j`` of ``d_correlations`` and ``theta`` the one component
+    of ``d_remote_observable``."""
+    if name == "theta":
+        return "d_remote_observable", name
+    block, label = name.removesuffix("]").split("[")
+    return {"r2": "d_remote_state", "r12": "d_correlations"}[block], label
+
+
 def reference_report(runs, times, labels, linearity):
     """The audit's ``infeasible``, ``failures``, ``per_channel_worst``,
     ``worst_case``, ``residuals()`` and ``cases`` for the channel outcomes
-    ``runs`` (per channel, the outcomes of its one ``d_*`` call over every
-    member: member, component, time on the sorted distinct ``times``, each
+    ``runs`` (per channel, its outcomes over every member: member,
+    component, time on the sorted distinct ``times``, each
     a value or an error), the component ``labels`` of each
     channel and a finite ``linearity``.  Every outcome goes into one table
     of (member, time, channel, label, outcome, status) entries, in member,

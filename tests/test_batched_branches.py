@@ -55,7 +55,7 @@ from blochsig.nosignal_audit import (
 from blochsig.sampling import random_density, random_interior_joint, singlet_state
 from blochsig.su_basis import cached_basis
 
-from helpers import reference_direction, reference_haar_unitary
+from helpers import channel_label, reference_direction, reference_haar_unitary
 
 DEFAULT_TIMES = (0.25, 0.5, 1.0)
 NON_NESTING_TIMES = (0.3, 0.7)
@@ -491,6 +491,35 @@ def test_sequence_component_forms():
         d_correlations(law, h, *one, [0.5], [(0, 0), (3, 0)])
 
 
+@pytest.mark.parametrize("fn, component", [
+    (d_remote_state, [1.7]),
+    (d_remote_state, [True]),
+    (d_remote_state, ["1"]),
+    (d_remote_state, [np.float64(1.0)]),
+    (d_remote_state, [np.bool_(True)]),
+    (d_correlations, [(0.9, 2.2)]),
+    (d_correlations, [(0, True)]),
+    (d_correlations, [("0", 2)]),
+    (d_correlations, np.array([[0.0, 2.0]])),
+])
+def test_a_component_that_is_not_an_integer_is_a_value_error(fn, component):
+    # never cast to the coordinate it truncates to
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1, _ = _member((2, 2), 53)
+    with pytest.raises(ValueError, match=r"^component\[0\](\[[01]\])? must be an integer"):
+        fn(law, h, [state], [obs2], [obs1], [0.5], component)
+
+
+def test_numpy_integer_components_read_the_same_coordinates_as_python_ones():
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1, _ = _member((2, 2), 53)
+    one = ([state], [obs2], [obs1])
+    assert d_remote_state(law, h, *one, [0.5], [np.int64(1), np.int32(2)]) == d_remote_state(
+        law, h, *one, [0.5], [1, 2])
+    assert d_correlations(law, h, *one, [0.5], [(np.int64(0), np.uint8(2))]) == d_correlations(
+        law, h, *one, [0.5], [(0, 2)])
+
+
 def _zero_weight_member():
     """|00> measured computationally on party 2: outcome 1 has weight 0, so
     r2[2], which moves that weight, and r12[0,2], r12[1,2] and r12[2,2],
@@ -515,19 +544,33 @@ def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error
 
 
 def _per_component_audit(monkeypatch, law, h, config):
-    """The audit with every member and component in its own ``d_*`` call."""
-    def split(fn):
-        def one_by_one(law, h, joint, obs2, obs1, t, *components, **kwargs):
-            # the observable channel takes no component argument
-            each = [([c],) for c in components[0]] if components else [()]
-            return [[fn(law, h, [a], [b], [c], t, *args, **kwargs)[0][0] for args in each]
-                    for a, b, c in zip(joint, obs2, obs1)]
+    """The audit with every member and component in its own public ``d_*``
+    call: each row of the audit's coordinate sweep (``r2[k]``, ``r12[i,j]``)
+    and each member of its observable channel is run alone."""
+    channel = nosignal_audit._channel
 
-        return one_by_one
+    def one_by_one(law, h, joints, obs2s, obs1s, t, plan, options):
+        with pytest.MonkeyPatch.context() as inner:  # the public calls run the real channel
+            inner.setattr(nosignal_audit, "_channel", channel)
+            out = []
+            for joint, obs2, obs1 in zip(joints, obs2s, obs1s):
+                rows = []
+                for name in plan(joint, obs2)[3]:
+                    which, label = channel_label(name)
+                    member = (law, h, [joint], [obs2], [obs1], t)
+                    if which == "d_remote_state":
+                        [[row]] = d_remote_state(*member, [int(label)], options=options)
+                    elif which == "d_correlations":
+                        pair = tuple(map(int, label.split(",")))
+                        [[row]] = d_correlations(*member, [pair], options=options)
+                    else:
+                        [[row]] = d_remote_observable(*member, options=options)
+                    rows.append(row)
+                out.append(rows)
+            return out
 
     with monkeypatch.context() as m:
-        for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
-            m.setattr(nosignal_audit, name, split(getattr(nosignal_audit, name)))
+        m.setattr(nosignal_audit, "_channel", one_by_one)
         return audit(law, h, config)
 
 
@@ -570,53 +613,57 @@ def test_late_integration_failure_inside_a_member_batch_keeps_the_failure_record
 
 
 
-def _recorded_d_calls(monkeypatch):
-    """Record each ``d_*`` call as (channel, members, times, component count,
-    ``None`` for the observable channel)."""
-    calls = []
-    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
-        original = getattr(nosignal_audit, name)
+def _sweep_names(dims):
+    """The rows of the audit's coordinate sweep: ``r2``, then row-major ``r12``."""
+    d1, d2 = (n**2 - 1 for n in dims)
+    return (*(f"r2[{k}]" for k in range(d2)),
+            *(f"r12[{i},{j}]" for i in range(d1) for j in range(d2)))
 
-        def recorded(*args, _name=name, _fn=original, **kwargs):
-            calls.append((_name, len(args[2]), tuple(args[5]),
-                          len(args[6]) if len(args) > 6 else None))
-            return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(nosignal_audit, name, recorded)
+def _recorded_propagations(monkeypatch):
+    """Record each branch propagation of the audit as (members, times, the
+    set of the members' row names)."""
+    calls, original = [], nosignal_audit._member_distributions
+
+    def recorded(members, dims, law, times, **kwargs):
+        members = list(members)
+        calls.append((len(members), tuple(times), {tuple(m[-1]) for m in members}))
+        return original(members, dims, law, times, **kwargs)
+
+    monkeypatch.setattr(nosignal_audit, "_member_distributions", recorded)
     return calls
 
 
-def test_an_integration_failure_still_makes_one_d_call_per_channel(monkeypatch):
-    calls = _recorded_d_calls(monkeypatch)
+def test_an_integration_failure_still_makes_one_propagation_per_sweep(monkeypatch):
+    calls = _recorded_propagations(monkeypatch)
     report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
                    AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
     grid = DEFAULT_TIMES
     # member 0 fails at t = 1, inside the one batch over both members and every time
-    assert calls == [("d_remote_state", 2, grid, 3), ("d_correlations", 2, grid, 9),
-                     ("d_remote_observable", 2, grid, None)]
+    assert calls == [(2, grid, {_sweep_names((2, 2))}), (2, grid, {("theta",)})]
     assert {f["member"] for f in report.failures} == {0}
 
 
 def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes(monkeypatch):
     # rkf45 gives up on a branch just before t = 1; that row reads NaN, so
     # its outcomes at t = 1 fail and every earlier outcome is checked
-    calls = _recorded_d_calls(monkeypatch)
+    calls = _recorded_propagations(monkeypatch)
     config = AuditConfig(seed=3, ensemble_size=3, fit_probes=0,
                          branch_options=IntegratorOptions(method="rkf45"))
     report = audit(_expanding_law(), BlochHamiltonian((2, 2)), config)
     assert report.failures and {f["time"] for f in report.failures} == {1.0}
     assert all(f["reason"] == "rkf45 result at t=1 is not finite" for f in report.failures)
     assert all(row["status"] == "ok" for row in report.cases if row["time"] < 1.0)
-    assert [name for name, *_ in calls] == [
-        "d_remote_state", "d_correlations", "d_remote_observable"]
+    assert [names for *_, names in calls] == [{_sweep_names((2, 2))}, {("theta",)}]
 
 
-def test_audit_makes_three_d_calls_each_over_every_member(monkeypatch):
-    calls = _recorded_d_calls(monkeypatch)
-    audit(polesink_law(0.1), BlochHamiltonian((2, 3)), AuditConfig(seed=1, ensemble_size=3))
+def test_audit_makes_two_channel_propagations_each_over_every_member_and_time(monkeypatch):
+    calls = _recorded_propagations(monkeypatch)
+    audit(polesink_law(0.1), BlochHamiltonian((2, 3)),
+          AuditConfig(seed=1, ensemble_size=3, times=(1.0, 0.25, 0.5, 0.25)))
     grid = DEFAULT_TIMES
-    assert calls == [("d_remote_state", 3, grid, 8), ("d_correlations", 3, grid, 24),
-                     ("d_remote_observable", 3, grid, None)]
+    assert len(_sweep_names((2, 3))) == 8 + 24
+    assert calls == [(3, grid, {_sweep_names((2, 3))}), (3, grid, {("theta",)})]
 
 
 def _scalar_loop_distributions(pairs, obs1, law, times):

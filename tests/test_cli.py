@@ -707,6 +707,24 @@ def test_branch_max_steps_is_enforced_for_every_law(tmp_path, capsys, base):
     assert err == ["error: integration: rk4 would need 100 steps (> max_steps=10)"]
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": 1, "times": [1e308]}}),
+    ("audit", {**POLESINK_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": 1, "times": [1e308]}}),
+    ("evolve", {**_OVERFLOW_EVOLVE, "hamiltonian": {"H1": [0.1, 0, 0]}, "times": [1e308],
+                "integrator": {"method": "rk4"}}),
+    ("evolve", {**_OVERFLOW_EVOLVE, "hamiltonian": {"H1": [0.1, 0, 0]},
+                "integrator": {"method": "rk4", "step": 1e-320}}),
+], ids=["audit-linear-time", "audit-polesink-time", "evolve-time", "evolve-step"])
+def test_an_rk4_step_count_past_any_float_exits_three_with_one_integration_line(
+    tmp_path, capsys, command, payload
+):
+    # t / step overflows to inf; it used to exit 3 with an internal OverflowError
+    cfg = write_config(tmp_path, "huge.json", payload)
+    assert main([command, "--config", cfg, "--no-timestamp"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: integration: rk4 would need inf steps (> max_steps=200000)"]
+
+
 def _audit_report(tmp_path, name, payload):
     cfg = write_config(tmp_path, f"{name}.json", payload)
     out = tmp_path / f"{name}.report.json"

@@ -161,6 +161,15 @@ def test_rk4_step_budget_exceeded():
         )
 
 
+@pytest.mark.parametrize("t, step", [(1e308, 0.01), (1.0, 1e-320)])
+def test_rk4_with_an_infinite_step_count_exceeds_max_steps(t, step):
+    # t / step overflows to inf: more steps than any budget, not an OverflowError
+    with pytest.raises(IntegrationFailureError,
+                       match=r"^rk4 would need inf steps \(> max_steps=200000\)$"):
+        solve(rotation_field(1.0), np.array([1.0, 0.0]), t,
+              IntegratorOptions(method="rk4", step=step))
+
+
 def test_rk4_flow_is_linear_in_initial_condition():
     # rk4 of a linear field is a fixed matrix map: superposition must hold
     # to rounding, which the audit's cancellations rely on.

@@ -42,7 +42,12 @@ from blochsig.sampling import (
 )
 from blochsig.su_basis import cached_basis
 
-from helpers import amplitude_damping_law, gksl_coordinate_field, reference_report
+from helpers import (
+    amplitude_damping_law,
+    channel_label,
+    gksl_coordinate_field,
+    reference_report,
+)
 
 
 def _y_anchor_family(anchor_angle=math.pi / 4.0):
@@ -484,17 +489,17 @@ def test_a_custom_law_without_the_field_a_run_needs_is_refused_by_name():
 # Aggregation rules, on crafted outcomes
 
 
-def _crafted(plan, seen):
-    """A ``d_*`` stand-in: ``plan(member, label, t)`` is the outcome of one
-    component at one time, a float or an exception.  Like the real channels,
-    it returns ``[member][component][time]`` (the observable channel's one
-    component is ``theta``), and an exception stands in place of its
+def _crafted(plans):
+    """A ``_channel`` stand-in: ``plans[channel](member, label, t)`` is the
+    outcome of one component of one channel at one time, a float or an
+    exception, the channel and label read off the row names of the real
+    plan (see ``helpers.channel_label``).  Like the real sweep, it returns
+    ``[member][row][time]``, and an exception stands in place of its
     outcome."""
-    def fake(law, hamiltonian, joint, obs2, obs1, t, component=None, **kwargs):
-        labels = ["theta"] if component is None else [",".join(map(str, np.atleast_1d(c)))
-                                                      for c in component]
-        return [[[plan(seen.setdefault(id(state), len(seen)), label, s) for s in t]
-                 for label in labels] for state in joint]
+    def fake(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
+        return [[[plans[which](m, label, t) for t in times]
+                 for which, label in map(channel_label, plan(state, remote)[3])]
+                for m, (state, remote) in enumerate(zip(joints, obs2s))]
 
     return fake
 
@@ -504,9 +509,9 @@ def test_nonfinite_sensitivities_are_failures_and_block_a_pass(monkeypatch):
     # sensitivity is crafted NaN.
     from blochsig import nosignal_audit
 
-    seen = {}
-    for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
-        monkeypatch.setattr(nosignal_audit, name, _crafted(lambda m, label, t: math.nan, seen))
+    nan = dict.fromkeys(("d_remote_state", "d_correlations", "d_remote_observable"),
+                        lambda m, label, t: math.nan)
+    monkeypatch.setattr(nosignal_audit, "_channel", _crafted(nan))
     report = audit(linear_law(), BlochHamiltonian((2, 2)),
                    AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
     assert report.verdict != "pass"
@@ -530,12 +535,9 @@ def test_report_aggregation_rules(monkeypatch):
             return infeasible if label == "0,0" else late if t == 1.0 else 0.05
         return 0.2 if (label, t) == ("1,1", 0.5) else 0.05
 
-    seen = {}
-    monkeypatch.setattr(nosignal_audit, "d_remote_state", _crafted(state, seen))
-    monkeypatch.setattr(nosignal_audit, "d_correlations", _crafted(correlations, seen))
-    monkeypatch.setattr(
-        nosignal_audit, "d_remote_observable", _crafted(lambda m, label, t: 0.0, seen)
-    )
+    plans = {"d_remote_state": state, "d_correlations": correlations,
+             "d_remote_observable": lambda m, label, t: 0.0}
+    monkeypatch.setattr(nosignal_audit, "_channel", _crafted(plans))
     config = AuditConfig(seed=2, ensemble_size=2, times=(1.0, 0.5), fit_probes=4)
     report = audit(linear_law(), BlochHamiltonian((2, 2)), config)
 
@@ -604,27 +606,33 @@ _GRID_OUTCOMES = st.sampled_from(
     data=st.data(),
 )
 def test_one_walk_reads_the_report_the_outcome_table_gives(dims, members, times, data):
-    """Random outcome grids in place of the three channels' ``d_*`` calls:
-    the report equals the one read off a table of every outcome."""
+    """Random outcome grids in place of the audit's two channel sweeps: the
+    report equals the one read off a table of every outcome, each row put
+    in its channel by its name."""
     from blochsig import nosignal_audit
 
-    runs = []
+    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
+    runs = {ch: [[] for _ in range(members)] for ch in channels}
 
-    def grid(law, hamiltonian, joint, obs2, obs1, ts, components=None, **kwargs):
-        assert len(joint) == members and ts == sorted(set(times))
-        runs.append([[[data.draw(_GRID_OUTCOMES) for _ in ts] for _ in components or [None]]
-                     for _ in joint])
-        return runs[-1]
+    def grid(law, hamiltonian, joints, obs2s, obs1s, ts, plan, options):
+        assert len(joints) == members and ts == sorted(set(times))
+        out = []
+        for m, (state, remote) in enumerate(zip(joints, obs2s)):
+            names = plan(state, remote)[3]
+            out.append([[data.draw(_GRID_OUTCOMES) for _ in ts] for _ in names])
+            for name, row in zip(names, out[-1]):
+                runs[channel_label(name)[0]][m].append(row)
+        return out
 
     config = AuditConfig(seed=3, ensemble_size=members, times=tuple(times), fit_probes=0)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("d_remote_state", "d_correlations", "d_remote_observable"):
-            mp.setattr(nosignal_audit, name, grid)
+        mp.setattr(nosignal_audit, "_channel", grid)
         report = audit(linear_law(), BlochHamiltonian(dims), config)
     d1, d2 = (n**2 - 1 for n in dims)
     labels = ([str(k) for k in range(d2)],
               [f"{i},{j}" for i in range(d1) for j in range(d2)], ["theta"])
-    expected = reference_report(runs, times, labels, report.linearity_residual)
+    expected = reference_report([runs[ch] for ch in channels], times, labels,
+                                report.linearity_residual)
     actual = {"infeasible": report.infeasible, "failures": report.failures,
               "per_channel_worst": report.per_channel_worst, "worst_case": report.worst_case,
               "residuals": report.residuals(), "cases": report.cases}
