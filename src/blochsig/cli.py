@@ -359,7 +359,7 @@ def _parse_audit_config(cfg: dict, seed_override: int | None) -> AuditConfig:
         raise ConfigError("audit", "must be an object")
     config = _parse_options(raw, "audit", AuditConfig())
     return config if seed_override is None else _parse_options(
-        {"seed": seed_override}, "audit", config
+        {"seed": seed_override}, "--seed", config
     )
 
 
@@ -525,7 +525,7 @@ def cmd_audit(args) -> int:
         state, *observables, t_demo = demo
         delta, (pa, pb) = signaling_channel_demo(
             law, state, *observables, t_demo,
-            h_local=hamiltonian.h1, options=config.branch_options,
+            hamiltonian=hamiltonian, options=config.branch_options,
         )
         payload["channel_demo"] = {
             "time": t_demo,

@@ -760,13 +760,13 @@ def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, dim: int) -> ReducedF
 def reduced_propagator_fit(
     law: EvolutionLaw,
     hamiltonian: BlochHamiltonian,
-    subsystem: int = 1,
     t: float = 1.0,
     probes: int = 20,
     seed: int = 1234,
     options: IntegratorOptions | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Fit a state-independent affine map ``A r0 + c`` to the reduced flow
+    """Fit a state-independent affine map ``A r0 + c`` to party 1's reduced
+    flow, which reads the Hamiltonian's ``h1`` block as every branch does,
     and measure how badly fresh probes break it; returns ``A`` and that.
 
     ``c`` is the evolved origin, and ``A``'s columns come from evolving
@@ -777,14 +777,9 @@ def reduced_propagator_fit(
     residual certifies that isolated subsystems evolve by an affine map, as
     every local CPTP map (linear in rho) does; such a map cannot signal.
     """
-    if not hamiltonian.is_interaction_free:
-        raise ValueError("propagator fit requires a Hamiltonian with no interaction block")
-    if subsystem not in (1, 2):
-        raise ValueError("subsystem must be 1 or 2")
-    n = hamiltonian.dims[subsystem - 1]
-    h_local = hamiltonian.h1 if subsystem == 1 else hamiltonian.h2
+    n = hamiltonian.dims[0]
     options = options or DEFAULT_BRANCH_OPTIONS
-    flow = reduced_flow(law, h_local, n)
+    flow = reduced_flow(law, hamiltonian.h1, n)
     d = n**2 - 1
     scale = 0.5
     # One draw holds every probe's (2, n, n) normals, in the order that

@@ -120,8 +120,8 @@ def _rk4(field, y0, t, options):
 def _rkf45(field, y, t, options):
     k = np.empty((6, y.size), dtype=y.dtype)  # the six stages, one row each
     x = 0.0
-    h = min(t, max(options.step, 1e-6))
     hmin = 1e-14 * t  # relative to the span, so a short span's first step clears it
+    h = min(t, max(options.step, 1e-6, hmin))  # and a long span's first step is not below it
     for _ in range(options.max_steps):
         if x >= t:
             return y

@@ -301,34 +301,35 @@ def local_distribution(
     law: "dynamics.EvolutionLaw",
     t: float,
     *,
-    h_local=None,
+    hamiltonian=None,
     options=None,
 ) -> np.ndarray:
     """Outcome distribution of party 1 at time t, given that party 2
     measured obs2 at time 0: every branch state collapses per
     :func:`conditional_state`, evolves in isolation under the law's reduced
-    flow (party 1's local Hamiltonian ``h_local``) and is averaged with its
-    weight, in ascending outcome order.  The one-row, one-time case of
-    :func:`_member_distributions`, raising its failure; branches at or below
-    the probability floor contribute zero."""
+    flow (the ``hamiltonian``'s party-1 block; ``None``: zero) and is
+    averaged with its weight, in ascending outcome order.  The one-row,
+    one-time case of :func:`_member_distributions`, raising its failure;
+    branches at or below the probability floor contribute zero."""
     [(dist, failures)] = _member_distributions(
         [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)],
-        joint.dims, law, [t], h_local=h_local, options=options,
+        law, hamiltonian or dynamics.BlochHamiltonian(joint.dims), [t], options,
     )
     if failures:
         raise failures[0, 0]
     return dist[0, 0]
 
 
-def _member_distributions(members, dims, law, times, *, h_local=None, options=None):
+def _member_distributions(members, law, hamiltonian, times, options=None):
     """Party 1's distributions at each ascending time, shape
     ``(len(times), P, len(obs1))``, of each member ``(x, u0, u, obs1, names)``
-    (``P`` packed joint rows ``x`` of ``dims``, remote outcomes ``u0, u`` of
-    shapes ``(K,), (K, d2)``), read once in order, with its failures: the
-    error that left a distribution unchecked, keyed by (time index, row).
-    Only the collapsed party-1 states of its rows are kept, every member's
-    propagate as one batch (``options`` default to the audit's rk4
-    ``dynamics.DEFAULT_BRANCH_OPTIONS``), and each member's segment is
+    (``P`` packed joint rows ``x`` of the ``hamiltonian``'s dims, remote
+    outcomes ``u0, u`` of shapes ``(K,), (K, d2)``), read once in order, with
+    its failures: the error that left a distribution unchecked, keyed by
+    (time index, row).  Only the collapsed party-1 states of its rows are
+    kept, every member's propagate as one batch under the law's reduced flow
+    of the Hamiltonian's party-1 block (``options`` default to the audit's
+    rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``), and each member's segment is
     averaged with its own ``obs1``, each row's weighted branches summed in
     ascending outcome order (one unbuffered scatter-add), as one row would.
     A branch of real weight <= ``EPS_PROB`` is dropped; a complex row moving
@@ -336,7 +337,7 @@ def _member_distributions(members, dims, law, times, *, h_local=None, options=No
     ``PerturbationInfeasibleError`` at every time, named by ``names`` (None:
     by its index).  A distribution that is not finite is an
     ``IntegrationFailureError``."""
-    n1, n2 = dims
+    n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     branches, states = [], []
@@ -358,7 +359,7 @@ def _member_distributions(members, dims, law, times, *, h_local=None, options=No
         keep = ~drop
         branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
         states.append(scaled[keep] / p[keep][:, None])
-    flow = dynamics.reduced_flow(law, h_local, n1)
+    flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
     states = np.concatenate(states)
     evolved = flow.sample(states, times, options)
     out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]

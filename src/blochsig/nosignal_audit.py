@@ -187,8 +187,7 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
             yield x, u0, u, local, names
 
     out = []
-    for d, failures in _member_distributions(planned(), members[0][0].dims, law, list(times),
-                                             h_local=hamiltonian.h1, options=options):
+    for d, failures in _member_distributions(planned(), law, hamiltonian, list(times), options):
         values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
         for (i, row), error in failures.items():
             values[row][i] = error
@@ -447,13 +446,7 @@ def audit(
     # ends it before the channel sweep rather than after.
     t_fit = max(config.times)
     _, linearity = reduced_propagator_fit(
-        law,
-        hamiltonian.interaction_free(),
-        subsystem=1,
-        t=t_fit,
-        probes=config.fit_probes,
-        seed=int(s_fit.generate_state(1)[0]),
-        options=opts,
+        law, hamiltonian, t_fit, config.fit_probes, int(s_fit.generate_state(1)[0]), opts
     )
     # One sweep over party 2's coordinates serves both state channels: each
     # member's rows are r2, then r12, split at d2 into the two channels.
@@ -544,17 +537,19 @@ def signaling_channel_demo(
     obs_b: ProjectiveObservable,
     local_obs: ProjectiveObservable,
     t: float,
-    h_local=None,
+    hamiltonian: BlochHamiltonian | None = None,
     options: IntegratorOptions | None = None,
 ):
     """Operational two-party witness: party 2 measures either obs_a or
     obs_b; the total-variation distance between party 1's resulting
     distributions is the signaling capacity of the channel (zero for any
     law whose measurement-choice sensitivity vanishes along the connecting
-    family).  Both observables' branches propagate as one batch."""
+    family).  Both observables' branches propagate as one batch, under
+    the ``hamiltonian``'s party-1 block (``None``: zero)."""
     (pa, fa), (pb, fb) = _member_distributions(
         [(pack_coords(joint)[None], obs.u0_vector(), obs.u_matrix(), local_obs, None)
-         for obs in (obs_a, obs_b)], joint.dims, law, [t], h_local=h_local, options=options)
+         for obs in (obs_a, obs_b)], law, hamiltonian or BlochHamiltonian(joint.dims), [t],
+        options)
     if fa or fb:
         raise (fa or fb)[0, 0]
     delta = 0.5 * float(np.sum(np.abs(pa - pb)))

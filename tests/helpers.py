@@ -172,8 +172,8 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
     rows = [pack_coords(_shifted(joint, k, sign * fd_step))
             for k in index for sign in (+1.0, -1.0)]
     [(dists, failures)] = _member_distributions(
-        [(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), obs1, None)], joint.dims, law,
-        list(times), h_local=hamiltonian.h1, options=options)
+        [(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), obs1, None)], law, hamiltonian,
+        list(times), options)
     assert not failures
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
     return (diffs / (2.0 * fd_step)).T.tolist()
@@ -238,12 +238,11 @@ def reference_ensemble(dims, config, rng):
     return members
 
 
-def reference_propagator_fit(law, hamiltonian, subsystem, t, probes, seed, options=None):
+def reference_propagator_fit(law, hamiltonian, t, probes, seed, options=None):
     """``reduced_propagator_fit`` with each probe state drawn and converted
     to coordinates on its own."""
-    n = hamiltonian.dims[subsystem - 1]
-    h_local = hamiltonian.h1 if subsystem == 1 else hamiltonian.h2
-    flow = reduced_flow(law, h_local, n)
+    n = hamiltonian.dims[0]
+    flow = reduced_flow(law, hamiltonian.h1, n)
     d = n**2 - 1
     rng = np.random.default_rng(seed)
     probe_states = [to_bloch(reference_density(rng, n), cached_basis(n)).r for _ in range(probes)]

@@ -9,6 +9,7 @@ in another order and may differ at round-off.
 """
 
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -625,10 +626,10 @@ def _recorded_propagations(monkeypatch):
     set of the members' row names)."""
     calls, original = [], nosignal_audit._member_distributions
 
-    def recorded(members, dims, law, times, **kwargs):
+    def recorded(members, law, hamiltonian, times, options=None):
         members = list(members)
         calls.append((len(members), tuple(times), {tuple(m[-1]) for m in members}))
-        return original(members, dims, law, times, **kwargs)
+        return original(members, law, hamiltonian, times, options)
 
     monkeypatch.setattr(nosignal_audit, "_member_distributions", recorded)
     return calls
@@ -689,8 +690,8 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     law = polesink_law(0.1)
     members = [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)
                for joint, obs2 in pairs]  # one batch of uneven branch counts
-    dists = measurement._member_distributions(members, dims, law, DEFAULT_TIMES,
-                                              options=DEFAULT_BRANCH_OPTIONS)
+    dists = measurement._member_distributions(members, law, BlochHamiltonian(dims),
+                                              DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
     assert not any(failures for _, failures in dists)
     batched = np.concatenate([dist for dist, _ in dists], axis=1)
     assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
@@ -715,12 +716,24 @@ def test_channel_demo_rejects_a_remote_observable_of_another_dim():
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
 def test_a_local_hamiltonian_of_another_length_is_rejected_for_every_law(law):
+    # the branch functions take a Hamiltonian, whose h1 always has its
+    # dims' length; the shape check sits in the reduced flow they read it through
+    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
+        reduced_flow(law, [0.3], 2)
+    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
+        reduced_flow(law, np.zeros((3, 1)), 2)
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+def test_a_hamiltonian_of_other_dims_than_the_state_is_rejected_for_every_law(law, dims):
     singlet, comp, fourier = singlet_state(), computational_observable(2), fourier_observable(2)
-    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
-        local_distribution(singlet, fourier, comp, law, 1.0, h_local=[0.3])
-    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
+    hamiltonian = BlochHamiltonian(dims)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"do not fit dims {dims}")):
+        local_distribution(singlet, fourier, comp, law, 1.0, hamiltonian=hamiltonian)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"do not fit dims {dims}")):
         nosignal_audit.signaling_channel_demo(law, singlet, comp, fourier, comp, 1.0,
-                                              h_local=np.zeros((3, 1)))
+                                              hamiltonian=hamiltonian)
 
 
 def test_local_distribution_defaults_to_the_audit_branch_integrator():
@@ -825,14 +838,20 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
                   for r in (0.9, 0.5)])
     remote, local = computational_observable(2), computational_observable(2)
     [(dist, failures)] = measurement._member_distributions(
-        [(x, remote.u0_vector(), remote.u_matrix(), local, None)], dims, law, times)
+        [(x, remote.u0_vector(), remote.u_matrix(), local, None)], law, BlochHamiltonian(dims),
+        times)
     assert list(failures) == [(1, 0)]  # (time index, row)
     assert isinstance(failures[1, 0], IntegrationFailureError)
     assert str(failures[1, 0]) == "rk4 result at t=1 is not finite"
     [(alone, none)] = measurement._member_distributions(
-        [(x[1:], remote.u0_vector(), remote.u_matrix(), local, None)], dims, law, times)
+        [(x[1:], remote.u0_vector(), remote.u_matrix(), local, None)], law,
+        BlochHamiltonian(dims), times)
     assert not none and np.array_equal(dist[:, 1:], alone)
     # the one-row call raises the failure in place of its distribution
     joint = JointBlochState(dims, x[0, :3], np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
         local_distribution(joint, remote, local, law, 1.0)
+    # and so does the channel demo, whose two one-row members both fail there
+    with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
+        nosignal_audit.signaling_channel_demo(law, joint, remote, fourier_observable(2), local,
+                                              1.0)

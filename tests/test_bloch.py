@@ -180,3 +180,20 @@ def test_dimension_mismatch_raises():
 def test_nonfinite_input_is_unphysical(reconstruct):
     with pytest.raises(UnphysicalStateError, match="non-finite"):
         reconstruct()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: JointBlochState((2, 2), np.zeros(3), np.zeros(3), np.zeros((3, 2))),
+         DimensionMismatchError, "r12 must have shape (3, 3), got (3, 2)"),
+        (lambda: partial_trace(np.eye(4) / 4.0, (2, 2), keep=3), ValueError,
+         "keep must be 1 or 2"),
+        (lambda: reduce(singlet_state(), 3), ValueError, "subsystem must be 1 or 2"),
+    ],
+    ids=["r12-shape", "partial-trace-keep", "reduce-subsystem"],
+)
+def test_each_argument_error_names_its_argument(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

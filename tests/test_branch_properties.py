@@ -65,13 +65,13 @@ def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed)
     joints = [random_interior_joint(rng, dims) for _ in range(3)]
     remotes = _observables(rng, dims[1])
     obs1 = _observables(rng, dims[0])[2]
-    h1 = random_hamiltonian(rng, dims).h1
+    hamiltonian = random_hamiltonian(rng, dims)
     born = np.stack([outcome_probabilities(obs1, BlochState(dims[0], j.r1)) for j in joints])
     x = np.stack([pack_coords(j) for j in joints])
     for law in (linear_law(), polesink_law(0.1)):
         members = [(x, obs.u0_vector(), obs.u_matrix(), obs1, None) for obs in remotes]
-        for dist, failures in _member_distributions(members, dims, law, [0.0], h_local=h1,
-                                                    options=DEFAULT_BRANCH_OPTIONS):
+        for dist, failures in _member_distributions(members, law, hamiltonian, [0.0],
+                                                    DEFAULT_BRANCH_OPTIONS):
             assert not failures
             np.testing.assert_allclose(dist[0], born, rtol=0.0, atol=1e-12)
 

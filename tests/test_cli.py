@@ -429,6 +429,38 @@ def test_demo_negative_seed_exits_two_with_one_error_line(capsys):
     assert captured.err.splitlines() == ["error: config: --seed: seed and fit_probes must be >= 0"]
 
 
+def test_audit_negative_seed_exits_two_with_one_error_line_naming_the_flag(tmp_path, capsys):
+    path = write_config(tmp_path, "linear.json", LINEAR_AUDIT_CONFIG)
+    assert main(["audit", "--config", path, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: config: --seed: seed and fit_probes must be >= 0"]
+
+
+def test_demo_reports_unexpected_verdicts_in_its_table(monkeypatch, capsys):
+    # with a linear law in place of the positive control both rows pass
+    monkeypatch.setattr(cli, "polesink_law", lambda eps: cli.linear_law())
+    assert main(["demo", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines[2:4]] == ["pass", "pass"]
+    assert lines[-1] == "UNEXPECTED verdicts — see rows above"
+
+
+def test_evolve_over_a_span_far_beyond_its_first_step_returns_the_zero_field_state(tmp_path):
+    # the rkf45 step floor is 1e-14 of the span (here 0.1, above the 0.01 first
+    # step); the zero field leaves the initial state where it is
+    payload = {"dims": [2, 2], "law": "linear", "initial_state": "product", "times": [1e13]}
+    reports = []
+    for times in ([1e13], [0.0]):
+        out = tmp_path / "evolve.json"
+        path = write_config(tmp_path, "span.json", {**payload, "times": times})
+        assert main(["evolve", "--config", path, "--no-timestamp", "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    [late], [start] = (report["samples"] for report in reports)
+    assert late["t"] == 1e13
+    assert all(late[block] == start[block] for block in ("r1", "r2", "r12"))
+
+
 def test_demo_table_output(capsys):
     assert main(["demo", "--seed", "7"]) == 0
     out = capsys.readouterr().out

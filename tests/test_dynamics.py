@@ -201,7 +201,7 @@ def test_a_hamiltonian_with_a_non_finite_generator_is_refused_where_it_is_built(
             reduced_flow(linear_law(), coefficients[block], dim)
     if block == "h1":
         with pytest.raises(NonFiniteGeneratorError, match="non-finite generator"):
-            reduced_propagator_fit(linear_law(), h.interaction_free())
+            reduced_propagator_fit(linear_law(), h)
 
 
 def test_a_finite_generator_whose_trajectory_overflows_fails_to_integrate():
@@ -599,6 +599,34 @@ def test_reduced_zero_hamiltonian_is_static():
     np.testing.assert_allclose(out, r0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: hamiltonian_from_matrix(np.triu(np.ones((4, 4))), (2, 2)), ValueError,
+         "matrix is not Hermitian (deviation 1.000e+00)"),
+        (lambda: vector_field(linear_law(), BlochHamiltonian((2, 2)), random_interior_joint(
+            np.random.default_rng(1), (2, 3))), DimensionMismatchError,
+         "state dims (2, 3) != Hamiltonian dims (2, 2)"),
+        (lambda: evolve_path(linear_law(), BlochHamiltonian((3, 2)), random_interior_joint(
+            np.random.default_rng(1), (2, 3)), [1.0]), DimensionMismatchError,
+         "state dims (2, 3) != Hamiltonian dims (3, 2)"),
+        (lambda: reduced_generator(np.zeros(8), 2), DimensionMismatchError,
+         "local Hamiltonian must have length 3"),
+    ],
+    ids=["non-hermitian-matrix", "field-dims", "path-dims", "generator-length"],
+)
+def test_each_mismatched_argument_raises_its_error(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_an_indexed_weight_set_is_its_own_indexed_expansion():
+    indexed = xi_preset("corrnorm").as_indexed()
+    assert indexed.uniform is None
+    assert indexed.as_indexed() is indexed
+
+
 def test_reduced_generator_is_antisymmetric():
     rng = np.random.default_rng(19)
     for dim in (2, 3):
@@ -609,7 +637,7 @@ def test_reduced_generator_is_antisymmetric():
 def test_propagator_fit_linear_law():
     rng = np.random.default_rng(20)
     h = random_hamiltonian(rng, (2, 2), interaction=False)
-    a, residual = reduced_propagator_fit(linear_law(), h, subsystem=1, t=1.0)
+    a, residual = reduced_propagator_fit(linear_law(), h, t=1.0)
     assert residual <= 1e-8
     np.testing.assert_allclose(a.T @ a, np.eye(3), atol=1e-6)
 
@@ -617,21 +645,28 @@ def test_propagator_fit_linear_law():
 def test_propagator_fit_weighted_law_interaction_free():
     rng = np.random.default_rng(21)
     h = random_hamiltonian(rng, (2, 3), interaction=False)
-    _, residual = reduced_propagator_fit(xi_law("corrnorm"), h, subsystem=2, t=1.0)
+    # party 2's fit is party 1's fit of the Hamiltonian with the parties swapped
+    swapped = BlochHamiltonian((3, 2), h1=h.h2)
+    _, residual = reduced_propagator_fit(xi_law("corrnorm"), swapped, t=1.0)
     assert residual <= 1e-8
 
 
 def test_propagator_fit_flags_polesink():
     h = BlochHamiltonian((2, 2))
-    _, residual = reduced_propagator_fit(polesink_law(0.1), h, subsystem=1, t=1.0)
+    _, residual = reduced_propagator_fit(polesink_law(0.1), h, t=1.0)
     assert residual >= 1e-2
 
 
-def test_propagator_fit_rejects_interacting_hamiltonian():
+@pytest.mark.parametrize("law", [linear_law(), xi_law("corrnorm"), polesink_law(0.1)],
+                         ids=lambda law: law.name)
+def test_propagator_fit_of_an_interacting_hamiltonian_is_its_interaction_free_fit(law):
+    # branches feel only party 1's block, so the fit reads h1 of any Hamiltonian
     rng = np.random.default_rng(22)
-    h = random_hamiltonian(rng, (2, 2), interaction=True)
-    with pytest.raises(ValueError):
-        reduced_propagator_fit(linear_law(), h)
+    h = random_hamiltonian(rng, (2, 3), interaction=True)
+    a, residual = reduced_propagator_fit(law, h)
+    free_a, free_residual = reduced_propagator_fit(law, h.interaction_free())
+    assert np.array_equal(a, free_a)
+    assert residual == free_residual
 
 
 def test_pack_unpack_roundtrip():

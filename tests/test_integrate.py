@@ -115,6 +115,21 @@ def test_rkf45_step_size_underflow():
         solve(lambda y: y * y, [1.0], 2.0, IntegratorOptions(method="rkf45"))
 
 
+@pytest.mark.parametrize("t", [1e13, 1e20])
+def test_rkf45_starts_a_long_span_at_its_step_floor(t):
+    # the floor 1e-14 * t is above the 0.01 first step: a zero field takes
+    # steps from the floor up (each 5x the last) and returns its start
+    y = solve(np.zeros_like, [1.0, 2.0], t, IntegratorOptions(method="rkf45"))
+    np.testing.assert_array_equal(y, [1.0, 2.0])
+
+
+def test_rkf45_over_a_long_span_still_underflows_at_a_blow_up():
+    # y' = y^2 from y = 1 blows up at t = 1, far inside a 1e13 span whose
+    # step floor is 0.1: the step shrinks below that floor
+    with pytest.raises(IntegrationFailureError, match="step size underflow"):
+        solve(lambda y: y * y, [1.0], 1e13, IntegratorOptions(method="rkf45"))
+
+
 def test_rkf45_takes_a_span_shorter_than_its_step_floor():
     y = solve(lambda y: -y, [1.0, 2.0], 1e-20, IntegratorOptions(method="rkf45"))
     np.testing.assert_array_equal(y, [1.0, 2.0])

@@ -7,6 +7,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +131,9 @@ def test_csv_float_cells_read_back_exactly():
     assert back[0] == ["i", "value"]
     assert [int(r[0]) for r in back[1:]] == list(range(20))
     assert [float(r[1]) for r in back[1:]] == values.tolist()
+
+
+def test_an_object_that_is_not_json_is_refused_naming_its_type():
+    with pytest.raises(TypeError) as excinfo:
+        dumps({"a": [1.0, object()]})
+    assert str(excinfo.value) == "Object of type object is not JSON serializable"

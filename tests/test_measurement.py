@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blochsig.bloch import BlochState, joint_to_bloch, pack_coords
-from blochsig.dynamics import linear_law
+from blochsig.dynamics import BlochHamiltonian, linear_law
 from blochsig.errors import (
     DimensionMismatchError,
     InvalidObservableError,
@@ -273,7 +273,8 @@ def test_a_complex_row_moving_a_dropped_branch_fails_alone():
     rows[1, 5] += 1e-30j  # r2[2]
     obs = computational_observable(2)
     [(dist, failures)] = _member_distributions(
-        [(rows, obs.u0_vector(), obs.u_matrix(), obs, None)], (2, 2), linear_law(), [0.0])
+        [(rows, obs.u0_vector(), obs.u_matrix(), obs, None)], linear_law(),
+        BlochHamiltonian((2, 2)), [0.0])
     assert np.all(np.isfinite(dist[:, 0])) and not np.any(dist[:, 0].imag)
     assert list(failures) == [(0, 1)]  # (time index, row)
     assert isinstance(failures[0, 1], PerturbationInfeasibleError)
@@ -325,7 +326,7 @@ def test_local_distribution_linear_singlet_is_uniform():
     for t in (0.0, 0.5, 1.0):
         dist = local_distribution(
             joint, fourier_observable(2), computational_observable(2),
-            linear_law(), t, h_local=h1,
+            linear_law(), t, hamiltonian=BlochHamiltonian((2, 2), h1=h1),
         )
         np.testing.assert_allclose(dist, [0.5, 0.5], atol=1e-12)
 
@@ -341,7 +342,7 @@ def test_local_distribution_qubit_precession_closed_form():
     t = 0.9
     dist = local_distribution(
         joint, computational_observable(2), fourier_observable(2),
-        linear_law(), t, h_local=np.array([0.0, 0.0, h]),
+        linear_law(), t, hamiltonian=BlochHamiltonian((2, 2), h1=[0.0, 0.0, h]),
     )
     plus = int(np.argmax(fourier_observable(2).u_matrix()[:, 0]))
     expected_plus = 0.5 * (1.0 + math.cos(2 * h * t))
@@ -371,7 +372,8 @@ def test_local_distribution_matches_unitary_oracle_branches():
     h1 = np.array([0.4, 0.1, -0.3])
     h1_matrix = np.einsum("i,iab->ab", h1, b.matrices)
     t = 0.8
-    dist = local_distribution(joint, obs2, obs1, linear_law(), t, h_local=h1)
+    dist = local_distribution(joint, obs2, obs1, linear_law(), t,
+                              hamiltonian=BlochHamiltonian((2, 2), h1=h1))
     oracle = np.zeros(2)
     from blochsig.bloch import from_bloch
 
@@ -381,3 +383,40 @@ def test_local_distribution_matches_unitary_oracle_branches():
         for idx, proj in enumerate(obs1.outcomes):
             oracle[idx] += p * float(np.real(np.trace(evolved @ proj.matrix(b))))
     np.testing.assert_allclose(dist, oracle, atol=1e-9)
+
+
+def _half_identity():
+    return Projector(2, 0.5, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Projector(2, 0.5, np.zeros(2)), DimensionMismatchError,
+         "u must have length 3, got (2,)"),
+        (lambda: projector_from_matrix(np.eye(3), cached_basis(2)), DimensionMismatchError,
+         "projector must be (2, 2), got (3, 3)"),
+        (lambda: observable_from_projectors([]), InvalidObservableError,
+         "an observable needs at least one outcome"),
+        (lambda: observable_from_projectors([_half_identity(), Projector(3, 0.5, np.zeros(8))]),
+         DimensionMismatchError, "all outcomes must share one dimension"),
+        # two halves of the identity resolve it, but I/2 @ I/2 = I/4
+        (lambda: observable_from_projectors([_half_identity(), _half_identity()]),
+         InvalidObservableError, "outcomes 0 and 1 are not orthogonal (deviation 2.500e-01)"),
+        (lambda: observable_from_basis(np.eye(3), cached_basis(2)), DimensionMismatchError,
+         "expected vectors of length 2, got shape (3, 3)"),
+        (lambda: observable_from_basis(np.eye(2)[:1], cached_basis(2)), InvalidObservableError,
+         "need 2 vectors to resolve the identity, got 1"),
+        (lambda: outcome_probabilities(computational_observable(3), BlochState(2, np.zeros(3))),
+         DimensionMismatchError, "observable dim 3 != state dim 2"),
+        (lambda: conditional_state(singlet_state(), computational_observable(3), 0),
+         DimensionMismatchError, "observable dim 3 != second subsystem dim 2"),
+    ],
+    ids=["projector-length", "projector-matrix-shape", "no-outcome", "mixed-dims",
+         "not-orthogonal", "basis-vector-length", "too-few-vectors", "born-dims",
+         "collapse-dims"],
+)
+def test_each_malformed_observable_or_pairing_raises_its_error(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -122,7 +122,7 @@ def test_channel_demo_linear_singlet_is_silent():
     delta, (pa, pb) = signaling_channel_demo(
         linear_law(), singlet_state(),
         computational_observable(2), fourier_observable(2), computational_observable(2),
-        t=1.0, h_local=np.array([0.2, -0.4, 0.6]),
+        t=1.0, hamiltonian=BlochHamiltonian((2, 2), h1=[0.2, -0.4, 0.6]),
     )
     assert delta <= 1e-9
     np.testing.assert_allclose(pa, [0.5, 0.5], atol=1e-9)

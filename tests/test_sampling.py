@@ -69,10 +69,10 @@ def test_one_block_ensemble_and_fit_equal_the_per_member_draws(
     law = polesink_law(0.1) if nonlinear else linear_law()
     hamiltonian = BlochHamiltonian(dims, h1=0.3 * np.ones(dims[0] ** 2 - 1),
                                    h2=0.2 * np.ones(dims[1] ** 2 - 1))
-    for subsystem in (1, 2):
-        a, residual = reduced_propagator_fit(law, hamiltonian, subsystem, 0.5, fit_probes, seed)
-        ref_a, ref_residual = reference_propagator_fit(law, hamiltonian, subsystem, 0.5,
-                                                       fit_probes, seed)
+    # party 2's fit is party 1's fit of the Hamiltonian with the parties swapped
+    for h in (hamiltonian, BlochHamiltonian(dims[::-1], h1=hamiltonian.h2)):
+        a, residual = reduced_propagator_fit(law, h, 0.5, fit_probes, seed)
+        ref_a, ref_residual = reference_propagator_fit(law, h, 0.5, fit_probes, seed)
         assert np.array_equal(a, ref_a)
         assert residual == ref_residual
 

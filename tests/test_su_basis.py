@@ -22,6 +22,9 @@ def test_qubit_basis_is_pauli_triple():
     np.testing.assert_array_equal(basis[0], SX)
     np.testing.assert_array_equal(basis[1], SY)
     np.testing.assert_array_equal(basis[2], SZ)
+    # iterating yields the same matrices in the same order
+    for matrix, pauli in zip(basis, (SX, SY, SZ), strict=True):
+        np.testing.assert_array_equal(matrix, pauli)
 
 
 @pytest.mark.parametrize("bad", [1, 0, -3])
