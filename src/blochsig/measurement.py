@@ -23,6 +23,15 @@ outcomes (the audit's complex steps) stay complex throughout; a branch is
 kept by the real part of its weight, and a row that moves a dropped branch
 fails, since its derivative is one-sided.
 
+A complex row moves party 1 only through its Born weights and collapsed
+states, so under a flow without a generator its branches are read off a
+linearization (forward-mode complex steps): each kept outcome ``k`` of a
+member propagates only the ``d1`` tangent rows ``r1'_k + i eps e_i`` of its
+real collapsed state, whatever the member's row count, and the last such
+linearization is kept, so the audit's measurement-choice channel reuses
+the propagation of its coordinate sweep.  A flow with a generator applies
+its cached propagator to every row, as do real rows under any flow.
+
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
 skip the matrix checks: :func:`observable_from_basis` reads ``u`` off the
@@ -67,6 +76,15 @@ __all__ = [
 # Branches below this weight are excluded from conditional updates and
 # contribute zero to branch averages.
 EPS_PROB = 1e-12
+
+# The complex step of the audit's sensitivities: far below any coordinate,
+# so its square vanishes beside every real part, and far above the smallest
+# normal float.
+_EPS = 1e-30
+
+# The last linearization of a flow without a generator (one entry, see
+# ``_linearization``).
+_LINEARIZED: dict = {}
 
 _PROJ_TOL = 1e-10
 _ORTHO_TOL = 1e-11
@@ -336,11 +354,17 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
     one (its weight or collapsed state) has a one-sided derivative:
     ``PerturbationInfeasibleError`` at every time, named by ``names`` (None:
     by its index).  A distribution that is not finite is an
-    ``IntegrationFailureError``."""
+    ``IntegrationFailureError``.
+
+    A flow with a generator, or a call whose rows and outcomes are all
+    real, propagates every collapsed state.  Complex rows under a flow
+    without one take the tangent route (:func:`_tangent_branches`): each
+    member's rows must then share one real part, else ``ValueError``."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
-    branches, states = [], []
+    flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
+    branches, states, bases = [], [], []
     for x, u0, u, obs1, names in members:
         if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
             raise DimensionMismatchError(
@@ -359,9 +383,13 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
         keep = ~drop
         branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
         states.append(scaled[keep] / p[keep][:, None])
-    flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
+        if flow.generator is None:
+            bases.append(_bases(x, u0, u, keep, d1))
     states = np.concatenate(states)
-    evolved = flow.sample(states, times, options)
+    if flow.generator is None and np.iscomplexobj(states):
+        evolved = _tangent_branches(flow, bases, states, times, options)
+    else:
+        evolved = flow.sample(states, times, options)
     out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
     segments = zip(np.split(evolved, ends, axis=1), branches)
     for segment, (rows, infeasible, obs1, owners, weights) in segments:
@@ -374,3 +402,75 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
         out.append((dist, failures))
     return out
+
+
+def _bases(x, u0, u, keep, d1):
+    """A member's linearization points for :func:`_tangent_branches`: party
+    1's real collapsed states ``r1'_k``, one per outcome that some row keeps
+    (``keep``, shape ``(P, K)``), from the real part of its first row and
+    outcomes; with ``keep`` restricted to those outcomes, and whether every
+    row shares that real part."""
+    real = x.real
+    shared = np.array_equal(real, np.broadcast_to(real[:1], real.shape), equal_nan=True)
+    kept = keep.any(axis=0)
+    # contiguous copies: a strided operand may take another BLAS route, and
+    # every channel must collapse its real part onto the same bits
+    p, scaled = _collapse(*map(np.ascontiguousarray, (real[:1], u0.real, u.real)), d1)
+    return (scaled[:, kept] / p[:, kept, None]).reshape(-1, d1), keep[:, kept], shared
+
+
+def _tangent_branches(flow, bases, states, times, options):
+    """The evolved branches of the complex collapsed ``states`` (each
+    member's kept (row, outcome) pairs in row-major order, as
+    :func:`_member_distributions` lists them), from one linearization of the
+    field ``flow`` about every member's ``bases`` (:func:`_bases`).
+
+    A row moves party 1's branch ``k`` only through its collapsed state
+    ``r1'_row,k``, whose real part is the base ``r1'_k`` and whose imaginary
+    part is a complex step.  So its evolved branch is
+    ``Re Phi(r1'_k) + i (Im r1'_row,k / _EPS) @ Im Phi(r1'_k + i _EPS e_i)``
+    over the ``d1`` tangent rows ``i``: ``K d1`` propagated rows per member,
+    whatever its row count.  Each row's tangent contraction is its own
+    ``(1, d1) @ (d1, d1)`` product, so a row gets the same bits in any
+    batch.  Raises ``ValueError`` when a member's rows differ in their real
+    part."""
+    if not all(shared for *_, shared in bases):
+        raise ValueError(
+            "under a flow without a generator, the complex rows of a member must share one "
+            "real part"
+        )
+    real, tangents = _linearization(
+        flow, np.concatenate([base for base, *_ in bases]), tuple(times), options
+    )
+    evolved = np.empty((len(times), *states.shape), dtype=complex)
+    start = end = 0
+    for base, keep, _ in bases:
+        stop, rows = start + len(base), slice(end, end + np.count_nonzero(keep))
+        steps = np.zeros((*keep.shape, states.shape[-1]))
+        steps[keep] = states[rows].imag / _EPS
+        contracted = steps[None, :, :, None, :] @ tangents[:, None, start:stop]
+        evolved[:, rows].real = real[:, start + keep.nonzero()[1]]
+        evolved[:, rows].imag = contracted[..., 0, :][:, keep]
+        start, end = stop, rows.stop
+    return evolved
+
+
+def _linearization(flow, bases, times, options):
+    """``Re Phi(b)`` and the tangents ``Im Phi(b + i _EPS e_i)`` of the field
+    ``flow`` at each of the ascending ``times``, shapes ``(T, B, d)`` and
+    ``(T, B, d, d)``, of the real ``bases`` (``(B, d)``), read-only.  The last
+    one is kept, keyed on the flow, the exact shape and bytes of the bases,
+    the times and the options: the audit's measurement-choice channel
+    collapses its members onto the bases of its coordinate sweep bit for
+    bit, so its branches reuse that propagation."""
+    key = (flow, bases.shape, bases.tobytes(), times, options)
+    if key not in _LINEARIZED:
+        d = bases.shape[-1]
+        rows = (bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d)
+        sampled = flow.sample(rows, times, options).reshape(len(times), len(bases), d, d)
+        real, tangents = sampled[:, :, 0].real.copy(), sampled.imag.copy()
+        real.setflags(write=False)
+        tangents.setflags(write=False)
+        _LINEARIZED.clear()
+        _LINEARIZED[key] = real, tangents
+    return _LINEARIZED[key]

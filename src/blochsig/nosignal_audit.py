@@ -24,9 +24,14 @@ Numerical hygiene notes baked into the defaults:
 
 * Branch trajectories integrate with a fixed-step method, so the numerical
   flow is analytic in its initial condition.  Every component and every
-  remote outcome of every member (a leading member axis) form one batch:
+  remote outcome of every member (a leading member axis) form one call:
   one for both of party 2's coordinate blocks and one for the measurement
   choice.  One trajectory serves every audit time whose step grid nests.
+  Under a flow without a generator a call propagates only the ``d1``
+  complex tangent rows of each member's kept branches, and the
+  measurement-choice call reuses the coordinate sweep's linearization, so
+  an audit makes one branch propagation (see
+  :mod:`blochsig.measurement`).
 * No step has to stay physical, so pure states are audited like any other.
   Only a component moving a zero-weight branch, which the average drops,
   is flagged infeasible (its derivative is one-sided), never skipped.
@@ -65,6 +70,7 @@ from .dynamics import (
 from .errors import IntegrationFailureError, PerturbationInfeasibleError
 from .integrate import IntegratorOptions, _require_number
 from .measurement import (
+    _EPS,
     ProjectiveObservable,
     _member_distributions,
     _observables_from_bases,
@@ -100,10 +106,6 @@ __all__ = [
 
 VERDICT_PASS = "pass"
 VERDICT_SIGNALING = "signaling-detected"
-
-# The complex step: far below any coordinate, so its square vanishes beside
-# every real part, and far above the smallest normal float.
-_EPS = 1e-30
 
 
 @dataclass(frozen=True)
@@ -418,12 +420,14 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Two batched branch propagations, each over every member and audit time,
+    Two batched channel calls, each over every member and audit time,
     give each outcome its value or the error that left it unchecked: one
     sweep over all of party 2's coordinates (``r2``, then ``r12``), each
     member checked and collapsed once and its rows split back into the
     ``d_remote_state`` and ``d_correlations`` channels, and one
-    ``d_remote_observable`` call.  The report is read off them in one walk,
+    ``d_remote_observable`` call.  Under a flow without a generator the
+    second call reuses the first one's linearized branches, so the audit
+    propagates its branches once.  The report is read off them in one walk,
     in member, time (config order), channel, component order.
     Partial failures (infeasible perturbations, integrator giving up,
     non-finite sensitivities or linearity residual) are recorded per case

@@ -1,7 +1,8 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
 observable constructors among them), a per-stage RKF45 stepper used to
 cross-check the integrator, the central differences used to cross-check
-the complex-step state channels of the audit, the audit's ensemble and
+the complex-step state channels of the audit, the branch-by-branch route
+used to cross-check the audit's tangent route, the audit's ensemble and
 fit probes drawn and converted one object at a time, the oracles of their
 one-block draws, and the audit report read off a table of its outcomes, the
 oracle of the audit's one walk.
@@ -9,7 +10,9 @@ oracle of the audit's one walk.
 The oracles and the stepper work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify; the central
 differences shift one component at a time through ``unpack_coords`` and
-subtract two real propagations, where the audit reads one complex one.
+subtract two real propagations, where the audit reads one complex one.  The
+branch-by-branch route shares the collapse and the flow with the route it
+checks, and differs only in what it propagates: every complex row.
 """
 
 import math
@@ -22,8 +25,11 @@ from blochsig.bloch import pack_coords, to_bloch, unpack_coords
 from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
+    EPS_PROB,
     Projector,
     ProjectiveObservable,
+    _collapse,
+    _dots,
     _member_distributions,
     observable_from_matrices,
     rotate_observable,
@@ -177,6 +183,44 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
     assert not failures
     diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
     return (diffs / (2.0 * fd_step)).T.tolist()
+
+
+def branchwise_member_distributions(members, law, hamiltonian, times, options=None):
+    """``_member_distributions`` with every collapsed state of every row
+    propagated as its own branch row, complex or not: no linearization, no
+    memo.  The same members, results and failure records; the oracle of the
+    tangent route, which reads complex rows off ``K d1`` tangent rows per
+    member instead."""
+    n1, n2 = hamiltonian.dims
+    d1 = n1**2 - 1
+    options = options or DEFAULT_BRANCH_OPTIONS
+    branches, states = [], []
+    for x, u0, u, obs1, names in members:
+        p, scaled = _collapse(x, u0, u, d1)
+        drop = p.real <= EPS_PROB
+        moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
+        infeasible = {}
+        for row, k in zip(*moved.nonzero()):
+            infeasible.setdefault(row, PerturbationInfeasibleError(
+                f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
+                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative exists"
+            ))
+        keep = ~drop
+        branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
+        states.append(scaled[keep] / p[keep][:, None])
+    evolved = reduced_flow(law, hamiltonian.h1, n1).sample(np.concatenate(states), times, options)
+    out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
+    for segment, (rows, infeasible, obs1, owners, weights) in zip(
+            np.split(evolved, ends, axis=1), branches):
+        born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
+        dist = np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype)
+        np.add.at(dist, (slice(None), owners), weights[:, None] * born)
+        failures = {(i, row): e for row, e in infeasible.items() for i in range(len(times))}
+        for i, row in zip(*(~np.isfinite(dist).all(axis=-1)).nonzero()):
+            failures.setdefault((i, row), IntegrationFailureError(
+                f"{options.method} result at t={times[i]:.6g} is not finite"))
+        out.append((dist, failures))
+    return out
 
 
 # One object per draw, in the formulas the samplers apply to a stack.

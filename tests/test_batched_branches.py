@@ -25,6 +25,7 @@ from blochsig.dynamics import (
     linear_law,
     random_hamiltonian,
     reduced_flow,
+    reduced_propagator_fit,
     xi_law,
 )
 from blochsig.bloch import JointBlochState, joint_to_bloch, pack_coords
@@ -56,7 +57,12 @@ from blochsig.nosignal_audit import (
 from blochsig.sampling import random_density, random_interior_joint, singlet_state
 from blochsig.su_basis import cached_basis
 
-from helpers import channel_label, reference_direction, reference_haar_unitary
+from helpers import (
+    branchwise_member_distributions,
+    channel_label,
+    reference_direction,
+    reference_haar_unitary,
+)
 
 DEFAULT_TIMES = (0.25, 0.5, 1.0)
 NON_NESTING_TIMES = (0.3, 0.7)
@@ -140,8 +146,11 @@ def test_polesink_time_sequence_is_bit_identical_to_scalar_calls(dims, times):
     assert all(isinstance(v, float) for row in per_time for v in row)
     for i, t in enumerate(times):
         assert [v[i] for v in batched] == per_time[i]
+        # the branch-by-branch solve of each complex row: the tangent route
+        # reads the same first-order step off d1 tangent rows per branch
         reference = [_branchwise_remote_state(law, member, t, k) for k in range(dims[1] ** 2 - 1)]
-        assert [v[i] for v in batched[: len(reference)]] == reference
+        np.testing.assert_allclose([v[i] for v in batched[: len(reference)]], reference,
+                                   rtol=0, atol=1e-15)
 
 
 # Zeros, repeats, nesting (0.25/0.5/1.0 at step 0.01), non-nesting
@@ -855,3 +864,144 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
     with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
         nosignal_audit.signaling_channel_demo(law, joint, remote, fourier_observable(2), local,
                                               1.0)
+
+
+# ---------------------------------------------------------------------------
+# The tangent route: complex rows under a flow without a generator are read
+# off K d1 tangent rows per member, checked against propagating every row.
+
+
+def _audit_members(dims, config):
+    """The audit's members as ``_member_distributions`` takes them: each
+    member's coordinate-sweep rows, then each member's observable row."""
+    s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
+    states, remotes, locals_, families = nosignal_audit._ensemble(
+        dims, config, np.random.default_rng(s_members))
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    sweep = nosignal_audit._coordinate_plan(range(d2), [(i, j) for i in range(d1)
+                                                        for j in range(d2)])
+    coordinates = [(x, u0, u, obs1, names) for (x, u0, u, names), obs1 in zip(
+        map(sweep, states, remotes), locals_)]
+    theta = [(pack_coords(s)[None], f.base.u0_vector(),
+              f.base.u_matrix() + 1j * EPS * f.tangent(), obs1, ["theta"])
+             for s, f, obs1 in zip(states, families, locals_)]
+    return coordinates, theta
+
+
+def _assert_matches_branchwise(members, law, h, times, options):
+    tangent = measurement._member_distributions(members, law, h, times, options)
+    branchwise = branchwise_member_distributions(members, law, h, times, options)
+    for (dist, failures), (ref, ref_failures) in zip(tangent, branchwise, strict=True):
+        assert {k: repr(e) for k, e in failures.items()} == {
+            k: repr(e) for k, e in ref_failures.items()}
+        np.testing.assert_allclose(dist.real, ref.real, rtol=0, atol=1e-15, equal_nan=True)
+        np.testing.assert_allclose(dist.imag / EPS, ref.imag / EPS, rtol=0, atol=1e-15,
+                                   equal_nan=True)
+    return tangent
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tangent_route_matches_propagating_every_complex_row(dims, options):
+    law, h = polesink_law(0.1), BlochHamiltonian(dims)
+    rkf45 = options.method == "rkf45"  # one solve per branch row and time
+    config = AuditConfig(seed=70, ensemble_size=2 if rkf45 else 3,
+                         times=(0.5,) if rkf45 else DEFAULT_TIMES)
+    coordinates, theta = _audit_members(dims, config)
+    if rkf45:
+        coordinates = [(x[::5], u0, u, obs1, names[::5]) for x, u0, u, obs1, names in coordinates]
+    for members in (coordinates, theta):
+        tangent = _assert_matches_branchwise(members, law, h, list(config.times), options)
+        assert all(not failures for _, failures in tangent)
+        assert any(np.abs(dist.imag).max() > 1e-6 * EPS for dist, _ in tangent)
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+def test_tangent_route_keeps_the_failure_records_of_propagating_every_row(options):
+    # the anchor of this ensemble fails at t = 1 under the expanding law
+    config = AuditConfig(seed=3, ensemble_size=2)
+    coordinates, theta = _audit_members((2, 2), config)
+    for members in (coordinates, theta):
+        tangent = _assert_matches_branchwise(members, _expanding_law(), BlochHamiltonian((2, 2)),
+                                             list(DEFAULT_TIMES), options)
+        assert {i for i, _ in tangent[0][1]} == {2} and not tangent[1][1]
+
+
+def test_tangent_route_keeps_infeasible_rows_and_zero_weight_branches():
+    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
+    state, obs2, obs1 = _zero_weight_member()
+    x, u0, u, names = nosignal_audit._coordinate_plan(range(3), [(i, 2) for i in range(3)])(
+        state, obs2)
+    tangent = _assert_matches_branchwise([(x, u0, u, obs1, names)], law, h, [0.5], None)
+    assert sorted(row for _, row in tangent[0][1]) == [2, 3, 4, 5]
+
+
+def test_complex_rows_of_a_member_must_share_one_real_part_under_a_field_flow():
+    state, obs2, obs1, _ = _member((2, 2), 71)
+    x = np.tile(pack_coords(state).astype(complex), (2, 1))
+    x[:, 3] += [1j * EPS, 2j * EPS]
+    member = (x, obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+    h = BlochHamiltonian((2, 2))
+    measurement._member_distributions([member], polesink_law(0.1), h, [0.5])
+    x[1, 0] += 0.01
+    with pytest.raises(ValueError, match="complex rows of a member must share one real part"):
+        measurement._member_distributions([member], polesink_law(0.1), h, [0.5])
+    # a generator flow propagates every row, and real rows stay free
+    measurement._member_distributions([member], linear_law(), h, [0.5])
+    real = (x.real.copy(), *member[1:])
+    measurement._member_distributions([real], polesink_law(0.1), h, [0.5])
+
+
+def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
+    state, obs2, obs1, _ = _member((2, 2), 72)
+    x = pack_coords(state).astype(complex)[None] + 1j * EPS
+    empty = (x[:0], obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+    full = (x, obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+    for law in (polesink_law(0.1), linear_law()):
+        (none, no_failures), (dist, _) = measurement._member_distributions(
+            [empty, full], law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+        assert none.shape == (3, 0, 2) and not no_failures
+        [(alone, _)] = measurement._member_distributions(
+            [full], law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+        assert np.array_equal(dist, alone)
+
+
+def _counted_polesink():
+    """Polesink's reduced field, counting the rows of each call."""
+    calls = []
+
+    def field(h_local, r):
+        calls.append(np.shape(r))
+        return polesink_law(0.1).reduced_field_fn(h_local, r)
+
+    return custom_law("counted-polesink", reduced_field=field), calls
+
+
+def test_an_audit_propagates_its_branches_once_through_one_linearization():
+    dims, h = (2, 3), BlochHamiltonian((2, 3))
+    config = AuditConfig(seed=1, ensemble_size=3)
+    law, calls = _counted_polesink()
+    audit(law, h, config)
+    # the fit alone, on a law of its own, whose flow is built and probed there
+    alone, alone_calls = _counted_polesink()
+    s_members, s_fit = np.random.SeedSequence(config.seed).spawn(2)
+    reduced_propagator_fit(alone, h, max(config.times), config.fit_probes,
+                           int(s_fit.generate_state(1)[0]), config.branch_options)
+    fit = len(alone_calls)
+    # one linearization: the state channel on the audit's members, then the
+    # observable channel on the same members, which propagates nothing more
+    states, remotes, locals_, families = nosignal_audit._ensemble(
+        dims, config, np.random.default_rng(s_members))
+    d_remote_state(alone, h, states, remotes, locals_, DEFAULT_TIMES, [0])
+    linearization = alone_calls[fit:]
+    d_remote_observable(alone, h, states, families, locals_, DEFAULT_TIMES)
+    assert len(alone_calls) == fit + len(linearization)
+    assert len(calls) == fit + len(linearization)
+    # rk4 to t = 1 at step 0.01, four stages a step, each over the K d1 = 9
+    # tangent rows of each of the 3 members
+    assert linearization == [(3 * 9, 3)] * 400
+    [(real, tangents)] = measurement._LINEARIZED.values()
+    assert real.shape == (3, 9, 3) and tangents.shape == (3, 9, 3, 3)
+    assert not (real.flags.writeable or tangents.flags.writeable)
