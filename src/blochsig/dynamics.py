@@ -773,25 +773,45 @@ def reduced_propagator_fit(
     scaled coordinate axes, less ``c`` (scale 0.5 keeps them physical for
     every dimension); the residual is the worst max-norm mismatch
     ``|r(t; r0) - c - A r0|`` over random probe states (NaN when any
-    mismatch is).  Origin, axes and probes propagate as one batch.  A small
-    residual certifies that isolated subsystems evolve by an affine map, as
-    every local CPTP map (linear in rho) does; such a map cannot signal.
+    mismatch is).  Origin, axes and probes (:func:`_fit_starts`) propagate as
+    one batch, read off by :func:`_fit_read_off`.  A small residual
+    certifies that isolated subsystems evolve by an affine map, as every
+    local CPTP map (linear in rho) does; such a map cannot signal.
     """
     n = hamiltonian.dims[0]
     options = options or DEFAULT_BRANCH_OPTIONS
     flow = reduced_flow(law, hamiltonian.h1, n)
+    starts = _fit_starts(n, probes, seed)
+    return _fit_read_off(starts, flow.sample(starts, [t], options)[0], t, options)
+
+
+_FIT_SCALE = 0.5  # of the fit's axes: keeps them physical for every dimension
+
+
+def _fit_starts(n: int, probes: int, seed: int) -> np.ndarray:
+    """The ``1 + d + probes`` real start rows of the fit of an ``n``-level
+    subsystem (``d = n**2 - 1``): the origin, the axes scaled by 0.5, then
+    the seeded probe states."""
     d = n**2 - 1
-    scale = 0.5
     # One draw holds every probe's (2, n, n) normals, in the order that
     # random_density would draw them; coordinates as in to_bloch.
     rho = hs_densities(np.random.default_rng(seed).standard_normal((probes, 2, n, n)))
     probe_states = 0.5 * n * np.real(np.einsum("pab,iba->pi", rho, cached_basis(n).matrices))
-    starts = np.vstack([np.zeros(d), scale * np.eye(d), probe_states])
-    ends = flow.sample(starts, [t], options)[0]
+    return np.vstack([np.zeros(d), _FIT_SCALE * np.eye(d), probe_states])
+
+
+def _fit_read_off(starts: np.ndarray, ends: np.ndarray, t: float,
+                 options: IntegratorOptions) -> tuple[np.ndarray, float]:
+    """``A`` and the residual of the fit from its :func:`_fit_starts` rows
+    and their states at ``t``.  ``ends`` may be complex with a zero
+    imaginary part (rows that rode in a batch of complex steps); only its
+    real part is read.  Raises ``IntegrationFailureError`` when an end is
+    not finite."""
     if not np.isfinite(ends).all():
         raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
-    ends = ends[1:] - ends[0]  # less the evolved origin c
-    a = np.ascontiguousarray(ends[:d].T / scale)
+    d = starts.shape[-1]
+    ends = ends.real[1:] - ends.real[0]  # less the evolved origin c
+    a = np.ascontiguousarray(ends[:d].T / _FIT_SCALE)
     mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]
     # np.max keeps a NaN mismatch, which the builtin max would drop.
     return a, float(np.max(mismatch, initial=0.0))

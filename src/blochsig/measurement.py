@@ -29,8 +29,10 @@ linearization (forward-mode complex steps): each kept outcome ``k`` of a
 member propagates only the ``d1`` tangent rows ``r1'_k + i eps e_i`` of its
 real collapsed state, whatever the member's row count, and the last such
 linearization is kept, so the audit's measurement-choice channel reuses
-the propagation of its coordinate sweep.  A flow with a generator applies
-its cached propagator to every row, as do real rows under any flow.
+the propagation of its coordinate sweep.  Other real rows of party 1 (the
+audit's linearity fit) can ride in the same batch.  A flow with a
+generator applies its cached propagator to every row, as do real rows
+under any flow.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -338,7 +340,7 @@ def local_distribution(
     return dist[0, 0]
 
 
-def _member_distributions(members, law, hamiltonian, times, options=None):
+def _member_distributions(members, law, hamiltonian, times, options=None, extra=None):
     """Party 1's distributions at each ascending time, shape
     ``(len(times), P, len(obs1))``, of each member ``(x, u0, u, obs1, names)``
     (``P`` packed joint rows ``x`` of the ``hamiltonian``'s dims, remote
@@ -359,7 +361,11 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
     A flow with a generator, or a call whose rows and outcomes are all
     real, propagates every collapsed state.  Complex rows under a flow
     without one take the tangent route (:func:`_tangent_branches`): each
-    member's rows must then share one real part, else ``ValueError``."""
+    member's rows must then share one real part, else ``ValueError``.
+    ``extra`` real party-1 rows ``(E, d1)`` ride in that route's batch
+    (:func:`_linearization`); given them, the call returns its distributions
+    and their states at each time, ``(len(times), E, d1)`` (``None`` off the
+    tangent route)."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
@@ -387,9 +393,9 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
             bases.append(_bases(x, u0, u, keep, d1))
     states = np.concatenate(states)
     if flow.generator is None and np.iscomplexobj(states):
-        evolved = _tangent_branches(flow, bases, states, times, options)
+        evolved, ridden = _tangent_branches(flow, bases, states, times, options, extra)
     else:
-        evolved = flow.sample(states, times, options)
+        evolved, ridden = flow.sample(states, times, options), None
     out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
     segments = zip(np.split(evolved, ends, axis=1), branches)
     for segment, (rows, infeasible, obs1, owners, weights) in segments:
@@ -401,7 +407,7 @@ def _member_distributions(members, law, hamiltonian, times, options=None):
             failures.setdefault((i, row), IntegrationFailureError(
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
         out.append((dist, failures))
-    return out
+    return out if extra is None else (out, ridden)
 
 
 def _bases(x, u0, u, keep, d1):
@@ -419,7 +425,7 @@ def _bases(x, u0, u, keep, d1):
     return (scaled[:, kept] / p[:, kept, None]).reshape(-1, d1), keep[:, kept], shared
 
 
-def _tangent_branches(flow, bases, states, times, options):
+def _tangent_branches(flow, bases, states, times, options, extra=None):
     """The evolved branches of the complex collapsed ``states`` (each
     member's kept (row, outcome) pairs in row-major order, as
     :func:`_member_distributions` lists them), from one linearization of the
@@ -432,15 +438,16 @@ def _tangent_branches(flow, bases, states, times, options):
     over the ``d1`` tangent rows ``i``: ``K d1`` propagated rows per member,
     whatever its row count.  Each row's tangent contraction is its own
     ``(1, d1) @ (d1, d1)`` product, so a row gets the same bits in any
-    batch.  Raises ``ValueError`` when a member's rows differ in their real
-    part."""
+    batch.  Returns them with the states of the ``extra`` rows
+    (:func:`_linearization`).  Raises ``ValueError`` when a member's rows
+    differ in their real part."""
     if not all(shared for *_, shared in bases):
         raise ValueError(
             "under a flow without a generator, the complex rows of a member must share one "
             "real part"
         )
-    real, tangents = _linearization(
-        flow, np.concatenate([base for base, *_ in bases]), tuple(times), options
+    real, tangents, ridden = _linearization(
+        flow, np.concatenate([base for base, *_ in bases]), tuple(times), options, extra
     )
     evolved = np.empty((len(times), *states.shape), dtype=complex)
     start = end = 0
@@ -452,25 +459,42 @@ def _tangent_branches(flow, bases, states, times, options):
         evolved[:, rows].real = real[:, start + keep.nonzero()[1]]
         evolved[:, rows].imag = contracted[..., 0, :][:, keep]
         start, end = stop, rows.stop
-    return evolved
+    return evolved, ridden
 
 
-def _linearization(flow, bases, times, options):
+def _linearization(flow, bases, times, options, extra=None):
     """``Re Phi(b)`` and the tangents ``Im Phi(b + i _EPS e_i)`` of the field
     ``flow`` at each of the ascending ``times``, shapes ``(T, B, d)`` and
     ``(T, B, d, d)``, of the real ``bases`` (``(B, d)``), read-only.  The last
     one is kept, keyed on the flow, the exact shape and bytes of the bases,
     the times and the options: the audit's measurement-choice channel
     collapses its members onto the bases of its coordinate sweep bit for
-    bit, so its branches reuse that propagation."""
+    bit, so its branches reuse that propagation.
+
+    The ``extra`` real rows ``(E, d)`` ride in the same batch, cast to
+    complex, and their states at each time come back as a third item,
+    ``(T, E, d)``; with the linearization kept, they propagate alone, as
+    real rows.  A batch never mixes its rows (every rk4 operation is
+    elementwise, and rkf45 solves row by row), and with a zero imaginary
+    part, complex ``+ - * /`` give the real results exactly, so under a
+    field built from them (polesink) an extra row gets the numbers it gets
+    alone as a real row, bit for bit."""
     key = (flow, bases.shape, bases.tobytes(), times, options)
-    if key not in _LINEARIZED:
-        d = bases.shape[-1]
-        rows = (bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d)
-        sampled = flow.sample(rows, times, options).reshape(len(times), len(bases), d, d)
+    kept = _LINEARIZED.get(key)
+    if extra is None and kept is not None:
+        return (*kept, None)
+    d = bases.shape[-1]
+    extra = np.empty((0, d)) if extra is None else extra
+    rows = [extra]
+    if kept is None:
+        rows.append((bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d))
+    sampled = flow.sample(np.concatenate(rows), times, options)
+    ridden = sampled[:, : len(extra)].copy()  # not a view that holds the whole batch
+    if kept is None:
+        sampled = sampled[:, len(extra) :].reshape(len(times), len(bases), d, d)
         real, tangents = sampled[:, :, 0].real.copy(), sampled.imag.copy()
         real.setflags(write=False)
         tangents.setflags(write=False)
         _LINEARIZED.clear()
-        _LINEARIZED[key] = real, tangents
-    return _LINEARIZED[key]
+        kept = _LINEARIZED[key] = real, tangents
+    return (*kept, ridden)

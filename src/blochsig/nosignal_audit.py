@@ -31,7 +31,8 @@ Numerical hygiene notes baked into the defaults:
   complex tangent rows of each member's kept branches, and the
   measurement-choice call reuses the coordinate sweep's linearization, so
   an audit makes one branch propagation (see
-  :mod:`blochsig.measurement`).
+  :mod:`blochsig.measurement`); under rk4 the reduced-propagator fit's
+  rows ride in it too.
 * No step has to stay physical, so pure states are audited like any other.
   Only a component moving a zero-weight branch, which the average drops,
   is flagged infeasible (its derivative is one-sided), never skipped.
@@ -63,12 +64,15 @@ from .dynamics import (
     DEFAULT_BRANCH_OPTIONS,
     BlochHamiltonian,
     EvolutionLaw,
+    _fit_read_off,
+    _fit_starts,
     custom_law,
+    reduced_flow,
     reduced_generator,
     reduced_propagator_fit,
 )
 from .errors import IntegrationFailureError, PerturbationInfeasibleError
-from .integrate import IntegratorOptions, _require_number
+from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
     _EPS,
     ProjectiveObservable,
@@ -165,7 +169,7 @@ class ObservableFamily:
         return self.base.u_matrix() @ reduced_generator(g, self.base.dim).T
 
 
-def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
+def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra=None):
     """``max |Im p| / _EPS`` over party 1's outcomes ``p``, as
     ``[member][row][time]``, of each complex-step row of each member of the
     equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
@@ -173,8 +177,9 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
     names.  Each member is checked and collapsed once for all of its rows
     (the audit's coordinate sweep gives both state channels' rows), every
     member's branches propagate as one batch, and an outcome left
-    unchecked holds its error instead (see ``_member_distributions``).  A
-    member outside the physical set raises ``UnphysicalStateError``."""
+    unchecked holds its error instead (see ``_member_distributions``, which
+    also takes the ``extra`` rows and says what a call with them returns).
+    A member outside the physical set raises ``UnphysicalStateError``."""
     if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
         raise ValueError("members must be nonempty sequences of states and observables")
     if np.ndim(times) != 1:
@@ -188,13 +193,16 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
             x, u0, u, names = plan(state, remote)
             yield x, u0, u, local, names
 
+    propagated = _member_distributions(planned(), law, hamiltonian, list(times), options,
+                                       extra=extra)
+    dists, ridden = (propagated, None) if extra is None else propagated
     out = []
-    for d, failures in _member_distributions(planned(), law, hamiltonian, list(times), options):
+    for d, failures in dists:
         values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
         for (i, row), error in failures.items():
             values[row][i] = error
         out.append(values)
-    return out
+    return out if extra is None else (out, ridden)
 
 
 def _coordinate_plan(ks, ijs):
@@ -427,7 +435,10 @@ def audit(
     ``d_remote_state`` and ``d_correlations`` channels, and one
     ``d_remote_observable`` call.  Under a flow without a generator the
     second call reuses the first one's linearized branches, so the audit
-    propagates its branches once.  The report is read off them in one walk,
+    propagates its branches once; under rk4 the linearity fit's start rows
+    ride in that same batch and are read at ``max(times)``, so a nonlinear
+    audit makes one rk4 propagation in all.  Elsewhere the fit runs alone,
+    before the sweep.  The report is read off them in one walk,
     in member, time (config order), channel, component order.
     Partial failures (infeasible perturbations, integrator giving up,
     non-finite sensitivities or linearity residual) are recorded per case
@@ -446,16 +457,27 @@ def audit(
     at = {t: i for i, t in enumerate(grid)}
     ks, pairs = list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)]
     labels = ([str(k) for k in ks], [f"{i},{j}" for i, j in pairs], ["theta"])
-    # The fit runs first: an integrator failure there ends the audit, so it
-    # ends it before the channel sweep rather than after.
-    t_fit = max(config.times)
-    _, linearity = reduced_propagator_fit(
-        law, hamiltonian, t_fit, config.fit_probes, int(s_fit.generate_state(1)[0]), opts
-    )
+    t_fit, fit_seed = max(config.times), int(s_fit.generate_state(1)[0])
     # One sweep over party 2's coordinates serves both state channels: each
     # member's rows are r2, then r12, split at d2 into the two channels.
-    coords = _channel(law, hamiltonian, states, remotes, locals_, grid,
-                      _coordinate_plan(ks, pairs), opts)
+    sweep = _coordinate_plan(ks, pairs)
+    if reduced_flow(law, hamiltonian.h1, dims[0]).generator is None and opts.method == "rk4":
+        # The fit's rows ride in the sweep's linearization, which reads them
+        # at max(times): one rk4 propagation for both.  Its step count is
+        # checked first, so a fit that cannot run ends the audit as it would
+        # alone.  (rkf45 solves every row from 0 at every time, and a flow
+        # with a generator fits by one cached product: they fit alone.)
+        rk4_grid(t_fit, opts)
+        starts = _fit_starts(dims[0], config.fit_probes, fit_seed)
+        coords, ends = _channel(law, hamiltonian, states, remotes, locals_, grid, sweep, opts,
+                                extra=starts)
+        _, linearity = _fit_read_off(starts, ends[-1], t_fit, opts)
+    else:
+        # The fit runs first: an integrator failure there ends the audit, so
+        # it ends it before the channel sweep rather than after.
+        _, linearity = reduced_propagator_fit(
+            law, hamiltonian, t_fit, config.fit_probes, fit_seed, opts)
+        coords = _channel(law, hamiltonian, states, remotes, locals_, grid, sweep, opts)
     runs = (
         [rows[:d2] for rows in coords],
         [rows[d2:] for rows in coords],
@@ -575,10 +597,15 @@ def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
     the shared reduced flow of one ``epsilon`` is built once."""
     eps = float(epsilon)
 
+    poles = {}  # the pole vector e of each length, built once per law
+
     def reduced(h_local, r):
         r = np.asarray(r)  # complex rows stay complex: the audit's steps
-        e = np.zeros(r.shape[-1])
-        e[-1] = 1.0
+        e = poles.get(r.shape[-1])
+        if e is None:
+            e = poles[r.shape[-1]] = np.zeros(r.shape[-1])
+            e[-1] = 1.0
+            e.setflags(write=False)
         return eps * (e - r[..., -1:] * r)
 
     def joint(hamiltonian, r1, r2, r12):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochsig import integrate, measurement, nosignal_audit
+from blochsig import dynamics, integrate, measurement, nosignal_audit
 from blochsig.dynamics import (
     BlochHamiltonian,
     custom_law,
@@ -556,10 +556,14 @@ def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error
 def _per_component_audit(monkeypatch, law, h, config):
     """The audit with every member and component in its own public ``d_*``
     call: each row of the audit's coordinate sweep (``r2[k]``, ``r12[i,j]``)
-    and each member of its observable channel is run alone."""
+    and each member of its observable channel is run alone, and the fit's
+    rows that ride in the sweep (``extra``) propagate alone too."""
     channel = nosignal_audit._channel
 
-    def one_by_one(law, h, joints, obs2s, obs1s, t, plan, options):
+    def one_by_one(law, h, joints, obs2s, obs1s, t, plan, options, extra=None):
+        if extra is not None:
+            ends = reduced_flow(law, h.h1, h.dims[0]).sample(extra, t, options)
+            return one_by_one(law, h, joints, obs2s, obs1s, t, plan, options), ends
         with pytest.MonkeyPatch.context() as inner:  # the public calls run the real channel
             inner.setattr(nosignal_audit, "_channel", channel)
             out = []
@@ -635,10 +639,10 @@ def _recorded_propagations(monkeypatch):
     set of the members' row names)."""
     calls, original = [], nosignal_audit._member_distributions
 
-    def recorded(members, law, hamiltonian, times, options=None):
+    def recorded(members, law, hamiltonian, times, options=None, extra=None):
         members = list(members)
         calls.append((len(members), tuple(times), {tuple(m[-1]) for m in members}))
-        return original(members, law, hamiltonian, times, options)
+        return original(members, law, hamiltonian, times, options, extra)
 
     monkeypatch.setattr(nosignal_audit, "_member_distributions", recorded)
     return calls
@@ -983,25 +987,58 @@ def test_an_audit_propagates_its_branches_once_through_one_linearization():
     dims, h = (2, 3), BlochHamiltonian((2, 3))
     config = AuditConfig(seed=1, ensemble_size=3)
     law, calls = _counted_polesink()
-    audit(law, h, config)
-    # the fit alone, on a law of its own, whose flow is built and probed there
-    alone, alone_calls = _counted_polesink()
-    s_members, s_fit = np.random.SeedSequence(config.seed).spawn(2)
-    reduced_propagator_fit(alone, h, max(config.times), config.fit_probes,
-                           int(s_fit.generate_state(1)[0]), config.branch_options)
-    fit = len(alone_calls)
-    # one linearization: the state channel on the audit's members, then the
-    # observable channel on the same members, which propagates nothing more
-    states, remotes, locals_, families = nosignal_audit._ensemble(
-        dims, config, np.random.default_rng(s_members))
-    d_remote_state(alone, h, states, remotes, locals_, DEFAULT_TIMES, [0])
-    linearization = alone_calls[fit:]
-    d_remote_observable(alone, h, states, families, locals_, DEFAULT_TIMES)
-    assert len(alone_calls) == fit + len(linearization)
-    assert len(calls) == fit + len(linearization)
-    # rk4 to t = 1 at step 0.01, four stages a step, each over the K d1 = 9
-    # tangent rows of each of the 3 members
-    assert linearization == [(3 * 9, 3)] * 400
+    first = audit(law, h, config)
+    # the flow's probe, on a law of its own, whose flow is built there
+    alone, probe = _counted_polesink()
+    reduced_flow(alone, h.h1, dims[0])
+    # then one propagation for the fit and both channels: rk4 to t = 1 at
+    # step 0.01, four stages a step, each over the fit's 1 + d1 + fit_probes
+    # start rows and the K d1 = 9 tangent rows of each of the 3 members
+    assert len(probe) == 6
+    assert calls == probe + [((1 + 3 + config.fit_probes) + 3 * 9, 3)] * 400
     [(real, tangents)] = measurement._LINEARIZED.values()
     assert real.shape == (3, 9, 3) and tangents.shape == (3, 9, 3, 3)
     assert not (real.flags.writeable or tangents.flags.writeable)
+    # the same audit again keeps that linearization: only the fit's rows propagate
+    calls.clear()
+    again = audit(law, h, config)
+    assert calls == [(1 + 3 + config.fit_probes, 3)] * 400
+    assert dumps(again.to_dict()) == dumps(first.to_dict())
+
+
+def _audit_fit_seed(config):
+    """The seed the audit hands its linearity fit."""
+    _, s_fit = np.random.SeedSequence(config.seed).spawn(2)
+    return int(s_fit.generate_state(1)[0])
+
+
+@pytest.mark.parametrize("dims, options", [
+    ((2, 2), DEFAULT_BRANCH_OPTIONS),
+    ((2, 3), DEFAULT_BRANCH_OPTIONS),
+    ((3, 3), DEFAULT_BRANCH_OPTIONS),
+    ((2, 2), IntegratorOptions(method="rkf45")),
+], ids=["2x2", "2x3", "3x3", "2x2-rkf45"])
+def test_the_audits_linearity_residual_is_the_standalone_fit(dims, options):
+    # under rk4 the fit's rows ride in the branch linearization as complex
+    # rows of zero imaginary part; under rkf45 the fit runs alone
+    law, h = polesink_law(0.1), BlochHamiltonian(dims)
+    config = AuditConfig(seed=5, ensemble_size=2, branch_options=options)
+    report = audit(law, h, config)
+    _, residual = reduced_propagator_fit(law, h, max(config.times), config.fit_probes,
+                                         _audit_fit_seed(config), options)
+    assert residual > config.pass_tolerance
+    assert report.linearity_residual.hex() == residual.hex()
+
+
+def test_nan_tangent_rows_leave_the_fit_that_rides_with_them_unchanged():
+    law, h, times = polesink_law(0.1), BlochHamiltonian((2, 2)), DEFAULT_TIMES
+    flow = reduced_flow(law, h.h1, 2)
+    starts = dynamics._fit_starts(2, 20, 7)
+    bases = np.array([[0.1, 0.2, 0.3], [0.0, 0.5, np.nan]])  # the second member is NaN
+    _, tangents, ridden = measurement._linearization(
+        flow, bases, times, DEFAULT_BRANCH_OPTIONS, starts)
+    assert np.isnan(tangents[:, 1]).all() and np.isfinite(tangents[:, 0]).all()
+    assert ridden.shape == (3, len(starts), 3) and not ridden.imag.any()
+    a, residual = dynamics._fit_read_off(starts, ridden[-1], 1.0, DEFAULT_BRANCH_OPTIONS)
+    alone_a, alone = reduced_propagator_fit(law, h, 1.0, 20, 7)
+    assert np.array_equal(a, alone_a) and residual.hex() == alone.hex()

@@ -739,6 +739,20 @@ def test_branch_max_steps_is_enforced_for_every_law(tmp_path, capsys, base):
     assert err == ["error: integration: rk4 would need 100 steps (> max_steps=10)"]
 
 
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_a_fit_that_is_not_finite_ends_the_audit_with_the_fits_message(tmp_path, capsys, method):
+    # polesink at epsilon 1e300 overflows every fit probe; under rk4 the fit
+    # rides in the branch batch and still ends the audit as it does alone
+    law = {"name": "polesink", "epsilon": 1e300}
+    branch = {"method": method}
+    cfg = write_config(tmp_path, "audit.json", {
+        **POLESINK_AUDIT_CONFIG, "law": law,
+        "audit": {**POLESINK_AUDIT_CONFIG["audit"], "integrator": branch}})
+    assert main(["audit", "--config", cfg, "--no-timestamp"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: integration: {method} result at t=1 is not finite"]
+
+
 @pytest.mark.parametrize("command, payload", [
     ("audit", {**LINEAR_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": 1, "times": [1e308]}}),
     ("audit", {**POLESINK_AUDIT_CONFIG, "audit": {"ensemble_size": 2, "seed": 1, "times": [1e308]}}),
