@@ -682,12 +682,17 @@ class ReducedFlow:
         r0 = np.asarray(r0, dtype=complex if np.iscomplexobj(r0) else float)
         times = _ascending(times)
         if self.generator is not None:
-            # Rows times M^T: M @ r0 would mix the rows of a batch.
-            out = np.repeat(r0[None], len(times), axis=0)  # t = 0 keeps r0
+            # Rows times M^T: M @ r0 would mix a batch's rows.  A lone row goes twice,
+            # as BLAS would give it a matrix-vector product that rounds otherwise.
+            rows = r0.reshape(-1, r0.shape[-1])
+            rows = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
+            out = np.empty((len(times), *rows.shape), dtype=r0.dtype)
             for row, t in zip(out, times):
                 if t > 0:
-                    np.matmul(r0, self._propagator(t, options).T, out=row)
-            return out
+                    np.matmul(rows, self._propagator(t, options).T, out=row)
+                else:
+                    row[...] = rows  # t = 0 keeps r0
+            return out[:, : r0.size // r0.shape[-1]].reshape(len(times), *r0.shape)
         # Stacked at the end: an output allocated before integrating would
         # sit beside the rk4 stage temporaries and raise the peak memory.
         samples, y, done = [], r0, 0.0

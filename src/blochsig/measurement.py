@@ -14,25 +14,21 @@ and the later single-outcome statistics of party 1 are the branch-weighted
 average of its evolved conditional states.  That average is the quantity
 whose sensitivities the audit module differentiates.
 
-:func:`_member_distributions` is the one route to it: the packed joint rows
-``x`` and remote outcomes ``(u0, u)`` of one or several members, whose
-branches propagate as one rk4 batch under the law's shared reduced flow
-(``dynamics.reduced_flow``), sampled at several times;
-:func:`local_distribution` is its one-row, one-time case.  Complex rows or
-outcomes (the audit's complex steps) stay complex throughout; a branch is
-kept by the real part of its weight, and a row that moves a dropped branch
-fails, since its derivative is one-sided.
-
-A complex row moves party 1 only through its Born weights and collapsed
-states, so under a flow without a generator its branches are read off a
+:func:`_member_distributions` is the one route to it.  It takes the members
+of a call stacked: packed joint rows ``x`` ``(M, P, D)``, remote outcomes
+``(M, K, d2)`` and local outcomes ``(M, K1, d1)`` (:func:`_outcomes` pads
+an observable with fewer outcomes), and runs each step once per block of
+members: one collapse, one Born read and one scatter.  Every member's
+branches propagate as one batch under the law's shared reduced flow
+(``dynamics.reduced_flow``) at several times, and each member gets the
+bits it gets alone.  Complex rows or outcomes (the audit's complex steps)
+stay complex; a branch is kept by the real part of its weight, and a row
+that moves a dropped branch fails, since its derivative is one-sided.
+Under a flow without a generator their branches are read off a
 linearization (forward-mode complex steps): each kept outcome ``k`` of a
-member propagates only the ``d1`` tangent rows ``r1'_k + i eps e_i`` of its
-real collapsed state, whatever the member's row count, and the last such
-linearization is kept, so the audit's measurement-choice channel reuses
-the propagation of its coordinate sweep.  Other real rows of party 1 (the
-audit's linearity fit) can ride in the same batch.  A flow with a
-generator applies its cached propagator to every row, as do real rows
-under any flow.
+member propagates only the ``d1`` tangent rows ``r1'_k + i eps e_i``, and
+the last linearization is kept, so the audit's measurement-choice channel
+reuses its coordinate sweep's.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -284,10 +280,27 @@ def conditional_state(
         raise DimensionMismatchError(
             f"observable dim {obs2.dim} != second subsystem dim {joint.dims[1]}"
         )
-    p, r = _collapse(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), len(joint.r1))
-    if p[0, k] <= EPS_PROB:
-        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, k]:.3e}")
-    return float(p[0, k]), BlochState(joint.dims[0], r[0, k] / p[0, k])
+    p, r = _collapse(pack_coords(joint)[None, None], *_outcomes([obs2], joint.dims, 2),
+                     len(joint.r1))
+    if p[0, 0, k] <= EPS_PROB:
+        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, 0, k]:.3e}")
+    return float(p[0, 0, k]), BlochState(joint.dims[0], r[0, 0, k] / p[0, 0, k])
+
+
+def _outcomes(observables, dims, party) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes ``(u0, u)`` of each of a sequence of observables of
+    ``party`` (1 or 2) of ``dims``, stacked to shapes ``(M, K)`` and
+    ``(M, K, n**2 - 1)``; one with fewer than ``K`` outcomes is padded with
+    zero outcomes, whose branches have weight 0 and read 0."""
+    n = dims[party - 1]
+    if any(obs.dim != n for obs in observables):
+        found = sorted({obs.dim for obs in observables})
+        raise DimensionMismatchError(f"observables of dims {found} do not fit dims {dims}")
+    k = max(map(len, observables))
+    pad = (Projector(n, 0.0, np.zeros(n * n - 1)),)
+    rows = [obs.outcomes + pad * (k - len(obs)) for obs in observables]
+    return (np.array([[p.u0 for p in row] for row in rows]),
+            np.array([[p.u for p in row] for row in rows]))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,22 +308,23 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``np.matmul`` hands every ``(1, d) @ (d, 1)`` slice to the same BLAS dot
     as ``u @ r`` on two vectors, so each entry equals ``float(u @ r)`` bit
-    for bit at any d (a gemm or einsum over the same rows may sum in
-    another order).
+    for bit at any d and in any stack (a gemm or einsum over the same rows
+    may sum in another order).
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _collapse(x, u0, u, d1):
-    """Born weights ``p`` (shape ``(P, K)``) and party 1's unnormalized
-    collapsed coordinates ``p * r1'`` (``(P, K, d1)``) of packed joint rows
-    ``x`` under outcomes ``u0, u`` as for :func:`_member_distributions`.
-    Each gets ``r12 @ u`` from the BLAS matrix-vector product that
-    ``joint.r12 @ proj.u`` uses, and ``u . r2`` from :func:`_dots`."""
+    """Born weights ``p`` ``(M, P, K)`` and party 1's unnormalized collapsed
+    coordinates ``p * r1'`` ``(M, P, K, d1)`` of packed joint rows ``x`` under
+    outcomes ``u0, u`` as for :func:`_member_distributions`, with ``r12 @ u``
+    from the BLAS matrix-vector product of ``joint.r12 @ proj.u`` and
+    ``u . r2`` from :func:`_dots`."""
     d2 = u.shape[-1]
-    r12 = x[:, d1 + d2 :].reshape(len(x), d1, d2)
-    p = u0 + _dots(x[:, None, d1 : d1 + d2], u)
-    scaled = u0[..., None] * x[:, None, :d1] + (r12[:, None] @ u[..., None])[..., 0]
+    r12 = x[..., d1 + d2 :].reshape(*x.shape[:-1], d1, d2)
+    p = u0[:, None] + _dots(x[:, :, None, d1 : d1 + d2], u[:, None])
+    r12u = (r12[:, :, None] @ u[:, None, ..., None])[..., 0]
+    scaled = u0[:, None, :, None] * x[:, :, None, :d1] + r12u
     return p, scaled
 
 
@@ -328,138 +342,131 @@ def local_distribution(
     measured obs2 at time 0: every branch state collapses per
     :func:`conditional_state`, evolves in isolation under the law's reduced
     flow (the ``hamiltonian``'s party-1 block; ``None``: zero) and is
-    averaged with its weight, in ascending outcome order.  The one-row,
-    one-time case of :func:`_member_distributions`, raising its failure;
-    branches at or below the probability floor contribute zero."""
-    [(dist, failures)] = _member_distributions(
-        [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)],
-        law, hamiltonian or dynamics.BlochHamiltonian(joint.dims), [t], options,
-    )
+    averaged with its weight, in ascending outcome order; branches at or
+    below the probability floor contribute zero.  Raises the failure of
+    its :func:`_member_distributions` call."""
+    h = hamiltonian or dynamics.BlochHamiltonian(joint.dims)
+    dist, failures = _member_distributions(
+        pack_coords(joint)[None, None], _outcomes([obs2], h.dims, 2), _outcomes([obs1], h.dims, 1),
+        law, h, [t], options)
     if failures:
-        raise failures[0, 0]
-    return dist[0, 0]
+        raise failures[0, 0, 0]
+    return dist[0, 0, 0]
 
 
-def _member_distributions(members, law, hamiltonian, times, options=None, extra=None):
-    """Party 1's distributions at each ascending time, shape
-    ``(len(times), P, len(obs1))``, of each member ``(x, u0, u, obs1, names)``
-    (``P`` packed joint rows ``x`` of the ``hamiltonian``'s dims, remote
-    outcomes ``u0, u`` of shapes ``(K,), (K, d2)``), read once in order, with
-    its failures: the error that left a distribution unchecked, keyed by
-    (time index, row).  Only the collapsed party-1 states of its rows are
-    kept, every member's propagate as one batch under the law's reduced flow
-    of the Hamiltonian's party-1 block (``options`` default to the audit's
-    rk4 ``dynamics.DEFAULT_BRANCH_OPTIONS``), and each member's segment is
-    averaged with its own ``obs1``, each row's weighted branches summed in
-    ascending outcome order (one unbuffered scatter-add), as one row would.
-    A branch of real weight <= ``EPS_PROB`` is dropped; a complex row moving
-    one (its weight or collapsed state) has a one-sided derivative:
-    ``PerturbationInfeasibleError`` at every time, named by ``names`` (None:
-    by its index).  A distribution that is not finite is an
-    ``IntegrationFailureError``.
+# Members are collapsed and read in blocks of about this many bytes of rows,
+# so that a call's temporaries stay small at any member count.
+_BLOCK_BYTES = 1 << 17
 
-    A flow with a generator, or a call whose rows and outcomes are all
-    real, propagates every collapsed state.  Complex rows under a flow
-    without one take the tangent route (:func:`_tangent_branches`): each
-    member's rows must then share one real part, else ``ValueError``.
-    ``extra`` real party-1 rows ``(E, d1)`` ride in that route's batch
-    (:func:`_linearization`); given them, the call returns its distributions
-    and their states at each time, ``(len(times), E, d1)`` (``None`` off the
-    tangent route)."""
+
+def _member_distributions(x, remote, local, law, hamiltonian, times, options=None, names=None,
+                          extra=None, index=None):
+    """Party 1's distributions at each ascending time, ``(len(times), M, P,
+    K1)``, of ``M`` members stacked as packed joint rows ``x`` ``(M, P, D)``
+    of the ``hamiltonian``'s dims (with ``index``: each member's state
+    ``(M, 1, D)`` and rows ``x + i _EPS e_k`` for ``k`` in ``index``), remote
+    outcomes ``(u0, u)`` ``(M, K)``, ``(M, K, d2)`` and ``local`` outcomes
+    ``(M, K1)``, ``(M, K1, d1)``, with their failures: the error that left a
+    distribution unchecked, keyed by (member, time index, row).  Every
+    member's collapsed party-1 states propagate as one batch under the
+    reduced flow of the Hamiltonian's party-1 block (``options``:
+    ``dynamics.DEFAULT_BRANCH_OPTIONS``); each step around it, row building
+    included, runs once per block of members (``_BLOCK_BYTES``) and acts on
+    each member alone, each row's branches summed in ascending outcome
+    order.  A branch of real weight <= ``EPS_PROB`` is dropped; a complex
+    row moving one has a one-sided derivative: ``PerturbationInfeasibleError``
+    at every time, named by ``names`` (None: by row index).  A distribution
+    that is not finite is an ``IntegrationFailureError``.
+
+    Complex rows under a flow without a generator take the tangent route: a
+    row moves branch ``k`` only through its collapsed state ``r1'_row,k``,
+    whose real part is the base ``r1'_k`` (from the member's first row), so
+    its evolved branch is ``Re Phi(r1'_k) + i (Im r1'_row,k / _EPS) @ Im
+    Phi(r1'_k + i _EPS e_i)`` over the tangent rows ``i`` of one
+    :func:`_linearization`, each row's contraction its own ``(1, d1) @ (d1,
+    d1)`` product; a member's rows must share one real part (``ValueError``).
+    ``extra`` real party-1 rows ``(E, d1)`` ride in that batch; their states
+    ``(len(times), E, d1)`` (``None`` off this route) come back third."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
+    (u0, u), (v0, v) = remote, local
+    if (v.shape[-1], u.shape[-1], x.shape[-1]) != (d1, d2, d1 + d2 + d1 * d2):
+        raise DimensionMismatchError(f"local outcomes, remote outcomes and rows of lengths "
+                                     f"{v.shape[-1]}, {u.shape[-1]}, {x.shape[-1]} do not fit "
+                                     f"dims {dims}")
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
-    branches, states, bases = [], [], []
-    for x, u0, u, obs1, names in members:
-        if (obs1.dim, u.shape[-1], x.shape[-1]) != (n1, d2, d1 + d2 + d1 * d2):
-            raise DimensionMismatchError(
-                f"local observable dim {obs1.dim}, remote outcomes of length {u.shape[-1]} "
-                f"and rows of length {x.shape[-1]} do not fit dims {dims}"
-            )
-        p, scaled = _collapse(x, u0, u, d1)
+    rows = x.shape[1] if index is None else len(index)
+    tangent = flow.generator is None and (index is not None or np.result_type(x, u0, u).kind == "c")
+    size = max(1, _BLOCK_BYTES // max(1, 16 * rows * x.shape[-1]))  # as complex rows
+    blocks = [slice(m, m + size) for m in range(0, len(x), size)]
+    failures, collapsed, bases = {}, [], []
+    for block in blocks:
+        xb = x[block]
+        if index is not None:
+            xb = np.repeat(xb.astype(complex), rows, axis=1)
+            xb[:, np.arange(rows), index] += 1j * _EPS
+        p, scaled = _collapse(xb, u0[block], u[block], d1)
         drop = p.real <= EPS_PROB  # a NaN weight stays in, and poisons its row
         moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
-        infeasible = {}
-        for row, k in zip(*moved.nonzero()):  # a row's first moved outcome names it
-            infeasible.setdefault(row, PerturbationInfeasibleError(
+        for m, row in zip(*moved.any(axis=-1).nonzero()):  # a row's first moved outcome names it
+            k = moved[m, row].argmax()
+            error = PerturbationInfeasibleError(
                 f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
-                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative exists"
-            ))
+                f"outcome {k} of weight {p.real[m, row, k]:.3e}, so only a one-sided derivative "
+                "exists")
+            failures.update(((block.start + m, i, row), error) for i in range(len(times)))
         keep = ~drop
-        branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
-        states.append(scaled[keep] / p[keep][:, None])
-        if flow.generator is None:
-            bases.append(_bases(x, u0, u, keep, d1))
-    states = np.concatenate(states)
-    if flow.generator is None and np.iscomplexobj(states):
-        evolved, ridden = _tangent_branches(flow, bases, states, times, options, extra)
+        collapsed.append((keep, np.where(keep, p, 0), scaled[keep] / p[keep][:, None]))
+        if tangent:  # the bases: the collapse of each member's first row's real part
+            re = xb.real
+            if not np.array_equal(re, np.broadcast_to(re[:, :1], re.shape), equal_nan=True):
+                raise ValueError("under a flow without a generator, the complex rows of a "
+                                 "member must share one real part")
+            # contiguous copies: a strided operand may take another BLAS route, and
+            # every channel must collapse its real part onto the same bits
+            q, base = _collapse(*map(np.ascontiguousarray,
+                                     (re[:, :1], u0[block].real, u[block].real)), d1)
+            first = np.broadcast_to(keep.any(axis=1)[:, None], q.shape)  # outcomes kept
+            bases.append(base[first] / q[first][:, None])
+    if tangent:
+        real, tangents, ridden = _linearization(flow, np.concatenate(bases), tuple(times),
+                                                options, extra)
     else:
+        states = np.concatenate([state for *_, state in collapsed])
         evolved, ridden = flow.sample(states, times, options), None
-    out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
-    segments = zip(np.split(evolved, ends, axis=1), branches)
-    for segment, (rows, infeasible, obs1, owners, weights) in segments:
-        born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
-        dist = np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype)
-        np.add.at(dist, (slice(None), owners), weights[:, None] * born)
-        failures = {(i, row): e for row, e in infeasible.items() for i in range(len(times))}
-        for i, row in zip(*(~np.isfinite(dist).all(axis=-1)).nonzero()):
-            failures.setdefault((i, row), IntegrationFailureError(
+    dist = np.zeros((len(times), len(x), rows, v.shape[1]),
+                    dtype=complex if tangent else evolved.dtype)
+    start = offset = 0
+    for block, (keep, weights, state) in zip(blocks, collapsed):
+        shape = (len(times), *keep.shape, d1)
+        if not tangent:
+            segment, start = evolved[:, start : start + len(state)], start + len(state)
+            if len(state) == keep.size:  # every branch kept: the states are the grid
+                grid = segment.reshape(shape)
+            else:
+                grid = np.zeros(shape, dtype=segment.dtype)
+                grid[:, keep] = segment
+        else:  # an outcome that no row keeps reads a spare base, then zeros
+            kept = keep.any(axis=1)
+            at = offset + np.maximum(np.cumsum(kept).reshape(kept.shape) - 1, 0)
+            offset += np.count_nonzero(kept)
+            steps = np.zeros((*keep.shape, d1))
+            steps[keep] = state.imag / _EPS
+            grid = np.zeros(shape, dtype=complex)
+            if len(state):
+                grid.real = real[:, at][:, :, None]
+                grid.imag = (steps[None, ..., None, :] @ tangents[:, at][:, :, None])[..., 0, :]
+                grid[:, ~keep] = 0
+        born = v0[block, None, None] + _dots(grid[..., None, :], v[block, None, None])
+        weighted = weights[..., None] * born
+        out = dist[:, block]
+        for k in range(weighted.shape[-2]):  # dropped branches add +0, which changes no sum
+            out += weighted[..., k, :]
+        for i, m, row in zip(*(~np.isfinite(out).all(axis=-1)).nonzero()):
+            failures.setdefault((block.start + m, i, row), IntegrationFailureError(
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
-        out.append((dist, failures))
-    return out if extra is None else (out, ridden)
-
-
-def _bases(x, u0, u, keep, d1):
-    """A member's linearization points for :func:`_tangent_branches`: party
-    1's real collapsed states ``r1'_k``, one per outcome that some row keeps
-    (``keep``, shape ``(P, K)``), from the real part of its first row and
-    outcomes; with ``keep`` restricted to those outcomes, and whether every
-    row shares that real part."""
-    real = x.real
-    shared = np.array_equal(real, np.broadcast_to(real[:1], real.shape), equal_nan=True)
-    kept = keep.any(axis=0)
-    # contiguous copies: a strided operand may take another BLAS route, and
-    # every channel must collapse its real part onto the same bits
-    p, scaled = _collapse(*map(np.ascontiguousarray, (real[:1], u0.real, u.real)), d1)
-    return (scaled[:, kept] / p[:, kept, None]).reshape(-1, d1), keep[:, kept], shared
-
-
-def _tangent_branches(flow, bases, states, times, options, extra=None):
-    """The evolved branches of the complex collapsed ``states`` (each
-    member's kept (row, outcome) pairs in row-major order, as
-    :func:`_member_distributions` lists them), from one linearization of the
-    field ``flow`` about every member's ``bases`` (:func:`_bases`).
-
-    A row moves party 1's branch ``k`` only through its collapsed state
-    ``r1'_row,k``, whose real part is the base ``r1'_k`` and whose imaginary
-    part is a complex step.  So its evolved branch is
-    ``Re Phi(r1'_k) + i (Im r1'_row,k / _EPS) @ Im Phi(r1'_k + i _EPS e_i)``
-    over the ``d1`` tangent rows ``i``: ``K d1`` propagated rows per member,
-    whatever its row count.  Each row's tangent contraction is its own
-    ``(1, d1) @ (d1, d1)`` product, so a row gets the same bits in any
-    batch.  Returns them with the states of the ``extra`` rows
-    (:func:`_linearization`).  Raises ``ValueError`` when a member's rows
-    differ in their real part."""
-    if not all(shared for *_, shared in bases):
-        raise ValueError(
-            "under a flow without a generator, the complex rows of a member must share one "
-            "real part"
-        )
-    real, tangents, ridden = _linearization(
-        flow, np.concatenate([base for base, *_ in bases]), tuple(times), options, extra
-    )
-    evolved = np.empty((len(times), *states.shape), dtype=complex)
-    start = end = 0
-    for base, keep, _ in bases:
-        stop, rows = start + len(base), slice(end, end + np.count_nonzero(keep))
-        steps = np.zeros((*keep.shape, states.shape[-1]))
-        steps[keep] = states[rows].imag / _EPS
-        contracted = steps[None, :, :, None, :] @ tangents[:, None, start:stop]
-        evolved[:, rows].real = real[:, start + keep.nonzero()[1]]
-        evolved[:, rows].imag = contracted[..., 0, :][:, keep]
-        start, end = stop, rows.stop
-    return evolved, ridden
+    return (dist, failures) if extra is None else (dist, failures, ridden)
 
 
 def _linearization(flow, bases, times, options, extra=None):

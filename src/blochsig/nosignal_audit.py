@@ -23,16 +23,11 @@ that fails any of the four at the pass tolerance is flagged as signaling.
 Numerical hygiene notes baked into the defaults:
 
 * Branch trajectories integrate with a fixed-step method, so the numerical
-  flow is analytic in its initial condition.  Every component and every
-  remote outcome of every member (a leading member axis) form one call:
+  flow is analytic in its initial condition.  Every component, remote
+  outcome and member forms one stacked call (:mod:`blochsig.measurement`):
   one for both of party 2's coordinate blocks and one for the measurement
-  choice.  One trajectory serves every audit time whose step grid nests.
-  Under a flow without a generator a call propagates only the ``d1``
-  complex tangent rows of each member's kept branches, and the
-  measurement-choice call reuses the coordinate sweep's linearization, so
-  an audit makes one branch propagation (see
-  :mod:`blochsig.measurement`); under rk4 the reduced-propagator fit's
-  rows ride in it too.
+  choice, which reuses the first one's propagation; one trajectory serves
+  every audit time whose step grid nests.
 * No step has to stay physical, so pure states are audited like any other.
   Only a component moving a zero-weight branch, which the average drops,
   is flagged infeasible (its derivative is one-sided), never skipped.
@@ -71,13 +66,14 @@ from .dynamics import (
     reduced_generator,
     reduced_propagator_fit,
 )
-from .errors import IntegrationFailureError, PerturbationInfeasibleError
+from .errors import DimensionMismatchError, IntegrationFailureError, PerturbationInfeasibleError
 from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
     _EPS,
     ProjectiveObservable,
     _member_distributions,
     _observables_from_bases,
+    _outcomes,
     _rotation_direction,
     computational_observable,
     local_distribution,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
@@ -173,60 +169,54 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra
     """``max |Im p| / _EPS`` over party 1's outcomes ``p``, as
     ``[member][row][time]``, of each complex-step row of each member of the
     equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
-    ``times``; ``plan(joint, obs2)`` gives a member's rows, outcomes and row
-    names.  Each member is checked and collapsed once for all of its rows
-    (the audit's coordinate sweep gives both state channels' rows), every
-    member's branches propagate as one batch, and an outcome left
-    unchecked holds its error instead (see ``_member_distributions``, which
-    also takes the ``extra`` rows and says what a call with them returns).
-    A member outside the physical set raises ``UnphysicalStateError``."""
+    ``times``; ``plan(dims, x, obs2s)`` gives every member's rows (or the
+    stepped coordinates of its state), outcomes and row names from the packed
+    states ``x`` ``(M, D)``, as ``_member_distributions`` takes them.  Each member
+    is checked once (one outside the physical set raises
+    ``UnphysicalStateError``), all go into one stacked call, and an outcome
+    left unchecked holds its error (see ``_member_distributions``, which
+    also takes the ``extra`` rows and says what a call with them returns)."""
     if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
         raise ValueError("members must be nonempty sequences of states and observables")
     if np.ndim(times) != 1:
         raise ValueError("times must be a sequence of times")
-    members = list(zip(joints, obs2s, obs1s, strict=True))
-
-    def planned():  # one member at a time: its rows are dropped once collapsed
-        for state, remote, local in members:
-            # the steps need no physical neighbours, but the member itself must be a state
-            joint_from_bloch(state, *map(cached_basis, state.dims))
-            x, u0, u, names = plan(state, remote)
-            yield x, u0, u, local, names
-
-    propagated = _member_distributions(planned(), law, hamiltonian, list(times), options,
-                                       extra=extra)
-    dists, ridden = (propagated, None) if extra is None else propagated
-    out = []
-    for d, failures in dists:
-        values = (np.max(np.abs(d.imag), axis=-1) / _EPS).T.tolist()
-        for (i, row), error in failures.items():
-            values[row][i] = error
-        out.append(values)
-    return out if extra is None else (out, ridden)
+    dims = hamiltonian.dims
+    for state, *_ in zip(joints, obs2s, obs1s, strict=True):
+        # the steps need no physical neighbours, but the member itself must be a state
+        joint_from_bloch(state, *map(cached_basis, state.dims))
+        if state.dims != dims:
+            raise DimensionMismatchError(f"member dims {state.dims} do not fit dims {dims}")
+    x, remote, names, index = plan(dims, np.stack([pack_coords(state) for state in joints]), obs2s)
+    dist, failures, *ridden = _member_distributions(
+        x, remote, _outcomes(obs1s, dims, 1), law, hamiltonian, list(times), options, names, extra,
+        index)
+    values = (np.max(np.abs(dist.imag), axis=-1) / _EPS).transpose(1, 2, 0).tolist()
+    for (m, i, row), error in failures.items():
+        values[m][row][i] = error
+    return values if extra is None else (values, *ridden)
 
 
 def _coordinate_plan(ks, ijs):
     """The plan of one complex-step row ``x + i _EPS e_k`` per packed
-    coordinate of party 2: ``r2[k]`` for each ``k`` in ``ks``, then
+    coordinate ``k`` of party 2 (built a block of members at a time, from
+    the coordinates' ``index``): ``r2[k]`` for each ``k`` in ``ks``, then
     ``r12[i,j]`` for each pair in ``ijs``, with the outcomes of the remote
-    observable.  Every index must be a Python or numpy integer (a bool is
+    observables.  Every index must be a Python or numpy integer (a bool is
     refused), else ``ValueError``."""
     _require_number(Integral, **{f"component[{n}]": k for n, k in enumerate(ks)},
                     **{f"component[{n}][{m}]": c for n, ij in enumerate(ijs)
                        for m, c in enumerate(ij)})
     ks, ijs = [int(k) for k in ks], [(int(i), int(j)) for i, j in ijs]
 
-    def plan(state, remote):
-        d1, d2 = (n**2 - 1 for n in state.dims)
+    def plan(dims, x, remotes):
+        d1, d2 = (n**2 - 1 for n in dims)
         if not all(0 <= k < d2 for k in ks):
             raise ValueError(f"component must lie in [0, {d2})")
         if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
             raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
         index = [d1 + k for k in ks] + [d1 + d2 + i * d2 + j for i, j in ijs]
-        x = np.tile(pack_coords(state).astype(complex), (len(index), 1))
-        x[np.arange(len(index)), index] += 1j * _EPS
         names = [f"r2[{k}]" for k in ks] + [f"r12[{i},{j}]" for i, j in ijs]
-        return x, remote.u0_vector(), remote.u_matrix(), names
+        return x[:, None], _outcomes(remotes, dims, 2), names, index
 
     return plan
 
@@ -289,9 +279,12 @@ def d_remote_observable(
     """Sensitivity to the remote measurement choice along a rotation family
     at its base, from the outcome rows ``u + i _EPS du/dtheta``; the members,
     ``t`` and the result (one ``theta`` component) as for :func:`d_remote_state`."""
-    def plan(state, fam):
-        u = fam.base.u_matrix() + 1j * _EPS * fam.tangent()
-        return pack_coords(state)[None], fam.base.u0_vector(), u, ["theta"]
+    def plan(dims, x, families):
+        u0, u = _outcomes([fam.base for fam in families], dims, 2)
+        steps = np.zeros_like(u)
+        for step, fam in zip(steps, families):
+            step[: len(fam.base)] = fam.tangent()
+        return x[:, None], (u0, u + 1j * _EPS * steps), ["theta"], None
 
     return _channel(law, hamiltonian, joint, family, obs1, t, plan, options)
 
@@ -430,20 +423,14 @@ def audit(
     audit window, which is what spatial separation means operationally.
     Two batched channel calls, each over every member and audit time,
     give each outcome its value or the error that left it unchecked: one
-    sweep over all of party 2's coordinates (``r2``, then ``r12``), each
-    member checked and collapsed once and its rows split back into the
-    ``d_remote_state`` and ``d_correlations`` channels, and one
-    ``d_remote_observable`` call.  Under a flow without a generator the
-    second call reuses the first one's linearized branches, so the audit
-    propagates its branches once; under rk4 the linearity fit's start rows
-    ride in that same batch and are read at ``max(times)``, so a nonlinear
-    audit makes one rk4 propagation in all.  Elsewhere the fit runs alone,
-    before the sweep.  The report is read off them in one walk,
-    in member, time (config order), channel, component order.
-    Partial failures (infeasible perturbations, integrator giving up,
-    non-finite sensitivities or linearity residual) are recorded per case
-    and excluded from the maxima; a failure also rules out a pass, since
-    no-signaling went unchecked there.
+    sweep over all of party 2's coordinates (``r2``, then ``r12``), split
+    back into the ``d_remote_state`` and ``d_correlations`` channels, and
+    one ``d_remote_observable`` call.  Under a flow without a generator the
+    second call reuses the first one's linearized branches; under rk4 the
+    linearity fit's start rows ride in that same batch and are read at
+    ``max(times)``, so a nonlinear audit makes one rk4 propagation in all.
+    Elsewhere the fit runs alone, before the sweep.  :func:`_report` reads
+    the report off the outcomes.
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
@@ -451,16 +438,11 @@ def audit(
     states, remotes, locals_, families = _ensemble(dims, config, np.random.default_rng(s_members))
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     opts = config.branch_options
-
-    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
     grid = sorted(set(config.times))
-    at = {t: i for i, t in enumerate(grid)}
-    ks, pairs = list(range(d2)), [(i, j) for i in range(d1) for j in range(d2)]
-    labels = ([str(k) for k in ks], [f"{i},{j}" for i, j in pairs], ["theta"])
     t_fit, fit_seed = max(config.times), int(s_fit.generate_state(1)[0])
     # One sweep over party 2's coordinates serves both state channels: each
     # member's rows are r2, then r12, split at d2 into the two channels.
-    sweep = _coordinate_plan(ks, pairs)
+    sweep = _coordinate_plan(range(d2), [(i, j) for i in range(d1) for j in range(d2)])
     if reduced_flow(law, hamiltonian.h1, dims[0]).generator is None and opts.method == "rk4":
         # The fit's rows ride in the sweep's linearization, which reads them
         # at max(times): one rk4 propagation for both.  Its step count is
@@ -478,13 +460,25 @@ def audit(
         _, linearity = reduced_propagator_fit(
             law, hamiltonian, t_fit, config.fit_probes, fit_seed, opts)
         coords = _channel(law, hamiltonian, states, remotes, locals_, grid, sweep, opts)
-    runs = (
-        [rows[:d2] for rows in coords],
-        [rows[d2:] for rows in coords],
-        d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts),
-    )
-    # One walk in member, time (config order), channel, component order: a
-    # channel's worst case is its first largest value; a row's is its last.
+    theta = d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts)
+    runs = ([rows[:d2] for rows in coords], [rows[d2:] for rows in coords], theta)
+    return _report(law.name, dims, config, runs, linearity)
+
+
+def _report(law_name, dims, config, runs, linearity) -> AuditReport:
+    """The audit's report of the channel outcomes ``runs`` (per channel,
+    ``[member][component][time]`` in the audit's component order for
+    ``dims`` and on the sorted distinct ``config.times``, each a value or an
+    error) and the ``linearity`` residual, read in one walk in member, time
+    (config order), channel, component order.  Failures are recorded per
+    case, excluded from the maxima and rule out a pass, since no-signaling
+    went unchecked there.  A channel's worst case is its first largest
+    value; a row's is its last."""
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
+    labels = ([str(k) for k in range(d2)], [f"{i},{j}" for i in range(d1) for j in range(d2)],
+              ["theta"])
+    at = {t: i for i, t in enumerate(sorted(set(config.times)))}
     infeasible, failures, rows = [], [], []
     maxima, worst = dict.fromkeys(channels, 0.0), {ch: {} for ch in channels}
     for m, outcomes in enumerate(zip(*runs)):
@@ -520,27 +514,19 @@ def audit(
                 })
 
     if not math.isfinite(linearity):
-        failures.append(
-            {"member": None, "time": t_fit, "channel": "linearity", "component": "-",
-             "reason": f"linearity residual is not finite ({linearity!r})",
-             "status": "non-finite"}
-        )
-
+        failures.append({"member": None, "time": max(config.times), "channel": "linearity",
+                         "component": "-", "reason": f"linearity residual is not finite "
+                         f"({linearity!r})", "status": "non-finite"})
     overall = max(maxima.values())
-    verdict = (
-        VERDICT_PASS
-        if overall <= config.pass_tolerance
-        and linearity <= config.pass_tolerance
-        and not failures
-        else VERDICT_SIGNALING
-    )
+    checked = overall <= config.pass_tolerance and linearity <= config.pass_tolerance
+    verdict = VERDICT_PASS if checked and not failures else VERDICT_SIGNALING
     if linearity > overall:
         worst_overall = {"channel": "linearity", "value": linearity}
     else:
         top = max(channels, key=lambda ch: maxima[ch])
         worst_overall = {"channel": top, **worst[top]}
     return AuditReport(
-        law=law.name,
+        law=law_name,
         dims=dims,
         max_d_remote_state=maxima["d_remote_state"],
         max_d_correlations=maxima["d_correlations"],
@@ -572,14 +558,14 @@ def signaling_channel_demo(
     law whose measurement-choice sensitivity vanishes along the connecting
     family).  Both observables' branches propagate as one batch, under
     the ``hamiltonian``'s party-1 block (``None``: zero)."""
-    (pa, fa), (pb, fb) = _member_distributions(
-        [(pack_coords(joint)[None], obs.u0_vector(), obs.u_matrix(), local_obs, None)
-         for obs in (obs_a, obs_b)], law, hamiltonian or BlochHamiltonian(joint.dims), [t],
-        options)
-    if fa or fb:
-        raise (fa or fb)[0, 0]
-    delta = 0.5 * float(np.sum(np.abs(pa - pb)))
-    return delta, (pa[0, 0], pb[0, 0])
+    h = hamiltonian or BlochHamiltonian(joint.dims)
+    dist, failures = _member_distributions(
+        np.tile(pack_coords(joint), (2, 1, 1)), _outcomes([obs_a, obs_b], h.dims, 2),
+        _outcomes([local_obs] * 2, h.dims, 1), law, h, [t], options)
+    if failures:
+        raise failures[min(failures)]
+    pa, pb = dist[0, :, 0]
+    return 0.5 * float(np.sum(np.abs(pa - pb))), (pa, pb)
 
 
 @lru_cache(maxsize=64)

@@ -31,6 +31,7 @@ from blochsig.measurement import (
     _collapse,
     _dots,
     _member_distributions,
+    _outcomes,
     observable_from_matrices,
     rotate_observable,
 )
@@ -172,55 +173,59 @@ def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, inde
                                 options):
     """Central differences ``max |p(x + h e_k) - p(x - h e_k)| / 2h`` over
     party 1's outcomes along packed coordinates ``index``: the packed rows
-    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 as one
-    ``_member_distributions`` member.  Returns one list per component, one
-    value per time; both shifted states should stay physical."""
+    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 as the rows
+    of one ``_member_distributions`` member.  Returns one list per
+    component, one value per time; both shifted states should stay
+    physical."""
     rows = [pack_coords(_shifted(joint, k, sign * fd_step))
             for k in index for sign in (+1.0, -1.0)]
-    [(dists, failures)] = _member_distributions(
-        [(np.stack(rows), obs2.u0_vector(), obs2.u_matrix(), obs1, None)], law, hamiltonian,
-        list(times), options)
+    dims = hamiltonian.dims
+    dists, failures = _member_distributions(
+        np.stack(rows)[None], _outcomes([obs2], dims, 2), _outcomes([obs1], dims, 1), law,
+        hamiltonian, list(times), options)
     assert not failures
-    diffs = np.max(np.abs(dists[:, 0::2] - dists[:, 1::2]), axis=-1)
+    diffs = np.max(np.abs(dists[:, 0, 0::2] - dists[:, 0, 1::2]), axis=-1)
     return (diffs / (2.0 * fd_step)).T.tolist()
 
 
-def branchwise_member_distributions(members, law, hamiltonian, times, options=None):
+def branchwise_member_distributions(x, remote, local, law, hamiltonian, times, options=None,
+                                    names=None):
     """``_member_distributions`` with every collapsed state of every row
-    propagated as its own branch row, complex or not: no linearization, no
-    memo.  The same members, results and failure records; the oracle of the
-    tangent route, which reads complex rows off ``K d1`` tangent rows per
-    member instead."""
+    propagated as its own branch row, complex or not, one member at a time:
+    no linearization, no memo, no blocks.  The same members, results and
+    failure records; the oracle of the tangent route, which reads complex
+    rows off ``K d1`` tangent rows per member instead."""
     n1, n2 = hamiltonian.dims
     d1 = n1**2 - 1
     options = options or DEFAULT_BRANCH_OPTIONS
-    branches, states = [], []
-    for x, u0, u, obs1, names in members:
-        p, scaled = _collapse(x, u0, u, d1)
+    (u0, u), (v0, v) = remote, local
+    branches, states, failures = [], [], {}
+    for m in range(len(x)):
+        p, scaled = _collapse(x[m : m + 1], u0[m : m + 1], u[m : m + 1], d1)
+        p, scaled = p[0], scaled[0]
         drop = p.real <= EPS_PROB
         moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
-        infeasible = {}
         for row, k in zip(*moved.nonzero()):
-            infeasible.setdefault(row, PerturbationInfeasibleError(
+            error = PerturbationInfeasibleError(
                 f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
-                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative exists"
-            ))
+                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative "
+                "exists")
+            for i in range(len(times)):
+                failures.setdefault((m, i, row), error)
         keep = ~drop
-        branches.append((len(x), infeasible, obs1, np.nonzero(keep)[0], p[keep]))
+        branches.append((np.nonzero(keep)[0], p[keep]))
         states.append(scaled[keep] / p[keep][:, None])
     evolved = reduced_flow(law, hamiltonian.h1, n1).sample(np.concatenate(states), times, options)
-    out, ends = [], np.cumsum([len(weights) for *_, weights in branches])[:-1]
-    for segment, (rows, infeasible, obs1, owners, weights) in zip(
-            np.split(evolved, ends, axis=1), branches):
-        born = obs1.u0_vector() + _dots(segment[:, :, None, :], obs1.u_matrix())
-        dist = np.zeros((len(evolved), rows, len(obs1)), dtype=evolved.dtype)
-        np.add.at(dist, (slice(None), owners), weights[:, None] * born)
-        failures = {(i, row): e for row, e in infeasible.items() for i in range(len(times))}
-        for i, row in zip(*(~np.isfinite(dist).all(axis=-1)).nonzero()):
-            failures.setdefault((i, row), IntegrationFailureError(
+    dist = np.zeros((len(times), *x.shape[:2], v.shape[1]), dtype=evolved.dtype)
+    ends = np.cumsum([len(weights) for _, weights in branches])[:-1]
+    for m, (segment, (owners, weights)) in enumerate(zip(np.split(evolved, ends, axis=1),
+                                                         branches)):
+        born = v0[m] + _dots(segment[:, :, None, :], v[m])
+        np.add.at(dist[:, m], (slice(None), owners), weights[:, None] * born)
+        for i, row in zip(*(~np.isfinite(dist[:, m]).all(axis=-1)).nonzero()):
+            failures.setdefault((m, i, row), IntegrationFailureError(
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
-        out.append((dist, failures))
-    return out
+    return dist, failures
 
 
 # One object per draw, in the formulas the samplers apply to a stack.

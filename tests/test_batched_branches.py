@@ -61,6 +61,7 @@ from helpers import (
     branchwise_member_distributions,
     channel_label,
     reference_direction,
+    reference_ensemble,
     reference_haar_unitary,
 )
 
@@ -569,7 +570,7 @@ def _per_component_audit(monkeypatch, law, h, config):
             out = []
             for joint, obs2, obs1 in zip(joints, obs2s, obs1s):
                 rows = []
-                for name in plan(joint, obs2)[3]:
+                for name in plan(h.dims, pack_coords(joint)[None], [obs2])[2]:
                     which, label = channel_label(name)
                     member = (law, h, [joint], [obs2], [obs1], t)
                     if which == "d_remote_state":
@@ -634,50 +635,59 @@ def _sweep_names(dims):
             *(f"r12[{i},{j}]" for i in range(d1) for j in range(d2)))
 
 
-def _recorded_propagations(monkeypatch):
-    """Record each branch propagation of the audit as (members, times, the
-    set of the members' row names)."""
-    calls, original = [], nosignal_audit._member_distributions
+def _counted(law):
+    """``law``'s reduced field as a law of its own that records the shape and
+    dtype kind of the rows of each call."""
+    calls = []
 
-    def recorded(members, law, hamiltonian, times, options=None, extra=None):
-        members = list(members)
-        calls.append((len(members), tuple(times), {tuple(m[-1]) for m in members}))
-        return original(members, law, hamiltonian, times, options, extra)
+    def field(h_local, r):
+        calls.append((np.shape(r), np.asarray(r).dtype.kind))
+        return law.reduced_field_fn(h_local, r)
 
-    monkeypatch.setattr(nosignal_audit, "_member_distributions", recorded)
-    return calls
+    return custom_law(f"counted {law.name}", reduced_field=field), calls
 
 
-def test_an_integration_failure_still_makes_one_propagation_per_sweep(monkeypatch):
-    calls = _recorded_propagations(monkeypatch)
-    report = audit(_expanding_law(), BlochHamiltonian((2, 2)),
-                   AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
-    grid = DEFAULT_TIMES
-    # member 0 fails at t = 1, inside the one batch over both members and every time
-    assert calls == [(2, grid, {_sweep_names((2, 2))}), (2, grid, {("theta",)})]
+def test_an_integration_failure_still_makes_one_propagation_per_sweep():
+    law, calls = _counted(_expanding_law())
+    report = audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
+    # member 0 fails at t = 1, inside the one rk4 propagation after the
+    # flow's 6-call probe: the fit's 1 + d1 start rows and the K d1 = 6
+    # tangent rows of each member, to t = 1 at step 0.01, four stages a step
+    assert calls[6:] == [((4 + 2 * 6, 3), "c")] * 400
     assert {f["member"] for f in report.failures} == {0}
 
 
-def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes(monkeypatch):
+def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     # rkf45 gives up on a branch just before t = 1; that row reads NaN, so
     # its outcomes at t = 1 fail and every earlier outcome is checked
-    calls = _recorded_propagations(monkeypatch)
-    config = AuditConfig(seed=3, ensemble_size=3, fit_probes=0,
-                         branch_options=IntegratorOptions(method="rkf45"))
-    report = audit(_expanding_law(), BlochHamiltonian((2, 2)), config)
+    rkf45 = IntegratorOptions(method="rkf45")
+    config = AuditConfig(seed=3, ensemble_size=3, fit_probes=0, branch_options=rkf45)
+    law, calls = _counted(_expanding_law())
+    report = audit(law, BlochHamiltonian((2, 2)), config)
     assert report.failures and {f["time"] for f in report.failures} == {1.0}
     assert all(f["reason"] == "rkf45 result at t=1 is not finite" for f in report.failures)
     assert all(row["status"] == "ok" for row in report.cases if row["time"] < 1.0)
-    assert [names for *_, names in calls] == [{_sweep_names((2, 2))}, {("theta",)}]
+    # the fit runs alone on real rows; the audit's complex rows are those of
+    # the one linearization that a d_remote_observable call alone makes
+    s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
+    states, _, locals_, families = nosignal_audit._ensemble((2, 2), config,
+                                                            np.random.default_rng(s_members))
+    alone, alone_calls = _counted(_expanding_law())
+    d_remote_observable(alone, BlochHamiltonian((2, 2)), states, families, locals_,
+                        DEFAULT_TIMES, options=rkf45)
+    complex_calls = [c for c in calls if c[1] == "c"]
+    assert complex_calls and complex_calls == [c for c in alone_calls if c[1] == "c"]
+    assert {c for c in calls if c[1] != "c"} == {((3,), "f"), ((2, 3), "f")}  # fit and probe
 
 
-def test_audit_makes_two_channel_propagations_each_over_every_member_and_time(monkeypatch):
-    calls = _recorded_propagations(monkeypatch)
-    audit(polesink_law(0.1), BlochHamiltonian((2, 3)),
+def test_an_audit_propagates_every_member_and_time_in_one_batch():
+    law, calls = _counted(polesink_law(0.1))
+    audit(law, BlochHamiltonian((2, 3)),
           AuditConfig(seed=1, ensemble_size=3, times=(1.0, 0.25, 0.5, 0.25)))
-    grid = DEFAULT_TIMES
-    assert len(_sweep_names((2, 3))) == 8 + 24
-    assert calls == [(3, grid, {_sweep_names((2, 3))}), (3, grid, {("theta",)})]
+    # after the flow's probe: one rk4 propagation to t = 1 of the fit's
+    # 1 + d1 + fit_probes start rows and the K d1 = 9 tangent rows of each
+    # of the 3 members, every audit time read off it
+    assert calls[6:] == [((1 + 3 + 20 + 3 * 9, 3), "c")] * 400
 
 
 def _scalar_loop_distributions(pairs, obs1, law, times):
@@ -701,12 +711,14 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     pairs = [(product, computational), (generic, three), (generic, two), (product, three)]
     obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     law = polesink_law(0.1)
-    members = [(pack_coords(joint)[None], obs2.u0_vector(), obs2.u_matrix(), obs1, None)
-               for joint, obs2 in pairs]  # one batch of uneven branch counts
-    dists = measurement._member_distributions(members, law, BlochHamiltonian(dims),
-                                              DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
-    assert not any(failures for _, failures in dists)
-    batched = np.concatenate([dist for dist, _ in dists], axis=1)
+    # one batch of uneven branch counts: the rank-2 observable is padded
+    x = np.stack([pack_coords(joint)[None] for joint, _ in pairs])
+    remote = measurement._outcomes([obs2 for _, obs2 in pairs], dims, 2)
+    dist, failures = measurement._member_distributions(
+        x, remote, measurement._outcomes([obs1] * len(pairs), dims, 1), law,
+        BlochHamiltonian(dims), DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
+    assert not failures
+    batched = dist[:, :, 0]
     assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
     assert np.array_equal(batched, _scalar_loop_distributions(pairs, obs1, law, DEFAULT_TIMES))
     # the channel demo is the two-pair case at one time
@@ -850,16 +862,15 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
     x = np.stack([pack_coords(JointBlochState(dims, [0.0, 0.0, r], np.zeros(3), np.zeros((3, 3))))
                   for r in (0.9, 0.5)])
     remote, local = computational_observable(2), computational_observable(2)
-    [(dist, failures)] = measurement._member_distributions(
-        [(x, remote.u0_vector(), remote.u_matrix(), local, None)], law, BlochHamiltonian(dims),
-        times)
-    assert list(failures) == [(1, 0)]  # (time index, row)
-    assert isinstance(failures[1, 0], IntegrationFailureError)
-    assert str(failures[1, 0]) == "rk4 result at t=1 is not finite"
-    [(alone, none)] = measurement._member_distributions(
-        [(x[1:], remote.u0_vector(), remote.u_matrix(), local, None)], law,
-        BlochHamiltonian(dims), times)
-    assert not none and np.array_equal(dist[:, 1:], alone)
+    outcomes = (measurement._outcomes([remote], dims, 2), measurement._outcomes([local], dims, 1))
+    dist, failures = measurement._member_distributions(
+        x[None], *outcomes, law, BlochHamiltonian(dims), times)
+    assert list(failures) == [(0, 1, 0)]  # (member, time index, row)
+    assert isinstance(failures[0, 1, 0], IntegrationFailureError)
+    assert str(failures[0, 1, 0]) == "rk4 result at t=1 is not finite"
+    alone, none = measurement._member_distributions(
+        x[None, 1:], *outcomes, law, BlochHamiltonian(dims), times)
+    assert not none and np.array_equal(dist[:, :, 1:], alone)
     # the one-row call raises the failure in place of its distribution
     joint = JointBlochState(dims, x[0, :3], np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
@@ -876,32 +887,52 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
 
 
 def _audit_members(dims, config):
-    """The audit's members as ``_member_distributions`` takes them: each
-    member's coordinate-sweep rows, then each member's observable row."""
+    """The audit's members as ``_member_distributions`` takes them, stacked
+    (see :func:`_audit_members_of`)."""
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
-    states, remotes, locals_, families = nosignal_audit._ensemble(
-        dims, config, np.random.default_rng(s_members))
+    return _audit_members_of(dims, *nosignal_audit._ensemble(
+        dims, config, np.random.default_rng(s_members)))
+
+
+def _audit_members_of(dims, states, remotes, locals_, families):
+    """Every member's coordinate sweep, then every member's observable row,
+    each as ``(x, remote, local, names, index)`` (see ``_member_distributions``)."""
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     sweep = nosignal_audit._coordinate_plan(range(d2), [(i, j) for i in range(d1)
                                                         for j in range(d2)])
-    coordinates = [(x, u0, u, obs1, names) for (x, u0, u, names), obs1 in zip(
-        map(sweep, states, remotes), locals_)]
-    theta = [(pack_coords(s)[None], f.base.u0_vector(),
-              f.base.u_matrix() + 1j * EPS * f.tangent(), obs1, ["theta"])
-             for s, f, obs1 in zip(states, families, locals_)]
-    return coordinates, theta
+    x = np.stack([pack_coords(s) for s in states])
+    local = measurement._outcomes(locals_, dims, 1)
+    u0, u = measurement._outcomes([f.base for f in families], dims, 2)
+    steps = np.zeros_like(u)
+    for step, f in zip(steps, families):
+        step[: len(f.base)] = f.tangent()
+    theta = (x[:, None], (u0, u + 1j * EPS * steps), local, ["theta"], None)
+    states, remote, names, index = sweep(dims, x, remotes)
+    return (states, remote, local, names, index), theta
+
+
+def _rows(x, index):
+    """The complex-step rows ``x + i EPS e_k`` of each member's packed state
+    for each ``k`` in ``index`` (``x`` itself without one)."""
+    if index is None:
+        return x
+    rows = np.repeat(x.astype(complex), len(index), axis=1)
+    rows[:, np.arange(len(index)), index] += 1j * EPS
+    return rows
 
 
 def _assert_matches_branchwise(members, law, h, times, options):
-    tangent = measurement._member_distributions(members, law, h, times, options)
-    branchwise = branchwise_member_distributions(members, law, h, times, options)
-    for (dist, failures), (ref, ref_failures) in zip(tangent, branchwise, strict=True):
-        assert {k: repr(e) for k, e in failures.items()} == {
-            k: repr(e) for k, e in ref_failures.items()}
-        np.testing.assert_allclose(dist.real, ref.real, rtol=0, atol=1e-15, equal_nan=True)
-        np.testing.assert_allclose(dist.imag / EPS, ref.imag / EPS, rtol=0, atol=1e-15,
-                                   equal_nan=True)
-    return tangent
+    x, remote, local, names, index = members
+    dist, failures = measurement._member_distributions(x, remote, local, law, h, times, options,
+                                                       names, index=index)
+    ref, ref_failures = branchwise_member_distributions(_rows(x, index), remote, local, law, h,
+                                                        times, options, names)
+    assert {k: repr(e) for k, e in failures.items()} == {
+        k: repr(e) for k, e in ref_failures.items()}
+    np.testing.assert_allclose(dist.real, ref.real, rtol=0, atol=1e-15, equal_nan=True)
+    np.testing.assert_allclose(dist.imag / EPS, ref.imag / EPS, rtol=0, atol=1e-15,
+                               equal_nan=True)
+    return dist, failures
 
 
 @pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
@@ -914,11 +945,12 @@ def test_tangent_route_matches_propagating_every_complex_row(dims, options):
                          times=(0.5,) if rkf45 else DEFAULT_TIMES)
     coordinates, theta = _audit_members(dims, config)
     if rkf45:
-        coordinates = [(x[::5], u0, u, obs1, names[::5]) for x, u0, u, obs1, names in coordinates]
+        x, remote, local, names, index = coordinates
+        coordinates = (x, remote, local, names[::5], index[::5])
     for members in (coordinates, theta):
-        tangent = _assert_matches_branchwise(members, law, h, list(config.times), options)
-        assert all(not failures for _, failures in tangent)
-        assert any(np.abs(dist.imag).max() > 1e-6 * EPS for dist, _ in tangent)
+        dist, failures = _assert_matches_branchwise(members, law, h, list(config.times), options)
+        assert not failures
+        assert np.abs(dist.imag).max() > 1e-6 * EPS
 
 
 @pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
@@ -928,48 +960,50 @@ def test_tangent_route_keeps_the_failure_records_of_propagating_every_row(option
     config = AuditConfig(seed=3, ensemble_size=2)
     coordinates, theta = _audit_members((2, 2), config)
     for members in (coordinates, theta):
-        tangent = _assert_matches_branchwise(members, _expanding_law(), BlochHamiltonian((2, 2)),
-                                             list(DEFAULT_TIMES), options)
-        assert {i for i, _ in tangent[0][1]} == {2} and not tangent[1][1]
+        _, failures = _assert_matches_branchwise(members, _expanding_law(),
+                                                 BlochHamiltonian((2, 2)), list(DEFAULT_TIMES),
+                                                 options)
+        assert failures and {(m, i) for m, i, _ in failures} == {(0, 2)}
 
 
 def test_tangent_route_keeps_infeasible_rows_and_zero_weight_branches():
     law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
     state, obs2, obs1 = _zero_weight_member()
-    x, u0, u, names = nosignal_audit._coordinate_plan(range(3), [(i, 2) for i in range(3)])(
-        state, obs2)
-    tangent = _assert_matches_branchwise([(x, u0, u, obs1, names)], law, h, [0.5], None)
-    assert sorted(row for _, row in tangent[0][1]) == [2, 3, 4, 5]
+    x, remote, names, index = nosignal_audit._coordinate_plan(
+        range(3), [(i, 2) for i in range(3)])((2, 2), pack_coords(state)[None], [obs2])
+    local = measurement._outcomes([obs1], (2, 2), 1)
+    _, failures = _assert_matches_branchwise((x, remote, local, names, index), law, h, [0.5],
+                                             None)
+    assert sorted(row for _, _, row in failures) == [2, 3, 4, 5]
 
 
 def test_complex_rows_of_a_member_must_share_one_real_part_under_a_field_flow():
     state, obs2, obs1, _ = _member((2, 2), 71)
-    x = np.tile(pack_coords(state).astype(complex), (2, 1))
-    x[:, 3] += [1j * EPS, 2j * EPS]
-    member = (x, obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+    x = np.tile(pack_coords(state).astype(complex), (1, 2, 1))
+    x[0, :, 3] += [1j * EPS, 2j * EPS]
+    outcomes = (measurement._outcomes([obs2], (2, 2), 2), measurement._outcomes([obs1], (2, 2), 1))
     h = BlochHamiltonian((2, 2))
-    measurement._member_distributions([member], polesink_law(0.1), h, [0.5])
-    x[1, 0] += 0.01
+    measurement._member_distributions(x, *outcomes, polesink_law(0.1), h, [0.5])
+    x[0, 1, 0] += 0.01
     with pytest.raises(ValueError, match="complex rows of a member must share one real part"):
-        measurement._member_distributions([member], polesink_law(0.1), h, [0.5])
+        measurement._member_distributions(x, *outcomes, polesink_law(0.1), h, [0.5])
     # a generator flow propagates every row, and real rows stay free
-    measurement._member_distributions([member], linear_law(), h, [0.5])
-    real = (x.real.copy(), *member[1:])
-    measurement._member_distributions([real], polesink_law(0.1), h, [0.5])
+    measurement._member_distributions(x, *outcomes, linear_law(), h, [0.5])
+    measurement._member_distributions(x.real.copy(), *outcomes, polesink_law(0.1), h, [0.5])
 
 
 def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
-    state, obs2, obs1, _ = _member((2, 2), 72)
-    x = pack_coords(state).astype(complex)[None] + 1j * EPS
-    empty = (x[:0], obs2.u0_vector(), obs2.u_matrix(), obs1, None)
-    full = (x, obs2.u0_vector(), obs2.u_matrix(), obs1, None)
+    members = [_member((2, 2), 72 + m) for m in range(2)]
+    x = np.stack([pack_coords(state) for state, *_ in members]).astype(complex)[:, None] + 1j * EPS
+    outcomes = (measurement._outcomes([obs2 for _, obs2, *_ in members], (2, 2), 2),
+                measurement._outcomes([obs1 for *_, obs1, _ in members], (2, 2), 1))
     for law in (polesink_law(0.1), linear_law()):
-        (none, no_failures), (dist, _) = measurement._member_distributions(
-            [empty, full], law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
-        assert none.shape == (3, 0, 2) and not no_failures
-        [(alone, _)] = measurement._member_distributions(
-            [full], law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
-        assert np.array_equal(dist, alone)
+        none, no_failures = measurement._member_distributions(
+            x[:, :0], *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+        assert none.shape == (3, 2, 0, 2) and not no_failures
+        dist, _ = measurement._member_distributions(
+            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+        assert dist.shape == (3, 2, 1, 2) and np.abs(dist.imag).max() > 0
 
 
 def _counted_polesink():
@@ -1042,3 +1076,65 @@ def test_nan_tangent_rows_leave_the_fit_that_rides_with_them_unchanged():
     a, residual = dynamics._fit_read_off(starts, ridden[-1], 1.0, DEFAULT_BRANCH_OPTIONS)
     alone_a, alone = reduced_propagator_fit(law, h, 1.0, 20, 7)
     assert np.array_equal(a, alone_a) and residual.hex() == alone.hex()
+
+
+# ---------------------------------------------------------------------------
+# A stacked call: every member gets the bits of its call alone.
+
+
+def _stack_member(kind, dims, seed):
+    """One member of ``kind`` at ``dims``: its state, remote and local
+    observables and rotation family.  ``anchor`` is the audit's anchor,
+    ``random`` an interior member, ``zero-weight`` a product state with
+    party 2 in |0> measured computationally (outcomes of weight 0),
+    ``rank-2`` a member whose remote observable has one rank-2 outcome (one
+    outcome fewer), and ``expanding`` a product state whose party 1 has
+    norm 0.9, which the expanding law drives non-finite before t = 1."""
+    rng = np.random.default_rng(seed)
+    b1, b2 = cached_basis(dims[0]), cached_basis(dims[1])
+    if kind == "anchor":
+        state, obs2, obs1, direction = reference_ensemble(dims, AuditConfig(ensemble_size=1), rng)[0]
+        return state, obs2, obs1, ObservableFamily(obs2, direction)
+    state, obs2, obs1, family = _member(dims, seed)
+    if kind in ("zero-weight", "expanding"):
+        remote = np.zeros((dims[1], dims[1]))
+        remote[0, 0] = 1.0
+        if kind == "zero-weight":
+            state = joint_to_bloch(np.kron(random_density(rng, dims[0]), remote), b1, b2)
+            obs2 = computational_observable(dims[1])
+        else:
+            r1 = np.zeros(dims[0] ** 2 - 1)
+            r1[-1] = 0.9
+            state = JointBlochState(dims, r1, np.zeros(dims[1] ** 2 - 1),
+                                    np.zeros((len(r1), dims[1] ** 2 - 1)))
+    elif kind == "rank-2":
+        u = reference_haar_unitary(rng, dims[1])
+        obs2 = observable_from_matrices([v @ v.conj().T for v in np.split(u, [2], axis=1)
+                                         if v.size], b2)
+    return state, obs2, obs1, ObservableFamily(obs2, family.direction)
+
+
+_STACK_KINDS = st.sampled_from(["anchor", "random", "zero-weight", "rank-2", "expanding"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dims=st.sampled_from([(2, 3), (3, 2)]), route=st.sampled_from(["generator", "tangent"]),
+       kinds=st.lists(st.tuples(_STACK_KINDS, st.integers(0, 2**16)), min_size=2, max_size=5))
+def test_a_stacked_call_gives_each_member_the_bits_of_its_call_alone(dims, route, kinds):
+    law = linear_law() if route == "generator" else _expanding_law()
+    h = random_hamiltonian(np.random.default_rng(73), dims, scale=0.6)
+    members = [_stack_member(kind, dims, seed) for kind, seed in kinds]
+    states, remotes, locals_, families = _columns(members)
+    coordinates, theta = _audit_members_of(dims, states, remotes, locals_, families)
+    for x, remote, local, names, index in (coordinates, theta):
+        stacked = _assert_matches_branchwise((x, remote, local, names, index), law, h,
+                                             list(DEFAULT_TIMES), None)
+        for m in range(len(members)):
+            one = [(outcomes[0][m : m + 1], outcomes[1][m : m + 1]) for outcomes in (remote, local)]
+            alone = measurement._member_distributions(x[m : m + 1], *one, law, h, DEFAULT_TIMES,
+                                                      None, names, index=index)
+            own = stacked[0][:, m, :, : alone[0].shape[-1]]  # its local outcomes
+            assert [v.hex() for v in own.ravel().view(float)] == [
+                v.hex() for v in alone[0][:, 0].ravel().view(float)]
+            assert {(i, row): repr(e) for (n, i, row), e in stacked[1].items() if n == m} == {
+                (i, row): repr(e) for (_, i, row), e in alone[1].items()}

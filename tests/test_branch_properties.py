@@ -17,6 +17,7 @@ from blochsig.dynamics import (
 )
 from blochsig.measurement import (
     _member_distributions,
+    _outcomes,
     conditional_state,
     observable_from_matrices,
     outcome_probabilities,
@@ -68,12 +69,14 @@ def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed)
     hamiltonian = random_hamiltonian(rng, dims)
     born = np.stack([outcome_probabilities(obs1, BlochState(dims[0], j.r1)) for j in joints])
     x = np.stack([pack_coords(j) for j in joints])
+    members = (np.stack([x] * len(remotes)), _outcomes(remotes, dims, 2),
+               _outcomes([obs1] * len(remotes), dims, 1))
     for law in (linear_law(), polesink_law(0.1)):
-        members = [(x, obs.u0_vector(), obs.u_matrix(), obs1, None) for obs in remotes]
-        for dist, failures in _member_distributions(members, law, hamiltonian, [0.0],
-                                                    DEFAULT_BRANCH_OPTIONS):
-            assert not failures
-            np.testing.assert_allclose(dist[0], born, rtol=0.0, atol=1e-12)
+        dist, failures = _member_distributions(*members, law, hamiltonian, [0.0],
+                                               DEFAULT_BRANCH_OPTIONS)
+        assert not failures
+        for member in dist[0]:
+            np.testing.assert_allclose(member, born, rtol=0.0, atol=1e-12)
 
 
 @fixed

@@ -18,6 +18,7 @@ from blochsig.errors import (
 from blochsig.measurement import (
     Projector,
     _member_distributions,
+    _outcomes,
     computational_observable,
     conditional_state,
     fourier_observable,
@@ -272,14 +273,14 @@ def test_a_complex_row_moving_a_dropped_branch_fails_alone():
     rows[0, 3] += 1e-30j  # r2[0]
     rows[1, 5] += 1e-30j  # r2[2]
     obs = computational_observable(2)
-    [(dist, failures)] = _member_distributions(
-        [(rows, obs.u0_vector(), obs.u_matrix(), obs, None)], linear_law(),
+    dist, failures = _member_distributions(
+        rows[None], _outcomes([obs], (2, 2), 2), _outcomes([obs], (2, 2), 1), linear_law(),
         BlochHamiltonian((2, 2)), [0.0])
-    assert np.all(np.isfinite(dist[:, 0])) and not np.any(dist[:, 0].imag)
-    assert list(failures) == [(0, 1)]  # (time index, row)
-    assert isinstance(failures[0, 1], PerturbationInfeasibleError)
+    assert np.all(np.isfinite(dist[:, 0, 0])) and not np.any(dist[:, 0, 0].imag)
+    assert list(failures) == [(0, 0, 1)]  # (member, time index, row)
+    assert isinstance(failures[0, 0, 1], PerturbationInfeasibleError)
     assert re.match(r"^perturbation of row 1 moves remote outcome 1 of weight 0\.000e\+00",
-                    str(failures[0, 1]))
+                    str(failures[0, 0, 1]))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -23,6 +23,7 @@ from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.integrate import IntegratorOptions
 from blochsig.jsonio import dumps
 from blochsig.measurement import computational_observable, fourier_observable, rotate_observable
+from blochsig import nosignal_audit
 from blochsig.nosignal_audit import (
     AuditConfig,
     ObservableFamily,
@@ -44,7 +45,6 @@ from blochsig.su_basis import cached_basis
 
 from helpers import (
     amplitude_damping_law,
-    channel_label,
     gksl_coordinate_field,
     reference_report,
 )
@@ -355,8 +355,6 @@ def test_audit_records_infeasible_components_of_a_zero_weight_branch(monkeypatch
     # an anchor with a zero-weight remote outcome: the components that move
     # that branch are flagged; the rotation channel still runs, so the audit
     # completes with flags instead of dying
-    from blochsig import nosignal_audit
-
     ensemble = nosignal_audit._ensemble
 
     def zero_weight_anchor(dims, config, rng):
@@ -489,39 +487,38 @@ def test_a_custom_law_without_the_field_a_run_needs_is_refused_by_name():
 # Aggregation rules, on crafted outcomes
 
 
-def _crafted(plans):
-    """A ``_channel`` stand-in: ``plans[channel](member, label, t)`` is the
-    outcome of one component of one channel at one time, a float or an
-    exception, the channel and label read off the row names of the real
-    plan (see ``helpers.channel_label``).  Like the real sweep, it returns
-    ``[member][row][time]``, and an exception stands in place of its
-    outcome."""
-    def fake(law, hamiltonian, joints, obs2s, obs1s, times, plan, options):
-        return [[[plans[which](m, label, t) for t in times]
-                 for which, label in map(channel_label, plan(state, remote)[3])]
-                for m, (state, remote) in enumerate(zip(joints, obs2s))]
-
-    return fake
+_CHANNELS = ("d_remote_state", "d_correlations", "d_remote_observable")
 
 
-def test_nonfinite_sensitivities_are_failures_and_block_a_pass(monkeypatch):
+def _runs(dims, config, outcome):
+    """Crafted channel outcomes as the audit's channels give them,
+    ``[member][component][time]`` per channel: ``outcome(channel, member,
+    label, t)`` is one component's value or error at one of the sorted
+    distinct times."""
+    d1, d2 = (n**2 - 1 for n in dims)
+    labels = ([str(k) for k in range(d2)],
+              [f"{i},{j}" for i in range(d1) for j in range(d2)], ["theta"])
+    grid = sorted(set(config.times))
+    return tuple([[[outcome(ch, m, label, t) for t in grid] for label in names]
+                  for m in range(config.ensemble_size)] for ch, names in zip(_CHANNELS, labels))
+
+
+def _crafted_report(dims, config, outcome, linearity=0.0):
+    """The report ``nosignal_audit._report`` reads off crafted outcomes."""
+    return nosignal_audit._report("crafted", dims, config, _runs(dims, config, outcome), linearity)
+
+
+def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
     # A NaN Hamiltonian is refused where its generator is built, so every
     # sensitivity is crafted NaN.
-    from blochsig import nosignal_audit
-
-    nan = dict.fromkeys(("d_remote_state", "d_correlations", "d_remote_observable"),
-                        lambda m, label, t: math.nan)
-    monkeypatch.setattr(nosignal_audit, "_channel", _crafted(nan))
-    report = audit(linear_law(), BlochHamiltonian((2, 2)),
-                   AuditConfig(seed=0, ensemble_size=2, times=(0.5,)))
+    report = _crafted_report((2, 2), AuditConfig(seed=0, ensemble_size=2, times=(0.5,)),
+                             lambda ch, m, label, t: math.nan)
     assert report.verdict != "pass"
     assert report.failures
     assert all(row["status"] == "non-finite" for row in report.cases)
 
 
-def test_report_aggregation_rules(monkeypatch):
-    from blochsig import nosignal_audit
-
+def test_report_aggregation_rules():
     infeasible = PerturbationInfeasibleError("r12[0,0] leaves the physical set")
     late = IntegrationFailureError("gave up at t=1")
 
@@ -537,9 +534,8 @@ def test_report_aggregation_rules(monkeypatch):
 
     plans = {"d_remote_state": state, "d_correlations": correlations,
              "d_remote_observable": lambda m, label, t: 0.0}
-    monkeypatch.setattr(nosignal_audit, "_channel", _crafted(plans))
     config = AuditConfig(seed=2, ensemble_size=2, times=(1.0, 0.5), fit_probes=4)
-    report = audit(linear_law(), BlochHamiltonian((2, 2)), config)
+    report = _crafted_report((2, 2), config, lambda ch, *args: plans[ch](*args))
 
     # A channel's worst case is its first largest value, and an all-zero
     # channel keeps no worst case.
@@ -606,33 +602,16 @@ _GRID_OUTCOMES = st.sampled_from(
     data=st.data(),
 )
 def test_one_walk_reads_the_report_the_outcome_table_gives(dims, members, times, data):
-    """Random outcome grids in place of the audit's two channel sweeps: the
-    report equals the one read off a table of every outcome, each row put
-    in its channel by its name."""
-    from blochsig import nosignal_audit
-
-    channels = ("d_remote_state", "d_correlations", "d_remote_observable")
-    runs = {ch: [[] for _ in range(members)] for ch in channels}
-
-    def grid(law, hamiltonian, joints, obs2s, obs1s, ts, plan, options):
-        assert len(joints) == members and ts == sorted(set(times))
-        out = []
-        for m, (state, remote) in enumerate(zip(joints, obs2s)):
-            names = plan(state, remote)[3]
-            out.append([[data.draw(_GRID_OUTCOMES) for _ in ts] for _ in names])
-            for name, row in zip(names, out[-1]):
-                runs[channel_label(name)[0]][m].append(row)
-        return out
-
+    """Random outcome grids in place of the audit's channel outcomes: the
+    report equals the one read off a table of every outcome."""
     config = AuditConfig(seed=3, ensemble_size=members, times=tuple(times), fit_probes=0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nosignal_audit, "_channel", grid)
-        report = audit(linear_law(), BlochHamiltonian(dims), config)
+    runs = _runs(dims, config, lambda *_: data.draw(_GRID_OUTCOMES))
+    linearity = data.draw(st.sampled_from([0.0, 0.25, 0.75]))
+    report = nosignal_audit._report("crafted", dims, config, runs, linearity)
     d1, d2 = (n**2 - 1 for n in dims)
     labels = ([str(k) for k in range(d2)],
               [f"{i},{j}" for i in range(d1) for j in range(d2)], ["theta"])
-    expected = reference_report([runs[ch] for ch in channels], times, labels,
-                                report.linearity_residual)
+    expected = reference_report(list(runs), times, labels, linearity)
     actual = {"infeasible": report.infeasible, "failures": report.failures,
               "per_channel_worst": report.per_channel_worst, "worst_case": report.worst_case,
               "residuals": report.residuals(), "cases": report.cases}
