@@ -46,6 +46,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,7 +70,7 @@ from .errors import (
     NonFiniteGeneratorError,
     NonlinearityEvaluationError,
 )
-from .integrate import DEFAULT_OPTIONS, IntegratorOptions
+from .integrate import DEFAULT_OPTIONS, IntegratorOptions, _require_number
 from .sampling import hs_densities
 from .su_basis import cached_basis, cached_constants
 
@@ -782,7 +783,10 @@ def reduced_propagator_fit(
     one batch, read off by :func:`_fit_read_off`.  A small residual
     certifies that isolated subsystems evolve by an affine map, as every
     local CPTP map (linear in rho) does; such a map cannot signal.
-    """
+    ``probes`` and ``seed`` must be integers >= 0 (not bools): ``ValueError``."""
+    _require_number(Integral, probes=probes, seed=seed)
+    if min(probes, seed) < 0:
+        raise ValueError(f"{'probes' if probes < 0 else 'seed'} must be >= 0")
     n = hamiltonian.dims[0]
     options = options or DEFAULT_BRANCH_OPTIONS
     flow = reduced_flow(law, hamiltonian.h1, n)

@@ -15,20 +15,20 @@ average of its evolved conditional states.  That average is the quantity
 whose sensitivities the audit module differentiates.
 
 :func:`_member_distributions` is the one route to it.  It takes the members
-of a call stacked: packed joint rows ``x`` ``(M, P, D)``, remote outcomes
+of a call stacked: real packed joint states ``(M, D)``, remote outcomes
 ``(M, K, d2)`` and local outcomes ``(M, K1, d1)`` (:func:`_outcomes` pads
 an observable with fewer outcomes), and runs each step once per block of
-members: one collapse, one Born read and one scatter.  Every member's
-branches propagate as one batch under the law's shared reduced flow
-(``dynamics.reduced_flow``) at several times, and each member gets the
-bits it gets alone.  Complex rows or outcomes (the audit's complex steps)
-stay complex; a branch is kept by the real part of its weight, and a row
-that moves a dropped branch fails, since its derivative is one-sided.
-Under a flow without a generator their branches are read off a
-linearization (forward-mode complex steps): each kept outcome ``k`` of a
-member propagates only the ``d1`` tangent rows ``r1'_k + i eps e_i``, and
-the last linearization is kept, so the audit's measurement-choice channel
-reuses its coordinate sweep's.
+members: the complex-step rows, one collapse, one Born read and one
+scatter.  Every member's branches propagate as one batch under the law's
+shared reduced flow (``dynamics.reduced_flow``) at several times, and each
+member gets the bits it gets alone.  Complex rows or outcomes (the audit's
+complex steps) stay complex; a branch is kept by the real part of its
+weight, and a row that moves a dropped branch fails, since its derivative
+is one-sided.  Under a flow without a generator their branches are read
+off a linearization (forward-mode complex steps) at the collapsed real
+states: each kept outcome ``k`` of a member propagates only the ``d1``
+tangent rows ``r1'_k + i eps e_i``, and the last linearization is kept, so
+the audit's measurement-choice channel reuses its coordinate sweep's.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity.  Derived observables
@@ -275,11 +275,14 @@ def outcome_probabilities(obs: ProjectiveObservable, state: BlochState) -> np.nd
 def conditional_state(
     joint: JointBlochState, obs2: ProjectiveObservable, k: int
 ) -> tuple[float, BlochState]:
-    """Probability of outcome k on party 2 and the collapsed state of party 1."""
+    """Probability of outcome k (an integer in ``[0, len(obs2))``, else
+    ``ValueError``) on party 2 and the collapsed state of party 1."""
     if obs2.dim != joint.dims[1]:
         raise DimensionMismatchError(
             f"observable dim {obs2.dim} != second subsystem dim {joint.dims[1]}"
         )
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(obs2):
+        raise ValueError(f"k must be an integer in [0, {len(obs2)}), got {k!r}")
     p, r = _collapse(pack_coords(joint)[None, None], *_outcomes([obs2], joint.dims, 2),
                      len(joint.r1))
     if p[0, 0, k] <= EPS_PROB:
@@ -347,7 +350,7 @@ def local_distribution(
     its :func:`_member_distributions` call."""
     h = hamiltonian or dynamics.BlochHamiltonian(joint.dims)
     dist, failures = _member_distributions(
-        pack_coords(joint)[None, None], _outcomes([obs2], h.dims, 2), _outcomes([obs1], h.dims, 1),
+        pack_coords(joint)[None], _outcomes([obs2], h.dims, 2), _outcomes([obs1], h.dims, 1),
         law, h, [t], options)
     if failures:
         raise failures[0, 0, 0]
@@ -362,31 +365,30 @@ _BLOCK_BYTES = 1 << 17
 def _member_distributions(x, remote, local, law, hamiltonian, times, options=None, names=None,
                           extra=None, index=None):
     """Party 1's distributions at each ascending time, ``(len(times), M, P,
-    K1)``, of ``M`` members stacked as packed joint rows ``x`` ``(M, P, D)``
-    of the ``hamiltonian``'s dims (with ``index``: each member's state
-    ``(M, 1, D)`` and rows ``x + i _EPS e_k`` for ``k`` in ``index``), remote
-    outcomes ``(u0, u)`` ``(M, K)``, ``(M, K, d2)`` and ``local`` outcomes
-    ``(M, K1)``, ``(M, K1, d1)``, with their failures: the error that left a
-    distribution unchecked, keyed by (member, time index, row).  Every
-    member's collapsed party-1 states propagate as one batch under the
+    K1)``, of ``M`` members (real packed joint states ``x`` ``(M, D)`` of the
+    ``hamiltonian``'s dims, remote outcomes ``(u0, u)`` ``(M, K)``, ``(M, K,
+    d2)``, ``local`` outcomes ``(M, K1)``, ``(M, K1, d1)``) and the error that
+    left each unchecked, keyed by (member, time index, row).  A member's rows
+    are ``x + i _EPS e_k`` for ``k`` in ``index``, or its state (``P = 1``).
+    Every member's collapsed party-1 states propagate as one batch under the
     reduced flow of the Hamiltonian's party-1 block (``options``:
-    ``dynamics.DEFAULT_BRANCH_OPTIONS``); each step around it, row building
-    included, runs once per block of members (``_BLOCK_BYTES``) and acts on
-    each member alone, each row's branches summed in ascending outcome
-    order.  A branch of real weight <= ``EPS_PROB`` is dropped; a complex
-    row moving one has a one-sided derivative: ``PerturbationInfeasibleError``
-    at every time, named by ``names`` (None: by row index).  A distribution
-    that is not finite is an ``IntegrationFailureError``.
+    ``dynamics.DEFAULT_BRANCH_OPTIONS``); every other step runs once per
+    block of members (``_BLOCK_BYTES``) and acts on each member alone, each
+    row's branches summed in ascending outcome order.  A branch of real
+    weight <= ``EPS_PROB`` is dropped; a complex row or outcome moving one
+    has a one-sided derivative: ``PerturbationInfeasibleError`` at every
+    time, named by ``names``.  A distribution that is not finite is an
+    ``IntegrationFailureError``.
 
     Complex rows under a flow without a generator take the tangent route: a
     row moves branch ``k`` only through its collapsed state ``r1'_row,k``,
-    whose real part is the base ``r1'_k`` (from the member's first row), so
-    its evolved branch is ``Re Phi(r1'_k) + i (Im r1'_row,k / _EPS) @ Im
-    Phi(r1'_k + i _EPS e_i)`` over the tangent rows ``i`` of one
+    whose real part is the collapse ``r1'_k`` of ``x`` under the real
+    outcomes, so its evolved branch is ``Re Phi(r1'_k) + i (Im r1'_row,k /
+    _EPS) @ Im Phi(r1'_k + i _EPS e_i)`` over the tangent rows ``i`` of one
     :func:`_linearization`, each row's contraction its own ``(1, d1) @ (d1,
-    d1)`` product; a member's rows must share one real part (``ValueError``).
-    ``extra`` real party-1 rows ``(E, d1)`` ride in that batch; their states
-    ``(len(times), E, d1)`` (``None`` off this route) come back third."""
+    d1)`` product.  ``extra`` real party-1 rows ``(E, d1)`` ride in that
+    batch; their states ``(len(times), E, d1)`` (``None`` off this route)
+    come back third."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
@@ -396,13 +398,13 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
                                      f"dims {dims}")
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
-    rows = x.shape[1] if index is None else len(index)
-    tangent = flow.generator is None and (index is not None or np.result_type(x, u0, u).kind == "c")
+    rows = 1 if index is None else len(index)
+    tangent = flow.generator is None and (index is not None or np.iscomplexobj(u))
     size = max(1, _BLOCK_BYTES // max(1, 16 * rows * x.shape[-1]))  # as complex rows
     blocks = [slice(m, m + size) for m in range(0, len(x), size)]
     failures, collapsed, bases = {}, [], []
     for block in blocks:
-        xb = x[block]
+        xb = x[block][:, None]
         if index is not None:
             xb = np.repeat(xb.astype(complex), rows, axis=1)
             xb[:, np.arange(rows), index] += 1j * _EPS
@@ -412,21 +414,16 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
         for m, row in zip(*moved.any(axis=-1).nonzero()):  # a row's first moved outcome names it
             k = moved[m, row].argmax()
             error = PerturbationInfeasibleError(
-                f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
-                f"outcome {k} of weight {p.real[m, row, k]:.3e}, so only a one-sided derivative "
-                "exists")
+                f"perturbation of {names[row]} moves remote outcome {k} of weight "
+                f"{p.real[m, row, k]:.3e}, so only a one-sided derivative exists")
             failures.update(((block.start + m, i, row), error) for i in range(len(times)))
         keep = ~drop
         collapsed.append((keep, np.where(keep, p, 0), scaled[keep] / p[keep][:, None]))
-        if tangent:  # the bases: the collapse of each member's first row's real part
-            re = xb.real
-            if not np.array_equal(re, np.broadcast_to(re[:, :1], re.shape), equal_nan=True):
-                raise ValueError("under a flow without a generator, the complex rows of a "
-                                 "member must share one real part")
-            # contiguous copies: a strided operand may take another BLAS route, and
-            # every channel must collapse its real part onto the same bits
-            q, base = _collapse(*map(np.ascontiguousarray,
-                                     (re[:, :1], u0[block].real, u[block].real)), d1)
+        if tangent:  # the bases: the collapse of the states under the real outcomes
+            # (contiguous: a strided operand may take another BLAS route, and every
+            # channel must collapse its states onto the same bits)
+            q, base = _collapse(x[block][:, None], u0[block].real,
+                                np.ascontiguousarray(u[block].real), d1)
             first = np.broadcast_to(keep.any(axis=1)[:, None], q.shape)  # outcomes kept
             bases.append(base[first] / q[first][:, None])
     if tangent:

@@ -169,10 +169,9 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra
     """``max |Im p| / _EPS`` over party 1's outcomes ``p``, as
     ``[member][row][time]``, of each complex-step row of each member of the
     equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
-    ``times``; ``plan(dims, x, obs2s)`` gives every member's rows (or the
-    stepped coordinates of its state), outcomes and row names from the packed
-    states ``x`` ``(M, D)``, as ``_member_distributions`` takes them.  Each member
-    is checked once (one outside the physical set raises
+    ``times``; ``plan(dims, obs2s)`` gives the remote outcomes, row names and
+    stepped coordinates that ``_member_distributions`` takes.  Each member is
+    checked once (one outside the physical set raises
     ``UnphysicalStateError``), all go into one stacked call, and an outcome
     left unchecked holds its error (see ``_member_distributions``, which
     also takes the ``extra`` rows and says what a call with them returns)."""
@@ -186,10 +185,10 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra
         joint_from_bloch(state, *map(cached_basis, state.dims))
         if state.dims != dims:
             raise DimensionMismatchError(f"member dims {state.dims} do not fit dims {dims}")
-    x, remote, names, index = plan(dims, np.stack([pack_coords(state) for state in joints]), obs2s)
+    remote, names, index = plan(dims, obs2s)
     dist, failures, *ridden = _member_distributions(
-        x, remote, _outcomes(obs1s, dims, 1), law, hamiltonian, list(times), options, names, extra,
-        index)
+        np.stack([pack_coords(state) for state in joints]), remote, _outcomes(obs1s, dims, 1), law,
+        hamiltonian, list(times), options, names, extra, index)
     values = (np.max(np.abs(dist.imag), axis=-1) / _EPS).transpose(1, 2, 0).tolist()
     for (m, i, row), error in failures.items():
         values[m][row][i] = error
@@ -198,8 +197,7 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra
 
 def _coordinate_plan(ks, ijs):
     """The plan of one complex-step row ``x + i _EPS e_k`` per packed
-    coordinate ``k`` of party 2 (built a block of members at a time, from
-    the coordinates' ``index``): ``r2[k]`` for each ``k`` in ``ks``, then
+    coordinate ``k`` of party 2: ``r2[k]`` for each ``k`` in ``ks``, then
     ``r12[i,j]`` for each pair in ``ijs``, with the outcomes of the remote
     observables.  Every index must be a Python or numpy integer (a bool is
     refused), else ``ValueError``."""
@@ -208,7 +206,7 @@ def _coordinate_plan(ks, ijs):
                        for m, c in enumerate(ij)})
     ks, ijs = [int(k) for k in ks], [(int(i), int(j)) for i, j in ijs]
 
-    def plan(dims, x, remotes):
+    def plan(dims, remotes):
         d1, d2 = (n**2 - 1 for n in dims)
         if not all(0 <= k < d2 for k in ks):
             raise ValueError(f"component must lie in [0, {d2})")
@@ -216,7 +214,7 @@ def _coordinate_plan(ks, ijs):
             raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
         index = [d1 + k for k in ks] + [d1 + d2 + i * d2 + j for i, j in ijs]
         names = [f"r2[{k}]" for k in ks] + [f"r12[{i},{j}]" for i, j in ijs]
-        return x[:, None], _outcomes(remotes, dims, 2), names, index
+        return _outcomes(remotes, dims, 2), names, index
 
     return plan
 
@@ -279,12 +277,12 @@ def d_remote_observable(
     """Sensitivity to the remote measurement choice along a rotation family
     at its base, from the outcome rows ``u + i _EPS du/dtheta``; the members,
     ``t`` and the result (one ``theta`` component) as for :func:`d_remote_state`."""
-    def plan(dims, x, families):
+    def plan(dims, families):
         u0, u = _outcomes([fam.base for fam in families], dims, 2)
         steps = np.zeros_like(u)
         for step, fam in zip(steps, families):
             step[: len(fam.base)] = fam.tangent()
-        return x[:, None], (u0, u + 1j * _EPS * steps), ["theta"], None
+        return (u0, u + 1j * _EPS * steps), ["theta"], None
 
     return _channel(law, hamiltonian, joint, family, obs1, t, plan, options)
 
@@ -560,7 +558,7 @@ def signaling_channel_demo(
     the ``hamiltonian``'s party-1 block (``None``: zero)."""
     h = hamiltonian or BlochHamiltonian(joint.dims)
     dist, failures = _member_distributions(
-        np.tile(pack_coords(joint), (2, 1, 1)), _outcomes([obs_a, obs_b], h.dims, 2),
+        np.tile(pack_coords(joint), (2, 1)), _outcomes([obs_a, obs_b], h.dims, 2),
         _outcomes([local_obs] * 2, h.dims, 1), law, h, [t], options)
     if failures:
         raise failures[min(failures)]

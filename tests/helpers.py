@@ -1,39 +1,41 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
-observable constructors among them), a per-stage RKF45 stepper used to
-cross-check the integrator, the central differences used to cross-check
-the complex-step state channels of the audit, the branch-by-branch route
-used to cross-check the audit's tangent route, the audit's ensemble and
-fit probes drawn and converted one object at a time, the oracles of their
-one-block draws, and the audit report read off a table of its outcomes, the
-oracle of the audit's one walk.
+observable constructors among them), per-stage RKF45 and RK4 steppers used
+to cross-check the integrator, the reference audit used to cross-check the
+audit's channels, the audit's ensemble and fit probes drawn and converted
+one object at a time, the oracles of their one-block draws, and the audit
+report read off a table of its outcomes, the oracle of the audit's one walk.
 
-The oracles and the stepper work on raw numpy arrays and never call the
-coordinate or integrator code paths they are used to verify; the central
-differences shift one component at a time through ``unpack_coords`` and
-subtract two real propagations, where the audit reads one complex one.  The
-branch-by-branch route shares the collapse and the flow with the route it
-checks, and differs only in what it propagates: every complex row.
+The oracles and the steppers work on raw numpy arrays and never call the
+coordinate or integrator code paths they are used to verify.  The
+reference audit (:func:`reference_audit`) works on density matrices alone:
+it takes complex steps in matrix space, collapses by projector matrices
+and evolves party 1 with the steppers here, reading the law only through
+its public ``kind`` and ``reduced_field_fn`` and the Hamiltonian through
+``h1``.  No private ``blochsig`` name is imported here.
 """
 
 import math
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
-from blochsig.bloch import pack_coords, to_bloch, unpack_coords
+from blochsig.bloch import to_bloch
 from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     EPS_PROB,
     Projector,
     ProjectiveObservable,
-    _collapse,
-    _dots,
-    _member_distributions,
-    _outcomes,
     observable_from_matrices,
     rotate_observable,
+)
+from blochsig.nosignal_audit import (
+    ObservableFamily,
+    d_correlations,
+    d_remote_observable,
+    d_remote_state,
 )
 from blochsig.sampling import (
     interior_joint_state,
@@ -94,6 +96,17 @@ def amplitude_damping_law(gamma):
     )
 
 
+def expanding_law():
+    """``dr/dt = 0.2 r`` as a custom law that turns NaN past norm 0.97:
+    branches collapsed to norm 0.8 stay finite at t = 0.5 and fail before
+    t = 1, the failure-injection law of the branch tests."""
+    def field(h_local, r):
+        r = np.asarray(r)
+        return np.where(np.linalg.norm(r.real, axis=-1, keepdims=True) > 0.97, np.nan, 0.2 * r)
+
+    return custom_law("expanding", reduced_field=field)
+
+
 def gksl_coordinate_field(jumps, gamma, r):
     """``dr/dt`` of ``gamma sum_j (L_j rho L_j^dagger - 1/2 {L_j^dagger L_j, rho})``
     on the matrix ``rho = (I + r . s) / N``, read back as
@@ -136,96 +149,277 @@ _FEHLBERG_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _FEHLBERG_E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def reference_rkf45(field, y0, t, atol, rtol, step):
-    """Adaptive Fehlberg 4(5) from 0 to t > 0, one stage at a time, with the
-    step control of ``blochsig.integrate``; no step budget or failure
-    guards, so only call it where the integrator succeeds."""
-    y = np.array(y0, dtype=float)
-    x = 0.0
-    h = min(t, max(step, 1e-6))
-    k = [None] * 6
-    while x < t:
-        h = min(h, t - x)
-        k[0] = field(y)
-        for s in range(1, 6):
-            ys = y + h * sum(a * k[m] for m, a in enumerate(_FEHLBERG_A[s]))
-            k[s] = field(ys)
-        y5 = y + h * sum(b * k[m] for m, b in enumerate(_FEHLBERG_B5))
-        err = h * sum(e * k[m] for m, e in enumerate(_FEHLBERG_E))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        errnorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if errnorm <= 1.0:
-            x += h
-            y = y5
-        factor = 5.0 if errnorm == 0.0 else 0.9 * errnorm ** (-0.2)
-        h *= min(5.0, max(0.2, factor))
-    return y
+def reference_rkf45(field, y0, t, options):
+    """Adaptive Fehlberg 4(5) from 0 to t > 0 of each row of ``y0`` (one row
+    ``(d,)``, which the field gets as it is, or rows ``(B, d)``, which it
+    gets stacked) with a step of its own, one stage at a time, with the
+    step control of ``blochsig.integrate``: a first step of
+    ``max(step, 1e-6)`` raised to the floor ``1e-14 t``, error weights
+    ``atol + rtol |y|`` on the real parts (so a complex row takes the steps
+    of its real part), and a step that fails (a NaN norm) shrunk by 0.2.  A
+    row whose step falls below the floor, or that needs more than
+    ``max_steps`` steps, reads NaN."""
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float, ndmin=2)
+    if np.ndim(y0) == 1:  # one row: the field gets it as it is
+        row_field = field
+        field = lambda rows: row_field(rows[0])[None]  # noqa: E731
+    x, floor = np.zeros(len(y)), 1e-14 * t
+    h = np.full(len(y), min(t, max(options.step, 1e-6, floor)))
+    live = np.ones(len(y), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(options.max_steps):
+            live &= x < t
+            h[live] = np.minimum(h[live], t - x[live])
+            y[live & (h < floor)] = np.nan
+            live &= h >= floor
+            if not live.any():
+                break
+            rows, step = y[live], h[live][:, None]
+            k = []
+            for a in _FEHLBERG_A:
+                k.append(field(rows + step * sum(c * km for c, km in zip(a, k))))
+            y5 = rows + step * sum(b * km for b, km in zip(_FEHLBERG_B5, k))
+            err = step * sum(e * km for e, km in zip(_FEHLBERG_E, k))
+            q = err.real / (options.atol + options.rtol * np.maximum(abs(rows.real), abs(y5.real)))
+            norm = np.sqrt(np.mean(q**2, axis=-1))
+            ok = norm <= 1.0
+            accepted = np.flatnonzero(live)[ok]
+            x[accepted] += h[accepted]
+            y[accepted] = y5[ok]
+            factor = np.where(norm == 0.0, 5.0, 0.9 * norm**-0.2)
+            h[live] *= np.where(np.isnan(factor), 0.2, np.clip(factor, 0.2, 5.0))
+        y[live & (x < t)] = np.nan
+    return y.reshape(np.shape(y0))
 
 
-def _shifted(joint, k, delta):
-    """``joint`` with packed coordinate ``k`` moved by ``delta``."""
-    x = pack_coords(joint)
-    x[k] += delta
-    return unpack_coords(x, joint.dims)
+def reference_rk4(field, y0, times, step):
+    """Classical rk4 from 0 to each of the ascending ``times`` in ``n =
+    ceil(t / step)`` equal steps (a ratio within 1e-12 of an integer counts
+    as that integer), shape ``(len(times), *y0.shape)``.  Times whose steps
+    are equal share one pass, which passes through each of them."""
+    counts = [max(1, math.ceil(t / step - 1e-12)) for t in times]
+    grids = [(t / n, n) for t, n in zip(times, counts)]
+    ends = {}
+    with np.errstate(all="ignore"):
+        for h in dict.fromkeys(h for h, _ in grids):
+            y, done = y0, 0
+            for n in sorted(n for g, n in grids if g == h):
+                for _ in range(n - done):
+                    k1 = field(y)
+                    k2 = field(y + 0.5 * h * k1)
+                    k3 = field(y + 0.5 * h * k2)
+                    k4 = field(y + h * k3)
+                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                ends[h, n], done = y, n
+    return np.array([ends[grid] for grid in grids])
 
 
-def reference_state_differences(law, hamiltonian, joint, obs2, obs1, times, index, fd_step,
-                                options):
-    """Central differences ``max |p(x + h e_k) - p(x - h e_k)| / 2h`` over
-    party 1's outcomes along packed coordinates ``index``: the packed rows
-    of every ``unpack_coords(x +- h e_k)`` propagate under obs2 as the rows
-    of one ``_member_distributions`` member.  Returns one list per
-    component, one value per time; both shifted states should stay
-    physical."""
-    rows = [pack_coords(_shifted(joint, k, sign * fd_step))
-            for k in index for sign in (+1.0, -1.0)]
-    dims = hamiltonian.dims
-    dists, failures = _member_distributions(
-        np.stack(rows)[None], _outcomes([obs2], dims, 2), _outcomes([obs1], dims, 1), law,
-        hamiltonian, list(times), options)
-    assert not failures
-    diffs = np.max(np.abs(dists[:, 0, 0::2] - dists[:, 0, 1::2]), axis=-1)
-    return (diffs / (2.0 * fd_step)).T.tolist()
+# The audit's channels on density matrices.
+
+EPS = 1e-30  # the complex step
+CHANNELS = ("d_remote_state", "d_correlations", "d_remote_observable")
+# The status of an outcome that holds an error in place of its value.
+STATUS = {PerturbationInfeasibleError: "infeasible", IntegrationFailureError: "integration-failure"}
 
 
-def branchwise_member_distributions(x, remote, local, law, hamiltonian, times, options=None,
-                                    names=None):
-    """``_member_distributions`` with every collapsed state of every row
-    propagated as its own branch row, complex or not, one member at a time:
-    no linearization, no memo, no blocks.  The same members, results and
-    failure records; the oracle of the tangent route, which reads complex
-    rows off ``K d1`` tangent rows per member instead."""
+def real_form(m):
+    """The real form ``[[Re m, -Im m], [Im m, Re m]]`` of the matrices ``m``
+    (last two axes).  Sums and products carry over, and the trace of a real
+    form is twice the real part of the trace, so a complex step ``i eps``
+    of a real form stays apart from the matrices' own imaginary unit."""
+    re, im = np.real(m), np.imag(m)
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
+
+
+def _re_trace(a, b):
+    """``Re Tr(a b)`` of matrices in real form."""
+    return 0.5 * (a * np.swapaxes(b, -1, -2)).sum(axis=(-2, -1))
+
+
+def _projectors(obs):
+    """The matrices ``u0 I + (n/2) u . s`` of an observable's outcomes."""
+    n, s = obs.dim, cached_basis(obs.dim).matrices
+    return np.array([p.u0 * np.eye(n) + 0.5 * n * np.einsum("i,iab->ab", p.u, s)
+                     for p in obs.outcomes])
+
+
+def _party_one_trace(m, n1, n2):
+    """``Tr_2`` of joint matrices in real form, in real form."""
+    blocks = m.reshape(*m.shape[:-2], 2, n1, n2, 2, n1, n2)
+    return np.trace(blocks, axis1=-4, axis2=-1).reshape(*m.shape[:-2], 2 * n1, 2 * n1)
+
+
+def _branch_flow(law, hamiltonian, options):
+    """``evolve(states, times)``: party 1's states in real form ``(B, 2 n1, 2
+    n1)`` at each time, ``(T, B, 2 n1, 2 n1)``, under the law's reduced flow.  ``linear`` and ``xi`` laws
+    evolve matrices by ``-i [H1, rho]``, with ``H1 = h1 . s``, through one
+    shared propagator: the matrix units evolve (under rkf45 as one state)
+    and every state is their combination.  Other laws evolve each state's
+    coordinates ``r = (n1/2) Tr(rho s)`` by the law's reduced field, each
+    row alone."""
+    n1 = hamiltonian.dims[0]
+    s = real_form(cached_basis(n1).matrices)
+    if law.kind in ("linear", "xi"):
+        k = real_form(-1j * np.einsum("a,aij->ij", hamiltonian.h1, cached_basis(n1).matrices))
+        units = np.eye(4 * n1 * n1).reshape(-1, 2 * n1, 2 * n1)
+
+        def field(m):
+            return (k @ m - m @ k).reshape(m.shape)
+
+        def evolve(states, times):
+            if options.method == "rk4":
+                ends = reference_rk4(field, units, times, options.step)
+            else:
+                flat = lambda y: field(y.reshape(units.shape)).reshape(1, -1)  # noqa: E731
+                ends = [reference_rkf45(flat, units.reshape(1, -1), t, options).reshape(units.shape)
+                        for t in times]
+            return (states.reshape(len(states), -1) @ np.reshape(ends, (len(times), len(units), -1))
+                    ).reshape(len(times), *states.shape)
+
+        return evolve
+
+    def evolve(states, times):
+        r = 0.5 * n1 * _re_trace(states[:, None], s)
+        field = lambda y: law.reduced_field_fn(hamiltonian.h1, y)  # noqa: E731
+        if options.method == "rk4":
+            r = reference_rk4(field, r, times, options.step)
+        else:
+            r = np.array([reference_rkf45(field, r, t, options) for t in times])
+        return (np.eye(2 * n1) + np.einsum("tbi,iac->tbac", r, s)) / n1
+
+    return evolve
+
+
+@lru_cache(maxsize=None)
+def _joint_directions(dims):
+    """The real forms of ``d rho / d x_k`` for the packed coordinates ``x =
+    (r1, r2, row-major r12)`` of ``rho = (I + r1 . (s x I) + r2 . (I x l) +
+    r12_ij s_i x l_j) / (n1 n2)``, read-only."""
+    n1, n2 = dims
+    s, l = cached_basis(n1).matrices, cached_basis(n2).matrices
+    one, two = np.eye(n1), np.eye(n2)
+    dirs = real_form(np.array([*(np.kron(a, two) for a in s), *(np.kron(one, b) for b in l),
+                               *(np.kron(a, b) for a in s for b in l)]) / (n1 * n2))
+    dirs.setflags(write=False)
+    return dirs
+
+
+def _reference_cases(state, remote, direction, dims, fd_step):
+    """The stepped cases of one member: ``(channel, label, rho, lifts)`` with
+    the joint matrix ``rho`` and the lifted remote projectors ``I x P`` in
+    real form.  A complex step moves ``rho`` by ``i eps d rho / d x_k`` for
+    a packed coordinate ``x_k`` of party 2, or each ``P`` by ``i eps d P /
+    d theta = i eps (-i [G, P])`` along the rotation ``exp(-i theta G)``;
+    with ``fd_step`` the state coordinates move by ``+-fd_step`` instead (a
+    ``+`` case then a ``-`` case), and no rotation is taken."""
+    n1, n2 = dims
+    one, dirs = np.eye(n1), _joint_directions(dims)
+    x = np.concatenate([state.r1, state.r2, np.ravel(state.r12)])
+    rho = real_form(np.eye(n1 * n2) / (n1 * n2)) + np.einsum("k,kab->ab", x, dirs)
+    projectors = _projectors(remote)
+    lifts = real_form(np.array([np.kron(one, p) for p in projectors]))
+    d1, d2 = n1**2 - 1, n2**2 - 1
+    coordinates = [("d_remote_state", str(k), d1 + k) for k in range(d2)] + [
+        ("d_correlations", f"{i},{j}", d1 + d2 + i * d2 + j) for i in range(d1) for j in range(d2)]
+    if fd_step is not None:
+        return [(channel, label, rho + sign * fd_step * dirs[k], lifts)
+                for channel, label, k in coordinates for sign in (1.0, -1.0)]
+    cases = [(channel, label, rho + 1j * EPS * dirs[k], lifts) for channel, label, k in coordinates]
+    g = np.asarray(direction)
+    turns = real_form(np.array([np.kron(one, -1j * (g @ p - p @ g)) for p in projectors]))
+    return cases + [("d_remote_observable", "theta", rho.astype(complex), lifts + 1j * EPS * turns)]
+
+
+def reference_audit(law, hamiltonian, members, times, options=None, fd_step=None):
+    """The audit's channel outcomes, from density matrices alone:
+    ``{(member, time, channel, component): value or status}`` for the
+    members ``(state, remote, local, direction)`` (as
+    :func:`reference_ensemble` draws them) at each time, with the audit's
+    component labels.
+
+    Each case of :func:`_reference_cases` collapses on every remote outcome
+    by the Lüders rule, ``Tr_2[(I x P) rho (I x P)]``; a branch of weight
+    ``Re p <= EPS_PROB`` is dropped, and a complex step that moves a dropped
+    branch (any imaginary part) makes its case ``"infeasible"`` at every
+    time.  Every kept branch ``rho1 = sigma / p`` evolves under
+    :func:`_branch_flow`, party 1 reads the Born rule ``Re Tr(rho1(t) Q)``
+    of each local outcome, and the branches are summed with their weights.
+    A case's value is ``max |Im p| / EPS`` over party 1's outcomes (with
+    ``fd_step``: the central difference ``max |p+ - p-| / (2 fd_step)`` of
+    the state channels, from real propagations), or
+    ``"integration-failure"`` where a distribution is not finite."""
+    n1, n2 = dims = hamiltonian.dims
+    evolve = _branch_flow(law, hamiltonian, options or DEFAULT_BRANCH_OPTIONS)
+    keys, infeasible, weights, states, owners, locals_ = [], set(), [], [], [], []
+    for m, (state, remote, local, direction) in enumerate(members):
+        cases = _reference_cases(state, remote, direction, dims, fd_step)
+        rho = np.array([case[2] for case in cases])
+        lifts = np.array([case[3] for case in cases])
+        sigma = _party_one_trace(lifts @ rho[:, None] @ lifts, n1, n2)
+        p = 0.5 * np.trace(sigma, axis1=-2, axis2=-1)
+        keep = ~(p.real <= EPS_PROB)  # a NaN weight stays in
+        for c, (channel, label, *_) in enumerate(cases):
+            keys.append((m, channel, label))
+            if np.any(sigma[c][~keep[c]].imag != 0):
+                infeasible.add(len(keys) - 1)
+        weights.append(p[keep])
+        states.append(sigma[keep] / p[keep][:, None, None])
+        owners.append(len(keys) - len(cases) + np.nonzero(keep)[0])
+        q = np.zeros((n1, 2 * n1, 2 * n1))  # zero outcomes pad an observable with fewer
+        q[: len(local)] = real_form(_projectors(local))
+        locals_.append(np.repeat(q[None], np.count_nonzero(keep), 0))
+    weights, states, owners, locals_ = map(np.concatenate, (weights, states, owners, locals_))
+    outcomes = {}
+    for t, evolved in zip(times, evolve(states, times)):
+        born = weights[:, None] * _re_trace(evolved[:, None], locals_)
+        dist = np.zeros((len(keys), born.shape[-1]), dtype=born.dtype)
+        np.add.at(dist, owners, born)
+        if fd_step is None:
+            values = np.max(np.abs(dist.imag), axis=-1) / EPS
+        else:
+            values = np.repeat(np.max(np.abs(dist[0::2] - dist[1::2]), axis=-1) / (2 * fd_step), 2)
+        finite = np.isfinite(dist).all(axis=-1)
+        for c, (m, channel, label) in enumerate(keys):
+            outcomes[m, t, channel, label] = (
+                "infeasible" if c in infeasible else
+                float(values[c]) if finite[c] and (fd_step is None or finite[c ^ 1]) else
+                "integration-failure")
+    return outcomes
+
+
+def channel_outcomes(law, hamiltonian, members, times, options=None):
+    """The library's ``d_remote_state``, ``d_correlations`` and
+    ``d_remote_observable`` of every component of the ``members`` (as for
+    :func:`reference_audit`), each in one call, in the form of
+    :func:`reference_audit`; an error is its status."""
     n1, n2 = hamiltonian.dims
-    d1 = n1**2 - 1
-    options = options or DEFAULT_BRANCH_OPTIONS
-    (u0, u), (v0, v) = remote, local
-    branches, states, failures = [], [], {}
-    for m in range(len(x)):
-        p, scaled = _collapse(x[m : m + 1], u0[m : m + 1], u[m : m + 1], d1)
-        p, scaled = p[0], scaled[0]
-        drop = p.real <= EPS_PROB
-        moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
-        for row, k in zip(*moved.nonzero()):
-            error = PerturbationInfeasibleError(
-                f"perturbation of {f'row {row}' if names is None else names[row]} moves remote "
-                f"outcome {k} of weight {p.real[row, k]:.3e}, so only a one-sided derivative "
-                "exists")
-            for i in range(len(times)):
-                failures.setdefault((m, i, row), error)
-        keep = ~drop
-        branches.append((np.nonzero(keep)[0], p[keep]))
-        states.append(scaled[keep] / p[keep][:, None])
-    evolved = reduced_flow(law, hamiltonian.h1, n1).sample(np.concatenate(states), times, options)
-    dist = np.zeros((len(times), *x.shape[:2], v.shape[1]), dtype=evolved.dtype)
-    ends = np.cumsum([len(weights) for _, weights in branches])[:-1]
-    for m, (segment, (owners, weights)) in enumerate(zip(np.split(evolved, ends, axis=1),
-                                                         branches)):
-        born = v0[m] + _dots(segment[:, :, None, :], v[m])
-        np.add.at(dist[:, m], (slice(None), owners), weights[:, None] * born)
-        for i, row in zip(*(~np.isfinite(dist[:, m]).all(axis=-1)).nonzero()):
-            failures.setdefault((m, i, row), IntegrationFailureError(
-                f"{options.method} result at t={times[i]:.6g} is not finite"))
-    return dist, failures
+    states, remotes, locals_, directions = (list(column) for column in zip(*members))
+    families = [ObservableFamily(remote, g) for remote, g in zip(remotes, directions)]
+    pairs = [(i, j) for i in range(n1**2 - 1) for j in range(n2**2 - 1)]
+    args = (law, hamiltonian, states, remotes, locals_, list(times))
+    runs = {
+        "d_remote_state": (d_remote_state(*args, range(n2**2 - 1), options),
+                           [str(k) for k in range(n2**2 - 1)]),
+        "d_correlations": (d_correlations(*args, pairs, options), [f"{i},{j}" for i, j in pairs]),
+        "d_remote_observable": (d_remote_observable(law, hamiltonian, states, families, locals_,
+                                                    list(times), options), ["theta"]),
+    }
+    return {(m, t, channel, label): STATUS.get(type(v), v)
+            for channel, (values, labels) in runs.items()
+            for m, per_member in enumerate(values)
+            for label, per_time in zip(labels, per_member)
+            for t, v in zip(times, per_time)}
+
+
+def assert_outcomes_match(actual, expected, atol=1e-12):
+    """Same keys, the same statuses exactly and values within ``atol``."""
+    assert actual.keys() == expected.keys()
+    for key, want in expected.items():
+        got = actual[key]
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, (key, got, want)
+        else:
+            assert abs(got - want) <= atol, (key, got, want)
 
 
 # One object per draw, in the formulas the samplers apply to a stack.
@@ -312,17 +506,6 @@ def _status(outcome) -> str:
     if isinstance(outcome, IntegrationFailureError):
         return "integration-failure"
     return "ok" if math.isfinite(outcome) else "non-finite"
-
-
-def channel_label(name):
-    """The audit channel and report label of a branch row named ``name``:
-    ``r2[k]`` is component ``k`` of ``d_remote_state``, ``r12[i,j]``
-    component ``i,j`` of ``d_correlations`` and ``theta`` the one component
-    of ``d_remote_observable``."""
-    if name == "theta":
-        return "d_remote_observable", name
-    block, label = name.removesuffix("]").split("[")
-    return {"r2": "d_remote_state", "r12": "d_correlations"}[block], label
 
 
 def reference_report(runs, times, labels, linearity):

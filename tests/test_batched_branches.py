@@ -5,7 +5,8 @@ The references here are the branch-by-branch loop (one one-row solve per
 remote outcome, integrated from 0 for each time) and the one-time,
 one-member, one-component ``d_*`` calls.  Polesink runs the same arithmetic row by row, so it must
 match bit for bit; linear and xi flows multiply a batch by the step matrix
-in another order and may differ at round-off.
+in another order and may differ at round-off.  A stacked call's channel
+values are also checked against ``helpers.reference_audit``.
 """
 
 import math
@@ -58,8 +59,10 @@ from blochsig.sampling import random_density, random_interior_joint, singlet_sta
 from blochsig.su_basis import cached_basis
 
 from helpers import (
-    branchwise_member_distributions,
-    channel_label,
+    STATUS,
+    assert_outcomes_match,
+    expanding_law,
+    reference_audit,
     reference_direction,
     reference_ensemble,
     reference_haar_unitary,
@@ -367,19 +370,10 @@ def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
     assert reduced_flow(law, [0.0, 0.0, 0.1], 2) is not flow
 
 
-def _expanding_law():
-    # r grows as exp(0.2 t) and turns NaN past norm 0.97: branches collapsed
-    # to norm 0.8 stay finite at t = 0.5 and fail before t = 1.
-    def field(h_local, r):
-        r = np.asarray(r)
-        return np.where(np.linalg.norm(r.real, axis=-1, keepdims=True) > 0.97, np.nan, 0.2 * r)
-
-    return custom_law("expanding", reduced_field=field)
-
 
 def test_integration_failure_at_a_late_time_leaves_earlier_times_checked():
     report = audit(
-        _expanding_law(), BlochHamiltonian((2, 2)),
+        expanding_law(), BlochHamiltonian((2, 2)),
         AuditConfig(seed=3, ensemble_size=1, fit_probes=0),
     )
     status = {(row["time"], row["channel"]): row["status"] for row in report.cases}
@@ -554,80 +548,6 @@ def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error
                for e in together[2])
 
 
-def _per_component_audit(monkeypatch, law, h, config):
-    """The audit with every member and component in its own public ``d_*``
-    call: each row of the audit's coordinate sweep (``r2[k]``, ``r12[i,j]``)
-    and each member of its observable channel is run alone, and the fit's
-    rows that ride in the sweep (``extra``) propagate alone too."""
-    channel = nosignal_audit._channel
-
-    def one_by_one(law, h, joints, obs2s, obs1s, t, plan, options, extra=None):
-        if extra is not None:
-            ends = reduced_flow(law, h.h1, h.dims[0]).sample(extra, t, options)
-            return one_by_one(law, h, joints, obs2s, obs1s, t, plan, options), ends
-        with pytest.MonkeyPatch.context() as inner:  # the public calls run the real channel
-            inner.setattr(nosignal_audit, "_channel", channel)
-            out = []
-            for joint, obs2, obs1 in zip(joints, obs2s, obs1s):
-                rows = []
-                for name in plan(h.dims, pack_coords(joint)[None], [obs2])[2]:
-                    which, label = channel_label(name)
-                    member = (law, h, [joint], [obs2], [obs1], t)
-                    if which == "d_remote_state":
-                        [[row]] = d_remote_state(*member, [int(label)], options=options)
-                    elif which == "d_correlations":
-                        pair = tuple(map(int, label.split(",")))
-                        [[row]] = d_correlations(*member, [pair], options=options)
-                    else:
-                        [[row]] = d_remote_observable(*member, options=options)
-                    rows.append(row)
-                out.append(rows)
-            return out
-
-    with monkeypatch.context() as m:
-        m.setattr(nosignal_audit, "_channel", one_by_one)
-        return audit(law, h, config)
-
-
-def _with_zero_weight_anchor(monkeypatch):
-    """Make the anchor of every ensemble :func:`_zero_weight_member`."""
-    ensemble = nosignal_audit._ensemble
-
-    def patched(dims, config, rng):
-        states, remotes, locals_, families = ensemble(dims, config, rng)
-        state, obs2, obs1 = _zero_weight_member()
-        return ([state, *states[1:]], [obs2, *remotes[1:]], [obs1, *locals_[1:]],
-                [ObservableFamily(obs2, families[0].direction), *families[1:]])
-
-    monkeypatch.setattr(nosignal_audit, "_ensemble", patched)
-
-
-def test_zero_weight_audit_with_infeasible_components_equals_per_component_audit(monkeypatch):
-    h = BlochHamiltonian((2, 2), h1=[0.1, 0.0, 0.5], h2=[0.0, 0.2, 0.3], h12=0.3 * np.eye(3))
-    config = AuditConfig(seed=0, ensemble_size=2, mix_weight=0.0)
-    _with_zero_weight_anchor(monkeypatch)
-    report = audit(linear_law(), h, config)
-    reference = _per_component_audit(monkeypatch, linear_law(), h, config)
-    # r2[2] and r12[i,2] of the anchor, at each audit time
-    assert [(e["channel"], e["component"]) for e in report.infeasible] == [
-        ("d_remote_state", "2"), ("d_correlations", "0,2"), ("d_correlations", "1,2"),
-        ("d_correlations", "2,2")] * len(config.times)
-    assert {e["member"] for e in report.infeasible} == {0}
-    assert dumps(report.to_dict()) == dumps(reference.to_dict())
-    assert report.verdict == "pass"
-
-
-def test_late_integration_failure_inside_a_member_batch_keeps_the_failure_records(monkeypatch):
-    law, h = _expanding_law(), BlochHamiltonian((2, 2))
-    config = AuditConfig(seed=3, ensemble_size=2, fit_probes=0)
-    report = audit(law, h, config)
-    reference = _per_component_audit(monkeypatch, law, h, config)
-    assert report.failures and {f["time"] for f in report.failures} == {1.0}
-    assert report.failures == reference.failures
-    assert dumps(report.to_dict()) == dumps(reference.to_dict())
-
-
-
 def _sweep_names(dims):
     """The rows of the audit's coordinate sweep: ``r2``, then row-major ``r12``."""
     d1, d2 = (n**2 - 1 for n in dims)
@@ -648,7 +568,7 @@ def _counted(law):
 
 
 def test_an_integration_failure_still_makes_one_propagation_per_sweep():
-    law, calls = _counted(_expanding_law())
+    law, calls = _counted(expanding_law())
     report = audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=3, ensemble_size=2, fit_probes=0))
     # member 0 fails at t = 1, inside the one rk4 propagation after the
     # flow's 6-call probe: the fit's 1 + d1 start rows and the K d1 = 6
@@ -662,7 +582,7 @@ def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     # its outcomes at t = 1 fail and every earlier outcome is checked
     rkf45 = IntegratorOptions(method="rkf45")
     config = AuditConfig(seed=3, ensemble_size=3, fit_probes=0, branch_options=rkf45)
-    law, calls = _counted(_expanding_law())
+    law, calls = _counted(expanding_law())
     report = audit(law, BlochHamiltonian((2, 2)), config)
     assert report.failures and {f["time"] for f in report.failures} == {1.0}
     assert all(f["reason"] == "rkf45 result at t=1 is not finite" for f in report.failures)
@@ -672,7 +592,7 @@ def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
     states, _, locals_, families = nosignal_audit._ensemble((2, 2), config,
                                                             np.random.default_rng(s_members))
-    alone, alone_calls = _counted(_expanding_law())
+    alone, alone_calls = _counted(expanding_law())
     d_remote_observable(alone, BlochHamiltonian((2, 2)), states, families, locals_,
                         DEFAULT_TIMES, options=rkf45)
     complex_calls = [c for c in calls if c[1] == "c"]
@@ -712,7 +632,7 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
     obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     law = polesink_law(0.1)
     # one batch of uneven branch counts: the rank-2 observable is padded
-    x = np.stack([pack_coords(joint)[None] for joint, _ in pairs])
+    x = np.stack([pack_coords(joint) for joint, _ in pairs])
     remote = measurement._outcomes([obs2 for _, obs2 in pairs], dims, 2)
     dist, failures = measurement._member_distributions(
         x, remote, measurement._outcomes([obs1] * len(pairs), dims, 1), law,
@@ -837,7 +757,7 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
         members = [_zero_weight_member(), _member((2, 2), 63)[:3]]
     else:
         # the anchor of this ensemble fails at t = 1, the other member passes
-        law, error = _expanding_law(), IntegrationFailureError
+        law, error = expanding_law(), IntegrationFailureError
         config = AuditConfig(seed=3, ensemble_size=2)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
         states, remotes, locals_, _ = nosignal_audit._ensemble((2, 2), config, rng)
@@ -855,22 +775,23 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
     assert together[1] == call([1], components)[0]
 
 
-def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
+def test_a_member_that_is_not_finite_leaves_the_other_members_their_numbers():
     # product states whose party-1 parts have norms 0.9 and 0.5: under the
     # expanding law the first turns NaN between t = 0.25 and t = 1
-    law, dims, times = _expanding_law(), (2, 2), [0.25, 1.0]
+    law, dims, times = expanding_law(), (2, 2), [0.25, 1.0]
     x = np.stack([pack_coords(JointBlochState(dims, [0.0, 0.0, r], np.zeros(3), np.zeros((3, 3))))
                   for r in (0.9, 0.5)])
     remote, local = computational_observable(2), computational_observable(2)
-    outcomes = (measurement._outcomes([remote], dims, 2), measurement._outcomes([local], dims, 1))
+    outcomes = (measurement._outcomes([remote] * 2, dims, 2),
+                measurement._outcomes([local] * 2, dims, 1))
     dist, failures = measurement._member_distributions(
-        x[None], *outcomes, law, BlochHamiltonian(dims), times)
+        x, *outcomes, law, BlochHamiltonian(dims), times)
     assert list(failures) == [(0, 1, 0)]  # (member, time index, row)
     assert isinstance(failures[0, 1, 0], IntegrationFailureError)
     assert str(failures[0, 1, 0]) == "rk4 result at t=1 is not finite"
     alone, none = measurement._member_distributions(
-        x[None, 1:], *outcomes, law, BlochHamiltonian(dims), times)
-    assert not none and np.array_equal(dist[:, :, 1:], alone)
+        x[1:], *[(u0[1:], u[1:]) for u0, u in outcomes], law, BlochHamiltonian(dims), times)
+    assert not none and np.array_equal(dist[:, 1:], alone)
     # the one-row call raises the failure in place of its distribution
     joint = JointBlochState(dims, x[0, :3], np.zeros(3), np.zeros((3, 3)))
     with pytest.raises(IntegrationFailureError, match="^rk4 result at t=1 is not finite$"):
@@ -883,15 +804,8 @@ def test_a_row_that_is_not_finite_leaves_the_other_rows_their_numbers():
 
 # ---------------------------------------------------------------------------
 # The tangent route: complex rows under a flow without a generator are read
-# off K d1 tangent rows per member, checked against propagating every row.
-
-
-def _audit_members(dims, config):
-    """The audit's members as ``_member_distributions`` takes them, stacked
-    (see :func:`_audit_members_of`)."""
-    s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
-    return _audit_members_of(dims, *nosignal_audit._ensemble(
-        dims, config, np.random.default_rng(s_members)))
+# off K d1 tangent rows per member (``tests/test_reference_audit.py`` checks
+# them against the density-matrix reference).
 
 
 def _audit_members_of(dims, states, remotes, locals_, families):
@@ -906,103 +820,23 @@ def _audit_members_of(dims, states, remotes, locals_, families):
     steps = np.zeros_like(u)
     for step, f in zip(steps, families):
         step[: len(f.base)] = f.tangent()
-    theta = (x[:, None], (u0, u + 1j * EPS * steps), local, ["theta"], None)
-    states, remote, names, index = sweep(dims, x, remotes)
-    return (states, remote, local, names, index), theta
-
-
-def _rows(x, index):
-    """The complex-step rows ``x + i EPS e_k`` of each member's packed state
-    for each ``k`` in ``index`` (``x`` itself without one)."""
-    if index is None:
-        return x
-    rows = np.repeat(x.astype(complex), len(index), axis=1)
-    rows[:, np.arange(len(index)), index] += 1j * EPS
-    return rows
-
-
-def _assert_matches_branchwise(members, law, h, times, options):
-    x, remote, local, names, index = members
-    dist, failures = measurement._member_distributions(x, remote, local, law, h, times, options,
-                                                       names, index=index)
-    ref, ref_failures = branchwise_member_distributions(_rows(x, index), remote, local, law, h,
-                                                        times, options, names)
-    assert {k: repr(e) for k, e in failures.items()} == {
-        k: repr(e) for k, e in ref_failures.items()}
-    np.testing.assert_allclose(dist.real, ref.real, rtol=0, atol=1e-15, equal_nan=True)
-    np.testing.assert_allclose(dist.imag / EPS, ref.imag / EPS, rtol=0, atol=1e-15,
-                               equal_nan=True)
-    return dist, failures
-
-
-@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
-                         ids=["rk4", "rkf45"])
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_tangent_route_matches_propagating_every_complex_row(dims, options):
-    law, h = polesink_law(0.1), BlochHamiltonian(dims)
-    rkf45 = options.method == "rkf45"  # one solve per branch row and time
-    config = AuditConfig(seed=70, ensemble_size=2 if rkf45 else 3,
-                         times=(0.5,) if rkf45 else DEFAULT_TIMES)
-    coordinates, theta = _audit_members(dims, config)
-    if rkf45:
-        x, remote, local, names, index = coordinates
-        coordinates = (x, remote, local, names[::5], index[::5])
-    for members in (coordinates, theta):
-        dist, failures = _assert_matches_branchwise(members, law, h, list(config.times), options)
-        assert not failures
-        assert np.abs(dist.imag).max() > 1e-6 * EPS
-
-
-@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
-                         ids=["rk4", "rkf45"])
-def test_tangent_route_keeps_the_failure_records_of_propagating_every_row(options):
-    # the anchor of this ensemble fails at t = 1 under the expanding law
-    config = AuditConfig(seed=3, ensemble_size=2)
-    coordinates, theta = _audit_members((2, 2), config)
-    for members in (coordinates, theta):
-        _, failures = _assert_matches_branchwise(members, _expanding_law(),
-                                                 BlochHamiltonian((2, 2)), list(DEFAULT_TIMES),
-                                                 options)
-        assert failures and {(m, i) for m, i, _ in failures} == {(0, 2)}
-
-
-def test_tangent_route_keeps_infeasible_rows_and_zero_weight_branches():
-    law, h = polesink_law(0.1), BlochHamiltonian((2, 2))
-    state, obs2, obs1 = _zero_weight_member()
-    x, remote, names, index = nosignal_audit._coordinate_plan(
-        range(3), [(i, 2) for i in range(3)])((2, 2), pack_coords(state)[None], [obs2])
-    local = measurement._outcomes([obs1], (2, 2), 1)
-    _, failures = _assert_matches_branchwise((x, remote, local, names, index), law, h, [0.5],
-                                             None)
-    assert sorted(row for _, _, row in failures) == [2, 3, 4, 5]
-
-
-def test_complex_rows_of_a_member_must_share_one_real_part_under_a_field_flow():
-    state, obs2, obs1, _ = _member((2, 2), 71)
-    x = np.tile(pack_coords(state).astype(complex), (1, 2, 1))
-    x[0, :, 3] += [1j * EPS, 2j * EPS]
-    outcomes = (measurement._outcomes([obs2], (2, 2), 2), measurement._outcomes([obs1], (2, 2), 1))
-    h = BlochHamiltonian((2, 2))
-    measurement._member_distributions(x, *outcomes, polesink_law(0.1), h, [0.5])
-    x[0, 1, 0] += 0.01
-    with pytest.raises(ValueError, match="complex rows of a member must share one real part"):
-        measurement._member_distributions(x, *outcomes, polesink_law(0.1), h, [0.5])
-    # a generator flow propagates every row, and real rows stay free
-    measurement._member_distributions(x, *outcomes, linear_law(), h, [0.5])
-    measurement._member_distributions(x.real.copy(), *outcomes, polesink_law(0.1), h, [0.5])
+    theta = (x, (u0, u + 1j * EPS * steps), local, ["theta"], None)
+    remote, names, index = sweep(dims, remotes)
+    return (x, remote, local, names, index), theta
 
 
 def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
     members = [_member((2, 2), 72 + m) for m in range(2)]
-    x = np.stack([pack_coords(state) for state, *_ in members]).astype(complex)[:, None] + 1j * EPS
+    x = np.stack([pack_coords(state) for state, *_ in members])
     outcomes = (measurement._outcomes([obs2 for _, obs2, *_ in members], (2, 2), 2),
                 measurement._outcomes([obs1 for *_, obs1, _ in members], (2, 2), 1))
     for law in (polesink_law(0.1), linear_law()):
         none, no_failures = measurement._member_distributions(
-            x[:, :0], *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=[], index=[])
         assert none.shape == (3, 2, 0, 2) and not no_failures
         dist, _ = measurement._member_distributions(
-            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES)
+            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=["r2[0]"],
+            index=[3])
         assert dist.shape == (3, 2, 1, 2) and np.abs(dist.imag).max() > 0
 
 
@@ -1089,7 +923,8 @@ def _stack_member(kind, dims, seed):
     party 2 in |0> measured computationally (outcomes of weight 0),
     ``rank-2`` a member whose remote observable has one rank-2 outcome (one
     outcome fewer), and ``expanding`` a product state whose party 1 has
-    norm 0.9, which the expanding law drives non-finite before t = 1."""
+    norm 0.9 (along its third axis), which the expanding law drives
+    non-finite before t = 1."""
     rng = np.random.default_rng(seed)
     b1, b2 = cached_basis(dims[0]), cached_basis(dims[1])
     if kind == "anchor":
@@ -1104,7 +939,7 @@ def _stack_member(kind, dims, seed):
             obs2 = computational_observable(dims[1])
         else:
             r1 = np.zeros(dims[0] ** 2 - 1)
-            r1[-1] = 0.9
+            r1[2] = 0.9  # a state for a qutrit as for a qubit
             state = JointBlochState(dims, r1, np.zeros(dims[1] ** 2 - 1),
                                     np.zeros((len(r1), dims[1] ** 2 - 1)))
     elif kind == "rank-2":
@@ -1114,6 +949,19 @@ def _stack_member(kind, dims, seed):
     return state, obs2, obs1, ObservableFamily(obs2, family.direction)
 
 
+def _as_outcomes(dist, failures, names):
+    """The channel outcomes of a ``_member_distributions`` call on rows named
+    as the audit names them, in the form of ``helpers.reference_audit``."""
+    values = np.max(np.abs(dist.imag), axis=-1) / EPS
+    labels = [("d_remote_observable", name) if name == "theta" else
+              ({"r2": "d_remote_state", "r12": "d_correlations"}[name.split("[")[0]],
+               name.split("[")[1].rstrip("]")) for name in names]
+    return {(m, t, *labels[row]): STATUS[type(failures[m, i, row])] if (m, i, row) in failures
+            else float(values[i, m, row])
+            for i, t in enumerate(DEFAULT_TIMES) for m in range(values.shape[1])
+            for row in range(len(names))}
+
+
 _STACK_KINDS = st.sampled_from(["anchor", "random", "zero-weight", "rank-2", "expanding"])
 
 
@@ -1121,14 +969,16 @@ _STACK_KINDS = st.sampled_from(["anchor", "random", "zero-weight", "rank-2", "ex
 @given(dims=st.sampled_from([(2, 3), (3, 2)]), route=st.sampled_from(["generator", "tangent"]),
        kinds=st.lists(st.tuples(_STACK_KINDS, st.integers(0, 2**16)), min_size=2, max_size=5))
 def test_a_stacked_call_gives_each_member_the_bits_of_its_call_alone(dims, route, kinds):
-    law = linear_law() if route == "generator" else _expanding_law()
+    law = linear_law() if route == "generator" else expanding_law()
     h = random_hamiltonian(np.random.default_rng(73), dims, scale=0.6)
     members = [_stack_member(kind, dims, seed) for kind, seed in kinds]
     states, remotes, locals_, families = _columns(members)
     coordinates, theta = _audit_members_of(dims, states, remotes, locals_, families)
+    channels = {}
     for x, remote, local, names, index in (coordinates, theta):
-        stacked = _assert_matches_branchwise((x, remote, local, names, index), law, h,
-                                             list(DEFAULT_TIMES), None)
+        stacked = measurement._member_distributions(x, remote, local, law, h, DEFAULT_TIMES,
+                                                    None, names, index=index)
+        channels.update(_as_outcomes(*stacked, names))
         for m in range(len(members)):
             one = [(outcomes[0][m : m + 1], outcomes[1][m : m + 1]) for outcomes in (remote, local)]
             alone = measurement._member_distributions(x[m : m + 1], *one, law, h, DEFAULT_TIMES,
@@ -1138,3 +988,7 @@ def test_a_stacked_call_gives_each_member_the_bits_of_its_call_alone(dims, route
                 v.hex() for v in alone[0][:, 0].ravel().view(float)]
             assert {(i, row): repr(e) for (n, i, row), e in stacked[1].items() if n == m} == {
                 (i, row): repr(e) for (_, i, row), e in alone[1].items()}
+    # and every member's channels in the stacked calls are those of the
+    # density-matrix reference
+    members = [(state, obs2, obs1, family.direction) for state, obs2, obs1, family in members]
+    assert_outcomes_match(channels, reference_audit(law, h, members, DEFAULT_TIMES), atol=1e-15)

@@ -68,15 +68,16 @@ def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed)
     obs1 = _observables(rng, dims[0])[2]
     hamiltonian = random_hamiltonian(rng, dims)
     born = np.stack([outcome_probabilities(obs1, BlochState(dims[0], j.r1)) for j in joints])
-    x = np.stack([pack_coords(j) for j in joints])
-    members = (np.stack([x] * len(remotes)), _outcomes(remotes, dims, 2),
-               _outcomes([obs1] * len(remotes), dims, 1))
+    # one member per joint state and remote observable, in one stacked call
+    x = np.tile(np.stack([pack_coords(j) for j in joints]), (len(remotes), 1))
+    members = (x, _outcomes([r for r in remotes for _ in joints], dims, 2),
+               _outcomes([obs1] * len(x), dims, 1))
     for law in (linear_law(), polesink_law(0.1)):
         dist, failures = _member_distributions(*members, law, hamiltonian, [0.0],
                                                DEFAULT_BRANCH_OPTIONS)
         assert not failures
-        for member in dist[0]:
-            np.testing.assert_allclose(member, born, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dist[0, :, 0], np.tile(born, (len(remotes), 1)), rtol=0.0,
+                                   atol=1e-12)
 
 
 @fixed

@@ -213,6 +213,23 @@ def test_a_finite_generator_whose_trajectory_overflows_fails_to_integrate():
         reduced_propagator_fit(linear_law(), h)
 
 
+@pytest.mark.parametrize("probes, seed, message", [
+    (-1, 1, "^probes must be >= 0"),
+    (1.5, 1, r"^probes must be an integer, got 1\.5"),
+    (True, 1, "^probes must be an integer, got True"),
+    (2, -1, "^seed must be >= 0"),
+    (2, 2.0, r"^seed must be an integer, got 2\.0"),
+    (2, np.bool_(False), "^seed must be an integer"),
+])
+def test_a_fit_refuses_probes_or_a_seed_that_is_no_count(probes, seed, message):
+    with pytest.raises(ValueError, match=message):
+        reduced_propagator_fit(linear_law(), BlochHamiltonian((2, 2)), 1.0, probes, seed)
+    # numpy integers count, and no probes leaves a residual of 0
+    _, residual = reduced_propagator_fit(linear_law(), BlochHamiltonian((2, 2)), 1.0,
+                                         np.int64(0), np.uint8(3))
+    assert residual == 0.0
+
+
 def test_linear_law_field_equals_unit_weight_field():
     rng = np.random.default_rng(3)
     h = random_hamiltonian(rng, (2, 3))

@@ -161,7 +161,7 @@ def test_rkf45_takes_the_steps_of_the_per_stage_reference(problem):
 
     opts = IntegratorOptions(method="rkf45")
     y = solve(counting("solve"), y0, t, opts)
-    ref = reference_rkf45(counting("reference"), y0, t, opts.atol, opts.rtol, opts.step)
+    ref = reference_rkf45(counting("reference"), y0, t, opts)
     assert counts["solve"] == counts["reference"] > 6
     assert np.max(np.abs(y - ref)) <= 1e-13
 

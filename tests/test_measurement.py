@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from blochsig.bloch import BlochState, joint_to_bloch, pack_coords
+from blochsig.bloch import BlochState, joint_to_bloch
 from blochsig.dynamics import BlochHamiltonian, linear_law
 from blochsig.errors import (
     DimensionMismatchError,
@@ -17,8 +17,6 @@ from blochsig.errors import (
 )
 from blochsig.measurement import (
     Projector,
-    _member_distributions,
-    _outcomes,
     computational_observable,
     conditional_state,
     fourier_observable,
@@ -30,7 +28,7 @@ from blochsig.measurement import (
     projector_from_matrix,
     rotate_observable,
 )
-from blochsig.nosignal_audit import ObservableFamily, polesink_law
+from blochsig.nosignal_audit import ObservableFamily, d_remote_state, polesink_law
 from blochsig.sampling import random_density, singlet_state
 from blochsig.su_basis import cached_basis, cached_constants
 
@@ -268,19 +266,23 @@ def test_a_complex_row_moving_a_dropped_branch_fails_alone():
     A complex step of r2[2] moves that weight, one of r2[0] neither branch,
     so only the first has a one-sided derivative."""
     b = cached_basis(2)
-    x = pack_coords(joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b))
-    rows = np.tile(x.astype(complex), (2, 1))
-    rows[0, 3] += 1e-30j  # r2[0]
-    rows[1, 5] += 1e-30j  # r2[2]
+    joint = joint_to_bloch(np.diag([1.0, 0.0, 0.0, 0.0]), b, b)
     obs = computational_observable(2)
-    dist, failures = _member_distributions(
-        rows[None], _outcomes([obs], (2, 2), 2), _outcomes([obs], (2, 2), 1), linear_law(),
-        BlochHamiltonian((2, 2)), [0.0])
-    assert np.all(np.isfinite(dist[:, 0, 0])) and not np.any(dist[:, 0, 0].imag)
-    assert list(failures) == [(0, 0, 1)]  # (member, time index, row)
-    assert isinstance(failures[0, 0, 1], PerturbationInfeasibleError)
-    assert re.match(r"^perturbation of row 1 moves remote outcome 1 of weight 0\.000e\+00",
-                    str(failures[0, 0, 1]))
+    [[(value,), (error,)]] = d_remote_state(linear_law(), BlochHamiltonian((2, 2)), [joint],
+                                            [obs], [obs], [0.0], [0, 2])
+    assert value == 0.0
+    assert isinstance(error, PerturbationInfeasibleError)
+    assert re.match(r"^perturbation of r2\[2\] moves remote outcome 1 of weight 0\.000e\+00",
+                    str(error))
+
+
+@pytest.mark.parametrize("k", [-1, 2, 1.0, True, np.float64(0.0), "0"])
+def test_an_outcome_index_that_is_no_outcome_is_a_value_error(k):
+    # never the last outcome for -1, nor an IndexError
+    with pytest.raises(ValueError, match=r"^k must (lie in \[0, 2\)|be an integer)"):
+        conditional_state(singlet_state(), computational_observable(2), k)
+    p, state = conditional_state(singlet_state(), computational_observable(2), np.int64(1))
+    assert p == 0.5 and abs(state.r[2] - 1.0) <= 1e-12  # party 2 in |1> leaves party 1 in |0>
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -45,7 +45,10 @@ from blochsig.su_basis import cached_basis
 
 from helpers import (
     amplitude_damping_law,
+    assert_outcomes_match,
+    channel_outcomes,
     gksl_coordinate_field,
+    reference_audit,
     reference_report,
 )
 
@@ -351,26 +354,29 @@ def test_pure_state_audit_has_no_infeasible_components():
     assert report.verdict == "pass"
 
 
-def test_audit_records_infeasible_components_of_a_zero_weight_branch(monkeypatch):
-    # an anchor with a zero-weight remote outcome: the components that move
-    # that branch are flagged; the rotation channel still runs, so the audit
-    # completes with flags instead of dying
-    ensemble = nosignal_audit._ensemble
-
-    def zero_weight_anchor(dims, config, rng):
-        states, remotes, locals_, families = ensemble(dims, config, rng)
-        remote = computational_observable(2)
-        return ([_zero_weight_state(), *states[1:]], [remote, *remotes[1:]], locals_,
-                [ObservableFamily(remote, families[0].direction), *families[1:]])
-
-    monkeypatch.setattr(nosignal_audit, "_ensemble", zero_weight_anchor)
-    report = audit(
-        linear_law(), BlochHamiltonian((2, 2)),
-        AuditConfig(seed=4, ensemble_size=1, times=(0.5,)),
-    )
+def test_audit_records_infeasible_components_of_a_zero_weight_branch():
+    # a member with a zero-weight remote outcome: the components that move
+    # that branch are flagged, as the density-matrix reference flags them;
+    # the rotation channel still runs, so the report carries flags instead
+    # of the audit dying
+    law, h, config = linear_law(), BlochHamiltonian((2, 2)), AuditConfig(ensemble_size=1,
+                                                                           times=(0.5,))
+    direction = 0.5 * cached_basis(2).matrices[1]
+    member = (_zero_weight_state(), computational_observable(2), computational_observable(2),
+              direction)
+    outcomes = channel_outcomes(law, h, [member], config.times)
+    assert_outcomes_match(outcomes, reference_audit(law, h, [member], config.times))
+    state, remote, local, _ = member
+    runs = (d_remote_state(law, h, [state], [remote], [local], config.times, range(3)),
+            d_correlations(law, h, [state], [remote], [local], config.times,
+                           [(i, j) for i in range(3) for j in range(3)]),
+            d_remote_observable(law, h, [state], [ObservableFamily(remote, direction)], [local],
+                                config.times))
+    report = nosignal_audit._report(law.name, (2, 2), config, runs, 0.0)
     assert [e["component"] for e in report.infeasible] == ["2", "0,2", "1,2", "2,2"]
     assert report.max_d_remote_observable <= 1e-6
     assert [row["status"] for row in report.cases] == ["partial:infeasible"] * 2 + ["ok"]
+    assert report.verdict == "pass"
 
 
 def test_audit_report_dict_and_csv_shapes():

@@ -1,10 +1,10 @@
 """The complex-step state channels against the central differences of
-``helpers.reference_state_differences``.
+``helpers.reference_audit``.
 
 ``d_remote_state`` and ``d_correlations`` read every component from one
 complex row ``x + i eps e_k``: the imaginary part of each probability is
 ``eps`` times its exact derivative.  The reference shifts each component by
-``+-h`` and subtracts two real propagations.  On interior members both
+``+-h`` in matrix space and subtracts two real propagations.  On interior members both
 shifted states stay physical, so the two must agree to within the central
 difference's own error (``h**2`` truncation and ``eps/h`` rounding, both far
 below 1e-10 at ``h = 1e-5``).  Unlike the central difference, the complex
@@ -19,15 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_state_differences
+from helpers import reference_audit, reference_ensemble
 
-from blochsig import dynamics, nosignal_audit
+from blochsig import dynamics
 from blochsig.bloch import joint_from_bloch
 from blochsig.dynamics import linear_law, random_hamiltonian, xi_law
 from blochsig.errors import DimensionMismatchError, UnphysicalStateError
 from blochsig.nosignal_audit import (
     DEFAULT_BRANCH_OPTIONS,
     AuditConfig,
+    ObservableFamily,
     d_correlations,
     d_remote_observable,
     d_remote_state,
@@ -42,13 +43,13 @@ TIMES = (0.25, 0.5, 1.0)
 
 
 def _channels(dims):
-    """(d_* function, components, packed indices) of both state channels."""
+    """(d_* function, components, report labels) of both state channels."""
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     ks = list(range(d2))
     ijs = [(i, j) for i in range(d1) for j in range(d2)]
     return (
-        (d_remote_state, ks, [d1 + k for k in ks]),
-        (d_correlations, ijs, [d1 + d2 + i * d2 + j for i, j in ijs]),
+        (d_remote_state, ks, [str(k) for k in ks]),
+        (d_correlations, ijs, [f"{i},{j}" for i, j in ijs]),
     )
 
 
@@ -56,8 +57,9 @@ def _member(dims, seed):
     """The first random (non-anchor) member of a seeded ensemble: its state,
     remote and local observables and rotation family."""
     config = AuditConfig(ensemble_size=2)
-    return [column[1] for column in
-            nosignal_audit._ensemble(dims, config, np.random.default_rng(seed))]
+    state, remote, local, direction = reference_ensemble(dims, config,
+                                                         np.random.default_rng(seed))[1]
+    return state, remote, local, ObservableFamily(remote, direction)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -71,11 +73,12 @@ def test_complex_steps_match_central_differences_on_interior_members(dims, law, 
     rho = joint_from_bloch(state, *map(cached_basis, dims))
     assert np.linalg.eigvalsh(rho)[0] > 1e-3  # both +-h neighbours are physical
     hamiltonian = random_hamiltonian(np.random.default_rng(seed), dims, scale=0.6)
-    args = (law, hamiltonian, state, remote, local, TIMES)
-    for d_fn, components, index in _channels(dims):
+    differences = reference_audit(law, hamiltonian, [(state, remote, local, None)], TIMES,
+                                  fd_step=FD_STEP)
+    for d_fn, components, labels in _channels(dims):
         [values] = d_fn(law, hamiltonian, [state], [remote], [local], TIMES, components,
                         DEFAULT_BRANCH_OPTIONS)
-        expected = reference_state_differences(*args, index, FD_STEP, DEFAULT_BRANCH_OPTIONS)
+        expected = [[differences[0, t, d_fn.__name__, label] for t in TIMES] for label in labels]
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
         if law.kind == "linear":
             assert max(map(max, values)) <= 1e-14
