@@ -1,9 +1,12 @@
 """Projective measurements in Bloch coordinates.
 
-A projector P on an N-level system is stored as the affine pair
-``(u0, u)`` with ``u0 = Tr(P)/N`` and ``u_i = Tr(P s_i)/N``, i.e.
-``P = u0 I + (N/2) u . s``.  Under the state scaling of
-:mod:`blochsig.bloch` the Born rule is then literally ``p = u0 + u . r``.
+An observable with K outcomes on an N-level system is its outcome
+coordinates: ``ProjectiveObservable(N, u0, u)`` holds the read-only arrays
+``u0`` ``(K,)`` and ``u`` ``(K, N**2 - 1)``, with ``u0_k = Tr(P_k)/N`` and
+``u_k,i = Tr(P_k s_i)/N``, i.e. ``P_k = u0_k I + (N/2) u_k . s``
+(``matrices(basis)`` gives the ``P_k``).  Under the state scaling of
+:mod:`blochsig.bloch` the Born rule is then literally ``p = u0 + u @ r``,
+and the branch layer takes the arrays as they are.
 
 For a bipartite state, outcome k of a measurement on party 2 leaves party 1
 in the collapsed coordinates
@@ -31,10 +34,12 @@ tangent rows ``r1'_k + i eps e_i``, and the last linearization is kept, so
 the audit's measurement-choice channel reuses its coordinate sweep's.
 
 Outcomes of any rank are allowed; an observable only has to consist of
-mutually orthogonal projectors resolving the identity.  Derived observables
-skip the matrix checks: :func:`observable_from_basis` reads ``u`` off the
-vectors, and :func:`rotate_observable` maps it through the unitary's adjoint
-matrix, once their inputs pass (finite, orthonormal, Hermitian).
+mutually orthogonal projectors resolving the identity, which
+:func:`observable_from_matrices`, the one validating builder, checks on the
+matrices.  Derived observables skip the matrix checks:
+:func:`observable_from_basis` reads ``u`` off the vectors, and
+:func:`rotate_observable` maps it through the unitary's adjoint matrix,
+once their inputs pass (finite, orthonormal, Hermitian).
 """
 
 from __future__ import annotations
@@ -57,10 +62,7 @@ from .su_basis import GeneratorSet, cached_basis
 
 __all__ = [
     "EPS_PROB",
-    "Projector",
     "ProjectiveObservable",
-    "projector_from_matrix",
-    "observable_from_projectors",
     "observable_from_matrices",
     "observable_from_basis",
     "computational_observable",
@@ -90,97 +92,61 @@ _COMPLETE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Projector:
-    """Affine coordinates (u0, u) of an orthogonal projector."""
+class ProjectiveObservable:
+    """Ordered, mutually orthogonal projectors resolving the identity, as the
+    read-only outcome coordinates ``u0`` ``(K,)`` and ``u`` ``(K, dim**2 -
+    1)``: outcome k is ``P_k = u0[k] I + (dim/2) u[k] . s``.  Only the
+    shapes are checked here; :func:`observable_from_matrices` validates."""
 
     dim: int
-    u0: float
+    u0: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(-1)
-        if u.shape != (self.dim**2 - 1,):
-            raise DimensionMismatchError(f"u must have length {self.dim**2 - 1}, got {u.shape}")
+        u0, u = np.array(self.u0, dtype=float), np.array(self.u, dtype=float)
+        if u0.ndim != 1 or u.shape != (len(u0), self.dim**2 - 1):
+            raise DimensionMismatchError(f"u0 and u must have shapes (K,) and (K, "
+                                         f"{self.dim**2 - 1}), got {u0.shape} and {u.shape}")
+        u0.setflags(write=False)
         u.setflags(write=False)
+        object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "u0", float(self.u0))
-
-    @property
-    def rank(self) -> int:
-        return round(self.u0 * self.dim)
-
-    def matrix(self, basis: GeneratorSet | None = None) -> np.ndarray:
-        basis = basis or cached_basis(self.dim)
-        n = self.dim
-        return self.u0 * np.eye(n, dtype=complex) + 0.5 * n * np.einsum(
-            "i,iab->ab", self.u, basis.matrices
-        )
-
-    def to_json(self) -> dict:
-        return {"u0": self.u0, "u": self.u.tolist()}
-
-
-@dataclass(frozen=True)
-class ProjectiveObservable:
-    """Ordered, mutually orthogonal projectors resolving the identity."""
-
-    dim: int
-    outcomes: tuple[Projector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.u0)
 
-    def u0_vector(self) -> np.ndarray:
-        return np.array([p.u0 for p in self.outcomes])
-
-    def u_matrix(self) -> np.ndarray:
-        """Outcome coordinate rows, shape (K, dim**2 - 1)."""
-        return np.stack([p.u for p in self.outcomes])
+    def matrices(self, basis: GeneratorSet) -> np.ndarray:
+        """The projector matrices of the outcomes, shape ``(K, dim, dim)``."""
+        return self.u0[:, None, None] * np.eye(self.dim) + 0.5 * self.dim * np.einsum(
+            "ki,iab->kab", self.u, basis.matrices)
 
     def to_json(self) -> list[dict]:
-        return [p.to_json() for p in self.outcomes]
+        return [{"u0": float(a), "u": row.tolist()} for a, row in zip(self.u0, self.u)]
 
 
-def projector_from_matrix(p: np.ndarray, basis: GeneratorSet) -> Projector:
-    """Coordinates of a projector; rejects anything not Hermitian idempotent."""
-    p = np.asarray(p, dtype=complex)
+def observable_from_matrices(matrices, basis: GeneratorSet) -> ProjectiveObservable:
+    """The observable of a sequence of projector matrices, each refused
+    unless it is a finite Hermitian idempotent of the basis's dim, and all
+    together unless they resolve the identity and are mutually orthogonal."""
     n = basis.dim
-    if p.shape != (n, n):
-        raise DimensionMismatchError(f"projector must be {(n, n)}, got {p.shape}")
-    if not np.isfinite(p).all():
-        raise InvalidProjectorError("matrix entries must be finite")
-    herm = np.max(np.abs(p - p.conj().T))
-    if herm > _PROJ_TOL:
-        raise InvalidProjectorError(f"matrix is not Hermitian (deviation {herm:.3e})")
-    idem = np.max(np.abs(p @ p - p))
-    if idem > _PROJ_TOL:
-        raise InvalidProjectorError(f"matrix is not idempotent (deviation {idem:.3e})")
-    u0 = float(np.trace(p).real) / n
-    u = np.real(np.einsum("ab,iba->i", p, basis.matrices)) / n
-    return Projector(n, u0, u)
-
-
-def observable_from_projectors(
-    projectors, basis: GeneratorSet | None = None
-) -> ProjectiveObservable:
-    """Validate completeness and mutual orthogonality, then assemble."""
-    projectors = tuple(projectors)
-    if not projectors:
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    for p in mats:
+        if p.shape != (n, n):
+            raise DimensionMismatchError(f"projector must be {(n, n)}, got {p.shape}")
+        if not np.isfinite(p).all():
+            raise InvalidProjectorError("matrix entries must be finite")
+        herm = np.max(np.abs(p - p.conj().T))
+        if herm > _PROJ_TOL:
+            raise InvalidProjectorError(f"matrix is not Hermitian (deviation {herm:.3e})")
+        idem = np.max(np.abs(p @ p - p))
+        if idem > _PROJ_TOL:
+            raise InvalidProjectorError(f"matrix is not idempotent (deviation {idem:.3e})")
+    if not mats:
         raise InvalidObservableError("an observable needs at least one outcome")
-    dim = projectors[0].dim
-    basis = basis or cached_basis(dim)
-    if any(p.dim != dim for p in projectors):
-        raise DimensionMismatchError("all outcomes must share one dimension")
-    if not all(np.isfinite(p.u0) and np.isfinite(p.u).all() for p in projectors):
-        raise InvalidObservableError("outcome coordinates must be finite")
-    total_u0 = sum(p.u0 for p in projectors)
-    total_u = np.sum([p.u for p in projectors], axis=0)
-    if abs(total_u0 - 1.0) > _COMPLETE_TOL or np.max(np.abs(total_u)) > _COMPLETE_TOL:
+    u0 = np.array([np.trace(p).real for p in mats]) / n
+    u = np.array([np.real(np.einsum("ab,iba->i", p, basis.matrices)) for p in mats]) / n
+    if abs(u0.sum() - 1.0) > _COMPLETE_TOL or np.max(np.abs(u.sum(axis=0))) > _COMPLETE_TOL:
         raise InvalidObservableError("outcomes do not resolve the identity")
-    mats = [p.matrix(basis) for p in projectors]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             cross = np.max(np.abs(mats[i] @ mats[j]))
@@ -188,13 +154,7 @@ def observable_from_projectors(
                 raise InvalidObservableError(
                     f"outcomes {i} and {j} are not orthogonal (deviation {cross:.3e})"
                 )
-    return ProjectiveObservable(dim, projectors)
-
-
-def observable_from_matrices(matrices, basis: GeneratorSet) -> ProjectiveObservable:
-    return observable_from_projectors(
-        [projector_from_matrix(m, basis) for m in matrices], basis
-    )
+    return ProjectiveObservable(n, u0, u)
 
 
 def observable_from_basis(vectors, basis: GeneratorSet) -> ProjectiveObservable:
@@ -222,7 +182,7 @@ def _observables_from_bases(vectors: np.ndarray, basis: GeneratorSet) -> list:
             f"need {n} vectors to resolve the identity, got {vectors.shape[1]}"
         )
     u = np.real(np.einsum("mka,iab,mkb->mki", vectors.conj(), basis.matrices, vectors)) / n
-    return [ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in rows]) for rows in u]
+    return [ProjectiveObservable(n, np.full(n, 1.0 / n), rows) for rows in u]
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:
@@ -260,16 +220,15 @@ def rotate_observable(
     unitary = (v * np.exp(-1j * theta * w)) @ v.conj().T
     s = cached_basis(obs.dim).matrices
     adjoint = 0.5 * np.real(np.einsum("iab,jba->ij", s, unitary @ s @ unitary.conj().T))
-    return ProjectiveObservable(
-        obs.dim, [Projector(obs.dim, p.u0, adjoint @ p.u) for p in obs.outcomes]
-    )
+    # one matrix-vector product per outcome: a matrix product may sum in another order
+    return ProjectiveObservable(obs.dim, obs.u0, [adjoint @ row for row in obs.u])
 
 
 def outcome_probabilities(obs: ProjectiveObservable, state: BlochState) -> np.ndarray:
     """Born rule in coordinates: p_k = u0_k + u_k . r."""
     if obs.dim != state.dim:
         raise DimensionMismatchError(f"observable dim {obs.dim} != state dim {state.dim}")
-    return obs.u0_vector() + obs.u_matrix() @ state.r
+    return obs.u0 + obs.u @ state.r
 
 
 def conditional_state(
@@ -299,11 +258,11 @@ def _outcomes(observables, dims, party) -> tuple[np.ndarray, np.ndarray]:
     if any(obs.dim != n for obs in observables):
         found = sorted({obs.dim for obs in observables})
         raise DimensionMismatchError(f"observables of dims {found} do not fit dims {dims}")
-    k = max(map(len, observables))
-    pad = (Projector(n, 0.0, np.zeros(n * n - 1)),)
-    rows = [obs.outcomes + pad * (k - len(obs)) for obs in observables]
-    return (np.array([[p.u0 for p in row] for row in rows]),
-            np.array([[p.u for p in row] for row in rows]))
+    u0 = np.zeros((len(observables), max(map(len, observables))))
+    u = np.zeros((*u0.shape, n * n - 1))
+    for m, obs in enumerate(observables):
+        u0[m, : len(obs)], u[m, : len(obs)] = obs.u0, obs.u
+    return u0, u
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -162,7 +162,7 @@ class ObservableFamily:
         rotation of Bloch coordinates by exp(-i theta G)."""
         s = cached_basis(self.base.dim).matrices
         g = 0.5 * np.real(np.einsum("aij,ji->a", s, self.direction))
-        return self.base.u_matrix() @ reduced_generator(g, self.base.dim).T
+        return self.base.u @ reduced_generator(g, self.base.dim).T
 
 
 def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra=None):

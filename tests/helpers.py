@@ -26,7 +26,6 @@ from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     EPS_PROB,
-    Projector,
     ProjectiveObservable,
     observable_from_matrices,
     rotate_observable,
@@ -81,7 +80,7 @@ def reference_rotate_observable(obs, direction, theta):
     w, v = np.linalg.eigh(np.asarray(direction, dtype=complex))
     u = (v * np.exp(-1j * theta * w)) @ v.conj().T
     basis = cached_basis(obs.dim)
-    return observable_from_matrices([u @ p.matrix(basis) @ u.conj().T for p in obs.outcomes], basis)
+    return observable_from_matrices([u @ p @ u.conj().T for p in obs.matrices(basis)], basis)
 
 
 def amplitude_damping_law(gamma):
@@ -239,8 +238,8 @@ def _re_trace(a, b):
 def _projectors(obs):
     """The matrices ``u0 I + (n/2) u . s`` of an observable's outcomes."""
     n, s = obs.dim, cached_basis(obs.dim).matrices
-    return np.array([p.u0 * np.eye(n) + 0.5 * n * np.einsum("i,iab->ab", p.u, s)
-                     for p in obs.outcomes])
+    return np.array([u0 * np.eye(n) + 0.5 * n * np.einsum("i,iab->ab", u, s)
+                     for u0, u in zip(obs.u0, obs.u)])
 
 
 def _party_one_trace(m, n1, n2):
@@ -454,7 +453,7 @@ def reference_basis_observable(vectors, basis):
     n = basis.dim
     vecs = np.asarray(vectors, dtype=complex)
     u = np.real(np.einsum("ka,iab,kb->ki", vecs.conj(), basis.matrices, vecs)) / n
-    return ProjectiveObservable(n, [Projector(n, 1.0 / n, row) for row in u])
+    return ProjectiveObservable(n, np.full(n, 1.0 / n), u)
 
 
 def reference_ensemble(dims, config, rng):

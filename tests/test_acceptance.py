@@ -128,7 +128,7 @@ def test_criterion_2_collapse_oracle_equivalence():
             obs2 = bs.observable_from_basis(reference_haar_unitary(rng, n2).T, b2)
             k = int(rng.integers(n2))
             prob_oracle, reduced_oracle = collapse_reduced(
-                rho, dims, obs2.outcomes[k].matrix(b2)
+                rho, dims, obs2.matrices(b2)[k]
             )
             if prob_oracle <= 1e-6:
                 continue

@@ -113,20 +113,20 @@ def _branchwise_distribution(joint, obs2, obs1, law, t, x=None):
     r1, r2, r12 = x[:d1], x[d1 : d1 + d2], x[d1 + d2 :].reshape(d1, d2)
     h_local = np.zeros(d1)
     branches = []
-    for proj in obs2.outcomes:
-        p = proj.u0 + proj.u @ r2
+    for u0, u in zip(obs2.u0, obs2.u):
+        p = u0 + u @ r2
         if p.real <= EPS_PROB:
             continue
-        r = (proj.u0 * r1 + r12 @ proj.u) / p
+        r = (u0 * r1 + r12 @ u) / p
         field = lambda y: law.reduced_field_fn(h_local, y)  # noqa: E731
         branches.append((p, integrate.solve(field, r, t, DEFAULT_BRANCH_OPTIONS)))
-    out = np.zeros(len(obs1.outcomes), dtype=x.dtype)
-    for idx, proj in enumerate(obs1.outcomes):
+    out = np.zeros(len(obs1), dtype=x.dtype)
+    for idx, (v0, v) in enumerate(zip(obs1.u0, obs1.u)):
         total = 0.0
         for p, r in branches:
             # the array loop of a complex product may fuse its multiply-adds
             # where the scalar one does not; np.multiply takes the array loop
-            total += np.multiply(p, proj.u0 + proj.u @ r)
+            total += np.multiply(p, v0 + v @ r)
         out[idx] = total
     return out
 
@@ -672,13 +672,22 @@ def test_a_local_hamiltonian_of_another_length_is_rejected_for_every_law(law):
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
 @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
 def test_a_hamiltonian_of_other_dims_than_the_state_is_rejected_for_every_law(law, dims):
-    singlet, comp, fourier = singlet_state(), computational_observable(2), fourier_observable(2)
+    # the observables fit the Hamiltonian's dims, so the 2x2 singlet's
+    # packed state (15 coordinates) is what does not fit
+    singlet, (n1, n2) = singlet_state(), dims
+    remote, local = fourier_observable(n2), computational_observable(n1)
     hamiltonian = BlochHamiltonian(dims)
-    with pytest.raises(DimensionMismatchError, match=re.escape(f"do not fit dims {dims}")):
-        local_distribution(singlet, fourier, comp, law, 1.0, hamiltonian=hamiltonian)
-    with pytest.raises(DimensionMismatchError, match=re.escape(f"do not fit dims {dims}")):
-        nosignal_audit.signaling_channel_demo(law, singlet, comp, fourier, comp, 1.0,
-                                              hamiltonian=hamiltonian)
+    state = re.escape(f"rows of lengths {n1**2 - 1}, {n2**2 - 1}, 15 do not fit dims {dims}")
+    with pytest.raises(DimensionMismatchError, match=state):
+        local_distribution(singlet, remote, local, law, 1.0, hamiltonian=hamiltonian)
+    with pytest.raises(DimensionMismatchError, match=state):
+        nosignal_audit.signaling_channel_demo(law, singlet, computational_observable(n2), remote,
+                                              local, 1.0, hamiltonian=hamiltonian)
+    # a channel checks its members' dims first
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"member dims (2, 2) do not fit dims {dims}")):
+        nosignal_audit.d_remote_state(law, hamiltonian, [singlet], [remote], [local], [1.0],
+                                      [0])
 
 
 def test_local_distribution_defaults_to_the_audit_branch_integrator():

@@ -1,4 +1,4 @@
-"""Projector coordinates, Born rule, collapse, and branch-averaged statistics."""
+"""Observable coordinates, Born rule, collapse, and branch-averaged statistics."""
 
 import math
 import re
@@ -16,16 +16,14 @@ from blochsig.errors import (
     ZeroProbabilityBranchError,
 )
 from blochsig.measurement import (
-    Projector,
+    ProjectiveObservable,
     computational_observable,
     conditional_state,
     fourier_observable,
     local_distribution,
     observable_from_basis,
     observable_from_matrices,
-    observable_from_projectors,
     outcome_probabilities,
-    projector_from_matrix,
     rotate_observable,
 )
 from blochsig.nosignal_audit import ObservableFamily, d_remote_state, polesink_law
@@ -44,33 +42,37 @@ from helpers import (
 
 
 def test_qubit_up_projector_coordinates():
-    p = projector_from_matrix(np.diag([1.0, 0.0]), cached_basis(2))
-    assert p.u0 == pytest.approx(0.5, abs=1e-15)
-    np.testing.assert_allclose(p.u, [0.0, 0.0, 0.5], atol=1e-15)
-    assert p.rank == 1
+    obs = observable_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], cached_basis(2))
+    assert obs.u0[0] == pytest.approx(0.5, abs=1e-15)
+    np.testing.assert_allclose(obs.u[0], [0.0, 0.0, 0.5], atol=1e-15)
+    assert obs.u0[0] * obs.dim == pytest.approx(1.0, abs=1e-15)  # the rank, Tr P
 
 
 def test_identity_projector_coordinates():
-    p = projector_from_matrix(np.eye(2), cached_basis(2))
-    assert p.u0 == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(p.u, 0.0, atol=1e-15)
-    assert p.rank == 2
+    obs = observable_from_matrices([np.eye(2)], cached_basis(2))
+    assert len(obs) == 1
+    assert obs.u0[0] == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(obs.u[0], 0.0, atol=1e-15)
+    assert obs.u0[0] * obs.dim == pytest.approx(2.0, abs=1e-15)
 
 
 def test_qutrit_rank2_projector_roundtrip():
     basis = cached_basis(3)
     mat = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    p = projector_from_matrix(mat, basis)
-    assert p.u0 == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert np.max(np.abs(p.matrix(basis) - mat)) <= 1e-12
+    obs = observable_from_matrices([mat, np.eye(3) - mat], basis)
+    assert obs.u0[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert np.max(np.abs(obs.matrices(basis)[0] - mat)) <= 1e-12
 
 
 def test_invalid_projector_rejected():
     basis = cached_basis(2)
-    with pytest.raises(InvalidProjectorError):
-        projector_from_matrix(np.array([[0.5, 0.0], [0.0, 0.0]]), basis)  # not idempotent
-    with pytest.raises(InvalidProjectorError):
-        projector_from_matrix(np.array([[1.0, 0.2], [0.0, 0.0]]), basis)  # not Hermitian
+    with pytest.raises(InvalidProjectorError, match="not idempotent"):
+        observable_from_matrices([np.array([[0.5, 0.0], [0.0, 0.0]]), np.eye(2)], basis)
+    with pytest.raises(InvalidProjectorError, match="not Hermitian"):
+        observable_from_matrices([np.array([[1.0, 0.2], [0.0, 0.0]]), np.eye(2)], basis)
+    # two halves of the identity resolve it, but are not projectors
+    with pytest.raises(InvalidProjectorError, match="not idempotent"):
+        observable_from_matrices([np.eye(2) / 2, np.eye(2) / 2], basis)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -84,35 +86,34 @@ def test_coordinate_idempotence_identities(dim):
     vectors = reference_haar_unitary(rng, dim).T
     for rank in range(1, dim):
         mat = sum(np.outer(v, v.conj()) for v in vectors[:rank])
-        p = projector_from_matrix(mat, basis)
-        lhs0 = p.u0
-        rhs0 = p.u0**2 + 0.5 * dim * float(p.u @ p.u)
-        assert lhs0 == pytest.approx(rhs0, abs=1e-12)
-        quad = np.einsum("ijk,i,j->k", g, p.u, p.u)
-        resid = 0.5 * dim * p.u - dim * p.u0 * p.u - 0.25 * dim**2 * quad
-        assert np.max(np.abs(resid)) <= 1e-12
+        obs = observable_from_matrices([mat, np.eye(dim) - mat], basis)
+        for u0, u in zip(obs.u0, obs.u):
+            assert u0 == pytest.approx(u0**2 + 0.5 * dim * float(u @ u), abs=1e-12)
+            quad = np.einsum("ijk,i,j->k", g, u, u)
+            resid = 0.5 * dim * u - dim * u0 * u - 0.25 * dim**2 * quad
+            assert np.max(np.abs(resid)) <= 1e-12
 
 
 def test_computational_observable_qubit():
     obs = computational_observable(2)
-    np.testing.assert_allclose(obs.u0_vector(), [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(obs.u_matrix(), [[0, 0, 0.5], [0, 0, -0.5]], atol=1e-15)
+    np.testing.assert_allclose(obs.u0, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(obs.u, [[0, 0, 0.5], [0, 0, -0.5]], atol=1e-15)
 
 
 def test_fourier_observable_qubit_is_hadamard_pair():
     obs = fourier_observable(2)
-    np.testing.assert_allclose(obs.u0_vector(), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(obs.u0, [0.5, 0.5], atol=1e-15)
     np.testing.assert_allclose(
-        np.sort(obs.u_matrix()[:, 0]), [-0.5, 0.5], atol=1e-12
+        np.sort(obs.u[:, 0]), [-0.5, 0.5], atol=1e-12
     )
-    np.testing.assert_allclose(obs.u_matrix()[:, 1:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(obs.u[:, 1:], 0.0, atol=1e-12)
 
 
 def test_qutrit_observable_completeness():
     obs = computational_observable(3)
     assert len(obs) == 3
-    assert sum(p.u0 for p in obs.outcomes) == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(np.sum(obs.u_matrix(), axis=0))) <= 1e-14
+    assert obs.u0.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(np.sum(obs.u, axis=0))) <= 1e-14
 
 
 def test_non_orthonormal_vectors_rejected():
@@ -124,14 +125,14 @@ def test_rotated_observable_stays_valid():
     basis = cached_basis(2)
     direction = 0.5 * basis.matrices[1]
     obs = rotate_observable(computational_observable(2), direction, 0.7)
-    assert sum(p.u0 for p in obs.outcomes) == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(np.sum(obs.u_matrix(), axis=0))) <= 1e-12
+    assert obs.u0.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(np.sum(obs.u, axis=0))) <= 1e-12
 
 
 def _assert_same_observable(obs, ref, atol=1e-12):
     assert obs.dim == ref.dim and len(obs) == len(ref)
-    np.testing.assert_allclose(obs.u0_vector(), ref.u0_vector(), rtol=0, atol=atol)
-    np.testing.assert_allclose(obs.u_matrix(), ref.u_matrix(), rtol=0, atol=atol)
+    np.testing.assert_allclose(obs.u0, ref.u0, rtol=0, atol=atol)
+    np.testing.assert_allclose(obs.u, ref.u, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -150,30 +151,29 @@ def test_rotation_in_coordinates_matches_the_matrix_route(n):
     vecs = reference_haar_unitary(rng, n).T
     rank1 = observable_from_basis(vecs, basis)
     pair = np.outer(vecs[0], vecs[0].conj()) + np.outer(vecs[1], vecs[1].conj())
-    coarse = observable_from_matrices([pair, np.eye(n) - pair], basis)  # a rank-2 outcome
-    assert coarse.outcomes[0].rank == 2
+    coarse = observable_from_matrices([pair, np.eye(n) - pair], basis)
+    assert coarse.u0[0] * n == pytest.approx(2.0, abs=1e-14)  # a rank-2 outcome
     for obs in (rank1, coarse, fourier_observable(n)):
         for theta in (0.3, -1.7, 2 * math.pi / 3):
             direction = reference_direction(rng, n)
             rotated = rotate_observable(obs, direction, theta)
             _assert_same_observable(rotated, reference_rotate_observable(obs, direction, theta))
-            assert [p.rank for p in rotated.outcomes] == [p.rank for p in obs.outcomes]
+            assert np.array_equal(rotated.u0, obs.u0)  # every rank kept
 
 
 def test_observable_validators_reject_nonfinite_input():
     basis = cached_basis(2)
+    up = np.diag([1.0, 0.0])
     with pytest.raises(InvalidProjectorError, match="finite"):
-        projector_from_matrix(np.full((2, 2), np.nan), basis)
+        observable_from_matrices([np.full((2, 2), np.nan)], basis)
     with pytest.raises(InvalidProjectorError, match="finite"):
-        projector_from_matrix(np.diag([1.0, np.inf]), basis)
+        observable_from_matrices([np.diag([1.0, np.inf])], basis)
     with pytest.raises(InvalidObservableError, match="finite"):
         observable_from_basis(np.array([[1.0, 0.0], [0.0, np.nan]]), basis)
-    nan_outcome = Projector(2, np.nan, [0.0, 0.0, 0.5])
-    up = projector_from_matrix(np.diag([1.0, 0.0]), basis)
-    with pytest.raises(InvalidObservableError, match="finite"):
-        observable_from_projectors([up, nan_outcome], basis)
-    with pytest.raises(InvalidObservableError, match="finite"):
-        observable_from_projectors([up, Projector(2, 0.5, [0.0, np.nan, -0.5])], basis)
+    with pytest.raises(InvalidProjectorError, match="finite"):
+        observable_from_matrices([up, np.diag([np.nan, 1.0])], basis)
+    with pytest.raises(InvalidProjectorError, match="finite"):
+        observable_from_matrices([up, np.array([[0.0, np.nan], [np.nan, 1.0]])], basis)
 
 
 def test_rotation_rejects_a_nonfinite_direction_or_angle():
@@ -222,7 +222,7 @@ def test_probabilities_match_trace_oracle():
         rho = random_density(rng, 3)
         obs = observable_from_basis(reference_haar_unitary(rng, 3).T, basis)
         probs = outcome_probabilities(obs, to_bloch(rho, basis))
-        oracle = [float(np.real(np.trace(rho @ p.matrix(basis)))) for p in obs.outcomes]
+        oracle = [float(np.real(np.trace(rho @ p))) for p in obs.matrices(basis)]
         np.testing.assert_allclose(probs, oracle, atol=1e-12)
         assert float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= -1e-12) and np.all(probs <= 1.0 + 1e-12)
@@ -235,7 +235,7 @@ def test_singlet_conditionals_anticorrelate():
     assert p == pytest.approx(0.5, abs=1e-14)
     np.testing.assert_allclose(cond.r, [0.0, 0.0, -1.0], atol=1e-13)
     obs_x = fourier_observable(2)
-    k_minus = int(np.argmin(obs_x.u_matrix()[:, 0]))
+    k_minus = int(np.argmin(obs_x.u[:, 0]))
     p, cond = conditional_state(joint, obs_x, k_minus)
     assert p == pytest.approx(0.5, abs=1e-14)
     np.testing.assert_allclose(cond.r, [1.0, 0.0, 0.0], atol=1e-13)
@@ -299,7 +299,7 @@ def test_conditionals_match_collapse_oracle(dims):
         average = np.zeros(n1**2 - 1)
         for k in range(n2):
             p, cond = conditional_state(joint, obs, k)
-            prob_oracle, reduced_oracle = collapse_reduced(rho, dims, obs.outcomes[k].matrix(b2))
+            prob_oracle, reduced_oracle = collapse_reduced(rho, dims, obs.matrices(b2)[k])
             assert p == pytest.approx(prob_oracle, abs=1e-12)
             assert np.max(np.abs(cond.r - to_bloch(reduced_oracle, b1).r)) <= 1e-11
             average += p * cond.r
@@ -316,8 +316,8 @@ def test_local_distribution_at_t0_is_born_marginal():
     obs1 = observable_from_basis(reference_haar_unitary(rng, 2).T, b1)
     dist = local_distribution(joint, obs2, obs1, linear_law(), 0.0)
     marginal = [
-        float(np.real(np.trace(trace_out(rho, (2, 3), 1) @ p.matrix(b1))))
-        for p in obs1.outcomes
+        float(np.real(np.trace(trace_out(rho, (2, 3), 1) @ p)))
+        for p in obs1.matrices(b1)
     ]
     np.testing.assert_allclose(dist, marginal, atol=1e-12)
     assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-10)
@@ -347,7 +347,7 @@ def test_local_distribution_qubit_precession_closed_form():
         joint, computational_observable(2), fourier_observable(2),
         linear_law(), t, hamiltonian=BlochHamiltonian((2, 2), h1=[0.0, 0.0, h]),
     )
-    plus = int(np.argmax(fourier_observable(2).u_matrix()[:, 0]))
+    plus = int(np.argmax(fourier_observable(2).u[:, 0]))
     expected_plus = 0.5 * (1.0 + math.cos(2 * h * t))
     assert dist[plus] == pytest.approx(expected_plus, abs=1e-9)
     assert float(np.sum(dist)) == pytest.approx(1.0, abs=1e-12)
@@ -383,29 +383,35 @@ def test_local_distribution_matches_unitary_oracle_branches():
     for k in range(2):
         p, cond = conditional_state(joint, obs2, k)
         evolved = unitary_evolve(h1_matrix, from_bloch(cond, b), t)
-        for idx, proj in enumerate(obs1.outcomes):
-            oracle[idx] += p * float(np.real(np.trace(evolved @ proj.matrix(b))))
+        for idx, proj in enumerate(obs1.matrices(b)):
+            oracle[idx] += p * float(np.real(np.trace(evolved @ proj)))
     np.testing.assert_allclose(dist, oracle, atol=1e-9)
 
 
-def _half_identity():
-    return Projector(2, 0.5, np.zeros(3))
+def _nearly_resolving_pair(eta=5e-11):
+    """``diag(1 + eta, 0)`` and the identity's rest: idempotent within the
+    projector tolerance, an exact resolution of the identity, yet the two
+    overlap by ``eta``."""
+    p = np.diag([1.0 + eta, 0.0])
+    return [p, np.eye(2) - p]
 
 
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: Projector(2, 0.5, np.zeros(2)), DimensionMismatchError,
-         "u must have length 3, got (2,)"),
-        (lambda: projector_from_matrix(np.eye(3), cached_basis(2)), DimensionMismatchError,
+        (lambda: ProjectiveObservable(2, [0.5], np.zeros((1, 2))), DimensionMismatchError,
+         "u0 and u must have shapes (K,) and (K, 3), got (1,) and (1, 2)"),
+        (lambda: observable_from_matrices([np.eye(3)], cached_basis(2)), DimensionMismatchError,
          "projector must be (2, 2), got (3, 3)"),
-        (lambda: observable_from_projectors([]), InvalidObservableError,
+        (lambda: observable_from_matrices([], cached_basis(2)), InvalidObservableError,
          "an observable needs at least one outcome"),
-        (lambda: observable_from_projectors([_half_identity(), Projector(3, 0.5, np.zeros(8))]),
-         DimensionMismatchError, "all outcomes must share one dimension"),
-        # two halves of the identity resolve it, but I/2 @ I/2 = I/4
-        (lambda: observable_from_projectors([_half_identity(), _half_identity()]),
-         InvalidObservableError, "outcomes 0 and 1 are not orthogonal (deviation 2.500e-01)"),
+        (lambda: observable_from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])],
+                                          cached_basis(2)),
+         DimensionMismatchError, "projector must be (2, 2), got (3, 3)"),
+        (lambda: observable_from_matrices(_nearly_resolving_pair(), cached_basis(2)),
+         InvalidObservableError, "outcomes 0 and 1 are not orthogonal (deviation 5.000e-11)"),
+        (lambda: observable_from_matrices([np.diag([1.0, 0.0])], cached_basis(2)),
+         InvalidObservableError, "outcomes do not resolve the identity"),
         (lambda: observable_from_basis(np.eye(3), cached_basis(2)), DimensionMismatchError,
          "expected vectors of length 2, got shape (3, 3)"),
         (lambda: observable_from_basis(np.eye(2)[:1], cached_basis(2)), InvalidObservableError,
@@ -416,10 +422,52 @@ def _half_identity():
          DimensionMismatchError, "observable dim 3 != second subsystem dim 2"),
     ],
     ids=["projector-length", "projector-matrix-shape", "no-outcome", "mixed-dims",
-         "not-orthogonal", "basis-vector-length", "too-few-vectors", "born-dims",
+         "not-orthogonal", "not-complete", "basis-vector-length", "too-few-vectors", "born-dims",
          "collapse-dims"],
 )
 def test_each_malformed_observable_or_pairing_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("u0, u", [
+    ([0.5, 0.5], np.zeros((2, 2))),
+    ([0.5, 0.5], np.zeros((3, 3))),
+    ([0.5, 0.5], np.zeros(3)),
+    ([[0.5, 0.5]], np.zeros((2, 3))),
+], ids=["row-length", "row-count", "one-row", "u0-not-a-vector"])
+def test_an_observable_refuses_outcome_coordinates_of_another_shape(u0, u):
+    with pytest.raises(DimensionMismatchError,
+                       match=r"^u0 and u must have shapes \(K,\) and \(K, 3\), got "):
+        ProjectiveObservable(2, u0, u)
+
+
+def test_an_observable_holds_read_only_copies_of_its_coordinates():
+    u0, u = np.full(2, 0.5), np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
+    obs = ProjectiveObservable(2, u0, u)
+    u[0, 2] = 1.0  # the caller's arrays stay the caller's
+    assert obs.u[0, 2] == 0.5
+    derived = (computational_observable(3), fourier_observable(3),
+               rotate_observable(obs, 0.5 * cached_basis(2).matrices[0], 0.4))
+    for array in (obs.u0, obs.u, *(a for o in derived for a in (o.u0, o.u))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert obs.to_json() == [{"u0": 0.5, "u": [0.0, 0.0, 0.5]},
+                             {"u0": 0.5, "u": [0.0, 0.0, -0.5]}]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_matrices_of_an_observable_build_it_again(n):
+    rng = np.random.default_rng(60 + n)
+    basis = cached_basis(n)
+    observables = [computational_observable(n), fourier_observable(n),
+                   rotate_observable(fourier_observable(n), reference_direction(rng, n), 0.9)]
+    if n > 2:  # a rank-2 outcome beside a rank n - 2 one
+        vecs = reference_haar_unitary(rng, n).T
+        pair = np.outer(vecs[0], vecs[0].conj()) + np.outer(vecs[1], vecs[1].conj())
+        observables.append(observable_from_matrices([pair, np.eye(n) - pair], basis))
+    for obs in observables:
+        again = observable_from_matrices(obs.matrices(basis), basis)
+        np.testing.assert_allclose(again.u0, obs.u0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(again.u, obs.u, rtol=0, atol=1e-12)

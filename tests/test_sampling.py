@@ -34,8 +34,8 @@ DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
 
 
 def _same_observable(obs, ref):
-    assert np.array_equal(obs.u0_vector(), ref.u0_vector())
-    assert np.array_equal(obs.u_matrix(), ref.u_matrix())
+    assert np.array_equal(obs.u0, ref.u0)
+    assert np.array_equal(obs.u, ref.u)
 
 
 @pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])
