@@ -68,7 +68,7 @@ def _asvector(r, length, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochState:
     """Coordinate vector of a single system of dimension ``dim``."""
 
@@ -79,7 +79,7 @@ class BlochState:
         object.__setattr__(self, "r", _asvector(self.r, self.dim**2 - 1, "r"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointBlochState:
     """Coordinate triple (r1, r2, r12) of a bipartite system."""
 

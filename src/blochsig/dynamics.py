@@ -103,7 +103,7 @@ __all__ = [
 # Hamiltonians
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochHamiltonian:
     """Coefficient form ``H = h0 I + h1.(s x I) + h2.(I x l) + h12_ij s_i x l_j``.
 

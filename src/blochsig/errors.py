@@ -52,7 +52,7 @@ class IntegrationFailureError(BlochSigError, RuntimeError):
 
 
 class PerturbationInfeasibleError(BlochSigError, RuntimeError):
-    """A complex-step perturbation moves a branch of zero weight, which has
+    """A channel's perturbation moves a branch of zero weight, which has
     only a one-sided derivative."""
 
 

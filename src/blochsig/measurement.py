@@ -20,18 +20,18 @@ whose sensitivities the audit module differentiates.
 :func:`_member_distributions` is the one route to it.  It takes the members
 of a call stacked: real packed joint states ``(M, D)``, remote outcomes
 ``(M, K, d2)`` and local outcomes ``(M, K1, d1)`` (:func:`_outcomes` pads
-an observable with fewer outcomes), and runs each step once per block of
-members: the complex-step rows, one collapse, one Born read and one
-scatter.  Every member's branches propagate as one batch under the law's
-shared reduced flow (``dynamics.reduced_flow``) at several times, and each
-member gets the bits it gets alone.  Complex rows or outcomes (the audit's
-complex steps) stay complex; a branch is kept by the real part of its
-weight, and a row that moves a dropped branch fails, since its derivative
-is one-sided.  Under a flow without a generator their branches are read
-off a linearization (forward-mode complex steps) at the collapsed real
-states: each kept outcome ``k`` of a member propagates only the ``d1``
-tangent rows ``r1'_k + i eps e_i``, and the last linearization is kept, so
-the audit's measurement-choice channel reuses its coordinate sweep's.
+an observable with fewer outcomes).  It collapses them once, propagates
+every member's branches as one batch under the law's shared reduced flow
+(``dynamics.reduced_flow``) at several times, and gives each member the
+bits it gets alone.  The audit's sensitivities are derivatives of that
+average, read by the chain rule: the collapse is affine in party 2's
+coordinates and in the remote outcomes, so each derivative contracts the
+branch Jacobians of party 1's flow with the outcome coordinates.  A flow
+with a generator supplies its cached propagator.  Only the Jacobian of a
+flow without a generator is a complex step: each kept outcome ``k`` of a
+member propagates the ``d1`` tangent rows ``r1'_k + i eps e_i``, and the
+last linearization is kept, so the audit's measurement-choice channel
+reuses its coordinate sweep's.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity, which
@@ -77,9 +77,9 @@ __all__ = [
 # contribute zero to branch averages.
 EPS_PROB = 1e-12
 
-# The complex step of the audit's sensitivities: far below any coordinate,
-# so its square vanishes beside every real part, and far above the smallest
-# normal float.
+# The complex step of the branch Jacobians of a flow without a generator:
+# far below any coordinate, so its square vanishes beside every real part,
+# and far above the smallest normal float.
 _EPS = 1e-30
 
 # The last linearization of a flow without a generator (one entry, see
@@ -91,7 +91,7 @@ _ORTHO_TOL = 1e-11
 _COMPLETE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveObservable:
     """Ordered, mutually orthogonal projectors resolving the identity, as the
     read-only outcome coordinates ``u0`` ``(K,)`` and ``u`` ``(K, dim**2 -
@@ -242,11 +242,10 @@ def conditional_state(
         )
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < len(obs2):
         raise ValueError(f"k must be an integer in [0, {len(obs2)}), got {k!r}")
-    p, r = _collapse(pack_coords(joint)[None, None], *_outcomes([obs2], joint.dims, 2),
-                     len(joint.r1))
-    if p[0, 0, k] <= EPS_PROB:
-        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, 0, k]:.3e}")
-    return float(p[0, 0, k]), BlochState(joint.dims[0], r[0, 0, k] / p[0, 0, k])
+    p, r = _collapse(pack_coords(joint)[None], *_outcomes([obs2], joint.dims, 2), len(joint.r1))
+    if p[0, k] <= EPS_PROB:
+        raise ZeroProbabilityBranchError(f"outcome {k} has probability {p[0, k]:.3e}")
+    return float(p[0, k]), BlochState(joint.dims[0], r[0, k] / p[0, k])
 
 
 def _outcomes(observables, dims, party) -> tuple[np.ndarray, np.ndarray]:
@@ -277,17 +276,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _collapse(x, u0, u, d1):
-    """Born weights ``p`` ``(M, P, K)`` and party 1's unnormalized collapsed
-    coordinates ``p * r1'`` ``(M, P, K, d1)`` of packed joint rows ``x`` under
-    outcomes ``u0, u`` as for :func:`_member_distributions`, with ``r12 @ u``
-    from the BLAS matrix-vector product of ``joint.r12 @ proj.u`` and
-    ``u . r2`` from :func:`_dots`."""
+    """Born weights ``p`` ``(M, K)`` and party 1's unnormalized collapsed
+    coordinates ``p * r1'`` ``(M, K, d1)`` of packed joint states ``x``
+    ``(M, D)`` under outcomes ``u0, u`` as for :func:`_member_distributions`,
+    with ``r12 @ u`` from the BLAS matrix-vector product of ``joint.r12 @
+    proj.u`` and ``u . r2`` from :func:`_dots`."""
     d2 = u.shape[-1]
-    r12 = x[..., d1 + d2 :].reshape(*x.shape[:-1], d1, d2)
-    p = u0[:, None] + _dots(x[:, :, None, d1 : d1 + d2], u[:, None])
-    r12u = (r12[:, :, None] @ u[:, None, ..., None])[..., 0]
-    scaled = u0[:, None, :, None] * x[:, :, None, :d1] + r12u
-    return p, scaled
+    r12 = x[:, d1 + d2 :].reshape(len(x), 1, d1, d2)
+    p = u0 + _dots(x[:, None, d1 : d1 + d2], u)
+    return p, u0[..., None] * x[:, None, :d1] + (r12 @ u[..., None])[..., 0]
 
 
 def local_distribution(
@@ -316,38 +313,40 @@ def local_distribution(
     return dist[0, 0, 0]
 
 
-# Members are collapsed and read in blocks of about this many bytes of rows,
-# so that a call's temporaries stay small at any member count.
-_BLOCK_BYTES = 1 << 17
-
-
 def _member_distributions(x, remote, local, law, hamiltonian, times, options=None, names=None,
-                          extra=None, index=None):
-    """Party 1's distributions at each ascending time, ``(len(times), M, P,
+                          extra=None, index=None, tangents=None):
+    """Party 1's distributions at each ascending time, ``(len(times), M, 1,
     K1)``, of ``M`` members (real packed joint states ``x`` ``(M, D)`` of the
     ``hamiltonian``'s dims, remote outcomes ``(u0, u)`` ``(M, K)``, ``(M, K,
-    d2)``, ``local`` outcomes ``(M, K1)``, ``(M, K1, d1)``) and the error that
-    left each unchecked, keyed by (member, time index, row).  A member's rows
-    are ``x + i _EPS e_k`` for ``k`` in ``index``, or its state (``P = 1``).
-    Every member's collapsed party-1 states propagate as one batch under the
+    d2)``, ``local`` outcomes ``(M, K1)``, ``(M, K1, d1)``) or, with stepped
+    rows, their derivatives ``(len(times), M, P, K1)`` along each of ``P``
+    rows; and the error that left each unchecked, keyed by (member, time
+    index, row).  The rows are the packed coordinates ``x_q`` of party 2 for
+    ``q`` in ``index``, or, with ``tangents`` ``(M, K, d2)``, one row that
+    moves each remote outcome ``u_k`` along ``tangents[:, k]``.  Every
+    member's collapsed party-1 states propagate as one batch under the
     reduced flow of the Hamiltonian's party-1 block (``options``:
-    ``dynamics.DEFAULT_BRANCH_OPTIONS``); every other step runs once per
-    block of members (``_BLOCK_BYTES``) and acts on each member alone, each
-    row's branches summed in ascending outcome order.  A branch of real
-    weight <= ``EPS_PROB`` is dropped; a complex row or outcome moving one
-    has a one-sided derivative: ``PerturbationInfeasibleError`` at every
-    time, named by ``names``.  A distribution that is not finite is an
+    ``dynamics.DEFAULT_BRANCH_OPTIONS``); every other step is a product or
+    :func:`_dots` per member, which sums its branches in ascending outcome
+    order, so each member gets the bits of its call alone.  A branch of
+    weight <= ``EPS_PROB`` is dropped; a row that moves one has a one-sided
+    derivative: ``PerturbationInfeasibleError`` at every time, named by
+    ``names``.  A distribution or derivative that is not finite is an
     ``IntegrationFailureError``.
 
-    Complex rows under a flow without a generator take the tangent route: a
-    row moves branch ``k`` only through its collapsed state ``r1'_row,k``,
-    whose real part is the collapse ``r1'_k`` of ``x`` under the real
-    outcomes, so its evolved branch is ``Re Phi(r1'_k) + i (Im r1'_row,k /
-    _EPS) @ Im Phi(r1'_k + i _EPS e_i)`` over the tangent rows ``i`` of one
-    :func:`_linearization`, each row's contraction its own ``(1, d1) @ (d1,
-    d1)`` product.  ``extra`` real party-1 rows ``(E, d1)`` ride in that
-    batch; their states ``(len(times), E, d1)`` (``None`` off this route)
-    come back third."""
+    Rows are read by the chain rule.  The collapse is affine in ``R = [r2;
+    r12]`` and in the outcomes, ``(p_k, p_k r1'_k) = (u0_k, u0_k r1) + R
+    u_k``, so a row that moves ``(p_k, p_k r1'_k)`` by ``w_k`` moves party
+    1's outcome ``k1`` by ``sum_k (Born_k1(Phi(r1'_k)) - g . r1'_k, g) .
+    w_k``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
+    ``Phi`` at ``r1'_k``: ``w_k = u_k[j] e_i`` for the coordinate ``R_ij``
+    and ``R tangents_k`` for the outcome row.  Under a flow with a generator
+    ``J_k`` is the cached propagator, read off unit rows that ride in the
+    batch (the identity at t = 0).  Only under a flow without a generator is
+    it a complex step: the tangents of one :func:`_linearization` at the
+    collapsed states, in whose batch the ``extra`` real party-1 rows ``(E,
+    d1)`` ride; their states ``(len(times), E, d1)`` (``None`` off this
+    route) come back third."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
@@ -357,72 +356,61 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
                                      f"dims {dims}")
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
-    rows = 1 if index is None else len(index)
-    tangent = flow.generator is None and (index is not None or np.iscomplexobj(u))
-    size = max(1, _BLOCK_BYTES // max(1, 16 * rows * x.shape[-1]))  # as complex rows
-    blocks = [slice(m, m + size) for m in range(0, len(x), size)]
-    failures, collapsed, bases = {}, [], []
-    for block in blocks:
-        xb = x[block][:, None]
+    stepped = index is not None or tangents is not None
+    p, scaled = _collapse(x, u0, u, d1)
+    keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its member
+    states = scaled[keep] / p[keep][:, None]
+    ridden = None
+    if stepped and flow.generator is None:  # J_k^T: the tangents, one (d1, d1) block a branch
+        evolved, steps, ridden = _linearization(flow, states, tuple(times), options, extra)
+        jt = np.zeros((len(times), *keep.shape, d1, d1))
+        jt[:, keep] = steps / _EPS
+    elif stepped:  # J^T: the unit rows, propagated in the batch (the propagator's columns)
+        evolved = flow.sample(np.concatenate([states, np.eye(d1)]), times, options)
+        evolved, jt = evolved[:, :-d1], evolved[:, None, None, -d1:]
+    else:
+        evolved = flow.sample(states, times, options)
+    grid = np.zeros((len(times), *keep.shape, d1))
+    grid[:, keep] = evolved
+    born = v0[:, None] + _dots(grid[..., None, :], v[:, None])  # (T, M, K, K1)
+    weighted = np.where(keep, p, 0)[..., None] * born
+    dist = np.zeros((len(times), len(x), 1, v.shape[1]))
+    for k in range(weighted.shape[2]):  # dropped branches add +0, which changes no sum
+        dist[:, :, 0] += weighted[:, :, k]
+    out, failures = dist, {}
+    if stepped:
+        g = (jt[:, :, :, None] @ v[:, None, ..., None])[..., 0]  # each its own product
+        slopes = np.zeros((*born.shape, 1 + d1))  # (B - g . r1', g), zero where dropped
+        bases = np.zeros((*keep.shape, 1, d1))  # r1'_k, zero where dropped
+        bases[keep] = states[:, None]
+        slopes[..., 0] = born - _dots(g, bases)
+        slopes[..., 1:] = g
+        slopes[:, ~keep] = 0
         if index is not None:
-            xb = np.repeat(xb.astype(complex), rows, axis=1)
-            xb[:, np.arange(rows), index] += 1j * _EPS
-        p, scaled = _collapse(xb, u0[block], u[block], d1)
-        drop = p.real <= EPS_PROB  # a NaN weight stays in, and poisons its row
-        moved = drop & ((p.imag != 0) | (scaled.imag != 0).any(axis=-1))
-        for m, row in zip(*moved.any(axis=-1).nonzero()):  # a row's first moved outcome names it
-            k = moved[m, row].argmax()
+            q = np.asarray(index, dtype=int) - d1  # R_ij is q = i d2 + j
+            moved = ~keep[..., None] & (u[:, :, q % d2] != 0)
+            out = np.zeros((len(times), len(x), v.shape[1], 1 + d1, d2))
+            for k in range(u.shape[1]):  # R_ij moves outcome k by u_k[j] along e_i
+                out += slopes[:, :, k, :, :, None] * u[:, k, None, None, :]
+            out = out.reshape(*out.shape[:3], (1 + d1) * d2)[..., q].swapaxes(-1, -2)
+        else:
+            w = (x[:, d1:].reshape(len(x), 1, 1 + d1, d2) @ tangents[..., None])[..., 0]
+            moved = (~keep & (w != 0).any(axis=-1))[..., None]
+            out = np.zeros_like(dist)
+            for k in range(w.shape[1]):
+                out[:, :, 0] += _dots(slopes[:, :, k], w[:, None, k])
+        for m, row in zip(*moved.any(axis=1).nonzero()):  # a row's first moved outcome names it
+            k = moved[m, :, row].argmax()
             error = PerturbationInfeasibleError(
                 f"perturbation of {names[row]} moves remote outcome {k} of weight "
-                f"{p.real[m, row, k]:.3e}, so only a one-sided derivative exists")
-            failures.update(((block.start + m, i, row), error) for i in range(len(times)))
-        keep = ~drop
-        collapsed.append((keep, np.where(keep, p, 0), scaled[keep] / p[keep][:, None]))
-        if tangent:  # the bases: the collapse of the states under the real outcomes
-            # (contiguous: a strided operand may take another BLAS route, and every
-            # channel must collapse its states onto the same bits)
-            q, base = _collapse(x[block][:, None], u0[block].real,
-                                np.ascontiguousarray(u[block].real), d1)
-            first = np.broadcast_to(keep.any(axis=1)[:, None], q.shape)  # outcomes kept
-            bases.append(base[first] / q[first][:, None])
-    if tangent:
-        real, tangents, ridden = _linearization(flow, np.concatenate(bases), tuple(times),
-                                                options, extra)
-    else:
-        states = np.concatenate([state for *_, state in collapsed])
-        evolved, ridden = flow.sample(states, times, options), None
-    dist = np.zeros((len(times), len(x), rows, v.shape[1]),
-                    dtype=complex if tangent else evolved.dtype)
-    start = offset = 0
-    for block, (keep, weights, state) in zip(blocks, collapsed):
-        shape = (len(times), *keep.shape, d1)
-        if not tangent:
-            segment, start = evolved[:, start : start + len(state)], start + len(state)
-            if len(state) == keep.size:  # every branch kept: the states are the grid
-                grid = segment.reshape(shape)
-            else:
-                grid = np.zeros(shape, dtype=segment.dtype)
-                grid[:, keep] = segment
-        else:  # an outcome that no row keeps reads a spare base, then zeros
-            kept = keep.any(axis=1)
-            at = offset + np.maximum(np.cumsum(kept).reshape(kept.shape) - 1, 0)
-            offset += np.count_nonzero(kept)
-            steps = np.zeros((*keep.shape, d1))
-            steps[keep] = state.imag / _EPS
-            grid = np.zeros(shape, dtype=complex)
-            if len(state):
-                grid.real = real[:, at][:, :, None]
-                grid.imag = (steps[None, ..., None, :] @ tangents[:, at][:, :, None])[..., 0, :]
-                grid[:, ~keep] = 0
-        born = v0[block, None, None] + _dots(grid[..., None, :], v[block, None, None])
-        weighted = weights[..., None] * born
-        out = dist[:, block]
-        for k in range(weighted.shape[-2]):  # dropped branches add +0, which changes no sum
-            out += weighted[..., k, :]
-        for i, m, row in zip(*(~np.isfinite(out).all(axis=-1)).nonzero()):
-            failures.setdefault((block.start + m, i, row), IntegrationFailureError(
+                f"{p[m, k]:.3e}, so only a one-sided derivative exists")
+            failures.update(((m, i, row), error) for i in range(len(times)))
+    if not (np.isfinite(out).all() and np.isfinite(dist).all()):
+        bad = ~(np.isfinite(out).all(axis=-1) & np.isfinite(dist).all(axis=-1))
+        for i, m, row in zip(*bad.nonzero()):
+            failures.setdefault((m, i, row), IntegrationFailureError(
                 f"{options.method} result at t={times[i]:.6g} is not finite"))
-    return (dist, failures) if extra is None else (dist, failures, ridden)
+    return (out, failures) if extra is None else (out, failures, ridden)
 
 
 def _linearization(flow, bases, times, options, extra=None):

@@ -8,17 +8,21 @@ is insensitive to
 2. the shared correlation block, and
 3. which observable party 2 measured.
 
-The audit computes all three sensitivities by complex steps: the row
-``x + i eps e_k`` carries ``eps dp/dx_k`` in the imaginary part of every
-probability ``p`` it yields, exact to machine precision, with nothing
-subtracted and the real part of the state never moved (Squire & Trapp,
-SIAM Rev. 40, 110 (1998); Martins, Sturdza & Alonso, ACM TOMS 29, 245
-(2003)).  They are *total* derivatives: the step re-enters the branch
-weights, the collapsed states and the evolved trajectories alike — that is
-the quantity an eavesdropper could actually exploit.  A fourth number, the
-reduced-propagator residual, measures whether isolated subsystems evolve by
-a state-independent affine map, as every local CPTP map does; every law
-that fails any of the four at the pass tolerance is flagged as signaling.
+The audit computes all three sensitivities by the chain rule (Griewank &
+Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008): party 1's
+distribution is a branch-weighted average behind an affine collapse, so
+each derivative is one contraction of the branch Jacobians of party 1's
+flow with the outcome coordinates of both parties, exact to rounding, with
+nothing subtracted and no state moved.  Only the flow Jacobian of a flow
+without a generator is a complex step (Squire & Trapp, SIAM Rev. 40, 110
+(1998); Martins, Sturdza & Alonso, ACM TOMS 29, 245 (2003)); a flow with a
+generator supplies its cached propagator.  They are *total* derivatives:
+they run through the branch weights, the collapsed states and the evolved
+trajectories alike — that is the quantity an eavesdropper could actually
+exploit.  A fourth number, the reduced-propagator residual, measures
+whether isolated subsystems evolve by a state-independent affine map, as
+every local CPTP map does; every law that fails any of the four at the pass
+tolerance is flagged as signaling.
 
 Numerical hygiene notes baked into the defaults:
 
@@ -28,13 +32,13 @@ Numerical hygiene notes baked into the defaults:
   one for both of party 2's coordinate blocks and one for the measurement
   choice, which reuses the first one's propagation; one trajectory serves
   every audit time whose step grid nests.
-* No step has to stay physical, so pure states are audited like any other.
-  Only a component moving a zero-weight branch, which the average drops,
-  is flagged infeasible (its derivative is one-sided), never skipped.
+* No state is moved, so pure states are audited like any other.  Only a
+  component moving a zero-weight branch, which the average drops, is
+  flagged infeasible (its derivative is one-sided), never skipped.
 * Measurement-choice sensitivity is probed along one-parameter rotation
-  families of the remote basis, by the complex step ``u + i eps du/dtheta``
-  of the outcome rows.  Differentiating raw projector coordinates would
-  leave the projector manifold; rotations are the valid realization.
+  families of the remote basis, through the tangent ``du/dtheta`` of the
+  outcome rows.  Differentiating raw projector coordinates would leave the
+  projector manifold; rotations are the valid realization.
 * Every case, draw and summation runs in a fixed order, so a seeded audit
   is reproducible bit for bit.
 
@@ -69,7 +73,6 @@ from .dynamics import (
 from .errors import DimensionMismatchError, IntegrationFailureError, PerturbationInfeasibleError
 from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
-    _EPS,
     ProjectiveObservable,
     _member_distributions,
     _observables_from_bases,
@@ -143,7 +146,7 @@ class AuditConfig:
         return {names.get(k, k): list(v) if k == "times" else v for k, v in asdict(self).items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableFamily:
     """One-parameter rotation of a remote observable: outcomes conjugated by
     exp(-i theta G) for a fixed Hermitian direction G (as
@@ -166,11 +169,11 @@ class ObservableFamily:
 
 
 def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra=None):
-    """``max |Im p| / _EPS`` over party 1's outcomes ``p``, as
-    ``[member][row][time]``, of each complex-step row of each member of the
+    """``max |dp/dx|`` over party 1's outcomes ``p``, as
+    ``[member][row][time]``, of each stepped row ``x`` of each member of the
     equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
     ``times``; ``plan(dims, obs2s)`` gives the remote outcomes, row names and
-    stepped coordinates that ``_member_distributions`` takes.  Each member is
+    stepped rows (as keywords) that ``_member_distributions`` takes.  Each member is
     checked once (one outside the physical set raises
     ``UnphysicalStateError``), all go into one stacked call, and an outcome
     left unchecked holds its error (see ``_member_distributions``, which
@@ -185,25 +188,22 @@ def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra
         joint_from_bloch(state, *map(cached_basis, state.dims))
         if state.dims != dims:
             raise DimensionMismatchError(f"member dims {state.dims} do not fit dims {dims}")
-    remote, names, index = plan(dims, obs2s)
-    dist, failures, *ridden = _member_distributions(
+    remote, names, rows = plan(dims, obs2s)
+    slopes, failures, *ridden = _member_distributions(
         np.stack([pack_coords(state) for state in joints]), remote, _outcomes(obs1s, dims, 1), law,
-        hamiltonian, list(times), options, names, extra, index)
-    values = (np.max(np.abs(dist.imag), axis=-1) / _EPS).transpose(1, 2, 0).tolist()
+        hamiltonian, list(times), options, names, extra, **rows)
+    values = np.max(np.abs(slopes), axis=-1).transpose(1, 2, 0).tolist()
     for (m, i, row), error in failures.items():
         values[m][row][i] = error
     return values if extra is None else (values, *ridden)
 
 
 def _coordinate_plan(ks, ijs):
-    """The plan of one complex-step row ``x + i _EPS e_k`` per packed
-    coordinate ``k`` of party 2: ``r2[k]`` for each ``k`` in ``ks``, then
-    ``r12[i,j]`` for each pair in ``ijs``, with the outcomes of the remote
-    observables.  Every index must be a Python or numpy integer (a bool is
-    refused), else ``ValueError``."""
-    _require_number(Integral, **{f"component[{n}]": k for n, k in enumerate(ks)},
-                    **{f"component[{n}][{m}]": c for n, ij in enumerate(ijs)
-                       for m, c in enumerate(ij)})
+    """The plan of one stepped row per packed coordinate ``x_k`` of party
+    2: ``r2[k]`` for each ``k`` in ``ks``, then ``r12[i,j]`` for each pair
+    in ``ijs``, with the outcomes of the remote observables.  Every index is
+    a Python or numpy integer: the public channels check theirs, and the
+    audit's sweep makes its own."""
     ks, ijs = [int(k) for k in ks], [(int(i), int(j)) for i, j in ijs]
 
     def plan(dims, remotes):
@@ -214,7 +214,7 @@ def _coordinate_plan(ks, ijs):
             raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
         index = [d1 + k for k in ks] + [d1 + d2 + i * d2 + j for i, j in ijs]
         names = [f"r2[{k}]" for k in ks] + [f"r12[{i},{j}]" for i, j in ijs]
-        return _outcomes(remotes, dims, 2), names, index
+        return _outcomes(remotes, dims, 2), names, {"index": index}
 
     return plan
 
@@ -241,6 +241,7 @@ def d_remote_state(
     raises ``ValueError``."""
     if np.ndim(component) != 1:
         raise ValueError("component must be a sequence of indices")
+    _require_number(Integral, **{f"component[{n}]": k for n, k in enumerate(component)})
     plan = _coordinate_plan(component, [])
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
@@ -261,6 +262,8 @@ def d_correlations(
     :func:`d_remote_state`."""
     if np.size(component) and np.shape(component)[1:] != (2,):
         raise ValueError("component must be a sequence of (i, j) pairs")
+    _require_number(Integral, **{f"component[{n}][{m}]": c for n, ij in enumerate(component)
+                                 for m, c in enumerate(ij)})
     plan = _coordinate_plan([], component)
     return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
 
@@ -275,14 +278,14 @@ def d_remote_observable(
     options: IntegratorOptions | None = None,
 ) -> list:
     """Sensitivity to the remote measurement choice along a rotation family
-    at its base, from the outcome rows ``u + i _EPS du/dtheta``; the members,
+    at its base, along the tangent ``du/dtheta`` of the outcome rows; the members,
     ``t`` and the result (one ``theta`` component) as for :func:`d_remote_state`."""
     def plan(dims, families):
         u0, u = _outcomes([fam.base for fam in families], dims, 2)
-        steps = np.zeros_like(u)
-        for step, fam in zip(steps, families):
-            step[: len(fam.base)] = fam.tangent()
-        return (u0, u + 1j * _EPS * steps), ["theta"], None
+        tangents = np.zeros_like(u)
+        for tangent, fam in zip(tangents, families):
+            tangent[: len(fam.base)] = fam.tangent()
+        return (u0, u), ["theta"], {"tangents": tangents}
 
     return _channel(law, hamiltonian, joint, family, obs1, t, plan, options)
 
@@ -584,7 +587,7 @@ def polesink_law(epsilon: float = 0.1) -> EvolutionLaw:
     poles = {}  # the pole vector e of each length, built once per law
 
     def reduced(h_local, r):
-        r = np.asarray(r)  # complex rows stay complex: the audit's steps
+        r = np.asarray(r)  # complex rows stay complex: the audit's tangent rows
         e = poles.get(r.shape[-1])
         if e is None:
             e = poles[r.shape[-1]] = np.zeros(r.shape[-1])

@@ -64,7 +64,7 @@ class GeneratorSet:
         return iter(self.matrices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Commutation data of a generator set.
 

@@ -1,5 +1,5 @@
-"""Batched branch propagation: one rk4 trajectory per complex-step
-component, covering every remote outcome and every audit time.
+"""Batched branch propagation: one rk4 trajectory per channel call,
+covering every member, remote outcome and audit time.
 
 The references here are the branch-by-branch loop (one one-row solve per
 remote outcome, integrated from 0 for each time) and the one-time,
@@ -59,6 +59,7 @@ from blochsig.sampling import random_density, random_interior_joint, singlet_sta
 from blochsig.su_basis import cached_basis
 
 from helpers import (
+    EPS,
     STATUS,
     assert_outcomes_match,
     expanding_law,
@@ -70,7 +71,6 @@ from helpers import (
 
 DEFAULT_TIMES = (0.25, 0.5, 1.0)
 NON_NESTING_TIMES = (0.3, 0.7)
-EPS = nosignal_audit._EPS
 
 
 def _member(dims, seed):
@@ -150,8 +150,8 @@ def test_polesink_time_sequence_is_bit_identical_to_scalar_calls(dims, times):
     assert all(isinstance(v, float) for row in per_time for v in row)
     for i, t in enumerate(times):
         assert [v[i] for v in batched] == per_time[i]
-        # the branch-by-branch solve of each complex row: the tangent route
-        # reads the same first-order step off d1 tangent rows per branch
+        # the branch-by-branch solve of each complex row: the chain rule
+        # reads the same derivative off d1 tangent rows per branch
         reference = [_branchwise_remote_state(law, member, t, k) for k in range(dims[1] ** 2 - 1)]
         np.testing.assert_allclose([v[i] for v in batched[: len(reference)]], reference,
                                    rtol=0, atol=1e-15)
@@ -812,26 +812,28 @@ def test_a_member_that_is_not_finite_leaves_the_other_members_their_numbers():
 
 
 # ---------------------------------------------------------------------------
-# The tangent route: complex rows under a flow without a generator are read
-# off K d1 tangent rows per member (``tests/test_reference_audit.py`` checks
-# them against the density-matrix reference).
+# The chain rule: a stepped call reads every row off the branch Jacobians,
+# under a flow without a generator off K d1 tangent rows per member
+# (``tests/test_reference_audit.py`` checks them against the density-matrix
+# reference).
 
 
 def _audit_members_of(dims, states, remotes, locals_, families):
     """Every member's coordinate sweep, then every member's observable row,
-    each as ``(x, remote, local, names, index)`` (see ``_member_distributions``)."""
+    each as ``(x, remote, local, names, rows)`` (see ``_member_distributions``,
+    which takes ``rows`` as keywords)."""
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     sweep = nosignal_audit._coordinate_plan(range(d2), [(i, j) for i in range(d1)
                                                         for j in range(d2)])
     x = np.stack([pack_coords(s) for s in states])
     local = measurement._outcomes(locals_, dims, 1)
     u0, u = measurement._outcomes([f.base for f in families], dims, 2)
-    steps = np.zeros_like(u)
-    for step, f in zip(steps, families):
-        step[: len(f.base)] = f.tangent()
-    theta = (x, (u0, u + 1j * EPS * steps), local, ["theta"], None)
-    remote, names, index = sweep(dims, remotes)
-    return (x, remote, local, names, index), theta
+    tangents = np.zeros_like(u)
+    for tangent, f in zip(tangents, families):
+        tangent[: len(f.base)] = f.tangent()
+    theta = (x, (u0, u), local, ["theta"], {"tangents": tangents})
+    remote, names, rows = sweep(dims, remotes)
+    return (x, remote, local, names, rows), theta
 
 
 def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
@@ -843,10 +845,10 @@ def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
         none, no_failures = measurement._member_distributions(
             x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=[], index=[])
         assert none.shape == (3, 2, 0, 2) and not no_failures
-        dist, _ = measurement._member_distributions(
+        slopes, _ = measurement._member_distributions(
             x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=["r2[0]"],
             index=[3])
-        assert dist.shape == (3, 2, 1, 2) and np.abs(dist.imag).max() > 0
+        assert slopes.shape == (3, 2, 1, 2) and np.abs(slopes).max() > 0
 
 
 def _counted_polesink():
@@ -958,10 +960,11 @@ def _stack_member(kind, dims, seed):
     return state, obs2, obs1, ObservableFamily(obs2, family.direction)
 
 
-def _as_outcomes(dist, failures, names):
-    """The channel outcomes of a ``_member_distributions`` call on rows named
-    as the audit names them, in the form of ``helpers.reference_audit``."""
-    values = np.max(np.abs(dist.imag), axis=-1) / EPS
+def _as_outcomes(slopes, failures, names):
+    """The channel outcomes of a stepped ``_member_distributions`` call on
+    rows named as the audit names them, in the form of
+    ``helpers.reference_audit``."""
+    values = np.max(np.abs(slopes), axis=-1)
     labels = [("d_remote_observable", name) if name == "theta" else
               ({"r2": "d_remote_state", "r12": "d_correlations"}[name.split("[")[0]],
                name.split("[")[1].rstrip("]")) for name in names]
@@ -984,14 +987,16 @@ def test_a_stacked_call_gives_each_member_the_bits_of_its_call_alone(dims, route
     states, remotes, locals_, families = _columns(members)
     coordinates, theta = _audit_members_of(dims, states, remotes, locals_, families)
     channels = {}
-    for x, remote, local, names, index in (coordinates, theta):
+    for x, remote, local, names, rows in (coordinates, theta):
         stacked = measurement._member_distributions(x, remote, local, law, h, DEFAULT_TIMES,
-                                                    None, names, index=index)
+                                                    None, names, **rows)
         channels.update(_as_outcomes(*stacked, names))
         for m in range(len(members)):
             one = [(outcomes[0][m : m + 1], outcomes[1][m : m + 1]) for outcomes in (remote, local)]
+            own_rows = {key: value if key == "index" else value[m : m + 1]
+                        for key, value in rows.items()}
             alone = measurement._member_distributions(x[m : m + 1], *one, law, h, DEFAULT_TIMES,
-                                                      None, names, index=index)
+                                                      None, names, **own_rows)
             own = stacked[0][:, m, :, : alone[0].shape[-1]]  # its local outcomes
             assert [v.hex() for v in own.ravel().view(float)] == [
                 v.hex() for v in alone[0][:, 0].ravel().view(float)]

@@ -197,3 +197,31 @@ def test_each_argument_error_names_its_argument(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def _array_holders():
+    """A constructor of each frozen dataclass that holds arrays."""
+    from blochsig.dynamics import BlochHamiltonian
+    from blochsig.measurement import computational_observable
+    from blochsig.nosignal_audit import ObservableFamily
+    from blochsig.su_basis import structure_constants
+
+    return {
+        "BlochState": lambda: BlochState(2, [0.0, 0.0, 0.5]),
+        "JointBlochState": singlet_state,
+        "BlochHamiltonian": lambda: BlochHamiltonian((2, 2), h1=[0.1, 0.0, 0.5]),
+        "ProjectiveObservable": lambda: computational_observable(2),
+        "ObservableFamily": lambda: ObservableFamily(computational_observable(2),
+                                                     np.diag([1.0, -1.0])),
+        "StructureConstants": lambda: structure_constants(cached_basis(2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_array_holding_dataclasses_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the arrays and raise numpy's
+    # ambiguous-truth ValueError; a generated __hash__ would raise TypeError
+    make = _array_holders()[name]
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

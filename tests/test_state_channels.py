@@ -1,14 +1,14 @@
-"""The complex-step state channels against the central differences of
+"""The state channels against the central differences of
 ``helpers.reference_audit``.
 
-``d_remote_state`` and ``d_correlations`` read every component from one
-complex row ``x + i eps e_k``: the imaginary part of each probability is
-``eps`` times its exact derivative.  The reference shifts each component by
-``+-h`` in matrix space and subtracts two real propagations.  On interior members both
-shifted states stay physical, so the two must agree to within the central
-difference's own error (``h**2`` truncation and ``eps/h`` rounding, both far
-below 1e-10 at ``h = 1e-5``).  Unlike the central difference, the complex
-step needs no physical neighbours, so pure states are audited too.
+``d_remote_state`` and ``d_correlations`` read every component by the chain
+rule through the branch Jacobians: the exact derivative of each
+probability, to rounding.  The reference shifts each component by ``+-h``
+in matrix space and subtracts two real propagations.  On interior members
+both shifted states stay physical, so the two must agree to within the
+central difference's own error (``h**2`` truncation and ``eps/h``
+rounding, both far below 1e-10 at ``h = 1e-5``).  Unlike the central
+difference, the chain rule moves no state, so pure states are audited too.
 """
 
 import math
@@ -102,7 +102,7 @@ def test_pure_singlet_under_polesink_has_finite_state_derivatives():
     ids=["non-finite", "outside"],
 )
 def test_a_member_outside_the_physical_set_raises_in_every_channel(law, state, message):
-    """Complex steps need no physical neighbours, but the member itself must
+    """The channels need no physical neighbours, but the member itself must
     be a state: no channel returns a number for one that is not."""
     hamiltonian = random_hamiltonian(np.random.default_rng(64), (2, 2))
     member, remote, local, family = _member((2, 2), 65)
