@@ -613,13 +613,14 @@ def evolve_path(
 
 def reduced_generator(h_local, dim: int) -> np.ndarray:
     """Rotation generator of an isolated subsystem: dr/dt = L r with
-    ``L_ki = 2 sum_a f_aik h_a``."""
+    ``L_ki = 2 sum_a f_aik h_a``; a stack of local Hamiltonians ``(..., d)``
+    gives the stack of their generators ``(..., d, d)`` from one contraction."""
     f = cached_constants(dim).f
     h = np.asarray(h_local, dtype=float)
-    if h.shape != (dim**2 - 1,):
+    if h.shape[-1:] != (dim**2 - 1,):
         raise DimensionMismatchError(f"local Hamiltonian must have length {dim**2 - 1}")
     with np.errstate(over="ignore", invalid="ignore"):
-        generator = 2.0 * np.einsum("aik,a->ki", f, h)
+        generator = 2.0 * np.einsum("aik,...a->...ki", f, h)
     _require_finite(generator, f"local Hamiltonian of a {dim}-level subsystem", h)
     return generator
 

@@ -18,20 +18,17 @@ average of its evolved conditional states.  That average is the quantity
 whose sensitivities the audit module differentiates.
 
 :func:`_member_distributions` is the one route to it.  It takes the members
-of a call stacked: real packed joint states ``(M, D)``, remote outcomes
-``(M, K, d2)`` and local outcomes ``(M, K1, d1)`` (:func:`_outcomes` pads
-an observable with fewer outcomes).  It collapses them once, propagates
-every member's branches as one batch under the law's shared reduced flow
+of a call stacked (packed joint states ``(M, D)``, remote and local outcomes
+padded by :func:`_outcomes`), collapses them once, propagates every
+member's branches as one batch under the law's shared reduced flow
 (``dynamics.reduced_flow``) at several times, and gives each member the
-bits it gets alone.  The audit's sensitivities are derivatives of that
-average, read by the chain rule: the collapse is affine in party 2's
-coordinates and in the remote outcomes, so each derivative contracts the
-branch Jacobians of party 1's flow with the outcome coordinates.  A flow
-with a generator supplies its cached propagator.  Only the Jacobian of a
-flow without a generator is a complex step: each kept outcome ``k`` of a
-member propagates the ``d1`` tangent rows ``r1'_k + i eps e_i``, and the
-last linearization is kept, so the audit's measurement-choice channel
-reuses its coordinate sweep's.
+bits it gets alone.  Its stepped mode returns the gradient along every
+packed coordinate of party 2, read by the chain rule: the collapse is
+affine in those coordinates, so the gradient contracts the branch
+Jacobians of party 1's flow with the outcome coordinates.  A flow with a
+generator supplies its cached propagator; the Jacobian of any other flow
+is a complex step, and the last one is kept, so the audit's
+measurement-choice call reuses its coordinate sweep's.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity, which
@@ -55,7 +52,6 @@ from .errors import (
     IntegrationFailureError,
     InvalidObservableError,
     InvalidProjectorError,
-    PerturbationInfeasibleError,
     ZeroProbabilityBranchError,
 )
 from .su_basis import GeneratorSet, cached_basis
@@ -309,44 +305,37 @@ def local_distribution(
         pack_coords(joint)[None], _outcomes([obs2], h.dims, 2), _outcomes([obs1], h.dims, 1),
         law, h, [t], options)
     if failures:
-        raise failures[0, 0, 0]
-    return dist[0, 0, 0]
+        raise failures[0, 0]
+    return dist[0, 0]
 
 
-def _member_distributions(x, remote, local, law, hamiltonian, times, options=None, names=None,
-                          extra=None, index=None, tangents=None):
-    """Party 1's distributions at each ascending time, ``(len(times), M, 1,
-    K1)``, of ``M`` members (real packed joint states ``x`` ``(M, D)`` of the
-    ``hamiltonian``'s dims, remote outcomes ``(u0, u)`` ``(M, K)``, ``(M, K,
-    d2)``, ``local`` outcomes ``(M, K1)``, ``(M, K1, d1)``) or, with stepped
-    rows, their derivatives ``(len(times), M, P, K1)`` along each of ``P``
-    rows; and the error that left each unchecked, keyed by (member, time
-    index, row).  The rows are the packed coordinates ``x_q`` of party 2 for
-    ``q`` in ``index``, or, with ``tangents`` ``(M, K, d2)``, one row that
-    moves each remote outcome ``u_k`` along ``tangents[:, k]``.  Every
-    member's collapsed party-1 states propagate as one batch under the
-    reduced flow of the Hamiltonian's party-1 block (``options``:
+def _member_distributions(x, remote, local, law, hamiltonian, times, options=None,
+                          stepped=False, extra=None):
+    """Party 1's distributions ``(T, M, K1)`` at each of the ``T`` ascending
+    ``times`` of ``M`` members (real packed joint states ``x`` ``(M, D)`` of
+    the ``hamiltonian``'s dims, remote outcomes ``(u0, u)`` ``(M, K)``, ``(M,
+    K, d2)``, ``local`` outcomes ``(M, K1)``, ``(M, K1, d1)``), and the
+    ``IntegrationFailureError`` of each (member, time index) whose
+    distribution is not finite.  ``stepped``, the distributions give way to
+    their signed derivatives along each packed coordinate of party 2, ``r2``
+    then row-major ``r12``, ``(T, M, K1, (1 + d1) d2)``, and the Born weights
+    ``(M, K)`` come third: a branch of weight <= ``EPS_PROB`` is dropped, and
+    the caller judges which derivatives move it and so are one-sided.  The
+    branches propagate as one batch under the reduced flow of the
+    Hamiltonian's party-1 block (``options``:
     ``dynamics.DEFAULT_BRANCH_OPTIONS``); every other step is a product or
-    :func:`_dots` per member, which sums its branches in ascending outcome
-    order, so each member gets the bits of its call alone.  A branch of
-    weight <= ``EPS_PROB`` is dropped; a row that moves one has a one-sided
-    derivative: ``PerturbationInfeasibleError`` at every time, named by
-    ``names``.  A distribution or derivative that is not finite is an
-    ``IntegrationFailureError``.
+    :func:`_dots` per member, summing its branches in ascending outcome
+    order, so each member gets the bits of its call alone.
 
-    Rows are read by the chain rule.  The collapse is affine in ``R = [r2;
-    r12]`` and in the outcomes, ``(p_k, p_k r1'_k) = (u0_k, u0_k r1) + R
-    u_k``, so a row that moves ``(p_k, p_k r1'_k)`` by ``w_k`` moves party
-    1's outcome ``k1`` by ``sum_k (Born_k1(Phi(r1'_k)) - g . r1'_k, g) .
-    w_k``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
-    ``Phi`` at ``r1'_k``: ``w_k = u_k[j] e_i`` for the coordinate ``R_ij``
-    and ``R tangents_k`` for the outcome row.  Under a flow with a generator
-    ``J_k`` is the cached propagator, read off unit rows that ride in the
-    batch (the identity at t = 0).  Only under a flow without a generator is
-    it a complex step: the tangents of one :func:`_linearization` at the
-    collapsed states, in whose batch the ``extra`` real party-1 rows ``(E,
-    d1)`` ride; their states ``(len(times), E, d1)`` (``None`` off this
-    route) come back third."""
+    The collapse is affine in ``R = [r2; r12]``, ``(p_k, p_k r1'_k) = (u0_k,
+    u0_k r1) + R u_k``, so by the chain rule ``R_ij`` moves party 1's
+    outcome ``k1`` by ``sum_k u_k[j] (Born_k1(Phi(r1'_k)) - g . r1'_k,
+    g)_i``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
+    ``Phi`` at ``r1'_k``: under a flow with a generator the cached
+    propagator, read off unit rows in the batch (the identity at t = 0);
+    otherwise the complex-step tangents of one :func:`_linearization`, in
+    whose batch the ``extra`` real party-1 rows ``(E, d1)`` ride, their
+    states ``(T, E, d1)`` coming back fourth."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
@@ -356,7 +345,6 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
                                      f"dims {dims}")
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
     flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
-    stepped = index is not None or tangents is not None
     p, scaled = _collapse(x, u0, u, d1)
     keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its member
     states = scaled[keep] / p[keep][:, None]
@@ -374,43 +362,26 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     grid[:, keep] = evolved
     born = v0[:, None] + _dots(grid[..., None, :], v[:, None])  # (T, M, K, K1)
     weighted = np.where(keep, p, 0)[..., None] * born
-    dist = np.zeros((len(times), len(x), 1, v.shape[1]))
+    dist = np.zeros((len(times), len(x), v.shape[1]))
     for k in range(weighted.shape[2]):  # dropped branches add +0, which changes no sum
-        dist[:, :, 0] += weighted[:, :, k]
-    out, failures = dist, {}
-    if stepped:
-        g = (jt[:, :, :, None] @ v[:, None, ..., None])[..., 0]  # each its own product
-        slopes = np.zeros((*born.shape, 1 + d1))  # (B - g . r1', g), zero where dropped
-        bases = np.zeros((*keep.shape, 1, d1))  # r1'_k, zero where dropped
-        bases[keep] = states[:, None]
-        slopes[..., 0] = born - _dots(g, bases)
-        slopes[..., 1:] = g
-        slopes[:, ~keep] = 0
-        if index is not None:
-            q = np.asarray(index, dtype=int) - d1  # R_ij is q = i d2 + j
-            moved = ~keep[..., None] & (u[:, :, q % d2] != 0)
-            out = np.zeros((len(times), len(x), v.shape[1], 1 + d1, d2))
-            for k in range(u.shape[1]):  # R_ij moves outcome k by u_k[j] along e_i
-                out += slopes[:, :, k, :, :, None] * u[:, k, None, None, :]
-            out = out.reshape(*out.shape[:3], (1 + d1) * d2)[..., q].swapaxes(-1, -2)
-        else:
-            w = (x[:, d1:].reshape(len(x), 1, 1 + d1, d2) @ tangents[..., None])[..., 0]
-            moved = (~keep & (w != 0).any(axis=-1))[..., None]
-            out = np.zeros_like(dist)
-            for k in range(w.shape[1]):
-                out[:, :, 0] += _dots(slopes[:, :, k], w[:, None, k])
-        for m, row in zip(*moved.any(axis=1).nonzero()):  # a row's first moved outcome names it
-            k = moved[m, :, row].argmax()
-            error = PerturbationInfeasibleError(
-                f"perturbation of {names[row]} moves remote outcome {k} of weight "
-                f"{p[m, k]:.3e}, so only a one-sided derivative exists")
-            failures.update(((m, i, row), error) for i in range(len(times)))
-    if not (np.isfinite(out).all() and np.isfinite(dist).all()):
-        bad = ~(np.isfinite(out).all(axis=-1) & np.isfinite(dist).all(axis=-1))
-        for i, m, row in zip(*bad.nonzero()):
-            failures.setdefault((m, i, row), IntegrationFailureError(
-                f"{options.method} result at t={times[i]:.6g} is not finite"))
-    return (out, failures) if extra is None else (out, failures, ridden)
+        dist += weighted[:, :, k]
+    failures = {(m, i): IntegrationFailureError(
+        f"{options.method} result at t={times[i]:.6g} is not finite")
+        for i, m in zip(*np.nonzero(~np.isfinite(dist).all(axis=-1)))}
+    if not stepped:
+        return dist, failures
+    g = (jt[:, :, :, None] @ v[:, None, ..., None])[..., 0]  # each its own product
+    slopes = np.zeros((*born.shape, 1 + d1))  # (B - g . r1', g), zero where dropped
+    bases = np.zeros((*keep.shape, 1, d1))  # r1'_k, zero where dropped
+    bases[keep] = states[:, None]
+    slopes[..., 0] = born - _dots(g, bases)
+    slopes[..., 1:] = g
+    slopes[:, ~keep] = 0
+    grad = np.zeros((len(times), len(x), v.shape[1], 1 + d1, d2))
+    for k in range(u.shape[1]):  # R_ij moves outcome k by u_k[j] along e_i
+        grad += slopes[:, :, k, :, :, None] * u[:, k, None, None, :]
+    grad = grad.reshape(*grad.shape[:3], (1 + d1) * d2)
+    return (grad, failures, p) if extra is None else (grad, failures, p, ridden)
 
 
 def _linearization(flow, bases, times, options, extra=None):

@@ -27,11 +27,9 @@ tolerance is flagged as signaling.
 Numerical hygiene notes baked into the defaults:
 
 * Branch trajectories integrate with a fixed-step method, so the numerical
-  flow is analytic in its initial condition.  Every component, remote
-  outcome and member forms one stacked call (:mod:`blochsig.measurement`):
-  one for both of party 2's coordinate blocks and one for the measurement
-  choice, which reuses the first one's propagation; one trajectory serves
-  every audit time whose step grid nests.
+  flow is analytic in its initial condition.  Every channel is a view of
+  the gradient along party 2's packed coordinates, which one stacked call
+  (:mod:`blochsig.measurement`) gives for every member and time.
 * No state is moved, so pure states are audited like any other.  Only a
   component moving a zero-weight branch, which the average drops, is
   flagged infeasible (its derivative is one-sided), never skipped.
@@ -73,7 +71,9 @@ from .dynamics import (
 from .errors import DimensionMismatchError, IntegrationFailureError, PerturbationInfeasibleError
 from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
+    EPS_PROB,
     ProjectiveObservable,
+    _dots,
     _member_distributions,
     _observables_from_bases,
     _outcomes,
@@ -160,63 +160,78 @@ class ObservableFamily:
         object.__setattr__(self, "direction", _rotation_direction(self.direction, self.base.dim))
 
     def tangent(self) -> np.ndarray:
-        """``du/dtheta`` of every outcome row at theta = 0: ``u @ L_G^T``,
-        where ``L_G = reduced_generator(1/2 Re Tr(s_a G))`` generates the
-        rotation of Bloch coordinates by exp(-i theta G)."""
+        """``du/dtheta = u @ L_G^T`` of every outcome row at theta = 0, where
+        ``L_G = reduced_generator(1/2 Re Tr(s_a G))`` rotates by exp(-i theta G)."""
         s = cached_basis(self.base.dim).matrices
         g = 0.5 * np.real(np.einsum("aij,ji->a", s, self.direction))
         return self.base.u @ reduced_generator(g, self.base.dim).T
 
 
-def _channel(law, hamiltonian, joints, obs2s, obs1s, times, plan, options, extra=None):
-    """``max |dp/dx|`` over party 1's outcomes ``p``, as
-    ``[member][row][time]``, of each stepped row ``x`` of each member of the
-    equal-length sequences ``joints, obs2s, obs1s`` at each of the ascending
-    ``times``; ``plan(dims, obs2s)`` gives the remote outcomes, row names and
-    stepped rows (as keywords) that ``_member_distributions`` takes.  Each member is
-    checked once (one outside the physical set raises
-    ``UnphysicalStateError``), all go into one stacked call, and an outcome
-    left unchecked holds its error (see ``_member_distributions``, which
-    also takes the ``extra`` rows and says what a call with them returns)."""
+def _checked(hamiltonian, joints, obs2s, obs1s, times):
+    """Refuse a public channel's members unless they are equal-length
+    nonempty sequences of physical states (else ``UnphysicalStateError``) of
+    the Hamiltonian's dims and ``times`` is a sequence.  The audit's own
+    members, which ``_ensemble`` builds, skip this."""
     if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
         raise ValueError("members must be nonempty sequences of states and observables")
     if np.ndim(times) != 1:
         raise ValueError("times must be a sequence of times")
     dims = hamiltonian.dims
     for state, *_ in zip(joints, obs2s, obs1s, strict=True):
-        # the steps need no physical neighbours, but the member itself must be a state
+        # the chain rule needs no physical neighbours, but the member itself must be a state
         joint_from_bloch(state, *map(cached_basis, state.dims))
         if state.dims != dims:
             raise DimensionMismatchError(f"member dims {state.dims} do not fit dims {dims}")
-    remote, names, rows = plan(dims, obs2s)
-    slopes, failures, *ridden = _member_distributions(
-        np.stack([pack_coords(state) for state in joints]), remote, _outcomes(obs1s, dims, 1), law,
-        hamiltonian, list(times), options, names, extra, **rows)
-    values = np.max(np.abs(slopes), axis=-1).transpose(1, 2, 0).tolist()
-    for (m, i, row), error in failures.items():
-        values[m][row][i] = error
-    return values if extra is None else (values, *ridden)
 
 
-def _coordinate_plan(ks, ijs):
-    """The plan of one stepped row per packed coordinate ``x_k`` of party
-    2: ``r2[k]`` for each ``k`` in ``ks``, then ``r12[i,j]`` for each pair
-    in ``ijs``, with the outcomes of the remote observables.  Every index is
-    a Python or numpy integer: the public channels check theirs, and the
-    audit's sweep makes its own."""
-    ks, ijs = [int(k) for k in ks], [(int(i), int(j)) for i, j in ijs]
+def _gradient(law, hamiltonian, joints, remotes, obs1s, times, options, extra=None):
+    """The members' packed states ``x`` and remote outcome rows ``u``, then
+    their stepped ``_member_distributions`` call's gradient, failures,
+    weights and ``extra`` states."""
+    x = np.stack([pack_coords(state) for state in joints])
+    remote = _outcomes(remotes, hamiltonian.dims, 2)
+    return x, remote[1], *_member_distributions(
+        x, remote, _outcomes(obs1s, hamiltonian.dims, 1), law, hamiltonian, list(times), options,
+        stepped=True, extra=extra)
 
-    def plan(dims, remotes):
-        d1, d2 = (n**2 - 1 for n in dims)
-        if not all(0 <= k < d2 for k in ks):
-            raise ValueError(f"component must lie in [0, {d2})")
-        if not all(0 <= i < d1 and 0 <= j < d2 for i, j in ijs):
-            raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-        index = [d1 + k for k in ks] + [d1 + d2 + i * d2 + j for i, j in ijs]
-        names = [f"r2[{k}]" for k in ks] + [f"r12[{i},{j}]" for i, j in ijs]
-        return _outcomes(remotes, dims, 2), names, {"index": index}
 
-    return plan
+def _view(values, moved, weights, failures, columns, d2, times, options):
+    """``max |dp/dX|`` over party 1's outcomes ``p``, ``[member][component]
+    [time]``, of C views ``X`` of a stepped call with ``weights`` and
+    ``failures``: signed ``values`` ``(T, M, K1, C)``; ``moved`` ``(M, C, K)``
+    marks ``X u_k != 0``; ``columns[c]`` is the packed coordinate ``q`` of
+    party 2 (``r2[q]`` or ``r12[i,j]``, ``d2`` in ``r2``) or ``None``
+    (``theta``).  One rule gives every status: a view that moves a remote
+    outcome of weight <= ``EPS_PROB``, which the average drops, is one-sided
+    (``PerturbationInfeasibleError`` at every time); else one that is not
+    finite, or whose member's distribution is not, is an
+    ``IntegrationFailureError``."""
+    values = np.max(np.abs(values), axis=2)
+    outcomes = values.transpose(1, 2, 0).tolist()
+    method = (options or DEFAULT_BRANCH_OPTIONS).method
+    failed = ~np.isfinite(values)
+    for m, i in failures:
+        failed[i, m] = True
+    for i, m, c in zip(*failed.nonzero()):
+        outcomes[m][c][i] = IntegrationFailureError(
+            f"{method} result at t={times[i]:.6g} is not finite")
+    hits = moved & (weights <= EPS_PROB)[:, None]
+    for m, c in zip(*hits.any(axis=-1).nonzero()):
+        q, k = columns[c], hits[m, c].argmax()
+        name = ("theta" if q is None else f"r2[{q}]" if q < d2 else
+                "r12[{},{}]".format(*divmod(q - d2, d2)))
+        outcomes[m][c] = [PerturbationInfeasibleError(
+            f"perturbation of {name} moves remote outcome {k} of weight {weights[m, k]:.3e}, "
+            "so only a one-sided derivative exists")] * len(times)
+    return outcomes
+
+
+def _column_view(u, grad, failures, weights, columns, times, options):
+    """The outcomes (:func:`_view`) of party 2's packed coordinates ``columns``
+    on members with remote outcomes ``u``: ``R_ij`` moves those with ``u_k[j] != 0``."""
+    q, d2 = np.asarray(columns, dtype=int), u.shape[-1]
+    moved = (u[:, :, q % d2] != 0).swapaxes(1, 2)
+    return _view(grad[..., q], moved, weights, failures, q, d2, times, options)
 
 
 def d_remote_state(
@@ -235,15 +250,19 @@ def d_remote_state(
     ``joint``, ``obs2`` and ``obs1`` are equal-length sequences of M ensemble
     members, ``t`` an ascending sequence of times and ``component`` a
     sequence of C integer indices; the result is ``[member][component][time]``.
-    Every member, time and component comes from a single batched
-    propagation; an outcome left unchecked holds its error instead.  A bare
-    member, time or component, or a component that is not an integer,
-    raises ``ValueError``."""
+    Every member, time and component is a view of one stepped call; an
+    outcome left unchecked holds its error instead.  A bare member, time or
+    component, or a component that is not an integer, raises
+    ``ValueError``."""
     if np.ndim(component) != 1:
         raise ValueError("component must be a sequence of indices")
     _require_number(Integral, **{f"component[{n}]": k for n, k in enumerate(component)})
-    plan = _coordinate_plan(component, [])
-    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
+    d2 = hamiltonian.dims[1] ** 2 - 1
+    if not all(0 <= k < d2 for k in component):
+        raise ValueError(f"component must lie in [0, {d2})")
+    _checked(hamiltonian, joint, obs2, obs1, t)
+    _, u, *call = _gradient(law, hamiltonian, joint, obs2, obs1, t, options)
+    return _column_view(u, *call, component, t, options)
 
 
 def d_correlations(
@@ -264,8 +283,12 @@ def d_correlations(
         raise ValueError("component must be a sequence of (i, j) pairs")
     _require_number(Integral, **{f"component[{n}][{m}]": c for n, ij in enumerate(component)
                                  for m, c in enumerate(ij)})
-    plan = _coordinate_plan([], component)
-    return _channel(law, hamiltonian, joint, obs2, obs1, t, plan, options)
+    d1, d2 = (n**2 - 1 for n in hamiltonian.dims)
+    if not all(0 <= i < d1 and 0 <= j < d2 for i, j in component):
+        raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
+    _checked(hamiltonian, joint, obs2, obs1, t)
+    _, u, *call = _gradient(law, hamiltonian, joint, obs2, obs1, t, options)
+    return _column_view(u, *call, [d2 + i * d2 + j for i, j in component], t, options)
 
 
 def d_remote_observable(
@@ -278,16 +301,20 @@ def d_remote_observable(
     options: IntegratorOptions | None = None,
 ) -> list:
     """Sensitivity to the remote measurement choice along a rotation family
-    at its base, along the tangent ``du/dtheta`` of the outcome rows; the members,
-    ``t`` and the result (one ``theta`` component) as for :func:`d_remote_state`."""
-    def plan(dims, families):
-        u0, u = _outcomes([fam.base for fam in families], dims, 2)
-        tangents = np.zeros_like(u)
-        for tangent, fam in zip(tangents, families):
-            tangent[: len(fam.base)] = fam.tangent()
-        return (u0, u), ["theta"], {"tangents": tangents}
-
-    return _channel(law, hamiltonian, joint, family, obs1, t, plan, options)
+    at its base, which moves ``(p_k, p_k r1'_k)`` by ``R L_G u_k``: the
+    gradient along ``R = [r2; r12]`` contracted with ``R L_G``.  The
+    members, ``t`` and the result (one ``theta`` component) as for
+    :func:`d_remote_state`."""
+    _checked(hamiltonian, joint, family, obs1, t)
+    x, u, grad, failures, weights = _gradient(
+        law, hamiltonian, joint, [fam.base for fam in family], obs1, t, options)
+    (n1, n2), d2 = hamiltonian.dims, u.shape[-1]
+    s = cached_basis(n2).matrices
+    g = 0.5 * np.real(np.einsum("aij,mji->ma", s, np.array([fam.direction for fam in family])))
+    turn = x[:, n1**2 - 1 :].reshape(len(x), -1, d2) @ reduced_generator(g, n2)  # R L_G
+    values = _dots(grad, turn.reshape(len(x), 1, -1))
+    moved = (turn @ u.swapaxes(1, 2) != 0).any(axis=1)[:, None]
+    return _view(values[..., None], moved, weights, failures, [None], d2, t, options)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +449,14 @@ def audit(
     Branch evolution is the isolated flow of party 1 driven by the local
     part of the Hamiltonian — interactions are switched off during the
     audit window, which is what spatial separation means operationally.
-    Two batched channel calls, each over every member and audit time,
-    give each outcome its value or the error that left it unchecked: one
-    sweep over all of party 2's coordinates (``r2``, then ``r12``), split
-    back into the ``d_remote_state`` and ``d_correlations`` channels, and
-    one ``d_remote_observable`` call.  Under a flow without a generator the
-    second call reuses the first one's linearized branches; under rk4 the
-    linearity fit's start rows ride in that same batch and are read at
+    Two stepped branch calls, each over every member and audit time, give
+    each outcome its value or the error that left it unchecked.  The first
+    reads the gradient along all of party 2's packed coordinates, whose
+    columns (``r2``, then ``r12``) are the ``d_remote_state`` and
+    ``d_correlations`` channels; the second is the ``d_remote_observable``
+    call, which checks the members once.  Under a flow without a generator
+    the second call reuses the first one's linearized branches; under rk4
+    the linearity fit's start rows ride in that same batch and are read at
     ``max(times)``, so a nonlinear audit makes one rk4 propagation in all.
     Elsewhere the fit runs alone, before the sweep.  :func:`_report` reads
     the report off the outcomes.
@@ -441,9 +469,6 @@ def audit(
     opts = config.branch_options
     grid = sorted(set(config.times))
     t_fit, fit_seed = max(config.times), int(s_fit.generate_state(1)[0])
-    # One sweep over party 2's coordinates serves both state channels: each
-    # member's rows are r2, then r12, split at d2 into the two channels.
-    sweep = _coordinate_plan(range(d2), [(i, j) for i in range(d1) for j in range(d2)])
     if reduced_flow(law, hamiltonian.h1, dims[0]).generator is None and opts.method == "rk4":
         # The fit's rows ride in the sweep's linearization, which reads them
         # at max(times): one rk4 propagation for both.  Its step count is
@@ -452,15 +477,17 @@ def audit(
         # with a generator fits by one cached product: they fit alone.)
         rk4_grid(t_fit, opts)
         starts = _fit_starts(dims[0], config.fit_probes, fit_seed)
-        coords, ends = _channel(law, hamiltonian, states, remotes, locals_, grid, sweep, opts,
-                                extra=starts)
+        _, u, *sweep, ends = _gradient(law, hamiltonian, states, remotes, locals_, grid, opts,
+                                       extra=starts)
         _, linearity = _fit_read_off(starts, ends[-1], t_fit, opts)
     else:
         # The fit runs first: an integrator failure there ends the audit, so
         # it ends it before the channel sweep rather than after.
         _, linearity = reduced_propagator_fit(
             law, hamiltonian, t_fit, config.fit_probes, fit_seed, opts)
-        coords = _channel(law, hamiltonian, states, remotes, locals_, grid, sweep, opts)
+        _, u, *sweep = _gradient(law, hamiltonian, states, remotes, locals_, grid, opts)
+    # every packed coordinate of party 2, split at d2 into the two state channels
+    coords = _column_view(u, *sweep, range((1 + d1) * d2), grid, opts)
     theta = d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts)
     runs = ([rows[:d2] for rows in coords], [rows[d2:] for rows in coords], theta)
     return _report(law.name, dims, config, runs, linearity)
@@ -565,7 +592,7 @@ def signaling_channel_demo(
         _outcomes([local_obs] * 2, h.dims, 1), law, h, [t], options)
     if failures:
         raise failures[min(failures)]
-    pa, pb = dist[0, :, 0]
+    pa, pb = dist[0]
     return 0.5 * float(np.sum(np.abs(pa - pb))), (pa, pb)
 
 

@@ -26,10 +26,11 @@ from blochsig.dynamics import (
     linear_law,
     random_hamiltonian,
     reduced_flow,
+    reduced_generator,
     reduced_propagator_fit,
     xi_law,
 )
-from blochsig.bloch import JointBlochState, joint_to_bloch, pack_coords
+from blochsig.bloch import JointBlochState, joint_from_bloch, joint_to_bloch, pack_coords
 from blochsig.errors import (
     DimensionMismatchError,
     IntegrationFailureError,
@@ -60,8 +61,8 @@ from blochsig.su_basis import cached_basis
 
 from helpers import (
     EPS,
-    STATUS,
     assert_outcomes_match,
+    channel_outcomes,
     expanding_law,
     reference_audit,
     reference_direction,
@@ -548,13 +549,6 @@ def test_one_batched_call_gives_each_outcome_its_single_component_value_or_error
                for e in together[2])
 
 
-def _sweep_names(dims):
-    """The rows of the audit's coordinate sweep: ``r2``, then row-major ``r12``."""
-    d1, d2 = (n**2 - 1 for n in dims)
-    return (*(f"r2[{k}]" for k in range(d2)),
-            *(f"r12[{i},{j}]" for i in range(d1) for j in range(d2)))
-
-
 def _counted(law):
     """``law``'s reduced field as a law of its own that records the shape and
     dtype kind of the rows of each call."""
@@ -638,7 +632,7 @@ def test_zero_probability_branches_and_uneven_branch_counts_match_the_scalar_loo
         x, remote, measurement._outcomes([obs1] * len(pairs), dims, 1), law,
         BlochHamiltonian(dims), DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
     assert not failures
-    batched = dist[:, :, 0]
+    batched = dist
     assert batched.shape == (len(DEFAULT_TIMES), len(pairs), 2)
     assert np.array_equal(batched, _scalar_loop_distributions(pairs, obs1, law, DEFAULT_TIMES))
     # the channel demo is the two-pair case at one time
@@ -795,9 +789,9 @@ def test_a_member_that_is_not_finite_leaves_the_other_members_their_numbers():
                 measurement._outcomes([local] * 2, dims, 1))
     dist, failures = measurement._member_distributions(
         x, *outcomes, law, BlochHamiltonian(dims), times)
-    assert list(failures) == [(0, 1, 0)]  # (member, time index, row)
-    assert isinstance(failures[0, 1, 0], IntegrationFailureError)
-    assert str(failures[0, 1, 0]) == "rk4 result at t=1 is not finite"
+    assert list(failures) == [(0, 1)]  # (member, time index)
+    assert isinstance(failures[0, 1], IntegrationFailureError)
+    assert str(failures[0, 1]) == "rk4 result at t=1 is not finite"
     alone, none = measurement._member_distributions(
         x[1:], *[(u0[1:], u[1:]) for u0, u in outcomes], law, BlochHamiltonian(dims), times)
     assert not none and np.array_equal(dist[:, 1:], alone)
@@ -812,43 +806,68 @@ def test_a_member_that_is_not_finite_leaves_the_other_members_their_numbers():
 
 
 # ---------------------------------------------------------------------------
-# The chain rule: a stepped call reads every row off the branch Jacobians,
-# under a flow without a generator off K d1 tangent rows per member
-# (``tests/test_reference_audit.py`` checks them against the density-matrix
-# reference).
+# The chain rule: a stepped call reads the gradient along every packed
+# coordinate of party 2 off the branch Jacobians, under a flow without a
+# generator off K d1 tangent rows per member, and every public channel is a
+# view of it (``tests/test_reference_audit.py`` checks them against the
+# density-matrix reference).
 
 
-def _audit_members_of(dims, states, remotes, locals_, families):
-    """Every member's coordinate sweep, then every member's observable row,
-    each as ``(x, remote, local, names, rows)`` (see ``_member_distributions``,
-    which takes ``rows`` as keywords)."""
-    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
-    sweep = nosignal_audit._coordinate_plan(range(d2), [(i, j) for i in range(d1)
-                                                        for j in range(d2)])
-    x = np.stack([pack_coords(s) for s in states])
-    local = measurement._outcomes(locals_, dims, 1)
-    u0, u = measurement._outcomes([f.base for f in families], dims, 2)
-    tangents = np.zeros_like(u)
-    for tangent, f in zip(tangents, families):
-        tangent[: len(f.base)] = f.tangent()
-    theta = (x, (u0, u), local, ["theta"], {"tangents": tangents})
-    remote, names, rows = sweep(dims, remotes)
-    return (x, remote, local, names, rows), theta
+def _stepped(law, h, states, remotes, locals_):
+    """One stepped ``_member_distributions`` call on the members at the
+    default times: the gradient, the failures and the Born weights."""
+    x = np.stack([pack_coords(state) for state in states])
+    return measurement._member_distributions(
+        x, measurement._outcomes(remotes, h.dims, 2), measurement._outcomes(locals_, h.dims, 1),
+        law, h, list(DEFAULT_TIMES), stepped=True)
 
 
-def test_a_member_without_rows_gives_no_distributions_on_the_tangent_route():
-    members = [_member((2, 2), 72 + m) for m in range(2)]
-    x = np.stack([pack_coords(state) for state, *_ in members])
-    outcomes = (measurement._outcomes([obs2 for _, obs2, *_ in members], (2, 2), 2),
-                measurement._outcomes([obs1 for *_, obs1, _ in members], (2, 2), 1))
+def test_a_stepped_call_gives_the_gradient_along_every_coordinate_of_party_two():
+    states, remotes, locals_, _ = _columns([_member((2, 3), 72 + m) for m in range(2)])
     for law in (polesink_law(0.1), linear_law()):
-        none, no_failures = measurement._member_distributions(
-            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=[], index=[])
-        assert none.shape == (3, 2, 0, 2) and not no_failures
-        slopes, _ = measurement._member_distributions(
-            x, *outcomes, law, BlochHamiltonian((2, 2)), DEFAULT_TIMES, names=["r2[0]"],
-            index=[3])
-        assert slopes.shape == (3, 2, 1, 2) and np.abs(slopes).max() > 0
+        grad, failures, weights = _stepped(law, BlochHamiltonian((2, 3)), states, remotes,
+                                           locals_)
+        # (time, member, local outcome, packed coordinate of party 2: 8 + 3 x 8)
+        assert grad.shape == (3, 2, 2, 32) and not failures and weights.shape == (2, 3)
+        assert law.kind == "linear" or np.abs(grad).max() > 1e-3
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_each_public_channel_is_a_view_of_one_gradient_call(law, dims):
+    h = random_hamiltonian(np.random.default_rng(74), dims, scale=0.6)
+    states, remotes, locals_, families = _columns([_member(dims, 75 + m) for m in range(3)])
+    grad, failures, _ = _stepped(law, h, states, remotes, locals_)
+    assert not failures
+    d1, d2 = (n**2 - 1 for n in dims)
+    ks, pairs = [d2 - 1, 0, d2 - 1, 1], [(d1 - 1, 0), (0, d2 - 1), (d1 - 1, 0), (0, 0)]
+
+    def view(values):  # [member][component][time] of the largest |value| over party 1's outcomes
+        return np.max(np.abs(values), axis=2).transpose(1, 2, 0).tolist()
+
+    one = (law, h, states, remotes, locals_, DEFAULT_TIMES)
+    assert d_remote_state(*one, ks) == view(grad[..., ks])
+    assert d_correlations(*one, pairs) == view(grad[..., [d2 + i * d2 + j for i, j in pairs]])
+    # theta contracts the gradient with R L_G, R = [r2; r12]
+    s = cached_basis(dims[1]).matrices
+    g = 0.5 * np.real(np.einsum("aij,mji->ma", s, np.array([f.direction for f in families])))
+    r = np.stack([pack_coords(state)[d1:].reshape(1 + d1, d2) for state in states])
+    turn = (r @ reduced_generator(g, dims[1])).reshape(len(states), 1, -1)
+    assert d_remote_observable(law, h, states, families, locals_, DEFAULT_TIMES) == view(
+        measurement._dots(grad, turn)[..., None])
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+def test_an_audit_checks_each_member_once(law, monkeypatch):
+    checked = []
+
+    def counted(state, *bases, **kwargs):
+        checked.append(state)
+        return joint_from_bloch(state, *bases, **kwargs)
+
+    monkeypatch.setattr(nosignal_audit, "joint_from_bloch", counted)
+    audit(law, BlochHamiltonian((2, 2)), AuditConfig(seed=1, ensemble_size=8))
+    assert len(checked) == 8
 
 
 def _counted_polesink():
@@ -960,21 +979,11 @@ def _stack_member(kind, dims, seed):
     return state, obs2, obs1, ObservableFamily(obs2, family.direction)
 
 
-def _as_outcomes(slopes, failures, names):
-    """The channel outcomes of a stepped ``_member_distributions`` call on
-    rows named as the audit names them, in the form of
-    ``helpers.reference_audit``."""
-    values = np.max(np.abs(slopes), axis=-1)
-    labels = [("d_remote_observable", name) if name == "theta" else
-              ({"r2": "d_remote_state", "r12": "d_correlations"}[name.split("[")[0]],
-               name.split("[")[1].rstrip("]")) for name in names]
-    return {(m, t, *labels[row]): STATUS[type(failures[m, i, row])] if (m, i, row) in failures
-            else float(values[i, m, row])
-            for i, t in enumerate(DEFAULT_TIMES) for m in range(values.shape[1])
-            for row in range(len(names))}
-
-
 _STACK_KINDS = st.sampled_from(["anchor", "random", "zero-weight", "rank-2", "expanding"])
+
+
+def _bits(a):
+    return [v.hex() for v in np.ravel(a)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -984,25 +993,34 @@ def test_a_stacked_call_gives_each_member_the_bits_of_its_call_alone(dims, route
     law = linear_law() if route == "generator" else expanding_law()
     h = random_hamiltonian(np.random.default_rng(73), dims, scale=0.6)
     members = [_stack_member(kind, dims, seed) for kind, seed in kinds]
-    states, remotes, locals_, families = _columns(members)
-    coordinates, theta = _audit_members_of(dims, states, remotes, locals_, families)
-    channels = {}
-    for x, remote, local, names, rows in (coordinates, theta):
-        stacked = measurement._member_distributions(x, remote, local, law, h, DEFAULT_TIMES,
-                                                    None, names, **rows)
-        channels.update(_as_outcomes(*stacked, names))
-        for m in range(len(members)):
-            one = [(outcomes[0][m : m + 1], outcomes[1][m : m + 1]) for outcomes in (remote, local)]
-            own_rows = {key: value if key == "index" else value[m : m + 1]
-                        for key, value in rows.items()}
-            alone = measurement._member_distributions(x[m : m + 1], *one, law, h, DEFAULT_TIMES,
-                                                      None, names, **own_rows)
-            own = stacked[0][:, m, :, : alone[0].shape[-1]]  # its local outcomes
-            assert [v.hex() for v in own.ravel().view(float)] == [
-                v.hex() for v in alone[0][:, 0].ravel().view(float)]
-            assert {(i, row): repr(e) for (n, i, row), e in stacked[1].items() if n == m} == {
-                (i, row): repr(e) for (_, i, row), e in alone[1].items()}
+    grad, failures, weights = _stepped(law, h, *_columns(members)[:3])
+    members = [(state, obs2, obs1, family.direction) for state, obs2, obs1, family in members]
+    channels = channel_outcomes(law, h, members, DEFAULT_TIMES)
+    for m, (state, obs2, obs1, direction) in enumerate(members):
+        own_grad, own_failures, own_weights = _stepped(law, h, [state], [obs2], [obs1])
+        assert _bits(grad[:, m, : len(obs1)]) == _bits(own_grad[:, 0])  # its local outcomes
+        assert _bits(weights[m, : len(obs2)]) == _bits(own_weights[0])  # its remote outcomes
+        assert {i: repr(e) for (n, i), e in failures.items() if n == m} == {
+            i: repr(e) for (_, i), e in own_failures.items()}
+        # and each column and theta view of the member is that of its lone call
+        alone = channel_outcomes(law, h, [(state, obs2, obs1, direction)], DEFAULT_TIMES)
+        assert {key[1:]: v for key, v in channels.items() if key[0] == m} == {
+            key[1:]: v for key, v in alone.items()}
     # and every member's channels in the stacked calls are those of the
     # density-matrix reference
-    members = [(state, obs2, obs1, family.direction) for state, obs2, obs1, family in members]
     assert_outcomes_match(channels, reference_audit(law, h, members, DEFAULT_TIMES), atol=1e-15)
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+def test_views_of_ragged_remote_outcome_counts_are_the_reference_audit(law, options):
+    # a rank-2 outcome at n2 = 3 (two outcomes, padded to three) beside a rank-1 basis
+    dims = (2, 3)
+    h = random_hamiltonian(np.random.default_rng(76), dims, scale=0.6)
+    members = [_stack_member(kind, dims, 77) for kind in ("rank-2", "random", "zero-weight")]
+    members = [(state, obs2, obs1, family.direction) for state, obs2, obs1, family in members]
+    assert [len(obs2) for _, obs2, *_ in members] == [2, 3, 3]
+    outcomes = reference_audit(law, h, members, DEFAULT_TIMES, options)
+    assert "infeasible" in outcomes.values()
+    assert_outcomes_match(channel_outcomes(law, h, members, DEFAULT_TIMES, options), outcomes)

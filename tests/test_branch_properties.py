@@ -76,7 +76,7 @@ def test_distributions_at_time_zero_are_party_one_born_distributions(dims, seed)
         dist, failures = _member_distributions(*members, law, hamiltonian, [0.0],
                                                DEFAULT_BRANCH_OPTIONS)
         assert not failures
-        np.testing.assert_allclose(dist[0, :, 0], np.tile(born, (len(remotes), 1)), rtol=0.0,
+        np.testing.assert_allclose(dist[0], np.tile(born, (len(remotes), 1)), rtol=0.0,
                                    atol=1e-12)
 
 

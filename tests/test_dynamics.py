@@ -651,6 +651,20 @@ def test_reduced_generator_is_antisymmetric():
         assert np.max(np.abs(gen + gen.T)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_a_stack_of_local_hamiltonians_gives_each_its_own_generator_bit_for_bit(dim):
+    h = np.random.default_rng(19).standard_normal((4, 3, dim**2 - 1))
+    stack = reduced_generator(h, dim)
+    assert stack.shape == (4, 3, dim**2 - 1, dim**2 - 1)
+    alone = np.array([[reduced_generator(row, dim) for row in rows] for rows in h])
+    assert [v.hex() for v in stack.ravel()] == [v.hex() for v in alone.ravel()]
+    h[2, 1, 0] = math.inf  # one non-finite member refuses the stack
+    with pytest.raises(NonFiniteGeneratorError, match=f"local Hamiltonian of a {dim}-level"):
+        reduced_generator(h, dim)
+    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length"):
+        reduced_generator(h[..., 1:], dim)
+
+
 def test_propagator_fit_linear_law():
     rng = np.random.default_rng(20)
     h = random_hamiltonian(rng, (2, 2), interaction=False)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from golden.compare import main as compare_main
 from golden.regen import CASES, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -76,3 +77,30 @@ def test_assert_close_tolerance_and_exact_fields():
                              ([math.nan], [0.0])):
         with pytest.raises(AssertionError):
             assert_close(actual, expected)
+
+
+def test_compare_lists_numbers_labels_and_other_changes(tmp_path, capsys):
+    # one copy of an audit file with a moved number, a moved label and a
+    # changed reason string, and one copy left as it is
+    name = "audit_linear_ci.json"
+    record = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    (tmp_path / "same").mkdir()
+    (tmp_path / "same" / name).write_bytes((GOLDEN / name).read_bytes())
+    assert compare_main([str(tmp_path / "same"), "--against", str(GOLDEN)]) == 1  # files missing
+    assert f"{name}: identical bytes" in capsys.readouterr().out
+    output = record["output"]
+    output["cases"][0]["value"] += 1e-17
+    output["per_channel_worst"]["d_remote_state"]["time"] = -1.0
+    (tmp_path / "moved").mkdir()
+    (tmp_path / "moved" / name).write_text(json.dumps(record), encoding="utf-8")
+    against = tmp_path / "against"
+    against.mkdir()
+    (against / name).write_bytes((GOLDEN / name).read_bytes())
+    assert compare_main([str(tmp_path / "moved"), "--against", str(against)]) == 0
+    out = capsys.readouterr().out
+    assert "largest numeric change 1e-17 at output.cases[0].value" in out
+    assert "label output.per_channel_worst.d_remote_state.time:" in out
+    output["verdict"] = "signaling-detected"
+    (tmp_path / "moved" / name).write_text(json.dumps(record), encoding="utf-8")
+    assert compare_main([str(tmp_path / "moved"), "--against", str(against)]) == 1
+    assert "CHANGED output.verdict: 'pass' -> 'signaling-detected'" in capsys.readouterr().out
