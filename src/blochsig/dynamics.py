@@ -601,7 +601,7 @@ def evolve_path(
         if t > t_prev:
             current = integrate.solve(field, current, t - t_prev, options)
             if not np.isfinite(current).all():
-                raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
+                raise _not_finite(options, t)
             t_prev = t
         out.append((t, _result_for(unpack_coords(current, hamiltonian.dims))))
     return out
@@ -628,6 +628,12 @@ def reduced_generator(h_local, dim: int) -> np.ndarray:
 # Fixed-step branch propagation: smooth in the initial condition, and one
 # cached matrix per time for a linear flow.
 DEFAULT_BRANCH_OPTIONS = IntegratorOptions(method="rk4", step=0.01)
+
+
+def _not_finite(options: IntegratorOptions | None, t: float) -> IntegrationFailureError:
+    """The failure of a result that is not finite at ``t`` (``options``: the branch default's)."""
+    method = (options or DEFAULT_BRANCH_OPTIONS).method
+    return IntegrationFailureError(f"{method} result at t={t:.6g} is not finite")
 
 
 class ReducedFlow:
@@ -818,7 +824,7 @@ def _fit_read_off(starts: np.ndarray, ends: np.ndarray, t: float,
     real part is read.  Raises ``IntegrationFailureError`` when an end is
     not finite."""
     if not np.isfinite(ends).all():
-        raise IntegrationFailureError(f"{options.method} result at t={t:.6g} is not finite")
+        raise _not_finite(options, t)
     d = starts.shape[-1]
     ends = ends.real[1:] - ends.real[0]  # less the evolved origin c
     a = np.ascontiguousarray(ends[:d].T / _FIT_SCALE)

@@ -49,7 +49,6 @@ from . import dynamics
 from .bloch import BlochState, JointBlochState, pack_coords
 from .errors import (
     DimensionMismatchError,
-    IntegrationFailureError,
     InvalidObservableError,
     InvalidProjectorError,
     ZeroProbabilityBranchError,
@@ -365,9 +364,8 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     dist = np.zeros((len(times), len(x), v.shape[1]))
     for k in range(weighted.shape[2]):  # dropped branches add +0, which changes no sum
         dist += weighted[:, :, k]
-    failures = {(m, i): IntegrationFailureError(
-        f"{options.method} result at t={times[i]:.6g} is not finite")
-        for i, m in zip(*np.nonzero(~np.isfinite(dist).all(axis=-1)))}
+    failures = {(m, i): dynamics._not_finite(options, times[i])
+                for i, m in zip(*np.nonzero(~np.isfinite(dist).all(axis=-1)))}
     if not stepped:
         return dist, failures
     g = (jt[:, :, :, None] @ v[:, None, ..., None])[..., 0]  # each its own product

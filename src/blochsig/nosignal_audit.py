@@ -63,6 +63,7 @@ from .dynamics import (
     EvolutionLaw,
     _fit_read_off,
     _fit_starts,
+    _not_finite,
     custom_law,
     reduced_flow,
     reduced_generator,
@@ -160,11 +161,15 @@ class ObservableFamily:
         object.__setattr__(self, "direction", _rotation_direction(self.direction, self.base.dim))
 
     def tangent(self) -> np.ndarray:
-        """``du/dtheta = u @ L_G^T`` of every outcome row at theta = 0, where
-        ``L_G = reduced_generator(1/2 Re Tr(s_a G))`` rotates by exp(-i theta G)."""
-        s = cached_basis(self.base.dim).matrices
-        g = 0.5 * np.real(np.einsum("aij,ji->a", s, self.direction))
-        return self.base.u @ reduced_generator(g, self.base.dim).T
+        """``du/dtheta = u @ L_G^T`` of every outcome row at theta = 0."""
+        return self.base.u @ _rotation_generators(self.direction, self.base.dim).T
+
+
+def _rotation_generators(directions, dim: int) -> np.ndarray:
+    """``L_G = reduced_generator(1/2 Re Tr(s_a G))``, which rotates outcome
+    rows by exp(-i theta G), of each direction ``G`` of a stack ``(..., dim, dim)``."""
+    s = cached_basis(dim).matrices
+    return reduced_generator(0.5 * np.real(np.einsum("aij,...ji->...a", s, directions)), dim)
 
 
 def _checked(hamiltonian, joints, obs2s, obs1s, times):
@@ -204,17 +209,15 @@ def _view(values, moved, weights, failures, columns, d2, times, options):
     (``theta``).  One rule gives every status: a view that moves a remote
     outcome of weight <= ``EPS_PROB``, which the average drops, is one-sided
     (``PerturbationInfeasibleError`` at every time); else one that is not
-    finite, or whose member's distribution is not, is an
-    ``IntegrationFailureError``."""
+    finite, or whose member's distribution is not (then it holds that
+    failure), is an ``IntegrationFailureError``."""
     values = np.max(np.abs(values), axis=2)
     outcomes = values.transpose(1, 2, 0).tolist()
-    method = (options or DEFAULT_BRANCH_OPTIONS).method
     failed = ~np.isfinite(values)
     for m, i in failures:
         failed[i, m] = True
     for i, m, c in zip(*failed.nonzero()):
-        outcomes[m][c][i] = IntegrationFailureError(
-            f"{method} result at t={times[i]:.6g} is not finite")
+        outcomes[m][c][i] = failures.get((m, i)) or _not_finite(options, times[i])
     hits = moved & (weights <= EPS_PROB)[:, None]
     for m, c in zip(*hits.any(axis=-1).nonzero()):
         q, k = columns[c], hits[m, c].argmax()
@@ -309,9 +312,8 @@ def d_remote_observable(
     x, u, grad, failures, weights = _gradient(
         law, hamiltonian, joint, [fam.base for fam in family], obs1, t, options)
     (n1, n2), d2 = hamiltonian.dims, u.shape[-1]
-    s = cached_basis(n2).matrices
-    g = 0.5 * np.real(np.einsum("aij,mji->ma", s, np.array([fam.direction for fam in family])))
-    turn = x[:, n1**2 - 1 :].reshape(len(x), -1, d2) @ reduced_generator(g, n2)  # R L_G
+    generators = _rotation_generators(np.array([fam.direction for fam in family]), n2)
+    turn = x[:, n1**2 - 1 :].reshape(len(x), -1, d2) @ generators  # R L_G
     values = _dots(grad, turn.reshape(len(x), 1, -1))
     moved = (turn @ u.swapaxes(1, 2) != 0).any(axis=1)[:, None]
     return _view(values[..., None], moved, weights, failures, [None], d2, t, options)
@@ -433,12 +435,8 @@ class AuditReport:
         }
 
     def csv_rows(self) -> list[list]:
-        rows = [["member", "time", "channel", "component", "value", "status"]]
-        for c in self.cases:
-            rows.append(
-                [c["member"], c["time"], c["channel"], c["component"], c["value"], c["status"]]
-            )
-        return rows
+        keys = ["member", "time", "channel", "component", "value", "status"]
+        return [keys, *([c[k] for k in keys] for c in self.cases)]
 
 
 def audit(
@@ -556,9 +554,7 @@ def _report(law_name, dims, config, runs, linearity) -> AuditReport:
     return AuditReport(
         law=law_name,
         dims=dims,
-        max_d_remote_state=maxima["d_remote_state"],
-        max_d_correlations=maxima["d_correlations"],
-        max_d_remote_observable=maxima["d_remote_observable"],
+        **{f"max_{ch}": maxima[ch] for ch in channels},
         linearity_residual=linearity,
         verdict=verdict,
         worst_case=worst_overall,

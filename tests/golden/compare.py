@@ -33,47 +33,36 @@ def _records(value):
     return value
 
 
-def _number(value):
-    """A JSON or CSV number as a float, else ``None``."""
-    if isinstance(value, bool):
+def numbers(new, old):
+    """Two leaves as floats when both are JSON numbers, or both CSV cells
+    that read as numbers; else ``None``."""
+    if isinstance(new, str) != isinstance(old, str) or bool in (type(new), type(old)):
         return None
     try:
-        return float(value)
+        return float(new), float(old)
     except (TypeError, ValueError):
         return None
 
 
-def _walk(new, old, where, found):
-    """Add each difference of ``new`` from ``old`` to ``found``: ``numeric``
-    is the largest change of a number and where it is, ``labels`` and
-    ``other`` list ``(where, old, new)``."""
+def walk(new, old, differ, where=""):
+    """Call ``differ(where, new, old)`` for each difference of ``new`` from
+    ``old``: a leaf whose value or type differs, or (at ``"<where> keys"``
+    and ``"<where> length"``) a dict's keys or a list's length.  The one
+    walk of the golden format, which ``tests/test_golden.py`` shares."""
     if isinstance(old, dict) and isinstance(new, dict):
         if sorted(old) != sorted(new):
-            found["other"].append((f"{where} keys", sorted(old), sorted(new)))
+            differ(f"{where} keys", sorted(new), sorted(old))
             return
         for key in old:
-            _walk(new[key], old[key], f"{where}.{key}", found)
-        return
-    if isinstance(old, list) and isinstance(new, list):
+            walk(new[key], old[key], differ, f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            found["other"].append((f"{where} length", len(old), len(new)))
+            differ(f"{where} length", f"{len(new)} items", f"{len(old)} items")
             return
         for i, (a, b) in enumerate(zip(new, old)):
-            _walk(a, b, f"{where}[{i}]", found)
-        return
-    if new == old:
-        return
-    key = where.rsplit(".", 1)[-1]
-    if key in LABELS:
-        found["labels"].append((where, old, new))
-        return
-    a, b = _number(new), _number(old)
-    if key != "exit_code" and a is not None and b is not None:
-        change = abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
-        if change > found["numeric"][0]:
-            found["numeric"] = (change, where)
-        return
-    found["other"].append((where, old, new))
+            walk(a, b, differ, f"{where}[{i}]")
+    elif type(new) is not type(old) or new != old:
+        differ(where, new, old)
 
 
 def compare(new: Path, old: Path) -> dict:
@@ -81,25 +70,36 @@ def compare(new: Path, old: Path) -> dict:
     a, b = (json.loads(path.read_text(encoding="utf-8")) for path in (new, old))
     found = {"numeric": (0.0, None), "labels": [], "other": [],
              "same_bytes": new.read_bytes() == old.read_bytes()}
+
+    def differ(where, after, before):
+        key, pair = where.rsplit(".", 1)[-1], numbers(after, before)
+        if key in LABELS:
+            found["labels"].append((where, before, after))
+        elif key != "exit_code" and pair is not None:
+            x, y = pair
+            change = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+            if change > found["numeric"][0]:
+                found["numeric"] = (change, where)
+        else:
+            found["other"].append((where, before, after))
+
     for part in (a, b):
         part.pop("output_sha256", None)
         part["output"] = _records(part.get("output"))
-    _walk(a, b, "", found)
+    walk(a, b, differ)
     return found
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", type=Path, help="a directory written by regen.py --out")
-    parser.add_argument("--against", type=Path, default=HERE,
-                        help="the committed files (default: here)")
     args = parser.parse_args(argv)
-    names = sorted({p.name for d in (args.dir, args.against) for p in d.glob("*.json")})
+    names = sorted({p.name for d in (args.dir, HERE) for p in d.glob("*.json")})
     bad = False
     for name in names:
-        new, old = args.dir / name, args.against / name
+        new, old = args.dir / name, HERE / name
         if not (new.exists() and old.exists()):
-            print(f"{name}: only in {args.dir if new.exists() else args.against}")
+            print(f"{name}: only in {args.dir if new.exists() else HERE}")
             bad = True
             continue
         found = compare(new, old)

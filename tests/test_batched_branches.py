@@ -26,7 +26,6 @@ from blochsig.dynamics import (
     linear_law,
     random_hamiltonian,
     reduced_flow,
-    reduced_generator,
     reduced_propagator_fit,
     xi_law,
 )
@@ -849,12 +848,34 @@ def test_each_public_channel_is_a_view_of_one_gradient_call(law, dims):
     assert d_remote_state(*one, ks) == view(grad[..., ks])
     assert d_correlations(*one, pairs) == view(grad[..., [d2 + i * d2 + j for i, j in pairs]])
     # theta contracts the gradient with R L_G, R = [r2; r12]
-    s = cached_basis(dims[1]).matrices
-    g = 0.5 * np.real(np.einsum("aij,mji->ma", s, np.array([f.direction for f in families])))
+    generators = nosignal_audit._rotation_generators([f.direction for f in families], dims[1])
     r = np.stack([pack_coords(state)[d1:].reshape(1 + d1, d2) for state in states])
-    turn = (r @ reduced_generator(g, dims[1])).reshape(len(states), 1, -1)
+    turn = (r @ generators).reshape(len(states), 1, -1)
     assert d_remote_observable(law, h, states, families, locals_, DEFAULT_TIMES) == view(
         measurement._dots(grad, turn)[..., None])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_a_familys_tangent_rows_give_its_theta_view(dims):
+    # tangent() is du_k/dtheta of the rotated outcome rows (a central
+    # difference of rotate_observable), and the shift dR = R T U^+ of party
+    # 2's coordinates, which moves each R u_k by R du_k/dtheta (the rows u_k
+    # of a basis sum to zero, and so do their tangents), is the theta view
+    law, h = polesink_law(0.1), random_hamiltonian(np.random.default_rng(76), dims, scale=0.6)
+    states, remotes, locals_, families = _columns([_member(dims, 77 + m) for m in range(3)])
+    grad, failures, _ = _stepped(law, h, states, remotes, locals_)
+    d1, d2 = (n**2 - 1 for n in dims)
+    shifts = []
+    for state, family in zip(states, families):
+        tangent = family.tangent()
+        ends = [measurement.rotate_observable(family.base, family.direction, a).u
+                for a in (1e-6, -1e-6)]
+        np.testing.assert_allclose(tangent, (ends[0] - ends[1]) / 2e-6, atol=1e-8)
+        r = pack_coords(state)[d1:].reshape(1 + d1, d2)
+        shifts.append(r @ tangent.T @ np.linalg.pinv(family.base.u.T))
+    values = measurement._dots(grad, np.reshape(shifts, (len(states), 1, -1)))
+    theta = d_remote_observable(law, h, states, families, locals_, DEFAULT_TIMES)
+    np.testing.assert_allclose(theta, np.max(np.abs(values), axis=2).T[:, None], rtol=1e-12)
 
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)

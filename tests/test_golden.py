@@ -11,47 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from golden.compare import main as compare_main
+from golden import compare
+from golden.compare import numbers, walk
 from golden.regen import CASES, run_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = sorted(GOLDEN.glob("*.json"))
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _cell(value):
-    """A CSV cell as a float when it reads as one, else as the string."""
-    try:
-        return float(value)
-    except ValueError:
-        return value
-
-
 def assert_close(actual, expected, where="output"):
-    if _number(expected):
-        assert _number(actual), f"{where}: {actual!r} is not a number"
-        assert actual == expected or abs(actual - expected) <= 1e-10 + 1e-9 * abs(expected), (
-            f"{where}: {actual!r} != {expected!r}"
-        )
-    elif isinstance(expected, dict):
-        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), (
-            f"{where}: keys {sorted(actual) if isinstance(actual, dict) else actual!r}"
-        )
-        for key in expected:
-            assert_close(actual[key], expected[key], f"{where}.{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), f"{where}: length"
-        for i, (a, e) in enumerate(zip(actual, expected)):
-            assert_close(a, e, f"{where}[{i}]")
-    elif isinstance(expected, str) and isinstance(actual, str) and actual != expected:
-        # CSV cells hold numbers as text: compare those as numbers.
-        assert _number(_cell(expected)), f"{where}: {actual!r} != {expected!r}"
-        assert_close(_cell(actual), _cell(expected), where)
-    else:
-        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+    """Numbers (CSV cells that read as numbers too) within the tolerance,
+    everything else exactly, by the walk ``tests/golden/compare.py`` makes."""
+
+    def differ(at, a, e):
+        pair = numbers(a, e)
+        assert pair is not None and abs(pair[0] - pair[1]) <= 1e-10 + 1e-9 * abs(pair[1]), (
+            f"{at}: {a!r} != {e!r}")
+
+    walk(actual, expected, differ, where)
 
 
 def test_corpus_matches_the_case_list():
@@ -74,33 +51,37 @@ def test_assert_close_tolerance_and_exact_fields():
                              ({"a": 1.0}, {"b": 1.0}),
                              ([1.0], [1.0 + 1e-6]),
                              ([True], [1]),
+                             ([1], [True]),
+                             (["0.5"], [0.5]),
                              ([math.nan], [0.0])):
         with pytest.raises(AssertionError):
             assert_close(actual, expected)
 
 
-def test_compare_lists_numbers_labels_and_other_changes(tmp_path, capsys):
-    # one copy of an audit file with a moved number, a moved label and a
-    # changed reason string, and one copy left as it is
+def test_compare_lists_numbers_labels_and_other_changes(tmp_path, capsys, monkeypatch):
+    # a copy of an audit file with a moved number, a moved label and a
+    # changed reason string, against the committed file alone
     name = "audit_linear_ci.json"
     record = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
-    (tmp_path / "same").mkdir()
-    (tmp_path / "same" / name).write_bytes((GOLDEN / name).read_bytes())
-    assert compare_main([str(tmp_path / "same"), "--against", str(GOLDEN)]) == 1  # files missing
+    committed, moved = tmp_path / "committed", tmp_path / "moved"
+    committed.mkdir()
+    moved.mkdir()
+    (committed / name).write_bytes((GOLDEN / name).read_bytes())
+    assert compare.main([str(committed)]) == 1  # the other committed files are missing
     assert f"{name}: identical bytes" in capsys.readouterr().out
+    monkeypatch.setattr(compare, "HERE", committed)
     output = record["output"]
     output["cases"][0]["value"] += 1e-17
     output["per_channel_worst"]["d_remote_state"]["time"] = -1.0
-    (tmp_path / "moved").mkdir()
-    (tmp_path / "moved" / name).write_text(json.dumps(record), encoding="utf-8")
-    against = tmp_path / "against"
-    against.mkdir()
-    (against / name).write_bytes((GOLDEN / name).read_bytes())
-    assert compare_main([str(tmp_path / "moved"), "--against", str(against)]) == 0
+    (moved / name).write_text(json.dumps(record), encoding="utf-8")
+    assert compare.main([str(moved)]) == 0
     out = capsys.readouterr().out
     assert "largest numeric change 1e-17 at output.cases[0].value" in out
     assert "label output.per_channel_worst.d_remote_state.time:" in out
     output["verdict"] = "signaling-detected"
-    (tmp_path / "moved" / name).write_text(json.dumps(record), encoding="utf-8")
-    assert compare_main([str(tmp_path / "moved"), "--against", str(against)]) == 1
-    assert "CHANGED output.verdict: 'pass' -> 'signaling-detected'" in capsys.readouterr().out
+    output["cases"].pop()
+    (moved / name).write_text(json.dumps(record), encoding="utf-8")
+    assert compare.main([str(moved)]) == 1
+    out = capsys.readouterr().out
+    assert "CHANGED output.verdict: 'pass' -> 'signaling-detected'" in out
+    assert "CHANGED output.cases length:" in out
