@@ -828,6 +828,7 @@ def _fit_read_off(starts: np.ndarray, ends: np.ndarray, t: float,
     d = starts.shape[-1]
     ends = ends.real[1:] - ends.real[0]  # less the evolved origin c
     a = np.ascontiguousarray(ends[:d].T / _FIT_SCALE)
-    mismatch = [float(np.max(np.abs(rt - a @ r0))) for r0, rt in zip(starts[d + 1 :], ends[d:])]
-    # np.max keeps a NaN mismatch, which the builtin max would drop.
+    # one matrix-vector product per probe (a matrix product may sum in another
+    # order); np.max keeps a NaN mismatch, which the builtin max would drop
+    mismatch = np.max(np.abs(ends[d:] - (a @ starts[d + 1 :, :, None])[..., 0]), axis=-1)
     return a, float(np.max(mismatch, initial=0.0))

@@ -18,63 +18,57 @@ import numpy as np
 __all__ = ["dumps", "csv_text"]
 
 
-def _write(obj, out: list, indent: str) -> None:
-    """Append to ``out`` the text that ``json.dumps(obj, indent=2,
-    sort_keys=True, ensure_ascii=False)`` gives once arrays, numpy scalars
-    and tuples are lists, ints and floats, non-finite floats are strings and
-    every dict key is its ``str``; ``indent`` is the current line's."""
-    if isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, indent)
-    elif isinstance(obj, np.generic):
-        _write(obj.item(), out, indent)
-    elif isinstance(obj, float):
-        if math.isfinite(obj):
-            out.append(float.__repr__(obj))
-        else:
-            out.append('"nan"' if math.isnan(obj) else ('"inf"' if obj > 0 else '"-inf"'))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)):
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return '"nan"' if math.isnan(x) else ('"inf"' if x > 0 else '"-inf"')
+
+
+# The text of each plain scalar type, by exact type: a subclass (an IntEnum,
+# numpy's float64) takes the isinstance chain of ``_text``.
+_SCALARS = {str: encode_basestring, float: _float, int: int.__repr__,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _text(obj, indent: str) -> str:
+    """The text that ``json.dumps(obj, indent=2, sort_keys=True,
+    ensure_ascii=False)`` gives once arrays, numpy scalars and tuples are
+    lists, ints and floats, non-finite floats are strings and every dict key
+    is its ``str``; ``indent`` is the current line's.  A container writes
+    its plain scalar values in place."""
+    text = _SCALARS.get(type(obj))
+    if text is not None:
+        return text(obj)
+    if isinstance(obj, dict):
         if not obj:
-            out.append("[]")
-            return
+            return "{}"
         inner = indent + "  "
-        out.append("[\n" + inner)
-        for i, value in enumerate(obj):
-            if i:
-                out.append(",\n" + inner)
-            _write(value, out, inner)
-        out.append("\n" + indent + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        out.append("{\n" + inner)
         # Keys are unique once they are strings, so no value is ever compared.
-        for i, (key, value) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
-            if i:
-                out.append(",\n" + inner)
-            out.append(encode_basestring(key) + ": ")
-            _write(value, out, inner)
-        out.append("\n" + indent + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return "{\n" + inner + (",\n" + inner).join([
+            f"{encode_basestring(k)}: {t(v) if (t := _SCALARS.get(type(v))) else _text(v, inner)}"
+            for k, v in sorted({str(k): v for k, v in obj.items()}.items())]) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join([
+            t(v) if (t := _SCALARS.get(type(v))) else _text(v, inner)
+            for v in obj]) + "\n" + indent + "]"
+    if isinstance(obj, np.ndarray):
+        return _text(obj.tolist(), indent)
+    if isinstance(obj, np.generic):
+        return _text(obj.item(), indent)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    out = []
-    _write(obj, out, "")
-    out.append("\n")
-    return "".join(out)
+    return _text(obj, "") + "\n"
 
 
 def csv_text(rows) -> str:

@@ -48,6 +48,7 @@ witness tanh(eps*t)/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -56,7 +57,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .bloch import JointBlochState, joint_from_bloch, pack_coords
+from .bloch import JointBlochState, joint_frame, joint_from_bloch, pack_coords, unpack_coords
 from .dynamics import (
     DEFAULT_BRANCH_OPTIONS,
     BlochHamiltonian,
@@ -69,7 +70,7 @@ from .dynamics import (
     reduced_generator,
     reduced_propagator_fit,
 )
-from .errors import DimensionMismatchError, IntegrationFailureError, PerturbationInfeasibleError
+from .errors import DimensionMismatchError, PerturbationInfeasibleError
 from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
     EPS_PROB,
@@ -87,7 +88,6 @@ from .sampling import (
     haar_unitaries,
     hermitian_directions,
     hs_densities,
-    interior_joint_state,
     maximally_entangled_density,
     random_pure_density,
     singlet_density,
@@ -172,11 +172,12 @@ def _rotation_generators(directions, dim: int) -> np.ndarray:
     return reduced_generator(0.5 * np.real(np.einsum("aij,...ji->...a", s, directions)), dim)
 
 
-def _checked(hamiltonian, joints, obs2s, obs1s, times):
-    """Refuse a public channel's members unless they are equal-length
-    nonempty sequences of physical states (else ``UnphysicalStateError``) of
-    the Hamiltonian's dims and ``times`` is a sequence.  The audit's own
-    members, which ``_ensemble`` builds, skip this."""
+def _checked(hamiltonian, joints, obs2s, obs1s, times) -> np.ndarray:
+    """The packed states ``(M, D)`` of a public channel's members, refused
+    unless the members are equal-length nonempty sequences of physical
+    states (else ``UnphysicalStateError``) of the Hamiltonian's dims and
+    ``times`` is a sequence.  The audit's own members, which ``_ensemble``
+    builds, skip this."""
     if not (all(isinstance(c, Sequence) for c in (joints, obs2s, obs1s)) and joints):
         raise ValueError("members must be nonempty sequences of states and observables")
     if np.ndim(times) != 1:
@@ -187,23 +188,14 @@ def _checked(hamiltonian, joints, obs2s, obs1s, times):
         joint_from_bloch(state, *map(cached_basis, state.dims))
         if state.dims != dims:
             raise DimensionMismatchError(f"member dims {state.dims} do not fit dims {dims}")
-
-
-def _gradient(law, hamiltonian, joints, remotes, obs1s, times, options, extra=None):
-    """The members' packed states ``x`` and remote outcome rows ``u``, then
-    their stepped ``_member_distributions`` call's gradient, failures,
-    weights and ``extra`` states."""
-    x = np.stack([pack_coords(state) for state in joints])
-    remote = _outcomes(remotes, hamiltonian.dims, 2)
-    return x, remote[1], *_member_distributions(
-        x, remote, _outcomes(obs1s, hamiltonian.dims, 1), law, hamiltonian, list(times), options,
-        stepped=True, extra=extra)
+    return np.stack([pack_coords(state) for state in joints])
 
 
 def _view(values, moved, weights, failures, columns, d2, times, options):
-    """``max |dp/dX|`` over party 1's outcomes ``p``, ``[member][component]
-    [time]``, of C views ``X`` of a stepped call with ``weights`` and
-    ``failures``: signed ``values`` ``(T, M, K1, C)``; ``moved`` ``(M, C, K)``
+    """``max |dp/dX|`` over party 1's outcomes ``p``, ``(T, M, C)``, of C
+    views ``X`` of a stepped call with ``weights`` and ``failures``, and the
+    error ``{(time index, member, column): error}`` of each outcome left
+    unchecked: signed ``values`` ``(T, M, K1, C)``; ``moved`` ``(M, C, K)``
     marks ``X u_k != 0``; ``columns[c]`` is the packed coordinate ``q`` of
     party 2 (``r2[q]`` or ``r12[i,j]``, ``d2`` in ``r2``) or ``None``
     (``theta``).  One rule gives every status: a view that moves a remote
@@ -212,20 +204,29 @@ def _view(values, moved, weights, failures, columns, d2, times, options):
     finite, or whose member's distribution is not (then it holds that
     failure), is an ``IntegrationFailureError``."""
     values = np.max(np.abs(values), axis=2)
-    outcomes = values.transpose(1, 2, 0).tolist()
     failed = ~np.isfinite(values)
     for m, i in failures:
         failed[i, m] = True
-    for i, m, c in zip(*failed.nonzero()):
-        outcomes[m][c][i] = failures.get((m, i)) or _not_finite(options, times[i])
+    errors = {(i, m, c): failures.get((m, i)) or _not_finite(options, times[i])
+              for i, m, c in np.argwhere(failed).tolist()}
     hits = moved & (weights <= EPS_PROB)[:, None]
-    for m, c in zip(*hits.any(axis=-1).nonzero()):
+    for m, c in np.argwhere(hits.any(axis=-1)).tolist():
         q, k = columns[c], hits[m, c].argmax()
         name = ("theta" if q is None else f"r2[{q}]" if q < d2 else
                 "r12[{},{}]".format(*divmod(q - d2, d2)))
-        outcomes[m][c] = [PerturbationInfeasibleError(
+        error = PerturbationInfeasibleError(
             f"perturbation of {name} moves remote outcome {k} of weight {weights[m, k]:.3e}, "
-            "so only a one-sided derivative exists")] * len(times)
+            "so only a one-sided derivative exists")
+        errors.update(((i, m, c), error) for i in range(len(times)))
+    return values, errors
+
+
+def _as_lists(values, errors) -> list:
+    """A view's outcomes as the public channels return them,
+    ``[member][component][time]``, each error in place of its value."""
+    outcomes = values.transpose(1, 2, 0).tolist()
+    for (i, m, c), error in errors.items():
+        outcomes[m][c][i] = error
     return outcomes
 
 
@@ -235,6 +236,16 @@ def _column_view(u, grad, failures, weights, columns, times, options):
     q, d2 = np.asarray(columns, dtype=int), u.shape[-1]
     moved = (u[:, :, q % d2] != 0).swapaxes(1, 2)
     return _view(grad[..., q], moved, weights, failures, q, d2, times, options)
+
+
+def _coordinates(law, hamiltonian, joints, obs2s, obs1s, times, columns, options):
+    """The public outcomes of party 2's packed coordinates ``columns``: one
+    stepped call on the checked members, viewed and listed."""
+    x = _checked(hamiltonian, joints, obs2s, obs1s, times)
+    remote = _outcomes(obs2s, hamiltonian.dims, 2)
+    call = _member_distributions(x, remote, _outcomes(obs1s, hamiltonian.dims, 1), law,
+                                 hamiltonian, list(times), options, stepped=True)
+    return _as_lists(*_column_view(remote[1], *call, columns, times, options))
 
 
 def d_remote_state(
@@ -263,9 +274,7 @@ def d_remote_state(
     d2 = hamiltonian.dims[1] ** 2 - 1
     if not all(0 <= k < d2 for k in component):
         raise ValueError(f"component must lie in [0, {d2})")
-    _checked(hamiltonian, joint, obs2, obs1, t)
-    _, u, *call = _gradient(law, hamiltonian, joint, obs2, obs1, t, options)
-    return _column_view(u, *call, component, t, options)
+    return _coordinates(law, hamiltonian, joint, obs2, obs1, t, component, options)
 
 
 def d_correlations(
@@ -289,9 +298,8 @@ def d_correlations(
     d1, d2 = (n**2 - 1 for n in hamiltonian.dims)
     if not all(0 <= i < d1 and 0 <= j < d2 for i, j in component):
         raise ValueError(f"component must lie in [0, {d1}) x [0, {d2})")
-    _checked(hamiltonian, joint, obs2, obs1, t)
-    _, u, *call = _gradient(law, hamiltonian, joint, obs2, obs1, t, options)
-    return _column_view(u, *call, [d2 + i * d2 + j for i, j in component], t, options)
+    return _coordinates(law, hamiltonian, joint, obs2, obs1, t,
+                        [d2 + i * d2 + j for i, j in component], options)
 
 
 def d_remote_observable(
@@ -308,15 +316,18 @@ def d_remote_observable(
     gradient along ``R = [r2; r12]`` contracted with ``R L_G``.  The
     members, ``t`` and the result (one ``theta`` component) as for
     :func:`d_remote_state`."""
-    _checked(hamiltonian, joint, family, obs1, t)
-    x, u, grad, failures, weights = _gradient(
-        law, hamiltonian, joint, [fam.base for fam in family], obs1, t, options)
-    (n1, n2), d2 = hamiltonian.dims, u.shape[-1]
+    x = _checked(hamiltonian, joint, family, obs1, t)
+    remote = _outcomes([fam.base for fam in family], hamiltonian.dims, 2)
+    grad, failures, weights = _member_distributions(
+        x, remote, _outcomes(obs1, hamiltonian.dims, 1), law, hamiltonian, list(t), options,
+        stepped=True)
+    (n1, n2), u = hamiltonian.dims, remote[1]
+    d2 = u.shape[-1]
     generators = _rotation_generators(np.array([fam.direction for fam in family]), n2)
     turn = x[:, n1**2 - 1 :].reshape(len(x), -1, d2) @ generators  # R L_G
     values = _dots(grad, turn.reshape(len(x), 1, -1))
     moved = (turn @ u.swapaxes(1, 2) != 0).any(axis=1)[:, None]
-    return _view(values[..., None], moved, weights, failures, [None], d2, t, options)
+    return _as_lists(*_view(values[..., None], moved, weights, failures, [None], d2, t, options))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,7 @@ def _anchor_observables(n1: int, n2: int):
     return ObservableFamily(base, direction), computational_observable(n1)
 
 
-def _anchor_state(dims: tuple[int, int], config: AuditConfig, rng) -> JointBlochState:
+def _anchor_density(dims: tuple[int, int], rng) -> np.ndarray:
     """Canonical probe: a strongly correlated state, measured with a remote
     basis anchored halfway along a fixed rotation.
 
@@ -348,27 +359,29 @@ def _anchor_state(dims: tuple[int, int], config: AuditConfig, rng) -> JointBloch
     """
     n1, n2 = dims
     if dims == (2, 2):
-        rho = singlet_density()
-    elif n1 == n2:
-        rho = maximally_entangled_density(n1)
-    else:
-        rho = random_pure_density(rng, n1 * n2)
-    return interior_joint_state(rho, dims, config.mix_weight)
+        return singlet_density()
+    if n1 == n2:
+        return maximally_entangled_density(n1)
+    return random_pure_density(rng, n1 * n2)
 
 
-def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[list, ...]:
-    """The members as the four columns the channels take: joint states,
-    remote observables, local observables and ``ObservableFamily``s (each
-    based at its member's remote observable).  The anchor comes first, then
-    ``ensemble_size - 1`` random members from one block of standard normals,
-    one row per member.  A row holds, in this order, the ``(2, n, n)``
-    normals of the member's joint state, remote basis, local basis and
-    rotation direction: a Hilbert-Schmidt density mixed by ``mix_weight``,
-    two Haar bases (the columns of ``haar_unitaries``) and a
-    ``hermitian_directions`` axis.  ``tests/helpers.reference_ensemble``
-    draws the same members one object at a time, bit for bit."""
+def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[tuple, tuple]:
+    """The members as the four columns the public channels take (joint
+    states, remote observables, local observables and ``ObservableFamily``s,
+    each based at its member's remote observable), then as the packed states
+    ``(M, D)`` and remote and local outcomes the sweep takes.  The anchor
+    comes first, then ``ensemble_size - 1`` random members from one block of
+    standard normals, one row per member.  A row holds, in this order, the
+    ``(2, n, n)`` normals of the member's joint state, remote basis, local
+    basis and rotation direction: a Hilbert-Schmidt density, two Haar bases
+    (the columns of ``haar_unitaries``) and a ``hermitian_directions`` axis.
+    Each density is mixed as :func:`interior_joint_state` mixes it and
+    projected by one matrix-vector product, as ``joint_to_bloch`` projects
+    it (a matrix product may sum in another order).
+    ``tests/helpers.reference_ensemble`` draws the same members one object
+    at a time, bit for bit."""
     n1, n2 = dims
-    anchor = _anchor_state(dims, config, rng)
+    anchor = _anchor_density(dims, rng)
     family, local = _anchor_observables(n1, n2)
     sides = (n1 * n2, n2, n1, n2)
     sizes = [2 * n * n for n in sides]
@@ -377,15 +390,20 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[list, ..
     state_normals, remote_normals, local_normals, direction_normals = (
         part.reshape(len(block), 2, n, n) for part, n in zip(parts, sides)
     )
-    states = [anchor, *(interior_joint_state(rho, dims, config.mix_weight)
-                        for rho in hs_densities(state_normals))]
+    nn, duals = n1 * n2, joint_frame(cached_basis(n1), cached_basis(n2)).duals
+    rhos = np.concatenate([anchor[None], hs_densities(state_normals)])
+    smoothed = (1.0 - config.mix_weight) * rhos + config.mix_weight * np.eye(nn) / nn
+    flat = smoothed.swapaxes(-1, -2).reshape(len(rhos), -1, 1)
+    x = nn * np.real(duals.reshape(len(duals), -1) @ flat)[..., 0]
     remotes = [family.base, *_observables_from_bases(
         haar_unitaries(remote_normals).swapaxes(-1, -2), cached_basis(n2))]
     locals_ = [local, *_observables_from_bases(
         haar_unitaries(local_normals).swapaxes(-1, -2), cached_basis(n1))]
     families = [family, *map(ObservableFamily, remotes[1:],
                              hermitian_directions(direction_normals))]
-    return states, remotes, locals_, families
+    states = [unpack_coords(row, dims) for row in x]
+    return ((states, remotes, locals_, families),
+            (x, _outcomes(remotes, dims, 2), _outcomes(locals_, dims, 1)))
 
 
 @dataclass(frozen=True)
@@ -462,7 +480,8 @@ def audit(
     config = config or AuditConfig()
     dims = hamiltonian.dims
     s_members, s_fit = np.random.SeedSequence(config.seed).spawn(2)
-    states, remotes, locals_, families = _ensemble(dims, config, np.random.default_rng(s_members))
+    (states, _, locals_, families), members = _ensemble(
+        dims, config, np.random.default_rng(s_members))
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     opts = config.branch_options
     grid = sorted(set(config.times))
@@ -475,70 +494,85 @@ def audit(
         # with a generator fits by one cached product: they fit alone.)
         rk4_grid(t_fit, opts)
         starts = _fit_starts(dims[0], config.fit_probes, fit_seed)
-        _, u, *sweep, ends = _gradient(law, hamiltonian, states, remotes, locals_, grid, opts,
-                                       extra=starts)
+        *sweep, ends = _member_distributions(*members, law, hamiltonian, grid, opts,
+                                             stepped=True, extra=starts)
         _, linearity = _fit_read_off(starts, ends[-1], t_fit, opts)
     else:
         # The fit runs first: an integrator failure there ends the audit, so
         # it ends it before the channel sweep rather than after.
         _, linearity = reduced_propagator_fit(
             law, hamiltonian, t_fit, config.fit_probes, fit_seed, opts)
-        _, u, *sweep = _gradient(law, hamiltonian, states, remotes, locals_, grid, opts)
-    # every packed coordinate of party 2, split at d2 into the two state channels
-    coords = _column_view(u, *sweep, range((1 + d1) * d2), grid, opts)
+        sweep = _member_distributions(*members, law, hamiltonian, grid, opts, stepped=True)
+    # every packed coordinate of party 2 (the two state channels), then theta
+    values, errors = _column_view(members[1][1], *sweep, range((1 + d1) * d2), grid, opts)
     theta = d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts)
-    runs = ([rows[:d2] for rows in coords], [rows[d2:] for rows in coords], theta)
-    return _report(law.name, dims, config, runs, linearity)
+    errors.update(((i, m, values.shape[-1]), value) for m, (per_time,) in enumerate(theta)
+                  for i, value in enumerate(per_time) if isinstance(value, Exception))
+    theta = [[math.nan if isinstance(v, Exception) else v for v in per_time]
+             for (per_time,) in theta]
+    values = np.concatenate([values, np.array(theta).T[..., None]], axis=-1)
+    return _report(law.name, dims, config, values, errors, linearity)
 
 
-def _report(law_name, dims, config, runs, linearity) -> AuditReport:
-    """The audit's report of the channel outcomes ``runs`` (per channel,
-    ``[member][component][time]`` in the audit's component order for
-    ``dims`` and on the sorted distinct ``config.times``, each a value or an
-    error) and the ``linearity`` residual, read in one walk in member, time
-    (config order), channel, component order.  Failures are recorded per
-    case, excluded from the maxima and rule out a pass, since no-signaling
-    went unchecked there.  A channel's worst case is its first largest
-    value; a row's is its last."""
+def _report(law_name, dims, config, values, errors, linearity) -> AuditReport:
+    """The audit's report of its outcomes and the ``linearity`` residual:
+    ``values`` ``(T, M, C)`` on the sorted distinct ``config.times``, whose
+    columns are party 2's packed coordinates for ``dims`` (``r2``, then
+    row-major ``r12``) and ``theta``, and ``errors`` ``{(time index, member,
+    column): error}`` in place of values.  Every field reads the outcomes in
+    member, time (config order), channel, component order.  Failures (an
+    error or a value that is not finite) are recorded per case, excluded
+    from the maxima and rule out a pass, since no-signaling went unchecked
+    there.  A channel's worst case is its first largest value; a row's is
+    its last."""
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     channels = ("d_remote_state", "d_correlations", "d_remote_observable")
-    labels = ([str(k) for k in range(d2)], [f"{i},{j}" for i in range(d1) for j in range(d2)],
-              ["theta"])
+    labels = [*map(str, range(d2)), *(f"{i},{j}" for i in range(d1) for j in range(d2)), "theta"]
+    bounds = (0, d2, d2 + d1 * d2, len(labels))
+    statuses = ("ok", "infeasible", "integration-failure", "non-finite")
+    status = np.where(np.isfinite(values), 0, 3)  # an index into statuses
+    for key, error in errors.items():
+        status[key] = 1 if isinstance(error, PerturbationInfeasibleError) else 2
     at = {t: i for i, t in enumerate(sorted(set(config.times)))}
-    infeasible, failures, rows = [], [], []
-    maxima, worst = dict.fromkeys(channels, 0.0), {ch: {} for ch in channels}
-    for m, outcomes in enumerate(zip(*runs)):
-        for t in config.times:
-            for ch, names, per_member in zip(channels, labels, outcomes):
-                best, last = None, "ok"
-                for label, per_time in zip(names, per_member):
-                    value = per_time[at[t]]
-                    if isinstance(value, PerturbationInfeasibleError):
-                        last, reason = "infeasible", str(value)
-                    elif isinstance(value, IntegrationFailureError):
-                        last, reason = "integration-failure", str(value)
-                    elif not math.isfinite(value):
-                        last, reason = "non-finite", f"sensitivity is not finite ({value!r})"
-                    else:
-                        if value > maxima[ch]:
-                            maxima[ch] = value
-                            worst[ch] = {"member": m, "time": t, "component": label, "value": value}
-                        if best is None or value >= best[1]:
-                            best = (label, value)
-                        continue
-                    where = {"member": m, "time": t, "channel": ch, "component": label,
-                             "reason": reason}
-                    if last == "infeasible":
-                        infeasible.append(where)
-                    else:
-                        failures.append({**where, "status": last})
-                rows.append({
-                    "member": m, "time": t, "channel": ch,
-                    "component": best[0] if best else "-",
-                    "value": best[1] if best else math.nan,
-                    "status": f"partial:{last}" if best and last != "ok" else last,
-                })
+    order = [at[t] for t in config.times]
+    values, status = values[order].swapaxes(0, 1), status[order].swapaxes(0, 1)  # (M, T', C)
+    ok, failed = status == 0, status > 0
+    masked = np.where(ok, values, -np.inf)
+    maxima, worst, best, last = {}, {}, [], []
+    for ch, lo, hi in zip(channels, bounds, bounds[1:]):
+        block = masked[..., lo:hi]
+        m, j, c = np.unravel_index(block.argmax(), block.shape)  # the first largest
+        top = float(block[m, j, c])
+        maxima[ch], worst[ch] = (top, {"member": int(m), "time": config.times[j],
+                                       "component": labels[lo + c], "value": top}
+                                 ) if top > 0 else (0.0, {})
+        # each row's last largest value and last failure
+        best.append(hi - 1 - block[..., ::-1].argmax(axis=-1))
+        last.append(hi - 1 - failed[..., lo:hi][..., ::-1].argmax(axis=-1))
+    best, last = np.stack(best, axis=-1), np.stack(last, axis=-1)  # (M, T', 3)
+    found, partial = np.take_along_axis(ok, best, -1), np.take_along_axis(failed, last, -1)
+    code = np.where(partial, np.take_along_axis(status, last, -1), 0) + 4 * (found & partial)
+    rows = tuple(
+        {"member": m, "time": t, "channel": ch, "component": label, "value": value,
+         "status": state}
+        for (m, t, ch), label, value, state in zip(
+            itertools.product(range(len(values)), config.times, channels),
+            np.array([*labels, "-"], dtype=object)[np.where(found, best, -1)].ravel().tolist(),
+            np.where(found, np.take_along_axis(values, best, -1), math.nan).ravel().tolist(),
+            np.array([*statuses, *(f"partial:{s}" for s in statuses)], dtype=object)[code]
+            .ravel().tolist()))
 
+    infeasible, failures = [], []
+    channel_of = [ch for ch, lo, hi in zip(channels, bounds, bounds[1:]) for _ in range(lo, hi)]
+    for m, j, c in np.argwhere(failed).tolist():
+        error = errors.get((order[j], m, c))
+        where = {"member": m, "time": config.times[j], "channel": channel_of[c],
+                 "component": labels[c], "reason": str(error) if error is not None else
+                 f"sensitivity is not finite ({float(values[m, j, c])!r})"}
+        if status[m, j, c] == 1:
+            infeasible.append(where)
+        else:
+            failures.append({**where, "status": statuses[status[m, j, c]]})
     if not math.isfinite(linearity):
         failures.append({"member": None, "time": max(config.times), "channel": "linearity",
                          "component": "-", "reason": f"linearity residual is not finite "
@@ -561,7 +595,7 @@ def _report(law_name, dims, config, runs, linearity) -> AuditReport:
         per_channel_worst=worst,
         infeasible=tuple(infeasible),
         failures=tuple(failures),
-        cases=tuple(rows),
+        cases=rows,
         config=config,
     )
 

@@ -220,7 +220,7 @@ def _scalar_audit_rows(law, hamiltonian, config):
     """Each row's value from one one-time ``d_*`` call per component and time."""
     dims = hamiltonian.dims
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
-    columns = nosignal_audit._ensemble(dims, config, np.random.default_rng(s_members))
+    columns, _ = nosignal_audit._ensemble(dims, config, np.random.default_rng(s_members))
     rows = []
     for member in zip(*columns):
         d2 = dims[1] ** 2 - 1
@@ -583,7 +583,7 @@ def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     # the fit runs alone on real rows; the audit's complex rows are those of
     # the one linearization that a d_remote_observable call alone makes
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
-    states, _, locals_, families = nosignal_audit._ensemble((2, 2), config,
+    (states, _, locals_, families), _ = nosignal_audit._ensemble((2, 2), config,
                                                             np.random.default_rng(s_members))
     alone, alone_calls = _counted(expanding_law())
     d_remote_observable(alone, BlochHamiltonian((2, 2)), states, families, locals_,
@@ -762,7 +762,7 @@ def test_a_failing_member_leaves_every_member_of_the_batch_its_own_outcomes(fail
         law, error = expanding_law(), IntegrationFailureError
         config = AuditConfig(seed=3, ensemble_size=2)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
-        states, remotes, locals_, _ = nosignal_audit._ensemble((2, 2), config, rng)
+        (states, remotes, locals_, _), _ = nosignal_audit._ensemble((2, 2), config, rng)
         members = list(zip(states, remotes, locals_))
     h, times, components = BlochHamiltonian((2, 2)), list(DEFAULT_TIMES), [0, 1, 2]
 

@@ -2,9 +2,11 @@
 the one-pass JSON writer against the standard encoder it replaced."""
 
 import csv
+import enum
 import io
 import json
 import math
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -37,8 +39,22 @@ _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
 )
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Name(str):
+    def __str__(self):
+        return "not the text the encoder writes"
+
+
+_Pair = namedtuple("_Pair", "first second")
+
 _SCALARS = st.one_of(
     st.text(),
+    st.sampled_from(list(_Level)),
+    st.text().map(_Name),
     st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u2028", "é😀"]),
     st.integers(),
     st.booleans(),
@@ -57,6 +73,8 @@ _VALUES = st.recursive(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=5),
+        st.tuples(inner, inner).map(lambda pair: _Pair(*pair)),
+        st.dictionaries(st.text(), inner, max_size=5).map(lambda d: OrderedDict(reversed(d.items()))),
     ),
     max_leaves=30,
 )

@@ -372,7 +372,7 @@ def test_audit_records_infeasible_components_of_a_zero_weight_branch():
                            [(i, j) for i in range(3) for j in range(3)]),
             d_remote_observable(law, h, [state], [ObservableFamily(remote, direction)], [local],
                                 config.times))
-    report = nosignal_audit._report(law.name, (2, 2), config, runs, 0.0)
+    report = nosignal_audit._report(law.name, (2, 2), config, *_arrays(runs), 0.0)
     assert [e["component"] for e in report.infeasible] == ["2", "0,2", "1,2", "2,2"]
     assert report.max_d_remote_observable <= 1e-6
     assert [row["status"] for row in report.cases] == ["partial:infeasible"] * 2 + ["ok"]
@@ -509,9 +509,25 @@ def _runs(dims, config, outcome):
                   for m in range(config.ensemble_size)] for ch, names in zip(_CHANNELS, labels))
 
 
+def _arrays(runs):
+    """Channel outcomes ``[member][component][time]`` per channel as
+    ``nosignal_audit._report`` takes them: the ``(T, M, C)`` values over the
+    columns of every channel in turn (NaN in place of an error) and the
+    ``{(time index, member, column): error}`` map."""
+    columns = [[per_time for per_member in outcomes for per_time in per_member]
+               for outcomes in zip(*runs)]
+    errors = {(i, m, c): x for m, per_column in enumerate(columns)
+              for c, per_time in enumerate(per_column)
+              for i, x in enumerate(per_time) if isinstance(x, Exception)}
+    values = np.array([[[math.nan if isinstance(x, Exception) else x for x in per_time]
+                        for per_time in per_column] for per_column in columns])
+    return values.transpose(2, 0, 1), errors
+
+
 def _crafted_report(dims, config, outcome, linearity=0.0):
     """The report ``nosignal_audit._report`` reads off crafted outcomes."""
-    return nosignal_audit._report("crafted", dims, config, _runs(dims, config, outcome), linearity)
+    return nosignal_audit._report("crafted", dims, config,
+                                  *_arrays(_runs(dims, config, outcome)), linearity)
 
 
 def test_nonfinite_sensitivities_are_failures_and_block_a_pass():
@@ -602,7 +618,7 @@ _GRID_OUTCOMES = st.sampled_from(
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    dims=st.sampled_from([(2, 2), (2, 3)]),
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
     members=st.integers(1, 4),
     times=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=4),
     data=st.data(),
@@ -613,7 +629,7 @@ def test_one_walk_reads_the_report_the_outcome_table_gives(dims, members, times,
     config = AuditConfig(seed=3, ensemble_size=members, times=tuple(times), fit_probes=0)
     runs = _runs(dims, config, lambda *_: data.draw(_GRID_OUTCOMES))
     linearity = data.draw(st.sampled_from([0.0, 0.25, 0.75]))
-    report = nosignal_audit._report("crafted", dims, config, runs, linearity)
+    report = nosignal_audit._report("crafted", dims, config, *_arrays(runs), linearity)
     d1, d2 = (n**2 - 1 for n in dims)
     labels = ([str(k) for k in range(d2)],
               [f"{i},{j}" for i in range(d1) for j in range(d2)], ["theta"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsig import nosignal_audit
+from blochsig.bloch import pack_coords
 from blochsig.dynamics import BlochHamiltonian, linear_law, reduced_propagator_fit
 from blochsig.measurement import observable_from_basis
 from blochsig.nosignal_audit import AuditConfig, polesink_law
@@ -53,9 +54,14 @@ def test_one_block_ensemble_and_fit_equal_the_per_member_draws(
     config = AuditConfig(ensemble_size=ensemble_size, seed=seed, mix_weight=mix_weight,
                          fit_probes=fit_probes)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    columns = nosignal_audit._ensemble(dims, config, rng)
+    columns, (x, remote, local) = nosignal_audit._ensemble(dims, config, rng)
     members = reference_ensemble(dims, config, ref_rng)
     assert [len(column) for column in columns] == [len(members)] * 4 == [ensemble_size] * 4
+    # the stacked arrays the sweep takes are the members' packed states and outcomes
+    assert np.array_equal(x, [pack_coords(state) for state, *_ in members])
+    for (u0, u), observables in ((remote, columns[1]), (local, columns[2])):
+        assert np.array_equal(u0, [obs.u0 for obs in observables])
+        assert np.array_equal(u, [obs.u for obs in observables])
     for (joint, remote, local, family), (state, obs2, obs1, direction) in zip(zip(*columns),
                                                                              members):
         for block in ("r1", "r2", "r12"):
