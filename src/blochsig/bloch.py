@@ -14,9 +14,8 @@ with no stray prefactors, and the two-qubit singlet gets the clean
 coordinates r1 = r2 = 0, r12 = -I.
 
 The packed joint layout ``x = (r1, r2, row-major r12)`` has one home, the
-operator frame of :func:`joint_frame`: joint conversions, the Hamiltonian
-matrices and the commutator oracle of :mod:`blochsig.dynamics` all read
-``M = u I + x . dirs`` and ``x = Re Tr(duals M)`` from it.
+Fano form of :func:`joint_frame`: every joint conversion, Hamiltonian matrix
+and the commutator oracle go through its ``combine`` and ``project``.
 
 Physicality is always decided by eigenvalues of the reconstructed matrix;
 for N > 2 the physical set is a proper subset of the coordinate ball, so
@@ -32,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, UnphysicalStateError
-from .su_basis import GeneratorSet
+from .su_basis import GeneratorSet, _readonly
 
 __all__ = [
     "PSD_TOLERANCE",
@@ -170,35 +169,39 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
 
 
 class JointFrame(NamedTuple):
-    """``dirs``: ``s_i x I``, ``I x l_j``, ``s_i x l_j`` in packed order;
-    ``duals = dirs / Tr(dirs**2)``, so ``Tr(dirs_u duals_v) = delta_uv``."""
+    """Fano form of the packed layout: coordinate u is ``S_a x L_b`` of the flat stacks ``s1``,
+    ``s2`` of ``(I, s_1, ...)``, at grid index ``order[u]``, of squared norm ``norms[u]``."""
 
-    dirs: np.ndarray
-    duals: np.ndarray
+    dims: tuple[int, int]
+    s1: np.ndarray
+    s2: np.ndarray
+    order: np.ndarray
+    norms: np.ndarray
 
     def combine(self, unit: float, x: np.ndarray) -> np.ndarray:
-        """The matrix ``unit I + x . dirs``."""
-        n = self.dirs.shape[1]
-        m = (x @ self.dirs.reshape(len(x), -1)).reshape(n, n)
-        m.flat[:: n + 1] += unit
-        return m
+        """``unit I + sum_u x_u S_a x L_b`` of packed ``x``, or of each row of a stack."""
+        (n1, n2), lead = self.dims, x.shape[:-1]
+        grid = np.empty((*lead, n1 * n1, n2 * n2), dtype=complex)
+        grid[..., 0, 0], grid.reshape(*lead, -1)[..., self.order] = unit, x
+        m = (self.s1.T @ grid @ self.s2).reshape(*lead, n1, n1, n2, n2)
+        return m.swapaxes(-3, -2).reshape(*lead, n1 * n2, -1)
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        """``Re Tr(duals_u m)`` over u (first axis) for one matrix or a stack."""
-        flat = np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
-        return np.real(self.duals.reshape(len(self.duals), -1) @ flat.T)
+        """Packed ``Re Tr(S_a x L_b m) / norms_u`` of one matrix, or of each of a stack."""
+        (n1, n2), lead = self.dims, m.shape[:-2]
+        r = np.swapaxes(m, -1, -2).reshape(*lead, n1, n2, n1, n2).swapaxes(-3, -2)
+        c = self.s1 @ r.reshape(*lead, n1 * n1, -1) @ self.s2.T
+        return np.real(c).reshape(*lead, -1).take(self.order, axis=-1) / self.norms
 
 
 @lru_cache(maxsize=16)
 def joint_frame(b1: GeneratorSet, b2: GeneratorSet) -> JointFrame:
-    """The read-only operator frame of the bases ``b1, b2``, built once."""
-    s, l, n = b1.matrices, b2.matrices, b1.dim * b2.dim
-    pairs = np.kron(s[:, None], l[None]).reshape(-1, n, n)
-    dirs = np.concatenate((np.kron(s, np.eye(b2.dim)), np.kron(np.eye(b1.dim), l), pairs))
-    duals = dirs / np.real(np.einsum("uab,uba->u", dirs, dirs))[:, None, None]
-    dirs.setflags(write=False)
-    duals.setflags(write=False)
-    return JointFrame(dirs, duals)
+    """The read-only Fano frame of the bases ``b1, b2``, built once."""
+    s1, s2 = (np.insert(b.matrices, 0, np.eye(b.dim), 0).reshape(b.dim**2, -1) for b in (b1, b2))
+    grid = np.arange(len(s1) * len(s2)).reshape(len(s1), -1)
+    order = _pack(grid[1:, 0], grid[0, 1:], grid[1:, 1:])
+    norms = np.outer(*(np.real(np.einsum("ai,ai->a", s, s.conj())) for s in (s1, s2)))
+    return JointFrame((b1.dim, b2.dim), *map(_readonly, (s1, s2, order, norms.ravel()[order])))
 
 
 def _pack(x1, x2, x12) -> np.ndarray:
@@ -227,13 +230,10 @@ def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
 
 def joint_to_bloch(rho12: np.ndarray, b1: GeneratorSet, b2: GeneratorSet) -> JointBlochState:
     """Project a bipartite density matrix onto the (r1, r2, r12) triple."""
-    rho12 = np.asarray(rho12, dtype=complex)
-    n1, n2 = b1.dim, b2.dim
-    if rho12.shape != (n1 * n2, n1 * n2):
-        raise DimensionMismatchError(
-            f"joint matrix must be {(n1 * n2, n1 * n2)}, got {rho12.shape}"
-        )
-    return unpack_coords(n1 * n2 * joint_frame(b1, b2).project(rho12), (n1, n2))
+    rho12, nn = np.asarray(rho12, dtype=complex), b1.dim * b2.dim
+    if rho12.shape != (nn, nn):
+        raise DimensionMismatchError(f"joint matrix must be {(nn, nn)}, got {rho12.shape}")
+    return unpack_coords(nn * joint_frame(b1, b2).project(rho12), (b1.dim, b2.dim))
 
 
 def joint_from_bloch(

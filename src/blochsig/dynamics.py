@@ -330,14 +330,14 @@ def custom_law(
 def linear_generator(hamiltonian: BlochHamiltonian) -> np.ndarray:
     """Matrix of the commutator flow on packed coordinates.
 
-    Built numerically: each coordinate direction is pushed through
-    ``-i [H, .]`` and projected back onto the trace duals.  The test oracle
-    that the compiled structure-constant field must reproduce when all
-    weights are one.
+    Built numerically: each coordinate direction, ``combine`` of an identity
+    row (N rows at a time), is pushed through ``-i [H, .]`` and projected
+    back.  The test oracle that the compiled structure-constant field must
+    reproduce when all weights are one.
     """
-    frame = joint_frame(*map(cached_basis, hamiltonian.dims))
-    h = hamiltonian.matrix()
-    return frame.project(-1j * (h[None, :, :] @ frame.dirs - frame.dirs @ h))
+    frame, h = joint_frame(*map(cached_basis, hamiltonian.dims)), hamiltonian.matrix()
+    dirs = (frame.combine(0.0, e) for e in np.array_split(np.eye(len(h) ** 2 - 1), len(h)))
+    return np.concatenate([frame.project(-1j * (h @ m - m @ h)) for m in dirs]).T
 
 
 # ---------------------------------------------------------------------------

@@ -155,17 +155,15 @@ def observable_from_matrices(matrices, basis: GeneratorSet) -> ProjectiveObserva
 def observable_from_basis(vectors, basis: GeneratorSet) -> ProjectiveObservable:
     """Rank-1 observable from an orthonormal set of vectors (rows): outcome k
     has ``u0 = 1/N`` and ``u_i = Re(v_k^dagger s_i v_k) / N``."""
-    vecs = np.asarray(vectors, dtype=complex)
-    if vecs.ndim != 2 or vecs.shape[1] != basis.dim:
-        raise DimensionMismatchError(
-            f"expected vectors of length {basis.dim}, got shape {vecs.shape}"
-        )
-    return _observables_from_bases(vecs[None], basis)[0]
+    vecs, n = np.asarray(vectors, dtype=complex), basis.dim
+    if vecs.ndim != 2 or vecs.shape[1] != n:
+        raise DimensionMismatchError(f"expected vectors of length {n}, got shape {vecs.shape}")
+    return ProjectiveObservable(n, np.full(n, 1.0 / n), _basis_outcomes(vecs[None], basis)[0])
 
 
-def _observables_from_bases(vectors: np.ndarray, basis: GeneratorSet) -> list:
-    """:func:`observable_from_basis` of each set of rows of a stack of shape
-    ``(M, K, N)``, every outcome row read off by one ``einsum``."""
+def _basis_outcomes(vectors: np.ndarray, basis: GeneratorSet) -> np.ndarray:
+    """The ``u`` of :func:`observable_from_basis` of each set of rows of a
+    stack ``(M, K, N)``, shape ``(M, N, N**2 - 1)``, read off by one ``einsum``."""
     if not np.isfinite(vectors).all():
         raise InvalidObservableError("vector entries must be finite")
     gram = vectors @ vectors.conj().swapaxes(-1, -2)
@@ -176,8 +174,7 @@ def _observables_from_bases(vectors: np.ndarray, basis: GeneratorSet) -> list:
         raise InvalidObservableError(
             f"need {n} vectors to resolve the identity, got {vectors.shape[1]}"
         )
-    u = np.real(np.einsum("mka,iab,mkb->mki", vectors.conj(), basis.matrices, vectors)) / n
-    return [ProjectiveObservable(n, np.full(n, 1.0 / n), rows) for rows in u]
+    return np.real(np.einsum("mka,iab,mkb->mki", vectors.conj(), basis.matrices, vectors)) / n
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:

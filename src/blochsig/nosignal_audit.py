@@ -75,9 +75,9 @@ from .integrate import IntegratorOptions, _require_number, rk4_grid
 from .measurement import (
     EPS_PROB,
     ProjectiveObservable,
+    _basis_outcomes,
     _dots,
     _member_distributions,
-    _observables_from_bases,
     _outcomes,
     _rotation_direction,
     computational_observable,
@@ -376,8 +376,9 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[tuple, t
     basis and rotation direction: a Hilbert-Schmidt density, two Haar bases
     (the columns of ``haar_unitaries``) and a ``hermitian_directions`` axis.
     Each density is mixed as :func:`interior_joint_state` mixes it and
-    projected by one matrix-vector product, as ``joint_to_bloch`` projects
-    it (a matrix product may sum in another order).
+    projected by the frame's stacked ``project``, as ``joint_to_bloch``
+    projects it.  Each party's outcomes are one stack, the anchor's first;
+    every basis is rank 1, so all share the anchor's ``u0``.
     ``tests/helpers.reference_ensemble`` draws the same members one object
     at a time, bit for bit."""
     n1, n2 = dims
@@ -390,20 +391,21 @@ def _ensemble(dims: tuple[int, int], config: AuditConfig, rng) -> tuple[tuple, t
     state_normals, remote_normals, local_normals, direction_normals = (
         part.reshape(len(block), 2, n, n) for part, n in zip(parts, sides)
     )
-    nn, duals = n1 * n2, joint_frame(cached_basis(n1), cached_basis(n2)).duals
+    nn = n1 * n2
     rhos = np.concatenate([anchor[None], hs_densities(state_normals)])
     smoothed = (1.0 - config.mix_weight) * rhos + config.mix_weight * np.eye(nn) / nn
-    flat = smoothed.swapaxes(-1, -2).reshape(len(rhos), -1, 1)
-    x = nn * np.real(duals.reshape(len(duals), -1) @ flat)[..., 0]
-    remotes = [family.base, *_observables_from_bases(
-        haar_unitaries(remote_normals).swapaxes(-1, -2), cached_basis(n2))]
-    locals_ = [local, *_observables_from_bases(
-        haar_unitaries(local_normals).swapaxes(-1, -2), cached_basis(n1))]
+    x = nn * joint_frame(cached_basis(n1), cached_basis(n2)).project(smoothed)
+    columns, outcomes = [], []
+    for obs, normals in ((family.base, remote_normals), (local, local_normals)):
+        u = np.concatenate([obs.u[None], _basis_outcomes(
+            haar_unitaries(normals).swapaxes(-1, -2), cached_basis(obs.dim))])
+        columns.append([obs, *(ProjectiveObservable(obs.dim, obs.u0, rows) for rows in u[1:])])
+        outcomes.append((np.tile(obs.u0, (len(x), 1)), u))
+    remotes, locals_ = columns
     families = [family, *map(ObservableFamily, remotes[1:],
                              hermitian_directions(direction_normals))]
     states = [unpack_coords(row, dims) for row in x]
-    return ((states, remotes, locals_, families),
-            (x, _outcomes(remotes, dims, 2), _outcomes(locals_, dims, 1)))
+    return (states, remotes, locals_, families), (x, *outcomes)
 
 
 @dataclass(frozen=True)

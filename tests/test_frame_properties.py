@@ -1,6 +1,7 @@
 """Property tests of the packed joint frame over random dimensions 2..4."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,14 +15,55 @@ from helpers import coord_distance
 dims_strategy = st.tuples(st.integers(2, 4), st.integers(2, 4))
 seeds = st.integers(0, 2**32 - 1)
 fixed = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+def kron_frame(dims):
+    """The directions ``s_i x I``, ``I x l_j``, ``s_i x l_j`` in packed order,
+    one ``np.kron`` each, and their trace duals."""
+    (n1, n2), (s, l) = dims, (cached_basis(n).matrices for n in dims)
+    dirs = np.array([np.kron(a, np.eye(n2)) for a in s] + [np.kron(np.eye(n1), b) for b in l]
+                    + [np.kron(a, b) for a in s for b in l])
+    return dirs, dirs / np.real(np.einsum("uab,uba->u", dirs, dirs))[:, None, None]
+
+
+@pytest.mark.parametrize("dims", DIMS, ids=[f"{a}x{b}" for a, b in DIMS])
+def test_project_inverts_combine_on_every_unit_row(dims):
+    frame = joint_frame(*map(cached_basis, dims))
+    units = np.eye((dims[0] * dims[1]) ** 2 - 1)
+    for e in units:
+        np.testing.assert_allclose(frame.project(frame.combine(0.0, e)), e, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(frame.project(frame.combine(0.0, units)), units, rtol=0, atol=1e-15)
 
 
 @fixed
-@given(dims=dims_strategy)
-def test_frame_directions_and_duals_are_biorthogonal(dims):
-    dirs, duals = joint_frame(*map(cached_basis, dims))
-    gram = np.einsum("uab,vba->uv", dirs, duals)
-    np.testing.assert_allclose(gram, np.eye(len(dirs)), atol=1e-12)
+@given(dims=dims_strategy, seed=seeds, unit=st.floats(-2.0, 2.0))
+def test_frame_agrees_with_a_kron_frame(dims, seed, unit):
+    rng = np.random.default_rng(seed)
+    frame = joint_frame(*map(cached_basis, dims))
+    dirs, duals = kron_frame(dims)
+    rho = random_density(rng, dims[0] * dims[1])
+    x = 0.1 * rng.standard_normal(len(dirs))
+    want = unit * np.eye(len(rho)) + np.einsum("u,uab->ab", x, dirs)
+    np.testing.assert_allclose(frame.combine(unit, x), want, rtol=0, atol=1e-15)
+    for m in (rho, want):
+        want_x = np.real(np.einsum("uab,ba->u", duals, m))
+        np.testing.assert_allclose(frame.project(m), want_x, rtol=0, atol=1e-15)
+
+
+@fixed
+@given(dims=dims_strategy, seed=seeds, size=st.integers(1, 6))
+def test_project_of_a_stack_is_the_project_of_each_matrix(dims, seed, size):
+    # the audit projects its members stacked and must get joint_to_bloch's bits
+    rng = np.random.default_rng(seed)
+    frame = joint_frame(*map(cached_basis, dims))
+    n = dims[0] * dims[1]
+    stack = np.array([random_density(rng, n) for _ in range(size)])
+    stacked = frame.project(stack)
+    for m, x in zip(stack, stacked):
+        assert np.array_equal(frame.project(m), x)
+    state = joint_to_bloch(stack[0], *map(cached_basis, dims))
+    assert np.array_equal(n * stacked[0], np.concatenate([state.r1, state.r2, state.r12.ravel()]))
 
 
 @fixed
