@@ -45,7 +45,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -512,12 +512,15 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         # (L_int is then all +0.0, so the sum is L_loc entry for entry).
         gen = loc + lint
         return lambda x: gen @ x
+    s1, s2, s12 = _blocks(*dims)
+    shape = (s1.stop, s2.stop - s1.stop)
     if law.kind == "xi" and law.xi.uniform is None:
         calls, targets, contrib = _indexed_interaction(hamiltonian, law.xi)
+        bound = [partial(weight, *args) for weight, args in calls]
 
         def indexed(x):
-            r = _split(x, dims)
-            w = np.array([float(weight(*args, *r)) for weight, args in calls])
+            r = x[s1], x[s2], x[s12].reshape(shape)
+            w = np.array([float(weight(*r)) for weight in bound])
             finite = np.isfinite(w)
             if not finite.all():
                 _is_finite(w[finite.argmin()])  # raises for the first non-finite call
@@ -525,10 +528,11 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
 
         return indexed
     both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
+    size, weight = len(loc), law.xi.uniform
 
     def uniform(x):
         y = both @ x
-        return y[: len(x)] + _is_finite(law.xi.uniform(*_split(x, dims))) * y[len(x):]
+        return y[:size] + _is_finite(weight(x[s1], x[s2], x[s12].reshape(shape))) * y[size:]
 
     return uniform
 

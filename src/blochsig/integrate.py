@@ -15,7 +15,13 @@ Two methods are provided:
   higher-order solution is propagated; the embedded difference drives the
   step size.  Default error weights are ``atol + rtol * |y|``.  The step
   size is shared by the whole state, so ``y0`` must be one row; a complex
-  row takes the steps its real part takes.
+  row takes the steps its real part takes.  A step is a few products over
+  one ``(7, D)`` stack holding the state and the six stages: the tableau
+  is scaled by h once, each stage input is one product of its scaled row
+  with the rows above it, and one ``(2, 7)`` product gives the propagated
+  solution and h times the error estimate.  The stack and the other
+  buffers are built once per solve; the field only ever receives a fresh
+  array, and the result is one too.
 """
 
 from __future__ import annotations
@@ -62,22 +68,21 @@ class IntegratorOptions:
 
 DEFAULT_OPTIONS = IntegratorOptions()
 
-# Fehlberg tableau.
-_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-# b5 - b4: local truncation error estimate of the propagated solution.
-_E = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
-# Stage s takes y + h * (_A_ROWS[s] @ k[:s]); one product gives the
-# propagated increment and the error estimate.
-_A_ROWS = tuple(np.array(row) for row in _A)
-_B5_E = np.array((_B5, _E))
+# Fehlberg tableau, one row per product over the stage stack (the state,
+# then the six stages): rows 0-5 give the input of each stage, row 6 the
+# propagated (5th-order) solution and row 7 the local error estimate
+# b5 - b4.  Scaled by h once per step, with the state's column kept at 1
+# (0 in the error row), stage s is ``c[s, :s+1] @ yk[:s+1]``.
+_TABLEAU = np.array((
+    (0, 0, 0, 0, 0, 0, 0),
+    (0, 1 / 4, 0, 0, 0, 0, 0),
+    (0, 3 / 32, 9 / 32, 0, 0, 0, 0),
+    (0, 1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0, 0),
+    (0, 439 / 216, -8, 3680 / 513, -845 / 4104, 0, 0),
+    (0, -8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40, 0),
+    (0, 16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    (0, 1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55),
+))
 
 
 def rk4_grid(t: float, options: IntegratorOptions) -> tuple[int, float]:
@@ -117,29 +122,44 @@ def _rk4(field, y0, t, options):
     return y
 
 
-def _rkf45(field, y, t, options):
-    k = np.empty((6, y.size), dtype=y.dtype)  # the six stages, one row each
+def _rkf45(field, y0, t, options):
+    n = y0.size
+    yk = np.empty((7, n), dtype=y0.dtype)  # the state, then the six stages
+    c = np.empty((8, 7))  # the tableau scaled by the step
+    ends = np.empty((2, n), dtype=y0.dtype)  # y5 and h * err
+    ay, a5, q = np.empty((3, n))  # |y|, |y5| and the scaled error, real parts only
+    y, y5, final = yk[0], ends[0], c[6:]
+    y5_real, err_real = ends.real  # only real parts set the step
+    stages = [(c[s, : s + 1], yk[: s + 1], yk[s + 1]) for s in range(6)]
+    y[...] = y0
+    np.abs(y.real, out=ay)
     x = 0.0
     hmin = 1e-14 * t  # relative to the span, so a short span's first step clears it
     h = min(t, max(options.step, 1e-6, hmin))  # and a long span's first step is not below it
     for _ in range(options.max_steps):
         if x >= t:
-            return y
+            return y.copy()
         h = min(h, t - x)
         if h < hmin:
             raise IntegrationFailureError(f"step size underflow at t={x:.6g} (h={h:.3e})")
-        k[0] = field(y)
-        for s in range(1, 6):
-            k[s] = field(y + h * (_A_ROWS[s] @ k[:s]))
-        increment, err = _B5_E @ k
-        y5 = y + h * increment
-        q = h * err.real / (options.atol + options.rtol * np.maximum(np.abs(y.real),
-                                                                     np.abs(y5.real)))
+        np.multiply(_TABLEAU, h, out=c)
+        c[:7, 0] = 1.0  # the state's column; the error row keeps its 0
+        # Each stage input is a fresh product, so the field never holds a
+        # buffer that a later stage or step overwrites.
+        for weights, done, stage in stages:
+            stage[...] = field(np.dot(weights, done))
+        np.dot(final, yk, out=ends)
+        np.abs(y5_real, out=a5)
+        np.maximum(ay, a5, out=q)
+        q *= options.rtol
+        q += options.atol
+        np.divide(err_real, q, out=q)
         # A NaN norm fails the test below and shrinks the step by 0.2.
-        errnorm = math.sqrt(q @ q / q.size)
+        errnorm = math.sqrt(q @ q / n)
         if errnorm <= 1.0:
             x += h
-            y = y5
+            y[...] = y5
+            ay, a5 = a5, ay
         factor = 5.0 if errnorm == 0.0 else 0.9 * errnorm ** (-0.2)
         h *= min(5.0, max(0.2, factor))
     raise IntegrationFailureError(f"max_steps={options.max_steps} exceeded at t={x:.6g}")

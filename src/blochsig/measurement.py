@@ -335,6 +335,7 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
+    x = np.ascontiguousarray(x)  # the branch products round an F-ordered stack otherwise
     if (v.shape[-1], u.shape[-1], x.shape[-1]) != (d1, d2, d1 + d2 + d1 * d2):
         raise DimensionMismatchError(f"local outcomes, remote outcomes and rows of lengths "
                                      f"{v.shape[-1]}, {u.shape[-1]}, {x.shape[-1]} do not fit "

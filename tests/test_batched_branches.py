@@ -1045,3 +1045,20 @@ def test_views_of_ragged_remote_outcome_counts_are_the_reference_audit(law, opti
     outcomes = reference_audit(law, h, members, DEFAULT_TIMES, options)
     assert "infeasible" in outcomes.values()
     assert_outcomes_match(channel_outcomes(law, h, members, DEFAULT_TIMES, options), outcomes)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_stepped_call_gives_f_ordered_members_the_bits_of_c_ordered_ones(seed):
+    # a gather such as x[..., order] hands the call an F-ordered stack;
+    # the branch products must not round it otherwise
+    law, h = polesink_law(0.1), random_hamiltonian(np.random.default_rng(seed), (2, 2), 0.6)
+    states, remotes, locals_, _ = _columns([_member((2, 2), 90 + 4 * seed + m) for m in range(4)])
+    x = np.stack([pack_coords(state) for state in states])
+    outcomes = (measurement._outcomes(remotes, h.dims, 2), measurement._outcomes(locals_, h.dims, 1))
+    c_order, f_order = (
+        measurement._member_distributions(rows, *outcomes, law, h, list(DEFAULT_TIMES),
+                                          stepped=True)
+        for rows in (np.ascontiguousarray(x), np.asfortranarray(x))
+    )
+    assert np.array_equal(c_order[0], f_order[0]) and np.array_equal(c_order[2], f_order[2])
+    assert not c_order[1] and not f_order[1]

@@ -13,6 +13,7 @@ from blochsig.dynamics import (
     pack_coords,
     random_hamiltonian,
     xi_law,
+    xi_preset,
 )
 from blochsig.errors import IntegrationFailureError
 from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions, solve
@@ -141,12 +142,26 @@ def _xi_corrnorm_3x3():
     return _flat_field(xi_law("corrnorm"), h), pack_coords(random_interior_joint(rng, (3, 3))), 0.8
 
 
+def _xi_corrnorm_indexed_2x2():
+    rng = np.random.default_rng(32)
+    h = random_hamiltonian(rng, (2, 2))
+    law = xi_law(xi_preset("corrnorm").as_indexed())
+    return _flat_field(law, h), pack_coords(random_interior_joint(rng, (2, 2))), 0.6
+
+
 def _stiff_decay():
     return stiff_decay, np.array([0.0, 0.0]), 3.0
 
 
+def _complex_row():
+    # a complex step of y' = -y + 0.3 y**2 whose imaginary part is not negligible
+    y0 = np.array([0.4, -0.2, 0.7]) + 1e-3j * np.array([1.0, 0.5, -0.3])
+    return (lambda y: -y + 0.3 * y * y), y0, 1.3
+
+
 @pytest.mark.parametrize(
-    "problem", [_xi_corrnorm_3x3, _stiff_decay], ids=["xi-corrnorm-3x3", "stiff-decay"]
+    "problem", [_xi_corrnorm_3x3, _xi_corrnorm_indexed_2x2, _stiff_decay, _complex_row],
+    ids=["xi-corrnorm-3x3", "xi-corrnorm-indexed-2x2", "stiff-decay", "complex-row"],
 )
 def test_rkf45_takes_the_steps_of_the_per_stage_reference(problem):
     field, y0, t = problem()
@@ -164,6 +179,31 @@ def test_rkf45_takes_the_steps_of_the_per_stage_reference(problem):
     ref = reference_rkf45(counting("reference"), y0, t, opts)
     assert counts["solve"] == counts["reference"] > 6
     assert np.max(np.abs(y - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("method, y0", [
+    ("rkf45", np.array([0.4, -0.2, 0.7])),
+    ("rkf45", np.array([0.4, -0.2, 0.7]) + 1e-3j),
+    ("rk4", np.array([0.4, -0.2, 0.7])),
+    ("rk4", np.array([[0.4, -0.2, 0.7], [0.1, 0.3, -0.5]])),
+])
+def test_a_stepper_never_writes_an_array_it_handed_to_the_field(method, y0):
+    # the field keeps every input it gets; none may change after the call,
+    # and the result may share memory with none of them
+    seen = []
+
+    def field(y):
+        seen.append((y, y.copy()))
+        return -y + 0.3 * y * y
+
+    start = y0.copy()
+    y = solve(field, y0, 1.3, IntegratorOptions(method=method, step=0.05))
+    assert len(seen) > 6
+    for given, copy in seen:
+        assert np.array_equal(given, copy)
+        assert not np.shares_memory(y, given)
+    assert np.array_equal(y0, start) and not np.shares_memory(y, y0)
+    assert y.flags.owndata
 
 
 def test_rk4_step_budget_exceeded():
