@@ -74,7 +74,12 @@ from .version import __version__
 
 __all__ = ["main"]
 
-MAX_DIM = 12  # largest party dimension; 2-member 12x12 audits: linear ~3 s, polesink ~8 s, <350 MB
+# Largest party dimension.  Seeded 2-member 12x12 console audits under -W error
+# take 0.5 s (linear) and 3.6 s (polesink) at under 260 MB peak RSS on a 2-core
+# x86-64 host.  A 12x12 `evolve` still runs out of memory (it builds the dense
+# joint generators; under a 1.5 GB address-space cap it exits 3 with a
+# MemoryError) until the joint field is evaluated in the frame form.
+MAX_DIM = 12
 
 
 def _timestamp() -> str:

@@ -146,11 +146,13 @@ class BlochHamiltonian:
 
 
 def hamiltonian_from_matrix(h: np.ndarray, dims: tuple[int, int]) -> BlochHamiltonian:
-    """Project a Hermitian matrix onto its coefficient form."""
+    """Project a finite Hermitian matrix onto its coefficient form."""
     n1, n2 = dims
     h = np.asarray(h, dtype=complex)
     if h.shape != (n1 * n2, n1 * n2):
         raise DimensionMismatchError(f"matrix must be {(n1 * n2, n1 * n2)}, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
     herm = np.max(np.abs(h - h.conj().T))
     if herm > 1e-12:
         raise ValueError(f"matrix is not Hermitian (deviation {herm:.3e})")
@@ -647,7 +649,10 @@ class ReducedFlow:
     A flow with a ``generator`` L (field ``r -> L r``) applies one cached
     propagator per time and method to the whole batch (``_propagator``):
     exactly linear in the initial condition, and the same map for every
-    row, which the audit's cancellations rely on.  Every other flow walks
+    row, which the audit's cancellations rely on.  It builds them from the
+    last time down, and under rk4 every other flow checks the last time's
+    step count first, so a sampling that cannot reach its last time fails
+    there, as a sampling of that time alone does.  Every other flow walks
     the ascending times once: under rk4 it carries the batch on from the
     last time when the step grids nest (``integrate.rk4_continues``) and
     starts again from ``r0`` otherwise, so each sample is the solve from 0
@@ -699,12 +704,14 @@ class ReducedFlow:
             rows = r0.reshape(-1, r0.shape[-1])
             rows = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
             out = np.empty((len(times), *rows.shape), dtype=r0.dtype)
-            for row, t in zip(out, times):
+            for row, t in zip(out[::-1], times[::-1]):  # the last time fails first
                 if t > 0:
                     np.matmul(rows, self._propagator(t, options).T, out=row)
                 else:
                     row[...] = rows  # t = 0 keeps r0
             return out[:, : r0.size // r0.shape[-1]].reshape(len(times), *r0.shape)
+        if options.method == "rk4" and times:
+            integrate.rk4_grid(times[-1], options)  # the last time fails first
         # Stacked at the end: an output allocated before integrating would
         # sit beside the rk4 stage temporaries and raise the peak memory.
         samples, y, done = [], r0, 0.0

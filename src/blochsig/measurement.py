@@ -329,9 +329,10 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     g)_i``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
     ``Phi`` at ``r1'_k``: under a flow with a generator the cached
     propagator, read off unit rows in the batch (the identity at t = 0);
-    otherwise the complex-step tangents of one :func:`_linearization`, in
-    whose batch the ``extra`` real party-1 rows ``(E, d1)`` ride, their
-    states ``(T, E, d1)`` coming back fourth."""
+    otherwise the complex-step tangents of one :func:`_linearization`.  The
+    ``extra`` real party-1 rows ``(E, d1)`` of a stepped call ride in its
+    batch on either route (after the unit rows, or in the linearization),
+    and their states ``(T, E, d1)`` come back fourth."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
@@ -345,14 +346,15 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     p, scaled = _collapse(x, u0, u, d1)
     keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its member
     states = scaled[keep] / p[keep][:, None]
-    ridden = None
     if stepped and flow.generator is None:  # J_k^T: the tangents, one (d1, d1) block a branch
         evolved, steps, ridden = _linearization(flow, states, tuple(times), options, extra)
         jt = np.zeros((len(times), *keep.shape, d1, d1))
         jt[:, keep] = steps / _EPS
     elif stepped:  # J^T: the unit rows, propagated in the batch (the propagator's columns)
-        evolved = flow.sample(np.concatenate([states, np.eye(d1)]), times, options)
-        evolved, jt = evolved[:, :-d1], evolved[:, None, None, -d1:]
+        rows = [states, np.eye(d1), *([] if extra is None else [extra])]
+        evolved, jt, ridden = np.split(flow.sample(np.concatenate(rows), times, options),
+                                       [len(states), len(states) + d1], axis=1)
+        jt = jt[:, None, None]
     else:
         evolved = flow.sample(states, times, options)
     grid = np.zeros((len(times), *keep.shape, d1))
@@ -383,36 +385,31 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
 def _linearization(flow, bases, times, options, extra=None):
     """``Re Phi(b)`` and the tangents ``Im Phi(b + i _EPS e_i)`` of the field
     ``flow`` at each of the ascending ``times``, shapes ``(T, B, d)`` and
-    ``(T, B, d, d)``, of the real ``bases`` (``(B, d)``), read-only.  The last
-    one is kept, keyed on the flow, the exact shape and bytes of the bases,
-    the times and the options: the audit's measurement-choice channel
-    collapses its members onto the bases of its coordinate sweep bit for
-    bit, so its branches reuse that propagation.
+    ``(T, B, d, d)``, of the real ``bases`` (``(B, d)``), read-only, and the
+    states ``(T, E, d)`` of the ``extra`` real rows ``(E, d)``, which ride
+    in the same batch, cast to complex.  The last linearization is kept,
+    keyed on the flow, the exact shape and bytes of the bases, the times
+    and the options, and serves only a call without extra rows: the audit's
+    measurement-choice channel collapses its members onto the bases of its
+    coordinate sweep bit for bit, so its branches reuse that propagation.
 
-    The ``extra`` real rows ``(E, d)`` ride in the same batch, cast to
-    complex, and their states at each time come back as a third item,
-    ``(T, E, d)``; with the linearization kept, they propagate alone, as
-    real rows.  A batch never mixes its rows (every rk4 operation is
-    elementwise, and rkf45 solves row by row), and with a zero imaginary
-    part, complex ``+ - * /`` give the real results exactly, so under a
-    field built from them (polesink) an extra row gets the numbers it gets
-    alone as a real row, bit for bit."""
+    A batch never mixes its rows (every rk4 operation is elementwise, and
+    rkf45 solves row by row), and with a zero imaginary part, complex ``+ -
+    * /`` give the real results exactly, so under a field built from them
+    (polesink) an extra row gets the numbers it gets alone as a real row,
+    bit for bit."""
     key = (flow, bases.shape, bases.tobytes(), times, options)
-    kept = _LINEARIZED.get(key)
-    if extra is None and kept is not None:
-        return (*kept, None)
+    if extra is None and key in _LINEARIZED:
+        return (*_LINEARIZED[key], None)
     d = bases.shape[-1]
     extra = np.empty((0, d)) if extra is None else extra
-    rows = [extra]
-    if kept is None:
-        rows.append((bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d))
-    sampled = flow.sample(np.concatenate(rows), times, options)
+    tangent = (bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d)
+    sampled = flow.sample(np.concatenate([extra, tangent]), times, options)
     ridden = sampled[:, : len(extra)].copy()  # not a view that holds the whole batch
-    if kept is None:
-        sampled = sampled[:, len(extra) :].reshape(len(times), len(bases), d, d)
-        real, tangents = sampled[:, :, 0].real.copy(), sampled.imag.copy()
-        real.setflags(write=False)
-        tangents.setflags(write=False)
-        _LINEARIZED.clear()
-        kept = _LINEARIZED[key] = real, tangents
-    return (*kept, ridden)
+    sampled = sampled[:, len(extra) :].reshape(len(times), len(bases), d, d)
+    real, tangents = sampled[:, :, 0].real.copy(), sampled.imag.copy()
+    real.setflags(write=False)
+    tangents.setflags(write=False)
+    _LINEARIZED.clear()
+    _LINEARIZED[key] = real, tangents
+    return real, tangents, ridden

@@ -66,12 +66,11 @@ from .dynamics import (
     _fit_starts,
     _not_finite,
     custom_law,
-    reduced_flow,
     reduced_generator,
-    reduced_propagator_fit,
+    reduced_propagator_fit,  # noqa: F401  (a module attribute perfbench/spans.py wraps)
 )
 from .errors import DimensionMismatchError, PerturbationInfeasibleError
-from .integrate import IntegratorOptions, _require_number, rk4_grid
+from .integrate import IntegratorOptions, _require_number
 from .measurement import (
     EPS_PROB,
     ProjectiveObservable,
@@ -471,13 +470,13 @@ def audit(
     each outcome its value or the error that left it unchecked.  The first
     reads the gradient along all of party 2's packed coordinates, whose
     columns (``r2``, then ``r12``) are the ``d_remote_state`` and
-    ``d_correlations`` channels; the second is the ``d_remote_observable``
-    call, which checks the members once.  Under a flow without a generator
-    the second call reuses the first one's linearized branches; under rk4
-    the linearity fit's start rows ride in that same batch and are read at
-    ``max(times)``, so a nonlinear audit makes one rk4 propagation in all.
-    Elsewhere the fit runs alone, before the sweep.  :func:`_report` reads
-    the report off the outcomes.
+    ``d_correlations`` channels; the linearity fit's start rows ride in its
+    batch and are read at ``max(times)``, on every flow and integrator.
+    The second is the ``d_remote_observable`` call, which checks the
+    members once and, under a flow without a generator, reuses the first
+    one's linearized branches.  The branch layer meets the last time first,
+    so a fit that cannot integrate ends the audit with the error it raises
+    alone.  :func:`_report` reads the report off the outcomes.
     """
     config = config or AuditConfig()
     dims = hamiltonian.dims
@@ -487,24 +486,10 @@ def audit(
     d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
     opts = config.branch_options
     grid = sorted(set(config.times))
-    t_fit, fit_seed = max(config.times), int(s_fit.generate_state(1)[0])
-    if reduced_flow(law, hamiltonian.h1, dims[0]).generator is None and opts.method == "rk4":
-        # The fit's rows ride in the sweep's linearization, which reads them
-        # at max(times): one rk4 propagation for both.  Its step count is
-        # checked first, so a fit that cannot run ends the audit as it would
-        # alone.  (rkf45 solves every row from 0 at every time, and a flow
-        # with a generator fits by one cached product: they fit alone.)
-        rk4_grid(t_fit, opts)
-        starts = _fit_starts(dims[0], config.fit_probes, fit_seed)
-        *sweep, ends = _member_distributions(*members, law, hamiltonian, grid, opts,
-                                             stepped=True, extra=starts)
-        _, linearity = _fit_read_off(starts, ends[-1], t_fit, opts)
-    else:
-        # The fit runs first: an integrator failure there ends the audit, so
-        # it ends it before the channel sweep rather than after.
-        _, linearity = reduced_propagator_fit(
-            law, hamiltonian, t_fit, config.fit_probes, fit_seed, opts)
-        sweep = _member_distributions(*members, law, hamiltonian, grid, opts, stepped=True)
+    starts = _fit_starts(dims[0], config.fit_probes, int(s_fit.generate_state(1)[0]))
+    *sweep, ends = _member_distributions(*members, law, hamiltonian, grid, opts, stepped=True,
+                                         extra=starts)
+    _, linearity = _fit_read_off(starts, ends[-1], grid[-1], opts)
     # every packed coordinate of party 2 (the two state channels), then theta
     values, errors = _column_view(members[1][1], *sweep, range((1 + d1) * d2), grid, opts)
     theta = d_remote_observable(law, hamiltonian, states, families, locals_, grid, options=opts)

@@ -118,16 +118,16 @@ def structure_constants(basis: GeneratorSet) -> StructureConstants:
     """Compute f and g from traces over the given basis.
 
     ``f_ijk = Tr([s_i, s_j] s_k) / (4i)`` and
-    ``g_ijk = Tr({s_i, s_j} s_k) / 4``; both are exactly real for a
-    Hermitian basis, so the imaginary rounding residue is dropped.
+    ``g_ijk = Tr({s_i, s_j} s_k) / 4``.  For a Hermitian basis
+    ``Tr(s_j s_i s_k)`` is the conjugate of ``T_ijk = Tr(s_i s_j s_k)``, so
+    ``f = Im(T) / 2`` and ``g = Re(T) / 2``, with ``T`` one matrix product of
+    the pair products ``(d**2, N**2)`` and the transposed basis ``(N**2, d)``.
     """
     m = basis.matrices
-    prod = np.einsum("iab,jbc->ijac", m, m)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    f = np.real(np.einsum("ijab,kba->ijk", comm, m) / 4j)
-    g = np.real(np.einsum("ijab,kba->ijk", anti, m)) / 4.0
-    return StructureConstants(basis.dim, _readonly(f), _readonly(g))
+    d, n = len(m), basis.dim
+    pairs = (m[:, None] @ m).reshape(d * d, n * n)  # (s_i s_j)_ac
+    t = (pairs @ m.transpose(2, 1, 0).reshape(n * n, d)).reshape(d, d, d)  # sum_ac (..)_ac s_k,ca
+    return StructureConstants(basis.dim, _readonly(t.imag / 2.0), _readonly(t.real / 2.0))
 
 
 @lru_cache(maxsize=64)

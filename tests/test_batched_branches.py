@@ -11,6 +11,7 @@ values are also checked against ``helpers.reference_audit``.
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -387,8 +388,8 @@ def test_integration_failure_at_a_late_time_leaves_earlier_times_checked():
 
 def test_nonfinite_linearity_residual_is_a_failure(monkeypatch):
     # A NaN Hamiltonian is refused where its generator is built, so the
-    # non-finite residual is crafted.
-    monkeypatch.setattr(nosignal_audit, "reduced_propagator_fit", lambda *a, **k: (None, math.nan))
+    # non-finite residual is crafted where the audit reads its fit off.
+    monkeypatch.setattr(nosignal_audit, "_fit_read_off", lambda *a, **k: (None, math.nan))
     h = BlochHamiltonian((2, 2), h1=[0.3, 0.0, 0.0])
     report = audit(linear_law(), h, AuditConfig(seed=0, ensemble_size=1, times=(0.5,)))
     linearity = [f for f in report.failures if f["channel"] == "linearity"]
@@ -580,17 +581,23 @@ def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     assert report.failures and {f["time"] for f in report.failures} == {1.0}
     assert all(f["reason"] == "rkf45 result at t=1 is not finite" for f in report.failures)
     assert all(row["status"] == "ok" for row in report.cases if row["time"] < 1.0)
-    # the fit runs alone on real rows; the audit's complex rows are those of
-    # the one linearization that a d_remote_observable call alone makes
+    # no real row propagates: the fit's rows ride the linearization as
+    # complex rows, solved from 0 at every audit time beside the branches
+    # that a d_remote_observable call alone propagates
     s_members, _ = np.random.SeedSequence(config.seed).spawn(2)
     (states, _, locals_, families), _ = nosignal_audit._ensemble((2, 2), config,
                                                             np.random.default_rng(s_members))
     alone, alone_calls = _counted(expanding_law())
     d_remote_observable(alone, BlochHamiltonian((2, 2)), states, families, locals_,
                         DEFAULT_TIMES, options=rkf45)
-    complex_calls = [c for c in calls if c[1] == "c"]
-    assert complex_calls and complex_calls == [c for c in alone_calls if c[1] == "c"]
-    assert {c for c in calls if c[1] != "c"} == {((3,), "f"), ((2, 3), "f")}  # fit and probe
+    fit, fit_calls = _counted(expanding_law())
+    flow = reduced_flow(fit, None, 2)
+    fit_calls.clear()  # the flow's probe
+    flow.sample(dynamics._fit_starts(2, 0, 0), DEFAULT_TIMES, rkf45)
+    assert [c for c in calls if c[1] != "c"] == [c for c in alone_calls if c[1] != "c"]  # probe
+    complex_calls = Counter(c for c in calls if c[1] == "c")
+    assert complex_calls == Counter(c for c in alone_calls if c[1] == "c") + Counter(
+        (shape, "c") for shape, _ in fit_calls)
 
 
 def test_an_audit_propagates_every_member_and_time_in_one_batch():
@@ -918,10 +925,11 @@ def test_an_audit_propagates_its_branches_once_through_one_linearization():
     [(real, tangents)] = measurement._LINEARIZED.values()
     assert real.shape == (3, 9, 3) and tangents.shape == (3, 9, 3, 3)
     assert not (real.flags.writeable or tangents.flags.writeable)
-    # the same audit again keeps that linearization: only the fit's rows propagate
+    # the same audit again propagates that one batch again, the fit's rows
+    # with it, and reports the same bytes
     calls.clear()
     again = audit(law, h, config)
-    assert calls == [(1 + 3 + config.fit_probes, 3)] * 400
+    assert calls == [((1 + 3 + config.fit_probes) + 3 * 9, 3)] * 400
     assert dumps(again.to_dict()) == dumps(first.to_dict())
 
 
@@ -931,22 +939,49 @@ def _audit_fit_seed(config):
     return int(s_fit.generate_state(1)[0])
 
 
-@pytest.mark.parametrize("dims, options", [
-    ((2, 2), DEFAULT_BRANCH_OPTIONS),
-    ((2, 3), DEFAULT_BRANCH_OPTIONS),
-    ((3, 3), DEFAULT_BRANCH_OPTIONS),
-    ((2, 2), IntegratorOptions(method="rkf45")),
-], ids=["2x2", "2x3", "3x3", "2x2-rkf45"])
-def test_the_audits_linearity_residual_is_the_standalone_fit(dims, options):
-    # under rk4 the fit's rows ride in the branch linearization as complex
-    # rows of zero imaginary part; under rkf45 the fit runs alone
-    law, h = polesink_law(0.1), BlochHamiltonian(dims)
+_FIT_CASES = [(law, dims, options) for law in (polesink_law(0.1), linear_law(), xi_law("corrnorm"))
+              for options in (DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45"))
+              for dims in ((2, 2), (2, 3), (3, 3))]
+
+
+@pytest.mark.parametrize("law, dims, options", _FIT_CASES, ids=[
+    f"{'' if law.kind == 'custom' else law.name + '-'}{dims[0]}x{dims[1]}"
+    f"{'-rkf45' if options.method == 'rkf45' else ''}" for law, dims, options in _FIT_CASES])
+def test_the_audits_linearity_residual_is_the_standalone_fit(law, dims, options):
+    # the fit's rows ride in the sweep's batch: after the unit rows under a
+    # flow with a generator, as complex rows of zero imaginary part in the
+    # branch linearization otherwise
+    h = random_hamiltonian(np.random.default_rng(5), dims, scale=1.0)
     config = AuditConfig(seed=5, ensemble_size=2, branch_options=options)
     report = audit(law, h, config)
     _, residual = reduced_propagator_fit(law, h, max(config.times), config.fit_probes,
                                          _audit_fit_seed(config), options)
-    assert residual > config.pass_tolerance
+    assert (residual > config.pass_tolerance) == (law.kind == "custom")
     assert report.linearity_residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
+def test_an_audit_past_max_steps_ends_with_the_fits_message(law):
+    # 25 steps reach t = 0.25; t = 0.5 needs 50, and the fit's time, t = 1, 100
+    options = IntegratorOptions(method="rk4", step=0.01, max_steps=30)
+    h = BlochHamiltonian((2, 2), h1=[0.3, 0.0, 0.0])
+    with pytest.raises(IntegrationFailureError) as alone:
+        reduced_propagator_fit(law, h, 1.0, options=options)
+    with pytest.raises(IntegrationFailureError) as swept:
+        audit(law, h, AuditConfig(seed=1, ensemble_size=2, branch_options=options))
+    assert str(swept.value) == str(alone.value) == "rk4 would need 100 steps (> max_steps=30)"
+
+
+def test_an_audit_whose_propagator_overflows_ends_with_the_fits_message():
+    # the rk4 step map of this generator overflows at every time; the
+    # propagators are built from the last time down, so the audit fails at
+    # t = 1, as the fit alone does, not at t = 0.25
+    h = BlochHamiltonian((2, 2), h1=[1e150, 0.0, 0.0])
+    with pytest.raises(IntegrationFailureError) as alone:
+        reduced_propagator_fit(linear_law(), h, 1.0)
+    with pytest.raises(IntegrationFailureError) as swept:
+        audit(linear_law(), h, AuditConfig(seed=1, ensemble_size=2))
+    assert str(swept.value) == str(alone.value) == "rk4 propagator at t=1 is not finite"
 
 
 def test_nan_tangent_rows_leave_the_fit_that_rides_with_them_unchanged():

@@ -621,6 +621,11 @@ def test_reduced_zero_hamiltonian_is_static():
     [
         (lambda: hamiltonian_from_matrix(np.triu(np.ones((4, 4))), (2, 2)), ValueError,
          "matrix is not Hermitian (deviation 1.000e+00)"),
+        # a NaN fails no deviation test, and an inf diagonal warns in the trace
+        (lambda: hamiltonian_from_matrix(np.full((4, 4), np.nan), (2, 2)), ValueError,
+         "matrix entries must be finite"),
+        (lambda: hamiltonian_from_matrix(np.diag([np.inf, 0.0, 0.0, 0.0]), (2, 2)), ValueError,
+         "matrix entries must be finite"),
         (lambda: vector_field(linear_law(), BlochHamiltonian((2, 2)), random_interior_joint(
             np.random.default_rng(1), (2, 3))), DimensionMismatchError,
          "state dims (2, 3) != Hamiltonian dims (2, 2)"),
@@ -630,7 +635,8 @@ def test_reduced_zero_hamiltonian_is_static():
         (lambda: reduced_generator(np.zeros(8), 2), DimensionMismatchError,
          "local Hamiltonian must have length 3"),
     ],
-    ids=["non-hermitian-matrix", "field-dims", "path-dims", "generator-length"],
+    ids=["non-hermitian-matrix", "nan-matrix", "inf-diagonal-matrix", "field-dims", "path-dims",
+         "generator-length"],
 )
 def test_each_mismatched_argument_raises_its_error(call, error, message):
     with pytest.raises(error) as excinfo:
