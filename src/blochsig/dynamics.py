@@ -19,8 +19,9 @@ coefficients ``(h1, h2, h12)``.  That map is compiled once per dims from f
 and g, so each Hamiltonian costs one scatter of its coefficients; a
 Hamiltonian whose generator is not finite is refused there.
 The weights are 1 for ``linear``, one scalar of the state for a uniform ``xi``
-law, or one per (term, interaction element) whose unweighted contribution is
-nonzero for an indexed law: none with ``h12 = 0``, nor bilinear for qubits.
+law, or, for an indexed law, one per (term, interaction element) whose
+unweighted contribution is nonzero, one array per family from one call per
+evaluation: no family is called with ``h12 = 0``, nor bilinear for qubits.
 Nonconstant weights make the joint flow nonlinear while leaving the
 isolated-subsystem flow untouched — the construction probed by
 :mod:`blochsig.nosignal_audit`.  Every isolated-subsystem flow is one
@@ -45,7 +46,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -187,26 +188,29 @@ def _is_finite(value: float) -> float:
     return value
 
 
+_FAMILIES = ("xi1", "xi2", "xi12_bilinear", "xi12_local1", "xi12_local2")
+
+
 @dataclass(frozen=True)
 class XiFunctions:
     """State-dependent weights attached to interaction-mediated terms.
 
-    The five indexed callables receive the flow-component index (or index
-    pair), the indices of the interaction element they weight, and the
-    state triple ``(r1, r2, r12)``.  Each is called only where its term's
-    unweighted contribution is nonzero, and must return a finite float there
-    (a skipped weight is never checked for finiteness).  The families:
+    Each of the five indexed families is called once per field evaluation
+    with the index tuples where its term's unweighted contribution is
+    nonzero, as integer arrays (the flow component or pair, then the
+    interaction element weighted), and the state ``(r1, r2, r12)``.  It
+    returns one finite weight per tuple, or a scalar shared by all.  A family
+    with no tuple (none has one with ``h12 = 0``) is never called.  The families:
 
     * ``xi1(i, a, b, r1, r2, r12)`` and ``xi2(i, a, b, ...)`` weight the
       contribution of ``h12[a, b]`` to the reduced components;
     * ``xi12_bilinear(p, q, a, b, ...)`` weights ``h12[a, b]`` in the
-      correlation flow;
+      correlation flow (never called for a qubit pair: g = 0);
     * ``xi12_local1(p, q, a, ...)`` weights ``h12[a, q]`` and
       ``xi12_local2(p, q, b, ...)`` weights ``h12[p, b]``.
 
-    ``uniform``, when set, replaces all five families with one scalar
-    function of the state, evaluated once per field call — the built-in
-    presets are of this form.
+    ``uniform``, set in place of all five, is one scalar function of the
+    state, evaluated once per field call — the built-in presets are of this form.
     """
 
     xi1: Callable | None = None
@@ -218,10 +222,8 @@ class XiFunctions:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.uniform is None:
-            fields = (self.xi1, self.xi2, self.xi12_bilinear, self.xi12_local1, self.xi12_local2)
-            if any(fn is None for fn in fields):
-                raise ValueError("either supply `uniform` or all five indexed weights")
+        if [getattr(self, f) is not None for f in _FAMILIES] != [self.uniform is None] * 5:
+            raise ValueError("supply either `uniform` or all five indexed weights, not both")
 
     @classmethod
     def constant(cls, value: float = 1.0, name: str | None = None) -> "XiFunctions":
@@ -229,19 +231,14 @@ class XiFunctions:
         return cls(uniform=lambda r1, r2, r12: value, name=name or f"constant({value:g})")
 
     def as_indexed(self) -> "XiFunctions":
-        """Expand a uniform weight into the five per-index callbacks, to
-        drive the general evaluation route (used by tests)."""
+        """Expand a uniform weight into the five indexed families, each one
+        call of it whose scalar all tuples share, to drive the general
+        evaluation route (used by tests)."""
         if self.uniform is None:
             return self
         u = self.uniform
-        return XiFunctions(
-            xi1=lambda i, a, b, r1, r2, r12: u(r1, r2, r12),
-            xi2=lambda i, a, b, r1, r2, r12: u(r1, r2, r12),
-            xi12_bilinear=lambda p, q, a, b, r1, r2, r12: u(r1, r2, r12),
-            xi12_local1=lambda p, q, a, r1, r2, r12: u(r1, r2, r12),
-            xi12_local2=lambda p, q, b, r1, r2, r12: u(r1, r2, r12),
-            name=self.name + ":indexed",
-        )
+        return XiFunctions(**dict.fromkeys(_FAMILIES, lambda *args: u(*args[-3:])),
+                           name=self.name + ":indexed")
 
 
 def _purity_first(r1, r2, r12) -> float:
@@ -354,10 +351,10 @@ class _Term(NamedTuple):
     ``operands`` hold the block's name (``"h1"``, ``"h2"`` or ``"h12"``)
     where its coefficients go.  With the block in its place, contracting
     over ``subscripts`` into ``out + state`` gives the term's part of
-    ``L_loc`` or, for an interaction term (``family`` set), of ``L_int``; into
-    ``out + open + state`` an interaction term keeps its interaction indices
-    open, one slice per weight call
-    ``getattr(xi, family)(*out, *open, r1, r2, r12)``.
+    ``L_loc`` or, for an interaction term (``family`` set), of ``L_int``.  An
+    interaction term's products, grouped by their ``out + open`` indices,
+    are its weight tuples: one call ``getattr(xi, family)(*out, *open, r1,
+    r2, r12)`` per evaluation takes them all as index arrays.
     """
 
     family: str | None
@@ -393,16 +390,19 @@ def _terms(n1: int, n2: int) -> tuple[_Term, ...]:
     )
 
 
-def _term_entries(term: _Term, blocks: dict) -> tuple[dict, dict, np.ndarray]:
-    """The nonzero products of a term's operands, before any sum: each
-    letter's index and extent, and the values (``factor`` included).  The
-    Hamiltonian block constrains nothing, so it only adds its letters that no
-    other operand binds, each over its whole range."""
+def _term_entries(term: _Term, blocks: dict) -> tuple[Callable, dict, np.ndarray, np.ndarray]:
+    """The nonzero products of a term's operands, before any sum: a function
+    of letters (and a start) giving their row-major flat positions, each
+    letter's extent, the flat coefficient of the block each scales, and the
+    values (``factor`` included).  The Hamiltonian block constrains nothing,
+    so it only adds its letters that no other operand binds, each over its
+    whole range."""
     index, extent, value = {}, {}, np.array([term.factor])
     pairs = zip(term.subscripts.split(","), term.operands)
     for letters, op in sorted(pairs, key=lambda pair: isinstance(pair[1], str)):
         if isinstance(op, str):
             extent.update(zip(letters, blocks[op][1]))
+            block = letters, blocks[op][0]
             letters = [c for c in letters if c not in index]
             if not letters:
                 continue
@@ -416,7 +416,11 @@ def _term_entries(term: _Term, blocks: dict) -> tuple[dict, dict, np.ndarray]:
         left, right = np.nonzero(match)
         index = {c: i[left] for c, i in index.items()} | {c: i[right] for c, i in zip(letters, at)}
         value = value[left] * op[at][right]
-    return index, extent, value
+
+    def flat(letters, start=0):
+        return start + np.ravel_multi_index([index[c] for c in letters], [extent[c] for c in letters])
+
+    return flat, extent, flat(*block), value
 
 
 @lru_cache(maxsize=16)
@@ -429,24 +433,38 @@ def _generator_map(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.nd
     s1, s2, s12 = _blocks(*dims)
     d1, d2, size = s1.stop, s2.stop - s1.stop, s12.stop
     blocks = {"h1": (s1.start, (d1,)), "h2": (s2.start, (d2,)), "h12": (s12.start, (d1, d2))}
-
-    def flat(index, extent, letters, start):
-        return start + np.ravel_multi_index([index[c] for c in letters], [extent[c] for c in letters])
-
     positions, coefficients, values = [], [], []
     for t in _terms(*dims):
-        index, extent, value = _term_entries(t, blocks)
-        letters, block = next(pair for pair in zip(t.subscripts.split(","), t.operands)
-                              if isinstance(pair[1], str))
-        row = flat(index, extent, t.out, t.out_block.start)
-        col = flat(index, extent, t.state, t.state_block.start)
+        flat, _, coefficient, value = _term_entries(t, blocks)
+        row, col = flat(t.out, t.out_block.start), flat(t.state, t.state_block.start)
         positions.append(((t.family is not None) * size + row) * size + col)
-        coefficients.append(flat(index, extent, letters, blocks[block][0]))
+        coefficients.append(coefficient)
         values.append(value)
     out = tuple(np.concatenate(parts) for parts in (positions, coefficients, values))
     for a in out:
         a.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=16)
+def _open_terms(dims: tuple[int, int]) -> tuple:
+    """Per interaction term: its family, the shape of its weight tuples
+    (``out + open``), and its products summed per (tuple, state column) in
+    that order — each entry's flat tuple and packed column, the flat ``h12``
+    element it scales (one per tuple), its packed row and its value.
+    ``argsort`` groups them, as a first ``np.unique`` costs ~1.6 MB of RSS."""
+    s1, s2, s12 = _blocks(*dims)
+    out = []
+    for t in _terms(*dims)[4:]:
+        flat, extent, element, value = _term_entries(t, {"h12": (0, (s1.stop, s2.stop - s1.stop))})
+        key = flat(t.out + t.open) * s12.stop + flat(t.state, t.state_block.start)
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        at = order[first]  # one product stands for each entry
+        out.append((t.family, tuple(extent[c] for c in t.out + t.open), *np.divmod(key[at], s12.stop),
+                    element[at], flat(t.out, t.out_block.start)[at],
+                    np.add.reduceat(value[order], first)))
+    return tuple(out)
 
 
 def _generators(hamiltonian: BlochHamiltonian) -> np.ndarray:
@@ -469,27 +487,41 @@ def _require_finite(generator: np.ndarray, what: str, coefficients: np.ndarray) 
         )
 
 
-def _indexed_interaction(hamiltonian: BlochHamiltonian, xi: XiFunctions):
-    """The weight calls whose unweighted contribution is nonzero (never a
-    qubit pair's bilinear weight: g = 0), the packed component each feeds,
-    and the matrix taking the state to each call's contribution, row by row."""
-    size = _blocks(*hamiltonian.dims)[2].stop
-    calls, targets, rows = [], [], []
-    for t in _terms(*hamiltonian.dims):
-        if t.family is None:
-            continue
-        operands = [getattr(hamiltonian, o) if isinstance(o, str) else o for o in t.operands]
-        spread = np.einsum(f"{t.subscripts}->{t.out}{t.open}{t.state}", *operands)
-        spread = spread.reshape(*spread.shape[: len(t.out) + len(t.open)], -1)
-        index = np.nonzero(spread.any(axis=-1))
-        row = np.zeros((len(index[0]), size))
-        row[:, t.state_block] = t.factor * spread[index]
-        rows.append(row)
-        out = np.ravel_multi_index(index[: len(t.out)], spread.shape[: len(t.out)])
-        targets.append(t.out_block.start + out)
-        weight = getattr(xi, t.family)
-        calls.extend((weight, args) for args in zip(*(i.tolist() for i in index)))
-    return calls, np.concatenate(targets), np.concatenate(rows)
+def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarray) -> Callable:
+    """``L_loc x`` plus the indexed weights' interaction terms.  Each family
+    is one call over its tuples whose unweighted contribution is nonzero
+    (entries that are exact zeros are dropped), filling its slice of the
+    weights ``w``; each entry adds ``w[slot] * value * x[col]`` to its row."""
+    calls, parts, start = [], [], 0
+    for family, shape, tuples, col, element, row, value in _open_terms(hamiltonian.dims):
+        value = value * hamiltonian.h12.ravel()[element]
+        kept = np.flatnonzero(value)
+        new = np.diff(tuples[kept], prepend=-1) != 0  # each tuple's first kept entry
+        if kept.size:  # a family with no kept entry is never called
+            args = np.unravel_index(tuples[kept][new], shape)
+            for a in args:
+                a.setflags(write=False)
+            calls.append((family, getattr(xi, family), slice(start, start + len(args[0])), args))
+        parts.append((start + np.cumsum(new) - 1, row[kept], col[kept], value[kept]))
+        start += np.count_nonzero(new)
+    w, (slot, rows, cols, values) = np.empty(start), (np.concatenate(a) for a in zip(*parts))
+    s1, s2, s12 = _blocks(*hamiltonian.dims)
+    shape = (s1.stop, s2.stop - s1.stop)
+
+    def indexed(x):
+        r = x[s1], x[s2], x[s12].reshape(shape)
+        for family, weight, at, args in calls:
+            value = weight(*args, *r)
+            if np.shape(value) not in ((), args[0].shape):
+                raise NonlinearityEvaluationError(f"weight {family} returned shape "
+                                                  f"{np.shape(value)}, not () or {args[0].shape}")
+            w[at] = value
+        finite = np.isfinite(w)
+        if not finite.all():
+            _is_finite(w[finite.argmin()])  # raises for the first non-finite weight
+        return loc @ x + np.bincount(rows, weights=w[slot] * values * x[cols], minlength=len(x))
+
+    return indexed
 
 
 def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
@@ -514,21 +546,10 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         # (L_int is then all +0.0, so the sum is L_loc entry for entry).
         gen = loc + lint
         return lambda x: gen @ x
+    if law.kind == "xi" and law.xi.uniform is None:
+        return _indexed_field(hamiltonian, law.xi, loc)
     s1, s2, s12 = _blocks(*dims)
     shape = (s1.stop, s2.stop - s1.stop)
-    if law.kind == "xi" and law.xi.uniform is None:
-        calls, targets, contrib = _indexed_interaction(hamiltonian, law.xi)
-        bound = [partial(weight, *args) for weight, args in calls]
-
-        def indexed(x):
-            r = x[s1], x[s2], x[s12].reshape(shape)
-            w = np.array([float(weight(*r)) for weight in bound])
-            finite = np.isfinite(w)
-            if not finite.all():
-                _is_finite(w[finite.argmin()])  # raises for the first non-finite call
-            return loc @ x + np.bincount(targets, weights=w * (contrib @ x), minlength=len(x))
-
-        return indexed
     both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
     size, weight = len(loc), law.xi.uniform
 

@@ -40,7 +40,8 @@ class ZeroProbabilityBranchError(BlochSigError, ValueError):
 
 
 class NonlinearityEvaluationError(BlochSigError, ValueError):
-    """A state-dependent weight returned a non-finite value."""
+    """A state-dependent weight returned a non-finite value, or an indexed
+    weight family an array whose shape does not match its index tuples."""
 
 
 class NonFiniteGeneratorError(BlochSigError, ValueError):

@@ -1,5 +1,6 @@
 """Matrix-level oracles used to cross-check the coordinate formulas (the
-observable constructors among them), per-stage RKF45 and RK4 steppers used
+observable constructors among them), the per-tuple indexed ξ field used to
+cross-check the field's weight arrays, per-stage RKF45 and RK4 steppers used
 to cross-check the integrator, the reference audit used to cross-check the
 audit's channels, the audit's ensemble and fit probes drawn and converted
 one object at a time, the oracles of their one-block draws, and the audit
@@ -22,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from blochsig.bloch import to_bloch
-from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, custom_law, reduced_flow
+from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, XiFunctions, custom_law, reduced_flow
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     EPS_PROB,
@@ -42,7 +43,7 @@ from blochsig.sampling import (
     random_pure_density,
     singlet_density,
 )
-from blochsig.su_basis import cached_basis
+from blochsig.su_basis import cached_basis, cached_constants
 
 
 def unitary_evolve(h_matrix, rho0, t):
@@ -117,6 +118,54 @@ def gksl_coordinate_field(jumps, gamma, r):
         l @ rho @ l.conj().T - 0.5 * (l.conj().T @ l @ rho + rho @ l.conj().T @ l) for l in jumps
     )
     return 0.5 * n * np.real(np.einsum("ab,iba->i", gamma * drho, s))
+
+
+def tilted_xi():
+    """An indexed ξ law whose per-term weights split the commutator into
+    pieces that are not commutators, so it need not keep the spectrum of a
+    state: ``xi1 = 1 + 0.8 tanh(sum r12)``, ``xi12_bilinear = 1 - 0.8
+    tanh(sum r12)``, ``xi12_local2 = 1 + 0.5 |r1|^2`` and the other two 1.
+    Each family returns one scalar shared by all its index tuples."""
+    return XiFunctions(
+        xi1=lambda i, a, b, r1, r2, r12: 1.0 + 0.8 * np.tanh(np.sum(r12)),
+        xi2=lambda i, a, b, r1, r2, r12: 1.0,
+        xi12_bilinear=lambda p, q, a, b, r1, r2, r12: 1.0 - 0.8 * np.tanh(np.sum(r12)),
+        xi12_local1=lambda p, q, a, r1, r2, r12: 1.0,
+        xi12_local2=lambda p, q, b, r1, r2, r12: 1.0 + 0.5 * float(r1 @ r1),
+        name="tilted",
+    )
+
+
+def reference_indexed_field(xi, hamiltonian, state):
+    """``(dr1, dr2, dr12)`` of the indexed ξ weights ``xi``, term by term as
+    the ``blochsig.dynamics`` module docstring writes them: each interaction
+    term is one dense einsum with its interaction indices left open, and
+    each index tuple whose contribution is nonzero is weighted by one call of
+    its family with plain integer indices, read as one float."""
+    n1, n2 = hamiltonian.dims
+    f1, g1 = cached_constants(n1).f, cached_constants(n1).g
+    f2, g2 = cached_constants(n2).f, cached_constants(n2).g
+    h1, h2, h12 = hamiltonian.h1, hamiltonian.h2, hamiltonian.h12
+    r1, r2, r12 = state.r1, state.r2, state.r12
+
+    def weighted(family, spread, out_axes):
+        w = np.zeros_like(spread)
+        for index in zip(*np.nonzero(spread)):
+            w[index] = float(getattr(xi, family)(*map(int, index), r1, r2, r12))
+        return (w * spread).reshape(*spread.shape[:out_axes], -1).sum(axis=-1)
+
+    bilinear = (np.einsum("aip,bjq,ab,ij->pqab", g1, f2, h12, r12)
+                + np.einsum("aip,bjq,ab,ij->pqab", f1, g2, h12, r12))
+    dr1 = (2.0 * np.einsum("aik,a,i->k", f1, h1, r1)
+           + weighted("xi1", 4.0 / n2 * np.einsum("aik,ab,ib->kab", f1, h12, r12), 1))
+    dr2 = (2.0 * np.einsum("bjl,b,j->l", f2, h2, r2)
+           + weighted("xi2", 4.0 / n1 * np.einsum("bjl,ab,aj->lab", f2, h12, r12), 1))
+    dr12 = (2.0 * np.einsum("aip,a,iq->pq", f1, h1, r12)
+            + 2.0 * np.einsum("bjq,b,pj->pq", f2, h2, r12)
+            + weighted("xi12_bilinear", 2.0 * bilinear, 2)
+            + weighted("xi12_local1", 2.0 * np.einsum("aip,i,aq->pqa", f1, r1, h12), 2)
+            + weighted("xi12_local2", 2.0 * np.einsum("bjq,j,pb->pqb", f2, r2, h12), 2))
+    return dr1, dr2, dr12
 
 
 def coord_distance(state, ref):

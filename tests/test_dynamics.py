@@ -47,7 +47,13 @@ from blochsig.nosignal_audit import polesink_law
 from blochsig.sampling import random_density, random_interior_joint
 from blochsig.su_basis import cached_basis, cached_constants
 
-from helpers import coord_distance, trace_out, unitary_evolve
+from helpers import (
+    coord_distance,
+    reference_indexed_field,
+    tilted_xi,
+    trace_out,
+    unitary_evolve,
+)
 
 
 def _flat(parts):
@@ -262,6 +268,32 @@ def test_indexed_weight_route_matches_scalar_route(dims, sparse):
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
+def _graded_xi():
+    """Indexed weights that tell every index tuple apart: each family's weight
+    grows with its indices, and with the correlations."""
+    def graded(*args):
+        index, r12 = args[:-3], args[-1]
+        return 1.0 + 0.05 * sum((k + 1) * i for k, i in enumerate(index)) * np.tanh(np.sum(r12))
+
+    families = ("xi1", "xi2", "xi12_bilinear", "xi12_local1", "xi12_local2")
+    return XiFunctions(**dict.fromkeys(families, graded), name="graded")
+
+
+@pytest.mark.parametrize("xi", [tilted_xi(), _graded_xi()], ids=lambda xi: xi.name)
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_the_indexed_field_matches_the_per_tuple_reference(dims, sparse, xi):
+    rng = np.random.default_rng(31)
+    h = _sparse_hamiltonian(rng, dims) if sparse else random_hamiltonian(rng, dims)
+    for _ in range(2):
+        state = random_interior_joint(rng, dims)
+        got = _flat(vector_field(xi_law(xi), h, state))
+        assert np.max(np.abs(got - _flat(reference_indexed_field(xi, h, state)))) <= 1e-13
+    # with unit weights the reference is the commutator flow
+    one = _flat(reference_indexed_field(XiFunctions.constant(1.0).as_indexed(), h, state))
+    assert np.max(np.abs(one - linear_generator(h) @ pack_coords(state))) <= 1e-13
+
+
 def _expected_weight_calls(h12):
     """Per family, the (out, open) indices whose unweighted contribution is
     nonzero, counted from the structure constants and h12 alone."""
@@ -282,14 +314,14 @@ def _expected_weight_calls(h12):
     }
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (2, 2)])
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2), (3, 3)])
 def test_sparse_interaction_indexed_weights_only_where_their_term_is_nonzero(dims):
     rng = np.random.default_rng(25)
     h = _sparse_hamiltonian(rng, dims)
     h12 = h.h12
     scale = rng.uniform(0.5, 1.5, h12.shape)
     corrnorm = xi_preset("corrnorm").uniform
-    # the interaction element each family's call weights, from its leading args
+    # the interaction element each family's tuples weight, from their leading index arrays
     element = {
         "xi1": lambda k, a, b: (a, b),
         "xi2": lambda l, a, b: (a, b),
@@ -297,13 +329,15 @@ def test_sparse_interaction_indexed_weights_only_where_their_term_is_nonzero(dim
         "xi12_local1": lambda p, q, a: (a, q),
         "xi12_local2": lambda p, q, b: (p, b),
     }
-    calls = dict.fromkeys(element, 0)
+    calls = {family: [] for family in element}  # per call, its number of index tuples
 
     def weight(family):
         def fn(*args):
-            ab = element[family](*args[:-3])
-            assert h12[ab] != 0.0
-            calls[family] += 1
+            index = args[:-3]
+            assert all(i.dtype.kind == "i" and i.shape == index[0].shape for i in index)
+            ab = element[family](*index)
+            assert np.all(h12[ab] != 0.0)
+            calls[family].append(len(index[0]))
             return scale[ab] * corrnorm(*args[-3:])
 
         return fn
@@ -315,22 +349,33 @@ def test_sparse_interaction_indexed_weights_only_where_their_term_is_nonzero(dim
     h_scaled = BlochHamiltonian(dims, 0.0, h.h1, h.h2, scale * h12)
     b = _flat(vector_field(xi_law("corrnorm"), h_scaled, state))
     assert np.max(np.abs(a - b)) <= 1e-13
-    assert calls == _expected_weight_calls(h12)
+    # one evaluation calls each family at most once, with every tuple at once
+    assert all(len(sizes) <= 1 for sizes in calls.values())
+    assert {family: sum(sizes) for family, sizes in calls.items()} == _expected_weight_calls(h12)
     # g vanishes for su(2): a qubit pair's bilinear term is zero, so never weighted
-    assert (calls["xi12_bilinear"] == 0) == (dims == (2, 2))
+    assert (calls["xi12_bilinear"] == []) == (dims == (2, 2))
 
 
 def test_a_bilinear_weight_is_checked_only_where_its_term_is_nonzero():
+    calls = []
+
+    def nan_weights(p, q, a, b, r1, r2, r12):
+        calls.append(len(p))
+        return np.full(len(p), math.nan)
+
     one = XiFunctions.constant(1.0).as_indexed()
-    nan_bilinear = xi_law(replace(one, xi12_bilinear=lambda *args: math.nan))
+    nan_bilinear = xi_law(replace(one, xi12_bilinear=nan_weights))
     rng = np.random.default_rng(26)
-    # a qubit pair's bilinear term is zero, so its weight is never called
+    # a qubit pair's bilinear term is zero, so its weight is never called, not even
+    # with empty index arrays
     h, state = random_hamiltonian(rng, (2, 2)), random_interior_joint(rng, (2, 2))
     a = _flat(vector_field(nan_bilinear, h, state))
     np.testing.assert_array_equal(a, _flat(vector_field(xi_law(one), h, state)))
+    assert calls == []
     h, state = random_hamiltonian(rng, (2, 3)), random_interior_joint(rng, (2, 3))
     with pytest.raises(NonlinearityEvaluationError, match="non-finite value nan"):
         vector_field(nan_bilinear, h, state)
+    assert len(calls) == 1 and calls[0] > 0
 
 
 def test_weights_never_evaluated_without_interaction():
@@ -391,26 +436,33 @@ def test_nonfinite_weight_raises():
 
 
 def test_nonfinite_indexed_weight_raises_for_the_first_in_call_order():
-    def one_bad_index(value, at):
-        # the last three args are the state
-        return lambda *args: value if args[:-3] == at else 1.0
+    def bad_at(**values):
+        # weight 1 but for the given tuples, named like "t120" for (1, 2, 0)
+        def fn(*args):
+            tuples = list(zip(*(i.tolist() for i in args[:-3])))
+            w = np.ones(len(tuples))
+            for name, value in values.items():
+                w[tuples.index(tuple(int(c) for c in name[1:]))] = value
+            return w
 
-    # local1 is called before local2, so its nan is the value reported
-    xi = XiFunctions(
-        xi1=lambda *args: 1.0,
-        xi2=lambda *args: 1.0,
-        xi12_bilinear=lambda *args: 1.0,
-        xi12_local1=one_bad_index(float("nan"), (1, 2, 0)),
-        xi12_local2=one_bad_index(float("inf"), (0, 0, 1)),
-    )
+        return fn
+
+    one = XiFunctions.constant(1.0).as_indexed()
     rng = np.random.default_rng(9)
     h = random_hamiltonian(rng, (2, 2), interaction=True)
     state = random_interior_joint(rng, (2, 2))
+    # family order first: local1 is called before local2, so its nan is the value
+    # reported, though local2's inf sits at a tuple that comes earlier
+    xi = replace(one, xi12_local1=bad_at(t120=math.nan), xi12_local2=bad_at(t001=math.inf))
     with pytest.raises(NonlinearityEvaluationError, match="non-finite value nan"):
         vector_field(xi_law(xi), h, state)
-    only_inf = replace(xi, xi12_local1=lambda *args: 1.0)
+    only_inf = replace(xi, xi12_local1=one.xi12_local1)
     with pytest.raises(NonlinearityEvaluationError, match="non-finite value inf"):
         vector_field(xi_law(only_inf), h, state)
+    # then array order: in one family, the tuple (0, 0, 1) comes before (1, 2, 0)
+    both = replace(one, xi12_local1=bad_at(t120=math.nan, t001=math.inf))
+    with pytest.raises(NonlinearityEvaluationError, match="non-finite value inf"):
+        vector_field(xi_law(both), h, state)
 
 
 def test_zero_hamiltonian_zero_field_for_any_weights():
@@ -427,8 +479,34 @@ def test_unknown_preset_rejected():
 
 
 def test_xi_functions_requires_complete_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="either `uniform` or all five indexed weights"):
         XiFunctions(xi1=lambda *a: 1.0)
+
+
+def test_xi_functions_refuses_a_uniform_weight_beside_indexed_ones():
+    indexed = dict(xi1=lambda *a: 1.0, xi2=lambda *a: 1.0, xi12_bilinear=lambda *a: 1.0,
+                   xi12_local1=lambda *a: 1.0, xi12_local2=lambda *a: 1.0)
+    for given in (["xi1"], list(indexed)):
+        with pytest.raises(ValueError, match="either `uniform` or all five indexed weights"):
+            XiFunctions(uniform=lambda r1, r2, r12: 1.0, **{k: indexed[k] for k in given})
+    with pytest.raises(ValueError, match="either `uniform`"):
+        replace(XiFunctions.constant(1.0), xi1=indexed["xi1"])
+
+
+@pytest.mark.parametrize("returned", [
+    lambda n: (2,), lambda n: (1,), lambda n: (n + 1,), lambda n: (1, n), lambda n: (n, 1),
+], ids=["2", "1", "n+1", "1xn", "nx1"])
+def test_an_indexed_weight_of_the_wrong_shape_names_its_family_and_both_shapes(returned):
+    one = XiFunctions.constant(1.0).as_indexed()
+    wrong = replace(one, xi12_local1=lambda p, q, a, r1, r2, r12: np.ones(returned(len(p))))
+    rng = np.random.default_rng(27)
+    h, state = random_hamiltonian(rng, (2, 3)), random_interior_joint(rng, (2, 3))
+    n = int(_expected_weight_calls(h.h12)["xi12_local1"])
+    with pytest.raises(NonlinearityEvaluationError) as excinfo:
+        vector_field(xi_law(wrong), h, state)
+    assert str(excinfo.value) == (
+        f"weight xi12_local1 returned shape {returned(n)}, not () or ({n},)"
+    )
 
 
 # ---------------------------------------------------------------------------
