@@ -22,6 +22,9 @@ The weights are 1 for ``linear``, one scalar of the state for a uniform ``xi``
 law, or, for an indexed law, one per (term, interaction element) whose
 unweighted contribution is nonzero, one array per family from one call per
 evaluation: no family is called with ``h12 = 0``, nor bilinear for qubits.
+A constant weight c (:meth:`XiFunctions.constant`, the preset ``one``) is
+compiled with the Hamiltonian into one generator ``L_loc + c L_int``, one
+matrix-vector product per evaluation, as ``linear`` is with c = 1.
 Nonconstant weights make the joint flow nonlinear while leaving the
 isolated-subsystem flow untouched — the construction probed by
 :mod:`blochsig.nosignal_audit`.  Every isolated-subsystem flow is one
@@ -191,6 +194,17 @@ def _is_finite(value: float) -> float:
 _FAMILIES = ("xi1", "xi2", "xi12_bilinear", "xi12_local1", "xi12_local2")
 
 
+@dataclass(frozen=True, eq=False)
+class _Constant:
+    """The uniform weight of :meth:`XiFunctions.constant`: a callable that
+    carries its value, so the joint field can compile it."""
+
+    value: float
+
+    def __call__(self, r1, r2, r12) -> float:
+        return self.value
+
+
 @dataclass(frozen=True)
 class XiFunctions:
     """State-dependent weights attached to interaction-mediated terms.
@@ -210,7 +224,8 @@ class XiFunctions:
       ``xi12_local2(p, q, b, ...)`` weights ``h12[p, b]``.
 
     ``uniform``, set in place of all five, is one scalar function of the
-    state, evaluated once per field call — the built-in presets are of this form.
+    state, evaluated once per field call but for a finite :meth:`constant`
+    — the built-in presets are of this form.
     """
 
     xi1: Callable | None = None
@@ -227,8 +242,12 @@ class XiFunctions:
 
     @classmethod
     def constant(cls, value: float = 1.0, name: str | None = None) -> "XiFunctions":
+        """The uniform weight ``c``: the joint field compiles it into one
+        generator ``L_loc + c L_int`` per Hamiltonian and never calls it
+        (a non-finite ``c`` is called, and refused, as any uniform weight
+        is).  ``as_indexed()`` still calls it once per family."""
         value = float(value)
-        return cls(uniform=lambda r1, r2, r12: value, name=name or f"constant({value:g})")
+        return cls(uniform=_Constant(value), name=name or f"constant({value:g})")
 
     def as_indexed(self) -> "XiFunctions":
         """Expand a uniform weight into the five indexed families, each one
@@ -527,8 +546,9 @@ def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarr
 def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
     """The law's joint field ``x -> dx/dt`` on packed coordinates; for
     ``linear`` and ``xi`` laws ``L_loc x + w(x) L_int x``, from one scatter
-    of the Hamiltonian.  The open interaction tensors are built for indexed
-    weights only."""
+    of the Hamiltonian.  A finite constant weight c (1 for ``linear``) is
+    compiled into one generator ``L_loc + c L_int``.  The open interaction
+    tensors are built for indexed weights only."""
     dims = hamiltonian.dims
     if law.kind == "custom":
         if law.joint_field_fn is None:
@@ -541,17 +561,25 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         return custom
     stacked = _generators(hamiltonian)
     loc, lint = stacked
+    weight = law.xi.uniform if law.kind == "xi" else None
+    # One generator for w = 1, for no interaction, where weights must not even
+    # be evaluated (L_int is then all +0.0, so the sum is L_loc entry for
+    # entry), and for a finite constant; 1.0 * L_int is L_int entry for entry.
+    # A non-finite constant takes the uniform route, which refuses it at its
+    # first evaluation.
     if law.kind == "linear" or hamiltonian.is_interaction_free:
-        # w = 1, or no interaction, where weights must not even be evaluated
-        # (L_int is then all +0.0, so the sum is L_loc entry for entry).
-        gen = loc + lint
+        c = 1.0
+    else:
+        c = weight.value if isinstance(weight, _Constant) else math.nan
+    if math.isfinite(c):
+        gen = loc + c * lint
         return lambda x: gen @ x
-    if law.kind == "xi" and law.xi.uniform is None:
+    if weight is None:
         return _indexed_field(hamiltonian, law.xi, loc)
     s1, s2, s12 = _blocks(*dims)
     shape = (s1.stop, s2.stop - s1.stop)
     both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
-    size, weight = len(loc), law.xi.uniform
+    size = len(loc)
 
     def uniform(x):
         y = both @ x

@@ -16,12 +16,14 @@ Two methods are provided:
   step size.  Default error weights are ``atol + rtol * |y|``.  The step
   size is shared by the whole state, so ``y0`` must be one row; a complex
   row takes the steps its real part takes.  A step is a few products over
-  one ``(7, D)`` stack holding the state and the six stages: the tableau
-  is scaled by h once, each stage input is one product of its scaled row
-  with the rows above it, and one ``(2, 7)`` product gives the propagated
-  solution and h times the error estimate.  The stack and the other
-  buffers are built once per solve; the field only ever receives a fresh
-  array, and the result is one too.
+  one ``(7, D)`` stack holding the state and the six stages: stage 0's
+  input is a copy of the state itself, each later stage input is one
+  product of its tableau row, scaled by h, with the rows above it, and one
+  ``(2, 7)`` product gives the propagated solution and h times the error
+  estimate.  Only the tableau's stage columns are scaled at each step; its
+  state column is set once per solve, as are the stack and the other
+  buffers.  The field only ever receives a fresh array, and the result is
+  one too.
 """
 
 from __future__ import annotations
@@ -69,18 +71,18 @@ class IntegratorOptions:
 DEFAULT_OPTIONS = IntegratorOptions()
 
 # Fehlberg tableau, one row per product over the stage stack (the state,
-# then the six stages): rows 0-5 give the input of each stage, row 6 the
-# propagated (5th-order) solution and row 7 the local error estimate
-# b5 - b4.  Scaled by h once per step, with the state's column kept at 1
-# (0 in the error row), stage s is ``c[s, :s+1] @ yk[:s+1]``.
+# then the six stages): rows 0-4 give the inputs of stages 1-5 (stage 0's
+# is the state itself), row 5 the propagated (5th-order) solution and row 6
+# the local error estimate b5 - b4.  Column 0 is the state's and is never
+# scaled: 1, and 0 in the error row.  With the other columns scaled by h,
+# stage s is ``c[s-1, :s+1] @ yk[:s+1]``.
 _TABLEAU = np.array((
-    (0, 0, 0, 0, 0, 0, 0),
-    (0, 1 / 4, 0, 0, 0, 0, 0),
-    (0, 3 / 32, 9 / 32, 0, 0, 0, 0),
-    (0, 1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0, 0),
-    (0, 439 / 216, -8, 3680 / 513, -845 / 4104, 0, 0),
-    (0, -8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40, 0),
-    (0, 16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+    (1, 1 / 4, 0, 0, 0, 0, 0),
+    (1, 3 / 32, 9 / 32, 0, 0, 0, 0),
+    (1, 1932 / 2197, -7200 / 2197, 7296 / 2197, 0, 0, 0),
+    (1, 439 / 216, -8, 3680 / 513, -845 / 4104, 0, 0),
+    (1, -8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40, 0),
+    (1, 16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
     (0, 1 / 360, 0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55),
 ))
 
@@ -125,12 +127,13 @@ def _rk4(field, y0, t, options):
 def _rkf45(field, y0, t, options):
     n = y0.size
     yk = np.empty((7, n), dtype=y0.dtype)  # the state, then the six stages
-    c = np.empty((8, 7))  # the tableau scaled by the step
+    c = _TABLEAU.copy()  # the tableau, its stage columns scaled by the step
+    scaled, unscaled = c[:, 1:], _TABLEAU[:, 1:]
     ends = np.empty((2, n), dtype=y0.dtype)  # y5 and h * err
     ay, a5, q = np.empty((3, n))  # |y|, |y5| and the scaled error, real parts only
-    y, y5, final = yk[0], ends[0], c[6:]
+    y, y5, final = yk[0], ends[0], c[5:]
     y5_real, err_real = ends.real  # only real parts set the step
-    stages = [(c[s, : s + 1], yk[: s + 1], yk[s + 1]) for s in range(6)]
+    k0, stages = yk[1], [(c[s - 1, : s + 1], yk[: s + 1], yk[s + 1]) for s in range(1, 6)]
     y[...] = y0
     np.abs(y.real, out=ay)
     x = 0.0
@@ -142,10 +145,11 @@ def _rkf45(field, y0, t, options):
         h = min(h, t - x)
         if h < hmin:
             raise IntegrationFailureError(f"step size underflow at t={x:.6g} (h={h:.3e})")
-        np.multiply(_TABLEAU, h, out=c)
-        c[:7, 0] = 1.0  # the state's column; the error row keeps its 0
-        # Each stage input is a fresh product, so the field never holds a
-        # buffer that a later stage or step overwrites.
+        np.multiply(unscaled, h, out=scaled)
+        # Each stage input is a fresh array (a copy of the state, then a
+        # product), so the field never holds a buffer that a later stage or
+        # step overwrites.
+        k0[...] = field(y.copy())
         for weights, done, stage in stages:
             stage[...] = field(np.dot(weights, done))
         np.dot(final, yk, out=ends)

@@ -1,6 +1,7 @@
 """Linear flow vs commutator oracle, weighted nonlinear family, reduced flows."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -426,13 +427,58 @@ def test_trajectories_independent_of_weights_without_interaction():
     np.testing.assert_array_equal(a.r12, b.r12)
 
 
-def test_nonfinite_weight_raises():
-    law = xi_law(XiFunctions(uniform=lambda r1, r2, r12: float("nan")))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_a_constant_weight_is_the_linear_law_with_a_scaled_interaction(monkeypatch, dims, c):
+    rng = np.random.default_rng(33)
+    h, state = random_hamiltonian(rng, dims), random_interior_joint(rng, dims)
+    xi = XiFunctions.constant(c)
+    calls, call = [], type(xi.uniform).__call__
+
+    def counting(self, *r):
+        calls.append(r)
+        return call(self, *r)
+
+    monkeypatch.setattr(type(xi.uniform), "__call__", counting)
+    got = evolve(xi_law(xi), h, state, 0.7).state
+    scaled = BlochHamiltonian(dims, 0.0, h.h1, h.h2, c * h.h12)
+    assert coord_distance(got, evolve(linear_law(), scaled, state, 0.7).state) <= 1e-12
+    field = _flat(vector_field(xi_law(xi), h, state))
+    if c == 1.0:  # bit for bit the linear law's, field and trajectory
+        np.testing.assert_array_equal(field, _flat(vector_field(linear_law(), h, state)))
+        linear = evolve(linear_law(), h, state, 0.7).state
+        np.testing.assert_array_equal(pack_coords(got), pack_coords(linear))
+    # the compiled field never calls the weight; its indexed form calls it once
+    # per family with tuples (a qubit pair's bilinear family has none)
+    assert calls == []
+    indexed = _flat(vector_field(xi_law(xi.as_indexed()), h, state))
+    assert len(calls) == (4 if dims == (2, 2) else 5)
+    assert np.max(np.abs(indexed - field)) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", [
+    XiFunctions(uniform=lambda r1, r2, r12: float("nan")),
+    XiFunctions.constant(math.nan),
+    XiFunctions.constant(math.inf),
+    XiFunctions.constant(-math.inf),
+], ids=["nan", "constant-nan", "constant-inf", "constant-minus-inf"])
+def test_nonfinite_weight_raises(xi):
+    law = xi_law(xi)
+    value = xi.uniform(None, None, None)  # each of these ignores the state
+    message = re.escape(f"weight evaluated to non-finite value {value!r}")
     rng = np.random.default_rng(9)
     h = random_hamiltonian(rng, (2, 2), interaction=True)
     state = random_interior_joint(rng, (2, 2))
-    with pytest.raises(NonlinearityEvaluationError):
+    with pytest.raises(NonlinearityEvaluationError, match=message):
         vector_field(law, h, state)
+    with pytest.raises(NonlinearityEvaluationError, match=message):
+        evolve(law, h, state, 0.5)
+    # with h12 = 0 the weight is never evaluated: the law is the linear law
+    free = h.interaction_free()
+    np.testing.assert_array_equal(_flat(vector_field(law, free, state)),
+                                  _flat(vector_field(linear_law(), free, state)))
+    got, linear = (evolve(a, free, state, 0.5).state for a in (law, linear_law()))
+    np.testing.assert_array_equal(pack_coords(got), pack_coords(linear))
 
 
 def test_nonfinite_indexed_weight_raises_for_the_first_in_call_order():
