@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, UnphysicalStateError
-from .su_basis import GeneratorSet, _readonly
+from .su_basis import GeneratorSet, _check_dim, _readonly
 
 __all__ = [
     "PSD_TOLERANCE",
@@ -75,6 +75,7 @@ class BlochState:
     r: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         object.__setattr__(self, "r", _asvector(self.r, self.dim**2 - 1, "r"))
 
 
@@ -88,8 +89,8 @@ class JointBlochState:
     r12: np.ndarray
 
     def __post_init__(self):
-        n1, n2 = self.dims
-        object.__setattr__(self, "dims", (int(n1), int(n2)))
+        n1, n2 = map(_check_dim, self.dims)
+        object.__setattr__(self, "dims", (n1, n2))
         d1, d2 = n1**2 - 1, n2**2 - 1
         object.__setattr__(self, "r1", _asvector(self.r1, d1, "r1"))
         object.__setattr__(self, "r2", _asvector(self.r2, d2, "r2"))

@@ -449,7 +449,7 @@ def cmd_evolve(args) -> int:
     state0 = _parse_state(_require(cfg, "initial_state", ""), dims, "initial_state")
     times = sorted(_parse_times(cfg.get("times", [0.0, 0.25, 0.5, 0.75, 1.0]), "times"))
     options = _parse_options(cfg.get("integrator"), "integrator", DEFAULT_OPTIONS)
-    if args.check_oracle and law.kind != "linear":
+    if args.check_oracle and law.name != "linear":
         raise ConfigError("law", "--check-oracle requires the linear law")
 
     records = []

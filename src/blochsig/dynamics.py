@@ -1,8 +1,8 @@
 """Joint and reduced Bloch-space dynamics for bipartite systems.
 
 The unitary law ``d(rho)/dt = -i [H, rho]`` acts linearly on the packed
-coordinates (r1, r2, row-major r12).  ``linear`` and ``xi`` laws run one
-route built from the structure constants f and g:
+coordinates (r1, r2, row-major r12).  Every ξ law (``linear`` is the one of
+weight 1) runs one route built from the structure constants f and g:
 ``dx/dt = L_loc x + w(x) L_int x``.  Per coordinate, with local
 coefficients h1/h2, interaction block h12 and summation over repeated
 indices (``L_loc`` holds the h1/h2 terms, ``L_int`` the h12 terms):
@@ -18,13 +18,13 @@ For fixed dims, ``[L_loc; L_int]`` is one fixed, sparse, linear map of the
 coefficients ``(h1, h2, h12)``.  That map is compiled once per dims from f
 and g, so each Hamiltonian costs one scatter of its coefficients; a
 Hamiltonian whose generator is not finite is refused there.
-The weights are 1 for ``linear``, one scalar of the state for a uniform ``xi``
-law, or, for an indexed law, one per (term, interaction element) whose
-unweighted contribution is nonzero, one array per family from one call per
+The weights are one scalar of the state for a uniform ``xi`` law, or, for
+an indexed law, one per (term, interaction element) whose unweighted
+contribution is nonzero, one array per family from one call per
 evaluation: no family is called with ``h12 = 0``, nor bilinear for qubits.
-A constant weight c (:meth:`XiFunctions.constant`, the preset ``one``) is
-compiled with the Hamiltonian into one generator ``L_loc + c L_int``, one
-matrix-vector product per evaluation, as ``linear`` is with c = 1.
+A constant weight c (:meth:`XiFunctions.constant`; the preset ``one`` of
+``linear``) is compiled with the Hamiltonian into one generator
+``L_loc + c L_int``, one matrix-vector product per evaluation.
 Nonconstant weights make the joint flow nonlinear while leaving the
 isolated-subsystem flow untouched — the construction probed by
 :mod:`blochsig.nosignal_audit`.  Every isolated-subsystem flow is one
@@ -76,7 +76,7 @@ from .errors import (
 )
 from .integrate import DEFAULT_OPTIONS, IntegratorOptions, _require_number
 from .sampling import hs_densities
-from .su_basis import cached_basis, cached_constants
+from .su_basis import _check_dim, cached_basis, cached_constants
 
 __all__ = [
     "BlochHamiltonian",
@@ -123,8 +123,8 @@ class BlochHamiltonian:
     h12: np.ndarray | None = None
 
     def __post_init__(self):
-        n1, n2 = self.dims
-        object.__setattr__(self, "dims", (int(n1), int(n2)))
+        n1, n2 = map(_check_dim, self.dims)
+        object.__setattr__(self, "dims", (n1, n2))
         d1, d2 = n1**2 - 1, n2**2 - 1
         object.__setattr__(self, "h0", float(self.h0))
         for name, shape in (("h1", (d1,)), ("h2", (d2,)), ("h12", (d1, d2))):
@@ -172,7 +172,7 @@ def random_hamiltonian(
     interaction: bool = True,
 ) -> BlochHamiltonian:
     """Gaussian random coefficients, optionally with an interaction block."""
-    n1, n2 = dims
+    n1, n2 = map(_check_dim, dims)
     d1, d2 = n1**2 - 1, n2**2 - 1
     h1 = scale * rng.standard_normal(d1)
     h2 = scale * rng.standard_normal(d2)
@@ -270,15 +270,16 @@ def _corrnorm(r1, r2, r12) -> float:
 
 
 XI_PRESETS = {
-    "one": lambda: XiFunctions.constant(1.0, name="one"),
-    "purity1": lambda: XiFunctions(uniform=_purity_first, name="purity1"),
-    "corrnorm": lambda: XiFunctions(uniform=_corrnorm, name="corrnorm"),
+    "one": XiFunctions.constant(1.0, name="one"),
+    "purity1": XiFunctions(uniform=_purity_first, name="purity1"),
+    "corrnorm": XiFunctions(uniform=_corrnorm, name="corrnorm"),
 }
 
 
 def xi_preset(name: str) -> XiFunctions:
+    """The shared, immutable weight ``XI_PRESETS[name]`` (``one``: ``linear_law()``'s)."""
     try:
-        return XI_PRESETS[name]()
+        return XI_PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown weight preset {name!r}; available: {sorted(XI_PRESETS)}"
@@ -293,32 +294,37 @@ def xi_preset(name: str) -> XiFunctions:
 class EvolutionLaw:
     """A rule for the joint flow plus the isolated-subsystem flow it induces.
 
-    ``linear`` and ``xi`` laws derive their reduced flow from the local
-    Hamiltonian (for them it is a state-independent rotation, weights never
-    enter).  ``custom`` laws supply their own callables:
-    ``joint_field_fn(H, r1, r2, r12) -> (dr1, dr2, dr12)`` and
-    ``reduced_field_fn(h_local, r) -> dr``.  The reduced field acts on the
-    last axis, mapping ``(..., d)`` to ``(..., d)``: branch propagation
-    hands it a ``(B, d)`` batch of independent states, complex ones for the
-    audit's complex steps, and building the flow rejects a field that mixes
-    the rows of a batch or is not complex-analytic.
-    """
+    A law is its fields.  A ξ law sets ``xi`` alone (``ValueError`` beside a
+    field, or if not an :class:`XiFunctions`); its reduced flow is the local
+    rotation, and ``linear`` is the ξ law of the constant weight 1.  Other
+    laws run their own ``joint_field_fn(H, r1, r2, r12) -> (dr1, dr2, dr12)``
+    and ``reduced_field_fn(h_local, r) -> dr``, which acts on the last axis,
+    ``(..., d)`` to ``(..., d)``: branch propagation hands it a ``(B, d)``
+    batch of independent states, complex ones for the audit's complex steps,
+    and building the flow rejects a field that mixes the rows of a batch or
+    is not complex-analytic."""
 
-    kind: str
     name: str
     xi: XiFunctions | None = None
     joint_field_fn: Callable | None = None
     reduced_field_fn: Callable | None = None
 
+    def __post_init__(self):
+        if self.xi is not None and not isinstance(self.xi, XiFunctions):
+            raise ValueError(f"law {self.name!r}: xi must be an XiFunctions, got {self.xi!r}")
+        if self.xi is not None and (self.joint_field_fn, self.reduced_field_fn) != (None, None):
+            raise ValueError(f"law {self.name!r} sets xi beside a field of its own")
+
 
 def linear_law() -> EvolutionLaw:
-    return EvolutionLaw(kind="linear", name="linear")
+    """The unitary law: the ξ law of the constant weight 1 (preset ``one``)."""
+    return EvolutionLaw("linear", xi=XI_PRESETS["one"])
 
 
 def xi_law(xi: XiFunctions | str) -> EvolutionLaw:
     if isinstance(xi, str):
         xi = xi_preset(xi)
-    return EvolutionLaw(kind="xi", name=f"xi:{xi.name}", xi=xi)
+    return EvolutionLaw(f"xi:{xi.name}", xi=xi)
 
 
 def custom_law(
@@ -326,7 +332,7 @@ def custom_law(
     reduced_field: Callable | None = None,
     joint_field: Callable | None = None,
 ) -> EvolutionLaw:
-    """A law from its own fields.
+    """A law from its own fields, with no ξ weights.
 
     ``reduced_field(h_local, r)`` must act on the last axis of ``r``,
     ``(..., d) -> (..., d)`` — index the coordinates as ``r[..., k]``, not
@@ -336,9 +342,7 @@ def custom_law(
     ``joint_field(H, r1, r2, r12)`` returns ``(dr1, dr2, dr12)`` for one
     state.
     """
-    return EvolutionLaw(
-        kind="custom", name=name, joint_field_fn=joint_field, reduced_field_fn=reduced_field
-    )
+    return EvolutionLaw(name, joint_field_fn=joint_field, reduced_field_fn=reduced_field)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +548,13 @@ def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarr
 
 
 def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
-    """The law's joint field ``x -> dx/dt`` on packed coordinates; for
-    ``linear`` and ``xi`` laws ``L_loc x + w(x) L_int x``, from one scatter
-    of the Hamiltonian.  A finite constant weight c (1 for ``linear``) is
-    compiled into one generator ``L_loc + c L_int``.  The open interaction
-    tensors are built for indexed weights only."""
+    """The law's joint field ``x -> dx/dt`` on packed coordinates; for a ξ
+    law ``L_loc x + w(x) L_int x``, from one scatter of the Hamiltonian.  A
+    finite constant weight c (1 for ``linear``) is compiled into one
+    generator ``L_loc + c L_int``.  The open interaction tensors are built
+    for indexed weights only."""
     dims = hamiltonian.dims
-    if law.kind == "custom":
+    if law.xi is None:
         if law.joint_field_fn is None:
             raise ValueError(f"law {law.name!r} provides no joint field")
 
@@ -561,16 +565,13 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         return custom
     stacked = _generators(hamiltonian)
     loc, lint = stacked
-    weight = law.xi.uniform if law.kind == "xi" else None
-    # One generator for w = 1, for no interaction, where weights must not even
-    # be evaluated (L_int is then all +0.0, so the sum is L_loc entry for
-    # entry), and for a finite constant; 1.0 * L_int is L_int entry for entry.
-    # A non-finite constant takes the uniform route, which refuses it at its
-    # first evaluation.
-    if law.kind == "linear" or hamiltonian.is_interaction_free:
-        c = 1.0
-    else:
-        c = weight.value if isinstance(weight, _Constant) else math.nan
+    weight = law.xi.uniform
+    # One generator for no interaction, where weights must not even be evaluated
+    # (L_int is then all +0.0, so the sum is L_loc entry for entry), and for a finite
+    # constant; 1.0 * L_int is L_int entry for entry.  A non-finite constant takes
+    # the uniform route, which refuses it at its first evaluation.
+    c = 1.0 if hamiltonian.is_interaction_free else (
+        weight.value if isinstance(weight, _Constant) else math.nan)
     if math.isfinite(c):
         gen = loc + c * lint
         return lambda x: gen @ x
@@ -695,17 +696,17 @@ class ReducedFlow:
     """Propagation of one state ``(d,)`` or a batch of independent states
     ``(B, d)`` under an isolated-subsystem field acting on the last axis.
 
-    A flow with a ``generator`` L (field ``r -> L r``) applies one cached
-    propagator per time and method to the whole batch (``_propagator``):
-    exactly linear in the initial condition, and the same map for every
-    row, which the audit's cancellations rely on.  It builds them from the
-    last time down, and under rk4 every other flow checks the last time's
-    step count first, so a sampling that cannot reach its last time fails
-    there, as a sampling of that time alone does.  Every other flow walks
-    the ascending times once: under rk4 it carries the batch on from the
-    last time when the step grids nest (``integrate.rk4_continues``) and
-    starts again from ``r0`` otherwise, so each sample is the solve from 0
-    bit for bit; under rkf45, whose step is shared by a whole state, it
+    A flow with a ``generator`` L (the field ``r -> L r``) has no ``field``:
+    it applies one cached propagator per time and method to the whole batch
+    (``_propagator``): exactly linear in the initial condition, and the same
+    map for every row, which the audit's cancellations rely on.  It builds
+    them from the last time down, and under rk4 every other flow checks the
+    last time's step count first, so a sampling that cannot reach its last
+    time fails there, as a sampling of that time alone does.  Every other
+    flow walks the ascending times once: under rk4 it carries the batch on
+    from the last time when the step grids nest (``integrate.rk4_continues``)
+    and starts again from ``r0`` otherwise, so each sample is the solve from
+    0 bit for bit; under rkf45, whose step is shared by a whole state, it
     makes one solve per row from 0, and a row it gives up on reads NaN.
     Callers check finiteness; complex states stay complex.  A custom field
     is first probed with two rows: it must not mix a batch's rows, and its
@@ -713,7 +714,7 @@ class ReducedFlow:
     finite (complex-analytic).
     """
 
-    def __init__(self, field: Callable, dim: int, generator: np.ndarray | None = None,
+    def __init__(self, field: Callable | None, dim: int, generator: np.ndarray | None = None,
                  name: str = "custom"):
         self.field = field
         self.generator = generator
@@ -807,12 +808,12 @@ class ReducedFlow:
 def reduced_flow(law: EvolutionLaw, h_local, dim: int) -> ReducedFlow:
     """The shared isolated-subsystem flow a law induces, one per law and
     local Hamiltonian ``h_local`` (``None``: zero) of a ``dim``-level
-    subsystem, so its propagators or its probe are built once; ``linear``
-    and ``xi`` laws, whose weights never enter it, share theirs."""
+    subsystem, so its propagators or its probe are built once; ξ laws
+    (``linear`` among them), whose weights never enter it, share theirs."""
     h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
     if h.shape != (dim**2 - 1,):
         raise DimensionMismatchError(f"local Hamiltonian must have length {dim**2 - 1}")
-    key = None if law.kind in ("linear", "xi") else law
+    key = None if law.xi is not None else law
     return _shared_flow(key, h.tobytes(), dim)
 
 
@@ -822,12 +823,11 @@ def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, dim: int) -> ReducedF
     if law is None:
         generator = reduced_generator(h, dim)
         generator.setflags(write=False)
-        return ReducedFlow(lambda r: generator @ r, dim, generator)
+        return ReducedFlow(None, dim, generator)
     if law.reduced_field_fn is None:
         raise ValueError(f"law {law.name!r} provides no reduced flow")
-    return ReducedFlow(
-        lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=r.dtype), dim, name=law.name
-    )
+    return ReducedFlow(lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=r.dtype), dim,
+                       name=law.name)
 
 
 def reduced_propagator_fit(

@@ -84,6 +84,15 @@ class StructureConstants:
         return self.g + 1j * self.f
 
 
+def _check_dim(dim) -> int:
+    """``dim`` as an ``int``: the dimension of a system, an integer (not a
+    bool) >= 2, or ``InvalidDimensionError``.  Every constructor that takes
+    dims applies it."""
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {dim!r}")
+    return int(dim)
+
+
 def build_generators(dim: int) -> GeneratorSet:
     """Construct the canonical generalized Gell-Mann basis for SU(dim).
 
@@ -91,9 +100,7 @@ def build_generators(dim: int) -> GeneratorSet:
     Gell-Mann matrices at dim = 3.  Raises ``InvalidDimensionError`` for
     dim < 2.
     """
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
-        raise InvalidDimensionError(f"dimension must be >= 2, got {dim!r}")
-    dim = int(dim)
+    dim = _check_dim(dim)
     mats = []
     for k in range(1, dim):
         for j in range(k):

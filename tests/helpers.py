@@ -11,7 +11,7 @@ coordinate or integrator code paths they are used to verify.  The
 reference audit (:func:`reference_audit`) works on density matrices alone:
 it takes complex steps in matrix space, collapses by projector matrices
 and evolves party 1 with the steppers here, reading the law only through
-its public ``kind`` and ``reduced_field_fn`` and the Hamiltonian through
+its public ``xi`` and ``reduced_field_fn`` and the Hamiltonian through
 ``h1``.  No private ``blochsig`` name is imported here.
 """
 
@@ -299,15 +299,15 @@ def _party_one_trace(m, n1, n2):
 
 def _branch_flow(law, hamiltonian, options):
     """``evolve(states, times)``: party 1's states in real form ``(B, 2 n1, 2
-    n1)`` at each time, ``(T, B, 2 n1, 2 n1)``, under the law's reduced flow.  ``linear`` and ``xi`` laws
-    evolve matrices by ``-i [H1, rho]``, with ``H1 = h1 . s``, through one
+    n1)`` at each time, ``(T, B, 2 n1, 2 n1)``, under the law's reduced flow.  ξ laws (``linear``
+    among them) evolve matrices by ``-i [H1, rho]``, with ``H1 = h1 . s``, through one
     shared propagator: the matrix units evolve (under rkf45 as one state)
     and every state is their combination.  Other laws evolve each state's
     coordinates ``r = (n1/2) Tr(rho s)`` by the law's reduced field, each
     row alone."""
     n1 = hamiltonian.dims[0]
     s = real_form(cached_basis(n1).matrices)
-    if law.kind in ("linear", "xi"):
+    if law.xi is not None:
         k = real_form(-1j * np.einsum("a,aij->ij", hamiltonian.h1, cached_basis(n1).matrices))
         units = np.eye(4 * n1 * n1).reshape(-1, 2 * n1, 2 * n1)
 

@@ -264,7 +264,7 @@ def test_criterion_7_t0_universality():
         bs.polesink_law(0.1),
     ]
     for law in laws:
-        h_use = h if law.kind != "custom" else BlochHamiltonian((2, 2))
+        h_use = h if law.xi is not None else BlochHamiltonian((2, 2))
         report = audit(law, h_use, config)
         worst = max(
             worst,

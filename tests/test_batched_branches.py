@@ -835,7 +835,7 @@ def test_a_stepped_call_gives_the_gradient_along_every_coordinate_of_party_two()
                                            locals_)
         # (time, member, local outcome, packed coordinate of party 2: 8 + 3 x 8)
         assert grad.shape == (3, 2, 2, 32) and not failures and weights.shape == (2, 3)
-        assert law.kind == "linear" or np.abs(grad).max() > 1e-3
+        assert law.name == "linear" or np.abs(grad).max() > 1e-3
 
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
@@ -945,7 +945,7 @@ _FIT_CASES = [(law, dims, options) for law in (polesink_law(0.1), linear_law(), 
 
 
 @pytest.mark.parametrize("law, dims, options", _FIT_CASES, ids=[
-    f"{'' if law.kind == 'custom' else law.name + '-'}{dims[0]}x{dims[1]}"
+    f"{'' if law.xi is None else law.name + '-'}{dims[0]}x{dims[1]}"
     f"{'-rkf45' if options.method == 'rkf45' else ''}" for law, dims, options in _FIT_CASES])
 def test_the_audits_linearity_residual_is_the_standalone_fit(law, dims, options):
     # the fit's rows ride in the sweep's batch: after the unit rows under a
@@ -956,7 +956,7 @@ def test_the_audits_linearity_residual_is_the_standalone_fit(law, dims, options)
     report = audit(law, h, config)
     _, residual = reduced_propagator_fit(law, h, max(config.times), config.fit_probes,
                                          _audit_fit_seed(config), options)
-    assert (residual > config.pass_tolerance) == (law.kind == "custom")
+    assert (residual > config.pass_tolerance) == (law.xi is None)
     assert report.linearity_residual.hex() == residual.hex()
 
 

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from blochsig import dynamics
 from blochsig.bloch import (
+    BlochState,
     JointBlochState,
     from_bloch,
     joint_from_bloch,
@@ -40,6 +41,7 @@ from blochsig.dynamics import (
 from blochsig.errors import (
     DimensionMismatchError,
     IntegrationFailureError,
+    InvalidDimensionError,
     NonFiniteGeneratorError,
     NonlinearityEvaluationError,
 )
@@ -102,6 +104,26 @@ def test_hamiltonian_shape_validation():
         BlochHamiltonian((2, 2), h1=np.zeros(8))
     with pytest.raises(DimensionMismatchError):
         hamiltonian_from_matrix(np.eye(5), (2, 2))
+    # numpy integers are dimensions, kept as ints
+    built = [BlochHamiltonian((np.int64(2), np.uint8(3))), JointBlochState(
+        (np.int32(2), 2), np.zeros(3), np.zeros(3), np.zeros((3, 3)))]
+    assert [type(n) for b in built for n in b.dims] == [int] * 4
+    assert type(BlochState(np.int64(3), np.zeros(8)).dim) is int
+
+
+@pytest.mark.parametrize("bad", [1, 0, -1, True, 2.0, 2.5, None], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda n: BlochHamiltonian((n, 2)),
+    lambda n: BlochHamiltonian((3, n)),
+    lambda n: random_hamiltonian(np.random.default_rng(0), (n, 2)),
+    lambda n: BlochState(n, np.zeros(3)),
+    lambda n: JointBlochState((2, n), np.zeros(3), [], np.zeros((3, 0))),
+], ids=["hamiltonian-party-1", "hamiltonian-party-2", "random-hamiltonian", "state",
+        "joint-state"])
+def test_a_dimension_that_is_no_integer_of_at_least_two_is_refused_where_it_is_built(build, bad):
+    # the rule of build_generators, applied before any array is shaped by it
+    with pytest.raises(InvalidDimensionError, match=re.escape(f"must be >= 2, got {bad!r}")):
+        build(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +260,19 @@ def test_a_fit_refuses_probes_or_a_seed_that_is_no_count(probes, seed, message):
 
 
 def test_linear_law_field_equals_unit_weight_field():
+    # linear is the xi law of the shared constant weight 1: same field and
+    # trajectory, bit for bit
+    assert linear_law().xi is xi_preset("one") and linear_law() == linear_law()
     rng = np.random.default_rng(3)
-    h = random_hamiltonian(rng, (2, 3))
-    for _ in range(5):
-        state = random_interior_joint(rng, (2, 3))
-        a = _flat(vector_field(linear_law(), h, state))
-        b = _flat(vector_field(xi_law("one"), h, state))
-        assert np.max(np.abs(a - b)) <= 1e-12
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        h = random_hamiltonian(rng, dims)
+        for _ in range(5):
+            state = random_interior_joint(rng, dims)
+            a = _flat(vector_field(linear_law(), h, state))
+            b = _flat(vector_field(xi_law("one"), h, state))
+            np.testing.assert_array_equal(a, b)
+        a, b = (evolve(law, h, state, 0.7).state for law in (linear_law(), xi_law("one")))
+        np.testing.assert_array_equal(pack_coords(a), pack_coords(b))
 
 
 def _sparse_hamiltonian(rng, dims):
@@ -524,6 +552,25 @@ def test_unknown_preset_rejected():
         xi_preset("unknown")
 
 
+def test_a_law_is_its_fields():
+    assert [f.name for f in fields(EvolutionLaw)] == ["name", "xi", "joint_field_fn",
+                                                       "reduced_field_fn"]
+    field = lambda *args: args[-1]  # noqa: E731
+    # a law's kind is no longer an argument: each of these is refused when built
+    for bad in ({"kind": "xi", "name": "x"}, {"kind": "bogus", "name": "b"},
+                {"kind": "linear", "name": "linear", "joint_field_fn": field}):
+        with pytest.raises(TypeError, match="kind"):
+            EvolutionLaw(**bad)
+    # a xi law sets its weights alone, and they are an XiFunctions
+    with pytest.raises(ValueError, match="xi must be an XiFunctions"):
+        EvolutionLaw("x", xi=lambda *a: 1.0)
+    for own in ({"joint_field_fn": field}, {"reduced_field_fn": field},
+                {"joint_field_fn": field, "reduced_field_fn": field}):
+        with pytest.raises(ValueError, match="sets xi beside a field of its own"):
+            EvolutionLaw("linear", xi=xi_preset("one"), **own)
+    assert xi_law("one").xi is xi_preset("one") and xi_law("one") == xi_law("one")
+
+
 def test_xi_functions_requires_complete_family():
     with pytest.raises(ValueError, match="either `uniform` or all five indexed weights"):
         XiFunctions(xi1=lambda *a: 1.0)
@@ -709,7 +756,6 @@ def test_physicality_is_reported_not_enforced():
     from blochsig.sampling import singlet_state
 
     blow = EvolutionLaw(
-        kind="custom",
         name="inflate",
         joint_field_fn=lambda h, r1, r2, r12: (r1, r2, r12 + 0.5 * np.eye(3)),
     )

@@ -175,7 +175,7 @@ def test_all_sensitivities_vanish_at_t0_for_any_law():
     family = _y_anchor_family()
     local = [computational_observable(2)]
     for law in (linear_law(), xi_law("corrnorm"), polesink_law(0.1)):
-        h_use = h if law.kind != "custom" else BlochHamiltonian((2, 2))
+        h_use = h if law.xi is not None else BlochHamiltonian((2, 2))
         [[[value]]] = d_remote_state(law, h_use, [state], [family.base], local, [0.0], [2])
         assert value <= 1e-10
         [[[value]]] = d_correlations(law, h_use, [state], [family.base], local, [0.0], [(2, 2)])
@@ -330,6 +330,19 @@ def test_audit_is_deterministic_given_seed():
     a = audit(xi_law("purity1"), h, cfg).to_dict()
     b = audit(xi_law("purity1"), h, cfg).to_dict()
     assert a == b
+
+
+def test_every_xi_law_gets_the_linear_report_but_its_name():
+    # the audit reads a law's branch flow alone, and every xi law shares the
+    # linear rotation: its report is linear_law()'s except for `law`
+    h = random_hamiltonian(np.random.default_rng(23), (2, 3), scale=0.6)
+    cfg = AuditConfig(seed=24, ensemble_size=4)
+    linear = audit(linear_law(), h, cfg).to_dict()
+    assert linear.pop("law") == "linear"
+    for law in (xi_law("one"), xi_law("corrnorm"), xi_law("purity1")):
+        report = audit(law, h, cfg).to_dict()
+        assert report.pop("law") == law.name
+        assert report == linear
 
 
 def test_audit_seed_changes_draws_not_verdict():

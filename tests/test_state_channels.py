@@ -80,7 +80,7 @@ def test_complex_steps_match_central_differences_on_interior_members(dims, law, 
                         DEFAULT_BRANCH_OPTIONS)
         expected = [[differences[0, t, d_fn.__name__, label] for t in TIMES] for label in labels]
         np.testing.assert_allclose(values, expected, rtol=0, atol=1e-10)
-        if law.kind == "linear":
+        if law.name == "linear":
             assert max(map(max, values)) <= 1e-14
 
 
