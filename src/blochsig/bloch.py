@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, UnphysicalStateError
-from .su_basis import GeneratorSet, _check_dim, _readonly
+from .su_basis import GeneratorSet, _check_dim, _check_pair, _readonly
 
 __all__ = [
     "PSD_TOLERANCE",
@@ -89,7 +89,7 @@ class JointBlochState:
     r12: np.ndarray
 
     def __post_init__(self):
-        n1, n2 = map(_check_dim, self.dims)
+        n1, n2 = _check_pair(self.dims)
         object.__setattr__(self, "dims", (n1, n2))
         d1, d2 = n1**2 - 1, n2**2 - 1
         object.__setattr__(self, "r1", _asvector(self.r1, d1, "r1"))

@@ -76,7 +76,7 @@ from .errors import (
 )
 from .integrate import DEFAULT_OPTIONS, IntegratorOptions, _require_number
 from .sampling import hs_densities
-from .su_basis import _check_dim, cached_basis, cached_constants
+from .su_basis import _check_pair, cached_basis, cached_constants
 
 __all__ = [
     "BlochHamiltonian",
@@ -123,7 +123,7 @@ class BlochHamiltonian:
     h12: np.ndarray | None = None
 
     def __post_init__(self):
-        n1, n2 = map(_check_dim, self.dims)
+        n1, n2 = _check_pair(self.dims)
         object.__setattr__(self, "dims", (n1, n2))
         d1, d2 = n1**2 - 1, n2**2 - 1
         object.__setattr__(self, "h0", float(self.h0))
@@ -172,7 +172,7 @@ def random_hamiltonian(
     interaction: bool = True,
 ) -> BlochHamiltonian:
     """Gaussian random coefficients, optionally with an interaction block."""
-    n1, n2 = map(_check_dim, dims)
+    n1, n2 = _check_pair(dims)
     d1, d2 = n1**2 - 1, n2**2 - 1
     h1 = scale * rng.standard_normal(d1)
     h2 = scale * rng.standard_normal(d2)
@@ -535,7 +535,7 @@ def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarr
         r = x[s1], x[s2], x[s12].reshape(shape)
         for family, weight, at, args in calls:
             value = weight(*args, *r)
-            if np.shape(value) not in ((), args[0].shape):
+            if type(value) is not float and np.shape(value) not in ((), args[0].shape):
                 raise NonlinearityEvaluationError(f"weight {family} returned shape "
                                                   f"{np.shape(value)}, not () or {args[0].shape}")
             w[at] = value
@@ -547,12 +547,14 @@ def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarr
     return indexed
 
 
-def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
-    """The law's joint field ``x -> dx/dt`` on packed coordinates; for a ξ
-    law ``L_loc x + w(x) L_int x``, from one scatter of the Hamiltonian.  A
-    finite constant weight c (1 for ``linear``) is compiled into one
-    generator ``L_loc + c L_int``.  The open interaction tensors are built
-    for indexed weights only."""
+def _flat_field(law: EvolutionLaw,
+                hamiltonian: BlochHamiltonian) -> tuple[Callable, np.ndarray | None]:
+    """The law's joint field ``x -> dx/dt`` on packed coordinates and, when
+    that field is one generator G (``x -> G x``), G; else ``None``.  For a ξ
+    law the field is ``L_loc x + w(x) L_int x``, from one scatter of the
+    Hamiltonian, and a finite constant weight c (1 for ``linear``) is
+    compiled into G = ``L_loc + c L_int``.  The open interaction tensors are
+    built for indexed weights only."""
     dims = hamiltonian.dims
     if law.xi is None:
         if law.joint_field_fn is None:
@@ -562,7 +564,7 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
             parts = law.joint_field_fn(hamiltonian, *_split(x, dims))
             return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
-        return custom
+        return custom, None
     stacked = _generators(hamiltonian)
     loc, lint = stacked
     weight = law.xi.uniform
@@ -574,9 +576,9 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
         weight.value if isinstance(weight, _Constant) else math.nan)
     if math.isfinite(c):
         gen = loc + c * lint
-        return lambda x: gen @ x
+        return (lambda x: gen @ x), gen
     if weight is None:
-        return _indexed_field(hamiltonian, law.xi, loc)
+        return _indexed_field(hamiltonian, law.xi, loc), None
     s1, s2, s12 = _blocks(*dims)
     shape = (s1.stop, s2.stop - s1.stop)
     both = stacked.reshape(2 * len(loc), len(loc))  # one product gives L_loc x and L_int x
@@ -584,9 +586,15 @@ def _flat_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> Callable:
 
     def uniform(x):
         y = both @ x
-        return y[:size] + _is_finite(weight(x[s1], x[s2], x[s12].reshape(shape))) * y[size:]
+        w = weight(x[s1], x[s2], x[s12].reshape(shape))
+        if type(w) is not float or not math.isfinite(w):
+            w = _is_finite(w)
+        weighted = y[size:]  # L_int x, weighted in place, plus L_loc x
+        weighted *= w
+        weighted += y[:size]
+        return weighted
 
-    return uniform
+    return uniform, None
 
 
 def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointBlochState):
@@ -595,7 +603,8 @@ def vector_field(law: EvolutionLaw, hamiltonian: BlochHamiltonian, state: JointB
         raise DimensionMismatchError(
             f"state dims {state.dims} != Hamiltonian dims {hamiltonian.dims}"
         )
-    return _split(_flat_field(law, hamiltonian)(pack_coords(state)), state.dims)
+    field, _ = _flat_field(law, hamiltonian)
+    return _split(field(pack_coords(state)), state.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -642,20 +651,22 @@ def evolve_path(
     times,
     options: IntegratorOptions | None = None,
 ) -> list[tuple[float, EvolutionResult]]:
-    """Sample the trajectory at ascending times (one continuous integration)."""
+    """Sample the trajectory at ascending times (one continuous integration;
+    a field that is one generator takes ``integrate.solve_linear``)."""
     times = _ascending(times)
     if state0.dims != hamiltonian.dims:
         raise DimensionMismatchError(
             f"state dims {state0.dims} != Hamiltonian dims {hamiltonian.dims}"
         )
     options = options or DEFAULT_OPTIONS
-    field = _flat_field(law, hamiltonian)
+    field, generator = _flat_field(law, hamiltonian)
     out = []
     current = pack_coords(state0)
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            current = integrate.solve(field, current, t - t_prev, options)
+            current = (integrate.solve(field, current, t - t_prev, options) if generator is None
+                       else integrate.solve_linear(generator, current, t - t_prev, options))
             if not np.isfinite(current).all():
                 raise _not_finite(options, t)
             t_prev = t
@@ -782,13 +793,11 @@ class ReducedFlow:
     def _propagator(self, t: float, options: IntegratorOptions) -> np.ndarray:
         """The read-only propagator to time t of a flow with a generator,
         built once per (t, options): under rk4 the n-th power of the exact
-        rk4 step map, under rkf45 one solve of the flattened identity.
+        rk4 step map, under rkf45 one linear solve of the identity.
         Raises ``IntegrationFailureError`` when it is not finite."""
         d = self.generator.shape[0]
         if options.method == "rkf45":
-            power = integrate.solve(
-                lambda y: (self.generator @ y.reshape(d, d)).ravel(), np.eye(d).ravel(), t, options
-            ).reshape(d, d)
+            power = integrate.solve_linear(self.generator, np.eye(d), t, options)
         else:
             n, h = integrate.rk4_grid(t, options)
             with np.errstate(over="ignore", invalid="ignore"):

@@ -93,6 +93,16 @@ def _check_dim(dim) -> int:
     return int(dim)
 
 
+def _check_pair(dims) -> tuple[int, int]:
+    """``dims`` as a pair of ``int`` dimensions (:func:`_check_dim` each), or
+    ``InvalidDimensionError`` naming ``dims`` when it is no pair."""
+    try:
+        n1, n2 = dims
+    except (TypeError, ValueError):
+        raise InvalidDimensionError(f"dims must be a pair of dimensions, got {dims!r}") from None
+    return _check_dim(n1), _check_dim(n2)
+
+
 def build_generators(dim: int) -> GeneratorSet:
     """Construct the canonical generalized Gell-Mann basis for SU(dim).
 

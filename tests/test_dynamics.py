@@ -126,6 +126,20 @@ def test_a_dimension_that_is_no_integer_of_at_least_two_is_refused_where_it_is_b
         build(bad)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2,), (), 2, None], ids=repr)
+@pytest.mark.parametrize("build", [
+    BlochHamiltonian,
+    lambda dims: random_hamiltonian(np.random.default_rng(0), dims),
+    lambda dims: JointBlochState(dims, np.zeros(3), np.zeros(3), np.zeros((3, 3))),
+], ids=["hamiltonian", "random-hamiltonian", "joint-state"])
+def test_dims_that_are_no_pair_are_refused_by_name(build, dims):
+    # Python's own unpacking errors used to escape: "too many values to unpack"
+    # for (2, 2, 2), "not enough values" for (2,), "not iterable" for 2
+    with pytest.raises(InvalidDimensionError,
+                       match=re.escape(f"dims must be a pair of dimensions, got {dims!r}")):
+        build(dims)
+
+
 # ---------------------------------------------------------------------------
 # Linear generator (commutator route)
 

@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from blochsig import integrate
 from blochsig.dynamics import (
     BlochHamiltonian,
+    XiFunctions,
     _flat_field,
     custom_law,
     evolve,
+    linear_law,
     pack_coords,
     random_hamiltonian,
+    reduced_generator,
     xi_law,
     xi_preset,
 )
 from blochsig.errors import IntegrationFailureError
-from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions, solve
+from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions, solve, solve_linear
 from blochsig.sampling import random_interior_joint, singlet_state
 
 from helpers import reference_rkf45
@@ -139,14 +143,16 @@ def test_rkf45_takes_a_span_shorter_than_its_step_floor():
 def _xi_corrnorm_3x3():
     rng = np.random.default_rng(31)
     h = random_hamiltonian(rng, (3, 3))
-    return _flat_field(xi_law("corrnorm"), h), pack_coords(random_interior_joint(rng, (3, 3))), 0.8
+    field, _ = _flat_field(xi_law("corrnorm"), h)
+    return field, pack_coords(random_interior_joint(rng, (3, 3))), 0.8
 
 
 def _xi_corrnorm_indexed_2x2():
     rng = np.random.default_rng(32)
     h = random_hamiltonian(rng, (2, 2))
     law = xi_law(xi_preset("corrnorm").as_indexed())
-    return _flat_field(law, h), pack_coords(random_interior_joint(rng, (2, 2))), 0.6
+    field, _ = _flat_field(law, h)
+    return field, pack_coords(random_interior_joint(rng, (2, 2))), 0.6
 
 
 def _stiff_decay():
@@ -179,6 +185,128 @@ def test_rkf45_takes_the_steps_of_the_per_stage_reference(problem):
     ref = reference_rkf45(counting("reference"), y0, t, opts)
     assert counts["solve"] == counts["reference"] > 6
     assert np.max(np.abs(y - ref)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# The linear route: Fehlberg's pair as a polynomial in z = hG
+
+
+def test_the_linear_coefficients_are_the_tableaus_stability_polynomials():
+    # h k_s = z u_s(z) y, where stage s's input is u_s(z) y: u_0 = 1 and
+    # u_s = 1 + sum_j a_sj z u_j; y5 and h err are rows 5 and 6 of the same
+    # recursion.  A polynomial is its 7 coefficients from z^0 up.
+    def times_z(poly):
+        assert poly[-1] == 0.0  # no stage reaches degree 7
+        return np.concatenate(([0.0], poly[:-1]))
+
+    def combine(row, z_u):
+        return row[0] * np.eye(7)[0] + sum(a * zu for a, zu in zip(row[1:], z_u))
+
+    tableau = integrate._TABLEAU
+    z_u = [times_z(np.eye(7)[0])]  # stage 0's input is the state: u_0 = 1
+    for row in tableau[:5]:  # the inputs of stages 1 ... 5
+        z_u.append(times_z(combine(row, z_u)))
+    derived = [combine(row, z_u) for row in tableau[5:]]
+    closed = [[1, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 2080], [0, 0, 0, 0, 0, -1 / 780, 1 / 2080]]
+    np.testing.assert_allclose(derived, closed, rtol=1e-14, atol=1e-16)
+    np.testing.assert_array_equal(integrate._LINEAR, closed)
+
+
+def _generator(dims, weight):
+    h = random_hamiltonian(np.random.default_rng(sum(dims) + 17), dims)
+    law = linear_law() if weight == 1.0 else xi_law(XiFunctions.constant(weight))
+    _, generator = _flat_field(law, h)
+    assert generator is not None
+    return generator
+
+
+def _trial_steps(generator, y0, t, options):
+    calls = []
+
+    def field(y):
+        calls.append(1)
+        return generator @ y
+
+    reference_rkf45(field, y0, t, options)
+    assert len(calls) % 6 == 0
+    return len(calls) // 6
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=lambda d: "%dx%d" % d)
+@pytest.mark.parametrize("weight", [1.0, 0.37])
+@pytest.mark.parametrize("complex_row", [False, True], ids=["real", "complex"])
+def test_the_linear_route_takes_the_steps_of_the_per_stage_reference(dims, weight, complex_row):
+    generator = _generator(dims, weight)
+    y0 = np.linspace(-0.5, 0.6, len(generator))
+    if complex_row:
+        y0 = y0 + 1e-3j * np.cos(np.arange(len(generator)))
+    t, options = 1.3, IntegratorOptions(method="rkf45")
+    y = solve_linear(generator, y0, t, options)
+    assert y.dtype == y0.dtype
+    assert np.max(np.abs(y - reference_rkf45(lambda v: generator @ v, y0, t, options))) <= 1e-13
+    # the smallest step budget that suffices is the same on both routes: one
+    # loop pass per trial step, and one more that finds the span done
+    trials = _trial_steps(generator, y0, t, options)
+    assert trials > 3
+    for route in (lambda o: solve_linear(generator, y0, t, o),
+                  lambda o: solve(lambda v: generator @ v, y0, t, o)):
+        route(IntegratorOptions(method="rkf45", max_steps=trials + 1))
+        with pytest.raises(IntegrationFailureError, match=f"max_steps={trials} exceeded"):
+            route(IntegratorOptions(method="rkf45", max_steps=trials))
+
+
+def _failure(run):
+    with pytest.raises(IntegrationFailureError) as info:
+        run()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", ["nan-start", "h1-1e20", "h1-1e150", "max-steps"])
+def test_the_linear_route_fails_as_the_stage_route_does(case):
+    scale = {"h1-1e20": 1e20, "h1-1e150": 1e150}.get(case, 1.0)
+    h = BlochHamiltonian((2, 2), h1=[scale, 0.3 * scale, 0.0], h12=0.2 * np.eye(3))
+    _, generator = _flat_field(linear_law(), h)
+    y0 = np.full(15, np.nan) if case == "nan-start" else np.linspace(-0.3, 0.3, 15)
+    options = IntegratorOptions(method="rkf45", max_steps=5 if case == "max-steps" else 200_000)
+    linear = _failure(lambda: solve_linear(generator, y0, 1.0, options))
+    assert linear == _failure(lambda: solve(lambda v: generator @ v, y0, 1.0, options))
+    expected = ("max_steps=5 exceeded at t=" if case == "max-steps"
+                else "step size underflow at t=0 (h=2.621e-15)")
+    assert linear.startswith(expected)
+
+
+def test_a_matrix_state_is_one_state_whose_columns_the_generator_acts_on():
+    # the rkf45 propagator of a reduced flow: the identity as one (d, d)
+    # state, stepped as its flattened row under the field G Y
+    generator = reduced_generator(np.random.default_rng(41).standard_normal(8), 3)
+    eye = np.eye(8)
+    flat = solve(lambda y: (generator @ y.reshape(8, 8)).ravel(), eye.ravel(), 2.0,
+                 IntegratorOptions(method="rkf45"))
+    power = solve_linear(generator, eye, 2.0, IntegratorOptions(method="rkf45"))
+    assert power.shape == (8, 8)
+    assert np.max(np.abs(power - flat.reshape(8, 8))) <= 1e-13
+    np.testing.assert_array_equal(eye, np.eye(8))
+    assert not np.shares_memory(power, eye)
+
+
+def test_under_rk4_the_linear_route_is_the_stage_route_bit_for_bit():
+    generator, options = _generator((2, 3), 0.37), IntegratorOptions(method="rk4", step=0.05)
+    y0 = np.linspace(-0.5, 0.6, len(generator))
+    np.testing.assert_array_equal(solve_linear(generator, y0, 1.3, options),
+                                  solve(lambda v: generator @ v, y0, 1.3, options))
+
+
+def test_the_linear_route_checks_its_span_and_shapes():
+    generator = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="integration time must be finite"):
+        solve_linear(generator, np.ones(2), math.inf)
+    for bad in (np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="does not act on a state"):
+            solve_linear(generator, bad, 1.0)
+    y0 = np.array([1.0, 0.0])
+    y = solve_linear(generator, y0, 0.0)
+    np.testing.assert_array_equal(y, y0)
+    assert y is not y0
 
 
 @pytest.mark.parametrize("method, y0", [
