@@ -160,7 +160,7 @@ def from_bloch(state: BlochState, basis: GeneratorSet, *, check: bool = True) ->
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite matrix; ``keep`` is 1 or 2."""
-    n1, n2 = dims
+    n1, n2 = _check_pair(dims)
     rho4 = np.asarray(rho).reshape(n1, n2, n1, n2)
     if keep == 1:
         return np.einsum("abcb->ac", rho4)

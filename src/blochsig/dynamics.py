@@ -151,7 +151,7 @@ class BlochHamiltonian:
 
 def hamiltonian_from_matrix(h: np.ndarray, dims: tuple[int, int]) -> BlochHamiltonian:
     """Project a finite Hermitian matrix onto its coefficient form."""
-    n1, n2 = dims
+    dims = n1, n2 = _check_pair(dims)
     h = np.asarray(h, dtype=complex)
     if h.shape != (n1 * n2, n1 * n2):
         raise DimensionMismatchError(f"matrix must be {(n1 * n2, n1 * n2)}, got {h.shape}")
@@ -261,7 +261,7 @@ class XiFunctions:
 
 
 def _purity_first(r1, r2, r12) -> float:
-    n1 = round(math.sqrt(len(r1) + 1))
+    n1 = math.isqrt(len(r1) + 1)
     return (1.0 + 2.0 * float(r1 @ r1) / n1) / n1
 
 
@@ -375,9 +375,11 @@ class _Term(NamedTuple):
     where its coefficients go.  With the block in its place, contracting
     over ``subscripts`` into ``out + state`` gives the term's part of
     ``L_loc`` or, for an interaction term (``family`` set), of ``L_int``.  An
-    interaction term's products, grouped by their ``out + open`` indices,
-    are its weight tuples: one call ``getattr(xi, family)(*out, *open, r1,
-    r2, r12)`` per evaluation takes them all as index arrays.
+    interaction term's entry has the weight tuple of the ``out`` indices of
+    its row and the ``open`` indices of the ``h12`` element it scales (``a``
+    its row, ``b`` its column): one call ``getattr(xi, family)(*out, *open,
+    r1, r2, r12)`` per evaluation takes a term's tuples as index arrays
+    (:func:`_indexed_field`).
     """
 
     family: str | None
@@ -413,13 +415,12 @@ def _terms(n1: int, n2: int) -> tuple[_Term, ...]:
     )
 
 
-def _term_entries(term: _Term, blocks: dict) -> tuple[Callable, dict, np.ndarray, np.ndarray]:
+def _term_entries(term: _Term, blocks: dict) -> tuple[Callable, np.ndarray, np.ndarray]:
     """The nonzero products of a term's operands, before any sum: a function
-    of letters (and a start) giving their row-major flat positions, each
-    letter's extent, the flat coefficient of the block each scales, and the
-    values (``factor`` included).  The Hamiltonian block constrains nothing,
-    so it only adds its letters that no other operand binds, each over its
-    whole range."""
+    of letters (and a start) giving their row-major flat positions, the flat
+    coefficient of the block each scales, and the values (``factor``
+    included).  The Hamiltonian block constrains nothing, so it only adds
+    its letters that no other operand binds, each over its whole range."""
     index, extent, value = {}, {}, np.array([term.factor])
     pairs = zip(term.subscripts.split(","), term.operands)
     for letters, op in sorted(pairs, key=lambda pair: isinstance(pair[1], str)):
@@ -443,22 +444,23 @@ def _term_entries(term: _Term, blocks: dict) -> tuple[Callable, dict, np.ndarray
     def flat(letters, start=0):
         return start + np.ravel_multi_index([index[c] for c in letters], [extent[c] for c in letters])
 
-    return flat, extent, flat(*block), value
+    return flat, flat(*block), value
 
 
 @lru_cache(maxsize=16)
-def _generator_map(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _generator_map(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """The sparse linear map from packed Hamiltonian coefficients
     ``(h1, h2, h12)`` to the stacked ``[L_loc; L_int]``: flat positions in
     the ``(2, size, size)`` stack, the coefficient each entry scales, and its
     factor, one entry per nonzero product of a term (the scatter sums the
-    entries that share a position)."""
+    entries that share a position); then where each term's entries end, after
+    a leading 0 (term k holds entries ``ends[k]:ends[k + 1]``)."""
     s1, s2, s12 = _blocks(*dims)
     d1, d2, size = s1.stop, s2.stop - s1.stop, s12.stop
     blocks = {"h1": (s1.start, (d1,)), "h2": (s2.start, (d2,)), "h12": (s12.start, (d1, d2))}
     positions, coefficients, values = [], [], []
     for t in _terms(*dims):
-        flat, _, coefficient, value = _term_entries(t, blocks)
+        flat, coefficient, value = _term_entries(t, blocks)
         row, col = flat(t.out, t.out_block.start), flat(t.state, t.state_block.start)
         positions.append(((t.family is not None) * size + row) * size + col)
         coefficients.append(coefficient)
@@ -466,35 +468,14 @@ def _generator_map(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.nd
     out = tuple(np.concatenate(parts) for parts in (positions, coefficients, values))
     for a in out:
         a.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _open_terms(dims: tuple[int, int]) -> tuple:
-    """Per interaction term: its family, the shape of its weight tuples
-    (``out + open``), and its products summed per (tuple, state column) in
-    that order — each entry's flat tuple and packed column, the flat ``h12``
-    element it scales (one per tuple), its packed row and its value.
-    ``argsort`` groups them, as a first ``np.unique`` costs ~1.6 MB of RSS."""
-    s1, s2, s12 = _blocks(*dims)
-    out = []
-    for t in _terms(*dims)[4:]:
-        flat, extent, element, value = _term_entries(t, {"h12": (0, (s1.stop, s2.stop - s1.stop))})
-        key = flat(t.out + t.open) * s12.stop + flat(t.state, t.state_block.start)
-        order = np.argsort(key, kind="stable")
-        first = np.flatnonzero(np.diff(key[order], prepend=-1))
-        at = order[first]  # one product stands for each entry
-        out.append((t.family, tuple(extent[c] for c in t.out + t.open), *np.divmod(key[at], s12.stop),
-                    element[at], flat(t.out, t.out_block.start)[at],
-                    np.add.reduceat(value[order], first)))
-    return tuple(out)
+    return (*out, tuple(np.cumsum([0, *map(len, values)]).tolist()))
 
 
 def _generators(hamiltonian: BlochHamiltonian) -> np.ndarray:
     """The stacked ``[L_loc; L_int]`` (shape ``(2, size, size)``) of a
     Hamiltonian: one scatter of its coefficients through the map of its
     dims.  Refuses a Hamiltonian whose generator is not finite."""
-    position, coefficient, value = _generator_map(hamiltonian.dims)
+    position, coefficient, value, _ = _generator_map(hamiltonian.dims)
     c = _pack(hamiltonian.h1, hamiltonian.h2, hamiltonian.h12)
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = np.bincount(position, weights=value * c[coefficient], minlength=2 * c.size**2)
@@ -511,25 +492,42 @@ def _require_finite(generator: np.ndarray, what: str, coefficients: np.ndarray) 
 
 
 def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarray) -> Callable:
-    """``L_loc x`` plus the indexed weights' interaction terms.  Each family
-    is one call over its tuples whose unweighted contribution is nonzero
-    (entries that are exact zeros are dropped), filling its slice of the
-    weights ``w``; each entry adds ``w[slot] * value * x[col]`` to its row."""
-    calls, parts, start = [], [], 0
-    for family, shape, tuples, col, element, row, value in _open_terms(hamiltonian.dims):
-        value = value * hamiltonian.h12.ravel()[element]
-        kept = np.flatnonzero(value)
-        new = np.diff(tuples[kept], prepend=-1) != 0  # each tuple's first kept entry
-        if kept.size:  # a family with no kept entry is never called
-            args = np.unravel_index(tuples[kept][new], shape)
+    """``L_loc x`` plus the indexed weights' interaction terms, read from the
+    scatter map's ``L_int`` entries that are not exact zeros.  An entry's
+    weight tuple is the ``out`` indices of its row, then the ``open`` indices
+    of its ``h12`` element; every other letter of the element is an ``out``
+    letter, so (row, element) orders the tuples.  Each family is one call over
+    its tuples in ascending order, filling its slice of the weights ``w``;
+    each entry adds ``w[slot] * value * x[col]`` to its row."""
+    dims = hamiltonian.dims
+    position, coefficient, value, ends = _generator_map(dims)
+    s1, s2, s12 = _blocks(*dims)
+    shape, size, h12 = (s1.stop, s2.stop - s1.stop), s12.stop, hamiltonian.h12.ravel()
+    start = ends[4]  # the interaction terms' entries, term by term
+    grid = (len(_FAMILIES), size, h12.size)  # a tuple's (term, row, element)
+    element = coefficient[start:] - s12.start
+    values = value[start:] * h12[element]
+    kept = np.flatnonzero(values)
+    rows, cols = np.divmod(position[start:][kept] - size * size, size)  # L_int follows L_loc
+    term = np.searchsorted(ends[5:], start + kept, side="right")
+    tuples = np.ravel_multi_index((term, rows, element[kept]), grid)
+    # the bincount's order (term, tuple, column); argsort, as np.unique costs ~0.6 MB of RSS
+    order = np.argsort(tuples * size + cols, kind="stable")
+    rows, cols, values, tuples = rows[order], cols[order], values[kept[order]], tuples[order]
+    new = np.diff(tuples, prepend=-1) != 0  # each tuple's first entry
+    slot = np.cumsum(new) - 1
+    term, row, element = np.unravel_index(tuples[new], grid)  # per tuple
+    bounds = np.searchsorted(term, range(len(_FAMILIES) + 1))  # where each term's tuples start
+    calls, w = [], np.empty(len(term))
+    for t, lo, hi in zip(_terms(*dims)[4:], bounds, bounds[1:]):
+        if hi > lo:  # a family with no kept entry is never called
+            held = dict(zip("ab", np.unravel_index(element[lo:hi], shape)))  # h12[a, b]
+            out = shape if len(t.out) == 2 else (t.out_block.stop - t.out_block.start,)
+            args = (*np.unravel_index(row[lo:hi] - t.out_block.start, out),
+                    *(held[c] for c in t.open))
             for a in args:
                 a.setflags(write=False)
-            calls.append((family, getattr(xi, family), slice(start, start + len(args[0])), args))
-        parts.append((start + np.cumsum(new) - 1, row[kept], col[kept], value[kept]))
-        start += np.count_nonzero(new)
-    w, (slot, rows, cols, values) = np.empty(start), (np.concatenate(a) for a in zip(*parts))
-    s1, s2, s12 = _blocks(*hamiltonian.dims)
-    shape = (s1.stop, s2.stop - s1.stop)
+            calls.append((t.family, getattr(xi, t.family), slice(lo, hi), args))
 
     def indexed(x):
         r = x[s1], x[s2], x[s12].reshape(shape)
@@ -553,8 +551,8 @@ def _flat_field(law: EvolutionLaw,
     that field is one generator G (``x -> G x``), G; else ``None``.  For a ξ
     law the field is ``L_loc x + w(x) L_int x``, from one scatter of the
     Hamiltonian, and a finite constant weight c (1 for ``linear``) is
-    compiled into G = ``L_loc + c L_int``.  The open interaction tensors are
-    built for indexed weights only."""
+    compiled into G = ``L_loc + c L_int``.  Indexed weights read the same
+    scatter map's interaction entries (:func:`_indexed_field`)."""
     dims = hamiltonian.dims
     if law.xi is None:
         if law.joint_field_fn is None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bloch import JointBlochState, joint_to_bloch
-from .su_basis import cached_basis
+from .su_basis import _check_pair, cached_basis
 
 __all__ = [
     "hs_densities",
@@ -116,7 +116,7 @@ def maximally_entangled_density(n: int) -> np.ndarray:
 
 def interior_joint_state(rho: np.ndarray, dims: tuple[int, int], mix: float) -> JointBlochState:
     """Shrink a joint density matrix toward maximal mixedness and convert."""
-    n1, n2 = dims
+    n1, n2 = _check_pair(dims)
     nn = n1 * n2
     smoothed = (1.0 - mix) * np.asarray(rho) + mix * np.eye(nn) / nn
     return joint_to_bloch(smoothed, cached_basis(n1), cached_basis(n2))
@@ -127,4 +127,5 @@ def random_interior_joint(
 ) -> JointBlochState:
     """Hilbert-Schmidt random joint state, mixed with the maximally mixed
     state by ``mix`` as :func:`interior_joint_state` does."""
-    return interior_joint_state(random_density(rng, dims[0] * dims[1]), dims, mix)
+    n1, n2 = _check_pair(dims)
+    return interior_joint_state(random_density(rng, n1 * n2), (n1, n2), mix)

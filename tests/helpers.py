@@ -4,7 +4,9 @@ cross-check the field's weight arrays, per-stage RKF45 and RK4 steppers used
 to cross-check the integrator, the reference audit used to cross-check the
 audit's channels, the audit's ensemble and fit probes drawn and converted
 one object at a time, the oracles of their one-block draws, and the audit
-report read off a table of its outcomes, the oracle of the audit's one walk.
+report read off a table of its outcomes, the oracle of the audit's one walk;
+also the laws that the audit passes though they signal or leave the state
+space, the controls of ``test_blind_spots.py``.
 
 The oracles and the steppers work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify.  The
@@ -36,6 +38,7 @@ from blochsig.nosignal_audit import (
     d_correlations,
     d_remote_observable,
     d_remote_state,
+    polesink_law,
 )
 from blochsig.sampling import (
     interior_joint_state,
@@ -134,6 +137,55 @@ def tilted_xi():
         xi12_local2=lambda p, q, b, r1, r2, r12: 1.0 + 0.5 * float(r1 @ r1),
         name="tilted",
     )
+
+
+def corr_drift_law():
+    """A joint law that signals through the correlations (ROADMAP item 3):
+    ``dr1[0] = 0.3 tanh(r12[0] @ r2)`` and nothing else moves, beside a zero
+    reduced field.  After a remote collapse ``r12 = r1 r2^T``, so each
+    branch drifts by ``tanh`` of its own ``r1[0]``, and party 1's average
+    depends on which decomposition party 2's measurement prepared."""
+    def joint(hamiltonian, r1, r2, r12):
+        dr1 = np.zeros_like(r1)
+        dr1[0] = 0.3 * np.tanh(r12[0] @ r2)
+        return dr1, np.zeros_like(r2), np.zeros_like(r12)
+
+    return custom_law("corr-drift", reduced_field=lambda h_local, r: np.zeros_like(r),
+                      joint_field=joint)
+
+
+def qutrit_sink_law(epsilon=0.1):
+    """Polesink's drift on every qutrit and none on a qubit, in both fields
+    (ROADMAP item 21): at dims (3, 2) party 1 drifts, at (2, 3) only party 2
+    does."""
+    sink = polesink_law(epsilon).reduced_field_fn
+
+    def reduced(h_local, r):
+        r = np.asarray(r)
+        return sink(h_local, r) if r.shape[-1] == 8 else np.zeros_like(r)
+
+    def joint(hamiltonian, r1, r2, r12):
+        return reduced(None, r1), reduced(None, r2), np.zeros_like(r12)
+
+    return custom_law(f"qutrit-sink(eps={epsilon:g})", reduced_field=reduced, joint_field=joint)
+
+
+def hidden_law(theta):
+    """Polesink's drift switched on only near the pure states (ROADMAP item
+    10): ``where(Re s > theta, 0.5 (s - theta)^2, 0) (e - r_last r)`` with
+    ``s = sum r_k^2`` (complex-analytic) and ``e`` the last axis, applied to
+    r1 and r2 with r12 frozen."""
+    def reduced(h_local, r):
+        r = np.asarray(r)
+        s = np.sum(r * r, axis=-1, keepdims=True)
+        e = np.zeros(r.shape[-1])
+        e[-1] = 1.0
+        return np.where(s.real > theta, 0.5 * (s - theta) ** 2, 0.0) * (e - r[..., -1:] * r)
+
+    def joint(hamiltonian, r1, r2, r12):
+        return reduced(None, r1), reduced(None, r2), np.zeros_like(r12)
+
+    return custom_law(f"hidden({theta:g})", reduced_field=reduced, joint_field=joint)
 
 
 def reference_indexed_field(xi, hamiltonian, state):

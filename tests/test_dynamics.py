@@ -16,6 +16,7 @@ from blochsig.bloch import (
     from_bloch,
     joint_from_bloch,
     joint_to_bloch,
+    partial_trace,
     purity,
     to_bloch,
 )
@@ -47,7 +48,7 @@ from blochsig.errors import (
 )
 from blochsig.integrate import IntegratorOptions
 from blochsig.nosignal_audit import polesink_law
-from blochsig.sampling import random_density, random_interior_joint
+from blochsig.sampling import interior_joint_state, random_density, random_interior_joint
 from blochsig.su_basis import cached_basis, cached_constants
 
 from helpers import (
@@ -118,8 +119,13 @@ def test_hamiltonian_shape_validation():
     lambda n: random_hamiltonian(np.random.default_rng(0), (n, 2)),
     lambda n: BlochState(n, np.zeros(3)),
     lambda n: JointBlochState((2, n), np.zeros(3), [], np.zeros((3, 0))),
+    lambda n: hamiltonian_from_matrix(np.eye(4), (n, 2)),
+    lambda n: partial_trace(np.eye(4), (2, n), 1),
+    lambda n: interior_joint_state(np.eye(4) / 4, (n, 2), 0.2),
+    lambda n: random_interior_joint(np.random.default_rng(0), (2, n)),
 ], ids=["hamiltonian-party-1", "hamiltonian-party-2", "random-hamiltonian", "state",
-        "joint-state"])
+        "joint-state", "hamiltonian-from-matrix", "partial-trace", "interior-joint-state",
+        "random-interior-joint"])
 def test_a_dimension_that_is_no_integer_of_at_least_two_is_refused_where_it_is_built(build, bad):
     # the rule of build_generators, applied before any array is shaped by it
     with pytest.raises(InvalidDimensionError, match=re.escape(f"must be >= 2, got {bad!r}")):
@@ -131,7 +137,12 @@ def test_a_dimension_that_is_no_integer_of_at_least_two_is_refused_where_it_is_b
     BlochHamiltonian,
     lambda dims: random_hamiltonian(np.random.default_rng(0), dims),
     lambda dims: JointBlochState(dims, np.zeros(3), np.zeros(3), np.zeros((3, 3))),
-], ids=["hamiltonian", "random-hamiltonian", "joint-state"])
+    lambda dims: hamiltonian_from_matrix(np.eye(4), dims),
+    lambda dims: partial_trace(np.eye(4), dims, 1),
+    lambda dims: interior_joint_state(np.eye(4) / 4, dims, 0.2),
+    lambda dims: random_interior_joint(np.random.default_rng(0), dims),
+], ids=["hamiltonian", "random-hamiltonian", "joint-state", "hamiltonian-from-matrix",
+        "partial-trace", "interior-joint-state", "random-interior-joint"])
 def test_dims_that_are_no_pair_are_refused_by_name(build, dims):
     # Python's own unpacking errors used to escape: "too many values to unpack"
     # for (2, 2, 2), "not enough values" for (2,), "not iterable" for 2
@@ -221,8 +232,11 @@ def test_a_second_hamiltonian_of_the_same_dims_reuses_the_compiled_map(monkeypat
     again = dynamics._generator_map.cache_info()
     assert (first.misses, again.misses, again.hits - first.hits) == (1, 1, 2)
     assert searched == []
-    position, coefficient, value = dynamics._generator_map(dims)
+    position, coefficient, value, ends = dynamics._generator_map(dims)
     assert not (position.flags.writeable or coefficient.flags.writeable or value.flags.writeable)
+    # where each of the nine terms' entries end: no per-entry array beside the three
+    assert len(ends) == 10 and ends[0] == 0 and ends[-1] == position.size == value.size
+    assert list(ends) == sorted(ends)
     size = len(pack_coords(state))
     assert position.size < 0.1 * size**3  # sparse: no (coefficients x size x size) tensor
 
@@ -455,6 +469,18 @@ def test_uniform_weight_not_called_without_interaction():
     state = random_interior_joint(rng, (2, 2))
     vector_field(law, random_hamiltonian(rng, (2, 2), interaction=False), state)
     assert calls["n"] == 0
+
+
+@pytest.mark.parametrize("wrap", [np.float64, np.array], ids=["float64", "0-d-array"])
+def test_a_finite_uniform_weight_that_is_no_python_float_gives_the_float_weights_field(wrap):
+    rng = np.random.default_rng(34)
+    h, state = random_hamiltonian(rng, (2, 3)), random_interior_joint(rng, (2, 3))
+    corrnorm = xi_preset("corrnorm").uniform
+    law = xi_law(XiFunctions(uniform=lambda r1, r2, r12: wrap(corrnorm(r1, r2, r12))))
+    np.testing.assert_array_equal(_flat(vector_field(law, h, state)),
+                                  _flat(vector_field(xi_law("corrnorm"), h, state)))
+    np.testing.assert_array_equal(pack_coords(evolve(law, h, state, 0.5).state),
+                                  pack_coords(evolve(xi_law("corrnorm"), h, state, 0.5).state))
 
 
 def test_trajectories_independent_of_weights_without_interaction():

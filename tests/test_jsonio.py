@@ -49,6 +49,11 @@ class _Name(str):
         return "not the text the encoder writes"
 
 
+class _Ratio(float):
+    def __repr__(self):
+        return "not the text the encoder writes"
+
+
 _Pair = namedtuple("_Pair", "first second")
 
 _SCALARS = st.one_of(
@@ -122,8 +127,9 @@ def test_numpy_inputs_become_plain_values():
 
 
 def test_ints_and_floats_keep_their_type():
-    back = json.loads(dumps({"int": 1, "float": 1.0, "small": 1e-5}))
+    back = json.loads(dumps({"int": 1, "float": 1.0, "small": 1e-5, "ratio": _Ratio(0.25)}))
     assert type(back["int"]) is int and back["int"] == 1
+    assert back["ratio"] == 0.25  # a float subclass is written as its float
     assert type(back["float"]) is float and back["float"] == 1.0
     assert back["small"] == 1e-5
 
