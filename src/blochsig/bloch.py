@@ -161,7 +161,7 @@ def from_bloch(state: BlochState, basis: GeneratorSet, *, check: bool = True) ->
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite matrix; ``keep`` is 1 or 2."""
     n1, n2 = _check_pair(dims)
-    rho4 = np.asarray(rho).reshape(n1, n2, n1, n2)
+    rho4 = _joint_matrix(rho, n1 * n2).reshape(n1, n2, n1, n2)
     if keep == 1:
         return np.einsum("abcb->ac", rho4)
     if keep == 2:
@@ -231,10 +231,16 @@ def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:
 
 def joint_to_bloch(rho12: np.ndarray, b1: GeneratorSet, b2: GeneratorSet) -> JointBlochState:
     """Project a bipartite density matrix onto the (r1, r2, r12) triple."""
-    rho12, nn = np.asarray(rho12, dtype=complex), b1.dim * b2.dim
-    if rho12.shape != (nn, nn):
-        raise DimensionMismatchError(f"joint matrix must be {(nn, nn)}, got {rho12.shape}")
-    return unpack_coords(nn * joint_frame(b1, b2).project(rho12), (b1.dim, b2.dim))
+    rho12 = _joint_matrix(rho12, b1.dim * b2.dim, complex)
+    return unpack_coords(len(rho12) * joint_frame(b1, b2).project(rho12), (b1.dim, b2.dim))
+
+
+def _joint_matrix(rho, nn: int, dtype=None) -> np.ndarray:
+    """``rho`` as an array once it is ``(nn, nn)``, else ``DimensionMismatchError``."""
+    rho = np.asarray(rho, dtype=dtype)
+    if rho.shape != (nn, nn):
+        raise DimensionMismatchError(f"joint matrix must be {(nn, nn)}, got {rho.shape}")
+    return rho
 
 
 def joint_from_bloch(

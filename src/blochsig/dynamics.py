@@ -695,6 +695,11 @@ def reduced_generator(h_local, dim: int) -> np.ndarray:
 DEFAULT_BRANCH_OPTIONS = IntegratorOptions(method="rk4", step=0.01)
 
 
+# The complex step of a flow's Jacobians: far below any coordinate, so its
+# square vanishes beside every real part, far above the smallest normal float.
+_EPS = 1e-30
+
+
 def _not_finite(options: IntegratorOptions | None, t: float) -> IntegrationFailureError:
     """The failure of a result that is not finite at ``t`` (``options``: the branch default's)."""
     method = (options or DEFAULT_BRANCH_OPTIONS).method
@@ -703,30 +708,33 @@ def _not_finite(options: IntegratorOptions | None, t: float) -> IntegrationFailu
 
 class ReducedFlow:
     """Propagation of one state ``(d,)`` or a batch of independent states
-    ``(B, d)`` under an isolated-subsystem field acting on the last axis.
+    ``(B, d)`` under an isolated-subsystem field acting on the last axis,
+    and the branch Jacobians of that propagation (:meth:`linearize`).
 
     A flow with a ``generator`` L (the field ``r -> L r``) has no ``field``:
-    it applies one cached propagator per time and method to the whole batch
-    (``_propagator``): exactly linear in the initial condition, and the same
-    map for every row, which the audit's cancellations rely on.  It builds
-    them from the last time down, and under rk4 every other flow checks the
-    last time's step count first, so a sampling that cannot reach its last
-    time fails there, as a sampling of that time alone does.  Every other
-    flow walks the ascending times once: under rk4 it carries the batch on
-    from the last time when the step grids nest (``integrate.rk4_continues``)
-    and starts again from ``r0`` otherwise, so each sample is the solve from
-    0 bit for bit; under rkf45, whose step is shared by a whole state, it
-    makes one solve per row from 0, and a row it gives up on reads NaN.
-    Callers check finiteness; complex states stay complex.  A custom field
-    is first probed with two rows: it must not mix a batch's rows, and its
-    complex-step derivative must match a central difference where that is
-    finite (complex-analytic).
+    it applies one propagator per time and method to the whole batch, built
+    once and kept with the flow: exactly linear in the initial condition,
+    and the same map for every row, which the audit's cancellations rely
+    on.  It builds them from the last time down, and under rk4 every other
+    flow checks the last time's step count first, so a sampling that cannot
+    reach its last time fails there, as a sampling of that time alone does.
+    Every other flow walks the ascending times once: under rk4 it carries
+    the batch on from the last time when the step grids nest
+    (``integrate.rk4_continues``) and starts again from ``r0`` otherwise, so
+    each sample is the solve from 0 bit for bit; under rkf45, whose step is
+    shared by a whole state, it makes one solve per row from 0, and a row it
+    gives up on reads NaN.  Callers check finiteness; complex states stay
+    complex.  A custom field is first probed with two rows: it must not mix
+    a batch's rows, and its complex-step derivative must match a central
+    difference where that is finite (complex-analytic).
     """
 
     def __init__(self, field: Callable | None, dim: int, generator: np.ndarray | None = None,
                  name: str = "custom"):
         self.field = field
         self.generator = generator
+        self._propagators = {}  # (t, options) -> the read-only propagator
+        self._linearized = None, None  # (key, (states, J^T)) of the last complex step
         if generator is not None:
             return
         d = dim**2 - 1
@@ -752,9 +760,8 @@ class ReducedFlow:
                 f"derivative on the probe rows differs from a central difference"
             )
 
-    def sample(self, r0, times, options: IntegratorOptions | None = None) -> np.ndarray:
+    def sample(self, r0, times, options: IntegratorOptions) -> np.ndarray:
         """The states at each ascending time, shape ``(len(times), *r0.shape)``."""
-        options = options or DEFAULT_OPTIONS
         r0 = np.asarray(r0, dtype=complex if np.iscomplexobj(r0) else float)
         times = _ascending(times)
         if self.generator is not None:
@@ -787,12 +794,48 @@ class ReducedFlow:
             samples.append(y)
         return np.array(samples, dtype=r0.dtype).reshape(len(times), *r0.shape)
 
-    @lru_cache(maxsize=256)
+    def linearize(self, bases, times, options: IntegratorOptions, extra=None):
+        """The states ``(T, B, d)`` of the real ``bases`` ``(B, d)`` at the
+        ascending ``times``, the flow's transposed Jacobians ``J^T`` there,
+        and the states ``(T, E, d)`` of the ``extra`` real rows ``(E, d)``
+        riding in the batch (``None`` without them).  With a generator,
+        ``J^T`` is one ``(T, 1, d, d)`` block, the propagator's columns,
+        read off unit rows between the bases and the extra rows; otherwise
+        the read-only complex step ``Im Phi(b + i _EPS e_i) / _EPS`` ``(T, B,
+        d, d)``, after the extra rows, which a batch never mixes and complex
+        arithmetic of zero imaginary part leaves bit for bit real.  The last
+        complex step is kept, keyed on the exact bases, times and options, for
+        the next call without extra rows: the audit's measurement-choice
+        channel collapses onto its coordinate sweep's bases bit for bit."""
+        d, times = bases.shape[-1], tuple(times)
+        if self.generator is not None:
+            rows = [bases, np.eye(d), *([] if extra is None else [extra])]
+            states, jt, ridden = np.split(self.sample(np.concatenate(rows), times, options),
+                                          [len(bases), len(bases) + d], axis=1)
+            return states, jt[:, None], None if extra is None else ridden
+        key = (bases.shape, bases.tobytes(), times, options)
+        last = self._linearized  # one read: a concurrent call may replace it
+        if extra is None and last[0] == key:
+            return (*last[1], None)
+        extra = np.empty((0, d)) if extra is None else extra
+        tangent = (bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d)
+        sampled = self.sample(np.concatenate([extra, tangent]), times, options)
+        ridden = sampled[:, : len(extra)].copy()  # not a view that holds the whole batch
+        sampled = sampled[:, len(extra) :].reshape(len(times), len(bases), d, d)
+        states, jt = sampled[:, :, 0].real.copy(), sampled.imag / _EPS
+        states.setflags(write=False)
+        jt.setflags(write=False)
+        self._linearized = key, (states, jt)
+        return states, jt, ridden
+
     def _propagator(self, t: float, options: IntegratorOptions) -> np.ndarray:
         """The read-only propagator to time t of a flow with a generator,
         built once per (t, options): under rk4 the n-th power of the exact
         rk4 step map, under rkf45 one linear solve of the identity.
         Raises ``IntegrationFailureError`` when it is not finite."""
+        power = self._propagators.get((t, options))
+        if power is not None:
+            return power
         d = self.generator.shape[0]
         if options.method == "rkf45":
             power = integrate.solve_linear(self.generator, np.eye(d), t, options)
@@ -809,6 +852,7 @@ class ReducedFlow:
         if not np.isfinite(power).all():
             raise IntegrationFailureError(f"{options.method} propagator at t={t:.6g} is not finite")
         power.setflags(write=False)
+        self._propagators[t, options] = power
         return power
 
 

@@ -25,10 +25,8 @@ member's branches as one batch under the law's shared reduced flow
 bits it gets alone.  Its stepped mode returns the gradient along every
 packed coordinate of party 2, read by the chain rule: the collapse is
 affine in those coordinates, so the gradient contracts the branch
-Jacobians of party 1's flow with the outcome coordinates.  A flow with a
-generator supplies its cached propagator; the Jacobian of any other flow
-is a complex step, and the last one is kept, so the audit's
-measurement-choice call reuses its coordinate sweep's.
+Jacobians of party 1's flow with the outcome coordinates, which the flow
+supplies (``dynamics.ReducedFlow.linearize``).
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity, which
@@ -71,15 +69,6 @@ __all__ = [
 # Branches below this weight are excluded from conditional updates and
 # contribute zero to branch averages.
 EPS_PROB = 1e-12
-
-# The complex step of the branch Jacobians of a flow without a generator:
-# far below any coordinate, so its square vanishes beside every real part,
-# and far above the smallest normal float.
-_EPS = 1e-30
-
-# The last linearization of a flow without a generator (one entry, see
-# ``_linearization``).
-_LINEARIZED: dict = {}
 
 _PROJ_TOL = 1e-10
 _ORTHO_TOL = 1e-11
@@ -327,12 +316,9 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     u0_k r1) + R u_k``, so by the chain rule ``R_ij`` moves party 1's
     outcome ``k1`` by ``sum_k u_k[j] (Born_k1(Phi(r1'_k)) - g . r1'_k,
     g)_i``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
-    ``Phi`` at ``r1'_k``: under a flow with a generator the cached
-    propagator, read off unit rows in the batch (the identity at t = 0);
-    otherwise the complex-step tangents of one :func:`_linearization`.  The
+    ``Phi`` at ``r1'_k``, from one ``linearize`` of the branches.  The
     ``extra`` real party-1 rows ``(E, d1)`` of a stepped call ride in its
-    batch on either route (after the unit rows, or in the linearization),
-    and their states ``(T, E, d1)`` come back fourth."""
+    batch, and their states ``(T, E, d1)`` come back fourth."""
     n1, n2 = dims = hamiltonian.dims
     d1, d2 = n1**2 - 1, n2**2 - 1
     (u0, u), (v0, v) = remote, local
@@ -346,15 +332,10 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     p, scaled = _collapse(x, u0, u, d1)
     keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its member
     states = scaled[keep] / p[keep][:, None]
-    if stepped and flow.generator is None:  # J_k^T: the tangents, one (d1, d1) block a branch
-        evolved, steps, ridden = _linearization(flow, states, tuple(times), options, extra)
+    if stepped:  # J_k^T, one (d1, d1) block a branch, or one the branches share
+        evolved, blocks, ridden = flow.linearize(states, times, options, extra)
         jt = np.zeros((len(times), *keep.shape, d1, d1))
-        jt[:, keep] = steps / _EPS
-    elif stepped:  # J^T: the unit rows, propagated in the batch (the propagator's columns)
-        rows = [states, np.eye(d1), *([] if extra is None else [extra])]
-        evolved, jt, ridden = np.split(flow.sample(np.concatenate(rows), times, options),
-                                       [len(states), len(states) + d1], axis=1)
-        jt = jt[:, None, None]
+        jt[:, keep] = blocks
     else:
         evolved = flow.sample(states, times, options)
     grid = np.zeros((len(times), *keep.shape, d1))
@@ -380,36 +361,3 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
         grad += slopes[:, :, k, :, :, None] * u[:, k, None, None, :]
     grad = grad.reshape(*grad.shape[:3], (1 + d1) * d2)
     return (grad, failures, p) if extra is None else (grad, failures, p, ridden)
-
-
-def _linearization(flow, bases, times, options, extra=None):
-    """``Re Phi(b)`` and the tangents ``Im Phi(b + i _EPS e_i)`` of the field
-    ``flow`` at each of the ascending ``times``, shapes ``(T, B, d)`` and
-    ``(T, B, d, d)``, of the real ``bases`` (``(B, d)``), read-only, and the
-    states ``(T, E, d)`` of the ``extra`` real rows ``(E, d)``, which ride
-    in the same batch, cast to complex.  The last linearization is kept,
-    keyed on the flow, the exact shape and bytes of the bases, the times
-    and the options, and serves only a call without extra rows: the audit's
-    measurement-choice channel collapses its members onto the bases of its
-    coordinate sweep bit for bit, so its branches reuse that propagation.
-
-    A batch never mixes its rows (every rk4 operation is elementwise, and
-    rkf45 solves row by row), and with a zero imaginary part, complex ``+ -
-    * /`` give the real results exactly, so under a field built from them
-    (polesink) an extra row gets the numbers it gets alone as a real row,
-    bit for bit."""
-    key = (flow, bases.shape, bases.tobytes(), times, options)
-    if extra is None and key in _LINEARIZED:
-        return (*_LINEARIZED[key], None)
-    d = bases.shape[-1]
-    extra = np.empty((0, d)) if extra is None else extra
-    tangent = (bases[:, None, :] + 1j * _EPS * np.eye(d)).reshape(-1, d)
-    sampled = flow.sample(np.concatenate([extra, tangent]), times, options)
-    ridden = sampled[:, : len(extra)].copy()  # not a view that holds the whole batch
-    sampled = sampled[:, len(extra) :].reshape(len(times), len(bases), d, d)
-    real, tangents = sampled[:, :, 0].real.copy(), sampled.imag.copy()
-    real.setflags(write=False)
-    tangents.setflags(write=False)
-    _LINEARIZED.clear()
-    _LINEARIZED[key] = real, tangents
-    return real, tangents, ridden

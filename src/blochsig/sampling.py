@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import JointBlochState, joint_to_bloch
+from .bloch import JointBlochState, _joint_matrix, joint_to_bloch
 from .su_basis import _check_pair, cached_basis
 
 __all__ = [
@@ -118,7 +118,7 @@ def interior_joint_state(rho: np.ndarray, dims: tuple[int, int], mix: float) -> 
     """Shrink a joint density matrix toward maximal mixedness and convert."""
     n1, n2 = _check_pair(dims)
     nn = n1 * n2
-    smoothed = (1.0 - mix) * np.asarray(rho) + mix * np.eye(nn) / nn
+    smoothed = (1.0 - mix) * _joint_matrix(rho, nn) + mix * np.eye(nn) / nn
     return joint_to_bloch(smoothed, cached_basis(n1), cached_basis(n2))
 
 

@@ -6,7 +6,7 @@ audit's channels, the audit's ensemble and fit probes drawn and converted
 one object at a time, the oracles of their one-block draws, and the audit
 report read off a table of its outcomes, the oracle of the audit's one walk;
 also the laws that the audit passes though they signal or leave the state
-space, the controls of ``test_blind_spots.py``.
+space, and the ancilla experiment, the controls of ``test_blind_spots.py``.
 
 The oracles and the steppers work on raw numpy arrays and never call the
 coordinate or integrator code paths they are used to verify.  The
@@ -24,8 +24,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from blochsig.bloch import to_bloch
-from blochsig.dynamics import DEFAULT_BRANCH_OPTIONS, XiFunctions, custom_law, reduced_flow
+from blochsig.bloch import joint_from_bloch, joint_to_bloch, partial_trace, to_bloch
+from blochsig.dynamics import (
+    DEFAULT_BRANCH_OPTIONS,
+    XiFunctions,
+    custom_law,
+    evolve,
+    random_hamiltonian,
+    reduced_flow,
+)
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
 from blochsig.measurement import (
     EPS_PROB,
@@ -186,6 +193,32 @@ def hidden_law(theta):
         return reduced(None, r1), reduced(None, r2), np.zeros_like(r12)
 
     return custom_law(f"hidden({theta:g})", reduced_field=reduced, joint_field=joint)
+
+
+def ancilla_trace_distance(law, seed, t=1.0, interaction=True):
+    """The trace distance between lab A's two mixtures at ``t`` (ROADMAP
+    item 24).  Parties 1 and 2 are a qubit pair in lab A and share a random
+    pure state (``default_rng(seed)``, the pair first) with an ancilla qubit
+    in lab B.  Lab B measures the ancilla in Z or in X at t = 0; each
+    normalized branch of the pair evolves under the law and
+    ``random_hamiltonian(default_rng(5), (2, 2), scale=1.0)`` (its
+    ``interaction_free()`` copy unless ``interaction``), and lab A holds the
+    branch-weighted mixture of the evolved pairs."""
+    rho = random_pure_density(np.random.default_rng(seed), 8)
+    h = random_hamiltonian(np.random.default_rng(5), (2, 2), scale=1.0)
+    h = h if interaction else h.interaction_free()
+    qubit = cached_basis(2)
+    mixtures = []
+    for basis in np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0):
+        mixture = 0.0
+        for v in basis.T:
+            big = np.kron(np.eye(4), np.outer(v, v.conj()))
+            pair = partial_trace(big @ rho @ big, (4, 2), 1)
+            p = np.trace(pair).real
+            state = evolve(law, h, joint_to_bloch(pair / p, qubit, qubit), t).state
+            mixture = mixture + p * joint_from_bloch(state, qubit, qubit, check=False)
+        mixtures.append(mixture)
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(mixtures[0] - mixtures[1]))))
 
 
 def reference_indexed_field(xi, hamiltonian, state):

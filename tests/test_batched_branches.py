@@ -294,13 +294,13 @@ def test_rkf45_branches_of_a_generator_law_read_at_rounding(law):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_rkf45_propagator_is_one_solve_of_the_flattened_identity(dim):
     h_local = 0.6 * np.random.default_rng(37).standard_normal(dim**2 - 1)
-    flow = reduced_flow(linear_law(), h_local, dim)
+    # a flow of its own, so that no other test has built its propagators
+    flow = dynamics.ReducedFlow(None, dim, reduced_flow(linear_law(), h_local, dim).generator)
     options = IntegratorOptions(method="rkf45")
     rows = np.random.default_rng(38).uniform(-0.2, 0.2, (3, dim**2 - 1))
-    flow._propagator.cache_clear()
     samples = flow.sample(rows, [0.0, 0.4, 0.9], options)
-    assert flow._propagator.cache_info().misses == 2  # one per nonzero time
-    propagator = flow._propagator(0.9, options)
+    assert list(flow._propagators) == [(0.9, options), (0.4, options)]  # one per nonzero time
+    propagator = flow._propagators[0.9, options]
     np.testing.assert_array_equal(samples[2], rows @ propagator.T)
     np.testing.assert_array_equal(samples[0], rows)
     # the map stays within the tolerance of the exact rotation exp(L t)
@@ -922,7 +922,7 @@ def test_an_audit_propagates_its_branches_once_through_one_linearization():
     # start rows and the K d1 = 9 tangent rows of each of the 3 members
     assert len(probe) == 6
     assert calls == probe + [((1 + 3 + config.fit_probes) + 3 * 9, 3)] * 400
-    [(real, tangents)] = measurement._LINEARIZED.values()
+    _, (real, tangents) = reduced_flow(law, h.h1, dims[0])._linearized
     assert real.shape == (3, 9, 3) and tangents.shape == (3, 9, 3, 3)
     assert not (real.flags.writeable or tangents.flags.writeable)
     # the same audit again propagates that one batch again, the fit's rows
@@ -989,8 +989,7 @@ def test_nan_tangent_rows_leave_the_fit_that_rides_with_them_unchanged():
     flow = reduced_flow(law, h.h1, 2)
     starts = dynamics._fit_starts(2, 20, 7)
     bases = np.array([[0.1, 0.2, 0.3], [0.0, 0.5, np.nan]])  # the second member is NaN
-    _, tangents, ridden = measurement._linearization(
-        flow, bases, times, DEFAULT_BRANCH_OPTIONS, starts)
+    _, tangents, ridden = flow.linearize(bases, times, DEFAULT_BRANCH_OPTIONS, starts)
     assert np.isnan(tangents[:, 1]).all() and np.isfinite(tangents[:, 0]).all()
     assert ridden.shape == (3, len(starts), 3) and not ridden.imag.any()
     a, residual = dynamics._fit_read_off(starts, ridden[-1], 1.0, DEFAULT_BRANCH_OPTIONS)

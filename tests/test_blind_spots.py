@@ -1,9 +1,11 @@
 """A register of false passes: laws that the audit passes though they
-signal or leave the state space (ROADMAP items 3, 10, 11 and 21).
+signal or leave the state space (ROADMAP items 3, 10, 11, 21 and 24).
 
 Each item's "done when" is one test under a strict xfail whose reason names
 the item, so the suite fails when a fix makes it pass and the marker must
-go.  The half of each blind spot that holds today is asserted unmarked.
+go (item 24's waits for that item, which decides the audit's API for a
+composite party).  The half of each blind spot that holds today is asserted
+unmarked.
 Every audit here runs on ``random_hamiltonian(default_rng(5), dims,
 scale=1.0)``.
 """
@@ -17,7 +19,13 @@ from blochsig.nosignal_audit import VERDICT_SIGNALING, AuditConfig, audit
 from blochsig.sampling import random_pure_density
 from blochsig.su_basis import cached_basis
 
-from helpers import corr_drift_law, hidden_law, qutrit_sink_law, tilted_xi
+from helpers import (
+    ancilla_trace_distance,
+    corr_drift_law,
+    hidden_law,
+    qutrit_sink_law,
+    tilted_xi,
+)
 
 SMALL = AuditConfig(ensemble_size=8, seed=1)
 
@@ -121,3 +129,24 @@ def test_a_drift_on_party_1_is_flagged():
     report = audit(qutrit_sink_law(), _hamiltonian((3, 2)), SMALL)
     assert report.verdict == VERDICT_SIGNALING
     assert report.max_d_correlations > 0.01
+
+
+# ---------------------------------------------------------------------------
+# Item 24: the audit splits the world into two parties, one of them measured
+
+
+@pytest.mark.parametrize("preset", ["corrnorm", "purity1"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_interacting_pair_under_a_xi_law_signals_to_a_remote_ancilla(preset, seed):
+    """Lab B's choice of basis moves lab A's mixture.  The strict xfail of
+    the audit that should see this waits for item 24, whose PR decides the
+    composite audit's API."""
+    assert ancilla_trace_distance(xi_law(preset), seed) >= 0.05
+
+
+@pytest.mark.parametrize("law, interaction", [
+    (linear_law(), True), (xi_law("corrnorm"), False), (xi_law("purity1"), False),
+], ids=["linear", "corrnorm-h12-0", "purity1-h12-0"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_linear_or_non_interacting_pair_does_not_signal_to_the_ancilla(law, interaction, seed):
+    assert ancilla_trace_distance(law, seed, interaction=interaction) <= 1e-7

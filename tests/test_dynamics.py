@@ -46,7 +46,7 @@ from blochsig.errors import (
     NonFiniteGeneratorError,
     NonlinearityEvaluationError,
 )
-from blochsig.integrate import IntegratorOptions
+from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions
 from blochsig.nosignal_audit import polesink_law
 from blochsig.sampling import interior_joint_state, random_density, random_interior_joint
 from blochsig.su_basis import cached_basis, cached_constants
@@ -149,6 +149,18 @@ def test_dims_that_are_no_pair_are_refused_by_name(build, dims):
     with pytest.raises(InvalidDimensionError,
                        match=re.escape(f"dims must be a pair of dimensions, got {dims!r}")):
         build(dims)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: partial_trace(np.eye(4), (2, 3), 1), "must be (6, 6), got (4, 4)"),
+    (lambda: partial_trace(np.arange(16.0), (2, 2), 1), "must be (4, 4), got (16,)"),
+    (lambda: interior_joint_state(np.eye(4) / 4, (2, 3), 0.2), "must be (6, 6), got (4, 4)"),
+], ids=["partial-trace", "partial-trace-flat", "interior-joint-state"])
+def test_a_joint_matrix_that_does_not_fit_its_dims_is_refused_naming_both_shapes(build, message):
+    # numpy's reshape and broadcast errors used to escape, and a flat array
+    # of the right size was traced as if it were the matrix
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -815,14 +827,14 @@ def test_reduced_precession_closed_form():
     h = 0.45
     r0 = [1.0, 0.0, 0.0]
     for t in (0.0, 0.4, 1.3):
-        out = reduced_flow(linear_law(), [0.0, 0.0, h], 2).sample(r0, [t])[0]
+        out = reduced_flow(linear_law(), [0.0, 0.0, h], 2).sample(r0, [t], DEFAULT_OPTIONS)[0]
         expected = [math.cos(2 * h * t), math.sin(2 * h * t), 0.0]
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
 def test_reduced_zero_hamiltonian_is_static():
     r0 = np.concatenate([[0.3, -0.1], np.zeros(6)])
-    out = reduced_flow(linear_law(), np.zeros(8), 3).sample(r0, [2.0])[0]
+    out = reduced_flow(linear_law(), np.zeros(8), 3).sample(r0, [2.0], DEFAULT_OPTIONS)[0]
     np.testing.assert_allclose(out, r0, atol=1e-14)
 
 

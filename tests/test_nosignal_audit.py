@@ -20,7 +20,7 @@ from blochsig.dynamics import (
     xi_law,
 )
 from blochsig.errors import IntegrationFailureError, PerturbationInfeasibleError
-from blochsig.integrate import IntegratorOptions
+from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions
 from blochsig.jsonio import dumps
 from blochsig.measurement import computational_observable, fourier_observable, rotate_observable
 from blochsig import nosignal_audit
@@ -66,7 +66,7 @@ def _y_anchor_family(anchor_angle=math.pi / 4.0):
 def test_polesink_axis_flow_is_logistic():
     law = polesink_law(0.1)
     for z0 in (-0.6, 0.0, 0.4):
-        out = reduced_flow(law, None, 2).sample([0.0, 0.0, z0], [1.0])[0]
+        out = reduced_flow(law, None, 2).sample([0.0, 0.0, z0], [1.0], DEFAULT_OPTIONS)[0]
         expected = math.tanh(0.1 * 1.0 + math.atanh(z0))
         assert out[2] == pytest.approx(expected, abs=1e-9)
         assert abs(out[0]) <= 1e-12 and abs(out[1]) <= 1e-12
@@ -83,7 +83,7 @@ def test_polesink_preserves_the_unit_sphere():
 def test_polesink_poles_are_fixed_points():
     law = polesink_law(0.1)
     for sign in (+1.0, -1.0):
-        out = reduced_flow(law, None, 2).sample([0.0, 0.0, sign], [1.5])[0]
+        out = reduced_flow(law, None, 2).sample([0.0, 0.0, sign], [1.5], DEFAULT_OPTIONS)[0]
         np.testing.assert_allclose(out, [0.0, 0.0, sign], atol=1e-12)
 
 

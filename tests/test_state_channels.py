@@ -11,7 +11,9 @@ rounding, both far below 1e-10 at ``h = 1e-5``).  Unlike the central
 difference, the chain rule moves no state, so pure states are audited too.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -129,17 +131,33 @@ def test_two_linear_calls_reuse_one_flow_and_its_propagators():
     law, hamiltonian = linear_law(), random_hamiltonian(np.random.default_rng(66), dims, scale=0.6)
     state, remote, local, _ = _member(dims, 67)
     dynamics._shared_flow.cache_clear()
-    dynamics.ReducedFlow._propagator.cache_clear()
     args = (law, hamiltonian, [state], [remote], [local], TIMES, [0, 1, 2],
             DEFAULT_BRANCH_OPTIONS)
     first = d_remote_state(*args)
-    built = dynamics.ReducedFlow._propagator.cache_info()
-    second = d_remote_state(*args)
-    again = dynamics.ReducedFlow._propagator.cache_info()
-    assert (built.misses, again.misses, again.hits - built.hits) == (3, 3, 3)  # one per time
-    assert repr(second) == repr(first)
     flow = dynamics.reduced_flow(law, hamiltonian.h1.copy(), dims[0])
+    built = dict(flow._propagators)
+    assert len(built) == 3  # one per time
+    second = d_remote_state(*args)
+    assert flow._propagators.keys() == built.keys()  # the second call builds none
+    assert all(flow._propagators[key] is power for key, power in built.items())
+    assert repr(second) == repr(first)
     assert flow is dynamics.reduced_flow(xi_law("corrnorm"), list(hamiltonian.h1), dims[0])
     assert dynamics._shared_flow.cache_info().misses == 1
     assert not flow.generator.flags.writeable
-    assert not flow._propagator(TIMES[0], DEFAULT_BRANCH_OPTIONS).flags.writeable
+    assert not any(power.flags.writeable for power in built.values())
+
+
+@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=["linear", "polesink"])
+def test_a_flow_dropped_from_the_shared_cache_is_freed(law):
+    # its propagators or its last linearization live with it, not beside it
+    dims, hamiltonian = (2, 2), random_hamiltonian(np.random.default_rng(68), (2, 2), scale=0.6)
+    state, remote, local, _ = _member(dims, 69)
+    flow = dynamics.reduced_flow(law, hamiltonian.h1, dims[0])
+    flow.sample(np.zeros((2, 3)), TIMES, DEFAULT_BRANCH_OPTIONS)
+    d_remote_state(law, hamiltonian, [state], [remote], [local], TIMES, [0, 1, 2],
+                   DEFAULT_BRANCH_OPTIONS)
+    dropped = weakref.ref(flow)
+    del flow
+    dynamics._shared_flow.cache_clear()
+    gc.collect()
+    assert dropped() is None
