@@ -712,8 +712,8 @@ class ReducedFlow:
     and the branch Jacobians of that propagation (:meth:`linearize`).
 
     A flow with a ``generator`` L (the field ``r -> L r``) has no ``field``:
-    it applies one propagator per time and method to the whole batch, built
-    once and kept with the flow: exactly linear in the initial condition,
+    it applies one propagator per time to the whole batch, kept for its last
+    times (:meth:`propagators`): exactly linear in the initial condition,
     and the same map for every row, which the audit's cancellations rely
     on.  It builds them from the last time down, and under rk4 every other
     flow checks the last time's step count first, so a sampling that cannot
@@ -733,7 +733,7 @@ class ReducedFlow:
                  name: str = "custom"):
         self.field = field
         self.generator = generator
-        self._propagators = {}  # (t, options) -> the read-only propagator
+        self._propagators = None, None  # ((times, options), their read-only stack)
         self._linearized = None, None  # (key, (states, J^T)) of the last complex step
         if generator is not None:
             return
@@ -770,9 +770,9 @@ class ReducedFlow:
             rows = r0.reshape(-1, r0.shape[-1])
             rows = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
             out = np.empty((len(times), *rows.shape), dtype=r0.dtype)
-            for row, t in zip(out[::-1], times[::-1]):  # the last time fails first
+            for row, t, power in zip(out, times, self.propagators(times, options)):
                 if t > 0:
-                    np.matmul(rows, self._propagator(t, options).T, out=row)
+                    np.matmul(rows, power.T, out=row)
                 else:
                     row[...] = rows  # t = 0 keeps r0
             return out[:, : r0.size // r0.shape[-1]].reshape(len(times), *r0.shape)
@@ -799,19 +799,20 @@ class ReducedFlow:
         ascending ``times``, the flow's transposed Jacobians ``J^T`` there,
         and the states ``(T, E, d)`` of the ``extra`` real rows ``(E, d)``
         riding in the batch (``None`` without them).  With a generator,
-        ``J^T`` is one ``(T, 1, d, d)`` block, the propagator's columns,
-        read off unit rows between the bases and the extra rows; otherwise
-        the read-only complex step ``Im Phi(b + i _EPS e_i) / _EPS`` ``(T, B,
-        d, d)``, after the extra rows, which a batch never mixes and complex
-        arithmetic of zero imaginary part leaves bit for bit real.  The last
-        complex step is kept, keyed on the exact bases, times and options, for
-        the next call without extra rows: the audit's measurement-choice
-        channel collapses onto its coordinate sweep's bases bit for bit."""
+        ``J^T`` is the transposed :meth:`propagators`, one ``(T, 1, d, d)``
+        block; otherwise the read-only complex step ``Im Phi(b + i _EPS e_i) /
+        _EPS`` ``(T, B, d, d)``, after the extra rows, which a batch never
+        mixes and complex arithmetic of zero imaginary part leaves bit for bit
+        real.  The last complex step is kept, keyed on the exact bases, times
+        and options, for the next call without extra rows: the audit's
+        measurement-choice channel collapses onto its coordinate sweep's bases
+        bit for bit."""
         d, times = bases.shape[-1], tuple(times)
         if self.generator is not None:
-            rows = [bases, np.eye(d), *([] if extra is None else [extra])]
-            states, jt, ridden = np.split(self.sample(np.concatenate(rows), times, options),
-                                          [len(bases), len(bases) + d], axis=1)
+            rows = bases if extra is None else np.concatenate([bases, extra])
+            states, ridden = np.split(self.sample(rows, times, options), [len(bases)], axis=1)
+            # a copy: a transposed view would send the read-off's products to another kernel
+            jt = np.ascontiguousarray(self.propagators(times, options).transpose(0, 2, 1))
             return states, jt[:, None], None if extra is None else ridden
         key = (bases.shape, bases.tobytes(), times, options)
         last = self._linearized  # one read: a concurrent call may replace it
@@ -828,44 +829,44 @@ class ReducedFlow:
         self._linearized = key, (states, jt)
         return states, jt, ridden
 
-    def _propagator(self, t: float, options: IntegratorOptions) -> np.ndarray:
-        """The read-only propagator to time t of a flow with a generator,
-        built once per (t, options): under rk4 the n-th power of the exact
-        rk4 step map, under rkf45 one linear solve of the identity.
-        Raises ``IntegrationFailureError`` when it is not finite."""
-        power = self._propagators.get((t, options))
-        if power is not None:
-            return power
+    def propagators(self, times, options: IntegratorOptions) -> np.ndarray:
+        """The read-only propagators ``(T, d, d)`` of the generator at the
+        ascending ``times``, built from the last time down and kept for the
+        last (times, options) alone: the identity at t = 0, the n-th power of
+        the exact rk4 step map, or one rkf45 linear solve of the identity.
+        Raises ``IntegrationFailureError`` when one is not finite."""
+        key = tuple(_ascending(times)), options
+        last = self._propagators  # one read: a concurrent call may replace it
+        if last[0] == key:
+            return last[1]
         d = self.generator.shape[0]
-        if options.method == "rkf45":
-            power = integrate.solve_linear(self.generator, np.eye(d), t, options)
-        else:
-            n, h = integrate.rk4_grid(t, options)
-            with np.errstate(over="ignore", invalid="ignore"):
-                hl = h * self.generator
-                one_step = np.eye(d)
-                term = np.eye(d)
-                for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
-                    term = term @ hl / factor
-                    one_step = one_step + term
-                power = np.linalg.matrix_power(one_step, n)
-        if not np.isfinite(power).all():
-            raise IntegrationFailureError(f"{options.method} propagator at t={t:.6g} is not finite")
-        power.setflags(write=False)
-        self._propagators[t, options] = power
-        return power
+        stack = np.tile(np.eye(d), (len(key[0]), 1, 1))  # stays at the zero times, which lead
+        for power, t in zip(stack[::-1], [t for t in reversed(key[0]) if t > 0]):
+            if options.method == "rkf45":
+                power[...] = integrate.solve_linear(self.generator, np.eye(d), t, options)
+            else:
+                n, h = integrate.rk4_grid(t, options)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    hl, term, one_step = h * self.generator, np.eye(d), np.eye(d)
+                    for factor in (1.0, 2.0, 3.0, 4.0):  # degree-4 Taylor = exact rk4 step map
+                        term = term @ hl / factor
+                        one_step = one_step + term
+                    power[...] = np.linalg.matrix_power(one_step, n)
+            if not np.isfinite(power).all():
+                raise IntegrationFailureError(
+                    f"{options.method} propagator at t={t:.6g} is not finite")
+        stack.setflags(write=False)
+        self._propagators = key, stack
+        return stack
 
 
-def reduced_flow(law: EvolutionLaw, h_local, dim: int) -> ReducedFlow:
-    """The shared isolated-subsystem flow a law induces, one per law and
-    local Hamiltonian ``h_local`` (``None``: zero) of a ``dim``-level
-    subsystem, so its propagators or its probe are built once; ξ laws
-    (``linear`` among them), whose weights never enter it, share theirs."""
-    h = np.zeros(dim**2 - 1) if h_local is None else np.asarray(h_local, dtype=float)
-    if h.shape != (dim**2 - 1,):
-        raise DimensionMismatchError(f"local Hamiltonian must have length {dim**2 - 1}")
+def reduced_flow(law: EvolutionLaw, hamiltonian: BlochHamiltonian) -> ReducedFlow:
+    """The shared flow that a law induces on party 1 of the ``hamiltonian``
+    in isolation, one per law and party-1 block ``h1``, so its propagators
+    or its probe are built once; ξ laws (``linear`` among them), whose
+    weights never enter it, share theirs."""
     key = None if law.xi is not None else law
-    return _shared_flow(key, h.tobytes(), dim)
+    return _shared_flow(key, hamiltonian.h1.tobytes(), hamiltonian.dims[0])
 
 
 @lru_cache(maxsize=64)
@@ -905,10 +906,9 @@ def reduced_propagator_fit(
     _require_number(Integral, probes=probes, seed=seed)
     if min(probes, seed) < 0:
         raise ValueError(f"{'probes' if probes < 0 else 'seed'} must be >= 0")
-    n = hamiltonian.dims[0]
     options = options or DEFAULT_BRANCH_OPTIONS
-    flow = reduced_flow(law, hamiltonian.h1, n)
-    starts = _fit_starts(n, probes, seed)
+    flow = reduced_flow(law, hamiltonian)
+    starts = _fit_starts(hamiltonian.dims[0], probes, seed)
     return _fit_read_off(starts, flow.sample(starts, [t], options)[0], t, options)
 
 

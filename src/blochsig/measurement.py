@@ -20,13 +20,13 @@ whose sensitivities the audit module differentiates.
 :func:`_member_distributions` is the one route to it.  It takes the members
 of a call stacked (packed joint states ``(M, D)``, remote and local outcomes
 padded by :func:`_outcomes`), collapses them once, propagates every
-member's branches as one batch under the law's shared reduced flow
-(``dynamics.reduced_flow``) at several times, and gives each member the
-bits it gets alone.  Its stepped mode returns the gradient along every
-packed coordinate of party 2, read by the chain rule: the collapse is
-affine in those coordinates, so the gradient contracts the branch
-Jacobians of party 1's flow with the outcome coordinates, which the flow
-supplies (``dynamics.ReducedFlow.linearize``).
+member's branches as one batch under the flow the law induces on party 1
+(``dynamics.reduced_flow(law, hamiltonian)``) at several times, and gives
+each member the bits it gets alone.  Its stepped mode returns the gradient
+along every packed coordinate of party 2, read by the chain rule: the
+collapse is affine in those coordinates, so the gradient contracts the
+branch Jacobians of party 1's flow (``dynamics.ReducedFlow.linearize``;
+one block that all branches share under a generator) with the outcomes.
 
 Outcomes of any rank are allowed; an observable only has to consist of
 mutually orthogonal projectors resolving the identity, which
@@ -316,7 +316,7 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
     u0_k r1) + R u_k``, so by the chain rule ``R_ij`` moves party 1's
     outcome ``k1`` by ``sum_k u_k[j] (Born_k1(Phi(r1'_k)) - g . r1'_k,
     g)_i``, with ``g = v_k1 J_k`` and ``J_k`` the Jacobian of the flow
-    ``Phi`` at ``r1'_k``, from one ``linearize`` of the branches.  The
+    ``Phi`` at ``r1'_k``, from one ``linearize`` of the kept branches.  The
     ``extra`` real party-1 rows ``(E, d1)`` of a stepped call ride in its
     batch, and their states ``(T, E, d1)`` come back fourth."""
     n1, n2 = dims = hamiltonian.dims
@@ -328,14 +328,14 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
                                      f"{v.shape[-1]}, {u.shape[-1]}, {x.shape[-1]} do not fit "
                                      f"dims {dims}")
     options = options or dynamics.DEFAULT_BRANCH_OPTIONS
-    flow = dynamics.reduced_flow(law, hamiltonian.h1, n1)
+    flow = dynamics.reduced_flow(law, hamiltonian)
     p, scaled = _collapse(x, u0, u, d1)
     keep = ~(p <= EPS_PROB)  # a NaN weight stays in, and poisons its member
     states = scaled[keep] / p[keep][:, None]
     if stepped:  # J_k^T, one (d1, d1) block a branch, or one the branches share
         evolved, blocks, ridden = flow.linearize(states, times, options, extra)
-        jt = np.zeros((len(times), *keep.shape, d1, d1))
-        jt[:, keep] = blocks
+        g = np.zeros((len(times), *keep.shape, v.shape[1], d1))  # v_k1 J_k, 0 if dropped
+        g[:, keep] = (blocks[:, :, None] @ v[np.nonzero(keep)[0], ..., None])[..., 0]
     else:
         evolved = flow.sample(states, times, options)
     grid = np.zeros((len(times), *keep.shape, d1))
@@ -349,7 +349,6 @@ def _member_distributions(x, remote, local, law, hamiltonian, times, options=Non
                 for i, m in zip(*np.nonzero(~np.isfinite(dist).all(axis=-1)))}
     if not stepped:
         return dist, failures
-    g = (jt[:, :, :, None] @ v[:, None, ..., None])[..., 0]  # each its own product
     slopes = np.zeros((*born.shape, 1 + d1))  # (B - g . r1', g), zero where dropped
     bases = np.zeros((*keep.shape, 1, d1))  # r1'_k, zero where dropped
     bases[keep] = states[:, None]

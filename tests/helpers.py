@@ -161,6 +161,35 @@ def corr_drift_law():
                       joint_field=joint)
 
 
+def corr_drift_mirror_law():
+    """Corr-drift with the parties swapped (ROADMAP item 21): ``dr2[0] =
+    0.3 tanh(r12[:, 0] @ r1)`` and nothing else moves, beside a zero
+    reduced field.  Party 1's measurement choice moves party 2's average,
+    which the audit never reads."""
+    def joint(hamiltonian, r1, r2, r12):
+        dr2 = np.zeros_like(r2)
+        dr2[0] = 0.3 * np.tanh(r12[:, 0] @ r1)
+        return np.zeros_like(r1), dr2, np.zeros_like(r12)
+
+    return custom_law("corr-drift-mirror", reduced_field=lambda h_local, r: np.zeros_like(r),
+                      joint_field=joint)
+
+
+def connected_drift_law():
+    """A joint law driven by the connected correlations alone (ROADMAP item
+    16): ``dr1[0] = 0.3 tanh(sum_ij (r12 - r1 r2^T)_ij)`` with ``r2`` and
+    ``r12`` frozen, beside a zero reduced field.  Every branch of a complete
+    rank-1 measurement is a product state, whose connected part is 0, so
+    only a choice not to measure lets it drift."""
+    def joint(hamiltonian, r1, r2, r12):
+        dr1 = np.zeros_like(r1)
+        dr1[0] = 0.3 * np.tanh(np.sum(r12 - np.outer(r1, r2)))
+        return dr1, np.zeros_like(r2), np.zeros_like(r12)
+
+    return custom_law("connected-drift", reduced_field=lambda h_local, r: np.zeros_like(r),
+                      joint_field=joint)
+
+
 def qutrit_sink_law(epsilon=0.1):
     """Polesink's drift on every qutrit and none on a qubit, in both fields
     (ROADMAP item 21): at dims (3, 2) party 1 drifts, at (2, 3) only party 2
@@ -618,7 +647,7 @@ def reference_propagator_fit(law, hamiltonian, t, probes, seed, options=None):
     """``reduced_propagator_fit`` with each probe state drawn and converted
     to coordinates on its own."""
     n = hamiltonian.dims[0]
-    flow = reduced_flow(law, hamiltonian.h1, n)
+    flow = reduced_flow(law, hamiltonian)
     d = n**2 - 1
     rng = np.random.default_rng(seed)
     probe_states = [to_bloch(reference_density(rng, n), cached_basis(n)).r for _ in range(probes)]

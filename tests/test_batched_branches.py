@@ -177,7 +177,7 @@ def test_every_sample_is_the_solve_from_zero_bit_for_bit(times, dim, seed):
     for law, options in ((polesink_law(0.1), DEFAULT_BRANCH_OPTIONS),  # stepping, rk4
                          (polesink_law(0.1), IntegratorOptions(method="rkf45")),  # stepping
                          (linear_law(), DEFAULT_BRANCH_OPTIONS)):  # matrix
-        flow = reduced_flow(law, h_local, dim)
+        flow = reduced_flow(law, BlochHamiltonian((dim, 2), h1=h_local))
         reference = [flow.sample(r0, [t], options)[0] for t in times]
         np.testing.assert_array_equal(
             flow.sample(r0, times, options),
@@ -191,7 +191,8 @@ def test_rk4_past_max_steps_raises():
     with pytest.raises(IntegrationFailureError, match="max_steps=60"):
         integrate.rk4_continues(0.25, 1.0, options)
     with pytest.raises(IntegrationFailureError, match="max_steps=60"):
-        reduced_flow(polesink_law(0.1), None, 2).sample(np.zeros(3), [0.25, 1.0], options)
+        flow = reduced_flow(polesink_law(0.1), BlochHamiltonian((2, 2)))
+        flow.sample(np.zeros(3), [0.25, 1.0], options)
 
 
 @pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
@@ -199,7 +200,7 @@ def test_rk4_past_max_steps_raises():
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
 @pytest.mark.parametrize("shape", [(3,), (2, 3)])
 def test_no_times_give_no_samples_on_every_route(law, options, shape):
-    flow = reduced_flow(law, None, 2)
+    flow = reduced_flow(law, BlochHamiltonian((2, 2)))
     assert flow.sample(np.zeros(shape), [], options).shape == (0, *shape)
     assert flow.sample(np.zeros(shape, dtype=complex), [], options).dtype == complex
 
@@ -292,15 +293,26 @@ def test_rkf45_branches_of_a_generator_law_read_at_rounding(law):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_rkf45_propagator_is_one_solve_of_the_flattened_identity(dim):
-    h_local = 0.6 * np.random.default_rng(37).standard_normal(dim**2 - 1)
+def test_rkf45_propagator_is_one_solve_of_the_flattened_identity(dim, monkeypatch):
+    d = dim**2 - 1
+    h = BlochHamiltonian((dim, 2), h1=0.6 * np.random.default_rng(37).standard_normal(d))
     # a flow of its own, so that no other test has built its propagators
-    flow = dynamics.ReducedFlow(None, dim, reduced_flow(linear_law(), h_local, dim).generator)
+    flow = dynamics.ReducedFlow(None, dim, reduced_flow(linear_law(), h).generator)
     options = IntegratorOptions(method="rkf45")
-    rows = np.random.default_rng(38).uniform(-0.2, 0.2, (3, dim**2 - 1))
+    solves, solve_linear = [], integrate.solve_linear
+
+    def counted(generator, y0, t, opts):
+        solves.append((t, y0.shape))
+        return solve_linear(generator, y0, t, opts)
+
+    monkeypatch.setattr(integrate, "solve_linear", counted)
+    rows = np.random.default_rng(38).uniform(-0.2, 0.2, (3, d))
     samples = flow.sample(rows, [0.0, 0.4, 0.9], options)
-    assert list(flow._propagators) == [(0.9, options), (0.4, options)]  # one per nonzero time
-    propagator = flow._propagators[0.9, options]
+    assert solves == [(0.9, (d, d)), (0.4, (d, d))]  # one per nonzero time, last time first
+    stack = flow.propagators([0.0, 0.4, 0.9], options)
+    assert len(solves) == 2 and not stack.flags.writeable  # kept, not built again
+    np.testing.assert_array_equal(stack[0], np.eye(d), strict=True)
+    propagator = stack[2]
     np.testing.assert_array_equal(samples[2], rows @ propagator.T)
     np.testing.assert_array_equal(samples[0], rows)
     # the map stays within the tolerance of the exact rotation exp(L t)
@@ -310,6 +322,32 @@ def test_rkf45_propagator_is_one_solve_of_the_flattened_identity(dim):
     # and a row on its own takes the same map
     alone = flow.sample(rows[1], [0.9], options)[0]
     np.testing.assert_allclose(alone, samples[2][1], rtol=0, atol=1e-15)
+
+
+def test_a_flow_keeps_the_propagators_of_its_last_times_alone():
+    h = random_hamiltonian(np.random.default_rng(39), (12, 2))
+    flow = reduced_flow(linear_law(), h)
+    r0 = np.zeros((2, 143))
+    flow.sample(r0, np.linspace(0.0, 1.0, 300), DEFAULT_BRANCH_OPTIONS)
+    flow.sample(r0, DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
+    key, stack = flow._propagators
+    assert key == (DEFAULT_TIMES, DEFAULT_BRANCH_OPTIONS)
+    assert stack.shape == (3, 143, 143) and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("options", [DEFAULT_BRANCH_OPTIONS, IntegratorOptions(method="rkf45")],
+                         ids=["rk4", "rkf45"])
+def test_a_generator_flows_jacobians_are_its_transposed_propagators(options):
+    h = random_hamiltonian(np.random.default_rng(40), (3, 2), scale=0.6)
+    flow = reduced_flow(linear_law(), h)
+    rows = np.random.default_rng(41).uniform(-0.2, 0.2, (9, 8))
+    bases, extra = rows[:4], rows[4:]
+    states, jt, ridden = flow.linearize(bases, DEFAULT_TIMES, options, extra)
+    stack = flow.propagators(DEFAULT_TIMES, options)
+    assert jt.shape == (3, 1, 8, 8) and jt.flags.c_contiguous
+    assert jt[:, 0].tobytes() == stack.transpose(0, 2, 1).tobytes()
+    assert states.tobytes() == flow.sample(bases, DEFAULT_TIMES, options).tobytes()
+    assert ridden.tobytes() == flow.sample(extra, DEFAULT_TIMES, options).tobytes()
 
 
 def test_rkf45_polesink_sequence_matches_scalar_calls():
@@ -347,7 +385,7 @@ def test_scalar_only_reduced_field_is_rejected_when_its_flow_is_built():
 
     law = custom_law("one-row", reduced_field=one_row_polesink)
     with pytest.raises(ValueError, match="one-row.*last axis"):
-        reduced_flow(law, None, 2)
+        reduced_flow(law, BlochHamiltonian((2, 2)))
 
 
 def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
@@ -358,17 +396,17 @@ def test_custom_flow_is_built_and_probed_once_per_law_and_hamiltonian():
         return polesink_law(0.1).reduced_field_fn(h_local, r)
 
     law = custom_law("counted", reduced_field=field)
-    flow = reduced_flow(law, None, 2)
+    flow = reduced_flow(law, BlochHamiltonian((2, 2)))
     # the two-row probe: the batch, each row, then a complex step and a
     # central difference of the batch
     assert calls == [(2, 3), (3,), (3,), (2, 3), (2, 3), (2, 3)]
-    assert reduced_flow(law, np.zeros(3), 2) is flow
+    assert reduced_flow(law, BlochHamiltonian((2, 3))) is flow  # party 1's block alone
     h = BlochHamiltonian((2, 2))
     state, obs2, obs1, _ = _member((2, 2), 57)
     for _ in range(2):
         d_remote_state(law, h, [state], [obs2], [obs1], DEFAULT_TIMES, [0, 1, 2])
     assert (3,) not in calls[6:]  # channel calls reuse the probed flow
-    assert reduced_flow(law, [0.0, 0.0, 0.1], 2) is not flow
+    assert reduced_flow(law, BlochHamiltonian((2, 2), h1=[0.0, 0.0, 0.1])) is not flow
 
 
 
@@ -591,7 +629,7 @@ def test_an_rkf45_branch_that_gives_up_fails_only_its_own_outcomes():
     d_remote_observable(alone, BlochHamiltonian((2, 2)), states, families, locals_,
                         DEFAULT_TIMES, options=rkf45)
     fit, fit_calls = _counted(expanding_law())
-    flow = reduced_flow(fit, None, 2)
+    flow = reduced_flow(fit, BlochHamiltonian((2, 2)))
     fit_calls.clear()  # the flow's probe
     flow.sample(dynamics._fit_starts(2, 0, 0), DEFAULT_TIMES, rkf45)
     assert [c for c in calls if c[1] != "c"] == [c for c in alone_calls if c[1] != "c"]  # probe
@@ -657,16 +695,6 @@ def test_channel_demo_rejects_a_remote_observable_of_another_dim():
                    (computational_observable(3), computational_observable(3))):
         with pytest.raises(DimensionMismatchError, match="do not fit dims"):
             nosignal_audit.signaling_channel_demo(polesink_law(0.1), joint, *remote, local, 0.5)
-
-
-@pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
-def test_a_local_hamiltonian_of_another_length_is_rejected_for_every_law(law):
-    # the branch functions take a Hamiltonian, whose h1 always has its
-    # dims' length; the shape check sits in the reduced flow they read it through
-    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
-        reduced_flow(law, [0.3], 2)
-    with pytest.raises(DimensionMismatchError, match="local Hamiltonian must have length 3"):
-        reduced_flow(law, np.zeros((3, 1)), 2)
 
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=lambda law: law.name)
@@ -916,13 +944,13 @@ def test_an_audit_propagates_its_branches_once_through_one_linearization():
     first = audit(law, h, config)
     # the flow's probe, on a law of its own, whose flow is built there
     alone, probe = _counted_polesink()
-    reduced_flow(alone, h.h1, dims[0])
+    reduced_flow(alone, h)
     # then one propagation for the fit and both channels: rk4 to t = 1 at
     # step 0.01, four stages a step, each over the fit's 1 + d1 + fit_probes
     # start rows and the K d1 = 9 tangent rows of each of the 3 members
     assert len(probe) == 6
     assert calls == probe + [((1 + 3 + config.fit_probes) + 3 * 9, 3)] * 400
-    _, (real, tangents) = reduced_flow(law, h.h1, dims[0])._linearized
+    _, (real, tangents) = reduced_flow(law, h)._linearized
     assert real.shape == (3, 9, 3) and tangents.shape == (3, 9, 3, 3)
     assert not (real.flags.writeable or tangents.flags.writeable)
     # the same audit again propagates that one batch again, the fit's rows
@@ -986,7 +1014,7 @@ def test_an_audit_whose_propagator_overflows_ends_with_the_fits_message():
 
 def test_nan_tangent_rows_leave_the_fit_that_rides_with_them_unchanged():
     law, h, times = polesink_law(0.1), BlochHamiltonian((2, 2)), DEFAULT_TIMES
-    flow = reduced_flow(law, h.h1, 2)
+    flow = reduced_flow(law, h)
     starts = dynamics._fit_starts(2, 20, 7)
     bases = np.array([[0.1, 0.2, 0.3], [0.0, 0.5, np.nan]])  # the second member is NaN
     _, tangents, ridden = flow.linearize(bases, times, DEFAULT_BRANCH_OPTIONS, starts)

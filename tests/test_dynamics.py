@@ -264,11 +264,12 @@ def test_a_hamiltonian_with_a_non_finite_generator_is_refused_where_it_is_built(
     for law in (linear_law(), xi_law("corrnorm"), xi_law(xi_preset("corrnorm").as_indexed())):
         with pytest.raises(NonFiniteGeneratorError, match="Hamiltonian of dims"):
             evolve(law, h, state, 0.5)
-    if block != "h12":
-        dim = 2 if block == "h1" else 3
-        with pytest.raises(NonFiniteGeneratorError, match=f"local Hamiltonian of a {dim}-level"):
-            reduced_flow(linear_law(), coefficients[block], dim)
+    if block == "h2":
+        with pytest.raises(NonFiniteGeneratorError, match="local Hamiltonian of a 3-level"):
+            reduced_generator(coefficients["h2"], 3)
     if block == "h1":
+        with pytest.raises(NonFiniteGeneratorError, match="local Hamiltonian of a 2-level"):
+            reduced_flow(linear_law(), h)
         with pytest.raises(NonFiniteGeneratorError, match="non-finite generator"):
             reduced_propagator_fit(linear_law(), h)
 
@@ -701,7 +702,7 @@ def test_evolve_step_budget_error():
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=["linear", "polesink"])
 def test_reduced_rk4_step_budget_error(law):
-    flow = reduced_flow(law, [0.0, 0.0, 0.3], 2)
+    flow = reduced_flow(law, BlochHamiltonian((2, 2), h1=[0.0, 0.0, 0.3]))
     options = IntegratorOptions(method="rk4", step=0.01, max_steps=10)
     r0 = np.array([[0.1, 0.2, 0.3], [-0.2, 0.0, 0.4]])
     assert flow.sample(r0, [0.05], options)[0].shape == r0.shape
@@ -734,7 +735,7 @@ def test_nonfinite_evolution_time_rejected(t):
             evolve_path(linear_law(), h, state, [0.0, 0.5, t], options)
     for law in (linear_law(), polesink_law(0.1)):
         with pytest.raises(ValueError, match=message):
-            reduced_flow(law, h.h1, 2).sample(state.r1, [0.5, t], rk4)
+            reduced_flow(law, h).sample(state.r1, [0.5, t], rk4)
 
 
 def test_linear_evolution_preserves_purity():
@@ -827,14 +828,15 @@ def test_reduced_precession_closed_form():
     h = 0.45
     r0 = [1.0, 0.0, 0.0]
     for t in (0.0, 0.4, 1.3):
-        out = reduced_flow(linear_law(), [0.0, 0.0, h], 2).sample(r0, [t], DEFAULT_OPTIONS)[0]
+        flow = reduced_flow(linear_law(), BlochHamiltonian((2, 2), h1=[0.0, 0.0, h]))
+        out = flow.sample(r0, [t], DEFAULT_OPTIONS)[0]
         expected = [math.cos(2 * h * t), math.sin(2 * h * t), 0.0]
         np.testing.assert_allclose(out, expected, atol=1e-8)
 
 
 def test_reduced_zero_hamiltonian_is_static():
     r0 = np.concatenate([[0.3, -0.1], np.zeros(6)])
-    out = reduced_flow(linear_law(), np.zeros(8), 3).sample(r0, [2.0], DEFAULT_OPTIONS)[0]
+    out = reduced_flow(linear_law(), BlochHamiltonian((3, 2))).sample(r0, [2.0], DEFAULT_OPTIONS)[0]
     np.testing.assert_allclose(out, r0, atol=1e-14)
 
 

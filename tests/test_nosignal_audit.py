@@ -64,9 +64,9 @@ def _y_anchor_family(anchor_angle=math.pi / 4.0):
 
 
 def test_polesink_axis_flow_is_logistic():
-    law = polesink_law(0.1)
+    flow = reduced_flow(polesink_law(0.1), BlochHamiltonian((2, 2)))
     for z0 in (-0.6, 0.0, 0.4):
-        out = reduced_flow(law, None, 2).sample([0.0, 0.0, z0], [1.0], DEFAULT_OPTIONS)[0]
+        out = flow.sample([0.0, 0.0, z0], [1.0], DEFAULT_OPTIONS)[0]
         expected = math.tanh(0.1 * 1.0 + math.atanh(z0))
         assert out[2] == pytest.approx(expected, abs=1e-9)
         assert abs(out[0]) <= 1e-12 and abs(out[1]) <= 1e-12
@@ -76,14 +76,14 @@ def test_polesink_preserves_the_unit_sphere():
     law = polesink_law(0.2)
     r0 = np.array([0.8, 0.36, math.sqrt(1 - 0.8**2 - 0.36**2)])
     fine = IntegratorOptions(method="rk4", step=0.001)
-    out = reduced_flow(law, None, 2).sample(r0, [2.0], fine)[0]
+    out = reduced_flow(law, BlochHamiltonian((2, 2))).sample(r0, [2.0], fine)[0]
     assert float(out @ out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_polesink_poles_are_fixed_points():
-    law = polesink_law(0.1)
+    flow = reduced_flow(polesink_law(0.1), BlochHamiltonian((2, 2)))
     for sign in (+1.0, -1.0):
-        out = reduced_flow(law, None, 2).sample([0.0, 0.0, sign], [1.5], DEFAULT_OPTIONS)[0]
+        out = flow.sample([0.0, 0.0, sign], [1.5], DEFAULT_OPTIONS)[0]
         np.testing.assert_allclose(out, [0.0, 0.0, sign], atol=1e-12)
 
 

@@ -134,17 +134,19 @@ def test_two_linear_calls_reuse_one_flow_and_its_propagators():
     args = (law, hamiltonian, [state], [remote], [local], TIMES, [0, 1, 2],
             DEFAULT_BRANCH_OPTIONS)
     first = d_remote_state(*args)
-    flow = dynamics.reduced_flow(law, hamiltonian.h1.copy(), dims[0])
-    built = dict(flow._propagators)
-    assert len(built) == 3  # one per time
+    flow = dynamics.reduced_flow(law, hamiltonian)
+    key, stack = flow._propagators
+    assert key == (TIMES, DEFAULT_BRANCH_OPTIONS) and stack.shape == (3, 3, 3)  # one per time
     second = d_remote_state(*args)
-    assert flow._propagators.keys() == built.keys()  # the second call builds none
-    assert all(flow._propagators[key] is power for key, power in built.items())
+    assert flow._propagators[1] is stack  # the second call builds none
+    assert flow.propagators(TIMES, DEFAULT_BRANCH_OPTIONS) is stack
     assert repr(second) == repr(first)
-    assert flow is dynamics.reduced_flow(xi_law("corrnorm"), list(hamiltonian.h1), dims[0])
+    # a xi law on another Hamiltonian with the same party-1 block shares the flow
+    other = dynamics.BlochHamiltonian(dims, h1=hamiltonian.h1.copy())
+    assert flow is dynamics.reduced_flow(xi_law("corrnorm"), other)
     assert dynamics._shared_flow.cache_info().misses == 1
     assert not flow.generator.flags.writeable
-    assert not any(power.flags.writeable for power in built.values())
+    assert not stack.flags.writeable
 
 
 @pytest.mark.parametrize("law", [linear_law(), polesink_law(0.1)], ids=["linear", "polesink"])
@@ -152,7 +154,7 @@ def test_a_flow_dropped_from_the_shared_cache_is_freed(law):
     # its propagators or its last linearization live with it, not beside it
     dims, hamiltonian = (2, 2), random_hamiltonian(np.random.default_rng(68), (2, 2), scale=0.6)
     state, remote, local, _ = _member(dims, 69)
-    flow = dynamics.reduced_flow(law, hamiltonian.h1, dims[0])
+    flow = dynamics.reduced_flow(law, hamiltonian)
     flow.sample(np.zeros((2, 3)), TIMES, DEFAULT_BRANCH_OPTIONS)
     d_remote_state(law, hamiltonian, [state], [remote], [local], TIMES, [0, 1, 2],
                    DEFAULT_BRANCH_OPTIONS)
