@@ -206,7 +206,7 @@ def joint_frame(b1: GeneratorSet, b2: GeneratorSet) -> JointFrame:
 
 
 def _pack(x1, x2, x12) -> np.ndarray:
-    return np.concatenate([x1, x2, x12.ravel()])
+    return np.concatenate([x1, x2, np.reshape(x12, (*np.shape(x12)[:-2], -1))], axis=-1)
 
 
 def pack_coords(state: JointBlochState) -> np.ndarray:
@@ -215,14 +215,14 @@ def pack_coords(state: JointBlochState) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _blocks(n1: int, n2: int) -> tuple[slice, slice, slice]:
-    """Slices of r1, r2 and the row-major r12 in packed coordinates."""
+    """Slices of r1, r2 and the row-major r12 on the last axis of packed rows."""
     d1, d2 = n1**2 - 1, n2**2 - 1
     return slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + d1 * d2)
 
 
 def _split(x: np.ndarray, dims: tuple[int, int]):
     s1, s2, s12 = _blocks(*dims)
-    return x[s1], x[s2], x[s12].reshape(s1.stop, s2.stop - s1.stop)
+    return x[..., s1], x[..., s2], x[..., s12].reshape(*x.shape[:-1], s1.stop, s2.stop - s1.stop)
 
 
 def unpack_coords(x: np.ndarray, dims: tuple[int, int]) -> JointBlochState:

@@ -298,11 +298,10 @@ class EvolutionLaw:
     field, or if not an :class:`XiFunctions`); its reduced flow is the local
     rotation, and ``linear`` is the ξ law of the constant weight 1.  Other
     laws run their own ``joint_field_fn(H, r1, r2, r12) -> (dr1, dr2, dr12)``
-    and ``reduced_field_fn(h_local, r) -> dr``, which acts on the last axis,
-    ``(..., d)`` to ``(..., d)``: branch propagation hands it a ``(B, d)``
-    batch of independent states, complex ones for the audit's complex steps,
-    and building the flow rejects a field that mixes the rows of a batch or
-    is not complex-analytic."""
+    and ``reduced_field_fn(h_local, r) -> dr`` on rows, the last axis of each
+    block (:func:`custom_law`): batches of independent states, complex ones
+    for complex steps.  Building either flow refuses a field that mixes a
+    batch's rows or is not complex-analytic."""
 
     name: str
     xi: XiFunctions | None = None
@@ -334,13 +333,12 @@ def custom_law(
 ) -> EvolutionLaw:
     """A law from its own fields, with no ξ weights.
 
-    ``reduced_field(h_local, r)`` must act on the last axis of ``r``,
-    ``(..., d) -> (..., d)`` — index the coordinates as ``r[..., k]``, not
-    ``r[k]`` — since audits propagate many branch states as one batch.  It
-    must also be complex-analytic, since the audit differentiates by complex
-    steps: no ``dtype=float`` casts, ``abs`` or ``.real`` of the state.
-    ``joint_field(H, r1, r2, r12)`` returns ``(dr1, dr2, dr12)`` for one
-    state.
+    Both act on rows, the last axis: ``reduced_field(h_local, r)`` maps
+    ``(..., d)`` to ``(..., d)`` and ``joint_field(H, r1, r2, r12)`` maps
+    blocks ``(..., d1)``, ``(..., d2)``, ``(..., d1, d2)`` to ``(dr1, dr2,
+    dr12)`` of their shapes (``r[..., k]``, not ``r[k]``).  Both must be
+    complex-analytic (no ``dtype=float`` casts, ``abs`` or ``.real`` of the
+    state): each is probed, and refused with ``ValueError``, when built.
     """
     return EvolutionLaw(name, joint_field_fn=joint_field, reduced_field_fn=reduced_field)
 
@@ -545,23 +543,54 @@ def _indexed_field(hamiltonian: BlochHamiltonian, xi: XiFunctions, loc: np.ndarr
     return indexed
 
 
+def _require_row_field(field: Callable, d: int, name: str, kind: str) -> None:
+    """Refuse a custom ``kind`` field of law ``name`` on rows ``(..., d)`` unless a ``(2, d)``
+    batch gives its two rows' results (it acts on the last axis) and its complex steps match a
+    central difference where that is finite (it is complex-analytic)."""
+    probe = np.stack([np.linspace(-0.4, 0.3, d), np.linspace(0.2, -0.1, d)])
+    batch = None
+    with contextlib.suppress(TypeError, ValueError, IndexError):  # one state's indexing
+        batch = field(probe)
+    rows = np.stack([field(row) for row in probe])
+    if batch is None or batch.shape != rows.shape or not np.allclose(
+        batch, rows, rtol=1e-12, atol=1e-14, equal_nan=True
+    ):
+        raise ValueError(
+            f"{kind} field of law {name!r} must act on the last axis: "
+            f"a (2, {d}) batch does not give the results of its two rows"
+        )
+    v, h = np.linspace(0.5, 1.0, d), 1e-6
+    with warnings.catch_warnings():  # a float cast warns; the comparison refuses it
+        warnings.simplefilter("ignore", RuntimeWarning)
+        exact = field(probe + 1e-30j * v).imag / 1e-30
+    central = (field(probe + h * v) - field(probe - h * v)) / (2.0 * h)
+    checked = np.isfinite(central)
+    if not np.allclose(exact[checked], central[checked], rtol=1e-6, atol=1e-8):
+        raise ValueError(
+            f"{kind} field of law {name!r} must be complex-analytic: its complex-step "
+            f"derivative on the probe rows differs from a central difference"
+        )
+
+
 def _flat_field(law: EvolutionLaw,
                 hamiltonian: BlochHamiltonian) -> tuple[Callable, np.ndarray | None]:
-    """The law's joint field ``x -> dx/dt`` on packed coordinates and, when
-    that field is one generator G (``x -> G x``), G; else ``None``.  For a ξ
-    law the field is ``L_loc x + w(x) L_int x``, from one scatter of the
-    Hamiltonian, and a finite constant weight c (1 for ``linear``) is
-    compiled into G = ``L_loc + c L_int``.  Indexed weights read the same
-    scatter map's interaction entries (:func:`_indexed_field`)."""
+    """The law's joint field on packed rows ``(..., D)`` and, when it is one
+    generator G (``x -> x @ G.T``), G; else ``None``.  A custom joint field is
+    probed (:func:`_require_row_field`) and runs on the rows' blocks.  A ξ
+    law's field is ``L_loc x + w(x) L_int x``, from one scatter of the
+    Hamiltonian; a finite constant weight c (1 for ``linear``) is compiled
+    into G = ``L_loc + c L_int``, and any other weight takes one state ``x``.
+    Indexed weights read the same scatter map's interaction entries
+    (:func:`_indexed_field`)."""
     dims = hamiltonian.dims
     if law.xi is None:
         if law.joint_field_fn is None:
             raise ValueError(f"law {law.name!r} provides no joint field")
 
         def custom(x):
-            parts = law.joint_field_fn(hamiltonian, *_split(x, dims))
-            return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+            return _pack(*law.joint_field_fn(hamiltonian, *_split(x, dims)))
 
+        _require_row_field(custom, _blocks(*dims)[2].stop, law.name, "joint")
         return custom, None
     stacked = _generators(hamiltonian)
     loc, lint = stacked
@@ -574,7 +603,7 @@ def _flat_field(law: EvolutionLaw,
         weight.value if isinstance(weight, _Constant) else math.nan)
     if math.isfinite(c):
         gen = loc + c * lint
-        return (lambda x: gen @ x), gen
+        return (lambda x: x @ gen.T), gen
     if weight is None:
         return _indexed_field(hamiltonian, law.xi, loc), None
     s1, s2, s12 = _blocks(*dims)
@@ -724,41 +753,17 @@ class ReducedFlow:
     each sample is the solve from 0 bit for bit; under rkf45, whose step is
     shared by a whole state, it makes one solve per row from 0, and a row it
     gives up on reads NaN.  Callers check finiteness; complex states stay
-    complex.  A custom field is first probed with two rows: it must not mix
-    a batch's rows, and its complex-step derivative must match a central
-    difference where that is finite (complex-analytic).
+    complex.  A custom field is first probed by :func:`_require_row_field`.
     """
 
-    def __init__(self, field: Callable | None, dim: int, generator: np.ndarray | None = None,
+    def __init__(self, field: Callable | None, d: int, generator: np.ndarray | None = None,
                  name: str = "custom"):
         self.field = field
         self.generator = generator
         self._propagators = None, None  # ((times, options), their read-only stack)
         self._linearized = None, None  # (key, (states, J^T)) of the last complex step
-        if generator is not None:
-            return
-        d = dim**2 - 1
-        probe = np.stack([np.linspace(-0.4, 0.3, d), np.linspace(0.2, -0.1, d)])
-        batch = field(probe)
-        rows = np.stack([field(row) for row in probe])
-        if batch.shape != rows.shape or not np.allclose(
-            batch, rows, rtol=1e-12, atol=1e-14, equal_nan=True
-        ):
-            raise ValueError(
-                f"reduced field of law {name!r} must act on the last axis: "
-                f"a (2, {d}) batch does not give the results of its two rows"
-            )
-        v, h = np.linspace(0.5, 1.0, d), 1e-6
-        with warnings.catch_warnings():  # a float cast warns; the comparison refuses it
-            warnings.simplefilter("ignore", RuntimeWarning)
-            exact = field(probe + 1e-30j * v).imag / 1e-30
-        central = (field(probe + h * v) - field(probe - h * v)) / (2.0 * h)
-        checked = np.isfinite(central)
-        if not np.allclose(exact[checked], central[checked], rtol=1e-6, atol=1e-8):
-            raise ValueError(
-                f"reduced field of law {name!r} must be complex-analytic: its complex-step "
-                f"derivative on the probe rows differs from a central difference"
-            )
+        if generator is None:
+            _require_row_field(field, d, name, "reduced")
 
     def sample(self, r0, times, options: IntegratorOptions) -> np.ndarray:
         """The states at each ascending time, shape ``(len(times), *r0.shape)``."""
@@ -875,11 +880,11 @@ def _shared_flow(law: EvolutionLaw | None, h_bytes: bytes, dim: int) -> ReducedF
     if law is None:
         generator = reduced_generator(h, dim)
         generator.setflags(write=False)
-        return ReducedFlow(None, dim, generator)
+        return ReducedFlow(None, dim**2 - 1, generator)
     if law.reduced_field_fn is None:
         raise ValueError(f"law {law.name!r} provides no reduced flow")
-    return ReducedFlow(lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=r.dtype), dim,
-                       name=law.name)
+    return ReducedFlow(lambda r: np.asarray(law.reduced_field_fn(h, r), dtype=r.dtype),
+                       dim**2 - 1, name=law.name)
 
 
 def reduced_propagator_fit(

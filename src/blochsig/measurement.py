@@ -51,7 +51,7 @@ from .errors import (
     InvalidProjectorError,
     ZeroProbabilityBranchError,
 )
-from .su_basis import GeneratorSet, cached_basis
+from .su_basis import GeneratorSet, _check_dim, cached_basis
 
 __all__ = [
     "EPS_PROB",
@@ -79,14 +79,15 @@ _COMPLETE_TOL = 1e-12
 class ProjectiveObservable:
     """Ordered, mutually orthogonal projectors resolving the identity, as the
     read-only outcome coordinates ``u0`` ``(K,)`` and ``u`` ``(K, dim**2 -
-    1)``: outcome k is ``P_k = u0[k] I + (dim/2) u[k] . s``.  Only the
-    shapes are checked here; :func:`observable_from_matrices` validates."""
+    1)``: outcome k is ``P_k = u0[k] I + (dim/2) u[k] . s``.  Only ``dim`` and
+    the shapes are checked here; :func:`observable_from_matrices` validates."""
 
     dim: int
     u0: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         u0, u = np.array(self.u0, dtype=float), np.array(self.u, dtype=float)
         if u0.ndim != 1 or u.shape != (len(u0), self.dim**2 - 1):
             raise DimensionMismatchError(f"u0 and u must have shapes (K,) and (K, "

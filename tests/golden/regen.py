@@ -77,6 +77,12 @@ CASES = {
                      [0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.2, 0.0]]},
          "initial_state": "random:7", "times": [0.5, 1.0]},
     ),
+    # The custom joint-field route: polesink rows through the rkf45 stepper.
+    "evolve_polesink_3x3": (
+        ["evolve", "--config", "{config}", "--no-timestamp"],
+        {"dims": [3, 3], "law": {"name": "polesink", "epsilon": 0.1},
+         "initial_state": "random:7", "times": [0, 0.25, 0.5, 1]},
+    ),
     "convert_coords_to_matrix": (
         ["convert", "--in", "{config}", "--out", "{out}"],
         {"dims": [2, 2], "r1": [0.1, 0.0, 0.0], "r2": [0.0, 0.2, 0.0],

@@ -148,13 +148,13 @@ def tilted_xi():
 
 def corr_drift_law():
     """A joint law that signals through the correlations (ROADMAP item 3):
-    ``dr1[0] = 0.3 tanh(r12[0] @ r2)`` and nothing else moves, beside a zero
-    reduced field.  After a remote collapse ``r12 = r1 r2^T``, so each
-    branch drifts by ``tanh`` of its own ``r1[0]``, and party 1's average
-    depends on which decomposition party 2's measurement prepared."""
+    ``dr1[0] = 0.3 tanh(sum_j r12[0, j] r2[j])`` and nothing else moves,
+    beside a zero reduced field.  After a remote collapse ``r12 = r1 r2^T``,
+    so each branch drifts by ``tanh`` of its own ``r1[0]``, and party 1's
+    average depends on which decomposition party 2's measurement prepared."""
     def joint(hamiltonian, r1, r2, r12):
         dr1 = np.zeros_like(r1)
-        dr1[0] = 0.3 * np.tanh(r12[0] @ r2)
+        dr1[..., 0] = 0.3 * np.tanh(np.sum(r12[..., 0, :] * r2, axis=-1))
         return dr1, np.zeros_like(r2), np.zeros_like(r12)
 
     return custom_law("corr-drift", reduced_field=lambda h_local, r: np.zeros_like(r),
@@ -163,12 +163,12 @@ def corr_drift_law():
 
 def corr_drift_mirror_law():
     """Corr-drift with the parties swapped (ROADMAP item 21): ``dr2[0] =
-    0.3 tanh(r12[:, 0] @ r1)`` and nothing else moves, beside a zero
+    0.3 tanh(sum_i r12[i, 0] r1[i])`` and nothing else moves, beside a zero
     reduced field.  Party 1's measurement choice moves party 2's average,
     which the audit never reads."""
     def joint(hamiltonian, r1, r2, r12):
         dr2 = np.zeros_like(r2)
-        dr2[0] = 0.3 * np.tanh(r12[:, 0] @ r1)
+        dr2[..., 0] = 0.3 * np.tanh(np.sum(r12[..., :, 0] * r1, axis=-1))
         return np.zeros_like(r1), dr2, np.zeros_like(r12)
 
     return custom_law("corr-drift-mirror", reduced_field=lambda h_local, r: np.zeros_like(r),
@@ -183,7 +183,8 @@ def connected_drift_law():
     only a choice not to measure lets it drift."""
     def joint(hamiltonian, r1, r2, r12):
         dr1 = np.zeros_like(r1)
-        dr1[0] = 0.3 * np.tanh(np.sum(r12 - np.outer(r1, r2)))
+        connected = r12 - r1[..., :, None] * r2[..., None, :]
+        dr1[..., 0] = 0.3 * np.tanh(np.sum(connected, axis=(-2, -1)))
         return dr1, np.zeros_like(r2), np.zeros_like(r12)
 
     return custom_law("connected-drift", reduced_field=lambda h_local, r: np.zeros_like(r),

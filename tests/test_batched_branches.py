@@ -297,7 +297,7 @@ def test_rkf45_propagator_is_one_solve_of_the_flattened_identity(dim, monkeypatc
     d = dim**2 - 1
     h = BlochHamiltonian((dim, 2), h1=0.6 * np.random.default_rng(37).standard_normal(d))
     # a flow of its own, so that no other test has built its propagators
-    flow = dynamics.ReducedFlow(None, dim, reduced_flow(linear_law(), h).generator)
+    flow = dynamics.ReducedFlow(None, dim**2 - 1, reduced_flow(linear_law(), h).generator)
     options = IntegratorOptions(method="rkf45")
     solves, solve_linear = [], integrate.solve_linear
 

@@ -24,6 +24,7 @@ from blochsig.dynamics import (
     BlochHamiltonian,
     EvolutionLaw,
     XiFunctions,
+    custom_law,
     evolve,
     evolve_path,
     hamiltonian_from_matrix,
@@ -48,11 +49,21 @@ from blochsig.errors import (
 )
 from blochsig.integrate import DEFAULT_OPTIONS, IntegratorOptions
 from blochsig.nosignal_audit import polesink_law
-from blochsig.sampling import interior_joint_state, random_density, random_interior_joint
+from blochsig.sampling import (
+    interior_joint_state,
+    random_density,
+    random_interior_joint,
+    singlet_state,
+)
 from blochsig.su_basis import cached_basis, cached_constants
 
 from helpers import (
+    connected_drift_law,
     coord_distance,
+    corr_drift_law,
+    corr_drift_mirror_law,
+    hidden_law,
+    qutrit_sink_law,
     reference_indexed_field,
     tilted_xi,
     trace_out,
@@ -806,8 +817,6 @@ def test_the_polesink_joint_flow_is_logistic_on_the_polar_axis(dims):
 def test_physicality_is_reported_not_enforced():
     # a law that blows the coordinates out of the physical set must be
     # reported as unphysical, with the eigenvalue attached
-    from blochsig.sampling import singlet_state
-
     blow = EvolutionLaw(
         name="inflate",
         joint_field_fn=lambda h, r1, r2, r12: (r1, r2, r12 + 0.5 * np.eye(3)),
@@ -818,6 +827,60 @@ def test_physicality_is_reported_not_enforced():
     )
     assert not result.physical
     assert result.min_eigenvalue < -1e-6
+
+
+_ROW_LAWS = {
+    "polesink": lambda: polesink_law(0.1),
+    "corr-drift": corr_drift_law,
+    "corr-drift-mirror": corr_drift_mirror_law,
+    "connected-drift": connected_drift_law,
+    "qutrit-sink": qutrit_sink_law,
+    "hidden": lambda: hidden_law(0.5),
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("name", sorted(_ROW_LAWS))
+def test_a_custom_joint_field_acts_on_rows_and_is_complex_analytic(name, dims):
+    # blocks of five states: each row of the batch call is its one-row call
+    # exactly, and a complex step matches a central difference
+    law, h = _ROW_LAWS[name](), BlochHamiltonian(dims)
+    d1, d2 = dims[0] ** 2 - 1, dims[1] ** 2 - 1
+    rng = np.random.default_rng(44)
+    blocks = [0.3 * rng.standard_normal((5, *shape)) for shape in ((d1,), (d2,), (d1, d2))]
+    batch = law.joint_field_fn(h, *blocks)
+    for k in range(5):
+        for out, one in zip(batch, law.joint_field_fn(h, *(b[k] for b in blocks))):
+            np.testing.assert_array_equal(out[k], one)
+    v = [rng.standard_normal(b.shape) for b in blocks]
+
+    def at(step):
+        return law.joint_field_fn(h, *(b + step * w for b, w in zip(blocks, v)))
+
+    for exact, plus, minus in zip(at(1e-30j), at(1e-6), at(-1e-6)):
+        np.testing.assert_allclose(np.imag(exact) / 1e-30, (plus - minus) / 2e-6,
+                                   rtol=0, atol=1e-8)
+
+
+def _one_state_drift(hamiltonian, r1, r2, r12):
+    dr1 = np.zeros_like(r1)
+    dr1[0] = 0.3 * np.tanh(r12[0] @ r2)
+    return dr1, np.zeros_like(r2), np.zeros_like(r12)
+
+
+def _float_cast_polesink(hamiltonian, r1, r2, r12):
+    blocks = polesink_law(0.1).joint_field_fn(hamiltonian, r1, r2, r12)
+    return tuple(np.asarray(b, dtype=float) for b in blocks)
+
+
+@pytest.mark.parametrize("field, message", [
+    (_one_state_drift, "must act on the last axis"),
+    (_float_cast_polesink, "must be complex-analytic"),
+], ids=["one-state", "float-cast"])
+def test_a_joint_field_off_the_row_contract_is_refused_by_name(field, message):
+    law = custom_law("off-contract", joint_field=field)
+    with pytest.raises(ValueError, match=f"^joint field of law 'off-contract' {message}"):
+        evolve(law, BlochHamiltonian((2, 2)), singlet_state(), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from blochsig.bloch import BlochState, joint_to_bloch
 from blochsig.dynamics import BlochHamiltonian, linear_law
 from blochsig.errors import (
     DimensionMismatchError,
+    InvalidDimensionError,
     InvalidObservableError,
     InvalidProjectorError,
     PerturbationInfeasibleError,
@@ -441,6 +442,16 @@ def test_an_observable_refuses_outcome_coordinates_of_another_shape(u0, u):
     with pytest.raises(DimensionMismatchError,
                        match=r"^u0 and u must have shapes \(K,\) and \(K, 3\), got "):
         ProjectiveObservable(2, u0, u)
+
+
+@pytest.mark.parametrize("dim", [1, True, 2.5], ids=["one", "bool", "fraction"])
+def test_an_observable_refuses_a_dimension_that_is_no_integer_of_at_least_two(dim):
+    with pytest.raises(InvalidDimensionError, match=f"^dimension must be >= 2, got {dim!r}$"):
+        ProjectiveObservable(dim, [1.0], np.zeros((1, 0)))
+
+
+def test_an_observable_stores_its_dimension_as_an_int():
+    assert type(ProjectiveObservable(np.int64(2), [1.0], np.zeros((1, 3))).dim) is int
 
 
 def test_an_observable_holds_read_only_copies_of_its_coordinates():
